@@ -11,16 +11,9 @@ import argparse
 import math
 
 from ddestab.models import NicholsonParams, nicholson_global
-from ddestab.params import sharp_boundary_theta
+from ddestab.params import critical_h
 
 FMT = "%.12g"
-
-
-def critical_product(ln_q: float) -> float:
-    c = ln_q - 1.0
-    if c <= 1.0:
-        return math.inf
-    return -math.log(sharp_boundary_theta(-c))
 
 
 def main() -> int:
@@ -34,7 +27,9 @@ def main() -> int:
     rows = []
     for i in range(args.n + 1):
         ln_q = args.lnq_min + (args.lnq_max - args.lnq_min) * i / args.n
-        dh = critical_product(ln_q)
+        c = ln_q - 1.0
+        # critical_h needs a negative slope; c <= 0 is delay-independent too
+        dh = critical_h(-c, 1.0) if c > 0.0 else math.inf
         if math.isfinite(dh):
             p = math.exp(ln_q)
             inside = nicholson_global(NicholsonParams(p=p, delta=1.0, gamma_n=1.0, h=0.999 * dh))
@@ -42,14 +37,14 @@ def main() -> int:
             if not inside.certified or outside.certified:
                 print(f"inconsistent window at ln q = {ln_q:.6g}")
                 return 1
-        rows.append((ln_q, ln_q - 1.0, dh))
+        rows.append((ln_q, c, dh))
 
     with open(args.out, "w", newline="") as fh:
         fh.write("ln_q,c,critical_delta_h\n")
         for row in rows:
             fh.write(",".join(FMT % v for v in row) + "\n")
     print(f"window table: {args.out} ({len(rows)} rows)")
-    e3 = critical_product(3.0)
+    e3 = critical_h(-2.0, 1.0)
     print(f"reference point ln q = 3: critical product {FMT % e3}")
     return 0
 

@@ -10,150 +10,21 @@ reproduces the stability-region geometry as CSV artifacts and re-checks
 every supporting inequality on dense grids with margin tracking.
 """
 
-from .params import (
-    ParamSet,
-    NormParams,
-    Region,
-    RegionLabel,
-    normalize,
-    criterion_delta,
-    criterion_norm,
-    linear_criterion,
-    sharp_boundary_theta,
-    linear_boundary_theta,
-    critical_h,
-    pi_curve,
-    classify,
-    local_stability_boundary,
-)
-from .ratmaps import (
-    Coeffs,
-    r_eval,
-    r_inv,
-    coeffs,
-    R_eval,
-    R2_eval,
-    psi,
-    psi_inv,
-    chi,
-    chi_iterate,
-    schwarzian,
-    schwarzian_numeric,
-)
-from .onedmaps import (
-    IntervalI,
-    interval_I,
-    t1,
-    phi_antiderivative,
-    phi_diff,
-    F_solve,
-    F1_solve,
-    bound_L,
-    bound_G,
-    bound_G1,
-    Q_poly,
-    S_poly,
-    T_chain,
-    lambda_composite,
-)
-from .ddesim import (
-    History,
-    Trajectory,
-    integrate,
-    asymptotic_bounds,
-    F_sim,
-    F1_sim,
-)
-from .models import (
-    Nonlinearity,
-    NicholsonParams,
-    make_ricker_shifted,
-    make_wright,
-    make_mackey_glass,
-    make_wazewska,
-    make_rational,
-    check_W,
-    lk_coeffs,
-    nicholson_global,
-    attractor_bounds,
-)
-from .verify import (
-    LemmaReport,
-    Certificate,
-    Fact,
-    LEMMA_IDS,
-    verify_lemma,
-    verify_all,
-    certificate,
-    sweep_figures,
-)
+from . import ddesim, models, onedmaps, params, ratmaps, verify
+from .ddesim import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .onedmaps import *  # noqa: F401,F403
+from .params import *  # noqa: F401,F403
+from .ratmaps import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ParamSet",
-    "NormParams",
-    "Region",
-    "RegionLabel",
-    "normalize",
-    "criterion_delta",
-    "criterion_norm",
-    "linear_criterion",
-    "sharp_boundary_theta",
-    "linear_boundary_theta",
-    "critical_h",
-    "pi_curve",
-    "classify",
-    "local_stability_boundary",
-    "Coeffs",
-    "r_eval",
-    "r_inv",
-    "coeffs",
-    "R_eval",
-    "R2_eval",
-    "psi",
-    "psi_inv",
-    "chi",
-    "chi_iterate",
-    "schwarzian",
-    "schwarzian_numeric",
-    "IntervalI",
-    "interval_I",
-    "t1",
-    "phi_antiderivative",
-    "phi_diff",
-    "F_solve",
-    "F1_solve",
-    "bound_L",
-    "bound_G",
-    "bound_G1",
-    "Q_poly",
-    "S_poly",
-    "T_chain",
-    "lambda_composite",
-    "History",
-    "Trajectory",
-    "integrate",
-    "asymptotic_bounds",
-    "F_sim",
-    "F1_sim",
-    "Nonlinearity",
-    "NicholsonParams",
-    "make_ricker_shifted",
-    "make_wright",
-    "make_mackey_glass",
-    "make_wazewska",
-    "make_rational",
-    "check_W",
-    "lk_coeffs",
-    "nicholson_global",
-    "attractor_bounds",
-    "LemmaReport",
-    "Certificate",
-    "Fact",
-    "LEMMA_IDS",
-    "verify_lemma",
-    "verify_all",
-    "certificate",
-    "sweep_figures",
-]
+__all__ = (
+    params.__all__
+    + ratmaps.__all__
+    + onedmaps.__all__
+    + ddesim.__all__
+    + models.__all__
+    + verify.__all__
+)

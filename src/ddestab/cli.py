@@ -240,10 +240,7 @@ def _cmd_verify(args) -> int:
         rep = verify_lemma(lemma_id, resolution=args.resolution, threads=args.threads)
         if args.out:
             write_report(rep, args.out)
-        print(
-            f"{rep.lemma_id}: points={rep.points_checked} "
-            f"violations={len(rep.violations)} min_margin={rep.min_margin:.6g}"
-        )
+        print(rep.summary())
         bad += len(rep.violations)
     return 0 if bad == 0 else 1
 

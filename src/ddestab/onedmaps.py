@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .ddouble import FLOAT
 from .params import NormParams
-from .ratmaps import Coeffs, R_eval, R2_eval, coeffs, r_eval
+from .ratmaps import Coeffs, R_eval, R2_eval, coeffs, j_tangent_coeffs, r_eval
 from .rootfind import solve_bracketed
 
 __all__ = [
@@ -36,11 +36,10 @@ __all__ = [
     "bound_L",
     "bound_G",
     "bound_G1",
-    "M_poly",
-    "N_poly",
-    "Q_poly",
-    "S_poly",
-    "T_chain",
+    "mn_polys_generic",
+    "q_poly_generic",
+    "s_poly_generic",
+    "t_chain_generic",
     "lambda_composite",
 ]
 
@@ -236,13 +235,6 @@ def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
 # explicit rational bounds
 
 
-def _j_tangent_parts(np_: NormParams) -> tuple[float, float]:
-    from .ratmaps import _j_tangent_coeffs
-
-    j0, j1 = _j_tangent_coeffs(np_.a, np_.theta, FLOAT)
-    return float(j0), float(j1)
-
-
 def bound_L(r: float, np_: NormParams) -> float:
     """Two-term rational minorant of the constant-history response near 0.
 
@@ -250,7 +242,7 @@ def bound_L(r: float, np_: NormParams) -> float:
     the origin with a quadratic correction over a linear denominator.
     """
     c = coeffs(np_)
-    _, j1 = _j_tangent_parts(np_)
+    _, j1 = j_tangent_coeffs(np_.a, np_.theta)
     a1 = c.alpha
     a2 = 0.5 * j1 * (1.0 - c.lam)
     a3 = (1.0 - c.lam) / np_.a + a2
@@ -338,16 +330,6 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
     return m_val, n_val
 
 
-def M_poly(r: float, np_: NormParams) -> float:
-    m, _ = mn_polys_generic(r, np_.a, np_.theta)
-    return float(m)
-
-
-def N_poly(r: float, np_: NormParams) -> float:
-    _, n = mn_polys_generic(r, np_.a, np_.theta)
-    return float(n)
-
-
 def q_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
     """Certificate polynomial (1 - r*beta)*M - alpha*N; <= 0 closes the chain."""
     from .ratmaps import coeffs_generic
@@ -358,10 +340,6 @@ def q_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
         _, alpha, beta, _ = coeffs_generic(a, theta, mx)
     m_val, n_val = mn_polys_generic(r, a, theta, mx)
     return (one - r * beta) * m_val - alpha * n_val
-
-
-def Q_poly(r: float, np_: NormParams) -> float:
-    return float(q_poly_generic(r, np_.a, np_.theta))
 
 
 def s_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
@@ -400,10 +378,6 @@ def s_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
     return s0 + r * (s1 + r * (s2 + r * s3))
 
 
-def S_poly(r: float, np_: NormParams) -> float:
-    return float(s_poly_generic(r, np_.a, np_.theta))
-
-
 def t_chain_generic(a, theta, mx=FLOAT, alpha=None):
     """Descending control sequence (T3, T2, T1, T0) for the derivative sign."""
     from .ratmaps import coeffs_generic
@@ -428,11 +402,6 @@ def t_chain_generic(a, theta, mx=FLOAT, alpha=None):
         - th * (7.0 * th3 - 17.0 * th2 - 47.0 * th + 153.0) * alpha
     ) / (th2 - 13.0)
     return t3, t2, t1, t0
-
-
-def T_chain(np_: NormParams) -> tuple[float, float, float, float]:
-    t3, t2, t1_, t0 = t_chain_generic(np_.a, np_.theta)
-    return float(t3), float(t2), float(t1_), float(t0)
 
 
 def lambda_composite(x: float, np_: NormParams, c: Coeffs | None = None) -> float:

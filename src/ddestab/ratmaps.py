@@ -34,8 +34,8 @@ __all__ = [
     "schwarzian",
     "schwarzian_numeric",
     "schwarz_margin",
-    "J_eval",
-    "J_tangent",
+    "j_generic",
+    "j_tangent_coeffs",
     "coth_stable",
 ]
 
@@ -72,17 +72,11 @@ class Coeffs:
 
 def coeffs(np_: NormParams) -> Coeffs:
     a, th = np_.a, np_.theta
-    lam = math.exp(th / a)
-    alpha = (1.0 - a) * lam + a
-    num = a * a + lam * (1.0 - 2.0 * a + 2.0 * th * (a - 1.0)) - (1.0 - a) ** 2 * lam * lam
-    den = a * a + (a - a * a) * lam
-    beta = -num / den
-    a_star = a + th / (1.0 - th)
-    lnth = math.log(th)
+    lam, alpha, beta, a_star = coeffs_generic(a, th, FLOAT)
+    gamma = None
     if th > 0.16:
+        lnth = math.log(th)
         gamma = a ** 3 * alpha * (1.0 - th + lnth) / (2.0 - th + lnth)
-    else:
-        gamma = None
     return Coeffs(alpha=alpha, beta=beta, a_star=a_star, lam=lam, gamma=gamma)
 
 
@@ -246,17 +240,13 @@ def coth_stable(t, mx=FLOAT):
     return (one + e) / (one - e)
 
 
-def J_eval(r: float, np_: NormParams) -> float:
+def j_generic(r, a, theta, mx=FLOAT):
     """Comparison function N*coth(nu*N/2), N = sqrt(1+4r), nu = -theta/a.
 
-    Defined for r > -1/4; at r = -1/4 the singularity is removable with
-    value 2/nu, handled by the series branch of coth as N -> 0.
+    Defined for r >= -1/4; at r = -1/4 the singularity is removable with
+    value 2/nu, returned directly; near it the series branch of coth keeps
+    full precision.  Any arithmetic backend mx.
     """
-    val = _j_generic(r, np_.a, np_.theta, FLOAT)
-    return float(val)
-
-
-def _j_generic(r, a, theta, mx):
     one = mx.num(1.0)
     r = mx.num(r) * one
     a = mx.num(a) * one
@@ -271,13 +261,8 @@ def _j_generic(r, a, theta, mx):
     return n * coth_stable(nu * n / 2.0, mx)
 
 
-def J_tangent(r: float, np_: NormParams) -> float:
-    """Tangent line to the comparison function at r = 0."""
-    j0, j1 = _j_tangent_coeffs(np_.a, np_.theta, FLOAT)
-    return float(j0) + float(j1) * r
-
-
-def _j_tangent_coeffs(a, theta, mx):
+def j_tangent_coeffs(a, theta, mx=FLOAT):
+    """Tangent line j0 + j1*r to the comparison function at r = 0, any backend."""
     one = mx.num(1.0)
     a = mx.num(a) * one
     theta = mx.num(theta) * one

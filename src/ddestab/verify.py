@@ -36,6 +36,7 @@ from .params import (
     sharp_boundary_theta,
     write_region_csv,
     write_region_json,
+    _boundary_log,
 )
 from .ratmaps import (
     R2_eval,
@@ -46,13 +47,12 @@ from .ratmaps import (
     r_eval,
     schwarz_margin,
     chi_iterate,
-    _j_tangent_coeffs,
-    _j_generic,
+    j_generic,
+    j_tangent_coeffs,
 )
 from .onedmaps import (
     F1_solve_r,
     F_solve_r,
-    Q_poly,
     _g1_parts,
     bound_G1,
     bound_L,
@@ -97,6 +97,13 @@ class LemmaReport:
             "min_margin": self.min_margin,
         }
 
+    def summary(self) -> str:
+        """One progress line: check id, point count, violations, smallest margin."""
+        return (
+            f"{self.lemma_id}: points={self.points_checked} "
+            f"violations={len(self.violations)} min_margin={self.min_margin:.6g}"
+        )
+
 
 @dataclass(frozen=True)
 class _LemmaSpec:
@@ -119,35 +126,15 @@ def _register(spec: _LemmaSpec) -> None:
 # grid builders
 
 
-def _band_points(resolution: int, region: str) -> list[dict]:
-    """Full-resolution product grid over the certified band (or a sub-band)."""
-    pts = []
-    n = resolution
-    for i in range(1, n):
-        mu = i / n
-        lo = pi_curve(2, mu)
-        hi = pi_curve(1, mu)
-        if hi <= lo:
-            continue
-        if region == "S":
-            lo = max(lo, pi_curve(3, mu), 0.8)
-            hi = min(hi, 1.0 - 1e-6)
-            if lo > hi:
-                continue
-        for j in range(n + 1):
-            th = lo + (hi - lo) * j / n
-            if region == "Dstar" and th >= 0.8 and pi_curve(3, mu) <= th:
-                continue
-            pts.append({"mu": mu, "theta": th, "a": -1.0 / mu})
-    return pts
+def _band_grid(mus, rows, off, den: int, region: str) -> list[dict]:
+    """Band sample: for each mu, theta = lo + (hi - lo) * (j + off) / den, j in rows.
 
-
-def _capped_band_points(n_mu: int, n_th: int, region: str) -> list[dict]:
-    """Cell-centered band sample with a fixed (resolution-free) shape."""
+    [lo, hi] is [pi_2, pi_1] at mu.  Region "D" keeps it, "Dstar" drops the
+    small-mu corner (theta >= 0.8 above the chord pi_3), and "S" clips the
+    interval to that corner.
+    """
     pts = []
-    mu_top = MU_SECTOR_MAX if region == "S" else 1.0
-    for i in range(n_mu):
-        mu = mu_top * (i + 1) / (n_mu + 1)
+    for mu in mus:
         lo = pi_curve(2, mu)
         hi = pi_curve(1, mu)
         if region == "S":
@@ -155,12 +142,22 @@ def _capped_band_points(n_mu: int, n_th: int, region: str) -> list[dict]:
             hi = min(hi, 1.0 - 1e-6)
         if hi <= lo:
             continue
-        for j in range(n_th):
-            th = lo + (hi - lo) * (j + 0.5) / n_th
+        for j in rows:
+            th = lo + (hi - lo) * (j + off) / den
             if region == "Dstar" and th >= 0.8 and pi_curve(3, mu) <= th:
                 continue
             pts.append({"mu": mu, "theta": th, "a": -1.0 / mu})
     return pts
+
+
+def _product_mus(n: int) -> list[float]:
+    """Full-resolution mu rows i/n, i = 1..n-1."""
+    return [i / n for i in range(1, n)]
+
+
+def _cell_mus(n_mu: int, mu_top: float = 1.0) -> list[float]:
+    """Cell-centered mu rows with a fixed (resolution-free) count."""
+    return [mu_top * (i + 1) / (n_mu + 1) for i in range(n_mu)]
 
 
 def _slope_theta_points(n_a: int = 32, n_th: int = 9) -> list[dict]:
@@ -231,8 +228,8 @@ def _margins_dom(pt: dict, mx) -> list:
 def _margins_jcal_tangent(pt: dict, mx) -> list:
     one = mx.num(1.0)
     r = mx.num(pt["r"]) * one
-    j0, j1 = _j_tangent_coeffs(pt["a"], pt["theta"], mx)
-    jv = _j_generic(pt["r"], pt["a"], pt["theta"], mx)
+    j0, j1 = j_tangent_coeffs(pt["a"], pt["theta"], mx)
+    jv = j_generic(pt["r"], pt["a"], pt["theta"], mx)
     return [("tangent_dominates", j0 + j1 * r - jv)]
 
 
@@ -245,7 +242,7 @@ def _margins_jcal_concavity(pt: dict, mx) -> list:
     th = pt["theta"]
 
     def j(rr: float) -> float:
-        return float(_j_generic(rr, a, th, FLOAT))
+        return j_generic(rr, a, th)
 
     h = _FD_STEP_J
     second = (
@@ -401,35 +398,18 @@ def _margins_gss(pt: dict, mx) -> list:
 # generators
 
 
-def _gen_albet(n: int):
+def _gen_band_d(n: int):
     return (
         f"band D product grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=0..{n})",
-        _band_points(n, "D"),
+        _band_grid(_product_mus(n), range(n + 1), 0, n, "D"),
     )
 
 
 def _gen_albeta(n: int):
-    pts = []
-    for i in range(1, n):
-        mu = i / n
-        lo = pi_curve(2, mu)
-        hi = pi_curve(1, mu)
-        if hi <= lo:
-            continue
-        for j in range(1, n + 1):
-            th = lo + (hi - lo) * j / n
-            pts.append({"mu": mu, "theta": th, "a": -1.0 / mu})
     return (
         f"band D interior grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=1..{n}; "
         "lower edge excluded where the product degenerates to -1)",
-        pts,
-    )
-
-
-def _gen_dom(n: int):
-    return (
-        f"band D product grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=0..{n})",
-        _band_points(n, "D"),
+        _band_grid(_product_mus(n), range(1, n + 1), 0, n, "D"),
     )
 
 
@@ -462,7 +442,7 @@ def _gen_jcal_concavity(n: int):
 
 def _gen_leform1(n: int):
     pts = []
-    for base in _capped_band_points(32, 9, "D"):
+    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "D"):
         np_ = NormParams(a=base["a"], theta=base["theta"])
         a_star = coeffs(np_).a_star
         for k in range(n):
@@ -475,7 +455,7 @@ def _gen_leform1(n: int):
 
 def _gen_plyus(n: int):
     pts = []
-    for base in _capped_band_points(32, 9, "D"):
+    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "D"):
         np_ = NormParams(a=base["a"], theta=base["theta"])
         beta = coeffs(np_).beta
         for k in range(1, n):
@@ -488,7 +468,7 @@ def _gen_plyus(n: int):
 
 def _gen_leform2(n: int):
     pts = []
-    for base in _capped_band_points(32, 9, "D"):
+    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "D"):
         np_ = NormParams(a=base["a"], theta=base["theta"])
         a = base["a"]
         a_star = coeffs(np_).a_star
@@ -503,13 +483,13 @@ def _gen_leform2(n: int):
 def _gen_lele(n: int):
     return (
         f"band D-minus-corner product grid: mu=i/{n} (i=1..{n - 1}), theta rows j=0..{n}",
-        _band_points(n, "Dstar"),
+        _band_grid(_product_mus(n), range(n + 1), 0, n, "Dstar"),
     )
 
 
 def _gen_leleka(n: int):
     pts = []
-    for base in _capped_band_points(32, 9, "Dstar"):
+    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "Dstar"):
         np_ = NormParams(a=base["a"], theta=base["theta"])
         a = base["a"]
         a_star = coeffs(np_).a_star
@@ -527,7 +507,7 @@ def _gen_leleka(n: int):
 def _gen_funcrr2(n: int):
     m = min(n, 128)
     pts = []
-    for base in _capped_band_points(8, 5, "S"):
+    for base in _band_grid(_cell_mus(8, MU_SECTOR_MAX), range(5), 0.5, 5, "S"):
         a = base["a"]
         for k in range(1, m):
             pts.append({**base, "r": a * (1.0 - k / m)})
@@ -582,9 +562,9 @@ def _gen_gss(n: int):
 
 
 def _build_registry() -> None:
-    _register(_LemmaSpec("albet", True, _gen_albet, _margins_albet))
+    _register(_LemmaSpec("albet", True, _gen_band_d, _margins_albet))
     _register(_LemmaSpec("albeta", True, _gen_albeta, _margins_albeta))
-    _register(_LemmaSpec("dom", True, _gen_dom, _margins_dom))
+    _register(_LemmaSpec("dom", True, _gen_band_d, _margins_dom))
     _register(
         _LemmaSpec(
             "jcal_tangent", True, _gen_jcal_tangent, _margins_jcal_tangent, dd_threshold=1e-11
@@ -636,7 +616,7 @@ def _eval_points(lemma_id: str, points: list[dict]) -> tuple[list[dict], float]:
                 min_margin = mf
             if mf < 0.0:
                 entry = {k: v for k, v in pt.items() if k != "first_r"}
-                entry["check"] = label
+                entry["label"] = label
                 entry["margin"] = mf
                 violations.append(entry)
     return violations, min_margin
@@ -706,10 +686,7 @@ def verify_all(
         if out_dir is not None:
             write_report(rep, out_dir)
         if progress is not None:
-            progress(
-                f"{rep.lemma_id}: points={rep.points_checked} "
-                f"violations={len(rep.violations)} min_margin={rep.min_margin:.6g}"
-            )
+            progress(rep.summary())
         reports.append(rep)
     return reports
 
@@ -753,9 +730,9 @@ def certificate(np_: NormParams) -> Certificate:
     """Assemble the fact chain that backs the classification at this point."""
     label = classify(np_)
     point = (np_.a, np_.theta)
-    crit_margin = (-np_.theta / np_.a) - math.log(
-        (np_.a * np_.a - np_.a) / (np_.a * np_.a + 1.0)
-    )
+    # the same boundary expression criterion_norm compares, so this fact
+    # and classify cannot disagree
+    crit_margin = -np_.theta / np_.a - _boundary_log(np_.a)
     crit_fact = Fact("sharp_criterion_margin", crit_margin, "> 0", crit_margin > 0.0)
     if label.tag is Region.NOT_CERTIFIED:
         return Certificate(point, label, [], crit_fact if not crit_fact.ok else None)
@@ -775,7 +752,7 @@ def certificate(np_: NormParams) -> Certificate:
         prod = np_.a * c.alpha
         chain.append(Fact("slope_product", prod, "in (-1, 0)", -1.0 < prod < 0.0))
         chain.append(Fact("beta_pos", c.beta, "> 0", c.beta > 0.0))
-        q_branch = Q_poly(c.a_star, np_)
+        q_branch = q_poly_generic(c.a_star, np_.a, np_.theta, alpha=c.alpha, beta=c.beta)
         chain.append(Fact("certificate_poly_at_branch", q_branch, "<= 0", q_branch <= 0.0))
         worst = math.inf
         for rz in _spot_rs(np_):

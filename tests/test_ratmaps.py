@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from ddestab.params import NormParams
 from ddestab.ratmaps import (
     Coeffs,
-    J_eval,
-    J_tangent,
     R2_eval,
     R_eval,
     chi,
@@ -16,6 +14,8 @@ from ddestab.ratmaps import (
     coeffs_generic,
     coth_stable,
     gamma_coeff,
+    j_generic,
+    j_tangent_coeffs,
     psi,
     psi_inv,
     r_eval,
@@ -192,38 +192,42 @@ def test_J_matches_direct_formula(np_core):
     for r in (-0.2, 0.3, 1.0, 4.0):
         n = math.sqrt(1.0 + 4.0 * r)
         expected = n / math.tanh(nu * n / 2.0)
-        assert J_eval(r, np_core) == pytest.approx(expected, rel=1e-13)
+        assert j_generic(r, a, th) == pytest.approx(expected, rel=1e-13)
 
 
 def test_J_removable_point(np_core):
     a, th = np_core.a, np_core.theta
     nu = -th / a
-    assert J_eval(-0.25, np_core) == pytest.approx(2.0 / nu, rel=1e-10)
-    near = J_eval(-0.25 + 1e-9, np_core)
+    assert j_generic(-0.25, a, th) == pytest.approx(2.0 / nu, rel=1e-10)
+    near = j_generic(-0.25 + 1e-9, a, th)
     assert near == pytest.approx(2.0 / nu, rel=1e-7)
 
 
 def test_J_domain_guard(np_core):
     with pytest.raises(ValueError):
-        J_eval(-0.3, np_core)
+        j_generic(-0.3, np_core.a, np_core.theta)
 
 
 def test_J_value_at_zero(np_core):
     lam = coeffs(np_core).lam
-    assert J_eval(0.0, np_core) == pytest.approx((1.0 + lam) / (1.0 - lam), rel=1e-14)
+    j0 = j_generic(0.0, np_core.a, np_core.theta)
+    assert j0 == pytest.approx((1.0 + lam) / (1.0 - lam), rel=1e-14)
 
 
 def test_J_tangent_touches_at_zero(np_core):
-    assert J_tangent(0.0, np_core) == pytest.approx(J_eval(0.0, np_core), rel=1e-13)
+    a, th = np_core.a, np_core.theta
+    j0, j1 = j_tangent_coeffs(a, th)
+    assert j0 == pytest.approx(j_generic(0.0, a, th), rel=1e-13)
     eps = 1e-6
-    fd = (J_eval(eps, np_core) - J_eval(-eps, np_core)) / (2.0 * eps)
-    tg = (J_tangent(eps, np_core) - J_tangent(-eps, np_core)) / (2.0 * eps)
-    assert tg == pytest.approx(fd, rel=1e-7)
+    fd = (j_generic(eps, a, th) - j_generic(-eps, a, th)) / (2.0 * eps)
+    assert j1 == pytest.approx(fd, rel=1e-7)
 
 
 def test_J_tangent_dominates(np_core):
+    a, th = np_core.a, np_core.theta
+    j0, j1 = j_tangent_coeffs(a, th)
     for r in (-0.2, 0.5, 2.0, 5.0):
-        assert J_tangent(r, np_core) >= J_eval(r, np_core) - 1e-12
+        assert j0 + j1 * r >= j_generic(r, a, th) - 1e-12
 
 
 def test_coeffs_cached(np_core):

@@ -1,5 +1,6 @@
 """Every JSON artifact validates against the schema shipped in docs."""
 
+import dataclasses
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from ddestab.cli import main
 from ddestab.params import write_region_json
+from ddestab import verify
 from ddestab.verify import sweep_figures, verify_lemma, write_report
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
@@ -41,6 +43,26 @@ def test_lemma_report_with_violation_validates():
         "min_margin": -0.5,
     }
     jsonschema.validate(doc, _schema("lemma_report.schema.json"))
+
+
+def test_lemma_report_with_real_violation_validates(tmp_path, monkeypatch):
+    # shift one real margin below zero so violations come from the sweep itself
+    spec = verify._REGISTRY["expo_bounds"]
+
+    def shifted(pt, mx):
+        return [(label, m - 1.0) for label, m in spec.margins(pt, mx)]
+
+    monkeypatch.setitem(verify._REGISTRY, "expo_bounds", dataclasses.replace(spec, margins=shifted))
+    rep = verify_lemma("expo_bounds", resolution=8, threads=1)
+    assert rep.violations and rep.min_margin < 0.0
+    path = write_report(rep, tmp_path)
+    data = json.load(open(path))
+    jsonschema.validate(data, _schema("lemma_report.schema.json"))
+    assert {v["label"] for v in data["violations"]} <= {
+        "exp_above_linear",
+        "exp_below_quadratic",
+        "exp_above_cubic",
+    }
 
 
 def test_region_boundaries_validates(tmp_path):

@@ -1,0 +1,29 @@
+"""The benchmark tracer still finds every name it wraps in the package."""
+
+import importlib.util
+from pathlib import Path
+
+import ddestab
+import ddestab.cli  # noqa: F401  (the tracer wraps names in every module)
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_install_and_restore():
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install(ddestab)
+        patched = list(tracer._patches)
+    finally:
+        tracer.restore()
+    assert patched
+    for obj, attr, _own, original in patched:
+        # bound methods are rebuilt on each lookup, so compare by equality
+        assert getattr(obj, attr) == original, (obj, attr)

@@ -3,15 +3,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ddestab.params import NormParams, Region, classify
+from ddestab.params import NormParams, Region, classify, sharp_boundary_theta
 from ddestab.verify import (
+    _REGISTRY,
     LEMMA_IDS,
     Certificate,
     Fact,
     LemmaReport,
-    _band_points,
     _r303_endpoint_margin,
     certificate,
     sweep_figures,
@@ -73,9 +74,10 @@ def test_smoke_sweep_clean(lemma_id):
 def test_band_grid_nesting():
     # doubling the resolution keeps every coarse node (power-of-two steps
     # divide exactly), so refinement only ever adds points
-    for region in ("D", "Dstar"):
-        coarse = {(p["a"], p["theta"]) for p in _band_points(8, region)}
-        fine = {(p["a"], p["theta"]) for p in _band_points(16, region)}
+    for lemma_id in ("albet", "albeta", "lele"):
+        gen = _REGISTRY[lemma_id].gen
+        coarse = {(p["a"], p["theta"]) for p in gen(8)[1]}
+        fine = {(p["a"], p["theta"]) for p in gen(16)[1]}
         assert coarse <= fine
 
 
@@ -187,6 +189,20 @@ def test_certificate_not_certified():
     assert cert.failure is not None
     assert cert.failure.name == "sharp_criterion_margin"
     assert not cert.failure.ok
+
+
+def test_sharp_criterion_fact_agrees_with_classify():
+    # a few ulps above the boundary the criterion fact must follow the same
+    # boundary expression classify compares, not a digit-losing variant
+    for a in np.linspace(-1.05, -20.0, 200):
+        theta = sharp_boundary_theta(float(a))
+        for _ in range(4):
+            theta = math.nextafter(theta, 1.0)
+            np_ = NormParams(a=float(a), theta=theta)
+            cert = certificate(np_)
+            fact = cert.chain[0] if cert.chain else cert.failure
+            assert fact.name == "sharp_criterion_margin"
+            assert fact.ok == classify(np_).certified, (a, theta, fact.value)
 
 
 def test_certificate_point_recorded(np_core):
