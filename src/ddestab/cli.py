@@ -309,7 +309,12 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="sweep the supporting inequalities on dense grids")
     v.add_argument("--lemma", default="all", choices=["all"] + LEMMA_IDS)
     v.add_argument("--resolution", type=int, default=64)
-    v.add_argument("--threads", type=int, default=None)
+    v.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker processes per sweep (default: DDE_STAB_THREADS, else 1)",
+    )
     v.add_argument("--out", default=None, help="directory for JSON reports")
     v.set_defaults(fn=_cmd_verify)
     return ap

@@ -169,6 +169,17 @@ def _parabola_refine(y: np.ndarray, i: int, t0: float, s: float) -> tuple[float,
     return t0 + (i + dt) * s, v
 
 
+def _extremum_after(y: np.ndarray, tc: float, s: float, lowest: bool) -> float:
+    """Smallest (lowest) or largest value of grid data y at nodes after time tc,
+    parabola-refined unless it falls on the last node."""
+    i_lo = max(1, int(math.ceil(tc / s - 1e-9)))
+    pick = np.argmin if lowest else np.argmax
+    im = i_lo + int(pick(y[i_lo:]))
+    if im <= len(y) - 2:
+        return _parabola_refine(y, im, 0.0, s)[1]
+    return float(y[im])
+
+
 def _delta_h(params) -> tuple[float, float]:
     if isinstance(params, ParamSet):
         return params.delta, params.h
@@ -278,15 +289,13 @@ class BoundsResult:
     n_extrema: int
 
 
-def asymptotic_bounds(tr: Trajectory, transient_fraction: float = 0.5) -> BoundsResult:
-    """Late-time envelope of a trajectory from its post-transient extrema.
+def asymptotic_bounds(tr: Trajectory) -> BoundsResult:
+    """Late-time envelope of a trajectory from its extrema in the second half.
 
-    Confident when at least five extrema land after the cutoff; otherwise
+    Confident when at least five extrema land after the midpoint; otherwise
     falls back to the raw tail range (monotone or short tails).
     """
-    if not 0.0 <= transient_fraction < 1.0:
-        raise ValueError("transient fraction must lie in [0, 1)")
-    cut = tr.t0 + transient_fraction * (tr.t_end - tr.t0)
+    cut = tr.t0 + 0.5 * (tr.t_end - tr.t0)
     ext = [(t, v) for (t, v, _k) in tr.extrema() if t >= cut]
     i0 = min(len(tr.values) - 1, int(math.ceil((cut - tr.t0) / tr.step)))
     tail = tr.values[i0:]
@@ -335,21 +344,10 @@ def _f_sim_parts(z: float, np_: NormParams, step: float | None = None):
     s = tr.step
     n = round(h / s)
     y = tr.values
-    K = len(y) - 1
     y_cross = _cubic_at(y, n, tc, s)
     if abs(y_cross) > 1e-6:
         raise RuntimeError(f"crossing-time consistency check failed: y({tc:.6g}) = {y_cross:.3g}")
-    i_lo = max(1, int(math.ceil(tc / s - 1e-9)))
-    window = y[i_lo : K + 1]
-    if z > 0.0:
-        im = i_lo + int(np.argmin(window))
-    else:
-        im = i_lo + int(np.argmax(window))
-    if 1 <= im <= K - 1:
-        _, val = _parabola_refine(y, im, 0.0, s)
-    else:
-        val = float(y[im])
-    return val, tr, y_cross
+    return _extremum_after(y, tc, s, lowest=z > 0.0), tr, y_cross
 
 
 def F_sim(z: float, np_: NormParams, step: float | None = None) -> float:

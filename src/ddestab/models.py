@@ -213,7 +213,7 @@ def shift_to_equilibrium(model: Nonlinearity, delta: float, hi: float = 1e6) -> 
             "production below decay at the left edge of the domain"
         )
     try:
-        res = solve_bracketed(gap, lo, hi, xtol=1e-15)
+        res = solve_bracketed(gap, lo, hi)
     except BracketError as exc:
         raise NoPositiveEquilibrium(
             f"production stays above decay up to x = {hi:g}"
@@ -536,7 +536,11 @@ class AttractorBounds:
     invariant_g1: bool
 
 
-def attractor_bounds(params: NicholsonParams, samples: int = 512) -> AttractorBounds:
+# sample count of each invariance check in attractor_bounds
+_INVARIANCE_SAMPLES = 512
+
+
+def attractor_bounds(params: NicholsonParams) -> AttractorBounds:
     """Iterate-based attractor bracket; requires the humped regime ln q > 2."""
     q = params.q
     lnq = params.ln_q
@@ -549,13 +553,13 @@ def attractor_bounds(params: NicholsonParams, samples: int = 512) -> AttractorBo
     low_g1 = _g1_iter(g1_peak, q, theta)
     lower = max(low_g, low_g1)
 
-    res = solve_bracketed(lambda x: _g_iter(x, q) - lnq, 1e-12, 1.0, xtol=1e-15)
+    res = solve_bracketed(lambda x: _g_iter(x, q) - lnq, 1e-12, 1.0)
     x1 = res.root
 
-    us = np.linspace(low_g, upper, samples)
+    us = np.linspace(low_g, upper, _INVARIANCE_SAMPLES)
     g_vals = q * us * np.exp(-us)
     inv_g = bool(g_vals.min() >= low_g - 1e-12 and g_vals.max() <= upper + 1e-12)
-    us1 = np.linspace(low_g1, g1_peak, samples)
+    us1 = np.linspace(low_g1, g1_peak, _INVARIANCE_SAMPLES)
     g1_vals = theta * lnq + (1.0 - theta) * (q * us1 * np.exp(-us1))
     inv_g1 = bool(
         g1_vals.min() >= low_g1 - 1e-12 and g1_vals.max() <= g1_peak + 1e-12

@@ -280,6 +280,12 @@ def _g1_parts(P: float, np_: NormParams) -> tuple[float, float, float, float, fl
     return A1, A2, B0, B1, B2
 
 
+def _g1_fraction(r: float, np_: NormParams, P: float) -> tuple[float, float]:
+    """Numerator and denominator of the ramp minorant bound_G1 at slope ratio P."""
+    A1, A2, B0, B1, B2 = _g1_parts(P, np_)
+    return A1 * r + A2 * r * r, B0 + r * (B1 + r * B2)
+
+
 def bound_G1(r: float, np_: NormParams, P: float | None = None) -> float:
     """Taylor-remainder minorant of the ramp response at slope ratio P.
 
@@ -287,11 +293,10 @@ def bound_G1(r: float, np_: NormParams, P: float | None = None) -> float:
     """
     if P is None:
         P = ramp_slope_ratio(r, np_) / r if r != 0.0 else 1.0
-    A1, A2, B0, B1, B2 = _g1_parts(P, np_)
-    den = B0 + r * (B1 + r * B2)
+    num, den = _g1_fraction(r, np_, P)
     if den == 0.0:
         raise ValueError("ramp minorant pole")
-    return (A1 * r + A2 * r * r) / den
+    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,7 @@ def local_stability_boundary(a: float) -> float:
     if not a < -1.0:
         raise ValueError(f"need slope < -1 for a finite boundary, got {a}")
     # crossing frequency s in (pi/2, pi) solves cos(s) = 1/a
-    res = solve_bracketed(
-        lambda s: math.cos(s) - 1.0 / a,
-        0.5 * math.pi,
-        math.pi,
-        xtol=1e-15,
-    )
+    res = solve_bracketed(lambda s: math.cos(s) - 1.0 / a, 0.5 * math.pi, math.pi)
     s = res.root
     h_crit = s / (-a * math.sin(s))
     return math.exp(-h_crit)

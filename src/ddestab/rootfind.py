@@ -24,20 +24,18 @@ class RootResult:
     bracket: tuple[float, float]
 
 
-def solve_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    ftol: float = 0.0,
-    xtol: float = 1e-15,
-    max_iter: int = 200,
-) -> RootResult:
+# a solve stops once the bracket is this narrow relative to max(1, |x|),
+# a few ulps, or after this many iterations
+_XTOL = 1e-15
+_MAX_ITER = 200
+
+
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
     """Find x in [lo, hi] with f(x) = 0, given f(lo) and f(hi) of opposite sign.
 
     Returns the visited point with the smallest |f|.  Stops when the bracket
-    width drops below xtol * max(1, |x|), when f hits zero exactly, or when
-    |f| <= ftol (ftol = 0 runs to bracket exhaustion).
+    width drops below _XTOL * max(1, |x|), when f hits zero exactly, or after
+    _MAX_ITER iterations.
     """
     if not lo < hi:
         raise BracketError(f"empty interval [{lo}, {hi}]")
@@ -61,8 +59,8 @@ def solve_bracketed(
         best_x, best_f = b, fb
 
     it = 0
-    for it in range(1, max_iter + 1):
-        if b - a <= xtol * max(1.0, abs(a), abs(b)):
+    for it in range(1, _MAX_ITER + 1):
+        if b - a <= _XTOL * max(1.0, abs(a), abs(b)):
             break
         x_new = None
         if it % 3 != 0 and f1 != f0:
@@ -82,7 +80,5 @@ def solve_bracketed(
         else:
             b, fb = x_new, f_new
         x0, f0, x1, f1 = x1, f1, x_new, f_new
-        if ftol > 0.0 and abs(f_new) <= ftol:
-            break
 
     return RootResult(best_x, best_f, it, (a, b))

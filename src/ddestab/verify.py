@@ -45,6 +45,7 @@ from .ratmaps import (
     coeffs_generic,
     gamma_coeff,
     r_eval,
+    r_inv,
     schwarz_margin,
     chi_iterate,
     j_generic,
@@ -53,8 +54,7 @@ from .ratmaps import (
 from .onedmaps import (
     F1_solve_r,
     F_solve_r,
-    _g1_parts,
-    bound_G1,
+    _g1_fraction,
     bound_L,
     lambda_composite,
     q_poly_generic,
@@ -105,81 +105,97 @@ class LemmaReport:
         )
 
 
+# a sweep grid: equal-length float64 columns named by point key; row i is
+# the point {name: column[i]}
+Grid = dict[str, np.ndarray]
+
+
 @dataclass(frozen=True)
 class _LemmaSpec:
     lemma_id: str
     dd_capable: bool
-    gen: Callable[[int], tuple[str, list[dict]]]
+    gen: Callable[[int], tuple[str, Grid]]
     margins: Callable[[dict, object], list[tuple[str, object]]]
     dd_threshold: float = 1e-6
     min_margin_override: Callable[[], float] | None = None
 
 
-_REGISTRY: dict[str, _LemmaSpec] = {}
-
-
-def _register(spec: _LemmaSpec) -> None:
-    _REGISTRY[spec.lemma_id] = spec
-
-
 # ---------------------------------------------------------------------------
 # grid builders
+#
+# Axes are evaluated on integer index arrays in the operation order of their
+# scalar formulas, so every node is bitwise what the scalar expression gives.
 
 
-def _band_grid(mus, rows, off, den: int, region: str) -> list[dict]:
+def _band_grid(mus: np.ndarray, rows: np.ndarray, off, den: int, region: str) -> Grid:
     """Band sample: for each mu, theta = lo + (hi - lo) * (j + off) / den, j in rows.
 
     [lo, hi] is [pi_2, pi_1] at mu.  Region "D" keeps it, "Dstar" drops the
     small-mu corner (theta >= 0.8 above the chord pi_3), and "S" clips the
     interval to that corner.
     """
-    pts = []
-    for mu in mus:
+    kept = []
+    for mu in mus.tolist():
         lo = pi_curve(2, mu)
         hi = pi_curve(1, mu)
+        chord = pi_curve(3, mu) if region != "D" else math.inf
         if region == "S":
-            lo = max(lo, pi_curve(3, mu), 0.8)
+            lo = max(lo, chord, 0.8)
             hi = min(hi, 1.0 - 1e-6)
-        if hi <= lo:
-            continue
-        for j in rows:
-            th = lo + (hi - lo) * (j + off) / den
-            if region == "Dstar" and th >= 0.8 and pi_curve(3, mu) <= th:
-                continue
-            pts.append({"mu": mu, "theta": th, "a": -1.0 / mu})
-    return pts
+        if hi > lo:
+            kept.append((mu, lo, hi, chord))
+    mu, lo, hi, chord = (np.array(col)[:, None] for col in zip(*kept))
+    theta = lo + (hi - lo) * (rows + off) / den
+    keep = (region != "Dstar") | ~((theta >= 0.8) & (chord <= theta))  # the corner cut
+    mu = np.broadcast_to(mu, theta.shape)[keep]
+    return {"mu": mu, "theta": theta[keep], "a": -1.0 / mu}
 
 
-def _product_mus(n: int) -> list[float]:
-    """Full-resolution mu rows i/n, i = 1..n-1."""
-    return [i / n for i in range(1, n)]
+def _cell_band(n_mu: int, n_th: int, region: str, mu_top: float = 1.0) -> Grid:
+    """Cell-centered band sample: mu = mu_top * (i + 1) / (n_mu + 1), theta rows j + 0.5."""
+    mus = mu_top * (np.arange(n_mu) + 1) / (n_mu + 1)
+    return _band_grid(mus, np.arange(n_th), 0.5, n_th, region)
 
 
-def _cell_mus(n_mu: int, mu_top: float = 1.0) -> list[float]:
-    """Cell-centered mu rows with a fixed (resolution-free) count."""
-    return [mu_top * (i + 1) / (n_mu + 1) for i in range(n_mu)]
+def _row_count(grid: Grid) -> int:
+    return len(next(iter(grid.values())))
 
 
-def _slope_theta_points(n_a: int = 32, n_th: int = 9) -> list[dict]:
-    """Plain (slope, theta) rectangle for the comparison-function checks."""
-    pts = []
-    for i in range(n_a):
-        a = -1.05 - (10.0 - 1.05) * i / (n_a - 1)
-        for j in range(n_th):
-            th = 0.1 + 0.1 * j
-            pts.append({"a": a, "theta": th})
-    return pts
+def _slope_rect(a_far: float, from_linear: bool = False) -> Grid:
+    """32x9 (slope, theta) rectangle with a = -1.05 - (a_far - 1.05) * i / 31.
+
+    theta = 0.1 + 0.1 * j, or with from_linear 8 equal steps from the
+    slope's linear threshold up to 1 - 1e-6.
+    """
+    a = -1.05 - (a_far - 1.05) * np.arange(32) / 31
+    j = np.arange(9)
+    if not from_linear:
+        return _times({"a": a}, "theta", 0.1 + 0.1 * j)
+    th_lo = np.array([linear_boundary_theta(s) for s in a.tolist()])[:, None]
+    return _times({"a": a}, "theta", th_lo + (1.0 - 1e-6 - th_lo) * j / 8)
 
 
-def _schwarz_param_points(n_a: int = 32, n_th: int = 9) -> list[dict]:
-    pts = []
-    for i in range(n_a):
-        a = -1.05 - (4.0 - 1.05) * i / (n_a - 1)
-        th_lo = linear_boundary_theta(a)
-        for j in range(n_th):
-            th = th_lo + (1.0 - 1e-6 - th_lo) * j / (n_th - 1)
-            pts.append({"a": a, "theta": th})
-    return pts
+def _times(base: Grid, name: str, axis: np.ndarray) -> Grid:
+    """Repeat each base row once per axis value, in a new column `name`.
+
+    axis is either one 1-D array every row shares or a 2-D array holding one
+    row of values per base row.
+    """
+    grid = {col: np.repeat(v, axis.shape[-1]) for col, v in base.items()}
+    grid[name] = axis.ravel() if axis.ndim == 2 else np.tile(axis, _row_count(base))
+    return grid
+
+
+def _skip_zero(grid: Grid, name: str) -> Grid:
+    """Drop the rows where column `name` is zero (within 1e-12)."""
+    keep = ~(np.abs(grid[name]) < 1e-12)
+    return {col: v[keep] for col, v in grid.items()}
+
+
+def _coeff_col(base: Grid, field: str) -> np.ndarray:
+    """One coeffs(...) field per (a, theta) base row, as a column."""
+    pairs = zip(base["a"].tolist(), base["theta"].tolist())
+    return np.array([getattr(coeffs(NormParams(a=a, theta=th)), field) for a, th in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +291,10 @@ def _margins_leform2(pt: dict, mx) -> list:
     c = coeffs(np_)
     rz = pt["r"]
     f1_val = F1_solve_r(rz, np_).value
-    P = ramp_slope_ratio(rz, np_) / rz
-    _, _, B0, B1, B2 = _g1_parts(P, np_)
-    den = B0 + rz * (B1 + rz * B2)
-    g1_val = bound_G1(rz, np_, P)
+    num, den = _g1_fraction(rz, np_, ramp_slope_ratio(rz, np_) / rz)
     return [
         ("taylor_denominator_pos", den),
-        ("ramp_above_taylor", f1_val - g1_val),
+        ("ramp_above_taylor", f1_val - num / den),
         ("ramp_above_moebius", f1_val - R_eval(rz, c)),
     ]
 
@@ -307,7 +320,7 @@ def _margins_leleka(pt: dict, mx) -> list:
         ("derivative_pos", s_poly_generic(r, a, th, mx, alpha=alpha, beta=beta)),
         ("certificate_nonpos", -q_poly_generic(r, a, th, mx, alpha=alpha, beta=beta)),
     ]
-    if pt.get("first_r"):
+    if r == a:  # the deep end of the r axis, once per (a, theta)
         t3, t2, t1_, t0 = t_chain_generic(a, th, mx, alpha=alpha)
         out.extend(
             [
@@ -320,28 +333,17 @@ def _margins_leleka(pt: dict, mx) -> list:
 
 
 def _margins_funcrr2(pt: dict, mx) -> list:
-    from .ddesim import History, _parabola_refine, integrate
+    from .ddesim import History, _envelope, _extremum_after, integrate
 
     a = pt["a"]
     th = pt["theta"]
     r = pt["r"]
     np_ = NormParams(a=a, theta=th)
     h = np_.delay
-    z = r / (a - r)
+    z = r_inv(r, a)
     tc = math.log(1.0 - (1.0 + z) / a)
-
-    def w(x):
-        return a * x / (1.0 + x)
-
-    tr = integrate(w, History.constant(z), np_, tc + 3.0 * h)
-    y = tr.values
-    s = tr.step
-    i_lo = max(1, int(math.ceil(tc / s - 1e-9)))
-    im = i_lo + int(np.argmin(y[i_lo:]))
-    if 1 <= im <= len(y) - 2:
-        _, x_min = _parabola_refine(y, im, 0.0, s)
-    else:
-        x_min = float(y[im])
+    tr = integrate(_envelope(a), History.constant(z), np_, tc + 3.0 * h)
+    x_min = _extremum_after(tr.values, tc, tr.step, lowest=True)
     return [("dip_above_corner_bound", x_min - R2_eval(r, np_))]
 
 
@@ -401,7 +403,7 @@ def _margins_gss(pt: dict, mx) -> list:
 def _gen_band_d(n: int):
     return (
         f"band D product grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=0..{n})",
-        _band_grid(_product_mus(n), range(n + 1), 0, n, "D"),
+        _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "D"),
     )
 
 
@@ -409,189 +411,135 @@ def _gen_albeta(n: int):
     return (
         f"band D interior grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=1..{n}; "
         "lower edge excluded where the product degenerates to -1)",
-        _band_grid(_product_mus(n), range(1, n + 1), 0, n, "D"),
+        _band_grid(np.arange(1, n) / n, np.arange(1, n + 1), 0, n, "D"),
     )
 
 
 def _gen_jcal_tangent(n: int):
-    pts = []
-    for base in _slope_theta_points():
-        for k in range(1, n + 1):
-            r = -0.25 + 5.25 * k / n
-            if abs(r) < 1e-12:
-                continue  # tangency point, equality by construction
-            pts.append({**base, "r": r})
+    r = -0.25 + 5.25 * np.arange(1, n + 1) / n
     return (
         f"slope-theta rectangle (32x9) times r=-0.25+5.25*k/{n} (k=1..{n}, r=0 skipped)",
-        pts,
+        # r = 0 is the tangency point, equality by construction
+        _skip_zero(_times(_slope_rect(10.0), "r", r), "r"),
     )
 
 
 def _gen_jcal_concavity(n: int):
-    pts = []
-    for base in _slope_theta_points():
-        for k in range(n + 1):
-            r = -0.2 + 5.2 * k / n
-            pts.append({**base, "r": r})
     return (
         f"slope-theta rectangle (32x9) times r=-0.2+5.2*k/{n} (k=0..{n}; "
         "0.05 clearance keeps the difference stencil inside the domain)",
-        pts,
+        _times(_slope_rect(10.0), "r", -0.2 + 5.2 * np.arange(n + 1) / n),
     )
 
 
 def _gen_leform1(n: int):
-    pts = []
-    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "D"):
-        np_ = NormParams(a=base["a"], theta=base["theta"])
-        a_star = coeffs(np_).a_star
-        for k in range(n):
-            pts.append({**base, "r": a_star * (1.0 - k / n)})
+    base = _cell_band(32, 9, "D")
+    a_star = _coeff_col(base, "a_star")[:, None]
     return (
         f"cell-centered band sample (32x9) times r=a_star*(1-k/{n}) (k=0..{n - 1})",
-        pts,
+        _times(base, "r", a_star * (1.0 - np.arange(n) / n)),
     )
 
 
 def _gen_plyus(n: int):
-    pts = []
-    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "D"):
-        np_ = NormParams(a=base["a"], theta=base["theta"])
-        beta = coeffs(np_).beta
-        for k in range(1, n):
-            pts.append({**base, "r": (1.0 / beta) * k / n})
+    base = _cell_band(32, 9, "D")
+    beta = _coeff_col(base, "beta")[:, None]
     return (
         f"cell-centered band sample (32x9) times r=(1/beta)*k/{n} (k=1..{n - 1})",
-        pts,
+        _times(base, "r", (1.0 / beta) * np.arange(1, n) / n),
     )
 
 
+def _toward_branch(base: Grid, k: np.ndarray, n: int) -> Grid:
+    """base times r = a + (a_star - a) * k / n, from the deep end toward a_star."""
+    a = base["a"][:, None]
+    a_star = _coeff_col(base, "a_star")[:, None]
+    return _times(base, "r", a + (a_star - a) * k / n)
+
+
 def _gen_leform2(n: int):
-    pts = []
-    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "D"):
-        np_ = NormParams(a=base["a"], theta=base["theta"])
-        a = base["a"]
-        a_star = coeffs(np_).a_star
-        for k in range(1, n + 1):
-            pts.append({**base, "r": a + (a_star - a) * k / n})
     return (
         f"cell-centered band sample (32x9) times r=a+(a_star-a)*k/{n} (k=1..{n})",
-        pts,
+        _toward_branch(_cell_band(32, 9, "D"), np.arange(1, n + 1), n),
     )
 
 
 def _gen_lele(n: int):
     return (
         f"band D-minus-corner product grid: mu=i/{n} (i=1..{n - 1}), theta rows j=0..{n}",
-        _band_grid(_product_mus(n), range(n + 1), 0, n, "Dstar"),
+        _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "Dstar"),
     )
 
 
 def _gen_leleka(n: int):
-    pts = []
-    for base in _band_grid(_cell_mus(32), range(9), 0.5, 9, "Dstar"):
-        np_ = NormParams(a=base["a"], theta=base["theta"])
-        a = base["a"]
-        a_star = coeffs(np_).a_star
-        for k in range(n + 1):
-            pt = {**base, "r": a + (a_star - a) * k / n}
-            if k == 0:
-                pt["first_r"] = True
-            pts.append(pt)
     return (
         f"cell-centered band sample (32x9, corner excluded) times r=a+(a_star-a)*k/{n} (k=0..{n})",
-        pts,
+        _toward_branch(_cell_band(32, 9, "Dstar"), np.arange(n + 1), n),
     )
 
 
 def _gen_funcrr2(n: int):
     m = min(n, 128)
-    pts = []
-    for base in _band_grid(_cell_mus(8, MU_SECTOR_MAX), range(5), 0.5, 5, "S"):
-        a = base["a"]
-        for k in range(1, m):
-            pts.append({**base, "r": a * (1.0 - k / m)})
+    base = _cell_band(8, 5, "S", MU_SECTOR_MAX)
     return (
         f"cell-centered corner sample (8x5) times r=a*(1-k/{m}) (k=1..{m - 1}; "
         "r-axis capped at 128, simulation-backed)",
-        pts,
+        _times(base, "r", base["a"][:, None] * (1.0 - np.arange(1, m) / m)),
     )
 
 
 def _gen_lele2(n: int):
-    pts = []
-    for i in range(n):
-        q = -0.2 + 0.2 * i / n
-        for j in range(n + 1):
-            k = 1.0 + 0.5 * j / n
-            pts.append({"q": q, "k": k})
+    q = -0.2 + 0.2 * np.arange(n) / n
     return (
         f"box grid: q=-0.2+0.2*i/{n} (i=0..{n - 1}), k=1+0.5*j/{n} (j=0..{n})",
-        pts,
+        _times({"q": q}, "k", 1.0 + 0.5 * np.arange(n + 1) / n),
     )
 
 
 def _gen_expo(n: int):
-    pts = []
-    for i in range(n + 1):
-        x = -5.0 + 10.0 * i / n
-        if abs(x) < 1e-12:
-            continue
-        pts.append({"x": x})
-    return (f"x=-5+10*i/{n} (i=0..{n}, x=0 skipped)", pts)
+    x = -5.0 + 10.0 * np.arange(n + 1) / n
+    return (f"x=-5+10*i/{n} (i=0..{n}, x=0 skipped)", _skip_zero({"x": x}, "x"))
 
 
 def _gen_r303(n: int):
-    pts = [{"q": -0.2 + 0.2 * i / n} for i in range(n)]
     return (
         f"q=-0.2+0.2*i/{n} (i=0..{n - 1}); reported min_margin is the q=-0.2 endpoint value",
-        pts,
+        {"q": -0.2 + 0.2 * np.arange(n) / n},
     )
 
 
 def _gen_gss(n: int):
-    pts = []
-    for base in _schwarz_param_points():
-        for k in range(1, n + 1):
-            pts.append({**base, "x": -0.9 + 10.9 * k / n})
     return (
         f"slope-theta rectangle (32x9, theta from the linear threshold up) "
         f"times x=-0.9+10.9*k/{n} (k=1..{n})",
-        pts,
+        _times(_slope_rect(4.0, from_linear=True), "x", -0.9 + 10.9 * np.arange(1, n + 1) / n),
     )
 
 
-def _build_registry() -> None:
-    _register(_LemmaSpec("albet", True, _gen_band_d, _margins_albet))
-    _register(_LemmaSpec("albeta", True, _gen_albeta, _margins_albeta))
-    _register(_LemmaSpec("dom", True, _gen_band_d, _margins_dom))
-    _register(
+_REGISTRY: dict[str, _LemmaSpec] = {
+    spec.lemma_id: spec
+    for spec in (
+        _LemmaSpec("albet", True, _gen_band_d, _margins_albet),
+        _LemmaSpec("albeta", True, _gen_albeta, _margins_albeta),
+        _LemmaSpec("dom", True, _gen_band_d, _margins_dom),
         _LemmaSpec(
             "jcal_tangent", True, _gen_jcal_tangent, _margins_jcal_tangent, dd_threshold=1e-11
-        )
-    )
-    _register(_LemmaSpec("jcal_concavity", False, _gen_jcal_concavity, _margins_jcal_concavity))
-    _register(_LemmaSpec("leform1", False, _gen_leform1, _margins_leform1))
-    _register(_LemmaSpec("plyus", False, _gen_plyus, _margins_plyus))
-    _register(_LemmaSpec("leform2", False, _gen_leform2, _margins_leform2))
-    _register(_LemmaSpec("lele", True, _gen_lele, _margins_lele))
-    _register(_LemmaSpec("leleka", True, _gen_leleka, _margins_leleka))
-    _register(_LemmaSpec("funcrr2", False, _gen_funcrr2, _margins_funcrr2))
-    _register(_LemmaSpec("lele2", True, _gen_lele2, _margins_lele2))
-    _register(_LemmaSpec("expo_bounds", True, _gen_expo, _margins_expo))
-    _register(
+        ),
+        _LemmaSpec("jcal_concavity", False, _gen_jcal_concavity, _margins_jcal_concavity),
+        _LemmaSpec("leform1", False, _gen_leform1, _margins_leform1),
+        _LemmaSpec("plyus", False, _gen_plyus, _margins_plyus),
+        _LemmaSpec("leform2", False, _gen_leform2, _margins_leform2),
+        _LemmaSpec("lele", True, _gen_lele, _margins_lele),
+        _LemmaSpec("leleka", True, _gen_leleka, _margins_leleka),
+        _LemmaSpec("funcrr2", False, _gen_funcrr2, _margins_funcrr2),
+        _LemmaSpec("lele2", True, _gen_lele2, _margins_lele2),
+        _LemmaSpec("expo_bounds", True, _gen_expo, _margins_expo),
         _LemmaSpec(
-            "r303",
-            True,
-            _gen_r303,
-            _margins_r303,
-            min_margin_override=_r303_endpoint_margin,
-        )
+            "r303", True, _gen_r303, _margins_r303, min_margin_override=_r303_endpoint_margin
+        ),
+        _LemmaSpec("gsslemma_schwarz", True, _gen_gss, _margins_gss),
     )
-    _register(_LemmaSpec("gsslemma_schwarz", True, _gen_gss, _margins_gss))
-
-
-_build_registry()
+}
 
 LEMMA_IDS = list(_REGISTRY)
 
@@ -600,11 +548,12 @@ LEMMA_IDS = list(_REGISTRY)
 # evaluation
 
 
-def _eval_points(lemma_id: str, points: list[dict]) -> tuple[list[dict], float]:
+def _eval_points(lemma_id: str, grid: Grid) -> tuple[list[dict], float]:
     spec = _REGISTRY[lemma_id]
     violations: list[dict] = []
     min_margin = math.inf
-    for pt in points:
+    for row in zip(*(col.tolist() for col in grid.values())):
+        pt = dict(zip(grid, row))
         dd_cache = None
         for label, m in spec.margins(pt, FLOAT):
             mf = float(m)
@@ -615,10 +564,7 @@ def _eval_points(lemma_id: str, points: list[dict]) -> tuple[list[dict], float]:
             if mf < min_margin:
                 min_margin = mf
             if mf < 0.0:
-                entry = {k: v for k, v in pt.items() if k != "first_r"}
-                entry["label"] = label
-                entry["margin"] = mf
-                violations.append(entry)
+                violations.append({**pt, "label": label, "margin": mf})
     return violations, min_margin
 
 
@@ -639,13 +585,15 @@ def verify_lemma(lemma_id: str, resolution: int = 256, threads: int | None = Non
     if resolution < 4:
         raise ValueError("resolution must be at least 4")
     spec = _REGISTRY[lemma_id]
-    grid_spec, points = spec.gen(resolution)
+    grid_spec, grid = spec.gen(resolution)
+    n_points = _row_count(grid)
     n_workers = _thread_count(threads)
-    if n_workers == 1 or len(points) < 512:
-        violations, min_margin = _eval_points(lemma_id, points)
+    if n_workers == 1 or n_points < 512:
+        violations, min_margin = _eval_points(lemma_id, grid)
     else:
-        chunk = max(64, len(points) // (n_workers * 4) + 1)
-        chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
+        chunk = max(64, n_points // (n_workers * 4) + 1)
+        starts = range(0, n_points, chunk)
+        chunks = [{k: col[i : i + chunk] for k, col in grid.items()} for i in starts]
         violations = []
         min_margin = math.inf
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -658,7 +606,7 @@ def verify_lemma(lemma_id: str, resolution: int = 256, threads: int | None = Non
         lemma_id=lemma_id,
         resolution=resolution,
         grid_spec=grid_spec,
-        points_checked=len(points),
+        points_checked=n_points,
         violations=violations,
         min_margin=min_margin,
     )
@@ -721,11 +669,6 @@ class Certificate:
         return self.region.certified and all(f.ok for f in self.chain)
 
 
-def _spot_rs(np_: NormParams, count: int = 7) -> list[float]:
-    a_star = coeffs(np_).a_star
-    return [a_star * (i + 1) / (count + 1) for i in range(count)]
-
-
 def certificate(np_: NormParams) -> Certificate:
     """Assemble the fact chain that backs the classification at this point."""
     label = classify(np_)
@@ -741,8 +684,8 @@ def certificate(np_: NormParams) -> Certificate:
     if label.tag is Region.LINEAR:
         slope = (1.0 - np_.theta) * np_.a * np_.a / (np_.a - np_.theta)
         chain.append(Fact("straightened_slope", slope, "in (-1, 0)", -1.0 < slope < 0.0))
-        xs = [x for x in np.linspace(-0.9, 10.0, 41)]
-        worst = min(schwarz_margin(float(x), np_.a, np_.theta) for x in xs)
+        xs = np.linspace(-0.9, 10.0, 41).tolist()
+        worst = min(schwarz_margin(x, np_.a, np_.theta) for x in xs)
         chain.append(Fact("straightened_schwarz_margin_min", float(worst), "> 0", worst > 0.0))
         orbit = chi_iterate(0.5, 6, np_)
         ratio = abs(orbit[-1]) / 0.5
@@ -755,7 +698,7 @@ def certificate(np_: NormParams) -> Certificate:
         q_branch = q_poly_generic(c.a_star, np_.a, np_.theta, alpha=c.alpha, beta=c.beta)
         chain.append(Fact("certificate_poly_at_branch", q_branch, "<= 0", q_branch <= 0.0))
         worst = math.inf
-        for rz in _spot_rs(np_):
+        for rz in (c.a_star * (i + 1) / 8 for i in range(7)):
             worst = min(worst, F_solve_r(rz, np_).value - R_eval(rz, c))
         chain.append(Fact("response_bound_spot_min", worst, ">= 0", worst >= -1e-9))
     else:  # SECTOR
@@ -778,10 +721,11 @@ def certificate(np_: NormParams) -> Certificate:
 # figures
 
 
-def sweep_figures(out_dir, n_c: int = 500, n_mu: int = 199, raster: int = 200) -> dict:
+def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
     """Write the region-figure artifacts; returns a name-to-path map.
 
-    fig1: global-vs-local theta thresholds against the slope magnitude.
+    fig1: global-vs-local theta thresholds against the slope magnitude
+          c = 0.02 * i, i = 1..500.
     fig2_curves: the band boundary curves against mu (CSV and JSON).
     fig2_raster: cell-centered region labels over the (theta, mu) square.
     """
@@ -791,7 +735,7 @@ def sweep_figures(out_dir, n_c: int = 500, n_mu: int = 199, raster: int = 200) -
     p1 = os.path.join(out_dir, "fig1.csv")
     with open(p1, "w", newline="") as fh:
         fh.write("c,theta_global,theta_local\n")
-        for i in range(1, n_c + 1):
+        for i in range(1, 501):
             cv = 0.02 * i
             if cv > 1.0:
                 tg = max(0.0, sharp_boundary_theta(-cv))

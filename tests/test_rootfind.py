@@ -43,17 +43,6 @@ def test_steep_flat_mix():
     assert abs(res.root - 0.99) < 1e-12
 
 
-def test_ftol_early_exit():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return x - 0.3
-
-    solve_bracketed(f, 0.0, 1.0, ftol=1e-3)
-    assert len(calls) < 60
-
-
 @given(
     r=st.floats(-0.9, 0.9),
     c=st.floats(0.2, 5.0),

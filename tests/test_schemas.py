@@ -66,7 +66,7 @@ def test_lemma_report_with_real_violation_validates(tmp_path, monkeypatch):
 
 
 def test_region_boundaries_validates(tmp_path):
-    paths = sweep_figures(tmp_path, n_c=10, n_mu=9, raster=8)
+    paths = sweep_figures(tmp_path, n_mu=9, raster=8)
     schema = _schema("region_boundaries.schema.json")
     jsonschema.validate(json.load(open(paths["boundaries"])), schema)
 

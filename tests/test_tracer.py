@@ -27,3 +27,20 @@ def test_tracer_install_and_restore():
     for obj, attr, _own, original in patched:
         # bound methods are rebuilt on each lookup, so compare by equality
         assert getattr(obj, attr) == original, (obj, attr)
+
+
+def test_tracer_counts_sweep_layers():
+    # the benchmark's per-layer counters come from these wrappers: sweep
+    # points, root-solve iterations and integrator steps must all flow
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install(ddestab)
+        reports = [
+            ddestab.verify.verify_lemma(lemma_id, resolution=4)
+            for lemma_id in ("leform1", "funcrr2")
+        ]
+    finally:
+        tracer.restore()
+    assert tracer.counts["verify.points"] == sum(r.points_checked for r in reports)
+    assert tracer.counts["rootfind.iterations"] > 0
+    assert tracer.counts["ddesim.rk4_steps"] > 0

@@ -1,5 +1,6 @@
 """Grid verification engine: registry, sweeps, reports, certificates, figures."""
 
+import hashlib
 import json
 import math
 
@@ -76,9 +77,75 @@ def test_band_grid_nesting():
     # divide exactly), so refinement only ever adds points
     for lemma_id in ("albet", "albeta", "lele"):
         gen = _REGISTRY[lemma_id].gen
-        coarse = {(p["a"], p["theta"]) for p in gen(8)[1]}
-        fine = {(p["a"], p["theta"]) for p in gen(16)[1]}
-        assert coarse <= fine
+        coarse, fine = gen(8)[1], gen(16)[1]
+        assert set(zip(coarse["a"].tolist(), coarse["theta"].tolist())) <= set(
+            zip(fine["a"].tolist(), fine["theta"].tolist())
+        )
+
+
+# SHA-256 over each grid's columns (name, a NUL byte, then the float64
+# bytes, column by column); frozen from the list-of-points grids the
+# columns replaced, so any change to a node or its order shows here
+GRID_DIGESTS = {
+    ("albet", 8): "e7ef94d9d9301c5bc8821d85480b1405353acabb70965576e9459c2643d6c493",
+    ("albet", 64): "2a6fb359a4ab44fc3bd875995d9b0e65303ddde7377fa4e9e905368f7cb8db13",
+    ("albet", 256): "8f09e50c290f799c78c902717690fa87e89040ed8cc0445f451bd36ca3e50e64",
+    ("albeta", 8): "9de63b24fec403b34f23de059a87aefe22bdb3e4a7341adb5f89fcc2b81d2c36",
+    ("albeta", 64): "1963659ffd965cf02ff238337a80cc6a7d48d1d7dcdf3c01240896411aec9abe",
+    ("albeta", 256): "d5e01c68e681aada05aa675323bf95019ec0ef2e93ec2c251f6977721d351d77",
+    ("dom", 8): "e7ef94d9d9301c5bc8821d85480b1405353acabb70965576e9459c2643d6c493",
+    ("dom", 64): "2a6fb359a4ab44fc3bd875995d9b0e65303ddde7377fa4e9e905368f7cb8db13",
+    ("dom", 256): "8f09e50c290f799c78c902717690fa87e89040ed8cc0445f451bd36ca3e50e64",
+    ("jcal_tangent", 8): "6993ce7802b9c8a51b8cb3c7979b9ae9dadb2db7cb829a09e34b6a10ab24173f",
+    ("jcal_tangent", 64): "45c9250b009a9f9ce1e84b251384df0c45a377cd8a835b5e43091ea2520c2f55",
+    ("jcal_tangent", 256): "b2a9c20b1cb88c00d1c620993b313b734e658d5ca4f195fd41d6c7a40298e0cd",
+    ("jcal_concavity", 8): "42e49995569da493dbaa53a568d8e945981457b2929611020cfc8fb151c36bd9",
+    ("jcal_concavity", 64): "2d919fcf19abcd722da14608deb183d7d53179f8147bed0058f344299c65a1a9",
+    ("jcal_concavity", 256): "6d1ab275102f4c296837f42fe03491bb9de8b49fe82fc84450295ad6fd5da3b2",
+    ("leform1", 8): "0b27554ac2005943703af202718cb2ac209000bba45973b33e2e61292202ec85",
+    ("leform1", 64): "b38ddc70986e654369b0a19398f8887802cebb438d25e96420ff4e2d0728ca8f",
+    ("leform1", 256): "20b266c752b70724ac44cb3d27b814bbfcf1772364fe0538b2541ae82edf4c57",
+    ("plyus", 8): "d67c30d88cfc689263ca830eb1547351b89df3088c0643bb911956740ea65975",
+    ("plyus", 64): "eb3c9389226c571f0a0251697df0954d824bc6f7222c3ae50e94e1939ba21e57",
+    ("plyus", 256): "0b62cd4ccdf6aeab74d923aee3e65f6421c799c3527949f6d9945a138c19ceeb",
+    ("leform2", 8): "a99d49be321fa4da2d4cb24baf700e6feb660be71fb38530bca239dac94334f7",
+    ("leform2", 64): "2c4073a4022cc6a0fc6c2405386b63e34d9d425c0766592100968d8fb377cc8c",
+    ("leform2", 256): "57a75d357728a15c714bf34912aa547a3e6bbf7b3452d8b6ef3574212d891f47",
+    ("lele", 8): "01ec0d44a72a48128f4b28b7a178f4dc83fed9de7dad9454668a421f6ea96836",
+    ("lele", 64): "a16c2c04cfa86d9828e39d2717afc36fa80d1cfc76f4102bb810992a1a33ae12",
+    ("lele", 256): "f385f844b647ad7b1730807c7bda039957a5cf7ac4fc5dfb19290c023145f938",
+    ("leleka", 8): "f79f0a131942435834447096eb82f2f3225814f24c3380773bb49e8d862e1084",
+    ("leleka", 64): "40b2ac110771836b965af7aab34ee4c56788cdd6ac9f00dd219f43b6ef935b5b",
+    ("leleka", 256): "bf120fd79e2798abe856a3f3d13654e18e39e1346490785636b05f2674daec0a",
+    ("funcrr2", 8): "34ff9cf48a567fb60cbc116d33e8ba6ae42d41435ac82c88b39c33e265dbcbe5",
+    ("funcrr2", 64): "ffb64a6ef38f6caeb746fabbb6c0cd261bf8ac870f807bb979e50180253d8f54",
+    ("funcrr2", 256): "67d555dd2570611f279d64c92708c8e2a3b7ea50086dd1bd8f419ca2812eeb99",
+    ("lele2", 8): "7630170c30f0b345e0bae1dc0c7bffb66998ef4cbd5d92931dcaed238f59a02f",
+    ("lele2", 64): "000e99e9868d876197eb793eb542e6b8d4b2d5d956caba214cd25e0ef69ed6fa",
+    ("lele2", 256): "34b9f74d67785f4296c661e8887e92b66b9bd913563c11ca85fb53147a8498bf",
+    ("expo_bounds", 8): "54220f784e8075fd00450c0affa89e92e06a6781b28ed8c2d1e7c30f0a34f93d",
+    ("expo_bounds", 64): "63fe4650b0ed06f6c864c3445c3826bc12be35ddd4c396378233a1ff0dccb40e",
+    ("expo_bounds", 256): "c0aa2eef2959182ce61f73d16c90dc436781286228f763504606413cb3932c27",
+    ("r303", 8): "a539956c299d510b744dac203e7db352e3ceeeaf9d2615ab56be42877b3d202a",
+    ("r303", 64): "72b1acee87b1a2611e6082b23fe82259bd6de3b89e008a22f4398d7c4b111452",
+    ("r303", 256): "bcbacab7d53950420babb219170eb568f030725bec03a0f84c75962f28ff284f",
+    ("gsslemma_schwarz", 8): "7a9a381069c2ff778d2437b49178beba2462537752dc877d3c6f1f964e2c2784",
+    ("gsslemma_schwarz", 64): "ba6bf6de278cc60cd479f929093762298ebc563c5d9d81d203b19db1f7ee905d",
+    ("gsslemma_schwarz", 256): "6ebcdcd91f580f2ee847dde6924aa1faed82c0d4b08539223d620d65b0af232a",
+}
+
+
+@pytest.mark.parametrize("lemma_id,n", list(GRID_DIGESTS))
+def test_grid_columns_frozen(lemma_id, n):
+    grid_spec, grid = _REGISTRY[lemma_id].gen(n)
+    assert isinstance(grid_spec, str)
+    assert len({len(col) for col in grid.values()}) == 1
+    h = hashlib.sha256()
+    for name, col in grid.items():
+        assert isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1
+        h.update(name.encode() + b"\0")
+        h.update(col.tobytes())
+    assert h.hexdigest() == GRID_DIGESTS[(lemma_id, n)]
 
 
 def test_slope_product_sweep_triggers_refined_arithmetic():
@@ -96,9 +163,12 @@ def test_log_vs_cubic_endpoint_override():
     assert endpoint == pytest.approx(5.644868579024423e-5, abs=1e-12)
 
 
-def test_parallel_sweep_matches_serial():
-    serial = verify_lemma("albet", resolution=24, threads=1)
-    parallel = verify_lemma("albet", resolution=24, threads=2)
+# leleka's chunks cut through one (a, theta) row's r axis, whose first node
+# carries the chain margins
+@pytest.mark.parametrize("lemma_id", ["albet", "leleka"])
+def test_parallel_sweep_matches_serial(lemma_id):
+    serial = verify_lemma(lemma_id, resolution=24, threads=1)
+    parallel = verify_lemma(lemma_id, resolution=24, threads=2)
     assert parallel.points_checked == serial.points_checked
     assert parallel.min_margin == serial.min_margin
     assert parallel.violations == serial.violations
@@ -217,13 +287,13 @@ def test_certificate_point_recorded(np_core):
 
 
 def test_sweep_figures_smoke(tmp_path):
-    paths = sweep_figures(tmp_path, n_c=60, n_mu=19, raster=40)
+    paths = sweep_figures(tmp_path, n_mu=19, raster=40)
     for key in ("fig1", "fig2_curves", "boundaries", "fig2_raster"):
         assert key in paths
 
     fig1 = open(paths["fig1"]).read().splitlines()
     assert fig1[0] == "c,theta_global,theta_local"
-    assert len(fig1) == 61
+    assert len(fig1) == 501
     first = fig1[1].split(",")
     assert float(first[0]) == pytest.approx(0.02)
     assert float(first[1]) == 0.0  # below unit slope nothing is required
