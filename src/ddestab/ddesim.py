@@ -5,6 +5,9 @@ delay exactly, so every delayed node value is a previously computed node and
 delayed midpoints come from a four-point cubic stencil kept inside one
 smoothness segment.  Restarting at delay multiples preserves the method
 order despite the derivative jumps there.  Everything is deterministic.
+
+integrate also marches many runs (lanes) in lockstep, one column each, with
+each column up to its own horizon bitwise equal to its single run.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class History:
 
     def __init__(self, kind: str, value: float = 0.0, times=None, values=None):
         self.kind = kind
-        self.value = float(value)
+        # an array value gives one history per lane of a lockstep run
+        self.value = np.array(value, dtype=float) if np.ndim(value) else float(value)
         self.times = None if times is None else np.asarray(times, dtype=float)
         self.values = None if values is None else np.asarray(values, dtype=float)
 
@@ -196,7 +200,7 @@ _W_RIGHT = (0.0625, -0.3125, 0.9375, 0.3125)
 def _segment_midpoints(prev: np.ndarray, cnt: int) -> np.ndarray:
     """Delayed values at interval midpoints, cubic within the previous segment."""
     n = len(prev) - 1
-    mids = np.empty(cnt)
+    mids = np.empty((cnt,) + prev.shape[1:])
     mids[0] = (
         _W_LEFT[0] * prev[0]
         + _W_LEFT[1] * prev[1]
@@ -226,43 +230,69 @@ def _segment_midpoints(prev: np.ndarray, cnt: int) -> np.ndarray:
     return mids
 
 
-def integrate(model, hist: History, params, T: float, step: float | None = None) -> Trajectory:
-    """March the equation from t = 0 to (at least) T; returns the grid solution.
-
-    The step is adjusted to the nearest exact divisor of the delay and
-    reported on the trajectory.  The model must accept numpy arrays.
-    """
-    delta, h = _delta_h(params)
+def _step_grid(h: float, T: float, step: float | None) -> tuple[int, float, int]:
+    """Nodes per delay n, the step s = h/n and the last node K of a march to T."""
     if not T > 0.0:
         raise ValueError(f"horizon must be positive, got {T}")
-    w: Callable = getattr(model, "f", model)
-    name = getattr(model, "name", getattr(model, "__name__", "w"))
     base = h / 256.0 if step is None else float(step)
     if not 0.0 < base <= h:
         raise ValueError(f"step must lie in (0, h], got {base}")
     n = max(4, round(h / base))
     s = h / n
-    K = max(1, math.ceil(T / s - 1e-9))
-    hist.check_span(h)
+    return n, s, max(1, math.ceil(T / s - 1e-9))
 
-    y = np.empty(K + 1)
-    y[0] = hist(0.0)
-    n_seg = math.ceil(K / n)
+
+def integrate(model, hist: History, params, T: float, step: float | None = None) -> Trajectory:
+    """March the equation from t = 0 to (at least) T; returns the grid solution.
+
+    The step is adjusted to the nearest exact divisor of the delay and
+    reported on the trajectory.  The model must accept numpy arrays.
+
+    An array T runs one lane per entry in lockstep.  params then holds one
+    parameter point per lane (a NormLanes), the model maps arrays whose last
+    axis is the lane, and a constant history may hold one value per lane.  Lanes must share the node count per delay.
+    values then has one column per lane and runs to the longest horizon;
+    step and h are per-lane arrays.
+    """
+    delta, h = _delta_h(params)
+    w: Callable = getattr(model, "f", model)
+    name = getattr(model, "name", getattr(model, "__name__", "w"))
+    if isinstance(T, np.ndarray):
+        h_lanes = np.broadcast_to(h, T.shape).tolist()
+        grids = [_step_grid(hl, Tl, step) for hl, Tl in zip(h_lanes, T.tolist())]
+        n, s, K = (np.array(col) for col in zip(*grids))
+        if np.any(n != n[0]):
+            raise ValueError("lanes must share the number of steps per delay")
+        n = int(n[0])
+        y = np.empty((int(K.max()) + 1, T.size))
+    else:
+        n, s, K = _step_grid(h, T, step)
+        y = np.empty(K + 1)
+    hist.check_span(np.max(h))
+
+    y[0] = hist.eval_array(np.zeros_like(s))
     # overflow inside a blowing-up model is reported via IntegrationDiverged,
     # not as a numpy warning
     with np.errstate(all="ignore"):
-        _march(w, hist, y, K, n, n_seg, s, delta)
+        _march(w, hist, y, K, n, s, delta)
     return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h, model_name=str(name))
 
 
-def _march(w, hist, y, K, n, n_seg, s, delta) -> None:
-    for m in range(n_seg):
+def _march(w, hist, y, K, n, s, delta) -> None:
+    """RK4 on the rows of y: one node per row, one lane per column if 2-D.
+
+    K is the last node, or each lane's last node; every lane runs to the
+    largest, but only nodes up to its own K count towards divergence.
+    """
+    nd, hs, s6 = -delta, 0.5 * s, s / 6.0
+    end = len(y) - 1
+    for m in range(math.ceil(end / n)):
         k0 = m * n
-        k1 = min((m + 1) * n, K)
+        k1 = min((m + 1) * n, end)
         cnt = k1 - k0
         if m == 0:
-            node_del = hist.eval_array((np.arange(k0 - n, k1 - n + 1)) * s)
-            mid_del = hist.eval_array((np.arange(k0 - n, k1 - n) + 0.5) * s)
+            node_del = hist.eval_array(np.multiply.outer(np.arange(k0 - n, k1 - n + 1), s))
+            mid_del = hist.eval_array(np.multiply.outer(np.arange(k0 - n, k1 - n) + 0.5, s))
         else:
             node_del = y[k0 - n : k1 - n + 1]
             prev = y[(m - 1) * n : m * n + 1]
@@ -271,14 +301,18 @@ def _march(w, hist, y, K, n, n_seg, s, delta) -> None:
         w_mid = np.asarray(w(mid_del), dtype=float)
         for i in range(cnt):
             yi = y[k0 + i]
-            r1 = -delta * yi + w_node[i]
-            r2 = -delta * (yi + 0.5 * s * r1) + w_mid[i]
-            r3 = -delta * (yi + 0.5 * s * r2) + w_mid[i]
-            r4 = -delta * (yi + s * r3) + w_node[i + 1]
-            y[k0 + i + 1] = yi + (s / 6.0) * (r1 + 2.0 * (r2 + r3) + r4)
-        if not np.isfinite(y[k0 : k1 + 1]).all():
-            bad = k0 + int(np.argmax(~np.isfinite(y[k0 : k1 + 1])))
-            raise IntegrationDiverged(bad * s)
+            r1 = nd * yi + w_node[i]
+            r2 = nd * (yi + hs * r1) + w_mid[i]
+            r3 = nd * (yi + hs * r2) + w_mid[i]
+            r4 = nd * (yi + s * r3) + w_node[i + 1]
+            y[k0 + i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
+        seg = y[k0 : k1 + 1]
+        if not np.isfinite(seg).all():
+            node = np.arange(k0, k1 + 1).reshape((-1,) + (1,) * (y.ndim - 1))
+            bad = np.argwhere((~np.isfinite(seg) & (node <= K)).reshape(cnt + 1, -1))
+            if len(bad):
+                k, lane = bad[0].tolist()
+                raise IntegrationDiverged((k0 + k) * np.reshape(s, -1)[lane].item())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ For constant history z the solution of x' = -x + r(x(t-h)) crosses zero once
 and reaches an extremum F(z) inside the next delay window; for the natural
 ramp history the extremum is F1(z).  Both satisfy an implicit identity built
 from an exact antiderivative of du / (r(u) - u-part), solved here with a
-bracketed root finder on a cancellation-free difference form.
+bracketed root finder on a cancellation-free difference form.  F_solve_r
+and F1_solve_r also take an array of rz with per-lane parameters and solve
+every lane in lockstep, each lane exactly as its scalar solve.
 
 The explicit rational bounds (L, G, G1) and the polynomial certificates
 (M, N, Q, S, T) reduce the map inequalities to sign checks that the verify
@@ -16,9 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ddouble import FLOAT
-from .params import NormParams
-from .ratmaps import Coeffs, R_eval, R2_eval, coeffs, j_tangent_coeffs, r_eval
+from .params import NormLanes, NormParams, _any
+from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, coeffs, j_tangent_coeffs, r_eval
 from .rootfind import solve_bracketed
 
 __all__ = [
@@ -94,13 +98,29 @@ class MapSolve:
 def _sln(s: float) -> float:
     # (s - log1p(s)) / s^2, series branch to keep full precision near 0
     if abs(s) < 0.1:
-        acc = 0.0
-        p = 1.0
-        for j in range(24):
-            acc += ((-1) ** j) * p / (j + 2)
-            p *= s
-        return acc
+        return _sln_series(s)
     return (s - math.log1p(s)) / (s * s)
+
+
+def _sln_lanes(s: np.ndarray) -> np.ndarray:
+    """_sln on each entry of an array, bitwise as on one float."""
+    out = np.empty_like(s)
+    near = np.abs(s) < 0.1
+    out[near] = _sln_series(s[near])
+    far = s[~near]
+    # math.log1p per lane: np.log1p differs from it in the last bit
+    log1p = np.fromiter(map(math.log1p, far.tolist()), float, far.size)
+    out[~near] = (far - log1p) / (far * far)
+    return out
+
+
+def _sln_series(s):
+    acc = 0.0
+    p = 1.0
+    for j in range(24):
+        acc += ((-1) ** j) * p / (j + 2)
+        p *= s
+    return acc
 
 
 def phi_antiderivative(u: float, rz: float, a: float) -> float:
@@ -126,17 +146,19 @@ def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
 
     Exact rewrite of the difference of phi_antiderivative values; stays
     accurate to machine precision when u2 and u1 are close or when
-    rz -> -1, where the raw form loses every digit.
+    rz -> -1, where the raw form loses every digit.  Takes arrays too.
     """
     eps = 1.0 + rz
     v1 = a - eps * (a - u1)
-    if v1 == 0.0:
+    # the lane test is inlined: this is the inner loop of every solve
+    lanes = type(v1) is np.ndarray
+    if (v1 == 0.0).any() if lanes else v1 == 0.0:
         raise ValueError("difference form hit the log singularity at u1")
     w = (u2 - u1) / v1
     s = eps * w
-    if s <= -1.0:
+    if (s <= -1.0).any() if lanes else s <= -1.0:
         raise ValueError("difference form crossed the log singularity")
-    return w * (a - u1) - a * w * w * _sln(s)
+    return w * (a - u1) - a * w * w * (_sln_lanes(s) if lanes else _sln(s))
 
 
 def _solve_identity(g, lo: float, hi: float) -> MapSolve:
@@ -155,6 +177,8 @@ def _solve_F_identity(rz: float, np_: NormParams) -> MapSolve:
     def g(u: float) -> float:
         return phi_diff(u, rz, rz, a) - th
 
+    if isinstance(rz, np.ndarray):
+        return _solve_identity(g, np.minimum(rz, 0.0), np.maximum(rz, 0.0))
     if rz < 0.0:
         return _solve_identity(g, rz, 0.0)
     return _solve_identity(g, 0.0, rz)
@@ -180,26 +204,52 @@ def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
 
     Avoids huge z when sweeping rz near its deep end.  Negative rz must stay
     at or above the branch slope a_star (otherwise z leaves the admissible
-    interval); any positive rz is admissible.
+    interval); any positive rz is admissible.  A 1-D array rz solves one lane
+    per entry, with one NormParams for all lanes or a NormLanes of rz's length.
     """
+    a_star = _branch_slope(np_.a, np_.theta)
+    if _any((rz < 0.0) & (rz < a_star)):
+        raise ValueError(f"rz = {rz} below branch slope {a_star}")
+    if isinstance(rz, np.ndarray):
+        return _lane_solves(_solve_F_identity, rz, np_)
     if rz == 0.0:
         return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
-    if rz < 0.0:
-        a_star = coeffs(np_).a_star
-        if rz < a_star:
-            raise ValueError(f"rz = {rz} below branch slope {a_star:.6g}")
     return _solve_F_identity(rz, np_)
+
+
+# lanes per lockstep solve: 8,192-lane blocks were no faster and raised the
+# sweep's peak resident memory by more than a megabyte
+_LANE_BLOCK = 4096
+
+
+def _lane_solves(solve_identity, rz: np.ndarray, np_: NormParams) -> MapSolve:
+    """A response map on lanes, in blocks of at most _LANE_BLOCK lanes.
+
+    Lanes with rz = 0 get the exact zero map, as the scalar forms give it.
+    The result holds one array entry per lane and the summed iterations.
+    """
+    a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
+    value, residual, lo, hi = (np.zeros(rz.shape) for _ in range(4))
+    iterations = 0
+    lanes = np.flatnonzero(rz != 0.0)
+    for start in range(0, lanes.size, _LANE_BLOCK):
+        sel = lanes[start : start + _LANE_BLOCK]
+        res = solve_identity(rz[sel], NormLanes(a=a[sel], theta=th[sel]))
+        value[sel], residual[sel] = res.value, res.residual
+        lo[sel], hi[sel] = res.bracket
+        iterations += res.iterations
+    return MapSolve(value, residual, (lo, hi), iterations)
 
 
 def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
     """Envelope value one delay after a ramp history with deep value rz.
 
     Moebius in rz: a*rz*(theta-1) / (theta + rz*(theta-1)); fixes the branch
-    slope a_star and contracts (a, 0) into itself.
+    slope a_star and contracts (a, 0) into itself.  rz may be an array.
     """
     th = np_.theta
     den = th + rz * (th - 1.0)
-    if den == 0.0:
+    if _any(den == 0.0):
         raise ValueError("ramp slope ratio pole")
     return np_.a * rz * (th - 1.0) / den
 
@@ -225,9 +275,14 @@ def F1_solve(z: float, np_: NormParams) -> MapSolve:
 
 
 def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
-    """Ramp response indexed by the envelope value rz in (a, 0)."""
-    if not np_.a < rz < 0.0:
+    """Ramp response indexed by the envelope value rz in (a, 0).
+
+    Takes lanes as F_solve_r does.
+    """
+    if not np.all((np_.a < rz) & (rz < 0.0)):
         raise ValueError(f"rz = {rz} outside ({np_.a}, 0)")
+    if isinstance(rz, np.ndarray):
+        return _lane_solves(_solve_F1_identity, rz, np_)
     return _solve_F1_identity(rz, np_)
 
 
@@ -239,7 +294,8 @@ def bound_L(r: float, np_: NormParams) -> float:
     """Two-term rational minorant of the constant-history response near 0.
 
     Built from the tangent line of the comparison function: slope alpha at
-    the origin with a quadratic correction over a linear denominator.
+    the origin with a quadratic correction over a linear denominator.  r may
+    be an array.
     """
     c = coeffs(np_)
     _, j1 = j_tangent_coeffs(np_.a, np_.theta)
@@ -247,7 +303,7 @@ def bound_L(r: float, np_: NormParams) -> float:
     a2 = 0.5 * j1 * (1.0 - c.lam)
     a3 = (1.0 - c.lam) / np_.a + a2
     den = 1.0 + a3 * r
-    if den == 0.0:
+    if _any(den == 0.0):
         raise ValueError(f"minorant pole at r = {-1.0 / a3:.6g}")
     return (a1 * r + a2 * r * r) / den
 

@@ -15,11 +15,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .rootfind import solve_bracketed
 
 __all__ = [
     "ParamSet",
     "NormParams",
+    "NormLanes",
     "Region",
     "RegionLabel",
     "normalize",
@@ -87,6 +90,28 @@ class NormParams:
     @property
     def delay(self) -> float:
         return -math.log(self.theta)
+
+
+class NormLanes(NormParams):
+    """NormParams with one parameter point per lane: a and theta are float
+    arrays of one shape, for the lane forms of the response maps and the
+    integrator."""
+
+    def __post_init__(self):
+        if not np.all(self.a < 0.0):
+            raise ValueError(f"slopes must be negative, got {self.a}")
+        if not np.all((0.0 < self.theta) & (self.theta < 1.0)):
+            raise ValueError(f"thetas must lie in (0, 1), got {self.theta}")
+
+    @property
+    def delay(self) -> np.ndarray:
+        # libm per lane, as for one point: np.log differs in the last bit
+        return -np.array([math.log(th) for th in self.theta.tolist()])
+
+
+def _any(mask) -> bool:
+    """Whether a comparison holds anywhere: a plain bool, or any lane of a mask."""
+    return mask.any() if type(mask) is np.ndarray else mask
 
 
 class Region(Enum):

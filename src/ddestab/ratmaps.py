@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .ddouble import FLOAT
-from .params import NormParams
+from .params import NormParams, _any
 
 __all__ = [
     "Coeffs",
@@ -48,8 +48,8 @@ def r_eval(x: float, a: float) -> float:
 
 
 def r_inv(u: float, a: float) -> float:
-    """Inverse of the envelope: u/(a-u); pole at u = a."""
-    if u == a:
+    """Inverse of the envelope: u/(a-u); pole at u = a.  u may be an array."""
+    if _any(u == a):
         raise ValueError(f"envelope inverse pole at u = {a}")
     return u / (a - u)
 
@@ -91,8 +91,12 @@ def coeffs_generic(a, theta, mx=FLOAT):
     num = a * a + lam * (one - 2.0 * a + 2.0 * th * (a - one)) - oma * oma * lam * lam
     den = a * a + (a - a * a) * lam
     beta = -(num / den)
-    a_star = a + th / (one - th)
-    return lam, alpha, beta, a_star
+    return lam, alpha, beta, _branch_slope(a, th, one)
+
+
+def _branch_slope(a, theta, one=1.0):
+    """a_star = a + theta/(1 - theta), in any backend or on numpy lanes."""
+    return a + theta / (one - theta)
 
 
 def gamma_coeff(np_: NormParams) -> float:
@@ -104,21 +108,24 @@ def gamma_coeff(np_: NormParams) -> float:
 
 
 def R_eval(r: float, c: Coeffs) -> float:
-    """Moebius response bound alpha*r/(1 - beta*r); pole at r = 1/beta."""
+    """Moebius response bound alpha*r/(1 - beta*r); pole at r = 1/beta.
+
+    r may be an array of points sharing the coefficients c.
+    """
     den = 1.0 - c.beta * r
-    if den == 0.0:
+    if _any(den == 0.0):
         raise ValueError(f"response pole at r = {1.0 / c.beta}")
     return c.alpha * r / den
 
 
 def R2_eval(r: float, np_: NormParams) -> float:
-    """Corner response bound k0*a*r/(1 + k1*r) for the small-mu regime."""
+    """Corner response bound k0*a*r/(1 + k1*r) for the small-mu regime; r may be an array."""
     a, th = np_.a, np_.theta
     lnth = math.log(th)
     k0 = (1.0 + lnth - th) / (2.0 + lnth - th)
     k1 = (1.0 + lnth - th) / (1.0 - th)
     den = 1.0 + k1 * r
-    if den == 0.0:
+    if _any(den == 0.0):
         raise ValueError(f"corner response pole at r = {-1.0 / k1}")
     return k0 * a * r / den
 

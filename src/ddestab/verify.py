@@ -5,8 +5,9 @@ margins (left side minus right side, so nonnegative means the inequality
 holds), and records violations plus the smallest margin seen.  Margins that
 land within a per-check threshold of zero are re-evaluated in double-double
 arithmetic when the expression allows it, so sign decisions never rest on
-float roundoff.  Grids are nested: doubling the resolution keeps every
-previously checked point.
+float roundoff.  Checks without that recheck evaluate whole grid columns,
+solving and integrating all points as lanes.  Grids are nested: doubling the
+resolution keeps every previously checked point.
 
 The module also assembles per-point stability certificates and writes the
 region-figure artifacts.
@@ -26,6 +27,7 @@ import numpy as np
 from .ddouble import DOUBLE_DOUBLE, FLOAT
 from .params import (
     MU_SECTOR_MAX,
+    NormLanes,
     NormParams,
     Region,
     RegionLabel,
@@ -112,10 +114,17 @@ Grid = dict[str, np.ndarray]
 
 @dataclass(frozen=True)
 class _LemmaSpec:
+    """One registered check.
+
+    A dd_capable check's margins(pt, mx) evaluates one point dict in backend
+    mx; any other check's margins(grid) returns one float64 column per label.
+    Both give (label, margin) pairs in label order.
+    """
+
     lemma_id: str
     dd_capable: bool
     gen: Callable[[int], tuple[str, Grid]]
-    margins: Callable[[dict, object], list[tuple[str, object]]]
+    margins: Callable[..., list[tuple[str, object]]]
     dd_threshold: float = 1e-6
     min_margin_override: Callable[[], float] | None = None
 
@@ -252,11 +261,7 @@ def _margins_jcal_tangent(pt: dict, mx) -> list:
 _FD_STEP_J = 0.02
 
 
-def _margins_jcal_concavity(pt: dict, mx) -> list:
-    r = pt["r"]
-    a = pt["a"]
-    th = pt["theta"]
-
+def _concavity(r: float, a: float, th: float) -> float:
     def j(rr: float) -> float:
         return j_generic(rr, a, th)
 
@@ -264,38 +269,54 @@ def _margins_jcal_concavity(pt: dict, mx) -> list:
     second = (
         -j(r - 2.0 * h) + 16.0 * j(r - h) - 30.0 * j(r) + 16.0 * j(r + h) - j(r + 2.0 * h)
     ) / (12.0 * h * h)
-    return [("concave", -second)]
+    return -second
 
 
-def _margins_leform1(pt: dict, mx) -> list:
-    np_ = NormParams(a=pt["a"], theta=pt["theta"])
-    c = coeffs(np_)
-    rz = pt["r"]
-    f_val = F_solve_r(rz, np_).value
+def _margins_jcal_concavity(grid: Grid) -> list:
+    rows = zip(grid["r"].tolist(), grid["a"].tolist(), grid["theta"].tolist())
+    return [("concave", np.fromiter((_concavity(*row) for row in rows), float, len(grid["r"])))]
+
+
+def _by_base(grid: Grid, fn) -> list[np.ndarray]:
+    """Columns from fn(r, np_), a tuple of arrays, called once per run of rows
+    sharing one (a, theta) base, on that run's r values."""
+    a, th = grid["a"], grid["theta"]
+    cuts = np.flatnonzero((a[1:] != a[:-1]) | (th[1:] != th[:-1])) + 1
+    firsts = np.r_[0, cuts]
+    parts = [
+        fn(r, NormParams(a=ab, theta=tb))
+        for r, ab, tb in zip(np.split(grid["r"], cuts), a[firsts].tolist(), th[firsts].tolist())
+    ]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _margins_leform1(grid: Grid) -> list:
+    f_val = F_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
+    tangent, moebius = _by_base(grid, lambda r, np_: (bound_L(r, np_), R_eval(r, coeffs(np_))))
     return [
-        ("response_above_tangent_bound", f_val - bound_L(rz, np_)),
-        ("response_above_moebius", f_val - R_eval(rz, c)),
+        ("response_above_tangent_bound", f_val - tangent),
+        ("response_above_moebius", f_val - moebius),
     ]
 
 
-def _margins_plyus(pt: dict, mx) -> list:
-    np_ = NormParams(a=pt["a"], theta=pt["theta"])
-    c = coeffs(np_)
-    rz = pt["r"]
-    f_val = F_solve_r(rz, np_).value
-    return [("response_below_moebius", R_eval(rz, c) - f_val)]
+def _margins_plyus(grid: Grid) -> list:
+    f_val = F_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
+    (moebius,) = _by_base(grid, lambda r, np_: (R_eval(r, coeffs(np_)),))
+    return [("response_below_moebius", moebius - f_val)]
 
 
-def _margins_leform2(pt: dict, mx) -> list:
-    np_ = NormParams(a=pt["a"], theta=pt["theta"])
-    c = coeffs(np_)
-    rz = pt["r"]
-    f1_val = F1_solve_r(rz, np_).value
-    num, den = _g1_fraction(rz, np_, ramp_slope_ratio(rz, np_) / rz)
+def _leform2_bounds(r: np.ndarray, np_: NormParams) -> tuple:
+    num, den = _g1_fraction(r, np_, ramp_slope_ratio(r, np_) / r)
+    return num, den, R_eval(r, coeffs(np_))
+
+
+def _margins_leform2(grid: Grid) -> list:
+    f1_val = F1_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
+    num, den, moebius = _by_base(grid, _leform2_bounds)
     return [
         ("taylor_denominator_pos", den),
         ("ramp_above_taylor", f1_val - num / den),
-        ("ramp_above_moebius", f1_val - R_eval(rz, c)),
+        ("ramp_above_moebius", f1_val - moebius),
     ]
 
 
@@ -332,19 +353,57 @@ def _margins_leleka(pt: dict, mx) -> list:
     return out
 
 
-def _margins_funcrr2(pt: dict, mx) -> list:
-    from .ddesim import History, _envelope, _extremum_after, integrate
+# values per lockstep integration block: 2^18 float64 (2 MB).  Blocks of
+# 4 MB ran funcrr2 a fifth faster, but once freed they left the allocator
+# holding more memory on each later sweep in the process
+_SIM_BLOCK_VALUES = 1 << 18
 
-    a = pt["a"]
-    th = pt["theta"]
-    r = pt["r"]
-    np_ = NormParams(a=a, theta=th)
-    h = np_.delay
-    z = r_inv(r, a)
-    tc = math.log(1.0 - (1.0 + z) / a)
-    tr = integrate(_envelope(a), History.constant(z), np_, tc + 3.0 * h)
-    x_min = _extremum_after(tr.values, tc, tr.step, lowest=True)
-    return [("dip_above_corner_bound", x_min - R2_eval(r, np_))]
+
+def _funcrr2_lanes(r: np.ndarray, np_: NormParams) -> tuple:
+    """Per row: constant history z with r(z) = r, first crossing time, delay, corner bound."""
+    z = r_inv(r, np_.a)
+    tc = np.array([math.log(v) for v in (1.0 - (1.0 + z) / np_.a).tolist()])
+    return z, tc, np.full(len(r), np_.delay), R2_eval(r, np_)
+
+
+def _horizon_blocks(K: np.ndarray):
+    """Lanes in ascending last node K, in blocks of at most _SIM_BLOCK_VALUES values."""
+    block: list[int] = []
+    for lane in np.argsort(K, kind="stable").tolist():
+        if block and (K[lane] + 1) * (len(block) + 1) > _SIM_BLOCK_VALUES:
+            yield np.array(block)
+            block = []
+        block.append(lane)
+    if block:
+        yield np.array(block)
+
+
+def _margins_funcrr2(grid: Grid) -> list:
+    from .ddesim import History, _envelope, _extremum_after, _step_grid, integrate
+
+    a, th = grid["a"], grid["theta"]
+    z, tc, h, corner = _by_base(grid, _funcrr2_lanes)
+    T = tc + 3.0 * h
+    K = np.array([_step_grid(hl, Tl, None)[2] for hl, Tl in zip(h.tolist(), T.tolist())])
+
+    # one block per call, so a block's trajectory is freed before the next runs
+    def dips(lanes: np.ndarray) -> list[float]:
+        tr = integrate(
+            _envelope(a[lanes]),
+            History.constant(z[lanes]),
+            NormLanes(a=a[lanes], theta=th[lanes]),
+            T[lanes],
+        )
+        return [
+            _extremum_after(tr.values[: K[lane] + 1, col], tc[lane], tr.step[col], lowest=True)
+            for col, lane in enumerate(lanes.tolist())
+        ]
+
+    dip = np.empty(len(T))
+    # lanes of similar horizon share a block, so few steps run past a horizon
+    for lanes in _horizon_blocks(K):
+        dip[lanes] = dips(lanes)
+    return [("dip_above_corner_bound", dip - corner)]
 
 
 def _margins_lele2(pt: dict, mx) -> list:
@@ -550,6 +609,8 @@ LEMMA_IDS = list(_REGISTRY)
 
 def _eval_points(lemma_id: str, grid: Grid) -> tuple[list[dict], float]:
     spec = _REGISTRY[lemma_id]
+    if not spec.dd_capable:
+        return _eval_columns(spec, grid)
     violations: list[dict] = []
     min_margin = math.inf
     for row in zip(*(col.tolist() for col in grid.values())):
@@ -565,6 +626,30 @@ def _eval_points(lemma_id: str, grid: Grid) -> tuple[list[dict], float]:
                 min_margin = mf
             if mf < 0.0:
                 violations.append({**pt, "label": label, "margin": mf})
+    return violations, min_margin
+
+
+def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
+    """What the row loop gives, from one margin column per label.
+
+    The row loop visits margins in row order, then label order.  Its
+    min_margin is the first smallest non-NaN margin in that order, which
+    also fixes the sign of a zero, and its violations come in that order.
+    Columns are scanned one at a time, so no rows-by-labels copy is made.
+    """
+    labels, cols = zip(*spec.margins(grid))
+    lows = []  # (value, row, label index) of each column's first smallest margin
+    for j, col in enumerate(cols):
+        low = np.fmin.reduce(col)  # NaN only when every entry is NaN
+        if not np.isnan(low):
+            i = int(np.argmax(col == low))
+            lows.append((col[i], i, j))
+    min_margin = float(min(lows)[0]) if lows else math.inf
+    hits = sorted((i, j) for j, col in enumerate(cols) for i in np.flatnonzero(col < 0.0).tolist())
+    violations = [
+        {**{k: float(c[i]) for k, c in grid.items()}, "label": labels[j], "margin": float(cols[j][i])}
+        for i, j in hits
+    ]
     return violations, min_margin
 
 

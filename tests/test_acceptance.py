@@ -167,6 +167,27 @@ def test_criterion_4_comparison_suite(capsys):
     )
 
 
+# every report's min_margin at resolution 256, frozen bitwise (float.hex), so
+# a change that moves one by a single ulp fails here
+_SWEEP_MINIMA = {
+    "albet": "0x1.53590b0000000p-10",
+    "albeta": "0x1.00aaf55c94639p-26",
+    "dom": "0x1.00aa749276800p-19",
+    "jcal_tangent": "0x1.7dc5ab931140ap-41",
+    "jcal_concavity": "0x1.6c74c80000001p-24",
+    "leform1": "0x1.183b5a3000000p-37",
+    "plyus": "0x1.256db4ade0000p-23",
+    "leform2": "0x1.2d89cb6a20b00p-13",
+    "lele": "0x1.00ff52ae5e7e8p-24",
+    "leleka": "0x1.e1448edb00000p-16",
+    "funcrr2": "0x1.a61ef8d8ce700p-16",
+    "lele2": "0x1.2569b0d6cf1d8p-2",
+    "expo_bounds": "0x1.a3f174ad69b21p-24",
+    "r303": "0x1.d986a13313fdap-15",
+    "gsslemma_schwarz": "0x1.ef82c34de3155p-56",
+}
+
+
 def test_criterion_5_full_verification(capsys):
     """Dense-grid sweep of every registered inequality at full resolution."""
     t0 = time.perf_counter()
@@ -174,6 +195,7 @@ def test_criterion_5_full_verification(capsys):
     total_violations = sum(len(r.violations) for r in reports)
     assert len(reports) == 15
     assert total_violations == 0
+    assert {r.lemma_id: r.min_margin.hex() for r in reports} == _SWEEP_MINIMA
 
     r303 = next(r for r in reports if r.lemma_id == "r303")
     assert abs(r303.min_margin - 5.644e-5) <= 1e-8

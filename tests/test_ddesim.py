@@ -13,7 +13,7 @@ from ddestab.ddesim import (
     integrate,
 )
 from ddestab.onedmaps import F1_solve, F_solve, interval_I
-from ddestab.params import NormParams, ParamSet
+from ddestab.params import NormLanes, NormParams, ParamSet
 
 
 def test_history_constant():
@@ -171,3 +171,48 @@ def test_F1_sim_matches_solver(np_core):
         ref = F1_solve(z, np_core).value
         sim = F1_sim(z, np_core)
         assert sim == pytest.approx(ref, abs=2e-7)
+
+
+def _lane_setup():
+    # five lanes: own delay, history value and horizon; horizons end mid-segment
+    a = np.array([-1.5, -2.0, -3.0, -1.2, -4.0])
+    theta = np.array([0.9, 0.7, 0.5, 0.35, 0.8])
+    z = np.array([0.3, -0.4, 1.7, 0.05, 2.5])
+    lanes = NormLanes(a=a, theta=theta)
+    T = lanes.delay * np.array([0.6, 2.3, 4.75, 1.0, 3.1])
+    return a, theta, z, lanes, T
+
+
+def test_lanes_equal_scalar_runs():
+    a, theta, z, lanes, T = _lane_setup()
+    tr = integrate(lambda x: a * x / (1.0 + x), History.constant(z), lanes, T)
+    assert tr.values.shape[1] == len(T)
+    for j in range(len(T)):
+        one = integrate(
+            lambda x: a[j] * x / (1.0 + x),
+            History.constant(float(z[j])),
+            NormParams(a=float(a[j]), theta=float(theta[j])),
+            float(T[j]),
+        )
+        assert one.step == tr.step[j] and one.h == tr.h[j]
+        col = tr.values[: len(one.values), j]
+        assert col.tobytes() == one.values.tobytes()
+
+
+def test_lane_past_its_horizon_never_raises():
+    _a, _theta, z, lanes, T = _lane_setup()
+    # lane 0 blows up within a few delays, but its horizon ends first; the
+    # other lanes decay, and the lockstep run continues to their horizons
+    b = np.array([1e100, 0.5, 0.5, 0.5, 0.5])
+    T = T.copy()
+    T[0] = 1.5 * lanes.delay[0]
+    tr = integrate(lambda x: b * x, History.constant(z), lanes, T)
+    assert not np.isfinite(tr.values[:, 0]).all()
+    one = integrate(
+        lambda x: 1e100 * x, History.constant(float(z[0])), NormParams(a=-1.5, theta=0.9), float(T[0])
+    )
+    assert tr.values[: len(one.values), 0].tobytes() == one.values.tobytes()
+    # within its horizon the same lane still raises
+    T[0] = T.max()
+    with pytest.raises(IntegrationDiverged):
+        integrate(lambda x: b * x, History.constant(z), lanes, T)

@@ -1,6 +1,7 @@
 """The benchmark tracer still finds every name it wraps in the package."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import ddestab
@@ -44,3 +45,6 @@ def test_tracer_counts_sweep_layers():
     assert tracer.counts["verify.points"] == sum(r.points_checked for r in reports)
     assert tracer.counts["rootfind.iterations"] > 0
     assert tracer.counts["ddesim.rk4_steps"] > 0
+    # the traced benchmark writes the counters as JSON: lane results must not
+    # leak numpy scalars or arrays into them
+    json.dumps(dict(tracer.counts))

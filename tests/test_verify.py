@@ -1,5 +1,6 @@
 """Grid verification engine: registry, sweeps, reports, certificates, figures."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from ddestab import verify
 from ddestab.params import NormParams, Region, classify, sharp_boundary_theta
 from ddestab.verify import (
     _REGISTRY,
@@ -164,14 +166,55 @@ def test_log_vs_cubic_endpoint_override():
 
 
 # leleka's chunks cut through one (a, theta) row's r axis, whose first node
-# carries the chain margins
-@pytest.mark.parametrize("lemma_id", ["albet", "leleka"])
+# carries the chain margins; leform2 and funcrr2 take the column path, and
+# their chunks cut through the bases they solve and integrate per block
+@pytest.mark.parametrize("lemma_id", ["albet", "leleka", "leform2", "funcrr2"])
 def test_parallel_sweep_matches_serial(lemma_id):
     serial = verify_lemma(lemma_id, resolution=24, threads=1)
     parallel = verify_lemma(lemma_id, resolution=24, threads=2)
     assert parallel.points_checked == serial.points_checked
     assert parallel.min_margin == serial.min_margin
     assert parallel.violations == serial.violations
+
+
+def _row_loop(grid, cols):
+    # the row loop's rules, as the double-double checks still apply them
+    violations, min_margin = [], math.inf
+    for i in range(len(grid["r"])):
+        pt = {k: float(v[i]) for k, v in grid.items()}
+        for label, col in cols:
+            mf = float(col[i])
+            if mf < min_margin:
+                min_margin = mf
+            if mf < 0.0:
+                violations.append({**pt, "label": label, "margin": mf})
+    return violations, min_margin
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # the smallest margin is a zero, +0.0 before -0.0 in row order
+        ([math.nan, 0.0, 1.0, -0.0], [5.0, -0.0, math.nan, 2.0]),
+        # violations in both labels, interleaved by row
+        ([1.0, -2.0, math.nan, -0.5], [-1.0, 3.0, -4.0, -0.5]),
+        # nothing but NaN: min_margin stays infinite
+        ([math.nan] * 4, [math.nan] * 4),
+    ],
+)
+def test_column_path_matches_row_loop(first, second):
+    grid = {
+        "a": np.array([-2.0, -2.0, -3.0, -3.0]),
+        "theta": np.array([0.4, 0.4, 0.5, 0.5]),
+        "r": np.array([-0.1, -0.2, -0.3, -0.4]),
+    }
+    cols = [("first", np.array(first)), ("second", np.array(second))]
+    spec = dataclasses.replace(_REGISTRY["leform2"], margins=lambda g: cols)
+    violations, min_margin = verify._eval_columns(spec, grid)
+    ref_violations, ref_min = _row_loop(grid, cols)
+    assert violations == ref_violations
+    assert min_margin == ref_min
+    assert math.copysign(1.0, min_margin) == math.copysign(1.0, ref_min)
 
 
 def test_report_json_schema(tmp_path):
