@@ -7,11 +7,20 @@ plain float, so a sign decision is never made from noise.
 Core error-free transforms (two_sum, split, two_prod) follow the standard
 Dekker/Knuth constructions; exp and log use argument reduction with a short
 Taylor tail and Newton refinement against exp.
+
+hi and lo may also be equal-shape float64 arrays, one lane per entry.  The
+transforms are plain IEEE operations, so lane i is bitwise the scalar
+double-double of its inputs; where the scalar code branches, lanes select
+with a mask, and a condition that raises for one value raises if any lane
+meets it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+
+import numpy as np
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -48,14 +57,25 @@ def _two_prod(x: float, y: float) -> tuple[float, float]:
     return p, err
 
 
+def _libm(fn, x):
+    """fn on a float, or on each entry of an array: np.exp, np.log and
+    np.log1p differ from libm in the last bit on some arguments."""
+    if type(x) is not np.ndarray:
+        return fn(x)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 class DD:
-    """One double-double number.  Immutable in practice; hashable not needed."""
+    """One double-double number, or one per lane.  Immutable in practice."""
 
     __slots__ = ("hi", "lo")
+    # numpy defers to DD's reflected operators: array * DD is a DD, not an
+    # object array
+    __array_ufunc__ = None
 
-    def __init__(self, hi: float = 0.0, lo: float = 0.0):
-        self.hi = float(hi)
-        self.lo = float(lo)
+    def __init__(self, hi=0.0, lo=0.0):
+        self.hi = hi if type(hi) is np.ndarray else float(hi)
+        self.lo = lo if type(lo) is np.ndarray else float(lo)
 
     def __repr__(self) -> str:
         return f"DD({self.hi!r}, {self.lo!r})"
@@ -161,6 +181,8 @@ def _coerce(x) -> DD | None:
         return x
     if isinstance(x, (int, float)):
         return DD(float(x), 0.0)
+    if isinstance(x, np.ndarray):
+        return DD(x.astype(float), 0.0)
     return None
 
 
@@ -171,26 +193,54 @@ def dd(x) -> DD:
     return out
 
 
+def dd_where(mask, x, y) -> DD:
+    """Per lane, x where mask holds and y elsewhere."""
+    x, y = dd(x), dd(y)
+    return DD(np.where(mask, x.hi, y.hi), np.where(mask, x.lo, y.lo))
+
+
+def dd_value(x):
+    """The nearest float, hi + lo, per lane."""
+    x = dd(x)
+    return x.hi + x.lo
+
+
 def dd_sqrt(x) -> DD:
     v = dd(x)
-    if v.hi < 0.0:
+    if np.any(v.hi < 0.0):
         raise ValueError("sqrt of a negative double-double")
-    if v.hi == 0.0:
+    lanes = type(v.hi) is np.ndarray
+    if lanes:
+        zero = v.hi == 0.0
+        # zero lanes run on 1 and are set to 0 at the end
+        v = dd_where(zero, 1.0, v)
+        y0 = np.sqrt(v.hi)  # correctly rounded, as math.sqrt
+    elif v.hi == 0.0:
         return DD(0.0, 0.0)
-    y0 = math.sqrt(v.hi)
+    else:
+        y0 = math.sqrt(v.hi)
     y = DD(y0)
     # one Newton step doubles the correct digits: 16 -> 32
     y = y + (v - y * y) / (2.0 * y0)
-    return y
+    return dd_where(zero, 0.0, y) if lanes else y
 
 
 def dd_exp(x) -> DD:
     v = dd(x)
-    if v.hi > 709.0:
+    if np.any(v.hi > 709.0):
         raise OverflowError("exp overflow in double-double")
-    if v.hi < -709.0:
+    lanes = type(v.hi) is np.ndarray
+    if lanes:
+        under = v.hi < -709.0
+        # underflowing lanes run on 0 and are set to 0 at the end
+        v = dd_where(under, 0.0, v)
+        # rint rounds half to even, as round does; + 0.0 turns -0.0 into the
+        # +0.0 that float(round(...)) gives
+        m = np.rint(v.hi / _LN2_HI) + 0.0
+    elif v.hi < -709.0:
         return DD(0.0, 0.0)
-    m = float(round(v.hi / _LN2_HI))
+    else:
+        m = float(round(v.hi / _LN2_HI))
     r = v - DD(_LN2_HI, _LN2_LO) * m
     # scale down by 2**9, Taylor, square back up
     r = r / 512.0
@@ -201,15 +251,18 @@ def dd_exp(x) -> DD:
         acc = acc + term
     for _ in range(9):
         acc = acc * acc
+    if lanes:
+        k = m.astype(np.int64)
+        return dd_where(under, 0.0, DD(np.ldexp(acc.hi, k), np.ldexp(acc.lo, k)))
     k = int(m)
     return DD(math.ldexp(acc.hi, k), math.ldexp(acc.lo, k))
 
 
 def dd_log(x) -> DD:
     v = dd(x)
-    if v.hi <= 0.0:
+    if np.any(v.hi <= 0.0):
         raise ValueError("log of a non-positive double-double")
-    y = DD(math.log(v.hi))
+    y = DD(_libm(math.log, v.hi))
     # Newton against exp: y <- y + x*exp(-y) - 1
     for _ in range(2):
         y = y + v * dd_exp(-y) - 1.0
@@ -218,13 +271,17 @@ def dd_log(x) -> DD:
 
 def dd_log1p(x) -> DD:
     v = dd(x)
-    if v.hi <= -1.0:
+    if np.any(v.hi <= -1.0):
         raise ValueError("log1p argument at or below -1")
     return dd_log(DD(1.0) + v)
 
 
 class FloatBackend:
-    """Plain float evaluation namespace for margin expressions."""
+    """Plain float evaluation namespace for margin expressions.
+
+    Every backend has num, exp, log, log1p and sqrt, plus where(mask, x, y),
+    which selects per lane, and value(x), the float nearest to x.
+    """
 
     name = "float"
 
@@ -236,10 +293,39 @@ class FloatBackend:
     log = staticmethod(math.log)
     log1p = staticmethod(math.log1p)
     sqrt = staticmethod(math.sqrt)
+    value = staticmethod(float)
+
+    @staticmethod
+    def where(mask, x, y):
+        return x if mask else y
+
+
+def _lane_sqrt(x):
+    if np.any(x < 0.0):
+        raise ValueError("math domain error")
+    return np.sqrt(x)  # correctly rounded, as math.sqrt
+
+
+class FloatLanesBackend:
+    """FloatBackend on float64 arrays, each lane bitwise its scalar value."""
+
+    name = "float_lanes"
+
+    @staticmethod
+    def num(x):
+        return np.asarray(x, dtype=float)
+
+    exp = staticmethod(partial(_libm, math.exp))
+    log = staticmethod(partial(_libm, math.log))
+    log1p = staticmethod(partial(_libm, math.log1p))
+    sqrt = staticmethod(_lane_sqrt)
+    value = staticmethod(np.asarray)
+    where = staticmethod(np.where)
 
 
 class DDBackend:
-    """Double-double evaluation namespace, drop-in for FloatBackend."""
+    """Double-double evaluation namespace, drop-in for FloatBackend; takes
+    single values and lanes alike."""
 
     name = "dd"
 
@@ -248,7 +334,10 @@ class DDBackend:
     log = staticmethod(dd_log)
     log1p = staticmethod(dd_log1p)
     sqrt = staticmethod(dd_sqrt)
+    value = staticmethod(dd_value)
+    where = staticmethod(dd_where)
 
 
 FLOAT = FloatBackend()
+FLOAT_LANES = FloatLanesBackend()
 DOUBLE_DOUBLE = DDBackend()

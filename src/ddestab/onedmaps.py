@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddouble import FLOAT
+from .ddouble import FLOAT, FLOAT_LANES
 from .params import NormLanes, NormParams, _any
 from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, coeffs, j_tangent_coeffs, r_eval
 from .rootfind import solve_bracketed
@@ -108,9 +108,7 @@ def _sln_lanes(s: np.ndarray) -> np.ndarray:
     near = np.abs(s) < 0.1
     out[near] = _sln_series(s[near])
     far = s[~near]
-    # math.log1p per lane: np.log1p differs from it in the last bit
-    log1p = np.fromiter(map(math.log1p, far.tolist()), float, far.size)
-    out[~near] = (far - log1p) / (far * far)
+    out[~near] = (far - FLOAT_LANES.log1p(far)) / (far * far)
     return out
 
 

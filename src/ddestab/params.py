@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .ddouble import FLOAT_LANES
 from .rootfind import solve_bracketed
 
 __all__ = [
@@ -105,8 +106,7 @@ class NormLanes(NormParams):
 
     @property
     def delay(self) -> np.ndarray:
-        # libm per lane, as for one point: np.log differs in the last bit
-        return -np.array([math.log(th) for th in self.theta.tolist()])
+        return -FLOAT_LANES.log(self.theta)
 
 
 def _any(mask) -> bool:

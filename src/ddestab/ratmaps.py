@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .ddouble import FLOAT
 from .params import NormParams, _any
 
@@ -142,7 +144,8 @@ def psi_inv_generic(y, a, theta, mx=FLOAT):
     """Inverse conjugacy through any arithmetic backend mx.
 
     Solves x^2 - x*(a - theta + y) + y*a = 0 for the root above a, using the
-    cancellation-free branch of the quadratic formula.
+    cancellation-free branch of the quadratic formula.  On lanes each lane
+    takes its own branch.
     """
     one = mx.num(1.0)
     y = mx.num(y) * one
@@ -151,12 +154,15 @@ def psi_inv_generic(y, a, theta, mx=FLOAT):
     b = a - theta + y
     disc = b * b - 4.0 * y * a
     root = mx.sqrt(disc)
-    if float(b) >= 0.0:
-        x = (b + root) / 2.0
-    else:
+    plus = mx.value(b) >= 0.0
+    if type(plus) is bool:  # one point: evaluate only the branch it takes
+        if plus:
+            return (b + root) / 2.0
         x_minus = (b - root) / 2.0
-        x = y * a / x_minus
-    return x
+        return y * a / x_minus
+    # x_minus may be 0 on a lane that takes the other branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mx.where(plus, (b + root) / 2.0, y * a / ((b - root) / 2.0))
 
 
 def psi_inv(y: float, np_: NormParams) -> float:
@@ -234,15 +240,30 @@ def schwarz_margin(x, a, theta, mx=FLOAT):
 
 
 def coth_stable(t, mx=FLOAT):
-    """coth(t) for t > 0 with a series branch near zero, any backend."""
+    """coth(t) for t > 0 with a series branch near zero, any backend; on
+    lanes each lane takes its own branch."""
     one = mx.num(1.0)
     t = mx.num(t) * one
-    if float(t) <= 0.0:
+    tv = mx.value(t)
+    if _any(tv <= 0.0):
         raise ValueError("coth branch needs t > 0")
-    if float(t) < 0.01:
-        t2 = t * t
-        # 1/t + t/3 - t^3/45 + 2 t^5/945; next term ~ t^7/4725
-        return one / t + t * (one / 3.0 - t2 * (one / 45.0 - t2 * (2.0 / 945.0)))
+    near = tv < 0.01
+    if type(near) is bool:  # one point: evaluate only the branch it takes
+        if near:
+            return _coth_series(t, one)
+        return _coth_exp(t, one, mx)
+    # one - e may be 0 on a lane that takes the series branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mx.where(near, _coth_series(t, one), _coth_exp(t, one, mx))
+
+
+def _coth_series(t, one):
+    t2 = t * t
+    # 1/t + t/3 - t^3/45 + 2 t^5/945; next term ~ t^7/4725
+    return one / t + t * (one / 3.0 - t2 * (one / 45.0 - t2 * (2.0 / 945.0)))
+
+
+def _coth_exp(t, one, mx):
     e = mx.exp(-2.0 * t)
     return (one + e) / (one - e)
 
@@ -252,20 +273,26 @@ def j_generic(r, a, theta, mx=FLOAT):
 
     Defined for r >= -1/4; at r = -1/4 the singularity is removable with
     value 2/nu, returned directly; near it the series branch of coth keeps
-    full precision.  Any arithmetic backend mx.
+    full precision.  Any arithmetic backend mx, on one point or on lanes.
     """
     one = mx.num(1.0)
     r = mx.num(r) * one
     a = mx.num(a) * one
     theta = mx.num(theta) * one
     arg = one + 4.0 * r
-    if float(arg) < 0.0:
+    av = mx.value(arg)
+    if _any(av < 0.0):
         raise ValueError("comparison function needs r >= -1/4")
     nu = -theta / a
-    if float(arg) == 0.0:
-        return 2.0 * (one / nu)
-    n = mx.sqrt(arg)
-    return n * coth_stable(nu * n / 2.0, mx)
+    edge = av == 0.0
+    if type(edge) is bool:  # one point
+        if edge:
+            return 2.0 * (one / nu)
+        n = mx.sqrt(arg)
+        return n * coth_stable(nu * n / 2.0, mx)
+    # edge lanes run coth on arg = 1 and take 2/nu instead
+    n = mx.sqrt(mx.where(edge, one, arg))
+    return mx.where(edge, 2.0 * (one / nu), n * coth_stable(nu * n / 2.0, mx))
 
 
 def j_tangent_coeffs(a, theta, mx=FLOAT):

@@ -5,9 +5,11 @@ margins (left side minus right side, so nonnegative means the inequality
 holds), and records violations plus the smallest margin seen.  Margins that
 land within a per-check threshold of zero are re-evaluated in double-double
 arithmetic when the expression allows it, so sign decisions never rest on
-float roundoff.  Checks without that recheck evaluate whole grid columns,
-solving and integrating all points as lanes.  Grids are nested: doubling the
-resolution keeps every previously checked point.
+float roundoff.  Every check evaluates grid columns: its margins come from
+one float pass over a block of rows, the double-double recheck runs on the
+rows that need it as lanes too, and response maps and trajectories are
+solved and integrated as lanes.  Grids are nested: doubling the resolution
+keeps every previously checked point.
 
 The module also assembles per-point stability certificates and writes the
 region-figure artifacts.
@@ -24,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ddouble import DOUBLE_DOUBLE, FLOAT
+from .ddouble import DOUBLE_DOUBLE, FLOAT_LANES
 from .params import (
     MU_SECTOR_MAX,
     NormLanes,
@@ -54,6 +56,7 @@ from .ratmaps import (
     j_tangent_coeffs,
 )
 from .onedmaps import (
+    _LANE_BLOCK,
     F1_solve_r,
     F_solve_r,
     _g1_fraction,
@@ -116,17 +119,21 @@ Grid = dict[str, np.ndarray]
 class _LemmaSpec:
     """One registered check.
 
-    A dd_capable check's margins(pt, mx) evaluates one point dict in backend
-    mx; any other check's margins(grid) returns one float64 column per label.
-    Both give (label, margin) pairs in label order.
+    margins(grid, mx) evaluates grid columns in the lane backend mx and gives
+    (label, column) pairs in label order, NaN where a label does not apply to
+    a row.  A dd_capable check is evaluated in FLOAT_LANES and then, on the
+    rows where some margin lands within dd_threshold of zero, in
+    DOUBLE_DOUBLE; the other checks get FLOAT_LANES only.  Margins are
+    evaluated in blocks of row_block rows, or in one call when it is None.
     """
 
     lemma_id: str
     dd_capable: bool
     gen: Callable[[int], tuple[str, Grid]]
-    margins: Callable[..., list[tuple[str, object]]]
+    margins: Callable[[Grid, object], list[tuple[str, object]]]
     dd_threshold: float = 1e-6
     min_margin_override: Callable[[], float] | None = None
+    row_block: int | None = _LANE_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +208,13 @@ def _skip_zero(grid: Grid, name: str) -> Grid:
     return {col: v[keep] for col, v in grid.items()}
 
 
-def _coeff_col(base: Grid, field: str) -> np.ndarray:
-    """One coeffs(...) field per (a, theta) base row, as a column."""
-    pairs = zip(base["a"].tolist(), base["theta"].tolist())
-    return np.array([getattr(coeffs(NormParams(a=a, theta=th)), field) for a, th in pairs])
-
-
 # ---------------------------------------------------------------------------
 # margin sets
 
 
-def _margins_albet(pt: dict, mx) -> list:
+def _margins_albet(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    _, alpha, beta, _ = coeffs_generic(pt["a"], pt["theta"], mx)
+    _, alpha, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
     return [
         ("alpha_pos", alpha),
         ("alpha_below_one", one - alpha),
@@ -221,10 +222,10 @@ def _margins_albet(pt: dict, mx) -> list:
     ]
 
 
-def _margins_albeta(pt: dict, mx) -> list:
+def _margins_albeta(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    a = mx.num(pt["a"]) * one
-    _, alpha, _, _ = coeffs_generic(pt["a"], pt["theta"], mx)
+    a = mx.num(grid["a"]) * one
+    _, alpha, _, _ = coeffs_generic(grid["a"], grid["theta"], mx)
     prod = a * alpha
     return [
         ("slope_product_above_minus_one", one + prod),
@@ -232,15 +233,15 @@ def _margins_albeta(pt: dict, mx) -> list:
     ]
 
 
-def _margins_dom(pt: dict, mx) -> list:
+def _margins_dom(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    mu = mx.num(pt["mu"]) * one
-    th = mx.num(pt["theta"]) * one
-    a = mx.num(pt["a"]) * one
+    mu = mx.num(grid["mu"]) * one
+    th = mx.num(grid["theta"]) * one
+    a = mx.num(grid["a"]) * one
     k = a * (th - one)
     pi1 = (one - mu) / (one + mu * mu)
     pi2 = mx.log((one + mu) / (one + mu * mu)) / mu
-    _, _, _, a_star = coeffs_generic(pt["a"], pt["theta"], mx)
+    _, _, _, a_star = coeffs_generic(grid["a"], grid["theta"], mx)
     return [
         ("band_width", pi1 - pi2),
         ("slope_delay_low", k - one),
@@ -250,31 +251,28 @@ def _margins_dom(pt: dict, mx) -> list:
     ]
 
 
-def _margins_jcal_tangent(pt: dict, mx) -> list:
+def _margins_jcal_tangent(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    r = mx.num(pt["r"]) * one
-    j0, j1 = j_tangent_coeffs(pt["a"], pt["theta"], mx)
-    jv = j_generic(pt["r"], pt["a"], pt["theta"], mx)
+    r = mx.num(grid["r"]) * one
+    j0, j1 = j_tangent_coeffs(grid["a"], grid["theta"], mx)
+    jv = j_generic(grid["r"], grid["a"], grid["theta"], mx)
     return [("tangent_dominates", j0 + j1 * r - jv)]
 
 
 _FD_STEP_J = 0.02
 
 
-def _concavity(r: float, a: float, th: float) -> float:
-    def j(rr: float) -> float:
-        return j_generic(rr, a, th)
+def _margins_jcal_concavity(grid: Grid, mx) -> list:
+    r, a, th = grid["r"], grid["a"], grid["theta"]
+
+    def j(rr):
+        return j_generic(rr, a, th, mx)
 
     h = _FD_STEP_J
     second = (
         -j(r - 2.0 * h) + 16.0 * j(r - h) - 30.0 * j(r) + 16.0 * j(r + h) - j(r + 2.0 * h)
     ) / (12.0 * h * h)
-    return -second
-
-
-def _margins_jcal_concavity(grid: Grid) -> list:
-    rows = zip(grid["r"].tolist(), grid["a"].tolist(), grid["theta"].tolist())
-    return [("concave", np.fromiter((_concavity(*row) for row in rows), float, len(grid["r"])))]
+    return [("concave", -second)]
 
 
 def _by_base(grid: Grid, fn) -> list[np.ndarray]:
@@ -290,7 +288,11 @@ def _by_base(grid: Grid, fn) -> list[np.ndarray]:
     return [np.concatenate(col) for col in zip(*parts)]
 
 
-def _margins_leform1(grid: Grid) -> list:
+# the response-map and trajectory checks have no double-double form: they
+# take mx without using it
+
+
+def _margins_leform1(grid: Grid, mx) -> list:
     f_val = F_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
     tangent, moebius = _by_base(grid, lambda r, np_: (bound_L(r, np_), R_eval(r, coeffs(np_))))
     return [
@@ -299,7 +301,7 @@ def _margins_leform1(grid: Grid) -> list:
     ]
 
 
-def _margins_plyus(grid: Grid) -> list:
+def _margins_plyus(grid: Grid, mx) -> list:
     f_val = F_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
     (moebius,) = _by_base(grid, lambda r, np_: (R_eval(r, coeffs(np_)),))
     return [("response_below_moebius", moebius - f_val)]
@@ -310,7 +312,7 @@ def _leform2_bounds(r: np.ndarray, np_: NormParams) -> tuple:
     return num, den, R_eval(r, coeffs(np_))
 
 
-def _margins_leform2(grid: Grid) -> list:
+def _margins_leform2(grid: Grid, mx) -> list:
     f1_val = F1_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
     num, den, moebius = _by_base(grid, _leform2_bounds)
     return [
@@ -320,9 +322,9 @@ def _margins_leform2(grid: Grid) -> list:
     ]
 
 
-def _margins_lele(pt: dict, mx) -> list:
-    a = pt["a"]
-    th = pt["theta"]
+def _margins_lele(grid: Grid, mx) -> list:
+    a = grid["a"]
+    th = grid["theta"]
     _, alpha, beta, a_star = coeffs_generic(a, th, mx)
     q_deep = q_poly_generic(a, a, th, mx, alpha=alpha, beta=beta)
     q_branch = q_poly_generic(a_star, a, th, mx, alpha=alpha, beta=beta)
@@ -332,25 +334,20 @@ def _margins_lele(pt: dict, mx) -> list:
     ]
 
 
-def _margins_leleka(pt: dict, mx) -> list:
-    a = pt["a"]
-    th = pt["theta"]
-    r = pt["r"]
+def _margins_leleka(grid: Grid, mx) -> list:
+    a = grid["a"]
+    th = grid["theta"]
+    r = grid["r"]
     _, alpha, beta, _ = coeffs_generic(a, th, mx)
-    out = [
+    t3, t2, t1_, t0 = t_chain_generic(a, th, mx, alpha=alpha)
+    deep = r == a  # the deep end of the r axis, once per (a, theta)
+    return [
         ("derivative_pos", s_poly_generic(r, a, th, mx, alpha=alpha, beta=beta)),
         ("certificate_nonpos", -q_poly_generic(r, a, th, mx, alpha=alpha, beta=beta)),
+        ("chain_t3_gt_t2", mx.where(deep, t3 - t2, math.nan)),
+        ("chain_t2_gt_t1", mx.where(deep, t2 - t1_, math.nan)),
+        ("chain_t1_gt_t0", mx.where(deep, t1_ - t0, math.nan)),
     ]
-    if r == a:  # the deep end of the r axis, once per (a, theta)
-        t3, t2, t1_, t0 = t_chain_generic(a, th, mx, alpha=alpha)
-        out.extend(
-            [
-                ("chain_t3_gt_t2", t3 - t2),
-                ("chain_t2_gt_t1", t2 - t1_),
-                ("chain_t1_gt_t0", t1_ - t0),
-            ]
-        )
-    return out
 
 
 # values per lockstep integration block: 2^18 float64 (2 MB).  Blocks of
@@ -362,7 +359,7 @@ _SIM_BLOCK_VALUES = 1 << 18
 def _funcrr2_lanes(r: np.ndarray, np_: NormParams) -> tuple:
     """Per row: constant history z with r(z) = r, first crossing time, delay, corner bound."""
     z = r_inv(r, np_.a)
-    tc = np.array([math.log(v) for v in (1.0 - (1.0 + z) / np_.a).tolist()])
+    tc = FLOAT_LANES.log(1.0 - (1.0 + z) / np_.a)
     return z, tc, np.full(len(r), np_.delay), R2_eval(r, np_)
 
 
@@ -378,7 +375,7 @@ def _horizon_blocks(K: np.ndarray):
         yield np.array(block)
 
 
-def _margins_funcrr2(grid: Grid) -> list:
+def _margins_funcrr2(grid: Grid, mx) -> list:
     from .ddesim import History, _envelope, _extremum_after, _step_grid, integrate
 
     a, th = grid["a"], grid["theta"]
@@ -406,12 +403,12 @@ def _margins_funcrr2(grid: Grid) -> list:
     return [("dip_above_corner_bound", dip - corner)]
 
 
-def _margins_lele2(pt: dict, mx) -> list:
+def _margins_lele2(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    q = mx.num(pt["q"]) * one
-    k = mx.num(pt["k"]) * one
-    a = float(pt["k"]) / float(pt["q"])
-    th = 1.0 + float(pt["q"])
+    q = mx.num(grid["q"]) * one
+    k = mx.num(grid["k"]) * one
+    a = grid["k"] / grid["q"]
+    th = 1.0 + grid["q"]
     ell = mx.log1p(q)
     corner = ((-q + ell) / (one - q + ell)) * k * k / (q * q - k * (-q + ell))
     _, _, beta, _ = coeffs_generic(a, th, mx)
@@ -423,35 +420,39 @@ def _margins_lele2(pt: dict, mx) -> list:
     ]
 
 
-def _margins_expo(pt: dict, mx) -> list:
+def _margins_expo(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    x = mx.num(pt["x"]) * one
+    x = mx.num(grid["x"]) * one
     ex = mx.exp(x)
-    if pt["x"] < 0.0:
-        return [
-            ("exp_above_linear", ex - one - x),
-            ("exp_below_quadratic", one + x + x * x / 2.0 - ex),
-        ]
+    neg = grid["x"] < 0.0
     return [
-        ("exp_above_cubic", ex - (one + x + x * x / 2.0 + x * x * x / 6.0)),
+        ("exp_above_linear", mx.where(neg, ex - one - x, math.nan)),
+        ("exp_below_quadratic", mx.where(neg, one + x + x * x / 2.0 - ex, math.nan)),
+        (
+            "exp_above_cubic",
+            mx.where(neg, math.nan, ex - (one + x + x * x / 2.0 + x * x * x / 6.0)),
+        ),
     ]
 
 
-def _margins_r303(pt: dict, mx) -> list:
+def _margins_r303(grid: Grid, mx) -> list:
     one = mx.num(1.0)
-    q = mx.num(pt["q"]) * one
+    q = mx.num(grid["q"]) * one
     cubic = q - 0.5 * q * q + 0.4 * q * q * q
     return [("log_above_cubic", mx.log1p(q) - cubic)]
 
 
 def _r303_endpoint_margin() -> float:
-    m = _margins_r303({"q": -0.2}, DOUBLE_DOUBLE)
-    return float(m[0][1])
+    ((_, m),) = _margins_r303({"q": np.array([-0.2])}, DOUBLE_DOUBLE)
+    return float(DOUBLE_DOUBLE.value(m)[0])
 
 
-def _margins_gss(pt: dict, mx) -> list:
+def _margins_gss(grid: Grid, mx) -> list:
     return [
-        ("straightened_map_schwarz_neg", schwarz_margin(pt["x"], pt["a"], pt["theta"], mx))
+        (
+            "straightened_map_schwarz_neg",
+            schwarz_margin(grid["x"], grid["a"], grid["theta"], mx),
+        )
     ]
 
 
@@ -493,27 +494,27 @@ def _gen_jcal_concavity(n: int):
 
 def _gen_leform1(n: int):
     base = _cell_band(32, 9, "D")
-    a_star = _coeff_col(base, "a_star")[:, None]
+    _, _, _, a_star = coeffs_generic(base["a"], base["theta"], FLOAT_LANES)
     return (
         f"cell-centered band sample (32x9) times r=a_star*(1-k/{n}) (k=0..{n - 1})",
-        _times(base, "r", a_star * (1.0 - np.arange(n) / n)),
+        _times(base, "r", a_star[:, None] * (1.0 - np.arange(n) / n)),
     )
 
 
 def _gen_plyus(n: int):
     base = _cell_band(32, 9, "D")
-    beta = _coeff_col(base, "beta")[:, None]
+    _, _, beta, _ = coeffs_generic(base["a"], base["theta"], FLOAT_LANES)
     return (
         f"cell-centered band sample (32x9) times r=(1/beta)*k/{n} (k=1..{n - 1})",
-        _times(base, "r", (1.0 / beta) * np.arange(1, n) / n),
+        _times(base, "r", (1.0 / beta[:, None]) * np.arange(1, n) / n),
     )
 
 
 def _toward_branch(base: Grid, k: np.ndarray, n: int) -> Grid:
     """base times r = a + (a_star - a) * k / n, from the deep end toward a_star."""
+    _, _, _, a_star = coeffs_generic(base["a"], base["theta"], FLOAT_LANES)
     a = base["a"][:, None]
-    a_star = _coeff_col(base, "a_star")[:, None]
-    return _times(base, "r", a + (a_star - a) * k / n)
+    return _times(base, "r", a + (a_star[:, None] - a) * k / n)
 
 
 def _gen_leform2(n: int):
@@ -590,7 +591,8 @@ _REGISTRY: dict[str, _LemmaSpec] = {
         _LemmaSpec("leform2", False, _gen_leform2, _margins_leform2),
         _LemmaSpec("lele", True, _gen_lele, _margins_lele),
         _LemmaSpec("leleka", True, _gen_leleka, _margins_leleka),
-        _LemmaSpec("funcrr2", False, _gen_funcrr2, _margins_funcrr2),
+        # funcrr2 groups its lanes by horizon across the whole grid
+        _LemmaSpec("funcrr2", False, _gen_funcrr2, _margins_funcrr2, row_block=None),
         _LemmaSpec("lele2", True, _gen_lele2, _margins_lele2),
         _LemmaSpec("expo_bounds", True, _gen_expo, _margins_expo),
         _LemmaSpec(
@@ -608,25 +610,29 @@ LEMMA_IDS = list(_REGISTRY)
 
 
 def _eval_points(lemma_id: str, grid: Grid) -> tuple[list[dict], float]:
-    spec = _REGISTRY[lemma_id]
+    return _eval_columns(_REGISTRY[lemma_id], grid)
+
+
+def _margin_block(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
+    """(label, float64 margin column) pairs over the rows of grid.
+
+    A label whose float margin lands within dd_threshold of zero takes its
+    double-double value; each row that has one is evaluated in double-double
+    once, for all its labels, as a lane of one recheck pass.
+    """
+    labels, margins = zip(*spec.margins(grid, FLOAT_LANES))
+    cols = [np.array(m, dtype=float) for m in margins]
     if not spec.dd_capable:
-        return _eval_columns(spec, grid)
-    violations: list[dict] = []
-    min_margin = math.inf
-    for row in zip(*(col.tolist() for col in grid.values())):
-        pt = dict(zip(grid, row))
-        dd_cache = None
-        for label, m in spec.margins(pt, FLOAT):
-            mf = float(m)
-            if spec.dd_capable and abs(mf) < spec.dd_threshold:
-                if dd_cache is None:
-                    dd_cache = {l: v for l, v in spec.margins(pt, DOUBLE_DOUBLE)}
-                mf = float(dd_cache[label])
-            if mf < min_margin:
-                min_margin = mf
-            if mf < 0.0:
-                violations.append({**pt, "label": label, "margin": mf})
-    return violations, min_margin
+        return list(zip(labels, cols))
+    near = [np.abs(col) < spec.dd_threshold for col in cols]
+    rows = np.flatnonzero(np.logical_or.reduce(near))
+    if rows.size:
+        sub = {k: v[rows] for k, v in grid.items()}
+        rechecked = spec.margins(sub, DOUBLE_DOUBLE)
+        for col, hit, (_, m) in zip(cols, near, rechecked):
+            take = hit[rows]
+            col[rows[take]] = DOUBLE_DOUBLE.value(m)[take]
+    return list(zip(labels, cols))
 
 
 def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
@@ -637,7 +643,13 @@ def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
     also fixes the sign of a zero, and its violations come in that order.
     Columns are scanned one at a time, so no rows-by-labels copy is made.
     """
-    labels, cols = zip(*spec.margins(grid))
+    n = _row_count(grid)
+    step = spec.row_block or n
+    blocks = [
+        _margin_block(spec, {k: v[i : i + step] for k, v in grid.items()}) for i in range(0, n, step)
+    ]
+    labels = [label for label, _ in blocks[0]]
+    cols = [np.concatenate([col for _, col in parts]) for parts in zip(*blocks)]
     lows = []  # (value, row, label index) of each column's first smallest margin
     for j, col in enumerate(cols):
         low = np.fmin.reduce(col)  # NaN only when every entry is NaN

@@ -1,11 +1,22 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 mp = pytest.importorskip("mpmath")
 
-from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT, dd, dd_exp, dd_log, dd_log1p, dd_sqrt
+from ddestab.ddouble import (
+    DD,
+    DOUBLE_DOUBLE,
+    FLOAT,
+    FLOAT_LANES,
+    dd,
+    dd_exp,
+    dd_log,
+    dd_log1p,
+    dd_sqrt,
+)
 
 mp.mp.dps = 40
 
@@ -119,3 +130,103 @@ def test_backend_parity():
         assert float(y) == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert FLOAT.name == "float"
     assert DOUBLE_DOUBLE.name == "dd"
+
+
+# ---------------------------------------------------------------------------
+# lanes: every lane bitwise the scalar double-double
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _assert_lanes_match(fn, *lanes: DD):
+    got = fn(*lanes)
+    for i in range(lanes[0].hi.size):
+        want = fn(*(DD(v.hi[i], v.lo[i]) for v in lanes))
+        assert (_bits(got.hi[i]), _bits(got.lo[i])) == (_bits(want.hi), _bits(want.lo)), i
+        assert _bits(DOUBLE_DOUBLE.value(got)[i]) == _bits(float(want))
+
+
+def _seeded_lanes(seed: int, lo: float, hi: float, extra=()) -> DD:
+    # dividing by 7 gives every lane a nonzero low word
+    x = np.random.default_rng(seed).uniform(lo, hi, 256)
+    lanes = dd(x) / 7.0
+    edge = np.array(extra, dtype=float)
+    return DD(np.concatenate([lanes.hi, edge]), np.concatenate([lanes.lo, np.zeros_like(edge)]))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_lane_arithmetic_matches_scalar(op):
+    x = _seeded_lanes(1, -50.0, 50.0)
+    y = _seeded_lanes(2, 0.5, 30.0)
+    _assert_lanes_match(lambda u, v: getattr(u, f"__{op}__")(v), x, y)
+    # a plain float or an array on either side
+    _assert_lanes_match(lambda u: getattr(u, f"__{op}__")(3.25), x)
+    _assert_lanes_match(lambda u: getattr(u, f"__r{op}__")(1.5), y)
+
+
+def test_lane_exp_matches_scalar():
+    # below -709 the scalar form returns 0; a lane with a half-way quotient
+    # checks that rint rounds as round does
+    edge = [-709.5, -1e4, 0.0, -0.0, 709.0, -0.5 * 6.931471805599453e-01]
+    _assert_lanes_match(dd_exp, _seeded_lanes(3, -40.0, 40.0, edge))
+
+
+def test_lane_log_matches_scalar():
+    edge = [1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1e-300, 1e300]
+    _assert_lanes_match(dd_log, _seeded_lanes(4, 1e-3, 1e3, edge))
+
+
+def test_lane_log1p_matches_scalar():
+    edge = [1e-300, -1e-300, 1e-17, 0.0, -0.999]
+    _assert_lanes_match(dd_log1p, _seeded_lanes(5, -0.9, 20.0, edge))
+
+
+def test_lane_sqrt_matches_scalar():
+    edge = [0.0, -0.0, 5e-324, 1e300]
+    _assert_lanes_match(dd_sqrt, _seeded_lanes(6, 1e-6, 1e6, edge))
+
+
+@pytest.mark.parametrize(
+    "fn, bad, error",
+    [
+        (dd_exp, 709.5, OverflowError),
+        (dd_log, 0.0, ValueError),
+        (dd_log, -1.0, ValueError),
+        (dd_log1p, -1.0, ValueError),
+        (dd_sqrt, -1e-300, ValueError),
+    ],
+)
+def test_one_bad_lane_raises(fn, bad, error):
+    with pytest.raises(error):
+        fn(dd(bad))
+    with pytest.raises(error):
+        fn(dd(np.array([0.5, 2.0, bad, 3.0])))
+
+
+def test_float_lanes_use_libm():
+    # np.exp, np.log and np.log1p differ from libm in the last bit on some
+    # arguments, so the float lane backend calls libm per lane
+    rng = np.random.default_rng(7)
+    cases = [
+        (FLOAT_LANES.exp, math.exp, rng.uniform(-5.0, 5.0, 4096)),
+        (FLOAT_LANES.log, math.log, rng.uniform(0.01, 10.0, 4096)),
+        (FLOAT_LANES.log1p, math.log1p, rng.uniform(-0.5, 5.0, 4096)),
+        (FLOAT_LANES.sqrt, math.sqrt, rng.uniform(0.0, 10.0, 4096)),
+    ]
+    for lane_fn, libm_fn, x in cases:
+        got = lane_fn(x)
+        assert [_bits(v) for v in got] == [_bits(libm_fn(v)) for v in x.tolist()]
+    with pytest.raises(ValueError):
+        FLOAT_LANES.sqrt(np.array([1.0, -1.0]))
+
+
+def test_backend_where_and_value():
+    mask = np.array([True, False, True])
+    x, y = np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0, -3.0])
+    assert FLOAT_LANES.where(mask, x, y).tolist() == [1.0, -2.0, 3.0]
+    got = DOUBLE_DOUBLE.where(mask, dd(x) / 3.0, math.nan)
+    assert np.isnan(DOUBLE_DOUBLE.value(got)[1])
+    assert DOUBLE_DOUBLE.value(got)[2] == float(dd(3.0) / 3.0)
+    assert FLOAT.where(True, 1.0, 2.0) == 1.0 and FLOAT.value(dd(2.5)) == 2.5

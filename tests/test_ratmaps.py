@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,13 +19,14 @@ from ddestab.ratmaps import (
     j_tangent_coeffs,
     psi,
     psi_inv,
+    psi_inv_generic,
     r_eval,
     r_inv,
     schwarz_margin,
     schwarzian,
     schwarzian_numeric,
 )
-from ddestab.ddouble import DOUBLE_DOUBLE
+from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT, FLOAT_LANES
 
 # frozen coefficient values at two reference points (40-digit arithmetic)
 ALPHA_05 = 0.33640234921421460
@@ -235,3 +237,69 @@ def test_coeffs_cached(np_core):
     c2 = coeffs(np_core)
     assert isinstance(c1, Coeffs) and isinstance(c2, Coeffs)
     assert c1.alpha == c2.alpha
+
+
+# ---------------------------------------------------------------------------
+# branches on lanes: each lane bitwise its scalar call
+
+
+def _bits(v) -> list[int]:
+    """The words of a float or a double-double, as integers."""
+    words = (v.hi, v.lo) if isinstance(v, DD) else (v,)
+    return [int(np.float64(w).view(np.int64)) for w in words]
+
+
+def _lane(v, i):
+    return DD(v.hi[i], v.lo[i]) if isinstance(v, DD) else v[i]
+
+
+BACKENDS = [(FLOAT_LANES, FLOAT), (DOUBLE_DOUBLE, DOUBLE_DOUBLE)]
+
+
+def _assert_lanes_match(fn, lanes_mx, scalar_mx, *cols):
+    got = fn(*cols, lanes_mx)
+    for i in range(len(cols[0])):
+        want = fn(*(float(c[i]) for c in cols), scalar_mx)
+        assert _bits(_lane(got, i)) == _bits(want), i
+
+
+@pytest.mark.parametrize("lanes_mx, scalar_mx", BACKENDS)
+def test_psi_inv_lanes_take_their_branch(lanes_mx, scalar_mx):
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-6.0, -1.05, 256)
+    theta = rng.uniform(0.05, 0.95, 256)
+    y = rng.uniform(-8.0, 12.0, 256)
+    b = a - theta + y
+    assert (b >= 0.0).any() and (b < 0.0).any()
+    _assert_lanes_match(psi_inv_generic, lanes_mx, scalar_mx, y, a, theta)
+
+
+@pytest.mark.parametrize("lanes_mx, scalar_mx", BACKENDS)
+def test_coth_lanes_take_their_branch(lanes_mx, scalar_mx):
+    t = np.concatenate(
+        [
+            np.random.default_rng(12).uniform(1e-6, 0.03, 256),
+            [0.01, math.nextafter(0.01, 0.0), 1e-300, 40.0, 400.0],
+        ]
+    )
+    assert (t < 0.01).any() and (t >= 0.01).any()
+    _assert_lanes_match(coth_stable, lanes_mx, scalar_mx, t)
+
+
+@pytest.mark.parametrize("lanes_mx, scalar_mx", BACKENDS)
+def test_j_lanes_take_their_branch(lanes_mx, scalar_mx):
+    rng = np.random.default_rng(13)
+    r = np.concatenate([[-0.25, -0.25 + 1e-12, 0.0], rng.uniform(-0.25, 5.0, 253)])
+    a = rng.uniform(-10.0, -1.05, 256)
+    theta = rng.uniform(0.1, 0.9, 256)
+    _assert_lanes_match(j_generic, lanes_mx, scalar_mx, r, a, theta)
+
+
+@pytest.mark.parametrize("mx", [FLOAT_LANES, DOUBLE_DOUBLE])
+def test_one_bad_branch_lane_raises(mx):
+    a, theta = np.full(3, -2.0), np.full(3, 0.4)
+    with pytest.raises(ValueError):
+        j_generic(np.array([0.5, -0.3, 1.0]), a, theta, mx)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            coth_stable(np.array([0.5, bad, 0.001]), mx)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ddestab import verify
+from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
 from ddestab.params import NormParams, Region, classify, sharp_boundary_theta
 from ddestab.verify import (
     _REGISTRY,
@@ -165,20 +166,138 @@ def test_log_vs_cubic_endpoint_override():
     assert endpoint == pytest.approx(5.644868579024423e-5, abs=1e-12)
 
 
+# rows each double-double check sends to the recheck at resolution 256,
+# counted from the per-point loop the column path replaced
+DD_RECHECK_ROWS = {
+    "albet": 0,
+    "albeta": 98,
+    "dom": 0,
+    "jcal_tangent": 28,
+    "lele": 514,
+    "leleka": 0,
+    "lele2": 0,
+    "expo_bounds": 1,
+    "r303": 32,
+    "gsslemma_schwarz": 12139,
+}
+
+
+def _counting_dd(monkeypatch, lemma_id):
+    """Wrap a check's margins; the returned list collects each double-double
+    call's grid."""
+    spec = _REGISTRY[lemma_id]
+    calls = []
+
+    def margins(grid, mx):
+        if mx is DOUBLE_DOUBLE:
+            calls.append(grid)
+        return spec.margins(grid, mx)
+
+    monkeypatch.setitem(_REGISTRY, lemma_id, dataclasses.replace(spec, margins=margins))
+    return calls
+
+
+def test_dd_capable_registry():
+    assert sorted(k for k, spec in _REGISTRY.items() if spec.dd_capable) == sorted(DD_RECHECK_ROWS)
+
+
+@pytest.mark.parametrize("lemma_id", list(DD_RECHECK_ROWS))
+def test_dd_recheck_row_counts(lemma_id, monkeypatch):
+    calls = _counting_dd(monkeypatch, lemma_id)
+    rep = verify_lemma(lemma_id, resolution=256, threads=1)
+    assert rep.violations == []
+    rows = [verify._row_count(grid) for grid in calls]
+    assert sum(rows) == DD_RECHECK_ROWS[lemma_id]
+    assert all(n <= verify._LANE_BLOCK for n in rows)  # one pass per row block
+
+
+def test_recheck_replaces_only_near_zero_labels(monkeypatch):
+    # one row has a label within the threshold and one far from it; only the
+    # near one may take the double-double value
+    x_near = _REGISTRY["expo_bounds"].gen(8)[1]["x"][3]
+    calls = []
+
+    def margins(grid, mx):
+        x = grid["x"]
+        if mx is DOUBLE_DOUBLE:
+            calls.append(x.tolist())
+            return [("near", mx.num(np.full(x.shape, -2.0))), ("far", mx.num(np.full(x.shape, -3.0)))]
+        return [("near", np.where(x == x_near, 1e-9, 1.0)), ("far", np.full(x.shape, 0.5))]
+
+    spec = dataclasses.replace(_REGISTRY["expo_bounds"], margins=margins)
+    monkeypatch.setitem(_REGISTRY, "expo_bounds", spec)
+    rep = verify_lemma("expo_bounds", resolution=8, threads=1)
+    assert calls == [[x_near]]
+    assert rep.violations == [{"x": x_near, "label": "near", "margin": -2.0}]
+    assert rep.min_margin == -2.0  # far would have given -3.0
+
+
+# resolutions at which the point loop below stays quick; all but albet, dom,
+# leleka, lele2 and jcal_concavity have double-double rechecks there
+POINT_LOOP_RES = {
+    "albet": 32,
+    "albeta": 64,
+    "dom": 32,
+    "jcal_tangent": 64,
+    "jcal_concavity": 32,
+    "lele": 128,
+    "leleka": 32,
+    "lele2": 32,
+    "expo_bounds": 256,
+    "r303": 64,
+    "gsslemma_schwarz": 16,
+}
+
+
+@pytest.mark.parametrize("lemma_id", list(POINT_LOOP_RES))
+def test_columns_match_point_loop(lemma_id):
+    # the margins, evaluated one point at a time in the scalar backends with
+    # the per-point recheck rule, are the reference for the column path
+    spec = _REGISTRY[lemma_id]
+    _, grid = spec.gen(POINT_LOOP_RES[lemma_id])
+    got = verify._margin_block(dataclasses.replace(spec, row_block=None), grid)
+    rows = verify._row_count(grid)
+    want = {label: [] for label, _ in got}
+    for i in range(rows):
+        pt = {k: float(v[i]) for k, v in grid.items()}
+        values = [(label, FLOAT.value(m)) for label, m in spec.margins(pt, FLOAT)]
+        if spec.dd_capable and any(abs(v) < spec.dd_threshold for _, v in values):
+            dd_values = dict(spec.margins(pt, DOUBLE_DOUBLE))
+            values = [
+                (label, DOUBLE_DOUBLE.value(dd_values[label]) if abs(v) < spec.dd_threshold else v)
+                for label, v in values
+            ]
+        for label, v in values:
+            want[label].append(v)
+    for label, col in got:
+        assert col.tobytes() == np.array(want[label]).tobytes(), label
+
+
 # leleka's chunks cut through one (a, theta) row's r axis, whose first node
 # carries the chain margins; leform2 and funcrr2 take the column path, and
-# their chunks cut through the bases they solve and integrate per block
-@pytest.mark.parametrize("lemma_id", ["albet", "leleka", "leform2", "funcrr2"])
-def test_parallel_sweep_matches_serial(lemma_id):
-    serial = verify_lemma(lemma_id, resolution=24, threads=1)
-    parallel = verify_lemma(lemma_id, resolution=24, threads=2)
+# their chunks cut through the bases they solve and integrate per block;
+# gsslemma_schwarz and lele have double-double rechecks inside the chunks,
+# at these resolutions
+RECHECK_RES = {"gsslemma_schwarz": 24, "lele": 128}
+
+
+@pytest.mark.parametrize(
+    "lemma_id", ["albet", "leleka", "leform2", "funcrr2", "gsslemma_schwarz", "lele"]
+)
+def test_parallel_sweep_matches_serial(lemma_id, monkeypatch):
+    res = RECHECK_RES.get(lemma_id, 24)
+    calls = _counting_dd(monkeypatch, lemma_id)
+    serial = verify_lemma(lemma_id, resolution=res, threads=1)
+    assert bool(calls) == (lemma_id in RECHECK_RES)
+    parallel = verify_lemma(lemma_id, resolution=res, threads=2)
     assert parallel.points_checked == serial.points_checked
     assert parallel.min_margin == serial.min_margin
     assert parallel.violations == serial.violations
 
 
 def _row_loop(grid, cols):
-    # the row loop's rules, as the double-double checks still apply them
+    # the per-point loop's ordering rules, kept as the reference the column
+    # path is checked against
     violations, min_margin = [], math.inf
     for i in range(len(grid["r"])):
         pt = {k: float(v[i]) for k, v in grid.items()}
@@ -209,7 +328,7 @@ def test_column_path_matches_row_loop(first, second):
         "r": np.array([-0.1, -0.2, -0.3, -0.4]),
     }
     cols = [("first", np.array(first)), ("second", np.array(second))]
-    spec = dataclasses.replace(_REGISTRY["leform2"], margins=lambda g: cols)
+    spec = dataclasses.replace(_REGISTRY["leform2"], margins=lambda g, mx: cols)
     violations, min_margin = verify._eval_columns(spec, grid)
     ref_violations, ref_min = _row_loop(grid, cols)
     assert violations == ref_violations
