@@ -36,7 +36,6 @@ __all__ = [
     "shift_to_equilibrium",
     "WReport",
     "check_W",
-    "lk_coeffs",
     "NicholsonParams",
     "NoPositiveEquilibrium",
     "NicholsonDecision",
@@ -345,22 +344,6 @@ def check_W(model: Nonlinearity, lo: float, hi: float, n: int = 2001) -> WReport
             best = (float(xs[run_start]), float(x))
     report.verified_interval = best
     return report
-
-
-def lk_coeffs(q: float) -> tuple[float, float]:
-    """Envelope calibration for the shifted recruitment map.
-
-    Returns (slope, curvature ratio): slope = derivative at zero = 1 - ln q,
-    ratio = -w''(0)/(2 w'(0)) so the Moebius comparison map slope*y/(1+ratio*y)
-    matches to second order.  The slope must not vanish, which excludes q = e.
-    """
-    if not q > 1.0:
-        raise ValueError(f"need q > 1, got {q}")
-    a = 1.0 - math.log(q)
-    if a == 0.0:
-        raise ValueError("slope vanishes at q = e; no envelope calibration")
-    b = (1.0 + a) / (2.0 * a)
-    return a, b
 
 
 # ---------------------------------------------------------------------------

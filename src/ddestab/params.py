@@ -27,7 +27,6 @@ __all__ = [
     "Region",
     "RegionLabel",
     "normalize",
-    "criterion_delta",
     "criterion_norm",
     "linear_criterion",
     "sharp_boundary_theta",
@@ -140,19 +139,6 @@ def _boundary_log(a: float) -> float:
     # log((a*a - a) / (a*a + 1)), written as log1p((-a - 1)/(a*a + 1)):
     # the ratio drifts to 1 as a -> -inf and the direct form loses digits
     return math.log1p((-a - 1.0) / (a * a + 1.0))
-
-
-def criterion_delta(a: float, delta: float, h: float) -> bool:
-    """Sharp delay criterion in raw parameters.
-
-    True when (-delta/a) * exp(-h*delta) exceeds
-    log((a^2 - a*delta) / (delta^2 + a^2)).
-    """
-    if not (delta > 0.0 and h > 0.0 and a < 0.0):
-        raise ValueError("need a < 0, delta > 0, h > 0")
-    lhs = (-delta / a) * math.exp(-h * delta)
-    rhs = math.log((a * a - a * delta) / (delta * delta + a * a))
-    return lhs > rhs
 
 
 def criterion_norm(np_: NormParams) -> bool:

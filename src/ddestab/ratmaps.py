@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,13 +27,11 @@ __all__ = [
     "gamma_coeff",
     "R_eval",
     "R2_eval",
-    "psi",
     "psi_inv",
     "psi_inv_generic",
     "chi",
     "chi_iterate",
     "schwarzian",
-    "schwarzian_numeric",
     "schwarz_margin",
     "j_generic",
     "j_tangent_coeffs",
@@ -132,14 +129,6 @@ def R2_eval(r: float, np_: NormParams) -> float:
     return k0 * a * r / den
 
 
-def psi(M: float, np_: NormParams) -> float:
-    """Straightening conjugacy M - theta*M/(a - M), a bijection (a, inf) -> R."""
-    a = np_.a
-    if not M > a:
-        raise ValueError(f"conjugacy needs M > {a}, got {M}")
-    return M - np_.theta * M / (a - M)
-
-
 def psi_inv_generic(y, a, theta, mx=FLOAT):
     """Inverse conjugacy through any arithmetic backend mx.
 
@@ -195,26 +184,6 @@ def schwarzian(w, x: float) -> float:
     if abs(d1) < 1e-12:
         raise ValueError(f"Schwarzian undefined near critical point, w'({x}) = {d1}")
     return w.d3(x) / d1 - 1.5 * (w.d2(x) / d1) ** 2
-
-
-def schwarzian_numeric(f: Callable[[float], float], x: float) -> float:
-    """Schwarzian via five-point finite differences of a plain callable.
-
-    The step balances truncation against the eps/s^3 roundoff of the
-    third-derivative stencil; expect about five good digits.
-    """
-    s = 1e-3 * max(1.0, abs(x))
-    f_m2 = f(x - 2.0 * s)
-    f_m1 = f(x - s)
-    f_0 = f(x)
-    f_p1 = f(x + s)
-    f_p2 = f(x + 2.0 * s)
-    d1 = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * s)
-    d2 = (-f_p2 + 16.0 * f_p1 - 30.0 * f_0 + 16.0 * f_m1 - f_m2) / (12.0 * s * s)
-    d3 = (f_p2 - 2.0 * f_p1 + 2.0 * f_m1 - f_m2) / (2.0 * s ** 3)
-    if abs(d1) < 1e-12:
-        raise ValueError(f"Schwarzian undefined near critical point at x = {x}")
-    return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
 
 def schwarz_margin(x, a, theta, mx=FLOAT):

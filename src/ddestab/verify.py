@@ -350,12 +350,6 @@ def _margins_leleka(grid: Grid, mx) -> list:
     ]
 
 
-# values per lockstep integration block: 2^18 float64 (2 MB).  Blocks of
-# 4 MB ran funcrr2 a fifth faster, but once freed they left the allocator
-# holding more memory on each later sweep in the process
-_SIM_BLOCK_VALUES = 1 << 18
-
-
 def _funcrr2_lanes(r: np.ndarray, np_: NormParams) -> tuple:
     """Per row: constant history z with r(z) = r, first crossing time, delay, corner bound."""
     z = r_inv(r, np_.a)
@@ -363,44 +357,16 @@ def _funcrr2_lanes(r: np.ndarray, np_: NormParams) -> tuple:
     return z, tc, np.full(len(r), np_.delay), R2_eval(r, np_)
 
 
-def _horizon_blocks(K: np.ndarray):
-    """Lanes in ascending last node K, in blocks of at most _SIM_BLOCK_VALUES values."""
-    block: list[int] = []
-    for lane in np.argsort(K, kind="stable").tolist():
-        if block and (K[lane] + 1) * (len(block) + 1) > _SIM_BLOCK_VALUES:
-            yield np.array(block)
-            block = []
-        block.append(lane)
-    if block:
-        yield np.array(block)
-
-
 def _margins_funcrr2(grid: Grid, mx) -> list:
-    from .ddesim import History, _envelope, _extremum_after, _step_grid, integrate
+    from .ddesim import History, _envelope, integrate
 
     a, th = grid["a"], grid["theta"]
     z, tc, h, corner = _by_base(grid, _funcrr2_lanes)
-    T = tc + 3.0 * h
-    K = np.array([_step_grid(hl, Tl, None)[2] for hl, Tl in zip(h.tolist(), T.tolist())])
-
-    # one block per call, so a block's trajectory is freed before the next runs
-    def dips(lanes: np.ndarray) -> list[float]:
-        tr = integrate(
-            _envelope(a[lanes]),
-            History.constant(z[lanes]),
-            NormLanes(a=a[lanes], theta=th[lanes]),
-            T[lanes],
-        )
-        return [
-            _extremum_after(tr.values[: K[lane] + 1, col], tc[lane], tr.step[col], lowest=True)
-            for col, lane in enumerate(lanes.tolist())
-        ]
-
-    dip = np.empty(len(T))
-    # lanes of similar horizon share a block, so few steps run past a horizon
-    for lanes in _horizon_blocks(K):
-        dip[lanes] = dips(lanes)
-    return [("dip_above_corner_bound", dip - corner)]
+    # each lane's dip: its lowest node from its first crossing tc up to tc + 3h
+    run = integrate(
+        _envelope(a), History.constant(z), NormLanes(a=a, theta=th), np.stack([tc, tc + 3.0 * h])
+    )
+    return [("dip_above_corner_bound", run.dip - corner)]
 
 
 def _margins_lele2(grid: Grid, mx) -> list:
@@ -591,7 +557,7 @@ _REGISTRY: dict[str, _LemmaSpec] = {
         _LemmaSpec("leform2", False, _gen_leform2, _margins_leform2),
         _LemmaSpec("lele", True, _gen_lele, _margins_lele),
         _LemmaSpec("leleka", True, _gen_leleka, _margins_leleka),
-        # funcrr2 groups its lanes by horizon across the whole grid
+        # funcrr2 runs the whole grid on one lane conveyor
         _LemmaSpec("funcrr2", False, _gen_funcrr2, _margins_funcrr2, row_block=None),
         _LemmaSpec("lele2", True, _gen_lele2, _margins_lele2),
         _LemmaSpec("expo_bounds", True, _gen_expo, _margins_expo),

@@ -7,6 +7,7 @@ re-run the full pipelines, so this module is slower than the unit suites.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def test_criterion_8_figure_reproduction(tmp_path, capsys):
     paths = sweep_figures(tmp_path)
 
     max_gap = 0.0
-    for line in open(paths["fig1"]).read().splitlines()[1:]:
+    for line in Path(paths["fig1"]).read_text().splitlines()[1:]:
         c, tg, tl = (float(v) for v in line.split(","))
         if c <= 1.0:
             assert tg == 0.0 and tl == 0.0
@@ -292,13 +293,14 @@ def test_criterion_8_figure_reproduction(tmp_path, capsys):
         if tg > 0.0 and tl > 0.0:
             max_gap = max(max_gap, -math.log(tl) + math.log(tg))
 
-    for line in open(paths["fig2_curves"]).read().splitlines()[1:]:
+    for line in Path(paths["fig2_curves"]).read_text().splitlines()[1:]:
         mu, p1, p2, p3, _ = (float(v) for v in line.split(","))
         assert p2 <= p1 + 1e-15
         if mu <= MU_SECTOR_MAX:
             assert p2 <= p3 <= p1 + 1e-15
 
-    labels = [row.split(",")[2] for row in open(paths["fig2_raster"]).read().splitlines()[1:]]
+    raster = Path(paths["fig2_raster"]).read_text().splitlines()[1:]
+    labels = [row.split(",")[2] for row in raster]
     counts = {tag: labels.count(tag) for tag in ("core", "sector", "linear")}
     assert all(v > 0 for v in counts.values())
 

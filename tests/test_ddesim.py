@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ddestab import ddesim
 from ddestab.ddesim import (
     BoundsResult,
     F1_sim,
     F_sim,
     History,
     IntegrationDiverged,
+    _extremum_after,
     asymptotic_bounds,
     integrate,
 )
@@ -107,6 +109,13 @@ def test_fourth_order_convergence():
     assert e2 < e1 / 10.0  # fourth order: factor 16 expected, allow slack
 
 
+def test_horizon_too_long_is_refused():
+    p = ParamSet(a=-1.0, delta=1.0, h=1.0)
+    for T in (1e30, math.inf):
+        with pytest.raises(ValueError):
+            integrate(lambda x: 0.0 * x, History.constant(1.0), p, T)
+
+
 def test_divergence_guard():
     p = ParamSet(a=-1.0, delta=1.0, h=1.0)
     with pytest.raises(IntegrationDiverged) as exc:
@@ -173,46 +182,134 @@ def test_F1_sim_matches_solver(np_core):
         assert sim == pytest.approx(ref, abs=2e-7)
 
 
-def _lane_setup():
-    # five lanes: own delay, history value and horizon; horizons end mid-segment
-    a = np.array([-1.5, -2.0, -3.0, -1.2, -4.0])
-    theta = np.array([0.9, 0.7, 0.5, 0.35, 0.8])
-    z = np.array([0.3, -0.4, 1.7, 0.05, 2.5])
-    lanes = NormLanes(a=a, theta=theta)
-    T = lanes.delay * np.array([0.6, 2.3, 4.75, 1.0, 3.1])
-    return a, theta, z, lanes, T
+# Eight lanes on three slots, so the conveyor refills slots and drops them:
+# each lane has its own delay, slope b, constant history z, start t0 and
+# horizon T (in delays).  Lane 2 decays from z > 0, so its lowest node is
+# its last one; lane 3 rises from z < 0, so its lowest node is its start,
+# the last node of segment 2; lane 4 ends on a segment boundary; lane 5
+# starts its window at t0 = 0, so at node 1.
+_LANE_THETA = np.array([0.9, 0.7, 0.5, 0.35, 0.8, 0.6, 0.45, 0.75])
+_LANE_B = np.array([-1.5, -2.0, 0.0, 0.0, -4.0, -2.5, -1.2, -3.0])
+_LANE_Z = np.array([0.3, -0.4, 1.7, -0.8, 2.5, 0.9, 0.05, 1.2])
+_LANE_T0 = np.array([0.2, 1.0, 0.5, 2.0, 0.9, 0.0, 1.7, 0.4])
+_LANE_T = np.array([0.6, 2.3, 4.75, 3.4, 3.0, 1.25, 2.6, 3.9])
 
 
-def test_lanes_equal_scalar_runs():
-    a, theta, z, lanes, T = _lane_setup()
-    tr = integrate(lambda x: a * x / (1.0 + x), History.constant(z), lanes, T)
-    assert tr.values.shape[1] == len(T)
-    for j in range(len(T)):
-        one = integrate(
-            lambda x: a[j] * x / (1.0 + x),
-            History.constant(float(z[j])),
-            NormParams(a=float(a[j]), theta=float(theta[j])),
-            float(T[j]),
-        )
-        assert one.step == tr.step[j] and one.h == tr.h[j]
-        col = tr.values[: len(one.values), j]
-        assert col.tobytes() == one.values.tobytes()
+def _envelope(x, b):
+    return b * x / (1.0 + x)
 
 
-def test_lane_past_its_horizon_never_raises():
-    _a, _theta, z, lanes, T = _lane_setup()
-    # lane 0 blows up within a few delays, but its horizon ends first; the
-    # other lanes decay, and the lockstep run continues to their horizons
-    b = np.array([1e100, 0.5, 0.5, 0.5, 0.5])
-    T = T.copy()
-    T[0] = 1.5 * lanes.delay[0]
-    tr = integrate(lambda x: b * x, History.constant(z), lanes, T)
-    assert not np.isfinite(tr.values[:, 0]).all()
-    one = integrate(
-        lambda x: 1e100 * x, History.constant(float(z[0])), NormParams(a=-1.5, theta=0.9), float(T[0])
+def _linear(x, b):
+    return b * x
+
+
+def _lane_run(monkeypatch, f=_envelope, b=_LANE_B, T=_LANE_T, slots=3):
+    """The lanes on the conveyor, lane j with model f(x, b[j])."""
+    lanes = NormLanes(a=np.full(len(b), -2.0), theta=_LANE_THETA)
+    h = lanes.delay
+    monkeypatch.setattr(ddesim, "_SLOTS", slots)
+    return integrate(
+        lambda x, lane_ids: f(x, b[lane_ids]),
+        History.constant(_LANE_Z),
+        lanes,
+        np.stack([_LANE_T0 * h, T * h]),
     )
-    assert tr.values[: len(one.values), 0].tobytes() == one.values.tobytes()
-    # within its horizon the same lane still raises
-    T[0] = T.max()
-    with pytest.raises(IntegrationDiverged):
-        integrate(lambda x: b * x, History.constant(z), lanes, T)
+
+
+def _one_dip(j, f=_envelope, b=_LANE_B, T=_LANE_T):
+    """Lane j run on its own, and its dip as a single run finds it."""
+    p = NormParams(a=-2.0, theta=float(_LANE_THETA[j]))
+    one = integrate(
+        lambda x: f(x, b[j]), History.constant(float(_LANE_Z[j])), p, float(T[j] * p.delay)
+    )
+    dip = _extremum_after(one.values, float(_LANE_T0[j] * p.delay), one.step, lowest=True)
+    return one, np.float64(dip)
+
+
+def test_lanes_equal_scalar_runs(monkeypatch):
+    run = _lane_run(monkeypatch)
+    n = 256
+    assert run.values.shape == (3, len(_LANE_T)) and run.rows % n == 0
+    lowest = {}
+    for j in range(len(_LANE_T)):
+        one, dip = _one_dip(j)
+        assert one.step == run.step[j]
+        assert dip.tobytes() == run.dip[j].tobytes()
+        y = one.values
+        start = ddesim._first_node_after(float(_LANE_T0[j] * one.h), one.step)
+        im = start + int(np.argmin(y[start:]))
+        lowest[j] = (start, im, len(y) - 1)
+        stencil = y[im - 1 : im + 2] if im < len(y) - 1 else np.r_[y[im - 1 : im + 1], np.nan]
+        assert stencil.tobytes() == run.values[:, j].tobytes()
+    # the cases the setup is built for
+    assert lowest[2][1] == lowest[2][2] and np.isnan(run.values[2, 2])
+    assert lowest[3][1] == lowest[3][0] == 2 * n
+    assert lowest[4][2] == 3 * n
+    assert lowest[5][0] == 1
+
+
+def test_new_lanes_see_their_history_exactly(monkeypatch):
+    # this model tells the exact history value from its neighbours, so a
+    # delayed midpoint interpolated from a constant column would show (the
+    # centered stencil turns 0.9 into its neighbour); lanes that start in
+    # refilled slots are checked too
+    def exact(x, z):
+        return np.where(x == z, -1.0, 0.5)
+
+    run = _lane_run(monkeypatch, f=exact, b=_LANE_Z)
+    for j in range(len(_LANE_T)):
+        _one, dip = _one_dip(j, f=exact, b=_LANE_Z)
+        assert dip.tobytes() == run.dip[j].tobytes()
+
+
+def test_lane_results_do_not_depend_on_slots(monkeypatch):
+    one_slot = _lane_run(monkeypatch, slots=1)
+    all_slots = _lane_run(monkeypatch, slots=64)
+    assert one_slot.values.tobytes() == all_slots.values.tobytes()
+    assert one_slot.dip.tobytes() == all_slots.dip.tobytes()
+    assert one_slot.rows > all_slots.rows
+
+
+# lane 0 with x' = -x + 1e155 x(t - h) overflows in its second delay, mid-segment;
+# it has the shortest horizon, so on three slots it starts late
+_BLOWUP_B = np.r_[1e155, _LANE_B[1:]]
+
+
+def _overflow_node() -> int:
+    with pytest.raises(IntegrationDiverged) as exc:
+        _one_dip(0, f=_linear, b=_BLOWUP_B, T=np.full(8, 3.0))
+    node = round(exc.value.t * 256 / NormParams(a=-2.0, theta=0.9).delay)
+    assert 256 < node < 512 and (node - 1) % 256 != 0
+    return node
+
+
+def test_lane_past_its_horizon_never_raises(monkeypatch):
+    # the horizon ends one node before the overflow, inside the segment the
+    # conveyor marches to its end
+    T = np.r_[(_overflow_node() - 1) / 256, _LANE_T[1:]]
+    assert np.argsort(-np.ceil(T * 256), kind="stable")[-1] == 0
+    run = _lane_run(monkeypatch, f=_linear, b=_BLOWUP_B, T=T)
+    for j in range(len(T)):
+        _one, dip = _one_dip(j, f=_linear, b=_BLOWUP_B, T=T)
+        assert dip.tobytes() == run.dip[j].tobytes()
+
+
+def test_lane_overflow_within_its_horizon_raises(monkeypatch):
+    # the conveyor reports the overflow at the lane's own time, as its run does
+    T = np.r_[_overflow_node() / 256, _LANE_T[1:]]
+    with pytest.raises(IntegrationDiverged) as one:
+        _one_dip(0, f=_linear, b=_BLOWUP_B, T=T)
+    with pytest.raises(IntegrationDiverged) as lanes:
+        _lane_run(monkeypatch, f=_linear, b=_BLOWUP_B, T=T)
+    assert lanes.value.t == one.value.t
+
+
+def test_lanes_need_constant_history_and_a_window():
+    lanes = NormLanes(a=np.array([-2.0, -3.0]), theta=np.array([0.5, 0.6]))
+    T = np.stack([np.zeros(2), 2.0 * lanes.delay])
+    with pytest.raises(ValueError):
+        integrate(lambda x, lane_ids: x, History.ramp(0.5), lanes, T)
+    with pytest.raises(ValueError):
+        integrate(lambda x, lane_ids: x, History.constant(0.5), lanes, T[::-1])
+    with pytest.raises(ValueError):
+        integrate(lambda x, lane_ids: x, History.constant(0.5), lanes, T[1])

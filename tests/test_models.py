@@ -10,7 +10,6 @@ from ddestab.models import (
     attractor_bounds,
     branch_entry_margin,
     check_W,
-    lk_coeffs,
     make_mackey_glass,
     make_rational,
     make_ricker_shifted,
@@ -128,6 +127,23 @@ def test_check_W_on_moebius():
     m = make_rational(-2.0)
     rep = check_W(m, -0.9, 30.0)
     assert rep.passed
+
+
+# an oracle for the test below; the package itself does not use it
+def lk_coeffs(q: float) -> tuple[float, float]:
+    """Envelope calibration for the shifted recruitment map.
+
+    Returns (slope, curvature ratio): slope = derivative at zero = 1 - ln q,
+    ratio = -w''(0)/(2 w'(0)) so the Moebius comparison map slope*y/(1+ratio*y)
+    matches to second order.  The slope must not vanish, which excludes q = e.
+    """
+    if not q > 1.0:
+        raise ValueError(f"need q > 1, got {q}")
+    a = 1.0 - math.log(q)
+    if a == 0.0:
+        raise ValueError("slope vanishes at q = e; no envelope calibration")
+    b = (1.0 + a) / (2.0 * a)
+    return a, b
 
 
 def test_lk_coeffs():

@@ -10,7 +10,6 @@ from ddestab.params import (
     ParamSet,
     Region,
     classify,
-    criterion_delta,
     criterion_norm,
     critical_h,
     linear_boundary_theta,
@@ -54,6 +53,21 @@ def test_normalize_roundtrip_values():
     assert np_.theta == pytest.approx(math.exp(-0.6))
     assert np_.mu() == pytest.approx(0.5)
     assert np_.delay == pytest.approx(0.6)
+
+
+# an oracle for the tests below, the criterion written directly in raw
+# parameters; the package itself uses criterion_norm
+def criterion_delta(a: float, delta: float, h: float) -> bool:
+    """Sharp delay criterion in raw parameters.
+
+    True when (-delta/a) * exp(-h*delta) exceeds
+    log((a^2 - a*delta) / (delta^2 + a^2)).
+    """
+    if not (delta > 0.0 and h > 0.0 and a < 0.0):
+        raise ValueError("need a < 0, delta > 0, h > 0")
+    lhs = (-delta / a) * math.exp(-h * delta)
+    rhs = math.log((a * a - a * delta) / (delta * delta + a * a))
+    return lhs > rhs
 
 
 def test_criterion_matches_between_coordinates():

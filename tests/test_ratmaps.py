@@ -17,16 +17,46 @@ from ddestab.ratmaps import (
     gamma_coeff,
     j_generic,
     j_tangent_coeffs,
-    psi,
     psi_inv,
     psi_inv_generic,
     r_eval,
     r_inv,
     schwarz_margin,
     schwarzian,
-    schwarzian_numeric,
 )
 from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT, FLOAT_LANES
+
+# oracles for the tests below; the package itself uses only psi's inverse
+# and the exact Schwarzian
+
+
+def psi(M: float, np_: NormParams) -> float:
+    """Straightening conjugacy M - theta*M/(a - M), a bijection (a, inf) -> R."""
+    a = np_.a
+    if not M > a:
+        raise ValueError(f"conjugacy needs M > {a}, got {M}")
+    return M - np_.theta * M / (a - M)
+
+
+def schwarzian_numeric(f, x: float) -> float:
+    """Schwarzian via five-point finite differences of a plain callable.
+
+    The step balances truncation against the eps/s^3 roundoff of the
+    third-derivative stencil; expect about five good digits.
+    """
+    s = 1e-3 * max(1.0, abs(x))
+    f_m2 = f(x - 2.0 * s)
+    f_m1 = f(x - s)
+    f_0 = f(x)
+    f_p1 = f(x + s)
+    f_p2 = f(x + 2.0 * s)
+    d1 = (-f_p2 + 8.0 * f_p1 - 8.0 * f_m1 + f_m2) / (12.0 * s)
+    d2 = (-f_p2 + 16.0 * f_p1 - 30.0 * f_0 + 16.0 * f_m1 - f_m2) / (12.0 * s * s)
+    d3 = (f_p2 - 2.0 * f_p1 + 2.0 * f_m1 - f_m2) / (2.0 * s ** 3)
+    if abs(d1) < 1e-12:
+        raise ValueError(f"Schwarzian undefined near critical point at x = {x}")
+    return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
 
 # frozen coefficient values at two reference points (40-digit arithmetic)
 ALPHA_05 = 0.33640234921421460

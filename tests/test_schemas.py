@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -29,7 +30,7 @@ def test_lemma_report_schema_valid_itself():
 def test_lemma_report_validates(tmp_path):
     rep = verify_lemma("r303", resolution=8)
     path = write_report(rep, tmp_path)
-    jsonschema.validate(json.load(open(path)), _schema("lemma_report.schema.json"))
+    jsonschema.validate(json.loads(Path(path).read_text()), _schema("lemma_report.schema.json"))
 
 
 def test_lemma_report_with_violation_validates():
@@ -56,7 +57,7 @@ def test_lemma_report_with_real_violation_validates(tmp_path, monkeypatch):
     rep = verify_lemma("expo_bounds", resolution=8, threads=1)
     assert rep.violations and rep.min_margin < 0.0
     path = write_report(rep, tmp_path)
-    data = json.load(open(path))
+    data = json.loads(Path(path).read_text())
     jsonschema.validate(data, _schema("lemma_report.schema.json"))
     assert {v["label"] for v in data["violations"]} <= {
         "exp_above_linear",
@@ -68,11 +69,11 @@ def test_lemma_report_with_real_violation_validates(tmp_path, monkeypatch):
 def test_region_boundaries_validates(tmp_path):
     paths = sweep_figures(tmp_path, n_mu=9, raster=8)
     schema = _schema("region_boundaries.schema.json")
-    jsonschema.validate(json.load(open(paths["boundaries"])), schema)
+    jsonschema.validate(json.loads(Path(paths["boundaries"]).read_text()), schema)
 
     other = tmp_path / "curves.json"
     write_region_json(str(other), [0.1 * k for k in range(1, 10)])
-    jsonschema.validate(json.load(open(other)), schema)
+    jsonschema.validate(json.loads(Path(other).read_text()), schema)
 
 
 @pytest.mark.parametrize("theta", ["0.39", "0.2"])

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ def test_column_path_matches_row_loop(first, second):
 def test_report_json_schema(tmp_path):
     rep = verify_lemma("expo_bounds", resolution=8)
     path = write_report(rep, tmp_path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.endswith("\n")
     data = json.loads(text)
     assert set(data) == {
@@ -453,21 +454,21 @@ def test_sweep_figures_smoke(tmp_path):
     for key in ("fig1", "fig2_curves", "boundaries", "fig2_raster"):
         assert key in paths
 
-    fig1 = open(paths["fig1"]).read().splitlines()
+    fig1 = Path(paths["fig1"]).read_text().splitlines()
     assert fig1[0] == "c,theta_global,theta_local"
     assert len(fig1) == 501
     first = fig1[1].split(",")
     assert float(first[0]) == pytest.approx(0.02)
     assert float(first[1]) == 0.0  # below unit slope nothing is required
 
-    curves = open(paths["fig2_curves"]).read().splitlines()
+    curves = Path(paths["fig2_curves"]).read_text().splitlines()
     assert curves[0] == "mu,theta_pi1,theta_pi2,theta_pi3,theta_local"
     assert len(curves) == 20
 
-    bounds = json.loads(open(paths["boundaries"]).read())
+    bounds = json.loads(Path(paths["boundaries"]).read_text())
     assert isinstance(bounds, dict)
 
-    raster = open(paths["fig2_raster"]).read().splitlines()
+    raster = Path(paths["fig2_raster"]).read_text().splitlines()
     assert raster[0] == "theta,mu,label"
     labels = {row.split(",")[2] for row in raster[1:]}
     valid = {r.value for r in Region}
