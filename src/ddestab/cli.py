@@ -99,6 +99,8 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     np_ = NormParams(a=args.a, theta=args.theta)
     c = coeffs(np_)
     iv = interval_I(np_)
@@ -237,7 +239,7 @@ def _cmd_verify(args) -> int:
     ids = LEMMA_IDS if args.lemma == "all" else [args.lemma]
     bad = 0
     for lemma_id in ids:
-        rep = verify_lemma(lemma_id, resolution=args.resolution, threads=args.threads)
+        rep = verify_lemma(lemma_id, resolution=args.resolution)
         if args.out:
             write_report(rep, args.out)
         print(rep.summary())
@@ -309,12 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="sweep the supporting inequalities on dense grids")
     v.add_argument("--lemma", default="all", choices=["all"] + LEMMA_IDS)
     v.add_argument("--resolution", type=int, default=64)
-    v.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes per sweep (default: DDE_STAB_THREADS, else 1)",
-    )
     v.add_argument("--out", default=None, help="directory for JSON reports")
     v.set_defaults(fn=_cmd_verify)
     return ap

@@ -1,17 +1,15 @@
 """Benchmark feedback nonlinearities and the blowfly-equation certificate.
 
 Builders return a Nonlinearity record bundling the map with its first three
-derivatives, so admissibility checks and Schwarzian evaluations never rely
-on finite differences unless explicitly requested.  The blowfly decision
-reduces the equation to normalized slope/theta coordinates and reuses the
-sharp delay criterion; the attractor helpers bound the late-time range in
-the humped regime.
+exact derivatives.  The blowfly decision reduces the equation to normalized
+slope/theta coordinates and reuses the sharp delay criterion; the attractor
+helpers bound the late-time range in the humped regime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,8 +21,7 @@ from .params import (
     classify,
     sharp_boundary_theta,
 )
-from .ratmaps import schwarzian
-from .rootfind import BracketError, solve_bracketed
+from .rootfind import solve_bracketed
 
 __all__ = [
     "Nonlinearity",
@@ -33,9 +30,6 @@ __all__ = [
     "make_mackey_glass",
     "make_wazewska",
     "make_rational",
-    "shift_to_equilibrium",
-    "WReport",
-    "check_W",
     "NicholsonParams",
     "NoPositiveEquilibrium",
     "NicholsonDecision",
@@ -192,158 +186,6 @@ def make_rational(a: float, b: float = 1.0) -> Nonlinearity:
 
 class NoPositiveEquilibrium(ValueError):
     """Production never exceeds decay: only the trivial equilibrium exists."""
-
-
-def shift_to_equilibrium(model: Nonlinearity, delta: float, hi: float = 1e6) -> tuple[Nonlinearity, float]:
-    """Shift a positive production map to its equilibrium of x' = -delta x + w(x).
-
-    Finds x* > 0 with w(x*) = delta*x* by bracketed bisection and returns the
-    recentered map v(y) = w(x* + y) - delta*x* together with x*.
-    """
-    if delta <= 0.0:
-        raise ValueError("decay must be positive")
-    lo = max(model.domain_lo, 0.0) + 1e-12
-
-    def gap(x):
-        return float(model.f(x)) - delta * x
-
-    if gap(lo) <= 0.0:
-        raise NoPositiveEquilibrium(
-            "production below decay at the left edge of the domain"
-        )
-    try:
-        res = solve_bracketed(gap, lo, hi)
-    except BracketError as exc:
-        raise NoPositiveEquilibrium(
-            f"production stays above decay up to x = {hi:g}"
-        ) from exc
-    x_star = res.root
-    off = delta * x_star
-
-    def f(y):
-        return model.f(x_star + y) - off
-
-    def d1(y):
-        return model.d1(x_star + y)
-
-    def d2(y):
-        return model.d2(x_star + y)
-
-    def d3(y):
-        return model.d3(x_star + y)
-
-    crit = None if model.critical_point is None else model.critical_point - x_star
-    shifted = Nonlinearity(
-        name=f"{model.name}@eq",
-        f=f,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        domain_lo=model.domain_lo - x_star,
-        critical_point=crit,
-    )
-    return shifted, x_star
-
-
-# ---------------------------------------------------------------------------
-# admissibility battery
-
-
-@dataclass
-class WReport:
-    """Outcome of the feedback admissibility battery on a grid.
-
-    violations maps check name (sign, shape, schwarzian) to offending grid
-    points; verified_interval is the longest contiguous clean run.
-    """
-
-    passed: bool
-    interval: tuple[float, float]
-    n_points: int
-    violations: dict = field(default_factory=dict)
-    verified_interval: tuple[float, float] | None = None
-    sw_max: float = -math.inf
-    w_min: float = math.inf
-
-
-def check_W(model: Nonlinearity, lo: float, hi: float, n: int = 2001) -> WReport:
-    """Check the certification hypotheses for a feedback map on [lo, hi].
-
-    sign: x*w(x) < 0 away from zero (negative feedback through the origin).
-    shape: the derivative changes sign at most once (monotone or unimodal).
-    schwarzian: S(w) <= 0 wherever the derivative is bounded away from zero.
-    Also records the minimum of w (boundedness below) and the largest
-    Schwarzian value seen.
-    """
-    if not (lo < hi):
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    if lo <= model.domain_lo:
-        raise ValueError(
-            f"interval extends to {lo}, at or below the domain edge {model.domain_lo}"
-        )
-    xs = np.linspace(lo, hi, n)
-    report = WReport(passed=True, interval=(lo, hi), n_points=n)
-    bad_sign: list[float] = []
-    bad_shape: list[float] = []
-    bad_sw: list[float] = []
-
-    fx = np.asarray(model.f(xs), dtype=float)
-    d1x = np.asarray(model.d1(xs), dtype=float)
-    report.w_min = float(fx.min())
-
-    for x, v in zip(xs, fx):
-        if abs(x) > 1e-9 and x * v >= 0.0:
-            bad_sign.append(float(x))
-
-    # shape: count sign changes of the derivative, ignoring near-zero values
-    last_sign = 0
-    changes = 0
-    for x, d in zip(xs, d1x):
-        sgn = 0 if abs(d) < 1e-12 else (1 if d > 0.0 else -1)
-        if sgn == 0:
-            continue
-        if last_sign != 0 and sgn != last_sign:
-            changes += 1
-            if changes > 1:
-                bad_shape.append(float(x))
-        last_sign = sgn
-
-    guard = (hi - lo) * 1e-3
-    crit = model.critical_point
-    for x, d in zip(xs, d1x):
-        if abs(d) <= 1e-8:
-            continue
-        if crit is not None and abs(x - crit) <= guard:
-            continue
-        sw = float(schwarzian(model, float(x)))
-        if sw > report.sw_max:
-            report.sw_max = sw
-        if sw > 1e-10:
-            bad_sw.append(float(x))
-
-    if bad_sign:
-        report.violations["sign"] = bad_sign
-    if bad_shape:
-        report.violations["shape"] = bad_shape
-    if bad_sw:
-        report.violations["schwarzian"] = bad_sw
-    report.passed = not report.violations
-
-    bad_set = set(bad_sign) | set(bad_shape) | set(bad_sw)
-    best_len = -1
-    best = None
-    run_start = None
-    for idx, x in enumerate(xs):
-        if float(x) in bad_set:
-            run_start = None
-            continue
-        if run_start is None:
-            run_start = idx
-        if idx - run_start > best_len:
-            best_len = idx - run_start
-            best = (float(xs[run_start]), float(x))
-    report.verified_interval = best
-    return report
 
 
 # ---------------------------------------------------------------------------

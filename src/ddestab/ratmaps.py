@@ -31,7 +31,6 @@ __all__ = [
     "psi_inv_generic",
     "chi",
     "chi_iterate",
-    "schwarzian",
     "schwarz_margin",
     "j_generic",
     "j_tangent_coeffs",
@@ -176,14 +175,6 @@ def chi_iterate(x0: float, n: int, np_: NormParams) -> list[float]:
     for _ in range(n):
         orbit.append(chi(orbit[-1], np_))
     return orbit
-
-
-def schwarzian(w, x: float) -> float:
-    """Schwarzian derivative from exact derivative callables d1, d2, d3."""
-    d1 = w.d1(x)
-    if abs(d1) < 1e-12:
-        raise ValueError(f"Schwarzian undefined near critical point, w'({x}) = {d1}")
-    return w.d3(x) / d1 - 1.5 * (w.d2(x) / d1) ** 2
 
 
 def schwarz_margin(x, a, theta, mx=FLOAT):

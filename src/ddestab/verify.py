@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -575,10 +574,6 @@ LEMMA_IDS = list(_REGISTRY)
 # evaluation
 
 
-def _eval_points(lemma_id: str, grid: Grid) -> tuple[list[dict], float]:
-    return _eval_columns(_REGISTRY[lemma_id], grid)
-
-
 def _margin_block(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
     """(label, float64 margin column) pairs over the rows of grid.
 
@@ -631,17 +626,7 @@ def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
     return violations, min_margin
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("DDE_STAB_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def verify_lemma(lemma_id: str, resolution: int = 256, threads: int | None = None) -> LemmaReport:
+def verify_lemma(lemma_id: str, resolution: int = 256) -> LemmaReport:
     """Sweep one registered inequality at the given grid resolution."""
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown check id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
@@ -649,27 +634,14 @@ def verify_lemma(lemma_id: str, resolution: int = 256, threads: int | None = Non
         raise ValueError("resolution must be at least 4")
     spec = _REGISTRY[lemma_id]
     grid_spec, grid = spec.gen(resolution)
-    n_points = _row_count(grid)
-    n_workers = _thread_count(threads)
-    if n_workers == 1 or n_points < 512:
-        violations, min_margin = _eval_points(lemma_id, grid)
-    else:
-        chunk = max(64, n_points // (n_workers * 4) + 1)
-        starts = range(0, n_points, chunk)
-        chunks = [{k: col[i : i + chunk] for k, col in grid.items()} for i in starts]
-        violations = []
-        min_margin = math.inf
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for vios, mm in pool.map(_eval_points, [lemma_id] * len(chunks), chunks):
-                violations.extend(vios)
-                min_margin = min(min_margin, mm)
+    violations, min_margin = _eval_columns(spec, grid)
     if spec.min_margin_override is not None:
         min_margin = spec.min_margin_override()
     return LemmaReport(
         lemma_id=lemma_id,
         resolution=resolution,
         grid_spec=grid_spec,
-        points_checked=n_points,
+        points_checked=_row_count(grid),
         violations=violations,
         min_margin=min_margin,
     )
@@ -691,9 +663,12 @@ def verify_all(
     progress: Callable[[str], None] | None = None,
 ) -> list[LemmaReport]:
     """Run every registered check; optionally write one JSON report each."""
+    # threads stays only because perfbench/workloads.py passes threads=1
+    if threads not in (None, 1):
+        raise ValueError(f"sweeps run in one process; threads must be None or 1, got {threads!r}")
     reports = []
     for lemma_id in LEMMA_IDS:
-        rep = verify_lemma(lemma_id, resolution=resolution, threads=threads)
+        rep = verify_lemma(lemma_id, resolution=resolution)
         if out_dir is not None:
             write_report(rep, out_dir)
         if progress is not None:

@@ -121,6 +121,15 @@ def test_map_nan_policy(tmp_path, capsys):
             assert abs(parts[5]) < 1e-9
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_map_needs_one_interval(n, capsys):
+    rc = main(["map", "--a", "-2.0", "--theta", "0.39", "--n", n])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --n must be at least 1")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -229,6 +238,15 @@ def test_region_writes_artifacts(tmp_path, capsys):
     for name in ("fig1.csv", "fig2_curves.csv", "fig2_raster.csv"):
         assert (tmp_path / name).exists()
         assert name.split(".")[0].split("_")[0] in out
+
+
+def test_import_stays_numpy_only():
+    # a fresh interpreter: the package and its CLI load no process pool and no scipy
+    heavy = ("multiprocessing", "concurrent.futures", "scipy")
+    code = f"import sys, ddestab, ddestab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -9,14 +9,12 @@ from ddestab.models import (
     NoPositiveEquilibrium,
     attractor_bounds,
     branch_entry_margin,
-    check_W,
     make_mackey_glass,
     make_rational,
     make_ricker_shifted,
     make_wazewska,
     make_wright,
     nicholson_global,
-    shift_to_equilibrium,
     third_iterate_margin,
 )
 
@@ -87,46 +85,6 @@ def test_rational_structure():
     assert m(0.0) == 0.0
     assert m.d1(0.0) == pytest.approx(-2.0)
     assert m.domain_lo == pytest.approx(-1.0)
-
-
-def test_shift_to_equilibrium_mackey():
-    m = make_mackey_glass(2.0, 8.0)
-    shifted, x_star = shift_to_equilibrium(m, 1.0)
-    # equilibrium solves production = decay
-    assert m(x_star) == pytest.approx(x_star, rel=1e-12)
-    assert shifted(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert shifted.name.endswith("@eq")
-    # shifted slope matches the raw slope at the equilibrium
-    assert shifted.d1(0.0) == pytest.approx(m.d1(x_star), rel=1e-12)
-
-
-def test_shift_to_equilibrium_no_root():
-    m = make_wright(-1.0)  # fixes zero; no positive equilibrium of x = w(x)
-    with pytest.raises(NoPositiveEquilibrium):
-        shift_to_equilibrium(m, 1.0)
-
-
-def test_check_W_passes_on_clean_window():
-    m = make_ricker_shifted(E3)
-    rep = check_W(m, -2.8, 20.0)
-    assert rep.passed
-    assert rep.sw_max <= 1e-10
-    assert rep.verified_interval[0] <= -2.7
-    assert rep.verified_interval[1] >= 19.0
-
-
-def test_check_W_flags_deep_left_tail():
-    # near the domain edge the map turns back up: shape condition fails
-    m = make_ricker_shifted(E3)
-    rep = check_W(m, -2.9, 20.0)
-    assert not rep.passed
-    assert rep.violations
-
-
-def test_check_W_on_moebius():
-    m = make_rational(-2.0)
-    rep = check_W(m, -0.9, 30.0)
-    assert rep.passed
 
 
 # an oracle for the test below; the package itself does not use it

@@ -22,12 +22,10 @@ from ddestab.ratmaps import (
     r_eval,
     r_inv,
     schwarz_margin,
-    schwarzian,
 )
 from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT, FLOAT_LANES
 
 # oracles for the tests below; the package itself uses only psi's inverse
-# and the exact Schwarzian
 
 
 def psi(M: float, np_: NormParams) -> float:
@@ -36,6 +34,14 @@ def psi(M: float, np_: NormParams) -> float:
     if not M > a:
         raise ValueError(f"conjugacy needs M > {a}, got {M}")
     return M - np_.theta * M / (a - M)
+
+
+def schwarzian(w, x: float) -> float:
+    """Schwarzian derivative from exact derivative callables d1, d2, d3."""
+    d1 = w.d1(x)
+    if abs(d1) < 1e-12:
+        raise ValueError(f"Schwarzian undefined near critical point, w'({x}) = {d1}")
+    return w.d3(x) / d1 - 1.5 * (w.d2(x) / d1) ** 2
 
 
 def schwarzian_numeric(f, x: float) -> float:

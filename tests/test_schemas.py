@@ -54,7 +54,7 @@ def test_lemma_report_with_real_violation_validates(tmp_path, monkeypatch):
         return [(label, m - 1.0) for label, m in spec.margins(grid, mx)]
 
     monkeypatch.setitem(verify._REGISTRY, "expo_bounds", dataclasses.replace(spec, margins=shifted))
-    rep = verify_lemma("expo_bounds", resolution=8, threads=1)
+    rep = verify_lemma("expo_bounds", resolution=8)
     assert rep.violations and rep.min_margin < 0.0
     path = write_report(rep, tmp_path)
     data = json.loads(Path(path).read_text())

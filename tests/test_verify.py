@@ -205,7 +205,7 @@ def test_dd_capable_registry():
 @pytest.mark.parametrize("lemma_id", list(DD_RECHECK_ROWS))
 def test_dd_recheck_row_counts(lemma_id, monkeypatch):
     calls = _counting_dd(monkeypatch, lemma_id)
-    rep = verify_lemma(lemma_id, resolution=256, threads=1)
+    rep = verify_lemma(lemma_id, resolution=256)
     assert rep.violations == []
     rows = [verify._row_count(grid) for grid in calls]
     assert sum(rows) == DD_RECHECK_ROWS[lemma_id]
@@ -227,7 +227,7 @@ def test_recheck_replaces_only_near_zero_labels(monkeypatch):
 
     spec = dataclasses.replace(_REGISTRY["expo_bounds"], margins=margins)
     monkeypatch.setitem(_REGISTRY, "expo_bounds", spec)
-    rep = verify_lemma("expo_bounds", resolution=8, threads=1)
+    rep = verify_lemma("expo_bounds", resolution=8)
     assert calls == [[x_near]]
     assert rep.violations == [{"x": x_near, "label": "near", "margin": -2.0}]
     assert rep.min_margin == -2.0  # far would have given -3.0
@@ -274,26 +274,45 @@ def test_columns_match_point_loop(lemma_id):
         assert col.tobytes() == np.array(want[label]).tobytes(), label
 
 
-# leleka's chunks cut through one (a, theta) row's r axis, whose first node
-# carries the chain margins; leform2 and funcrr2 take the column path, and
-# their chunks cut through the bases they solve and integrate per block;
-# gsslemma_schwarz and lele have double-double rechecks inside the chunks,
-# at these resolutions
+# small row blocks cut leleka's r axis, whose first node carries the chain
+# margins, and the leform2 and funcrr2 bases they solve and integrate per
+# block; gsslemma_schwarz and lele have double-double rechecks inside the
+# blocks, at these resolutions
 RECHECK_RES = {"gsslemma_schwarz": 24, "lele": 128}
 
 
 @pytest.mark.parametrize(
     "lemma_id", ["albet", "leleka", "leform2", "funcrr2", "gsslemma_schwarz", "lele"]
 )
-def test_parallel_sweep_matches_serial(lemma_id, monkeypatch):
+def test_row_blocks_match_one_block(lemma_id, monkeypatch):
     res = RECHECK_RES.get(lemma_id, 24)
     calls = _counting_dd(monkeypatch, lemma_id)
-    serial = verify_lemma(lemma_id, resolution=res, threads=1)
-    assert bool(calls) == (lemma_id in RECHECK_RES)
-    parallel = verify_lemma(lemma_id, resolution=res, threads=2)
-    assert parallel.points_checked == serial.points_checked
-    assert parallel.min_margin == serial.min_margin
-    assert parallel.violations == serial.violations
+    spec = _REGISTRY[lemma_id]
+    margin_block = verify._margin_block
+    blocks_seen = []  # every margin block of the current sweep, in row order
+
+    def recording(block_spec, grid):
+        blocks_seen.append(margin_block(block_spec, grid))
+        return blocks_seen[-1]
+
+    monkeypatch.setattr(verify, "_margin_block", recording)
+    reports, columns = [], []
+    for row_block in (None, 64):
+        monkeypatch.setitem(_REGISTRY, lemma_id, dataclasses.replace(spec, row_block=row_block))
+        reports.append(verify_lemma(lemma_id, resolution=res))
+        assert bool(calls) == (lemma_id in RECHECK_RES)
+        # every margin, not only the smallest, must not depend on the blocks
+        columns.append(
+            [np.concatenate([col for _, col in parts]).tobytes() for parts in zip(*blocks_seen)]
+        )
+        calls.clear()
+        blocks_seen.clear()
+    whole, blocks = reports
+    assert whole.points_checked > 64
+    assert blocks.points_checked == whole.points_checked
+    assert blocks.violations == whole.violations
+    assert blocks.min_margin.hex() == whole.min_margin.hex()
+    assert columns[1] == columns[0]
 
 
 def _row_loop(grid, cols):
@@ -378,6 +397,15 @@ def test_verify_all_writes_one_report_each(tmp_path):
         assert (tmp_path / f"{lemma_id}.json").exists()
     assert len(lines) == len(EXPECTED_IDS)
     assert all("violations=0" in ln for ln in lines)
+
+
+def test_verify_all_threads_accepts_only_one_process(tmp_path):
+    with pytest.raises(ValueError, match="threads"):
+        verify_all(resolution=8, threads=2, out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    by_none, by_one = (verify_all(resolution=8, threads=t) for t in (None, 1))
+    assert [r.lemma_id for r in by_none] == EXPECTED_IDS
+    assert [r.to_json_dict() for r in by_one] == [r.to_json_dict() for r in by_none]
 
 
 # ---------------------------------------------------------------------------
