@@ -113,10 +113,15 @@ def _sln_lanes(s: np.ndarray) -> np.ndarray:
 
 
 def _sln_series(s):
-    acc = 0.0
-    p = 1.0
-    for j in range(24):
-        acc += ((-1) ** j) * p / (j + 2)
+    # sum of (-s)^j / (j + 2) for j < 24; the sign goes into the add or
+    # subtract, as (-p)/d and -(p/d) round alike
+    acc = 0.5 - s / 3.0
+    p = s * s
+    for j in range(2, 24):
+        if j % 2:
+            acc -= p / (j + 2)
+        else:
+            acc += p / (j + 2)
         p *= s
     return acc
 
@@ -159,8 +164,8 @@ def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
     return w * (a - u1) - a * w * w * (_sln_lanes(s) if lanes else _sln(s))
 
 
-def _solve_identity(g, lo: float, hi: float) -> MapSolve:
-    res = solve_bracketed(g, lo, hi)
+def _solve_identity(g, lo: float, hi: float, args: tuple) -> MapSolve:
+    res = solve_bracketed(g, lo, hi, args=args)
     return MapSolve(
         value=res.root,
         residual=res.f_root,
@@ -169,17 +174,16 @@ def _solve_identity(g, lo: float, hi: float) -> MapSolve:
     )
 
 
+def _F_identity(u, rz, a, th):
+    return phi_diff(u, rz, rz, a) - th
+
+
 def _solve_F_identity(rz: float, np_: NormParams) -> MapSolve:
-    a, th = np_.a, np_.theta
-
-    def g(u: float) -> float:
-        return phi_diff(u, rz, rz, a) - th
-
     if isinstance(rz, np.ndarray):
-        return _solve_identity(g, np.minimum(rz, 0.0), np.maximum(rz, 0.0))
-    if rz < 0.0:
-        return _solve_identity(g, rz, 0.0)
-    return _solve_identity(g, 0.0, rz)
+        lo, hi = np.minimum(rz, 0.0), np.maximum(rz, 0.0)
+    else:
+        lo, hi = min(rz, 0.0), max(rz, 0.0)
+    return _solve_identity(_F_identity, lo, hi, (rz, np_.a, np_.theta))
 
 
 def F_solve(z: float, np_: NormParams) -> MapSolve:
@@ -215,9 +219,11 @@ def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
     return _solve_F_identity(rz, np_)
 
 
-# lanes per lockstep solve: 8,192-lane blocks were no faster and raised the
-# sweep's peak resident memory by more than a megabyte
-_LANE_BLOCK = 4096
+# lanes per lockstep solve (and rows per margin block in verify): with
+# finished lanes retired, 8,192-lane blocks against 4,096 took the calibrated
+# sweep from 1.22 to 1.09 s and its peak resident memory from 50.4 to 50.6 MB
+# (medians of 5 alternated benchmark runs, one process on a 2-vCPU VM)
+_LANE_BLOCK = 8192
 
 
 def _lane_solves(solve_identity, rz: np.ndarray, np_: NormParams) -> MapSolve:
@@ -252,15 +258,14 @@ def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
     return np_.a * rz * (th - 1.0) / den
 
 
+def _F1_identity(u, r1, rz, a, target):
+    return phi_diff(u, r1, rz, a) - target
+
+
 def _solve_F1_identity(rz: float, np_: NormParams) -> MapSolve:
-    a, th = np_.a, np_.theta
     r1 = ramp_slope_ratio(rz, np_)
-    target = r1 * th / rz
-
-    def g(u: float) -> float:
-        return phi_diff(u, r1, rz, a) - target
-
-    return _solve_identity(g, r1, 0.0)
+    target = r1 * np_.theta / rz
+    return _solve_identity(_F1_identity, r1, 0.0, (r1, rz, np_.a, target))
 
 
 def F1_solve(z: float, np_: NormParams) -> MapSolve:

@@ -6,7 +6,8 @@ when the secant stalls at one endpoint.  Deterministic: no randomness, and
 nothing is assumed of the caller's function beyond sign consistency.
 
 Lanes are independent solves advanced together through numpy arrays, each
-lane taking exactly the steps its scalar solve takes.
+lane taking exactly the steps its scalar solve takes.  A lane retires as
+soon as it stops: f and every later step see only the lanes still running.
 """
 
 from __future__ import annotations
@@ -39,22 +40,26 @@ _XTOL = 1e-15
 _MAX_ITER = 200
 
 
-def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> RootResult:
-    """Find x in [lo, hi] with f(x) = 0, given f(lo) and f(hi) of opposite sign.
+def solve_bracketed(
+    f: Callable[..., float], lo: float, hi: float, *, args: tuple = ()
+) -> RootResult:
+    """Find x in [lo, hi] with f(x, *args) = 0, given f(lo) and f(hi) of opposite sign.
 
     Returns the visited point with the smallest |f|.  Stops when the bracket
     width drops below _XTOL * max(1, |x|), when f hits zero exactly, or after
-    _MAX_ITER iterations.  An array lo or hi makes one lane per entry, and f
-    then maps an array of points to an array of values.
+    _MAX_ITER iterations.  A 1-D array lo or hi makes one lane per entry, and
+    f then maps an array of points to an array of values; each entry of args
+    is then a column with one value per lane (or broadcasts to one), cut
+    together with the points to the lanes still running.
     """
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        return _solve_lanes(f, lo, hi)
+        return _solve_lanes(f, lo, hi, args)
     if not lo < hi:
         raise BracketError(f"empty interval [{lo}, {hi}]")
-    flo = f(lo)
+    flo = f(lo, *args)
     if flo == 0.0:
         return RootResult(lo, 0.0, 0, (lo, hi))
-    fhi = f(hi)
+    fhi = f(hi, *args)
     if fhi == 0.0:
         return RootResult(hi, 0.0, 0, (lo, hi))
     if (flo > 0.0) == (fhi > 0.0):
@@ -81,7 +86,7 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> RootRe
                 x_new = cand
         if x_new is None:
             x_new = 0.5 * (a + b)
-        f_new = f(x_new)
+        f_new = f(x_new, *args)
         if abs(f_new) < abs(best_f):
             best_x, best_f = x_new, f_new
         if f_new == 0.0:
@@ -96,59 +101,76 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> RootRe
     return RootResult(best_x, best_f, it, (a, b))
 
 
-def _solve_lanes(f, lo, hi) -> RootResult:
+def _solve_lanes(f, lo, hi, args) -> RootResult:
     """solve_bracketed on every lane at once, step for step.
 
-    A lane that has stopped keeps its state; f sees it at its bracket end a,
-    a point it has already evaluated, so f never gets an argument the scalar
-    solve would not have given it.
+    A lane that stops writes its outcome to the output arrays and is dropped
+    from the working state, so each call to f gets only the running lanes,
+    with args cut to the same lanes, and never a point the lane's scalar
+    solve would not have evaluated.
     """
-    lo, hi = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
+    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
+    lo, hi = (np.array(x, dtype=float) for x in (lo, hi))
+    n = lo.size
     if not np.all(lo < hi):
-        raise BracketError(f"empty interval in {int(np.sum(~(lo < hi)))} of {lo.size} lanes")
-    flo = f(lo)
-    # the scalar solve returns at f(lo) = 0 without evaluating f(hi)
-    fhi = f(np.where(flo == 0.0, lo, hi))
-    at_lo = flo == 0.0
-    at_hi = ~at_lo & (fhi == 0.0)
-    active = ~(at_lo | at_hi)
-    same_sign = active & ((flo > 0.0) == (fhi > 0.0))
-    if same_sign.any():
-        raise BracketError(f"no sign change in {int(same_sign.sum())} of {lo.size} lanes")
+        raise BracketError(f"empty interval in {int(np.sum(~(lo < hi)))} of {n} lanes")
+    root, f_root, end_a, end_b = (np.zeros(n) for _ in range(4))
+    iterations = np.zeros(n, dtype=np.int64)
+    lane = np.arange(n)  # each running lane's index into the outputs
 
-    a, b, fa, fb = lo.copy(), hi.copy(), flo, fhi
-    x0, f0, x1, f1 = a, fa, b, fb
-    lo_best = np.abs(fa) <= np.abs(fb)
-    best_x = np.where(at_lo, lo, np.where(at_hi, hi, np.where(lo_best, a, b)))
-    best_f = np.where(active, np.where(lo_best, fa, fb), 0.0)
-    iterations = np.zeros(lo.shape, dtype=np.int64)
+    def retire(stop, it, x, fx, a, b):
+        # write the outcome of the lanes in stop; give the indices of the rest
+        sel = lane[stop]
+        root[sel], f_root[sel], end_a[sel], end_b[sel] = x[stop], fx[stop], a[stop], b[stop]
+        iterations[sel] = it
+        return np.flatnonzero(~stop)
+
+    # the scalar solve returns at f(lo) = 0 without evaluating f(hi), and
+    # reports f_root = +0.0 for either endpoint
+    flo = f(lo, *args)
+    run = retire(flo == 0.0, 0, lo, np.zeros(n), lo, hi)
+    lane, lo, hi, flo, *args = (v[run] for v in (lane, lo, hi, flo, *args))
+    fhi = f(hi, *args) if lane.size else flo  # no call once every lane has stopped
+    run = retire(fhi == 0.0, 0, hi, np.zeros(lane.size), lo, hi)
+    lane, lo, hi, flo, fhi, *args = (v[run] for v in (lane, lo, hi, flo, fhi, *args))
+    same_sign = (flo > 0.0) == (fhi > 0.0)
+    if same_sign.any():
+        raise BracketError(f"no sign change in {int(same_sign.sum())} of {n} lanes")
+
+    # f at b is never read again: the secant memory holds it
+    a, b, fa = lo, hi, flo
+    x0, f0, x1, f1 = lo, flo, hi, fhi
+    lo_best = np.abs(flo) <= np.abs(fhi)
+    best_x, best_f = np.where(lo_best, lo, hi), np.where(lo_best, flo, fhi)
 
     for it in range(1, _MAX_ITER + 1):
-        narrow = active & (b - a <= _XTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
-        iterations[narrow] = it
-        active &= ~narrow
-        if not active.any():
+        narrow = b - a <= _XTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if narrow.any():
+            run = retire(narrow, it, best_x, best_f, a, b)
+            lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
+                v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)
+            )
+        if not lane.size:
             break
         x_new = 0.5 * (a + b)
         if it % 3 != 0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 cand = x1 - f1 * (x1 - x0) / (f1 - f0)
             x_new = np.where((f1 != f0) & (a < cand) & (cand < b), cand, x_new)
-        x_new = np.where(active, x_new, a)
-        f_new = f(x_new)
-        better = active & (np.abs(f_new) < np.abs(best_f))
+        f_new = f(x_new, *args)
+        better = np.abs(f_new) < np.abs(best_f)
         best_x = np.where(better, x_new, best_x)
         best_f = np.where(better, f_new, best_f)
-        zero = active & (f_new == 0.0)
-        iterations[zero] = it
-        active &= ~zero
+        zero = f_new == 0.0
+        if zero.any():
+            run = retire(zero, it, best_x, best_f, x_new, x_new)
+            lane, a, b, fa, x1, f1, x_new, f_new, best_x, best_f, *args = (
+                v[run] for v in (lane, a, b, fa, x1, f1, x_new, f_new, best_x, best_f, *args)
+            )
         same = (f_new > 0.0) == (fa > 0.0)
-        to_a = (active & same) | zero
-        to_b = (active & ~same) | zero
-        a, fa = np.where(to_a, x_new, a), np.where(to_a, f_new, fa)
-        b, fb = np.where(to_b, x_new, b), np.where(to_b, f_new, fb)
-        x0, f0 = np.where(active, x1, x0), np.where(active, f1, f0)
-        x1, f1 = np.where(active, x_new, x1), np.where(active, f_new, f1)
-    iterations[active] = _MAX_ITER
+        a, fa = np.where(same, x_new, a), np.where(same, f_new, fa)
+        b = np.where(same, b, x_new)
+        x0, f0, x1, f1 = x1, f1, x_new, f_new
+    retire(np.ones(lane.size, dtype=bool), _MAX_ITER, best_x, best_f, a, b)
 
-    return RootResult(best_x, best_f, int(iterations.sum()), (a, b), iterations)
+    return RootResult(root, f_root, int(iterations.sum()), (end_a, end_b), iterations)

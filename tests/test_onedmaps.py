@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddestab.params import NormParams
-from ddestab.ratmaps import R_eval, coeffs, r_eval
+from ddestab import onedmaps, verify
+from ddestab.params import NormLanes, NormParams
+from ddestab.ratmaps import R_eval, _branch_slope, coeffs, r_eval
 from ddestab.onedmaps import (
     F1_solve,
     F1_solve_r,
@@ -139,6 +141,33 @@ def test_F_slope_at_origin(np_core):
     assert slope == pytest.approx(c.alpha, rel=1e-7)
     curv = (f_p - 2.0 * 0.0 + f_m) / eps**2
     assert curv == pytest.approx(2.0 * c.alpha * c.beta, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "lemma_id, solve",
+    [("leform1", F_solve_r), ("plyus", F_solve_r), ("leform2", F1_solve_r)],
+)
+def test_lane_map_solves_equal_scalar_solves(monkeypatch, lemma_id, solve):
+    # small blocks split the lanes, and lanes inside a block retire at
+    # different iterations: every lane must still be its scalar solve
+    monkeypatch.setattr(onedmaps, "_LANE_BLOCK", 16)
+    _, grid = verify._REGISTRY[lemma_id].gen(4)
+    r, a, th = (grid[k][::5] for k in ("r", "a", "theta"))
+    extra = _branch_slope(a[:1], th[:1])  # a lane on the branch slope
+    if solve is F_solve_r:
+        extra = np.concatenate([extra, [0.0, 0.0]])  # lanes with the exact zero map
+    r = np.concatenate([r, extra])
+    a, th = (np.concatenate([v, v[: extra.size]]) for v in (a, th))
+    lanes = solve(r, NormLanes(a=a, theta=th))
+    iterations = []
+    for i in range(r.size):
+        one = solve(float(r[i]), NormParams(a=float(a[i]), theta=float(th[i])))
+        got = (lanes.value[i], lanes.residual[i], lanes.bracket[0][i], lanes.bracket[1][i])
+        want = (one.value, one.residual, *one.bracket)
+        assert [float(v).hex() for v in got] == [v.hex() for v in want], i
+        iterations.append(one.iterations)
+    assert lanes.iterations == sum(iterations)
+    assert len(set(iterations)) > 2
 
 
 def test_F1_closed_form_oracle():

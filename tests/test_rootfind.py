@@ -62,7 +62,8 @@ def _cubic(x, r, c, d, e):
     return c * u * u * u + d * u + e
 
 
-def test_lanes_equal_scalar_solves():
+def _cubic_family():
+    """Brackets and (r, c, d, e) columns of 64 seeded cubic lanes."""
     rng = np.random.default_rng(2024)
     n = 64
     lo = rng.uniform(-2.0, -0.5, n)
@@ -75,13 +76,19 @@ def test_lanes_equal_scalar_solves():
     r[0] = lo[0]  # f(lo) == 0
     r[1] = hi[1]  # f(hi) == 0
     lo[2], hi[2], r[2] = -1.0, 1.0, 0.0  # odd f: the first secant step lands on 0 exactly
-    lanes = solve_bracketed(lambda x: _cubic(x, r, c, d, e), lo, hi)
+    return lo, hi, (r, c, d, e)
+
+
+def test_lanes_equal_scalar_solves():
+    lo, hi, (r, c, d, e) = _cubic_family()
+    n = lo.size
+    lanes = solve_bracketed(_cubic, lo, hi, args=(r, c, d, e))
     assert type(lanes.iterations) is int
     assert lanes.iterations == int(lanes.lane_iterations.sum())
     stopped_by_width = 0
     for i in range(n):
         args = (float(r[i]), float(c[i]), float(d[i]), float(e[i]))
-        one = solve_bracketed(lambda x: _cubic(x, *args), float(lo[i]), float(hi[i]))
+        one = solve_bracketed(_cubic, float(lo[i]), float(hi[i]), args=args)
         assert one.root == lanes.root[i]
         assert math.copysign(1.0, one.f_root) == math.copysign(1.0, lanes.f_root[i])
         assert one.f_root == lanes.f_root[i]
@@ -95,8 +102,36 @@ def test_lanes_equal_scalar_solves():
     assert stopped_by_width > 0
 
 
+def test_stopped_lanes_are_not_evaluated():
+    # a lane-id column rides in args: each lane must reach f exactly as often
+    # as its scalar solve calls f, and every call gets args cut to x's lanes
+    lo, hi, params = _cubic_family()
+    n = lo.size
+    calls = np.zeros(n, dtype=np.int64)
+
+    def counted(x, lane, *cols):
+        assert lane.shape == x.shape
+        assert np.unique(lane).size == lane.size
+        for col, full in zip(cols, params):
+            assert np.array_equal(col, full[lane])
+        np.add.at(calls, lane, 1)
+        return _cubic(x, *cols)
+
+    solve_bracketed(counted, lo, hi, args=(np.arange(n), *params))
+    for i in range(n):
+        scalar_calls = []
+
+        def one(x, *cols):
+            scalar_calls.append(x)
+            return _cubic(x, *cols)
+
+        solve_bracketed(one, float(lo[i]), float(hi[i]), args=tuple(float(v[i]) for v in params))
+        assert calls[i] == len(scalar_calls), i
+    assert calls.min() < calls.max()
+
+
 def test_lanes_without_sign_change_raise():
     lo = np.array([-1.0, -1.0, -1.0])
     shift = np.array([0.0, 0.0, 2.0])  # the last lane has no root in [-1, 1]
     with pytest.raises(BracketError):
-        solve_bracketed(lambda x: x * x * x + shift, lo, 1.0)
+        solve_bracketed(lambda x, s: x * x * x + s, lo, 1.0, args=(shift,))
