@@ -13,6 +13,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 
@@ -147,22 +148,30 @@ def _parse_kv(body: str) -> dict:
     return out
 
 
+_MODELS = {
+    "ricker": make_ricker_shifted,
+    "wright": make_wright,
+    "mackey": make_mackey_glass,
+    "wazewska": make_wazewska,
+    "rational": make_rational,
+}
+
+
 def _parse_model(spec: str):
     if ":" not in spec:
         raise ValueError("model spec must look like name:param=value[,param=value]")
     name, body = spec.split(":", 1)
+    build = _MODELS.get(name)
+    if build is None:
+        raise ValueError(f"unknown model {name!r}")
     kv = _parse_kv(body)
-    if name == "ricker":
-        return make_ricker_shifted(kv["q"])
-    if name == "wright":
-        return make_wright(kv["a"])
-    if name == "mackey":
-        return make_mackey_glass(kv["b"], kv["n"])
-    if name == "wazewska":
-        return make_wazewska(kv["b1"], kv["b2"])
-    if name == "rational":
-        return make_rational(kv["a"], kv.get("b", 1.0))
-    raise ValueError(f"unknown model {name!r}")
+    # the builder's keyword names are the spec's keys; a default makes one optional
+    params = inspect.signature(build).parameters.values()
+    required = {p.name for p in params if p.default is p.empty}
+    if not required <= kv.keys() <= {p.name for p in params}:
+        accepted = ", ".join(p.name if p.name in required else f"[{p.name}]" for p in params)
+        raise ValueError(f"model {name!r} takes parameters {accepted}, got {body!r}")
+    return build(**kv)
 
 
 def _parse_history(spec: str):

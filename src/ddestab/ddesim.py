@@ -48,6 +48,14 @@ class IntegrationDiverged(RuntimeError):
         self.t = t
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class History:
     """Initial segment on s <= 0: constant, exponential ramp, or samples.
 
@@ -83,16 +91,24 @@ class History:
 
     @classmethod
     def from_csv(cls, path) -> "History":
+        """Rows of t,x numbers; a first row with no number in it is a header."""
         ts, vs = [], []
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
                 try:
-                    ts.append(float(row[0]))
-                    vs.append(float(row[1]))
-                except (ValueError, IndexError):
-                    continue  # header or malformed row
+                    t, x = map(float, row)
+                except ValueError:
+                    if reader.line_num == 1 and not any(map(_is_number, row)):
+                        continue
+                    raise ValueError(
+                        f"history file {path}, line {reader.line_num}: "
+                        f"expected two numbers t,x, got {','.join(row)!r}"
+                    ) from None
+                ts.append(t)
+                vs.append(x)
         if len(ts) < 2:
             raise ValueError(f"history file {path} has fewer than 2 numeric rows")
         return cls.from_samples(ts, vs)
@@ -126,7 +142,6 @@ class Trajectory:
     values: np.ndarray
     delta: float
     h: float
-    model_name: str = ""
     _extrema: list | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -303,8 +318,7 @@ def integrate(model, hist: History, params, T, step: float | None = None):
     # not as a numpy warning
     with np.errstate(all="ignore"):
         _march(w, hist, y, n, s, delta)
-    name = getattr(model, "name", getattr(model, "__name__", "w"))
-    return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h, model_name=str(name))
+    return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h)
 
 
 def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:

@@ -1,9 +1,9 @@
 """Benchmark feedback nonlinearities and the blowfly-equation certificate.
 
-Builders return a Nonlinearity record bundling the map with its first three
-exact derivatives.  The blowfly decision reduces the equation to normalized
-slope/theta coordinates and reuses the sharp delay criterion; the attractor
-helpers bound the late-time range in the humped regime.
+Builders return a Nonlinearity record: the map with a name for reports.  The
+blowfly decision reduces the equation to normalized slope/theta coordinates
+and reuses the sharp delay criterion; the attractor helpers bound the
+late-time range in the humped regime.
 """
 
 from __future__ import annotations
@@ -36,27 +36,15 @@ __all__ = [
     "nicholson_global",
     "AttractorBounds",
     "attractor_bounds",
-    "third_iterate_margin",
-    "branch_entry_margin",
 ]
 
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A feedback map with exact derivatives and domain metadata.
-
-    f, d1, d2, d3 accept floats or numpy arrays.  domain_lo is the left edge
-    of validity (state space is open to its right); critical_point, when not
-    None, is the unique zero of d1.
-    """
+    """A named feedback map; f accepts floats or numpy arrays."""
 
     name: str
     f: Callable
-    d1: Callable
-    d2: Callable
-    d3: Callable
-    domain_lo: float = -math.inf
-    critical_point: float | None = None
 
     def __call__(self, x):
         return self.f(x)
@@ -76,24 +64,7 @@ def make_ricker_shifted(q: float) -> Nonlinearity:
     def f(y):
         return (y + lnq) * np.exp(-y) - lnq
 
-    def d1(y):
-        return (1.0 - y - lnq) * np.exp(-y)
-
-    def d2(y):
-        return (y + lnq - 2.0) * np.exp(-y)
-
-    def d3(y):
-        return (3.0 - y - lnq) * np.exp(-y)
-
-    return Nonlinearity(
-        name=f"ricker(q={q:g})",
-        f=f,
-        d1=d1,
-        d2=d2,
-        d3=d3,
-        domain_lo=-lnq,
-        critical_point=1.0 - lnq,
-    )
+    return Nonlinearity(name=f"ricker(q={q:g})", f=f)
 
 
 def make_wright(a: float) -> Nonlinearity:
@@ -104,16 +75,7 @@ def make_wright(a: float) -> Nonlinearity:
     def f(x):
         return a * (1.0 - np.exp(-x))
 
-    def d1(x):
-        return a * np.exp(-x)
-
-    def d2(x):
-        return -a * np.exp(-x)
-
-    def d3(x):
-        return a * np.exp(-x)
-
-    return Nonlinearity(name=f"wright(a={a:g})", f=f, d1=d1, d2=d2, d3=d3)
+    return Nonlinearity(name=f"wright(a={a:g})", f=f)
 
 
 def make_mackey_glass(b: float, n: float) -> Nonlinearity:
@@ -124,22 +86,7 @@ def make_mackey_glass(b: float, n: float) -> Nonlinearity:
     def f(x):
         return b / (1.0 + np.power(x, n))
 
-    def d1(x):
-        u = np.power(x, n)
-        return -b * n * np.power(x, n - 1.0) / (1.0 + u) ** 2
-
-    def d2(x):
-        u = np.power(x, n)
-        return -b * n * np.power(x, n - 2.0) * ((n - 1.0) - (n + 1.0) * u) / (1.0 + u) ** 3
-
-    def d3(x):
-        u = np.power(x, n)
-        poly = (n - 1.0) * (n - 2.0) - 4.0 * (n - 1.0) * (n + 1.0) * u + (n + 1.0) * (n + 2.0) * u * u
-        return -b * n * np.power(x, n - 3.0) * poly / (1.0 + u) ** 4
-
-    return Nonlinearity(
-        name=f"mackey(b={b:g},n={n:g})", f=f, d1=d1, d2=d2, d3=d3, domain_lo=0.0
-    )
+    return Nonlinearity(name=f"mackey(b={b:g},n={n:g})", f=f)
 
 
 def make_wazewska(b1: float, b2: float) -> Nonlinearity:
@@ -150,38 +97,18 @@ def make_wazewska(b1: float, b2: float) -> Nonlinearity:
     def f(x):
         return b1 * np.exp(-b2 * x)
 
-    def d1(x):
-        return -b1 * b2 * np.exp(-b2 * x)
-
-    def d2(x):
-        return b1 * b2 * b2 * np.exp(-b2 * x)
-
-    def d3(x):
-        return -b1 * b2 ** 3 * np.exp(-b2 * x)
-
-    return Nonlinearity(name=f"wazewska(b1={b1:g},b2={b2:g})", f=f, d1=d1, d2=d2, d3=d3)
+    return Nonlinearity(name=f"wazewska(b1={b1:g},b2={b2:g})", f=f)
 
 
 def make_rational(a: float, b: float = 1.0) -> Nonlinearity:
-    """Moebius feedback a*x/(1 + b*x); zero Schwarzian everywhere."""
+    """Moebius feedback a*x/(1 + b*x) on x > -1/b; zero Schwarzian everywhere."""
     if b <= 0.0:
         raise ValueError(f"need b > 0, got {b}")
 
     def f(x):
         return a * x / (1.0 + b * x)
 
-    def d1(x):
-        return a / (1.0 + b * x) ** 2
-
-    def d2(x):
-        return -2.0 * a * b / (1.0 + b * x) ** 3
-
-    def d3(x):
-        return 6.0 * a * b * b / (1.0 + b * x) ** 4
-
-    return Nonlinearity(
-        name=f"rational(a={a:g},b={b:g})", f=f, d1=d1, d2=d2, d3=d3, domain_lo=-1.0 / b
-    )
+    return Nonlinearity(name=f"rational(a={a:g},b={b:g})", f=f)
 
 
 class NoPositiveEquilibrium(ValueError):
@@ -236,24 +163,7 @@ class NicholsonParams:
         def f(x):
             return p * x * np.exp(-g * x)
 
-        def d1(x):
-            return p * (1.0 - g * x) * np.exp(-g * x)
-
-        def d2(x):
-            return p * g * (g * x - 2.0) * np.exp(-g * x)
-
-        def d3(x):
-            return p * g * g * (3.0 - g * x) * np.exp(-g * x)
-
-        return Nonlinearity(
-            name=f"blowfly(p={p:g},gamma={g:g})",
-            f=f,
-            d1=d1,
-            d2=d2,
-            d3=d3,
-            domain_lo=0.0,
-            critical_point=1.0 / g,
-        )
+        return Nonlinearity(name=f"blowfly(p={p:g},gamma={g:g})", f=f)
 
 
 @dataclass(frozen=True)
@@ -400,28 +310,3 @@ def attractor_bounds(params: NicholsonParams) -> AttractorBounds:
         invariant_g1=inv_g1,
     )
 
-
-def third_iterate_margin(ln_q: float) -> float:
-    """g(g(g(1))) - ln q for the recruitment map; positive keeps the third
-    iterate above the equilibrium throughout the certified window."""
-    q = math.exp(ln_q)
-    u = _g_iter(1.0, q)
-    u = _g_iter(u, q)
-    u = _g_iter(u, q)
-    return u - ln_q
-
-
-def branch_entry_margin(ln_q: float) -> float:
-    """Slack of the deeper-branch entry condition at the criterion boundary.
-
-    (1 + c)*(theta_b - 1) - y1 with theta_b the boundary theta at slope -c
-    and y1 the lower root of the quadratic entry condition; nonnegative for
-    ln q >= 2.5.
-    """
-    c = ln_q - 1.0
-    if c <= 1.0:
-        raise ValueError(f"entry margin needs ln q > 2, got {ln_q}")
-    theta_b = sharp_boundary_theta(-c)
-    disc = ln_q * ln_q + 4.0 * ln_q - 4.0
-    y1 = (2.0 - ln_q - math.sqrt(disc)) / 2.0
-    return (1.0 + c) * (theta_b - 1.0) - y1

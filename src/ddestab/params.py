@@ -45,14 +45,12 @@ __all__ = [
 class ParamSet:
     """Raw equation parameters: x'(t) = -delta x(t) + feedback with lag h.
 
-    a is the feedback slope at equilibrium (negative feedback), b an optional
-    amplitude carried along for model builders.
+    a is the feedback slope at equilibrium (negative feedback).
     """
 
     a: float
     delta: float
     h: float
-    b: float = 1.0
 
     def __post_init__(self):
         if not (self.delta > 0.0):
@@ -61,21 +59,14 @@ class ParamSet:
             raise ValueError(f"delay must be positive, got {self.h}")
         if not (self.a < 0.0):
             raise ValueError(f"feedback slope must be negative, got {self.a}")
-        if not (self.b > 0.0):
-            raise ValueError(f"amplitude must be positive, got {self.b}")
 
 
 @dataclass(frozen=True)
 class NormParams:
-    """Normalized parameters: slope a < 0 and theta = exp(-delay) in (0, 1).
-
-    scale records the amplitude used during normalization so trajectories can
-    be mapped back; it does not affect any stability decision.
-    """
+    """Normalized parameters: slope a < 0 and theta = exp(-delay) in (0, 1)."""
 
     a: float
     theta: float
-    scale: float = 1.0
 
     def __post_init__(self):
         if not (self.a < 0.0):
@@ -132,7 +123,7 @@ class RegionLabel:
 
 def normalize(p: ParamSet) -> NormParams:
     """Rescale time by delta: slope a/delta, theta = exp(-h delta)."""
-    return NormParams(a=p.a / p.delta, theta=math.exp(-p.h * p.delta), scale=p.b)
+    return NormParams(a=p.a / p.delta, theta=math.exp(-p.h * p.delta))
 
 
 def _boundary_log(a: float) -> float:

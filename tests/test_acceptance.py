@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ddestab.ddesim import F1_sim, F_sim, History, integrate
-from ddestab.models import NicholsonParams, nicholson_global, third_iterate_margin
+from ddestab.models import NicholsonParams, nicholson_global
 from ddestab.onedmaps import F1_solve, F1_solve_r, F_solve, F_solve_r, interval_I
 from ddestab.params import (
     MU_SECTOR_MAX,
@@ -187,6 +187,17 @@ _SWEEP_MINIMA = {
     "r303": "0x1.d986a13313fdap-15",
     "gsslemma_schwarz": "0x1.ef82c34de3155p-56",
 }
+
+
+# an oracle for the test below; the package itself does not use it
+def third_iterate_margin(ln_q: float) -> float:
+    """g(g(g(1))) - ln q for the recruitment map g(u) = q u exp(-u); positive
+    keeps the third iterate above the equilibrium in the certified window."""
+    q = math.exp(ln_q)
+    u = 1.0
+    for _ in range(3):
+        u = q * u * math.exp(-u)
+    return u - ln_q
 
 
 def test_criterion_5_full_verification(capsys):

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,59 @@ def test_simulate_ramp_history(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("spec", ["ricker:q=20,b=7", "ricker:Q=20"])
+def test_simulate_model_keys_exit2(spec, capsys):
+    rc = main(
+        ["simulate", "--model", spec, "--history", "const:1.0",
+         "--delta", "1.0", "--h", "1.0", "--T", "5.0"]
+    )
+    assert rc == 2
+    assert "model 'ricker' takes parameters q," in capsys.readouterr().err
+
+
+def test_simulate_model_optional_key(capsys):
+    argv = ["--history", "const:0.2", "--delta", "1.0", "--h", "1.0", "--T", "5.0"]
+    assert main(["simulate", "--model", "rational:a=-2.0"] + argv) == 0
+    assert "model=rational(a=-2,b=1)" in capsys.readouterr().out
+    assert main(["simulate", "--model", "rational:b=2.0"] + argv) == 2
+    assert "model 'rational' takes parameters a, [b]," in capsys.readouterr().err
+
+
+def _simulate_history(history, capsys):
+    rc = main(
+        ["simulate", "--model", "wright:a=-1.3", "--history", history,
+         "--delta", "1.0", "--h", "1.0", "--T", "10.0"]
+    )
+    return rc, capsys.readouterr()
+
+
+@pytest.mark.parametrize("header", ["t,x\n", ""])
+def test_simulate_csv_history(header, tmp_path, capsys):
+    # constant samples interpolate to the constant history, node for node
+    path = tmp_path / "hist.csv"
+    path.write_text(header + "-1.0,0.4\n\n-0.5,0.4\n0.0,0.4\n")
+    rc, from_csv = _simulate_history(str(path), capsys)
+    assert rc == 0
+    assert from_csv.out == _simulate_history("const:0.4", capsys)[1].out
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("t,x\n-1.0,0.5\n-0.5 0.9\n0.0,0.4\n", 3),
+        ("t,x\n-1.0,0.5\n-0.5,abc\n0.0,0.4\n", 3),
+        ("t,x\n-1.0,0.5,7\n0.0,0.4\n", 2),
+        ("-1.0,abc\n-0.5,0.9\n0.0,0.4\n", 1),
+    ],
+)
+def test_simulate_csv_history_bad_row_exit2(text, line, tmp_path, capsys):
+    path = tmp_path / "hist.csv"
+    path.write_text(text)
+    rc, captured = _simulate_history(str(path), capsys)
+    assert rc == 2
+    assert f"hist.csv, line {line}: expected two numbers t,x" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # nicholson
 
@@ -247,6 +302,23 @@ def test_import_stays_numpy_only():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_nicholson_sweep_script_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "window.csv"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "nicholson_sweep.py"),
+         "--n", "20", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text().splitlines()
+    assert rows[0] == "ln_q,c,critical_delta_h"
+    assert len(rows) == 1 + 21
+    assert "reference point ln q = 3: critical product 1.00883617472" in proc.stdout
 
 
 def test_module_entry_point():

@@ -36,14 +36,6 @@ def psi(M: float, np_: NormParams) -> float:
     return M - np_.theta * M / (a - M)
 
 
-def schwarzian(w, x: float) -> float:
-    """Schwarzian derivative from exact derivative callables d1, d2, d3."""
-    d1 = w.d1(x)
-    if abs(d1) < 1e-12:
-        raise ValueError(f"Schwarzian undefined near critical point, w'({x}) = {d1}")
-    return w.d3(x) / d1 - 1.5 * (w.d2(x) / d1) ** 2
-
-
 def schwarzian_numeric(f, x: float) -> float:
     """Schwarzian via five-point finite differences of a plain callable.
 
@@ -187,20 +179,14 @@ def test_chi_iterate_converges(np_linear):
     assert orbit[0] * orbit[1] < 0.0
 
 
-def test_schwarzian_exact_vs_numeric():
-    from ddestab.models import make_ricker_shifted
-
-    m = make_ricker_shifted(math.e**3)
-    for x in (-0.5, 0.3, 1.7):
-        assert schwarzian(m, x) == pytest.approx(schwarzian_numeric(m, x), rel=1e-4, abs=1e-6)
-
-
 def test_schwarzian_of_moebius_vanishes():
     from ddestab.models import make_rational
 
+    # the oracle's five good digits put a Moebius map near 1e-4; the shifted
+    # recruitment map reads 0.34-0.43 at the same points
     m = make_rational(-2.0)
     for x in (-0.3, 0.2, 2.0):
-        assert abs(schwarzian(m, x)) < 1e-11
+        assert abs(schwarzian_numeric(m, x)) < 1e-3
 
 
 def test_schwarz_margin_positive_on_linear_region(np_linear):
