@@ -93,6 +93,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    for flag, value in (("--n-mu", args.n_mu), ("--raster", args.raster)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     paths = sweep_figures(args.out, n_mu=args.n_mu, raster=args.raster)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
@@ -208,6 +211,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nicholson(args) -> int:
+    if args.simulate < 0:
+        raise ValueError(f"--simulate must be at least 0, got {args.simulate}")
+    if not args.T_mult > 0.0:
+        raise ValueError(f"--T-mult must be positive, got {args.T_mult}")
     p = NicholsonParams(p=args.p, delta=args.delta, gamma_n=args.gamma, h=args.h)
     dec = nicholson_global(p)
     verdict = "certified" if dec.certified else "not certified"

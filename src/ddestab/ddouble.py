@@ -86,9 +86,6 @@ class DD:
     def __neg__(self) -> "DD":
         return DD(-self.hi, -self.lo)
 
-    def __abs__(self) -> "DD":
-        return -self if self.hi < 0.0 or (self.hi == 0.0 and self.lo < 0.0) else self
-
     def __add__(self, other) -> "DD":
         o = _coerce(other)
         if o is None:
@@ -140,40 +137,6 @@ class DD:
         if o is None:
             return NotImplemented
         return o / self
-
-    def _cmp(self, other) -> int:
-        o = _coerce(other)
-        d = self - o
-        v = d.hi + d.lo
-        if v < 0.0:
-            return -1
-        if v > 0.0:
-            return 1
-        return 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except TypeError:
-            return NotImplemented
-
-    def __ne__(self, other):
-        try:
-            return self._cmp(other) != 0
-        except TypeError:
-            return NotImplemented
 
 
 def _coerce(x) -> DD | None:

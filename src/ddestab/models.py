@@ -170,9 +170,7 @@ class NicholsonParams:
 class NicholsonDecision:
     certified: bool
     unconditional: bool
-    c: float
     theta: float
-    theta_required: float
     slope: float
     n_star: float
     region: RegionLabel | None
@@ -190,36 +188,18 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
     c = params.c
     theta = params.theta
     slope = -c  # = 1 - ln q
+    certified = True
+    region = None
     if c <= 0.0:
-        return NicholsonDecision(
-            certified=True,
-            unconditional=True,
-            c=c,
-            theta=theta,
-            theta_required=-math.inf,
-            slope=slope,
-            n_star=n_star,
-            region=None,
-            reason="production slope at equilibrium is nonnegative: monotone convergence",
-        )
-    theta_required = sharp_boundary_theta(slope)
-    if c <= 1.0:
-        return NicholsonDecision(
-            certified=True,
-            unconditional=True,
-            c=c,
-            theta=theta,
-            theta_required=theta_required,
-            slope=slope,
-            n_star=n_star,
-            region=classify(NormParams(a=slope, theta=theta)),
-            reason="slope magnitude at most 1: certified for every delay",
-        )
-    certified = theta > theta_required
-    if certified:
+        reason = "production slope at equilibrium is nonnegative: monotone convergence"
+    elif c <= 1.0:
+        region = classify(NormParams(a=slope, theta=theta))
+        reason = "slope magnitude at most 1: certified for every delay"
+    elif theta > sharp_boundary_theta(slope):
         region = classify(NormParams(a=slope, theta=theta))
         reason = "sharp delay criterion holds at the equilibrium slope"
     else:
+        certified = False
         region = RegionLabel(
             Region.NOT_CERTIFIED,
             reason="theta at or below the boundary value for the equilibrium slope",
@@ -227,10 +207,8 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
         reason = region.reason
     return NicholsonDecision(
         certified=certified,
-        unconditional=False,
-        c=c,
+        unconditional=c <= 1.0,
         theta=theta,
-        theta_required=theta_required,
         slope=slope,
         n_star=n_star,
         region=region,

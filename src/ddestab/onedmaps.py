@@ -219,30 +219,21 @@ def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
     return _solve_F_identity(rz, np_)
 
 
-# lanes per lockstep solve (and rows per margin block in verify): with
-# finished lanes retired, 8,192-lane blocks against 4,096 took the calibrated
-# sweep from 1.22 to 1.09 s and its peak resident memory from 50.4 to 50.6 MB
-# (medians of 5 alternated benchmark runs, one process on a 2-vCPU VM)
-_LANE_BLOCK = 8192
-
-
 def _lane_solves(solve_identity, rz: np.ndarray, np_: NormParams) -> MapSolve:
-    """A response map on lanes, in blocks of at most _LANE_BLOCK lanes.
+    """A response map on lanes, all nonzero lanes in one lockstep solve.
 
     Lanes with rz = 0 get the exact zero map, as the scalar forms give it.
-    The result holds one array entry per lane and the summed iterations.
+    The result holds one array entry per lane and the solve's iterations.
     """
     a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
     value, residual, lo, hi = (np.zeros(rz.shape) for _ in range(4))
-    iterations = 0
-    lanes = np.flatnonzero(rz != 0.0)
-    for start in range(0, lanes.size, _LANE_BLOCK):
-        sel = lanes[start : start + _LANE_BLOCK]
-        res = solve_identity(rz[sel], NormLanes(a=a[sel], theta=th[sel]))
-        value[sel], residual[sel] = res.value, res.residual
-        lo[sel], hi[sel] = res.bracket
-        iterations += res.iterations
-    return MapSolve(value, residual, (lo, hi), iterations)
+    sel = np.flatnonzero(rz != 0.0)
+    if sel.size == 0:
+        return MapSolve(value, residual, (lo, hi), 0)
+    res = solve_identity(rz[sel], NormLanes(a=a[sel], theta=th[sel]))
+    value[sel], residual[sel] = res.value, res.residual
+    lo[sel], hi[sel] = res.bracket
+    return MapSolve(value, residual, (lo, hi), res.iterations)
 
 
 def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
@@ -394,28 +385,20 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
     return m_val, n_val
 
 
-def q_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
+def q_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
     """Certificate polynomial (1 - r*beta)*M - alpha*N; <= 0 closes the chain."""
-    from .ratmaps import coeffs_generic
-
     one = mx.num(1.0)
     r = mx.num(r) * one
-    if alpha is None or beta is None:
-        _, alpha, beta, _ = coeffs_generic(a, theta, mx)
     m_val, n_val = mn_polys_generic(r, a, theta, mx)
     return (one - r * beta) * m_val - alpha * n_val
 
 
-def s_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
+def s_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
     """Derivative of the certificate polynomial in r, in expanded form."""
-    from .ratmaps import coeffs_generic
-
     one = mx.num(1.0)
     r = mx.num(r) * one
     a = mx.num(a) * one
     th = mx.num(theta) * one
-    if alpha is None or beta is None:
-        _, alpha, beta, _ = coeffs_generic(a, theta, mx)
     q = th - 1.0
     q2 = q * q
     q3 = q2 * q
@@ -442,15 +425,11 @@ def s_poly_generic(r, a, theta, mx=FLOAT, alpha=None, beta=None):
     return s0 + r * (s1 + r * (s2 + r * s3))
 
 
-def t_chain_generic(a, theta, mx=FLOAT, alpha=None):
+def t_chain_generic(a, theta, mx=FLOAT, *, alpha):
     """Descending control sequence (T3, T2, T1, T0) for the derivative sign."""
-    from .ratmaps import coeffs_generic
-
     one = mx.num(1.0)
     a = mx.num(a) * one
     th = mx.num(theta) * one
-    if alpha is None:
-        _, alpha, _, _ = coeffs_generic(a, theta, mx)
     q = th - 1.0
     q2 = q * q
     th2 = th * th

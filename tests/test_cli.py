@@ -2,14 +2,14 @@
 
 import json
 import math
-import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ddestab.cli import main
+from ddestab.cli import _build_parser, main
 
 E3 = math.exp(3.0)
 
@@ -249,6 +249,22 @@ def test_nicholson_not_certified(capsys):
     assert "not certified" in out
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--simulate", "-2"], "error: --simulate must be at least 0, got -2"),
+        (["--simulate", "1", "--T-mult", "-1"], "error: --T-mult must be positive, got -1.0"),
+        (["--simulate", "1", "--T-mult", "0"], "error: --T-mult must be positive, got 0.0"),
+    ],
+)
+def test_nicholson_bad_simulation_args_exit2_before_output(extra, message, capsys):
+    rc = main(["nicholson", "--p", str(E3), "--delta", "1.0", "--h", "0.5", *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
 def test_nicholson_with_simulation(capsys):
     rc = main(
         ["nicholson", "--p", str(E3), "--delta", "1.0", "--h", "0.5",
@@ -295,6 +311,35 @@ def test_region_writes_artifacts(tmp_path, capsys):
         assert name.split(".")[0].split("_")[0] in out
 
 
+@pytest.mark.parametrize("flag", ["--n-mu", "--raster"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_region_needs_one_sample(flag, n, tmp_path, capsys):
+    rc = main(["region", "--out", str(tmp_path), flag, n])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be at least 1, got {n}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_commands():
+    """Each `ddestab ...` command of README's "Command line" block, as argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("ddestab ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "check", "region", "map", "simulate", "nicholson", "verify"
+    }
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits on a stale flag
+
+
 def test_import_stays_numpy_only():
     # a fresh interpreter: the package and its CLI load no process pool and no scipy
     heavy = ("multiprocessing", "concurrent.futures", "scipy")
@@ -302,23 +347,6 @@ def test_import_stays_numpy_only():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_nicholson_sweep_script_runs(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    out = tmp_path / "window.csv"
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "nicholson_sweep.py"),
-         "--n", "20", "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = out.read_text().splitlines()
-    assert rows[0] == "ln_q,c,critical_delta_h"
-    assert len(rows) == 1 + 21
-    assert "reference point ln q = 3: critical product 1.00883617472" in proc.stdout
 
 
 def test_module_entry_point():

@@ -147,10 +147,9 @@ def test_F_slope_at_origin(np_core):
     "lemma_id, solve",
     [("leform1", F_solve_r), ("plyus", F_solve_r), ("leform2", F1_solve_r)],
 )
-def test_lane_map_solves_equal_scalar_solves(monkeypatch, lemma_id, solve):
-    # small blocks split the lanes, and lanes inside a block retire at
-    # different iterations: every lane must still be its scalar solve
-    monkeypatch.setattr(onedmaps, "_LANE_BLOCK", 16)
+def test_lane_map_solves_equal_scalar_solves(lemma_id, solve):
+    # lanes retire at different iterations: every lane must still be its
+    # scalar solve
     _, grid = verify._REGISTRY[lemma_id].gen(4)
     r, a, th = (grid[k][::5] for k in ("r", "a", "theta"))
     extra = _branch_slope(a[:1], th[:1])  # a lane on the branch slope
@@ -236,7 +235,7 @@ def test_Q_sign_links_G1_to_R(np_core):
     c = coeffs(np_core)
     # r must stay within [a, a_star]: that is where the certificate poly is nonpositive
     for r in (-1.9, -1.6, -1.4):
-        q = q_poly_generic(r, a, th)
+        q = q_poly_generic(r, a, th, alpha=c.alpha, beta=c.beta)
         g1 = bound_G1(r, np_core)
         rr = R_eval(r, c)
         diff = g1 - rr
@@ -249,14 +248,18 @@ def test_Q_sign_links_G1_to_R(np_core):
 
 def test_S_is_derivative_of_Q(np_core):
     a, th = np_core.a, np_core.theta
+    ab = {"alpha": coeffs(np_core).alpha, "beta": coeffs(np_core).beta}
     eps = 1e-6
     for r in (-1.7, -1.3, -1.1):
-        fd = (q_poly_generic(r + eps, a, th) - q_poly_generic(r - eps, a, th)) / (2.0 * eps)
-        assert s_poly_generic(r, a, th) == pytest.approx(fd, rel=1e-7)
+        fd = (q_poly_generic(r + eps, a, th, **ab) - q_poly_generic(r - eps, a, th, **ab)) / (
+            2.0 * eps
+        )
+        assert s_poly_generic(r, a, th, **ab) == pytest.approx(fd, rel=1e-7)
 
 
 def test_T_chain_frozen_ordering():
-    t3, t2, t1_, t0 = t_chain_generic(-2.0, 0.5)
+    alpha = coeffs(NormParams(a=-2.0, theta=0.5)).alpha
+    t3, t2, t1_, t0 = t_chain_generic(-2.0, 0.5, alpha=alpha)
     assert t3 == pytest.approx(0.16820117460710726, rel=1e-12)
     assert t2 == pytest.approx(0.12370575698638324, rel=1e-12)
     assert t1_ == pytest.approx(0.05577407118313434, rel=1e-12)

@@ -11,6 +11,7 @@ import pytest
 
 from ddestab import verify
 from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
+from ddestab.models import NicholsonParams, nicholson_global
 from ddestab.params import NormParams, Region, classify, sharp_boundary_theta
 from ddestab.verify import (
     _REGISTRY,
@@ -256,7 +257,7 @@ def test_columns_match_point_loop(lemma_id):
     # the per-point recheck rule, are the reference for the column path
     spec = _REGISTRY[lemma_id]
     _, grid = spec.gen(POINT_LOOP_RES[lemma_id])
-    got = verify._margin_block(dataclasses.replace(spec, row_block=None), grid)
+    got = verify._margin_block(spec, grid)
     rows = verify._row_count(grid)
     want = {label: [] for label, _ in got}
     for i in range(rows):
@@ -287,7 +288,6 @@ RECHECK_RES = {"gsslemma_schwarz": 24, "lele": 128}
 def test_row_blocks_match_one_block(lemma_id, monkeypatch):
     res = RECHECK_RES.get(lemma_id, 24)
     calls = _counting_dd(monkeypatch, lemma_id)
-    spec = _REGISTRY[lemma_id]
     margin_block = verify._margin_block
     blocks_seen = []  # every margin block of the current sweep, in row order
 
@@ -297,8 +297,8 @@ def test_row_blocks_match_one_block(lemma_id, monkeypatch):
 
     monkeypatch.setattr(verify, "_margin_block", recording)
     reports, columns = [], []
-    for row_block in (None, 64):
-        monkeypatch.setitem(_REGISTRY, lemma_id, dataclasses.replace(spec, row_block=row_block))
+    for row_block in (verify._LANE_BLOCK, 64):  # one block for the whole grid, then 64 rows
+        monkeypatch.setattr(verify, "_LANE_BLOCK", row_block)
         reports.append(verify_lemma(lemma_id, resolution=res))
         assert bool(calls) == (lemma_id in RECHECK_RES)
         # every margin, not only the smallest, must not depend on the blocks
@@ -503,3 +503,23 @@ def test_sweep_figures_smoke(tmp_path):
     assert labels <= valid
     # all certification outcomes occur somewhere on the square
     assert labels == valid
+
+
+def test_fig1_is_the_blowfly_window(tmp_path):
+    # at equilibrium slope magnitude c = ln(p/delta) - 1 the blowfly decision
+    # certifies exactly up to delta*h = -ln(theta_global), below the local
+    # (Hopf) product -ln(theta_local)
+    fig1 = Path(sweep_figures(tmp_path, n_mu=9, raster=4)["fig1"]).read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in fig1[1:]]
+    window = {}
+    for c, theta_global, theta_local in rows:
+        if c <= 1.0:
+            continue
+        dh = -math.log(theta_global)
+        assert dh < -math.log(theta_local), c
+        for factor, certified in ((0.999, True), (1.001, False)):
+            p = NicholsonParams(p=math.exp(c + 1.0), delta=1.0, gamma_n=1.0, h=factor * dh)
+            assert nicholson_global(p).certified is certified, (c, factor)
+        window[c] = dh
+    assert len(window) == 450
+    assert "%.12g" % window[2.0] == "1.00883617472"
