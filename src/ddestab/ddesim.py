@@ -17,6 +17,7 @@ first.  Up to its own horizon every lane is bitwise equal to its single run.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -159,11 +160,12 @@ class Trajectory:
         return self._extrema
 
     def export_csv(self, path) -> None:
+        r"""Header t,x, then t0 + i*step and the value, both %.12g, rows ending in \r\n."""
+        t0, step = self.t0, self.step
+        values = self.values.tolist()
+        rows = ("%.12g,%.12g\r\n" % (t0 + i * step, v) for i, v in enumerate(values))
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "x"])
-            for i, v in enumerate(self.values):
-                w.writerow(["%.12g" % (self.t0 + i * self.step), "%.12g" % v])
+            fh.writelines(itertools.chain(["t,x\r\n"], rows))
 
 
 @dataclass
@@ -183,19 +185,15 @@ class LaneDips:
 
 
 def _find_extrema(y: np.ndarray, t0: float, s: float) -> list:
-    out = []
-    for i in range(1, len(y) - 1):
-        d_prev = y[i] - y[i - 1]
-        d_next = y[i + 1] - y[i]
-        if d_prev > 0.0 and d_next < 0.0:
-            kind = "max"
-        elif d_prev < 0.0 and d_next > 0.0:
-            kind = "min"
-        else:
-            continue
-        t_ref, v_ref = _parabola_refine(y, i, t0, s)
-        out.append((t_ref, v_ref, kind))
-    return out
+    """Nodes whose neighbours both lie strictly below (max) or above (min),
+    parabola-refined; a plateau of equal values is no extremum."""
+    d = np.diff(y)
+    up, down = d[:-1] > 0.0, d[:-1] < 0.0
+    nodes = np.flatnonzero((up & (d[1:] < 0.0)) | (down & (d[1:] > 0.0))) + 1
+    return [
+        (*_parabola_refine(y, i, t0, s), "max" if rising else "min")
+        for i, rising in zip(nodes.tolist(), up[nodes - 1].tolist())
+    ]
 
 
 def _parabola_refine(y: np.ndarray, i: int, t0: float, s: float) -> tuple[float, float]:
@@ -322,7 +320,9 @@ def integrate(model, hist: History, params, T, step: float | None = None):
 
 
 def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
-    """Classic RK4 down the rows of y from y[0]; a lane per column if y is 2-D."""
+    """Classic RK4 down the rows of y from y[0], with model values w_node at
+    the nodes and w_mid at the midpoints.  y is a list of floats (one run) or
+    a 2-D array (a lane per column)."""
     for i in range(len(y) - 1):
         yi = y[i]
         r1 = nd * yi + w_node[i]
@@ -345,13 +345,17 @@ def _march(w, hist, y, n, s, delta) -> None:
         else:
             node_del = y[k0 - n : k1 - n + 1]
             mid_del = _segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
-        seg = y[k0 : k1 + 1]
+        # Python floats, not numpy scalars: the same IEEE operations, a
+        # fraction of the cost per node
+        rows = [y[k0].item()] * (cnt + 1)
         _rk4_rows(
-            seg,
-            np.asarray(w(node_del), dtype=float),
-            np.asarray(w(mid_del), dtype=float),
+            rows,
+            np.asarray(w(node_del), dtype=float).tolist(),
+            np.asarray(w(mid_del), dtype=float).tolist(),
             nd, s, hs, s6,
         )
+        seg = y[k0 : k1 + 1]
+        seg[:] = rows
         finite = np.isfinite(seg)
         if not finite.all():
             raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)

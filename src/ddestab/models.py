@@ -169,7 +169,6 @@ class NicholsonParams:
 @dataclass(frozen=True)
 class NicholsonDecision:
     certified: bool
-    unconditional: bool
     theta: float
     slope: float
     n_star: float
@@ -207,7 +206,6 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
         reason = region.reason
     return NicholsonDecision(
         certified=certified,
-        unconditional=c <= 1.0,
         theta=theta,
         slope=slope,
         n_star=n_star,

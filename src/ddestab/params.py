@@ -31,7 +31,6 @@ __all__ = [
     "linear_criterion",
     "sharp_boundary_theta",
     "linear_boundary_theta",
-    "critical_h",
     "pi_curve",
     "classify",
     "local_stability_boundary",
@@ -163,14 +162,6 @@ def linear_boundary_theta(a: float) -> float:
     if not a < 0.0:
         raise ValueError(f"slope must be negative, got {a}")
     return a * (a + 1.0) / (a * a + 1.0)
-
-
-def critical_h(a: float, delta: float) -> float:
-    """Largest certified delay for given slope and decay; inf when unconditional."""
-    thr = sharp_boundary_theta(a / delta)
-    if thr <= 0.0:
-        return math.inf
-    return -math.log(thr) / delta
 
 
 def pi_curve(j: int, mu: float) -> float:

@@ -21,7 +21,6 @@ from ddestab.params import (
     ParamSet,
     Region,
     classify,
-    critical_h,
     linear_boundary_theta,
     local_stability_boundary,
     pi_curve,
@@ -29,6 +28,14 @@ from ddestab.params import (
 )
 from ddestab.ratmaps import R2_eval, R_eval, chi_iterate, coeffs, r_eval
 from ddestab.verify import sweep_figures, verify_all
+
+
+def critical_h(a: float, delta: float) -> float:
+    """Largest certified delay for given slope and decay; inf when unconditional."""
+    thr = sharp_boundary_theta(a / delta)
+    if thr <= 0.0:
+        return math.inf
+    return -math.log(thr) / delta
 
 
 def _announce(capsys, text):

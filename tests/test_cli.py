@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, argument handling."""
 
+import hashlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ddestab
 from ddestab.cli import _build_parser, main
 
 E3 = math.exp(3.0)
@@ -210,6 +213,82 @@ def test_simulate_csv_history(header, tmp_path, capsys):
     rc, from_csv = _simulate_history(str(path), capsys)
     assert rc == 0
     assert from_csv.out == _simulate_history("const:0.4", capsys)[1].out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_module(argv, cwd=None):
+    """python -m ddestab in a fresh interpreter that imports this same package."""
+    root = str(Path(ddestab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ddestab", *argv],
+        capture_output=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+# SHA-256 of the stdout and the trajectory CSV of each command: a change to
+# the march, the extremum scan or the CSV writer that moves one bit shows here
+_FROZEN_HISTORY = "t,x\n" + "".join(
+    f"{-1.0 + j / 16!r},{0.5 + 0.01 * j * (16 - j) / 4!r}\n" for j in range(17)
+)
+_FROZEN_SIMULATE = {
+    "ricker-const": (
+        ["--model", f"ricker:q={E3!r}", "--history", "const:19.0",
+         "--delta", "1.0", "--h", "0.5", "--T", "30.0"],
+        "2f7bc0c8ebbb8b5daf4f556a65d0cd6c0cd9186fab4ffe4bb6c9263c74e0fa4e",
+        "6adbaeda9fa0efed865b203280e8d1bd9206c928e789cc598a6665cffb2608ca",
+    ),
+    "wright-ramp": (
+        ["--model", "wright:a=-1.3", "--history", "ramp:0.4",
+         "--delta", "1.0", "--h", "0.8", "--T", "20.0"],
+        "9c60f9f970d3c484d7303c52f20b769cd5ce3bb3cb99cce29492dd90ec840e27",
+        "79975bf0586fa75bc66244bf1710ff15922e553bdf6e81fff74dfbc66387cb04",
+    ),
+    "mackey-csv-step": (
+        ["--model", "mackey:b=2.0,n=4.0", "--history", "hist.csv",
+         "--delta", "1.0", "--h", "1.0", "--T", "25.0", "--step", "0.01"],
+        "0754e36c2f5aaa7e64a74ffc92b3b0f3ef271b979b9b3f1ece66be87d7b5111c",
+        "d395fff12b5f4cf4d2f9b09fe8d372ddf2dcd2720776b8dd9893fcf31cee7b38",
+    ),
+    "rational-const": (
+        ["--model", "rational:a=-0.5", "--history", "const:0.3",
+         "--delta", "1.0", "--h", "0.7", "--T", "14.0"],
+        "e2c0ced874cfbaafe22ebe595ebedcd39c2394e7f6faba98eed3eff682974bf8",
+        "5ecc5b2591b36942903be2feefa7434860b30447ba9ca17e80a8f7762a97f70d",
+    ),
+}
+_FROZEN_NICHOLSON = "a641e3a4a18ee1e05fa66f8b96db75b9a91abc2b516a303e654a706adb515c75"
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_SIMULATE))
+def test_simulate_bytes_frozen(case, tmp_path):
+    argv, out_sha, csv_sha = _FROZEN_SIMULATE[case]
+    (tmp_path / "hist.csv").write_text(_FROZEN_HISTORY)
+    proc = _run_module(["simulate", *argv, "--out", "traj.csv"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha(proc.stdout) == out_sha
+    assert _sha((tmp_path / "traj.csv").read_bytes()) == csv_sha
+
+
+def test_simulate_in_process_bytes_frozen(tmp_path, capsys, monkeypatch):
+    # the same bytes from main() in this interpreter as from a fresh one
+    argv, out_sha, csv_sha = _FROZEN_SIMULATE["wright-ramp"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", *argv, "--out", "traj.csv"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == out_sha
+    assert _sha((tmp_path / "traj.csv").read_bytes()) == csv_sha
+
+
+def test_nicholson_simulate_bytes_frozen():
+    proc = _run_module(
+        ["nicholson", "--p", repr(E3), "--delta", "1.0", "--h", "0.9",
+         "--simulate", "2", "--T-mult", "60.0"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _sha(proc.stdout) == _FROZEN_NICHOLSON
 
 
 @pytest.mark.parametrize(

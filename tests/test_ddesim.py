@@ -118,9 +118,11 @@ def test_horizon_too_long_is_refused():
 
 def test_divergence_guard():
     p = ParamSet(a=-1.0, delta=1.0, h=1.0)
-    with pytest.raises(IntegrationDiverged) as exc:
-        integrate(lambda x: x * x, History.constant(6.0), p, 20.0)
-    assert exc.value.t >= 0.0
+    # the node where the first non-finite value appears, frozen per history
+    for z, t in ((6.0, 9.78125), (3.0, 11.0234375), (1.5, 13.59765625)):
+        with pytest.raises(IntegrationDiverged) as exc:
+            integrate(lambda x: x * x, History.constant(z), p, 20.0)
+        assert exc.value.t == t
 
 
 def test_norm_params_accepted(np_core):
@@ -130,13 +132,74 @@ def test_norm_params_accepted(np_core):
 
 
 def test_trajectory_export(tmp_path):
+    # the exact bytes: t,x header, %.12g values, \r\n row ends, t = t0 + i*step
     p = ParamSet(a=-1.0, delta=1.0, h=1.0)
-    tr = integrate(lambda x: 0.0 * x, History.constant(1.0), p, 1.0)
+    tr = integrate(lambda x: -2.0 * x, History.constant(1.0), p, 1.5, step=0.25)
     out = tmp_path / "traj.csv"
     tr.export_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,x"
-    assert len(lines) == len(tr.values) + 1
+    assert out.read_bytes() == (
+        b"t,x\r\n"
+        b"0,1\r\n"
+        b"0.25,0.33642578125\r\n"
+        b"0.5,-0.180371522903\r\n"
+        b"0.75,-0.582857704605\r\n"
+        b"1,-0.89631740178\r\n"
+        b"1.25,-0.981513257903\r\n"
+        b"1.5,-0.78933240261\r\n"
+    )
+
+
+def _extrema_loop(y, t0, s):
+    """The node-by-node extremum scan, kept as the oracle for _find_extrema."""
+    out = []
+    for i in range(1, len(y) - 1):
+        d_prev = y[i] - y[i - 1]
+        d_next = y[i + 1] - y[i]
+        if d_prev > 0.0 and d_next < 0.0:
+            kind = "max"
+        elif d_prev < 0.0 and d_next > 0.0:
+            kind = "min"
+        else:
+            continue
+        t_ref, v_ref = ddesim._parabola_refine(y, i, t0, s)
+        out.append((t_ref, v_ref, kind))
+    return out
+
+
+def _hex_extrema(ext):
+    return [(float(t).hex(), float(v).hex(), k) for t, v, k in ext]
+
+
+def test_extrema_scan_matches_node_loop(np_core):
+    oscillating = integrate(
+        lambda x: np_core.a * x, History.constant(0.5), np_core, 30.0 * np_core.delay
+    )
+    monotone = integrate(lambda x: 0.0 * x, History.constant(2.0), np_core, 5.0)
+    # plateaus: equal neighbours on either side of a node are no extremum
+    plateaus = np.array([0.0, 1.0, 1.0, 0.5, 0.5, 0.5, 2.0, -1.0, -1.0, 3.0, 3.0, 1.0, 4.0, 4.0])
+    cases = [
+        (oscillating.values, oscillating.t0, oscillating.step),
+        (monotone.values, monotone.t0, monotone.step),
+        (plateaus, 0.25, 0.1),
+    ]
+    for y, t0, s in cases:
+        assert _hex_extrema(ddesim._find_extrema(y, t0, s)) == _hex_extrema(_extrema_loop(y, t0, s))
+    assert len(oscillating.extrema()) >= 5
+    assert monotone.extrema() == []
+    assert [k for _t, _v, k in ddesim._find_extrema(plateaus, 0.25, 0.1)] == ["max", "min"]
+
+
+def test_rk4_rows_list_equals_array_column():
+    # one run on Python floats, bitwise the same as that run as a lane of a 2-D array
+    rng = np.random.default_rng(7)
+    n, s, nd = 40, 0.0123, -1.3
+    w_node, w_mid = rng.standard_normal(n + 1), rng.standard_normal(n)
+    rows = [0.7] + [0.0] * n
+    ddesim._rk4_rows(rows, w_node.tolist(), w_mid.tolist(), nd, s, 0.5 * s, s / 6.0)
+    lane = np.empty((n + 1, 1))
+    lane[0] = 0.7
+    ddesim._rk4_rows(lane, w_node[:, None], w_mid[:, None], nd, s, 0.5 * s, s / 6.0)
+    assert [v.hex() for v in rows] == [v.hex() for v in lane[:, 0].tolist()]
 
 
 def test_extrema_of_oscillatory_run(np_core):

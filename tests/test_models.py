@@ -140,11 +140,13 @@ def test_nicholson_unconditional_low_production():
     # q <= e: the shifted slope is already in the unconditional range
     p = NicholsonParams(p=2.0, delta=1.0, gamma_n=1.0, h=50.0)
     dec = nicholson_global(p)
-    assert dec.certified and dec.unconditional
+    assert dec.certified
+    assert dec.reason.endswith("monotone convergence")
     # moderate production, slope magnitude at most one: still unconditional
     p2 = NicholsonParams(p=math.exp(1.7), delta=1.0, gamma_n=1.0, h=50.0)
     dec2 = nicholson_global(p2)
-    assert dec2.certified and dec2.unconditional
+    assert dec2.certified
+    assert dec2.reason == "slope magnitude at most 1: certified for every delay"
 
 
 def test_attractor_bounds_structure():

@@ -11,7 +11,6 @@ from ddestab.params import (
     Region,
     classify,
     criterion_norm,
-    critical_h,
     linear_boundary_theta,
     linear_criterion,
     local_stability_boundary,
@@ -27,7 +26,6 @@ from ddestab.params import (
 SHARP_AT_MINUS_2 = 0.36464311358790925
 LOCAL_THETA_AT_MINUS_2 = 0.29843605919227489
 LOCAL_H_AT_MINUS_2 = 1.2091995761561452
-CRITICAL_H_SMALL_DECAY = 1.5000791704166629
 PI1_AT_01 = 0.89108910891089109
 PI2_AT_01 = 0.85359848951156777
 PI3_AT_01 = 0.86358974358974359
@@ -112,21 +110,6 @@ def test_sharp_boundary_matches_pi2():
     for a in (-1.5, -2.0, -4.0, -10.0):
         mu = -1.0 / a
         assert sharp_boundary_theta(a) == pytest.approx(pi_curve(2, mu), rel=1e-13)
-
-
-def test_critical_h_value():
-    assert critical_h(-1.0, 1e-4) == pytest.approx(CRITICAL_H_SMALL_DECAY, abs=1e-11)
-
-
-def test_critical_h_unconditional():
-    assert critical_h(-0.5, 1.0) == math.inf
-
-
-def test_critical_h_is_a_threshold():
-    a, delta = -2.0, 1.0
-    hc = critical_h(a, delta)
-    assert criterion_delta(a, delta, hc * 0.999)
-    assert not criterion_delta(a, delta, hc * 1.001)
 
 
 def test_pi_curves_frozen_values():
