@@ -13,9 +13,12 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
+
+import numpy as np
 
 from .models import (
     NicholsonParams,
@@ -103,37 +106,45 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    zs = [args.zmin + (args.zmax - args.zmin) * i / n for i in range(n + 1)]
+    if not all(map(math.isfinite, zs)):
+        raise ValueError(
+            f"every z sample must be finite, got --zmin {args.zmin} --zmax {args.zmax} --n {n}"
+        )
+    if min(zs) < -1.0:
+        raise ValueError(
+            f"z samples must stay at or above the envelope pole -1, "
+            f"got --zmin {args.zmin} --zmax {args.zmax}"
+        )
     np_ = NormParams(a=args.a, theta=args.theta)
     c = coeffs(np_)
     iv = interval_I(np_)
-    rows = []
-    n = args.n
-    for i in range(n + 1):
-        z = args.zmin + (args.zmax - args.zmin) * i / n
-        rz = r_eval(z, np_.a) if z != -1.0 else math.nan
-        f_val = f_res = math.nan
-        if iv.proper and iv.contains(z) and z != 0.0:
-            sol = F_solve(z, np_)
-            f_val, f_res = sol.value, sol.residual
-        elif z == 0.0:
-            f_val, f_res = 0.0, 0.0
-        f1_val = f1_res = math.nan
-        if z > 0.0:
-            sol = F1_solve(z, np_)
-            f1_val, f1_res = sol.value, sol.residual
-        elif z == 0.0:
-            f1_val, f1_res = 0.0, 0.0
-        r_of = math.nan
-        if not math.isnan(rz) and abs(1.0 - c.beta * rz) > 1e-14:
-            r_of = R_eval(rz, c)
-        r2_of = R2_eval(rz, np_) if not math.isnan(rz) else math.nan
-        rows.append((z, f_val, f1_val, r_of, r2_of, f_res, f1_res))
+    z = np.array(zs)
+    rz = np.full(z.shape, math.nan)
+    off_pole = z != -1.0
+    rz[off_pole] = r_eval(z[off_pole], np_.a)
+    # both maps are exactly 0 at z = 0; every sample they are not defined at is nan
+    f_val, f_res, f1_val, f1_res = (np.where(z == 0.0, 0.0, math.nan) for _ in range(4))
+    # one lockstep solve per map over the samples it is defined at
+    for solve, val, res, lanes in (
+        (F_solve, f_val, f_res, iv.contains(z) & (z != 0.0)),
+        (F1_solve, f1_val, f1_res, z > 0.0),
+    ):
+        if lanes.any():
+            sol = solve(z[lanes], np_)
+            val[lanes], res[lanes] = sol.value, sol.residual
+    r_of = np.full(z.shape, math.nan)
+    defined = np.abs(1.0 - c.beta * rz) > 1e-14
+    r_of[defined] = R_eval(rz[defined], c)
+    r2_of = R2_eval(rz, np_)
+    cols = (z, f_val, f1_val, r_of, r2_of, f_res, f1_res)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         out.write("z,F,F1,R_of_rz,R2_of_rz,residual_F,residual_F1\n")
-        for row in rows:
+        for row in zip(*(col.tolist() for col in cols)):
             out.write(",".join(_FMT % v for v in row) + "\n")
     finally:
         if args.out:
@@ -263,7 +274,10 @@ def _cmd_verify(args) -> int:
     return 0 if bad == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call and kept: a parse leaves the parser unchanged,
+    # and import stays free of the cost
     ap = argparse.ArgumentParser(
         prog="ddestab",
         description="Certify global stability of scalar delayed negative feedback.",

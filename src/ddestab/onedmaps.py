@@ -5,8 +5,9 @@ and reaches an extremum F(z) inside the next delay window; for the natural
 ramp history the extremum is F1(z).  Both satisfy an implicit identity built
 from an exact antiderivative of du / (r(u) - u-part), solved here with a
 bracketed root finder on a cancellation-free difference form.  F_solve_r
-and F1_solve_r also take an array of rz with per-lane parameters and solve
-every lane in lockstep, each lane exactly as its scalar solve.
+and F1_solve_r also take an array of rz with per-lane parameters, and
+F_solve and F1_solve an array of z, and solve every lane in lockstep, each
+lane exactly as its scalar solve.
 
 The explicit rational bounds (L, G, G1) and the polynomial certificates
 (M, N, Q, S, T) reduce the map inequalities to sign checks that the verify
@@ -61,7 +62,8 @@ class IntervalI:
     proper: bool
 
     def contains(self, z: float) -> bool:
-        return self.proper and self.lo < z <= self.hi
+        """Whether z lies in the interval; a mask of the entries for an array z."""
+        return self.proper and (self.lo < z) & (z <= self.hi)
 
 
 def interval_I(np_: NormParams) -> IntervalI:
@@ -190,14 +192,17 @@ def F_solve(z: float, np_: NormParams) -> MapSolve:
     """Extremal response to constant history z; sign opposite to z.
 
     Defined on the admissible interval; z = 0 returns the exact zero map.
+    A 1-D array z solves one lane per entry, as F_solve_r does.
     """
     iv = interval_I(np_)
     if not iv.proper:
         raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
+    if not np.all(iv.contains(z)):
+        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+    if isinstance(z, np.ndarray):
+        return _lane_solves(_solve_F_identity, r_eval(z, np_.a), np_)
     if z == 0.0:
         return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
-    if not iv.contains(z):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
     return _solve_F_identity(r_eval(z, np_.a), np_)
 
 
@@ -260,9 +265,14 @@ def _solve_F1_identity(rz: float, np_: NormParams) -> MapSolve:
 
 
 def F1_solve(z: float, np_: NormParams) -> MapSolve:
-    """Extremal response to the natural ramp history; defined for z >= 0."""
-    if z < 0.0:
+    """Extremal response to the natural ramp history; defined for z >= 0.
+
+    Takes lanes as F_solve does.
+    """
+    if _any(z < 0.0):
         raise ValueError(f"ramp response needs z >= 0, got {z}")
+    if isinstance(z, np.ndarray):
+        return _lane_solves(_solve_F1_identity, r_eval(z, np_.a), np_)
     if z == 0.0:
         return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
     return _solve_F1_identity(r_eval(z, np_.a), np_)

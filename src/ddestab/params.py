@@ -33,6 +33,7 @@ __all__ = [
     "linear_boundary_theta",
     "pi_curve",
     "classify",
+    "classify_column",
     "local_stability_boundary",
     "region_boundary_rows",
     "write_region_csv",
@@ -84,8 +85,8 @@ class NormParams:
 
 class NormLanes(NormParams):
     """NormParams with one parameter point per lane: a and theta are float
-    arrays of one shape, for the lane forms of the response maps and the
-    integrator."""
+    arrays of one shape (or one of them a float), for the lane forms of the
+    criteria, the response maps and the integrator."""
 
     def __post_init__(self):
         if not np.all(self.a < 0.0):
@@ -132,7 +133,10 @@ def _boundary_log(a: float) -> float:
 
 
 def criterion_norm(np_: NormParams) -> bool:
-    """Sharp delay criterion in normalized parameters: -theta/a > boundary log."""
+    """Sharp delay criterion in normalized parameters: -theta/a > boundary log.
+
+    A NormLanes with one slope gives the criterion on each theta lane.
+    """
     return (-np_.theta / np_.a) > _boundary_log(np_.a)
 
 
@@ -140,7 +144,8 @@ def linear_criterion(np_: NormParams) -> bool:
     """Strictly stronger sub-criterion with a rational right-hand side.
 
     When it holds, the interval map built later is certified through its
-    linearization alone (negative Schwarzian route).
+    linearization alone (negative Schwarzian route).  Takes lanes as
+    criterion_norm does.
     """
     a = np_.a
     return (-np_.theta / a) > -(a + 1.0) / (a * a + 1.0)
@@ -217,6 +222,24 @@ def classify(np_: NormParams) -> RegionLabel:
     if np_.theta >= 0.8 and pi_curve(3, mu) <= np_.theta:
         return RegionLabel(Region.SECTOR)
     return RegionLabel(Region.CORE)
+
+
+def classify_column(a: float, theta: np.ndarray) -> np.ndarray:
+    """classify at slope a and each entry of a theta array, as indices into
+    tuple(Region).
+
+    Makes classify's comparisons, with the same criteria and curve, on the
+    whole array at once: one column of the region raster.
+    """
+    code = {tag: k for k, tag in enumerate(Region)}
+    lanes = NormLanes(a=a, theta=theta)
+    if a < -1.0:
+        sector = (theta >= 0.8) & (pi_curve(3, lanes.mu()) <= theta)
+        rest = np.where(sector, code[Region.SECTOR], code[Region.CORE])
+    else:
+        rest = code[Region.NOT_CERTIFIED]  # classify's guard for a in [-1, 0)
+    tags = np.where(linear_criterion(lanes), code[Region.LINEAR], rest)
+    return np.where(criterion_norm(lanes), tags, code[Region.NOT_CERTIFIED])
 
 
 def local_stability_boundary(a: float) -> float:

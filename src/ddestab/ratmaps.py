@@ -39,8 +39,11 @@ __all__ = [
 
 
 def r_eval(x: float, a: float) -> float:
-    """Envelope value a*x/(1+x); pole at x = -1 is outside the state space."""
-    if x == -1.0:
+    """Envelope value a*x/(1+x); pole at x = -1 is outside the state space.
+
+    x may be an array.
+    """
+    if _any(x == -1.0):
         raise ValueError("envelope pole at x = -1")
     return a * x / (1.0 + x)
 

@@ -33,6 +33,7 @@ from .params import (
     Region,
     RegionLabel,
     classify,
+    classify_column,
     linear_boundary_theta,
     local_stability_boundary,
     pi_curve,
@@ -795,14 +796,16 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
     write_region_json(p2j, mu_values)
     paths["boundaries"] = p2j
 
+    # theta and mu take the same cell centres; one column of labels per mu
+    centres = [(k + 0.5) / raster for k in range(raster)]
+    thetas = np.array(centres)
+    labels = np.stack([classify_column(-1.0 / mu, thetas) for mu in centres], axis=1)
+    cells = ["%.12g" % v for v in centres]
+    tags = [tag.value for tag in Region]
     p3 = os.path.join(out_dir, "fig2_raster.csv")
     with open(p3, "w", newline="") as fh:
         fh.write("theta,mu,label\n")
-        for j in range(raster):
-            th = (j + 0.5) / raster
-            for i in range(raster):
-                mu = (i + 0.5) / raster
-                lab = classify(NormParams(a=-1.0 / mu, theta=th)).tag.value
-                fh.write("%.12g,%.12g,%s\n" % (th, mu, lab))
+        for th, row in zip(cells, labels.tolist()):
+            fh.write("".join(f"{th},{mu},{tags[k]}\n" for mu, k in zip(cells, row)))
     paths["fig2_raster"] = p3
     return paths

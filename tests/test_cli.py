@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,32 @@ def test_map_needs_one_interval(n, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: --n must be at least 1")
+
+
+_FINITE = "error: every z sample must be finite"
+_POLE = "error: z samples must stay at or above the envelope pole -1"
+
+
+@pytest.mark.parametrize(
+    "zrange, message",
+    [
+        (["--zmin", "nan"], _FINITE),
+        (["--zmax", "inf"], _FINITE),
+        (["--zmax", "1e308"], _FINITE),  # (zmax - zmin) * i overflows
+        (["--zmin", "-1.5"], _POLE),
+        (["--zmin", "4.0", "--zmax", "-1.5"], _POLE),
+    ],
+)
+@pytest.mark.parametrize("to_file", [False, True])
+def test_map_rejects_unusable_z_range(zrange, message, to_file, tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    out = ["--out", str(path)] if to_file else []
+    rc = main(["map", "--a", "-2.0", "--theta", "0.39", *zrange, *out])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +318,63 @@ def test_nicholson_simulate_bytes_frozen():
     assert _sha(proc.stdout) == _FROZEN_NICHOLSON
 
 
+# SHA-256 of region's stdout and files and of map's CSV: a change to the raster
+# labels, the map solves or the number formats that moves one bit shows here
+_FROZEN_REGION_STDOUT = "05c7c42088838ffcdf368548ab53a419db26ddebc4aca599e6cc633cd01d0735"
+_FROZEN_REGION_FILES = {
+    "boundaries.json": "23662da298c85e74759c58e03c19eee5071462d2d65d1292c3254b0105678726",
+    "fig1.csv": "2093c5cb4b51d365b2f9c10ed69bff7f4ed8596dbf33fe8200b18bcd69077ae2",
+    "fig2_curves.csv": "ba438bce2d860c97a4822a0cd4be881738a4f3fc4ac1be8d8ababa61e6dc05c5",
+    "fig2_raster.csv": "320fcaa9544e658ba07ee1bcbe4e6445ff8975cfe8cbddf0f6014449e346ed80",
+}
+_FROZEN_MAP = {
+    "readme": (
+        ["--a", "-2.0", "--theta", "0.39", "--zmin", "-0.9", "--zmax", "4.0", "--n", "200"],
+        "2297e5d53e30d3de47945c67dcc4b7f736045fddcbe5c4e2c87c0608b7144cd5",
+    ),
+    "pole-to-huge": (
+        ["--a", "-2.0", "--theta", "0.39", "--zmin", "-1", "--zmax", "1e300", "--n", "50"],
+        "d2e3e069f7474850a41a69f89b439f240242bae5c0c51f15145c97ae8dbacb48",
+    ),
+    "improper-interval": (
+        ["--a", "-2", "--theta", "0.95"],
+        "32475254fe072fab3ffd4e2b2ca7d1a4c1d4903b5f1380548721cf297a117324",
+    ),
+    "small-mu": (
+        ["--a", "-12", "--theta", "0.9"],
+        "b85710fceb654c01fb5174b313572ed53de5064556f737125af767b64121f1e8",
+    ),
+}
+
+
+def _assert_region_frozen(stdout: bytes, out_dir: Path):
+    assert _sha(stdout) == _FROZEN_REGION_STDOUT
+    assert {p.name: _sha(p.read_bytes()) for p in out_dir.iterdir()} == _FROZEN_REGION_FILES
+
+
+def test_region_bytes_frozen(tmp_path, capsys, monkeypatch):
+    proc = _run_module(["region", "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    _assert_region_frozen(proc.stdout, tmp_path / "out")
+    # twice more in this interpreter, through the one parser
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        shutil.rmtree(tmp_path / "out")
+        assert main(["region", "--out", "out"]) == 0
+        _assert_region_frozen(capsys.readouterr().out.encode(), tmp_path / "out")
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_MAP))
+def test_map_bytes_frozen(case, capsys):
+    argv, csv_sha = _FROZEN_MAP[case]
+    proc = _run_module(["map", *argv])
+    assert proc.returncode == 0, proc.stderr
+    assert _sha(proc.stdout) == csv_sha
+    for _ in range(2):
+        assert main(["map", *argv]) == 0
+        assert _sha(capsys.readouterr().out.encode()) == csv_sha
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -417,6 +501,36 @@ def test_readme_commands_parse():
     parser = _build_parser()
     for argv in commands:
         parser.parse_args(argv)  # exits on a stale flag
+
+
+def test_parser_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_cached_parser_check_json_then_text(capsys):
+    argv = ["check", "--a", "-2.0", "--theta", "0.39"]
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["region"] == "core"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("a=-2 theta=0.39: globally stable")
+
+
+def test_cached_parser_map_out_then_stdout(tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    argv = ["map", "--a", "-2.0", "--theta", "0.39", "--n", "4"]
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == path.read_text()
+
+
+def test_cached_parser_after_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--a", "-2.0", "--theta", "abc", "--json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", "--a", "-2.0", "--theta", "0.39"]) == 0
+    assert capsys.readouterr().out.startswith("a=-2 theta=0.39: globally stable")
 
 
 def test_import_stays_numpy_only():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from ddestab.params import (
     ParamSet,
     Region,
     classify,
+    classify_column,
     criterion_norm,
     linear_boundary_theta,
     linear_criterion,
@@ -164,6 +166,35 @@ def test_classify_near_one_slope():
     # normalized slopes in (-1, 0) are certified for every theta
     lab = classify(NormParams(a=-0.9, theta=0.05))
     assert lab.certified
+
+
+def _column_agrees(a, thetas):
+    column = [tuple(Region)[k] for k in classify_column(a, np.array(thetas))]
+    return column == [classify(NormParams(a=a, theta=t)).tag for t in thetas]
+
+
+def test_classify_column_matches_classify_on_raster():
+    # the region figure's 200 x 200 cells, one mu column at a time
+    centres = [(k + 0.5) / 200 for k in range(200)]
+    for mu in centres:
+        assert _column_agrees(-1.0 / mu, centres)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [0.02, 0.1, 0.13, 0.16, math.nextafter(MU_SECTOR_MAX, 0.0), MU_SECTOR_MAX,
+     math.nextafter(MU_SECTOR_MAX, 1.0), 0.4, 0.7, 0.95, 1.0],
+)
+def test_classify_column_matches_classify_at_boundaries(mu):
+    # each boundary theta and its neighbours one ulp below and above
+    edges = [pi_curve(2, mu), pi_curve(1, mu), pi_curve(3, mu), 0.8]
+    thetas = sorted(
+        t
+        for e in edges
+        for t in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))
+        if 0.0 < t < 1.0
+    )
+    assert _column_agrees(-1.0 / mu, thetas)
 
 
 def test_local_boundary_values():
