@@ -226,6 +226,8 @@ def _cmd_nicholson(args) -> int:
         raise ValueError(f"--simulate must be at least 0, got {args.simulate}")
     if not args.T_mult > 0.0:
         raise ValueError(f"--T-mult must be positive, got {args.T_mult}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     p = NicholsonParams(p=args.p, delta=args.delta, gamma_n=args.gamma, h=args.h)
     dec = nicholson_global(p)
     verdict = "certified" if dec.certified else "not certified"

@@ -21,7 +21,8 @@ from .params import (
     classify,
     sharp_boundary_theta,
 )
-from .rootfind import solve_bracketed
+# no solve here: kept only as the name perfbench/spans.py's tracer patches
+from .rootfind import solve_bracketed  # noqa: F401
 
 __all__ = [
     "Nonlinearity",
@@ -231,10 +232,9 @@ class AttractorBounds:
     """Late-time range bracket for the blowfly equation, scaled units.
 
     lower/upper are in u = gamma_n * N units; lower_n/upper_n in N units.
-    x1 is the smallest preimage of the equilibrium under the recruitment
-    map on (0, 1); each invariant flag confirms that route's own interval
-    maps into itself (plain map on [g(g(1)), g(1)], delay-damped map on
-    its peak-to-second-iterate bracket).  lower = max of the two routes,
+    Each invariant flag confirms that route's own interval maps into itself
+    (plain map on [g(g(1)), g(1)], delay-damped map on its
+    peak-to-second-iterate bracket).  lower = max of the two routes,
     so the combined bracket need not be invariant under either map alone.
     """
 
@@ -242,7 +242,6 @@ class AttractorBounds:
     upper: float
     lower_n: float
     upper_n: float
-    x1: float
     invariant_g: bool
     invariant_g1: bool
 
@@ -264,9 +263,6 @@ def attractor_bounds(params: NicholsonParams) -> AttractorBounds:
     low_g1 = _g1_iter(g1_peak, q, theta)
     lower = max(low_g, low_g1)
 
-    res = solve_bracketed(lambda x: _g_iter(x, q) - lnq, 1e-12, 1.0)
-    x1 = res.root
-
     us = np.linspace(low_g, upper, _INVARIANCE_SAMPLES)
     g_vals = q * us * np.exp(-us)
     inv_g = bool(g_vals.min() >= low_g - 1e-12 and g_vals.max() <= upper + 1e-12)
@@ -281,7 +277,6 @@ def attractor_bounds(params: NicholsonParams) -> AttractorBounds:
         upper=upper,
         lower_n=lower / params.gamma_n,
         upper_n=upper / params.gamma_n,
-        x1=x1,
         invariant_g=inv_g,
         invariant_g1=inv_g1,
     )

@@ -9,7 +9,7 @@ and F1_solve_r also take an array of rz with per-lane parameters, and
 F_solve and F1_solve an array of z, and solve every lane in lockstep, each
 lane exactly as its scalar solve.
 
-The explicit rational bounds (L, G, G1) and the polynomial certificates
+The explicit rational bounds (L, G1) and the polynomial certificates
 (M, N, Q, S, T) reduce the map inequalities to sign checks that the verify
 module sweeps on dense grids.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "F1_solve_r",
     "ramp_slope_ratio",
     "bound_L",
-    "bound_G",
     "bound_G1",
     "mn_polys_generic",
     "q_poly_generic",
@@ -312,17 +311,6 @@ def bound_L(r: float, np_: NormParams) -> float:
     return (a1 * r + a2 * r * r) / den
 
 
-def bound_G(r: float, np_: NormParams) -> float:
-    """Closed-form minorant of the ramp response at unit slope ratio."""
-    a, th = np_.a, np_.theta
-    th3 = th ** 3
-    num = a * a * (1.0 - th) + th * a / 2.0 + th3 * (-r - 0.25) * (1.0 / (2.0 * a) - 1.0) / 3.0
-    den = a * a - th * (r + a / 2.0) - th3 * (-r - 0.25) * (a / 2.0 + r) / (3.0 * a * a)
-    if den == 0.0:
-        raise ValueError("ramp minorant pole")
-    return r * num / den
-
-
 def _g1_parts(P: float, np_: NormParams) -> tuple[float, float, float, float, float]:
     a, th = np_.a, np_.theta
     th3 = th ** 3
@@ -349,7 +337,8 @@ def _g1_fraction(r: float, np_: NormParams, P: float) -> tuple[float, float]:
 def bound_G1(r: float, np_: NormParams, P: float | None = None) -> float:
     """Taylor-remainder minorant of the ramp response at slope ratio P.
 
-    P defaults to the ratio generated by r itself; P = 1 reproduces bound_G.
+    P defaults to the ratio generated by r itself; P = 1 gives the
+    constant-history bound.
     """
     if P is None:
         P = ramp_slope_ratio(r, np_) / r if r != 0.0 else 1.0

@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .ddouble import FLOAT_LANES
-from .rootfind import solve_bracketed
+# no solve here: kept only as the name perfbench/spans.py's tracer patches
+from .rootfind import solve_bracketed  # noqa: F401
 
 __all__ = [
     "ParamSet",
@@ -252,9 +253,8 @@ def local_stability_boundary(a: float) -> float:
     """
     if not a < -1.0:
         raise ValueError(f"need slope < -1 for a finite boundary, got {a}")
-    # crossing frequency s in (pi/2, pi) solves cos(s) = 1/a
-    res = solve_bracketed(lambda s: math.cos(s) - 1.0 / a, 0.5 * math.pi, math.pi)
-    s = res.root
+    # crossing frequency s in (pi/2, pi) solves cos(s) = 1/a (Hayes 1950)
+    s = math.acos(1.0 / a)
     h_crit = s / (-a * math.sin(s))
     return math.exp(-h_crit)
 
@@ -282,8 +282,8 @@ def _fmt(x: float) -> str:
     return "%.12g" % x
 
 
-def write_region_csv(path, mu_values) -> None:
-    rows = region_boundary_rows(mu_values)
+def write_region_csv(path, rows) -> None:
+    """Write region_boundary_rows' table as CSV, 12 significant digits."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(_CSV_FIELDS)
@@ -291,12 +291,9 @@ def write_region_csv(path, mu_values) -> None:
             w.writerow([_fmt(row[k]) for k in _CSV_FIELDS])
 
 
-def write_region_json(path, mu_values) -> None:
-    rows = region_boundary_rows(mu_values)
-    payload = {
-        "fields": _CSV_FIELDS,
-        "rows": [{k: row[k] for k in _CSV_FIELDS} for row in rows],
-    }
+def write_region_json(path, rows) -> None:
+    """Write region_boundary_rows' table as JSON, full floats."""
+    payload = {"fields": _CSV_FIELDS, "rows": rows}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

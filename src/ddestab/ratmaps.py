@@ -24,7 +24,6 @@ __all__ = [
     "r_inv",
     "coeffs",
     "coeffs_generic",
-    "gamma_coeff",
     "R_eval",
     "R2_eval",
     "psi_inv",
@@ -98,14 +97,6 @@ def coeffs_generic(a, theta, mx=FLOAT):
 def _branch_slope(a, theta, one=1.0):
     """a_star = a + theta/(1 - theta), in any backend or on numpy lanes."""
     return a + theta / (one - theta)
-
-
-def gamma_coeff(np_: NormParams) -> float:
-    """Composite slope; raises when theta <= 0.16 where it is not defined."""
-    c = coeffs(np_)
-    if c.gamma is None:
-        raise ValueError(f"composite slope needs theta > 0.16, got {np_.theta}")
-    return c.gamma
 
 
 def R_eval(r: float, c: Coeffs) -> float:

@@ -37,6 +37,7 @@ from .params import (
     linear_boundary_theta,
     local_stability_boundary,
     pi_curve,
+    region_boundary_rows,
     sharp_boundary_theta,
     write_region_csv,
     write_region_json,
@@ -47,7 +48,6 @@ from .ratmaps import (
     R_eval,
     coeffs,
     coeffs_generic,
-    gamma_coeff,
     r_eval,
     r_inv,
     schwarz_margin,
@@ -745,8 +745,8 @@ def certificate(np_: NormParams) -> Certificate:
         chain.append(Fact("response_bound_spot_min", worst, ">= 0", worst >= -1e-9))
     else:  # SECTOR
         c = coeffs(np_)
-        gam = gamma_coeff(np_)
-        chain.append(Fact("composite_slope", gam, "in (0, 1)", 0.0 < gam < 1.0))
+        # theta >= 0.8 in the sector, so coeffs sets gamma (theta > 0.16)
+        chain.append(Fact("composite_slope", c.gamma, "in (0, 1)", 0.0 < c.gamma < 1.0))
         corner = R2_eval(np_.a, np_)
         chain.append(Fact("corner_above_minus_one", corner, "> -1", corner > -1.0))
         rv = r_eval(corner, np_.a)
@@ -788,12 +788,12 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
             fh.write("%.12g,%.12g,%.12g\n" % (cv, tg, tl))
     paths["fig1"] = p1
 
-    mu_values = [i / (n_mu + 1) for i in range(1, n_mu + 1)]
+    rows = region_boundary_rows([i / (n_mu + 1) for i in range(1, n_mu + 1)])
     p2 = os.path.join(out_dir, "fig2_curves.csv")
-    write_region_csv(p2, mu_values)
+    write_region_csv(p2, rows)
     paths["fig2_curves"] = p2
     p2j = os.path.join(out_dir, "boundaries.json")
-    write_region_json(p2j, mu_values)
+    write_region_json(p2j, rows)
     paths["boundaries"] = p2j
 
     # theta and mu take the same cell centres; one column of labels per mu

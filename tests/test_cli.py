@@ -322,7 +322,7 @@ def test_nicholson_simulate_bytes_frozen():
 # labels, the map solves or the number formats that moves one bit shows here
 _FROZEN_REGION_STDOUT = "05c7c42088838ffcdf368548ab53a419db26ddebc4aca599e6cc633cd01d0735"
 _FROZEN_REGION_FILES = {
-    "boundaries.json": "23662da298c85e74759c58e03c19eee5071462d2d65d1292c3254b0105678726",
+    "boundaries.json": "c13f7df7c73fa5407846576c241de0246d18c1b78d00e6e19994b046c15a88d6",
     "fig1.csv": "2093c5cb4b51d365b2f9c10ed69bff7f4ed8596dbf33fe8200b18bcd69077ae2",
     "fig2_curves.csv": "ba438bce2d860c97a4822a0cd4be881738a4f3fc4ac1be8d8ababa61e6dc05c5",
     "fig2_raster.csv": "320fcaa9544e658ba07ee1bcbe4e6445ff8975cfe8cbddf0f6014449e346ed80",
@@ -362,6 +362,20 @@ def test_region_bytes_frozen(tmp_path, capsys, monkeypatch):
         shutil.rmtree(tmp_path / "out")
         assert main(["region", "--out", "out"]) == 0
         _assert_region_frozen(capsys.readouterr().out.encode(), tmp_path / "out")
+
+
+def test_region_and_nicholson_make_no_root_solve(tmp_path, capsys, monkeypatch):
+    # the local boundary and the attractor bracket are closed forms: the
+    # solver name both modules still import must never be called
+    def no_solve(*args, **kwargs):
+        raise AssertionError("root solve called")
+
+    monkeypatch.setattr(ddestab.params, "solve_bracketed", no_solve)
+    monkeypatch.setattr(ddestab.models, "solve_bracketed", no_solve)
+    assert main(["region", "--out", str(tmp_path / "out")]) == 0
+    # ln q = 3 > 2: the attractor bracket is computed and printed
+    assert main(["nicholson", "--p", str(E3), "--delta", "1.0", "--h", "0.5"]) == 0
+    assert "attractor bracket" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", sorted(_FROZEN_MAP))
@@ -418,6 +432,10 @@ def test_nicholson_not_certified(capsys):
         (["--simulate", "-2"], "error: --simulate must be at least 0, got -2"),
         (["--simulate", "1", "--T-mult", "-1"], "error: --T-mult must be positive, got -1.0"),
         (["--simulate", "1", "--T-mult", "0"], "error: --T-mult must be positive, got 0.0"),
+        (["--tol", "nan"], "error: --tol must be finite and positive, got nan"),
+        (["--tol", "0"], "error: --tol must be finite and positive, got 0.0"),
+        (["--tol", "-1"], "error: --tol must be finite and positive, got -1.0"),
+        (["--tol", "inf"], "error: --tol must be finite and positive, got inf"),
     ],
 )
 def test_nicholson_bad_simulation_args_exit2_before_output(extra, message, capsys):

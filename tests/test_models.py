@@ -18,10 +18,6 @@ from ddestab.models import (
 
 E3 = math.e**3
 
-# frozen: root of the production map's value at the positive equilibrium,
-# g(x) = q x exp(-x) meeting ln q inside (0, 1), at q = e^3
-X1_AT_E3 = 0.17856062787792111
-
 
 def slope_at_zero(m, eps=1e-6):
     """Centred finite difference of the map at its fixed point 0."""
@@ -161,7 +157,6 @@ def test_attractor_bounds_structure():
     assert b.upper == pytest.approx(g(1.0), rel=1e-12)
     assert b.lower == pytest.approx(max(g(g(1.0)), 0.0), rel=1e-9) or b.lower > 0.0
     assert 0.0 < b.lower < 3.0 < b.upper
-    assert b.x1 == pytest.approx(X1_AT_E3, abs=1e-12)
     assert b.invariant_g and b.invariant_g1
     # population units scale by the shape rate
     p2 = NicholsonParams(p=E3 * 2.0, delta=2.0, gamma_n=0.5, h=1.0)

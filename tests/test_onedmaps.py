@@ -12,7 +12,6 @@ from ddestab.onedmaps import (
     F1_solve_r,
     F_solve,
     F_solve_r,
-    bound_G,
     bound_G1,
     interval_I,
     lambda_composite,
@@ -265,12 +264,6 @@ def test_T_chain_frozen_ordering():
     assert t1_ == pytest.approx(0.05577407118313434, rel=1e-12)
     assert t0 == pytest.approx(-0.12044132177871347, rel=1e-12)
     assert t3 > t2 > t1_ > t0
-
-
-def test_G_matches_G1_at_unit_ratio(np_core):
-    # the constant-history Taylor bound is the ramp bound with ratio one
-    for r in (-1.5, -1.0, -0.5):
-        assert bound_G(r, np_core) == pytest.approx(bound_G1(r, np_core, P=1.0), rel=1e-12)
 
 
 def test_lambda_composite_contracts(np_sector):

@@ -211,6 +211,27 @@ def test_local_boundary_hayes_limit():
     assert h_loc * (-a) == pytest.approx(math.pi / 2.0, abs=2e-4)
 
 
+def _local_boundary_mpmath(a: float) -> float:
+    """exp(-h) at the Hayes crossing cos(s) = 1/a, h = s/(-a sin s), in 40 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        s = mp.acos(1 / mp.mpf(a))
+        return float(mp.exp(s / (mp.mpf(a) * mp.sin(s))))
+
+
+def test_local_boundary_matches_mpmath_at_region_slopes():
+    # every slope region writes a theta_local for: fig1's c in (1, 10] and
+    # the 199 mu samples of fig2_curves.csv / boundaries.json
+    fig1 = [-0.02 * i for i in range(1, 501) if 0.02 * i > 1.0]
+    fig2 = [-1.0 / (i / 200) for i in range(1, 200)]
+    assert len(fig1) == 450
+    worst = 0.0
+    for a in fig1 + fig2:
+        ref = _local_boundary_mpmath(a)
+        worst = max(worst, abs(local_stability_boundary(a) - ref) / ref)
+    assert worst <= 1e-13
+
+
 def test_global_below_local():
     # the certified threshold can only be more conservative than the linearized one
     for a in (-1.5, -2.0, -5.0, -50.0):
@@ -224,13 +245,13 @@ def test_region_rows_and_files(tmp_path):
     assert rows[0]["theta_pi1"] == pytest.approx(PI1_AT_01)
 
     csv_path = tmp_path / "region.csv"
-    write_region_csv(csv_path, mus)
+    write_region_csv(csv_path, rows)
     text = csv_path.read_text().splitlines()
     assert text[0] == "mu,theta_pi1,theta_pi2,theta_pi3,theta_local"
     assert len(text) == 4
 
     json_path = tmp_path / "region.json"
-    write_region_json(json_path, mus)
+    write_region_json(json_path, rows)
     data = json.loads(json_path.read_text())
     assert len(data["rows"]) == 3
 
@@ -238,6 +259,6 @@ def test_region_rows_and_files(tmp_path):
 def test_region_files_deterministic(tmp_path):
     mus = [i / 17 for i in range(1, 17)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_region_csv(p1, mus)
-    write_region_csv(p2, mus)
+    write_region_csv(p1, region_boundary_rows(mus))
+    write_region_csv(p2, region_boundary_rows(mus))
     assert p1.read_bytes() == p2.read_bytes()

@@ -14,7 +14,6 @@ from ddestab.ratmaps import (
     coeffs,
     coeffs_generic,
     coth_stable,
-    gamma_coeff,
     j_generic,
     j_tangent_coeffs,
     psi_inv,
@@ -108,15 +107,11 @@ def test_coeffs_generic_backend_agreement(np_core):
     assert float(as_d) == pytest.approx(as_f, rel=1e-15)
 
 
-def test_gamma_defined_and_in_range(np_core, np_sector):
-    g = gamma_coeff(np_sector)
+def test_gamma_defined_and_in_range(np_sector):
+    g = coeffs(np_sector).gamma
     assert 0.0 < g < 1.0
-    assert coeffs(np_sector).gamma == pytest.approx(g)
     # low theta: the log factor degenerates, the coefficient is withheld
-    lo = NormParams(a=-2.0, theta=0.15)
-    with pytest.raises(ValueError):
-        gamma_coeff(lo)
-    assert coeffs(lo).gamma is None
+    assert coeffs(NormParams(a=-2.0, theta=0.15)).gamma is None
 
 
 def test_R_pole_guard(np_core):

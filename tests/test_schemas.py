@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from ddestab.cli import main
-from ddestab.params import write_region_json
+from ddestab.params import region_boundary_rows, write_region_json
 from ddestab import verify
 from ddestab.verify import sweep_figures, verify_lemma, write_report
 
@@ -72,7 +72,7 @@ def test_region_boundaries_validates(tmp_path):
     jsonschema.validate(json.loads(Path(paths["boundaries"]).read_text()), schema)
 
     other = tmp_path / "curves.json"
-    write_region_json(str(other), [0.1 * k for k in range(1, 10)])
+    write_region_json(str(other), region_boundary_rows([0.1 * k for k in range(1, 10)]))
     jsonschema.validate(json.loads(Path(other).read_text()), schema)
 
 
