@@ -30,7 +30,7 @@ from .models import (
     make_wright,
     nicholson_global,
 )
-from .params import NormParams, ParamSet, Region, normalize
+from .params import NormParams, ParamSet, normalize
 from .ratmaps import R2_eval, R_eval, coeffs, r_eval
 from .onedmaps import F1_solve, F_solve, interval_I
 from .verify import LEMMA_IDS, certificate, sweep_figures, verify_lemma, write_report

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -143,7 +143,6 @@ class Trajectory:
     values: np.ndarray
     delta: float
     h: float
-    _extrema: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -155,9 +154,7 @@ class Trajectory:
 
     def extrema(self) -> list[tuple[float, float, str]]:
         """Interior extrema as (time, value, kind), parabola-refined."""
-        if self._extrema is None:
-            self._extrema = _find_extrema(self.values, self.t0, self.step)
-        return self._extrema
+        return _find_extrema(self.values, self.t0, self.step)
 
     def export_csv(self, path) -> None:
         r"""Header t,x, then t0 + i*step and the value, both %.12g, rows ending in \r\n."""

@@ -13,6 +13,9 @@ transforms are plain IEEE operations, so lane i is bitwise the scalar
 double-double of its inputs; where the scalar code branches, lanes select
 with a mask, and a condition that raises for one value raises if any lane
 meets it.
+
+The two evaluation backends, FLOAT and DOUBLE_DOUBLE, share one set of
+members, and each takes one value or an array of lanes alike.
 """
 
 from __future__ import annotations
@@ -239,56 +242,48 @@ def dd_log1p(x) -> DD:
     return dd_log(DD(1.0) + v)
 
 
-class FloatBackend:
-    """Plain float evaluation namespace for margin expressions.
-
-    Every backend has num, exp, log, log1p and sqrt, plus where(mask, x, y),
-    which selects per lane, and value(x), the float nearest to x.
-    """
-
-    name = "float"
-
-    @staticmethod
-    def num(x):
-        return float(x)
-
-    exp = staticmethod(math.exp)
-    log = staticmethod(math.log)
-    log1p = staticmethod(math.log1p)
-    sqrt = staticmethod(math.sqrt)
-    value = staticmethod(float)
-
-    @staticmethod
-    def where(mask, x, y):
-        return x if mask else y
+def _float_num(x):
+    return np.asarray(x, dtype=float) if type(x) is np.ndarray else float(x)
 
 
-def _lane_sqrt(x):
+def _float_sqrt(x):
+    if type(x) is not np.ndarray:
+        return math.sqrt(x)
     if np.any(x < 0.0):
         raise ValueError("math domain error")
     return np.sqrt(x)  # correctly rounded, as math.sqrt
 
 
-class FloatLanesBackend:
-    """FloatBackend on float64 arrays, each lane bitwise its scalar value."""
+def _float_where(mask, x, y):
+    if type(mask) is np.ndarray:
+        return np.where(mask, x, y)
+    return x if mask else y
 
-    name = "float_lanes"
 
-    @staticmethod
-    def num(x):
-        return np.asarray(x, dtype=float)
+class FloatBackend:
+    """Plain float evaluation namespace for margin expressions.
 
+    Every backend has num, exp, log, log1p and sqrt, plus where(mask, x, y),
+    which selects per lane, and value(x), the float nearest to x.  Each
+    member takes a float or a float64 array, one lane per entry; lane i is
+    bitwise the value on its own float, since exp, log and log1p run libm
+    on each entry.
+    """
+
+    name = "float"
+
+    num = staticmethod(_float_num)
     exp = staticmethod(partial(_libm, math.exp))
     log = staticmethod(partial(_libm, math.log))
     log1p = staticmethod(partial(_libm, math.log1p))
-    sqrt = staticmethod(_lane_sqrt)
-    value = staticmethod(np.asarray)
-    where = staticmethod(np.where)
+    sqrt = staticmethod(_float_sqrt)
+    value = staticmethod(_float_num)
+    where = staticmethod(_float_where)
 
 
 class DDBackend:
     """Double-double evaluation namespace, drop-in for FloatBackend; takes
-    single values and lanes alike."""
+    single values and lanes alike, as FloatBackend does."""
 
     name = "dd"
 
@@ -302,5 +297,4 @@ class DDBackend:
 
 
 FLOAT = FloatBackend()
-FLOAT_LANES = FloatLanesBackend()
 DOUBLE_DOUBLE = DDBackend()

@@ -193,7 +193,9 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
     if c <= 0.0:
         reason = "production slope at equilibrium is nonnegative: monotone convergence"
     elif c <= 1.0:
-        region = classify(NormParams(a=slope, theta=theta))
+        # slope in [-1, 0): the linear sub-criterion holds at every theta > 0,
+        # also where exp(-delta*h) underflows to 0 (delta*h past about 745)
+        region = RegionLabel(Region.LINEAR)
         reason = "slope magnitude at most 1: certified for every delay"
     elif theta > sharp_boundary_theta(slope):
         region = classify(NormParams(a=slope, theta=theta))

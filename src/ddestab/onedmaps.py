@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddouble import FLOAT, FLOAT_LANES
+from .ddouble import FLOAT, _libm
 from .params import NormLanes, NormParams, _any
 from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, coeffs, j_tangent_coeffs, r_eval
 from .rootfind import solve_bracketed
@@ -109,7 +109,7 @@ def _sln_lanes(s: np.ndarray) -> np.ndarray:
     near = np.abs(s) < 0.1
     out[near] = _sln_series(s[near])
     far = s[~near]
-    out[~near] = (far - FLOAT_LANES.log1p(far)) / (far * far)
+    out[~near] = (far - FLOAT.log1p(far)) / (far * far)
     return out
 
 
@@ -187,6 +187,29 @@ def _solve_F_identity(rz: float, np_: NormParams) -> MapSolve:
     return _solve_identity(_F_identity, lo, hi, (rz, np_.a, np_.theta))
 
 
+def _map_solve(solve_identity, rz, np_: NormParams) -> MapSolve:
+    """A response map at the envelope value rz, or on each lane of an array rz.
+
+    rz = 0 gives the exact zero map, on one point or on a lane.  All nonzero
+    lanes run in one lockstep solve, with np_ one NormParams for every lane
+    or a NormLanes of rz's length; the result holds one array entry per
+    lane and the solve's iterations.
+    """
+    if not isinstance(rz, np.ndarray):
+        if rz == 0.0:
+            return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
+        return solve_identity(rz, np_)
+    a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
+    value, residual, lo, hi = (np.zeros(rz.shape) for _ in range(4))
+    sel = np.flatnonzero(rz != 0.0)
+    if sel.size == 0:
+        return MapSolve(value, residual, (lo, hi), 0)
+    res = solve_identity(rz[sel], NormLanes(a=a[sel], theta=th[sel]))
+    value[sel], residual[sel] = res.value, res.residual
+    lo[sel], hi[sel] = res.bracket
+    return MapSolve(value, residual, (lo, hi), res.iterations)
+
+
 def F_solve(z: float, np_: NormParams) -> MapSolve:
     """Extremal response to constant history z; sign opposite to z.
 
@@ -198,11 +221,7 @@ def F_solve(z: float, np_: NormParams) -> MapSolve:
         raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
     if not np.all(iv.contains(z)):
         raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
-    if isinstance(z, np.ndarray):
-        return _lane_solves(_solve_F_identity, r_eval(z, np_.a), np_)
-    if z == 0.0:
-        return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
-    return _solve_F_identity(r_eval(z, np_.a), np_)
+    return _map_solve(_solve_F_identity, r_eval(z, np_.a), np_)
 
 
 def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
@@ -216,35 +235,15 @@ def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
     a_star = _branch_slope(np_.a, np_.theta)
     if _any((rz < 0.0) & (rz < a_star)):
         raise ValueError(f"rz = {rz} below branch slope {a_star}")
-    if isinstance(rz, np.ndarray):
-        return _lane_solves(_solve_F_identity, rz, np_)
-    if rz == 0.0:
-        return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
-    return _solve_F_identity(rz, np_)
-
-
-def _lane_solves(solve_identity, rz: np.ndarray, np_: NormParams) -> MapSolve:
-    """A response map on lanes, all nonzero lanes in one lockstep solve.
-
-    Lanes with rz = 0 get the exact zero map, as the scalar forms give it.
-    The result holds one array entry per lane and the solve's iterations.
-    """
-    a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
-    value, residual, lo, hi = (np.zeros(rz.shape) for _ in range(4))
-    sel = np.flatnonzero(rz != 0.0)
-    if sel.size == 0:
-        return MapSolve(value, residual, (lo, hi), 0)
-    res = solve_identity(rz[sel], NormLanes(a=a[sel], theta=th[sel]))
-    value[sel], residual[sel] = res.value, res.residual
-    lo[sel], hi[sel] = res.bracket
-    return MapSolve(value, residual, (lo, hi), res.iterations)
+    return _map_solve(_solve_F_identity, rz, np_)
 
 
 def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
     """Envelope value one delay after a ramp history with deep value rz.
 
     Moebius in rz: a*rz*(theta-1) / (theta + rz*(theta-1)); fixes the branch
-    slope a_star and contracts (a, 0) into itself.  rz may be an array.
+    slope a_star and contracts (a, 0) into itself.  rz may be an array, and
+    np_ a NormLanes of its length.
     """
     th = np_.theta
     den = th + rz * (th - 1.0)
@@ -270,11 +269,7 @@ def F1_solve(z: float, np_: NormParams) -> MapSolve:
     """
     if _any(z < 0.0):
         raise ValueError(f"ramp response needs z >= 0, got {z}")
-    if isinstance(z, np.ndarray):
-        return _lane_solves(_solve_F1_identity, r_eval(z, np_.a), np_)
-    if z == 0.0:
-        return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
-    return _solve_F1_identity(r_eval(z, np_.a), np_)
+    return _map_solve(_solve_F1_identity, r_eval(z, np_.a), np_)
 
 
 def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
@@ -284,9 +279,7 @@ def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
     """
     if not np.all((np_.a < rz) & (rz < 0.0)):
         raise ValueError(f"rz = {rz} outside ({np_.a}, 0)")
-    if isinstance(rz, np.ndarray):
-        return _lane_solves(_solve_F1_identity, rz, np_)
-    return _solve_F1_identity(rz, np_)
+    return _map_solve(_solve_F1_identity, rz, np_)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +291,7 @@ def bound_L(r: float, np_: NormParams) -> float:
 
     Built from the tangent line of the comparison function: slope alpha at
     the origin with a quadratic correction over a linear denominator.  r may
-    be an array.
+    be an array, and np_ a NormLanes of its length.
     """
     c = coeffs(np_)
     _, j1 = j_tangent_coeffs(np_.a, np_.theta)
@@ -307,13 +300,14 @@ def bound_L(r: float, np_: NormParams) -> float:
     a3 = (1.0 - c.lam) / np_.a + a2
     den = 1.0 + a3 * r
     if _any(den == 0.0):
-        raise ValueError(f"minorant pole at r = {-1.0 / a3:.6g}")
+        raise ValueError(f"minorant pole at r = {-1.0 / a3}")
     return (a1 * r + a2 * r * r) / den
 
 
 def _g1_parts(P: float, np_: NormParams) -> tuple[float, float, float, float, float]:
     a, th = np_.a, np_.theta
-    th3 = th ** 3
+    # libm pow on each entry: numpy's ** 3 differs from it in the last bit
+    th3 = _libm(lambda t: t ** 3, th)
     P2 = P * P
     P3 = P2 * P
     P4 = P3 * P

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ddouble import FLOAT_LANES
+from .ddouble import FLOAT
 # no solve here: kept only as the name perfbench/spans.py's tracer patches
 from .rootfind import solve_bracketed  # noqa: F401
 
@@ -81,23 +81,19 @@ class NormParams:
 
     @property
     def delay(self) -> float:
-        return -math.log(self.theta)
+        return -FLOAT.log(self.theta)
 
 
 class NormLanes(NormParams):
     """NormParams with one parameter point per lane: a and theta are float
     arrays of one shape (or one of them a float), for the lane forms of the
-    criteria, the response maps and the integrator."""
+    criteria, the response maps and their bounds, and the integrator."""
 
     def __post_init__(self):
         if not np.all(self.a < 0.0):
             raise ValueError(f"slopes must be negative, got {self.a}")
         if not np.all((0.0 < self.theta) & (self.theta < 1.0)):
             raise ValueError(f"thetas must lie in (0, 1), got {self.theta}")
-
-    @property
-    def delay(self) -> np.ndarray:
-        return -FLOAT_LANES.log(self.theta)
 
 
 def _any(mask) -> bool:

@@ -56,28 +56,35 @@ def r_inv(u: float, a: float) -> float:
 
 @dataclass(frozen=True)
 class Coeffs:
-    """Derived coefficient pack at one normalized parameter point.
+    """Derived coefficient pack at one normalized parameter point, or at
+    each lane of a NormLanes.
 
     lam is the one-delay contraction factor exp(theta/a); a_star the envelope
     slope at which the second branch takes over; alpha and beta the Moebius
-    response coefficients; gamma the composite slope, defined for theta > 0.16.
+    response coefficients; params the point they belong to.
     """
 
     alpha: float
     beta: float
     a_star: float
     lam: float
-    gamma: float | None
+    params: NormParams
+
+    @property
+    def gamma(self) -> float | None:
+        """Composite slope at one point; None for theta <= 0.16, where its
+        log factor degenerates."""
+        a, th = self.params.a, self.params.theta
+        if not th > 0.16:
+            return None
+        lnth = math.log(th)
+        return a ** 3 * self.alpha * (1.0 - th + lnth) / (2.0 - th + lnth)
 
 
 def coeffs(np_: NormParams) -> Coeffs:
-    a, th = np_.a, np_.theta
-    lam, alpha, beta, a_star = coeffs_generic(a, th, FLOAT)
-    gamma = None
-    if th > 0.16:
-        lnth = math.log(th)
-        gamma = a ** 3 * alpha * (1.0 - th + lnth) / (2.0 - th + lnth)
-    return Coeffs(alpha=alpha, beta=beta, a_star=a_star, lam=lam, gamma=gamma)
+    """The coefficient pack at np_; a NormLanes gives one entry per lane."""
+    lam, alpha, beta, a_star = coeffs_generic(np_.a, np_.theta)
+    return Coeffs(alpha=alpha, beta=beta, a_star=a_star, lam=lam, params=np_)
 
 
 def coeffs_generic(a, theta, mx=FLOAT):
@@ -102,7 +109,7 @@ def _branch_slope(a, theta, one=1.0):
 def R_eval(r: float, c: Coeffs) -> float:
     """Moebius response bound alpha*r/(1 - beta*r); pole at r = 1/beta.
 
-    r may be an array of points sharing the coefficients c.
+    r may be an array, with c one pack for every entry or a pack on lanes.
     """
     den = 1.0 - c.beta * r
     if _any(den == 0.0):
@@ -111,9 +118,12 @@ def R_eval(r: float, c: Coeffs) -> float:
 
 
 def R2_eval(r: float, np_: NormParams) -> float:
-    """Corner response bound k0*a*r/(1 + k1*r) for the small-mu regime; r may be an array."""
+    """Corner response bound k0*a*r/(1 + k1*r) for the small-mu regime.
+
+    r may be an array, and np_ a NormLanes of its length.
+    """
     a, th = np_.a, np_.theta
-    lnth = math.log(th)
+    lnth = FLOAT.log(th)
     k0 = (1.0 + lnth - th) / (2.0 + lnth - th)
     k1 = (1.0 + lnth - th) / (1.0 - th)
     den = 1.0 + k1 * r

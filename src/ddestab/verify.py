@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ddouble import DOUBLE_DOUBLE, FLOAT_LANES
+from .ddouble import DOUBLE_DOUBLE, FLOAT
 from .params import (
     MU_SECTOR_MAX,
     NormLanes,
@@ -118,11 +118,11 @@ Grid = dict[str, np.ndarray]
 class _LemmaSpec:
     """One registered check.
 
-    margins(grid, mx) evaluates grid columns in the lane backend mx and gives
+    margins(grid, mx) evaluates grid columns in the backend mx and gives
     (label, column) pairs in label order, NaN where a label does not apply to
-    a row.  A dd_capable check is evaluated in FLOAT_LANES and then, on the
+    a row.  A dd_capable check is evaluated in FLOAT and then, on the
     rows where some margin lands within dd_threshold of zero, in
-    DOUBLE_DOUBLE; the other checks get FLOAT_LANES only.
+    DOUBLE_DOUBLE; the other checks get FLOAT only.
     """
 
     lemma_id: str
@@ -272,50 +272,32 @@ def _margins_jcal_concavity(grid: Grid, mx) -> list:
     return [("concave", -second)]
 
 
-def _by_base(grid: Grid, fn) -> list[np.ndarray]:
-    """Columns from fn(r, np_), a tuple of arrays, called once per run of rows
-    sharing one (a, theta) base, on that run's r values."""
-    a, th = grid["a"], grid["theta"]
-    cuts = np.flatnonzero((a[1:] != a[:-1]) | (th[1:] != th[:-1])) + 1
-    firsts = np.r_[0, cuts]
-    parts = [
-        fn(r, NormParams(a=ab, theta=tb))
-        for r, ab, tb in zip(np.split(grid["r"], cuts), a[firsts].tolist(), th[firsts].tolist())
-    ]
-    return [np.concatenate(col) for col in zip(*parts)]
-
-
 # the response-map and trajectory checks have no double-double form: they
 # take mx without using it
 
 
 def _margins_leform1(grid: Grid, mx) -> list:
-    f_val = F_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
-    tangent, moebius = _by_base(grid, lambda r, np_: (bound_L(r, np_), R_eval(r, coeffs(np_))))
+    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    f_val = F_solve_r(r, lanes).value
     return [
-        ("response_above_tangent_bound", f_val - tangent),
-        ("response_above_moebius", f_val - moebius),
+        ("response_above_tangent_bound", f_val - bound_L(r, lanes)),
+        ("response_above_moebius", f_val - R_eval(r, coeffs(lanes))),
     ]
 
 
 def _margins_plyus(grid: Grid, mx) -> list:
-    f_val = F_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
-    (moebius,) = _by_base(grid, lambda r, np_: (R_eval(r, coeffs(np_)),))
-    return [("response_below_moebius", moebius - f_val)]
-
-
-def _leform2_bounds(r: np.ndarray, np_: NormParams) -> tuple:
-    num, den = _g1_fraction(r, np_, ramp_slope_ratio(r, np_) / r)
-    return num, den, R_eval(r, coeffs(np_))
+    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    return [("response_below_moebius", R_eval(r, coeffs(lanes)) - F_solve_r(r, lanes).value)]
 
 
 def _margins_leform2(grid: Grid, mx) -> list:
-    f1_val = F1_solve_r(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])).value
-    num, den, moebius = _by_base(grid, _leform2_bounds)
+    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    f1_val = F1_solve_r(r, lanes).value
+    num, den = _g1_fraction(r, lanes, ramp_slope_ratio(r, lanes) / r)
     return [
         ("taylor_denominator_pos", den),
         ("ramp_above_taylor", f1_val - num / den),
-        ("ramp_above_moebius", f1_val - moebius),
+        ("ramp_above_moebius", f1_val - R_eval(r, coeffs(lanes))),
     ]
 
 
@@ -347,23 +329,17 @@ def _margins_leleka(grid: Grid, mx) -> list:
     ]
 
 
-def _funcrr2_lanes(r: np.ndarray, np_: NormParams) -> tuple:
-    """Per row: constant history z with r(z) = r, first crossing time, delay, corner bound."""
-    z = r_inv(r, np_.a)
-    tc = FLOAT_LANES.log(1.0 - (1.0 + z) / np_.a)
-    return z, tc, np.full(len(r), np_.delay), R2_eval(r, np_)
-
-
 def _margins_funcrr2(grid: Grid, mx) -> list:
     from .ddesim import History, _envelope, integrate
 
-    a, th = grid["a"], grid["theta"]
-    z, tc, h, corner = _by_base(grid, _funcrr2_lanes)
+    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    # per row: the constant history z with r(z) = r and its first crossing tc
+    z = r_inv(r, lanes.a)
+    tc = FLOAT.log(1.0 - (1.0 + z) / lanes.a)
     # each lane's dip: its lowest node from its first crossing tc up to tc + 3h
-    run = integrate(
-        _envelope(a), History.constant(z), NormLanes(a=a, theta=th), np.stack([tc, tc + 3.0 * h])
-    )
-    return [("dip_above_corner_bound", run.dip - corner)]
+    T = np.stack([tc, tc + 3.0 * lanes.delay])
+    run = integrate(_envelope(lanes.a), History.constant(z), lanes, T)
+    return [("dip_above_corner_bound", run.dip - R2_eval(r, lanes))]
 
 
 def _margins_lele2(grid: Grid, mx) -> list:
@@ -457,7 +433,7 @@ def _gen_jcal_concavity(n: int):
 
 def _gen_leform1(n: int):
     base = _cell_band(32, 9, "D")
-    _, _, _, a_star = coeffs_generic(base["a"], base["theta"], FLOAT_LANES)
+    _, _, _, a_star = coeffs_generic(base["a"], base["theta"])
     return (
         f"cell-centered band sample (32x9) times r=a_star*(1-k/{n}) (k=0..{n - 1})",
         _times(base, "r", a_star[:, None] * (1.0 - np.arange(n) / n)),
@@ -466,7 +442,7 @@ def _gen_leform1(n: int):
 
 def _gen_plyus(n: int):
     base = _cell_band(32, 9, "D")
-    _, _, beta, _ = coeffs_generic(base["a"], base["theta"], FLOAT_LANES)
+    _, _, beta, _ = coeffs_generic(base["a"], base["theta"])
     return (
         f"cell-centered band sample (32x9) times r=(1/beta)*k/{n} (k=1..{n - 1})",
         _times(base, "r", (1.0 / beta[:, None]) * np.arange(1, n) / n),
@@ -475,7 +451,7 @@ def _gen_plyus(n: int):
 
 def _toward_branch(base: Grid, k: np.ndarray, n: int) -> Grid:
     """base times r = a + (a_star - a) * k / n, from the deep end toward a_star."""
-    _, _, _, a_star = coeffs_generic(base["a"], base["theta"], FLOAT_LANES)
+    _, _, _, a_star = coeffs_generic(base["a"], base["theta"])
     a = base["a"][:, None]
     return _times(base, "r", a + (a_star[:, None] - a) * k / n)
 
@@ -585,7 +561,7 @@ def _margin_block(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
     double-double value; each row that has one is evaluated in double-double
     once, for all its labels, as a lane of one recheck pass.
     """
-    labels, margins = zip(*spec.margins(grid, FLOAT_LANES))
+    labels, margins = zip(*spec.margins(grid, FLOAT))
     cols = [np.array(m, dtype=float) for m in margins]
     if not spec.dd_capable:
         return list(zip(labels, cols))
@@ -726,9 +702,8 @@ def certificate(np_: NormParams) -> Certificate:
     if label.tag is Region.LINEAR:
         slope = (1.0 - np_.theta) * np_.a * np_.a / (np_.a - np_.theta)
         chain.append(Fact("straightened_slope", slope, "in (-1, 0)", -1.0 < slope < 0.0))
-        xs = np.linspace(-0.9, 10.0, 41).tolist()
-        worst = min(schwarz_margin(x, np_.a, np_.theta) for x in xs)
-        chain.append(Fact("straightened_schwarz_margin_min", float(worst), "> 0", worst > 0.0))
+        worst = float(schwarz_margin(np.linspace(-0.9, 10.0, 41), np_.a, np_.theta).min())
+        chain.append(Fact("straightened_schwarz_margin_min", worst, "> 0", worst > 0.0))
         orbit = chi_iterate(0.5, 6, np_)
         ratio = abs(orbit[-1]) / 0.5
         chain.append(Fact("orbit_contraction_sample", ratio, "< 1", ratio < 1.0))
@@ -745,8 +720,9 @@ def certificate(np_: NormParams) -> Certificate:
         chain.append(Fact("response_bound_spot_min", worst, ">= 0", worst >= -1e-9))
     else:  # SECTOR
         c = coeffs(np_)
-        # theta >= 0.8 in the sector, so coeffs sets gamma (theta > 0.16)
-        chain.append(Fact("composite_slope", c.gamma, "in (0, 1)", 0.0 < c.gamma < 1.0))
+        # theta >= 0.8 in the sector, so gamma is defined (theta > 0.16)
+        gamma = c.gamma
+        chain.append(Fact("composite_slope", gamma, "in (0, 1)", 0.0 < gamma < 1.0))
         corner = R2_eval(np_.a, np_)
         chain.append(Fact("corner_above_minus_one", corner, "> -1", corner > -1.0))
         rv = r_eval(corner, np_.a)

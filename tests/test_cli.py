@@ -419,6 +419,18 @@ def test_nicholson_certified(capsys):
     assert "attractor bracket" in out
 
 
+def test_nicholson_long_delay_past_theta_underflow(capsys):
+    # exp(-delta*h) underflows to 0 once delta*h passes about 745; a slope of
+    # magnitude at most 1 is certified for every delay all the same
+    decisions = []
+    for h in ("700", "800"):
+        assert main(["nicholson", "--p", "5", "--delta", "1", "--h", h]) == 0
+        decisions.append(capsys.readouterr().out.splitlines()[1])
+    assert decisions == [
+        "decision: certified (linear): slope magnitude at most 1: certified for every delay"
+    ] * 2
+
+
 def test_nicholson_not_certified(capsys):
     rc = main(["nicholson", "--p", str(E3), "--delta", "1.0", "--h", "1.2"])
     out = capsys.readouterr().out

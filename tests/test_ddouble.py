@@ -10,7 +10,6 @@ from ddestab.ddouble import (
     DD,
     DOUBLE_DOUBLE,
     FLOAT,
-    FLOAT_LANES,
     dd,
     dd_exp,
     dd_log,
@@ -200,25 +199,25 @@ def test_one_bad_lane_raises(fn, bad, error):
 
 def test_float_lanes_use_libm():
     # np.exp, np.log and np.log1p differ from libm in the last bit on some
-    # arguments, so the float lane backend calls libm per lane
+    # arguments, so the float backend calls libm per lane
     rng = np.random.default_rng(7)
     cases = [
-        (FLOAT_LANES.exp, math.exp, rng.uniform(-5.0, 5.0, 4096)),
-        (FLOAT_LANES.log, math.log, rng.uniform(0.01, 10.0, 4096)),
-        (FLOAT_LANES.log1p, math.log1p, rng.uniform(-0.5, 5.0, 4096)),
-        (FLOAT_LANES.sqrt, math.sqrt, rng.uniform(0.0, 10.0, 4096)),
+        (FLOAT.exp, math.exp, rng.uniform(-5.0, 5.0, 4096)),
+        (FLOAT.log, math.log, rng.uniform(0.01, 10.0, 4096)),
+        (FLOAT.log1p, math.log1p, rng.uniform(-0.5, 5.0, 4096)),
+        (FLOAT.sqrt, math.sqrt, rng.uniform(0.0, 10.0, 4096)),
     ]
     for lane_fn, libm_fn, x in cases:
         got = lane_fn(x)
         assert [_bits(v) for v in got] == [_bits(libm_fn(v)) for v in x.tolist()]
     with pytest.raises(ValueError):
-        FLOAT_LANES.sqrt(np.array([1.0, -1.0]))
+        FLOAT.sqrt(np.array([1.0, -1.0]))
 
 
 def test_backend_where_and_value():
     mask = np.array([True, False, True])
     x, y = np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0, -3.0])
-    assert FLOAT_LANES.where(mask, x, y).tolist() == [1.0, -2.0, 3.0]
+    assert FLOAT.where(mask, x, y).tolist() == [1.0, -2.0, 3.0]
     got = DOUBLE_DOUBLE.where(mask, dd(x) / 3.0, math.nan)
     assert np.isnan(DOUBLE_DOUBLE.value(got)[1])
     assert DOUBLE_DOUBLE.value(got)[2] == float(dd(3.0) / 3.0)

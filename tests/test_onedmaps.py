@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from ddestab import onedmaps, verify
 from ddestab.params import NormLanes, NormParams
-from ddestab.ratmaps import R_eval, _branch_slope, coeffs, r_eval
+from ddestab.ratmaps import R2_eval, R_eval, _branch_slope, coeffs, r_eval
 from ddestab.onedmaps import (
     F1_solve,
     F1_solve_r,
     F_solve,
     F_solve_r,
+    _g1_fraction,
     bound_G1,
+    bound_L,
     interval_I,
     lambda_composite,
     mn_polys_generic,
@@ -166,6 +168,25 @@ def test_lane_map_solves_equal_scalar_solves(lemma_id, solve):
         iterations.append(one.iterations)
     assert lanes.iterations == sum(iterations)
     assert len(set(iterations)) > 2
+
+
+def test_response_bounds_on_lanes_equal_point_bounds():
+    # one parameter point per lane, each lane bitwise the bounds at its own
+    # point; numpy's th ** 3 would miss libm's cube in the last bit on some
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-6.0, -1.05, 512)
+    th = rng.uniform(0.2, 0.95, 512)
+    r = a * rng.uniform(0.05, 0.95, 512)
+    lanes = NormLanes(a=a, theta=th)
+    c = coeffs(lanes)
+    got = [c.alpha, c.beta, c.lam, c.a_star, R2_eval(r, lanes), bound_L(r, lanes)]
+    got += _g1_fraction(r, lanes, ramp_slope_ratio(r, lanes) / r)
+    for i in range(r.size):
+        pt, ri = NormParams(a=float(a[i]), theta=float(th[i])), float(r[i])
+        c1 = coeffs(pt)
+        want = [c1.alpha, c1.beta, c1.lam, c1.a_star, R2_eval(ri, pt), bound_L(ri, pt)]
+        want += _g1_fraction(ri, pt, ramp_slope_ratio(ri, pt) / ri)
+        assert [float(v[i]).hex() for v in got] == [v.hex() for v in want], i
 
 
 def test_F1_closed_form_oracle():

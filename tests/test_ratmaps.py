@@ -22,7 +22,7 @@ from ddestab.ratmaps import (
     r_inv,
     schwarz_margin,
 )
-from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT, FLOAT_LANES
+from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT
 
 # oracles for the tests below; the package itself uses only psi's inverse
 
@@ -270,7 +270,7 @@ def _lane(v, i):
     return DD(v.hi[i], v.lo[i]) if isinstance(v, DD) else v[i]
 
 
-BACKENDS = [(FLOAT_LANES, FLOAT), (DOUBLE_DOUBLE, DOUBLE_DOUBLE)]
+BACKENDS = [(FLOAT, FLOAT), (DOUBLE_DOUBLE, DOUBLE_DOUBLE)]
 
 
 def _assert_lanes_match(fn, lanes_mx, scalar_mx, *cols):
@@ -312,7 +312,7 @@ def test_j_lanes_take_their_branch(lanes_mx, scalar_mx):
     _assert_lanes_match(j_generic, lanes_mx, scalar_mx, r, a, theta)
 
 
-@pytest.mark.parametrize("mx", [FLOAT_LANES, DOUBLE_DOUBLE])
+@pytest.mark.parametrize("mx", [FLOAT, DOUBLE_DOUBLE])
 def test_one_bad_branch_lane_raises(mx):
     a, theta = np.full(3, -2.0), np.full(3, 0.4)
     with pytest.raises(ValueError):

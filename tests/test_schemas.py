@@ -76,8 +76,18 @@ def test_region_boundaries_validates(tmp_path):
     jsonschema.validate(json.loads(Path(other).read_text()), schema)
 
 
-@pytest.mark.parametrize("theta", ["0.39", "0.2"])
-def test_check_json_validates(theta, capsys):
-    main(["check", "--a", "-2.0", "--theta", theta, "--json"])
+@pytest.mark.parametrize(
+    "a, theta, region",
+    [
+        ("-2.0", "0.39", "core"),
+        ("-2.0", "0.2", "not_certified"),
+        ("-1.5", "0.9", "linear"),
+        ("-10", "0.88", "sector"),
+    ],
+)
+def test_check_json_validates(a, theta, region, capsys):
+    # each region's fact chain must reach JSON as plain floats and bools
+    main(["check", "--a", a, "--theta", theta, "--json"])
     data = json.loads(capsys.readouterr().out)
     jsonschema.validate(data, _schema("check_result.schema.json"))
+    assert data["region"] == region
