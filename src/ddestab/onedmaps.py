@@ -2,12 +2,14 @@
 
 For constant history z the solution of x' = -x + r(x(t-h)) crosses zero once
 and reaches an extremum F(z) inside the next delay window; for the natural
-ramp history the extremum is F1(z).  Both satisfy an implicit identity built
-from an exact antiderivative of du / (r(u) - u-part), solved here with a
+ramp history the extremum is F1(z).  Both are roots of one identity,
+phi(u) - phi(u1) = c, with phi an exact antiderivative of du / (r(u) -
+u-part); the maps differ only in the bracket, u1 and c.  It is solved with a
 bracketed root finder on a cancellation-free difference form.  F_solve_r
 and F1_solve_r also take an array of rz with per-lane parameters, and
 F_solve and F1_solve an array of z, and solve every lane in lockstep, each
-lane exactly as its scalar solve.
+lane exactly as its scalar solve; F_F1_solve runs the lanes of both maps in
+one such solve.
 
 The explicit rational bounds (L, G1) and the polynomial certificates
 (M, N, Q, S, T) reduce the map inequalities to sign checks that the verify
@@ -37,6 +39,7 @@ __all__ = [
     "F_solve_r",
     "F1_solve",
     "F1_solve_r",
+    "F_F1_solve",
     "ramp_slope_ratio",
     "bound_L",
     "bound_G1",
@@ -165,49 +168,83 @@ def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
     return w * (a - u1) - a * w * w * (_sln_lanes(s) if lanes else _sln(s))
 
 
-def _solve_identity(g, lo: float, hi: float, args: tuple) -> MapSolve:
-    res = solve_bracketed(g, lo, hi, args=args)
-    return MapSolve(
-        value=res.root,
-        residual=res.f_root,
-        bracket=res.bracket,
-        iterations=res.iterations,
-    )
+def _identity(u, u1, rz, a, c):
+    # both maps solve phi(u) - phi(u1) = c for u; F and F1 differ only in
+    # their bracket, u1 and c, which _F_setup and _F1_setup give
+    return phi_diff(u, u1, rz, a) - c
 
 
-def _F_identity(u, rz, a, th):
-    return phi_diff(u, rz, rz, a) - th
-
-
-def _solve_F_identity(rz: float, np_: NormParams) -> MapSolve:
+def _F_setup(rz, np_: NormParams) -> tuple:
+    """(lo, hi, u1, c) of the constant-history identity at rz."""
     if isinstance(rz, np.ndarray):
-        lo, hi = np.minimum(rz, 0.0), np.maximum(rz, 0.0)
-    else:
-        lo, hi = min(rz, 0.0), max(rz, 0.0)
-    return _solve_identity(_F_identity, lo, hi, (rz, np_.a, np_.theta))
+        return np.minimum(rz, 0.0), np.maximum(rz, 0.0), rz, np_.theta
+    return min(rz, 0.0), max(rz, 0.0), rz, np_.theta
 
 
-def _map_solve(solve_identity, rz, np_: NormParams) -> MapSolve:
+def _F1_setup(rz, np_: NormParams) -> tuple:
+    """(lo, hi, u1, c) of the ramp identity at rz: u from r1 up to 0."""
+    r1 = ramp_slope_ratio(rz, np_)
+    return r1, 0.0, r1, r1 * np_.theta / rz
+
+
+def _map_solve(setup, rz, np_: NormParams) -> MapSolve:
     """A response map at the envelope value rz, or on each lane of an array rz.
 
-    rz = 0 gives the exact zero map, on one point or on a lane.  All nonzero
-    lanes run in one lockstep solve, with np_ one NormParams for every lane
-    or a NormLanes of rz's length; the result holds one array entry per
-    lane and the solve's iterations.
+    rz = 0 gives the exact zero map; the lanes run as _lane_solves does.
     """
-    if not isinstance(rz, np.ndarray):
-        if rz == 0.0:
-            return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
-        return solve_identity(rz, np_)
-    a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
-    value, residual, lo, hi = (np.zeros(rz.shape) for _ in range(4))
-    sel = np.flatnonzero(rz != 0.0)
-    if sel.size == 0:
-        return MapSolve(value, residual, (lo, hi), 0)
-    res = solve_identity(rz[sel], NormLanes(a=a[sel], theta=th[sel]))
-    value[sel], residual[sel] = res.value, res.residual
-    lo[sel], hi[sel] = res.bracket
-    return MapSolve(value, residual, (lo, hi), res.iterations)
+    if isinstance(rz, np.ndarray):
+        return _lane_solves([(setup, rz, np_)])[0]
+    if rz == 0.0:
+        return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
+    lo, hi, u1, c = setup(rz, np_)
+    res = solve_bracketed(_identity, lo, hi, args=(u1, rz, np_.a, c))
+    return MapSolve(res.root, res.f_root, res.bracket, res.iterations)
+
+
+def _lane_solves(parts) -> list[MapSolve]:
+    """One MapSolve per part (setup, rz, np_), solving every lane of every part at once.
+
+    rz is a 1-D array and np_ one NormParams for its lanes or a NormLanes of
+    its length.  A zero rz gives the exact zero map on its lane; all other
+    lanes, of all parts, run in one lockstep solve, each lane exactly as its
+    scalar solve.  A part's result holds one array entry per lane of its rz
+    and the iterations of its lanes.
+    """
+    cols, sels = [], []
+    for setup, rz, np_ in parts:
+        a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
+        sel = np.flatnonzero(rz != 0.0)
+        r, lanes = rz[sel], NormLanes(a=a[sel], theta=th[sel])
+        lo, hi, u1, c = setup(r, lanes)
+        cols.append([np.broadcast_to(v, sel.shape) for v in (lo, hi, u1, r, lanes.a, c)])
+        sels.append(sel)
+    lo, hi, *args = (np.concatenate(col) for col in zip(*cols))
+    res = solve_bracketed(_identity, lo, hi, args=tuple(args)) if lo.size else None
+    out, start = [], 0
+    for (_, rz, _), sel in zip(parts, sels):
+        value, residual, end_a, end_b = (np.zeros(rz.shape) for _ in range(4))
+        done = slice(start, start + sel.size)
+        start = done.stop
+        iterations = 0
+        if res is not None:
+            value[sel], residual[sel] = res.root[done], res.f_root[done]
+            end_a[sel], end_b[sel] = res.bracket[0][done], res.bracket[1][done]
+            iterations = int(res.lane_iterations[done].sum())
+        out.append(MapSolve(value, residual, (end_a, end_b), iterations))
+    return out
+
+
+def _check_F_domain(z, np_: NormParams) -> None:
+    iv = interval_I(np_)
+    if not iv.proper:
+        raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
+    if not np.all(iv.contains(z)):
+        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+
+
+def _check_F1_domain(z) -> None:
+    if _any(z < 0.0):
+        raise ValueError(f"ramp response needs z >= 0, got {z}")
 
 
 def F_solve(z: float, np_: NormParams) -> MapSolve:
@@ -216,12 +253,8 @@ def F_solve(z: float, np_: NormParams) -> MapSolve:
     Defined on the admissible interval; z = 0 returns the exact zero map.
     A 1-D array z solves one lane per entry, as F_solve_r does.
     """
-    iv = interval_I(np_)
-    if not iv.proper:
-        raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
-    if not np.all(iv.contains(z)):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
-    return _map_solve(_solve_F_identity, r_eval(z, np_.a), np_)
+    _check_F_domain(z, np_)
+    return _map_solve(_F_setup, r_eval(z, np_.a), np_)
 
 
 def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
@@ -235,7 +268,7 @@ def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
     a_star = _branch_slope(np_.a, np_.theta)
     if _any((rz < 0.0) & (rz < a_star)):
         raise ValueError(f"rz = {rz} below branch slope {a_star}")
-    return _map_solve(_solve_F_identity, rz, np_)
+    return _map_solve(_F_setup, rz, np_)
 
 
 def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
@@ -252,24 +285,13 @@ def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
     return np_.a * rz * (th - 1.0) / den
 
 
-def _F1_identity(u, r1, rz, a, target):
-    return phi_diff(u, r1, rz, a) - target
-
-
-def _solve_F1_identity(rz: float, np_: NormParams) -> MapSolve:
-    r1 = ramp_slope_ratio(rz, np_)
-    target = r1 * np_.theta / rz
-    return _solve_identity(_F1_identity, r1, 0.0, (r1, rz, np_.a, target))
-
-
 def F1_solve(z: float, np_: NormParams) -> MapSolve:
     """Extremal response to the natural ramp history; defined for z >= 0.
 
     Takes lanes as F_solve does.
     """
-    if _any(z < 0.0):
-        raise ValueError(f"ramp response needs z >= 0, got {z}")
-    return _map_solve(_solve_F1_identity, r_eval(z, np_.a), np_)
+    _check_F1_domain(z)
+    return _map_solve(_F1_setup, r_eval(z, np_.a), np_)
 
 
 def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
@@ -279,7 +301,21 @@ def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
     """
     if not np.all((np_.a < rz) & (rz < 0.0)):
         raise ValueError(f"rz = {rz} outside ({np_.a}, 0)")
-    return _map_solve(_solve_F1_identity, rz, np_)
+    return _map_solve(_F1_setup, rz, np_)
+
+
+def F_F1_solve(z: np.ndarray, z1: np.ndarray, np_: NormParams) -> tuple[MapSolve, MapSolve]:
+    """F_solve(z, np_) and F1_solve(z1, np_) as one lockstep solve.
+
+    z and z1 are 1-D arrays, each in its map's domain (an empty z needs no
+    admissible interval); the lanes of both run together, and each result is
+    bitwise the one its own call gives.
+    """
+    if z.size:
+        _check_F_domain(z, np_)
+    _check_F1_domain(z1)
+    parts = [(_F_setup, r_eval(z, np_.a), np_), (_F1_setup, r_eval(z1, np_.a), np_)]
+    return tuple(_lane_solves(parts))
 
 
 # ---------------------------------------------------------------------------

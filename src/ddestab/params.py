@@ -120,7 +120,10 @@ class RegionLabel:
 
 def normalize(p: ParamSet) -> NormParams:
     """Rescale time by delta: slope a/delta, theta = exp(-h delta)."""
-    return NormParams(a=p.a / p.delta, theta=math.exp(-p.h * p.delta))
+    theta = math.exp(-p.h * p.delta)
+    if theta == 0.0:
+        raise ValueError(f"exp(-delta*h) underflows to 0 at delta*h = {p.delta * p.h:.12g}")
+    return NormParams(a=p.a / p.delta, theta=theta)
 
 
 def _boundary_log(a: float) -> float:

@@ -777,11 +777,15 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
     thetas = np.array(centres)
     labels = np.stack([classify_column(-1.0 / mu, thetas) for mu in centres], axis=1)
     cells = ["%.12g" % v for v in centres]
-    tags = [tag.value for tag in Region]
+    # the "mu,label" tail of every line, one per (mu, region); a row of the
+    # raster picks its tails by label and joins them after its theta
+    tails = np.array([[f"{mu},{tag.value}\n" for tag in Region] for mu in cells], dtype=object)
+    mus = np.arange(raster)
     p3 = os.path.join(out_dir, "fig2_raster.csv")
     with open(p3, "w", newline="") as fh:
         fh.write("theta,mu,label\n")
-        for th, row in zip(cells, labels.tolist()):
-            fh.write("".join(f"{th},{mu},{tags[k]}\n" for mu, k in zip(cells, row)))
+        for th, row in zip(cells, labels):
+            head = th + ","
+            fh.write(head + head.join(tails[mus, row]))
     paths["fig2_raster"] = p3
     return paths

@@ -91,6 +91,38 @@ def test_check_missing_coordinates(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# theta = 1e-17 rounds the straightened slope to exactly -1, so the linear
+# label stands while one fact of its chain fails
+_SLOPE_ROUNDS_TO_MINUS_ONE = ["check", "--a", "-1", "--theta", "1e-17"]
+
+
+def test_check_verdict_follows_exit_code(capsys):
+    rc = main(_SLOPE_ROUNDS_TO_MINUS_ONE)
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[0] == "a=-1 theta=1e-17: not certified (linear)"
+    assert "  [FAIL] straightened_slope = -1 (need in (-1, 0))" in out
+
+
+def test_check_json_verdict_follows_exit_code(capsys):
+    rc = main([*_SLOPE_ROUNDS_TO_MINUS_ONE, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert data["region"] == "linear"
+    assert data["certified"] is False
+    assert data["failure"]["name"] == "straightened_slope"
+
+
+def test_check_delay_past_theta_underflow(capsys):
+    # exp(-delta*h) underflows to 0 once delta*h passes about 745: the error
+    # names that, not a theta the user never gave
+    rc = main(["check", "--a", "-1.0", "--delta", "1.0", "--h", "800"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: exp(-delta*h) underflows to 0 at delta*h = 800\n"
+
+
 # ---------------------------------------------------------------------------
 # map
 
@@ -125,6 +157,33 @@ def test_map_nan_policy(tmp_path, capsys):
         parts = [float(x) for x in row.split(",")]
         if not math.isnan(parts[5]):
             assert abs(parts[5]) < 1e-9
+
+
+def test_map_makes_one_lane_solve(monkeypatch, capsys):
+    # the F and F1 samples run as the lanes of one lockstep solve
+    calls = []
+    solve = ddestab.onedmaps.solve_bracketed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ddestab.onedmaps, "solve_bracketed", counted)
+    assert main(["map", *_FROZEN_MAP["readme"][0]]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_map_tiny_z_error_frozen(tmp_path, capsys):
+    # below z of about 1e-16 the difference form's u1 term cancels to 0
+    path = tmp_path / "map.csv"
+    argv = ["map", "--a", "-2", "--theta", "0.39", "--zmin", "0", "--zmax", "1e-300", "--n", "3"]
+    rc = main([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: difference form hit the log singularity at u1\n"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

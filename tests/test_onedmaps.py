@@ -170,6 +170,51 @@ def test_lane_map_solves_equal_scalar_solves(lemma_id, solve):
     assert len(set(iterations)) > 2
 
 
+def test_joint_map_lanes_equal_scalar_solves(monkeypatch):
+    # F and F1 lanes at random points, some F lanes at rz = 0, in one
+    # lockstep solve: every lane bitwise its own scalar solve
+    rng = np.random.default_rng(23)
+    n = 512
+    a = rng.uniform(-8.0, -1.05, n)
+    th = rng.uniform(0.05, 0.98, n) * a / (a - 1.0)  # a proper interval
+    lanes = NormLanes(a=a, theta=th)
+    rz = _branch_slope(a, th) * rng.uniform(-3.0, 1.0, n)
+    rz[::37] = 0.0
+    rz1 = a * rng.uniform(0.02, 0.98, n)
+    parts = [(onedmaps._F_setup, rz, lanes), (onedmaps._F1_setup, rz1, lanes)]
+    calls = []
+    solve = onedmaps.solve_bracketed
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(onedmaps, "solve_bracketed", counted)
+        joint = onedmaps._lane_solves(parts)
+    assert len(calls) == 1
+    for got, scalar, r in zip(joint, (F_solve_r, F1_solve_r), (rz, rz1)):
+        iterations = 0
+        for i in range(n):
+            one = scalar(float(r[i]), NormParams(a=float(a[i]), theta=float(th[i])))
+            have = (got.value[i], got.residual[i], got.bracket[0][i], got.bracket[1][i])
+            want = (one.value, one.residual, *one.bracket)
+            assert [float(v).hex() for v in have] == [v.hex() for v in want], i
+            iterations += one.iterations
+        assert got.iterations == iterations
+
+
+def test_F_F1_solve_equals_separate_lane_solves(np_core):
+    iv = interval_I(np_core)
+    z = np.linspace(-0.9, iv.hi, 41)
+    z1 = np.linspace(0.0, 4.0, 33)
+    both = onedmaps.F_F1_solve(z, z1, np_core)
+    for got, want in zip(both, (F_solve(z, np_core), F1_solve(z1, np_core))):
+        for g, w in zip((got.value, got.residual, *got.bracket), (want.value, want.residual, *want.bracket)):
+            assert g.tobytes() == w.tobytes()
+        assert got.iterations == want.iterations
+
+
 def test_response_bounds_on_lanes_equal_point_bounds():
     # one parameter point per lane, each lane bitwise the bounds at its own
     # point; numpy's th ** 3 would miss libm's cube in the last bit on some
