@@ -25,8 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .params import NormParams, ParamSet
-from .onedmaps import interval_I, t1
-from .ratmaps import r_eval
 
 __all__ = [
     "History",
@@ -36,8 +34,6 @@ __all__ = [
     "integrate",
     "asymptotic_bounds",
     "BoundsResult",
-    "F_sim",
-    "F1_sim",
 ]
 
 
@@ -204,17 +200,6 @@ def _parabola_refine(y: np.ndarray, i: int, t0: float, s: float) -> tuple[float,
     return t0 + (i + dt) * s, v
 
 
-def _extremum_after(y: np.ndarray, tc: float, s: float, lowest: bool) -> float:
-    """Smallest (lowest) or largest value of grid data y at nodes after time tc,
-    parabola-refined unless it falls on the last node."""
-    i_lo = _first_node_after(tc, s)
-    pick = np.argmin if lowest else np.argmax
-    im = i_lo + int(pick(y[i_lo:]))
-    if im <= len(y) - 2:
-        return _parabola_refine(y, im, 0.0, s)[1]
-    return float(y[im])
-
-
 def _first_node_after(tc, s):
     """First node at or after time tc (within 1e-9 steps), never node 0; per lane on arrays."""
     return np.maximum(1, np.ceil(tc / s - 1e-9)).astype(int)
@@ -317,9 +302,8 @@ def integrate(model, hist: History, params, T, step: float | None = None):
 
 
 def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
-    """Classic RK4 down the rows of y from y[0], with model values w_node at
-    the nodes and w_mid at the midpoints.  y is a list of floats (one run) or
-    a 2-D array (a lane per column)."""
+    """Classic RK4 down the list of floats y from y[0], with model values
+    w_node at the nodes and w_mid at the midpoints."""
     for i in range(len(y) - 1):
         yi = y[i]
         r1 = nd * yi + w_node[i]
@@ -327,6 +311,25 @@ def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
         r3 = nd * (yi + hs * r2) + w_mid[i]
         r4 = nd * (yi + s * r3) + w_node[i + 1]
         y[i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
+
+
+def _rk4_lanes(y, w_node, w_mid, nd, s, hs, s6) -> None:
+    """_rk4_rows on a 2-D array y, a lane per column: each row runs
+    _rk4_rows' operations in its order, written in place into row buffers,
+    so every lane is bitwise its own run.  out goes by position, which
+    numpy parses faster than out=."""
+    mul, add = np.multiply, np.add
+    r1, r2, r3, t = (np.empty_like(y[0]) for _ in range(4))
+    ys, wn, wm = list(y), list(w_node), list(w_mid)
+    for i in range(len(ys) - 1):
+        yi = ys[i]
+        add(mul(nd, yi, r1), wn[i], r1)
+        add(mul(nd, add(yi, mul(hs, r1, t), t), t), wm[i], r2)
+        add(mul(nd, add(yi, mul(hs, r2, t), t), t), wm[i], r3)
+        add(mul(nd, add(yi, mul(s, r3, t), t), t), wn[i + 1], t)
+        # r2 <- r1 + 2*(r2 + r3) + r4, with r4 in t; then the next row
+        add(add(r1, mul(2.0, add(r2, r3, r2), r2), r2), t, r2)
+        add(yi, mul(s6, r2, r2), ys[i + 1])
 
 
 def _march(w, hist, y, n, s, delta) -> None:
@@ -421,7 +424,7 @@ def _conveyor(w, z, start, K, n, s, nd, slots):
             c1 = min(c0 + _CHUNK, n)
             mids = _segment_midpoints(prev, c0, c1)
             mids[:, fresh] = z_new
-            _rk4_rows(
+            _rk4_lanes(
                 cur[c0 : c1 + 1], w(prev[c0 : c1 + 1], lane), w(mids, lane), nd, lane_s, hs, s6
             )
         rows += n
@@ -507,68 +510,3 @@ def _envelope(a):
 
     w.__name__ = "envelope"
     return w
-
-
-def _cubic_at(y: np.ndarray, n_seg_len: int, pos: float, s: float) -> float:
-    """Cubic interpolation of grid data at t = pos, stencil within [0, n_seg_len]."""
-    jf = int(math.floor(pos / s))
-    j0 = min(max(jf - 1, 0), n_seg_len - 3)
-    d = pos / s - j0
-    val = 0.0
-    for k in range(4):
-        wgt = 1.0
-        for mth in range(4):
-            if mth != k:
-                wgt *= (d - mth) / (k - mth)
-        val += wgt * y[j0 + k]
-    return val
-
-
-def _f_sim_parts(z: float, np_: NormParams, step: float | None = None):
-    iv = interval_I(np_)
-    if not iv.proper:
-        raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
-    if z == 0.0:
-        return 0.0, None, 0.0
-    if not iv.contains(z):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
-    h = np_.delay
-    tc = -t1(z, np_)  # first crossing time, in (0, h]
-    tr = integrate(_envelope(np_.a), History.constant(z), np_, h + tc, step=step)
-    s = tr.step
-    n = round(h / s)
-    y = tr.values
-    y_cross = _cubic_at(y, n, tc, s)
-    if abs(y_cross) > 1e-6:
-        raise RuntimeError(f"crossing-time consistency check failed: y({tc:.6g}) = {y_cross:.3g}")
-    return _extremum_after(y, tc, s, lowest=z > 0.0), tr, y_cross
-
-
-def F_sim(z: float, np_: NormParams, step: float | None = None) -> float:
-    """Simulated extremal response to constant history z (envelope equation).
-
-    Independent check of F_solve: integrates through the first crossing and
-    scans the following delay window for the extremum, with parabolic
-    refinement.  Requires z in the admissible interval.
-    """
-    val, _tr, _yc = _f_sim_parts(z, np_, step=step)
-    return val
-
-
-def F1_sim(z: float, np_: NormParams, step: float | None = None) -> float:
-    """Simulated extremal response to the natural ramp history, z >= 0."""
-    if z < 0.0:
-        raise ValueError(f"ramp response needs z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-    h = np_.delay
-    rz = r_eval(z, np_.a)
-    tr = integrate(_envelope(np_.a), History.ramp(rz), np_, h, step=step)
-    y = tr.values
-    K = len(y) - 1
-    im = int(np.argmin(y))
-    if 1 <= im <= K - 1:
-        _, val = _parabola_refine(y, im, 0.0, tr.step)
-    else:
-        val = float(y[im])
-    return val

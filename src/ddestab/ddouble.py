@@ -60,12 +60,31 @@ def _two_prod(x: float, y: float) -> tuple[float, float]:
     return p, err
 
 
+def _each(fn, x: np.ndarray) -> np.ndarray:
+    """fn by libm on each entry of an array: np.exp, np.log and np.log1p
+    differ from libm in the last bit on some arguments."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _libm(fn, x):
-    """fn on a float, or on each entry of an array: np.exp, np.log and
-    np.log1p differ from libm in the last bit on some arguments."""
+    """fn on a float, or on an array as libm once per run of equal entries.
+
+    A run is a stretch of consecutive entries (in C order) with one bit
+    pattern, so +0.0 next to -0.0 are two runs; fn is called on each run's
+    first entry and its value repeated over the run.  A grid whose
+    parameter columns repeat along an axis pays one call per repeat, and an
+    array without runs pays one compare pass more than _each.
+    """
     if type(x) is not np.ndarray:
         return fn(x)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    flat = x.astype(float, copy=False).ravel()
+    bits = flat.view(np.int64)
+    new = bits[1:] != bits[:-1]
+    if np.count_nonzero(new) == new.size:
+        return _each(fn, x)
+    heads = np.flatnonzero(np.concatenate(([True], new)))
+    vals = np.fromiter(map(fn, flat[heads].tolist()), float, len(heads))
+    return np.repeat(vals, np.diff(heads, append=flat.size)).reshape(x.shape)
 
 
 class DD:
@@ -267,7 +286,7 @@ class FloatBackend:
     which selects per lane, and value(x), the float nearest to x.  Each
     member takes a float or a float64 array, one lane per entry; lane i is
     bitwise the value on its own float, since exp, log and log1p run libm
-    on each entry.
+    once per run of equal entries (see _libm).
     """
 
     name = "float"

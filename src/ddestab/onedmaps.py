@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddouble import FLOAT, _libm
+from .ddouble import FLOAT, _each, _libm
 from .params import NormLanes, NormParams, _any
 from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, coeffs, j_tangent_coeffs, r_eval
 from .rootfind import solve_bracketed
@@ -33,7 +33,6 @@ __all__ = [
     "interval_I",
     "t1",
     "MapSolve",
-    "phi_antiderivative",
     "phi_diff",
     "F_solve",
     "F_solve_r",
@@ -42,7 +41,6 @@ __all__ = [
     "F_F1_solve",
     "ramp_slope_ratio",
     "bound_L",
-    "bound_G1",
     "mn_polys_generic",
     "q_poly_generic",
     "s_poly_generic",
@@ -112,7 +110,9 @@ def _sln_lanes(s: np.ndarray) -> np.ndarray:
     near = np.abs(s) < 0.1
     out[near] = _sln_series(s[near])
     far = s[~near]
-    out[~near] = (far - FLOAT.log1p(far)) / (far * far)
+    # solver iterates do not repeat, so libm runs on each entry without
+    # looking for runs
+    out[~near] = (far - _each(math.log1p, far)) / (far * far)
     return out
 
 
@@ -130,30 +130,13 @@ def _sln_series(s):
     return acc
 
 
-def phi_antiderivative(u: float, rz: float, a: float) -> float:
-    """Raw antiderivative whose differences encode the response identity.
-
-    Direct differences of this form cancel catastrophically near the
-    extremum; use phi_diff for any actual computation.  The rz = -1 case
-    degenerates to a*log|u| - u.
-    """
-    eps = 1.0 + rz
-    if eps == 0.0:
-        if u == 0.0:
-            raise ValueError("antiderivative singular at u = 0 for rz = -1")
-        return a * math.log(abs(u)) - u
-    v = u * eps - rz * a
-    if v == 0.0:
-        raise ValueError(f"antiderivative log singularity at u = {u}")
-    return (a * math.log(abs(v)) - v) / (eps * eps)
-
-
 def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
     """phi(u2) - phi(u1) in a cancellation-free form.
 
-    Exact rewrite of the difference of phi_antiderivative values; stays
+    phi(u) = (a*log|v| - v)/(1 + rz)**2 with v = (1 + rz)*u - rz*a is an
+    antiderivative of (a - u)/v.  The exact rewrite of its difference stays
     accurate to machine precision when u2 and u1 are close or when
-    rz -> -1, where the raw form loses every digit.  Takes arrays too.
+    rz -> -1, where the raw difference loses every digit.  Takes arrays too.
     """
     eps = 1.0 + rz
     v1 = a - eps * (a - u1)
@@ -359,23 +342,11 @@ def _g1_parts(P: float, np_: NormParams) -> tuple[float, float, float, float, fl
 
 
 def _g1_fraction(r: float, np_: NormParams, P: float) -> tuple[float, float]:
-    """Numerator and denominator of the ramp minorant bound_G1 at slope ratio P."""
+    """Numerator and denominator of the Taylor-remainder minorant G1 of the
+    ramp response at slope ratio P: P = ramp_slope_ratio(r)/r bounds the
+    ramp response at r, and P = 1 the constant-history one."""
     A1, A2, B0, B1, B2 = _g1_parts(P, np_)
     return A1 * r + A2 * r * r, B0 + r * (B1 + r * B2)
-
-
-def bound_G1(r: float, np_: NormParams, P: float | None = None) -> float:
-    """Taylor-remainder minorant of the ramp response at slope ratio P.
-
-    P defaults to the ratio generated by r itself; P = 1 gives the
-    constant-history bound.
-    """
-    if P is None:
-        P = ramp_slope_ratio(r, np_) / r if r != 0.0 else 1.0
-    num, den = _g1_fraction(r, np_, P)
-    if den == 0.0:
-        raise ValueError("ramp minorant pole")
-    return num / den
 
 
 # ---------------------------------------------------------------------------

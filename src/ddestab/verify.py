@@ -35,6 +35,7 @@ from .params import (
     classify,
     classify_column,
     linear_boundary_theta,
+    linear_criterion,
     local_stability_boundary,
     pi_curve,
     region_boundary_rows,
@@ -701,7 +702,11 @@ def certificate(np_: NormParams) -> Certificate:
     chain = [crit_fact]
     if label.tag is Region.LINEAR:
         slope = (1.0 - np_.theta) * np_.a * np_.a / (np_.a - np_.theta)
-        chain.append(Fact("straightened_slope", slope, "in (-1, 0)", -1.0 < slope < 0.0))
+        # slope > -1 rearranges to the comparison linear_criterion makes,
+        # which keeps the distance from -1 that the rounded slope can lose
+        # (at a = -1 and theta below about 1e-16 the slope rounds to -1)
+        above = linear_criterion(np_)
+        chain.append(Fact("straightened_slope", slope, "in (-1, 0)", above and slope < 0.0))
         worst = float(schwarz_margin(np.linspace(-0.9, 10.0, 41), np_.a, np_.theta).min())
         chain.append(Fact("straightened_schwarz_margin_min", worst, "> 0", worst > 0.0))
         orbit = chi_iterate(0.5, 6, np_)

@@ -1,0 +1,80 @@
+"""Direct-simulation oracles for the response maps; the package does not use them.
+
+F_sim and F1_sim integrate the envelope equation and read the extremum off
+the grid, an independent check of the root solves F_solve and F1_solve.
+"""
+
+import math
+
+import numpy as np
+
+from ddestab.ddesim import History, _envelope, _first_node_after, _parabola_refine, integrate
+from ddestab.onedmaps import interval_I, t1
+from ddestab.params import NormParams
+from ddestab.ratmaps import r_eval
+
+
+def extremum_after(y: np.ndarray, tc: float, s: float, lowest: bool) -> float:
+    """Smallest (lowest) or largest value of grid data y at nodes after time tc,
+    parabola-refined unless it falls on the last node."""
+    i_lo = _first_node_after(tc, s)
+    pick = np.argmin if lowest else np.argmax
+    im = i_lo + int(pick(y[i_lo:]))
+    if im <= len(y) - 2:
+        return _parabola_refine(y, im, 0.0, s)[1]
+    return float(y[im])
+
+
+def _cubic_at(y: np.ndarray, n_seg_len: int, pos: float, s: float) -> float:
+    """Cubic interpolation of grid data at t = pos, stencil within [0, n_seg_len]."""
+    jf = int(math.floor(pos / s))
+    j0 = min(max(jf - 1, 0), n_seg_len - 3)
+    d = pos / s - j0
+    val = 0.0
+    for k in range(4):
+        wgt = 1.0
+        for mth in range(4):
+            if mth != k:
+                wgt *= (d - mth) / (k - mth)
+        val += wgt * y[j0 + k]
+    return val
+
+
+def F_sim(z: float, np_: NormParams, step: float | None = None) -> float:
+    """Simulated extremal response to constant history z (envelope equation).
+
+    Integrates through the first crossing and scans the following delay
+    window for the extremum, with parabolic refinement.  Requires z in the
+    admissible interval.
+    """
+    iv = interval_I(np_)
+    if not iv.proper:
+        raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
+    if z == 0.0:
+        return 0.0
+    if not iv.contains(z):
+        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+    h = np_.delay
+    tc = -t1(z, np_)  # first crossing time, in (0, h]
+    tr = integrate(_envelope(np_.a), History.constant(z), np_, h + tc, step=step)
+    s = tr.step
+    y = tr.values
+    y_cross = _cubic_at(y, round(h / s), tc, s)
+    if abs(y_cross) > 1e-6:
+        raise RuntimeError(f"crossing-time consistency check failed: y({tc:.6g}) = {y_cross:.3g}")
+    return extremum_after(y, tc, s, lowest=z > 0.0)
+
+
+def F1_sim(z: float, np_: NormParams, step: float | None = None) -> float:
+    """Simulated extremal response to the natural ramp history, z >= 0."""
+    if z < 0.0:
+        raise ValueError(f"ramp response needs z >= 0, got {z}")
+    if z == 0.0:
+        return 0.0
+    rz = r_eval(z, np_.a)
+    tr = integrate(_envelope(np_.a), History.ramp(rz), np_, np_.delay, step=step)
+    y = tr.values
+    im = int(np.argmin(y))
+    if 1 <= im <= len(y) - 2:
+        return _parabola_refine(y, im, 0.0, tr.step)[1]
+    return float(y[im])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddestab.ddesim import F1_sim, F_sim, History, integrate
+from ddestab.ddesim import History, integrate
 from ddestab.models import NicholsonParams, nicholson_global
 from ddestab.onedmaps import F1_solve, F1_solve_r, F_solve, F_solve_r, interval_I
 from ddestab.params import (
@@ -28,6 +28,7 @@ from ddestab.params import (
 )
 from ddestab.ratmaps import R2_eval, R_eval, chi_iterate, coeffs, r_eval
 from ddestab.verify import sweep_figures, verify_all
+from oracles import F1_sim, F_sim
 
 
 def critical_h(a: float, delta: float) -> float:

@@ -10,9 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ddestab
+from ddestab import verify
 from ddestab.cli import _build_parser, main
 
 E3 = math.exp(3.0)
@@ -91,26 +93,43 @@ def test_check_missing_coordinates(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# theta = 1e-17 rounds the straightened slope to exactly -1, so the linear
-# label stands while one fact of its chain fails
-_SLOPE_ROUNDS_TO_MINUS_ONE = ["check", "--a", "-1", "--theta", "1e-17"]
+def _failing_schwarz_margin(monkeypatch):
+    # a linear point whose Schwarz fact fails: the label stands while one
+    # fact of its chain fails, through the real main and certificate
+    monkeypatch.setattr(verify, "schwarz_margin", lambda x, a, theta: np.full_like(x, -0.25))
+    return ["check", "--a", "-1", "--theta", "0.5"]
 
 
-def test_check_verdict_follows_exit_code(capsys):
-    rc = main(_SLOPE_ROUNDS_TO_MINUS_ONE)
+def test_check_verdict_follows_exit_code(capsys, monkeypatch):
+    rc = main(_failing_schwarz_margin(monkeypatch))
     out = capsys.readouterr().out.splitlines()
     assert rc == 1
-    assert out[0] == "a=-1 theta=1e-17: not certified (linear)"
-    assert "  [FAIL] straightened_slope = -1 (need in (-1, 0))" in out
+    assert out[0] == "a=-1 theta=0.5: not certified (linear)"
+    assert "  [FAIL] straightened_schwarz_margin_min = -0.25 (need > 0)" in out
 
 
-def test_check_json_verdict_follows_exit_code(capsys):
-    rc = main([*_SLOPE_ROUNDS_TO_MINUS_ONE, "--json"])
+def test_check_json_verdict_follows_exit_code(capsys, monkeypatch):
+    rc = main([*_failing_schwarz_margin(monkeypatch), "--json"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert data["region"] == "linear"
     assert data["certified"] is False
-    assert data["failure"]["name"] == "straightened_slope"
+    assert data["failure"]["name"] == "straightened_schwarz_margin_min"
+
+
+@pytest.mark.parametrize("coords", [["--theta", "1e-17"], ["--delta", "1.0", "--h", "700"]])
+def test_check_tiny_theta_at_slope_minus_one_certifies(capsys, coords):
+    # the straightened slope -(1 - theta)/(1 + theta) rounds to -1 here; its
+    # "> -1" half is decided as linear_criterion decides it, so the point
+    # certifies and the printed value stays the rounded slope
+    rc = main(["check", "--a", "-1", *coords, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["region"] == "linear"
+    assert data["certified"] is True
+    slope = next(f for f in data["facts"] if f["name"] == "straightened_slope")
+    assert slope["value"] == -1.0
+    assert slope["ok"] is True
 
 
 def test_check_delay_past_theta_underflow(capsys):

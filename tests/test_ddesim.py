@@ -6,16 +6,14 @@ import pytest
 from ddestab import ddesim
 from ddestab.ddesim import (
     BoundsResult,
-    F1_sim,
-    F_sim,
     History,
     IntegrationDiverged,
-    _extremum_after,
     asymptotic_bounds,
     integrate,
 )
 from ddestab.onedmaps import F1_solve, F_solve, interval_I
 from ddestab.params import NormLanes, NormParams, ParamSet
+from oracles import F1_sim, F_sim, extremum_after
 
 
 def test_history_constant():
@@ -190,16 +188,20 @@ def test_extrema_scan_matches_node_loop(np_core):
 
 
 def test_rk4_rows_list_equals_array_column():
-    # one run on Python floats, bitwise the same as that run as a lane of a 2-D array
+    # runs on Python floats, each bitwise the same as its lane of a 2-D array
+    # whose lanes have their own steps, as on the conveyor
     rng = np.random.default_rng(7)
-    n, s, nd = 40, 0.0123, -1.3
-    w_node, w_mid = rng.standard_normal(n + 1), rng.standard_normal(n)
-    rows = [0.7] + [0.0] * n
-    ddesim._rk4_rows(rows, w_node.tolist(), w_mid.tolist(), nd, s, 0.5 * s, s / 6.0)
-    lane = np.empty((n + 1, 1))
-    lane[0] = 0.7
-    ddesim._rk4_rows(lane, w_node[:, None], w_mid[:, None], nd, s, 0.5 * s, s / 6.0)
-    assert [v.hex() for v in rows] == [v.hex() for v in lane[:, 0].tolist()]
+    n, k, nd = 40, 16, -1.3
+    s = rng.uniform(0.001, 0.2, k)
+    w_node, w_mid = rng.standard_normal((n + 1, k)), rng.standard_normal((n, k))
+    lanes = np.empty((n + 1, k))
+    lanes[0] = rng.uniform(-2.0, 2.0, k)
+    ddesim._rk4_lanes(lanes, w_node, w_mid, nd, s, 0.5 * s, s / 6.0)
+    for j, sj in enumerate(s.tolist()):
+        rows = [lanes[0, j].item()] + [0.0] * n
+        wn, wm = w_node[:, j].tolist(), w_mid[:, j].tolist()
+        ddesim._rk4_rows(rows, wn, wm, nd, sj, 0.5 * sj, sj / 6.0)
+        assert [v.hex() for v in rows] == [v.hex() for v in lanes[:, j].tolist()], j
 
 
 def test_extrema_of_oscillatory_run(np_core):
@@ -285,7 +287,7 @@ def _one_dip(j, f=_envelope, b=_LANE_B, T=_LANE_T):
     one = integrate(
         lambda x: f(x, b[j]), History.constant(float(_LANE_Z[j])), p, float(T[j] * p.delay)
     )
-    dip = _extremum_after(one.values, float(_LANE_T0[j] * p.delay), one.step, lowest=True)
+    dip = extremum_after(one.values, float(_LANE_T0[j] * p.delay), one.step, lowest=True)
     return one, np.float64(dip)
 
 

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 mp = pytest.importorskip("mpmath")
 
+from ddestab import verify
 from ddestab.ddouble import (
     DD,
     DOUBLE_DOUBLE,
     FLOAT,
+    FloatBackend,
+    _libm,
     dd,
     dd_exp,
     dd_log,
@@ -212,6 +215,68 @@ def test_float_lanes_use_libm():
         assert [_bits(v) for v in got] == [_bits(libm_fn(v)) for v in x.tolist()]
     with pytest.raises(ValueError):
         FLOAT.sqrt(np.array([1.0, -1.0]))
+
+
+def _nan(payload: int) -> float:
+    return float(np.array([0x7FF8000000000000 | payload]).view(np.float64)[0])
+
+
+_RUNS = np.repeat(np.random.default_rng(3).uniform(0.1, 5.0, 40), np.arange(1, 41) * 7)
+_LIBM_CASES = {
+    "long runs": _RUNS,
+    "signed zeros": np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0]),
+    "nan runs": np.array([_nan(0), _nan(0), 1.5, _nan(1), _nan(1), _nan(2), 1.5, 1.5]),
+    "single entry": np.array([0.75]),
+    "empty": np.array([]),
+    "empty 2-d": np.empty((0, 3)),
+    "2-d": _RUNS.reshape(70, -1),
+    "non-contiguous": _RUNS.reshape(70, -1)[::3, 1::2],
+    "transposed": _RUNS.reshape(70, -1).T,
+    "no runs": np.random.default_rng(4).uniform(0.1, 5.0, 999),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIBM_CASES))
+@pytest.mark.parametrize("fn", [math.exp, math.log1p, math.sqrt], ids=lambda f: f.__name__)
+def test_libm_runs_match_each_entry(case, fn):
+    # one libm call per run of bitwise-equal entries gives, entry for entry,
+    # the bits of a call per entry; log1p(-0.0) is -0.0, so a +0.0 next to a
+    # -0.0 must start a new run
+    x = _LIBM_CASES[case]
+    got = _libm(fn, x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    want = [_bits(fn(v)) for v in x.ravel().tolist()]
+    assert [_bits(v) for v in got.ravel().tolist()] == want
+
+
+def test_libm_scalar_path():
+    assert _bits(_libm(math.log1p, -0.0)) == _bits(-0.0)
+    assert type(_libm(math.exp, 0.5)) is float
+
+
+def test_float_exp_calls_libm_once_per_run(monkeypatch):
+    # leform1's grid repeats each of its 288 (a, theta) points along its r
+    # axis, so exp(theta/a) runs once per run of equal arguments, not per row
+    calls, runs, rows = [], [], []
+
+    def counted(t):
+        calls.append(t)
+        return math.exp(t)
+
+    def exp(x):
+        if type(x) is np.ndarray:
+            hexes = [v.hex() for v in x.ravel().tolist()]
+            runs.append(sum(1 for i, h in enumerate(hexes) if i == 0 or h != hexes[i - 1]))
+            rows.append(x.size)
+        return _libm(counted, x)
+
+    monkeypatch.setattr(FloatBackend, "exp", staticmethod(exp))
+    verify.verify_lemma("leform1", resolution=256)
+    assert rows and len(calls) == sum(runs)
+    # no call sees more runs than there are bases; a call per row made
+    # 221,472 calls here
+    assert max(runs) <= 288
+    assert len(calls) * 100 < sum(rows)
 
 
 def test_backend_where_and_value():

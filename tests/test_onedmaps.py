@@ -13,12 +13,10 @@ from ddestab.onedmaps import (
     F_solve,
     F_solve_r,
     _g1_fraction,
-    bound_G1,
     bound_L,
     interval_I,
     lambda_composite,
     mn_polys_generic,
-    phi_antiderivative,
     phi_diff,
     q_poly_generic,
     ramp_slope_ratio,
@@ -57,6 +55,38 @@ def test_t1_range(np_core):
         tt = t1(z, np_core)
         assert -h - 1e-12 <= tt < 0.0
     assert t1(iv.hi, np_core) == pytest.approx(-h, abs=1e-12)
+
+
+# oracles for the tests below; the package itself uses phi_diff and _g1_fraction
+def phi_antiderivative(u: float, rz: float, a: float) -> float:
+    """Raw antiderivative whose differences encode the response identity.
+
+    Direct differences of this form cancel catastrophically near the
+    extremum.  The rz = -1 case degenerates to a*log|u| - u.
+    """
+    eps = 1.0 + rz
+    if eps == 0.0:
+        if u == 0.0:
+            raise ValueError("antiderivative singular at u = 0 for rz = -1")
+        return a * math.log(abs(u)) - u
+    v = u * eps - rz * a
+    if v == 0.0:
+        raise ValueError(f"antiderivative log singularity at u = {u}")
+    return (a * math.log(abs(v)) - v) / (eps * eps)
+
+
+def bound_G1(r: float, np_: NormParams, P: float | None = None) -> float:
+    """Taylor-remainder minorant of the ramp response at slope ratio P.
+
+    P defaults to the ratio generated by r itself; P = 1 gives the
+    constant-history bound.
+    """
+    if P is None:
+        P = ramp_slope_ratio(r, np_) / r if r != 0.0 else 1.0
+    num, den = _g1_fraction(r, np_, P)
+    if den == 0.0:
+        raise ValueError("ramp minorant pole")
+    return num / den
 
 
 def test_phi_diff_consistent_with_antiderivative():
