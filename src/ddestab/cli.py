@@ -30,7 +30,8 @@ from .models import (
     make_wright,
     nicholson_global,
 )
-from .params import NormParams, ParamSet, normalize
+from .ddesim import _is_number
+from .params import NormParams, ParamSet, _table_text, normalize
 from .ratmaps import R2_eval, R_eval, coeffs, r_eval
 from .onedmaps import F_F1_solve, interval_I
 # not called here: kept only as the names perfbench/spans.py's tracer patches
@@ -71,11 +72,7 @@ def _cmd_check(args) -> int:
             ],
         }
         if cert.failure is not None:
-            out["failure"] = {
-                "name": cert.failure.name,
-                "value": cert.failure.value,
-                "requirement": cert.failure.requirement,
-            }
+            out["failure"] = {k: getattr(cert.failure, k) for k in ("name", "value", "requirement")}
         json.dump(out, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
@@ -139,15 +136,13 @@ def _cmd_map(args) -> int:
     defined = np.abs(1.0 - c.beta * rz) > 1e-14
     r_of[defined] = R_eval(rz[defined], c)
     r2_of = R2_eval(rz, np_)
-    cols = (z, f_val, f1_val, r_of, r2_of, f_res, f1_res)
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        out.write("z,F,F1,R_of_rz,R2_of_rz,residual_F,residual_F1\n")
-        for row in zip(*(col.tolist() for col in cols)):
-            out.write(",".join(_FMT % v for v in row) + "\n")
-    finally:
-        if args.out:
-            out.close()
+    header = ("z", "F", "F1", "R_of_rz", "R2_of_rz", "residual_F", "residual_F1")
+    text = _table_text(header, (z, f_val, f1_val, r_of, r2_of, f_res, f1_res), "\n")
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -347,9 +342,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Write each `--opt -1e-5` pair as `--opt=-1e-5`: argparse (Python 3.10, 3.11)
+    takes a token led by '-' for an option unless it reads like -123 or -1.5."""
+    out = []
+    for tok in argv:
+        if out and out[-1][:2] == "--" and "=" not in out[-1] and tok[:1] == "-" and _is_number(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:

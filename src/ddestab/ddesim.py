@@ -17,14 +17,13 @@ first.  Up to its own horizon every lane is bitwise equal to its single run.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .params import NormParams, ParamSet
+from .params import NormParams, ParamSet, _table_text
 
 __all__ = [
     "History",
@@ -154,11 +153,8 @@ class Trajectory:
 
     def export_csv(self, path) -> None:
         r"""Header t,x, then t0 + i*step and the value, both %.12g, rows ending in \r\n."""
-        t0, step = self.t0, self.step
-        values = self.values.tolist()
-        rows = ("%.12g,%.12g\r\n" % (t0 + i * step, v) for i, v in enumerate(values))
         with open(path, "w", newline="") as fh:
-            fh.writelines(itertools.chain(["t,x\r\n"], rows))
+            fh.write(_table_text(("t", "x"), (self.times, self.values), "\r\n"))
 
 
 @dataclass

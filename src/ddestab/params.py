@@ -9,7 +9,6 @@ curves in the (theta, mu) plane, mu = -1/a.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -128,8 +127,10 @@ def normalize(p: ParamSet) -> NormParams:
 
 def _boundary_log(a: float) -> float:
     # log((a*a - a) / (a*a + 1)), written as log1p((-a - 1)/(a*a + 1)):
-    # the ratio drifts to 1 as a -> -inf and the direct form loses digits
-    return math.log1p((-a - 1.0) / (a * a + 1.0))
+    # the ratio drifts to 1 as a -> -inf and the direct form loses digits.  For
+    # -1.1e-16 < a < 0 that argument rounds to -1: split the log there instead
+    x = (-a - 1.0) / (a * a + 1.0)
+    return math.log1p(x) if x > -1.0 else math.log(-a) + math.log1p(-a) - math.log1p(a * a)
 
 
 def criterion_norm(np_: NormParams) -> bool:
@@ -260,34 +261,35 @@ def local_stability_boundary(a: float) -> float:
 
 def region_boundary_rows(mu_values) -> list[dict]:
     """Boundary-curve table for figure export; one dict per mu."""
-    rows = []
-    for mu in mu_values:
-        rows.append(
-            {
-                "mu": float(mu),
-                "theta_pi1": pi_curve(1, mu),
-                "theta_pi2": pi_curve(2, mu),
-                "theta_pi3": pi_curve(3, mu),
-                "theta_local": local_stability_boundary(-1.0 / mu),
-            }
-        )
-    return rows
+    return [
+        {
+            "mu": float(mu),
+            "theta_pi1": pi_curve(1, mu),
+            "theta_pi2": pi_curve(2, mu),
+            "theta_pi3": pi_curve(3, mu),
+            "theta_local": local_stability_boundary(-1.0 / mu),
+        }
+        for mu in mu_values
+    ]
 
 
 _CSV_FIELDS = ["mu", "theta_pi1", "theta_pi2", "theta_pi3", "theta_local"]
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
+def _table_text(header, cols, eol: str) -> str:
+    """A numeric table as text: the header names joined by commas, then one
+    line per row of the equal-length columns, every cell %.12g, each line
+    ending in eol.  All cells go through a single % operation."""
+    k, rows = len(cols), len(cols[0])
+    cells = np.column_stack(cols).ravel().tolist()
+    return ",".join(header) + eol + (("%.12g," * (k - 1) + "%.12g" + eol) * rows) % tuple(cells)
 
 
 def write_region_csv(path, rows) -> None:
-    """Write region_boundary_rows' table as CSV, 12 significant digits."""
+    r"""Write region_boundary_rows' table as CSV, 12 significant digits, lines ending in \r\n."""
+    cols = [[row[k] for row in rows] for k in _CSV_FIELDS]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_FIELDS)
-        for row in rows:
-            w.writerow([_fmt(row[k]) for k in _CSV_FIELDS])
+        fh.write(_table_text(_CSV_FIELDS, cols, "\r\n"))
 
 
 def write_region_json(path, rows) -> None:

@@ -43,6 +43,7 @@ from .params import (
     write_region_csv,
     write_region_json,
     _boundary_log,
+    _table_text,
 )
 from .ratmaps import (
     R2_eval,
@@ -755,18 +756,12 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
+    cs = [0.02 * i for i in range(1, 501)]
+    tgs = [max(0.0, sharp_boundary_theta(-cv)) if cv > 1.0 else 0.0 for cv in cs]
+    tls = [local_stability_boundary(-cv) if cv > 1.0 else 0.0 for cv in cs]
     p1 = os.path.join(out_dir, "fig1.csv")
     with open(p1, "w", newline="") as fh:
-        fh.write("c,theta_global,theta_local\n")
-        for i in range(1, 501):
-            cv = 0.02 * i
-            if cv > 1.0:
-                tg = max(0.0, sharp_boundary_theta(-cv))
-                tl = local_stability_boundary(-cv)
-            else:
-                tg = 0.0
-                tl = 0.0
-            fh.write("%.12g,%.12g,%.12g\n" % (cv, tg, tl))
+        fh.write(_table_text(("c", "theta_global", "theta_local"), (cs, tgs, tls), "\n"))
     paths["fig1"] = p1
 
     rows = region_boundary_rows([i / (n_mu + 1) for i in range(1, n_mu + 1)])

@@ -142,6 +142,38 @@ def test_check_delay_past_theta_underflow(capsys):
     assert captured.err == "error: exp(-delta*h) underflows to 0 at delta*h = 800\n"
 
 
+@pytest.mark.parametrize("a", ["-1e-17", "-1e-100"])
+def test_check_tiny_slope_matches_minus_1e_16(capsys, a):
+    # the boundary log's log1p argument rounds to -1 for -1.1e-16 < a < 0;
+    # the split form keeps the verdict of the slope just outside that range
+    results = []
+    for slope in ("-1e-16", a):
+        rc = main(["check", f"--a={slope}", "--theta", "0.5", "--json"])
+        data = json.loads(capsys.readouterr().out)
+        results.append((rc, data["region"], data["certified"]))
+    assert results[1] == results[0] == (0, "linear", True)
+
+
+@pytest.mark.parametrize(
+    "cmd, opt, value, code",
+    [
+        (["check", "--theta", "0.5"], "--a", "-1e-5", 0),
+        (["check", "--theta", "0.5"], "--a", "-inf", 1),
+        (["map", "--a", "-2", "--theta", "0.39", "--n", "4"], "--zmin", "-5e-1", 0),
+        (["simulate", "--model", "wright:a=-1.5", "--history", "const:0.2", "--h", "1.0",
+          "--T", "2.0"], "--delta", "-1E0", 2),
+    ],
+)
+def test_negative_exponent_value_reads_as_option_value(capsys, cmd, opt, value, code):
+    # argparse alone takes "-1e-5" or "-inf" after an option for another
+    # option; main reads it as that option's value, as "--a=-1e-5" is read
+    rc = main([*cmd, opt, value])
+    got = capsys.readouterr()
+    assert (rc, got.out, got.err) == (main([*cmd, f"{opt}={value}"]), *capsys.readouterr())
+    assert rc == code
+    assert "usage:" not in got.err
+
+
 # ---------------------------------------------------------------------------
 # map
 
@@ -440,6 +472,23 @@ def test_region_bytes_frozen(tmp_path, capsys, monkeypatch):
         shutil.rmtree(tmp_path / "out")
         assert main(["region", "--out", "out"]) == 0
         _assert_region_frozen(capsys.readouterr().out.encode(), tmp_path / "out")
+
+
+def test_csv_line_endings_frozen(tmp_path, capsys):
+    # fig2_curves.csv and the trajectory end every line in CRLF, the other
+    # CSVs in LF; each file uses one ending throughout
+    assert main(["region", "--out", str(tmp_path), "--n-mu", "9", "--raster", "8"]) == 0
+    assert main(["map", "--a", "-2", "--theta", "0.39", "--n", "5", "--out", str(tmp_path / "map.csv")]) == 0
+    assert main(["simulate", "--model", "wright:a=-1.5", "--history", "const:0.2", "--delta", "1",
+                 "--h", "1", "--T", "2", "--out", str(tmp_path / "traj.csv")]) == 0
+    capsys.readouterr()
+    endings = {"fig2_curves.csv": b"\r\n", "traj.csv": b"\r\n",
+               "fig1.csv": b"\n", "fig2_raster.csv": b"\n", "map.csv": b"\n"}
+    for name, eol in endings.items():
+        data = (tmp_path / name).read_bytes()
+        n_lines = data.count(b"\n")
+        assert data.endswith(eol) and n_lines > 2, name
+        assert data.count(b"\r") == data.count(b"\r\n") == (n_lines if eol == b"\r\n" else 0), name
 
 
 def test_region_and_nicholson_make_no_root_solve(tmp_path, capsys, monkeypatch):

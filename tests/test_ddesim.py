@@ -147,6 +147,19 @@ def test_trajectory_export(tmp_path):
     )
 
 
+@pytest.mark.parametrize("t0, step", [(0.3, 0.1), (-2.75, 1 / 3), (1e6, 0.7 / 256)])
+def test_trajectory_export_time_column(tmp_path, t0, step):
+    # the time column is t0 + i*step with each i a float: bitwise the
+    # per-row Python expression, also when t0 is not 0
+    values = np.linspace(-1.0, 2.0, 300)
+    tr = ddesim.Trajectory(t0=t0, step=step, values=values, delta=1.0, h=1.0)
+    assert tr.times.tolist() == [t0 + i * step for i in range(300)]
+    out = tmp_path / "traj.csv"
+    tr.export_csv(out)
+    rows = ["%.12g,%.12g\r\n" % (t0 + i * step, v) for i, v in enumerate(values.tolist())]
+    assert out.read_bytes() == ("t,x\r\n" + "".join(rows)).encode()
+
+
 def _extrema_loop(y, t0, s):
     """The node-by-node extremum scan, kept as the oracle for _find_extrema."""
     out = []

@@ -22,6 +22,7 @@ from ddestab.params import (
     sharp_boundary_theta,
     write_region_csv,
     write_region_json,
+    _table_text,
 )
 
 # frozen reference values (40-digit arithmetic, rounded to float)
@@ -262,3 +263,39 @@ def test_region_files_deterministic(tmp_path):
     write_region_csv(p1, region_boundary_rows(mus))
     write_region_csv(p2, region_boundary_rows(mus))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _table_rows(header, cols, eol):
+    """The per-row form _table_text replaces: one "%.12g" join per line."""
+    lines = [",".join(header)] + [",".join("%.12g" % v for v in row) for row in zip(*cols)]
+    return "".join(line + eol for line in lines)
+
+
+cells = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def tables(draw):
+    k, rows = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    header = [f"c{j}" for j in range(k)]
+    return header, [draw(st.lists(cells, min_size=rows, max_size=rows)) for _ in range(k)]
+
+
+@given(table=tables(), eol=st.sampled_from(["\n", "\r\n"]))
+def test_table_text_equals_per_row_join(table, eol):
+    header, cols = table
+    assert _table_text(header, cols, eol) == _table_rows(header, cols, eol)
+    arrays = [np.array(col) for col in cols]
+    assert _table_text(header, arrays, eol) == _table_rows(header, cols, eol)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_table_text_edge_cells(eol):
+    col = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+    assert _table_text(["x"], [col], eol) == eol.join(
+        ["x", "nan", "inf", "-inf", "-0", "4.94065645841e-324", "2.22507385851e-308",
+         "1e+300", "-1e+300", ""]
+    )
+    assert _table_text(["a", "b"], [[1.5], [-0.0]], eol) == f"a,b{eol}1.5,-0{eol}"
