@@ -52,8 +52,6 @@ def _norm_from_args(args) -> NormParams:
 
 
 def _cmd_check(args) -> int:
-    if not args.b > 0.0:
-        raise ValueError(f"bound curvature --b must be positive, got {args.b}")
     np_ = _norm_from_args(args)
     cert = certificate(np_)
     if args.json:
@@ -62,7 +60,6 @@ def _cmd_check(args) -> int:
         out = {
             "a": np_.a,
             "theta": np_.theta,
-            "b": args.b,
             "region": cert.region.tag.value,
             "certified": cert.ok,
             "reason": cert.region.reason,
@@ -285,13 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--theta", type=float, default=None, help="decay-delay product exp(-delta*h)")
     c.add_argument("--delta", type=float, default=None, help="instantaneous decay rate")
     c.add_argument("--h", type=float, default=None, help="delay span")
-    c.add_argument(
-        "--b",
-        type=float,
-        default=1.0,
-        help="curvature of the rational feedback bound; the verdict is "
-        "invariant under state scaling, so this only annotates the result",
-    )
     c.add_argument("--json", action="store_true", help="machine-readable output")
     c.set_defaults(fn=_cmd_check)
 

@@ -31,7 +31,6 @@ from .rootfind import solve_bracketed
 __all__ = [
     "IntervalI",
     "interval_I",
-    "t1",
     "MapSolve",
     "phi_diff",
     "F_solve",
@@ -70,16 +69,6 @@ def interval_I(np_: NormParams) -> IntervalI:
     a, th = np_.a, np_.theta
     hi = a * (th - 1.0) / th - 1.0
     return IntervalI(lo=-1.0, hi=hi, proper=hi > 0.0)
-
-
-def t1(z: float, np_: NormParams) -> float:
-    """First zero crossing time, shifted into [-h, 0); decreasing in z."""
-    iv = interval_I(np_)
-    if not iv.proper:
-        raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
-    if not iv.contains(z):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
-    return -math.log(1.0 - (1.0 + z) / np_.a)
 
 
 @dataclass(frozen=True)
@@ -447,16 +436,15 @@ def t_chain_generic(a, theta, mx=FLOAT, *, alpha):
     return t3, t2, t1, t0
 
 
-def lambda_composite(x: float, np_: NormParams, c: Coeffs | None = None) -> float:
+def lambda_composite(x: float, np_: NormParams, c: Coeffs) -> float:
     """One full cycle of the small-mu composite bound, defined for x >= 0.
 
-    Envelope, corner response, envelope again, Moebius response; its slope
-    at 0 is the gamma coefficient and stays below 1 on the corner region.
+    Envelope, corner response, envelope again, Moebius response with c, the
+    coefficient pack at np_; its slope at 0 is the gamma coefficient and
+    stays below 1 on the corner region.
     """
     if x < 0.0:
         raise ValueError(f"composite cycle needs x >= 0, got {x}")
-    if c is None:
-        c = coeffs(np_)
     v1 = r_eval(x, np_.a)
     v2 = R2_eval(v1, np_)
     if v2 <= -1.0:

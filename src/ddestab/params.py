@@ -71,6 +71,8 @@ class NormParams:
     def __post_init__(self):
         if not (self.a < 0.0):
             raise ValueError(f"slope must be negative, got {self.a}")
+        if self.a == -math.inf:
+            raise ValueError(f"slope must be finite, got {self.a}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
@@ -175,8 +177,7 @@ def pi_curve(j: int, mu: float) -> float:
 
     j=1: upper boundary (linear sub-criterion threshold),
     j=2: lower boundary (sharp criterion threshold),
-    j=3: chord separating the small-mu corner treated by composite bounds,
-    j=4: the constant 0.8 floor of that corner.
+    j=3: chord separating the small-mu corner treated by composite bounds.
     """
     if not (0.0 < mu <= 1.0):
         raise ValueError(f"mu must lie in (0, 1], got {mu}")
@@ -188,9 +189,7 @@ def pi_curve(j: int, mu: float) -> float:
         return math.log1p((mu - mu * mu) / (1.0 + mu * mu)) / mu
     if j == 3:
         return (95.0 - 108.0 * mu) / (5.0 * (19.0 + 5.0 * mu))
-    if j == 4:
-        return 0.8
-    raise ValueError(f"curve index must be 1..4, got {j}")
+    raise ValueError(f"curve index must be 1..3, got {j}")
 
 
 # mu below which the corner region is active: positive root of

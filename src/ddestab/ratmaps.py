@@ -26,10 +26,7 @@ __all__ = [
     "coeffs_generic",
     "R_eval",
     "R2_eval",
-    "psi_inv",
     "psi_inv_generic",
-    "chi",
-    "chi_iterate",
     "schwarz_margin",
     "j_generic",
     "j_tangent_coeffs",
@@ -155,30 +152,6 @@ def psi_inv_generic(y, a, theta, mx=FLOAT):
     # x_minus may be 0 on a lane that takes the other branch
     with np.errstate(divide="ignore", invalid="ignore"):
         return mx.where(plus, (b + root) / 2.0, y * a / ((b - root) / 2.0))
-
-
-def psi_inv(y: float, np_: NormParams) -> float:
-    x = float(psi_inv_generic(y, np_.a, np_.theta))
-    if not x > np_.a:
-        raise AssertionError(
-            f"inverse conjugacy landed at {x}, not above {np_.a}"
-        )
-    return x
-
-
-def chi(x: float, np_: NormParams) -> float:
-    """Straightened one-step map psi_inv((1-theta) * r(x))."""
-    return psi_inv((1.0 - np_.theta) * r_eval(x, np_.a), np_)
-
-
-def chi_iterate(x0: float, n: int, np_: NormParams) -> list[float]:
-    """Orbit [x0, chi(x0), ..., chi^n(x0)]."""
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    orbit = [float(x0)]
-    for _ in range(n):
-        orbit.append(chi(orbit[-1], np_))
-    return orbit
 
 
 def schwarz_margin(x, a, theta, mx=FLOAT):

@@ -53,7 +53,6 @@ from .ratmaps import (
     r_eval,
     r_inv,
     schwarz_margin,
-    chi_iterate,
     j_generic,
     j_tangent_coeffs,
 )
@@ -710,9 +709,6 @@ def certificate(np_: NormParams) -> Certificate:
         chain.append(Fact("straightened_slope", slope, "in (-1, 0)", above and slope < 0.0))
         worst = float(schwarz_margin(np.linspace(-0.9, 10.0, 41), np_.a, np_.theta).min())
         chain.append(Fact("straightened_schwarz_margin_min", worst, "> 0", worst > 0.0))
-        orbit = chi_iterate(0.5, 6, np_)
-        ratio = abs(orbit[-1]) / 0.5
-        chain.append(Fact("orbit_contraction_sample", ratio, "< 1", ratio < 1.0))
     elif label.tag is Region.CORE:
         c = coeffs(np_)
         prod = np_.a * c.alpha

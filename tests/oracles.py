@@ -1,7 +1,10 @@
-"""Direct-simulation oracles for the response maps; the package does not use them.
+"""Reference implementations that only the tests use; the package does not.
 
-F_sim and F1_sim integrate the envelope equation and read the extremum off
-the grid, an independent check of the root solves F_solve and F1_solve.
+t1 is the first zero-crossing time of the envelope solution from a constant
+history.  F_sim and F1_sim integrate the envelope equation and read the
+extremum off the grid, an independent check of the root solves F_solve and
+F1_solve.  psi_inv, chi and chi_iterate are the scalar straightened map,
+the reference for the Schwarzian margin and for orbit runs.
 """
 
 import math
@@ -9,9 +12,42 @@ import math
 import numpy as np
 
 from ddestab.ddesim import History, _envelope, _first_node_after, _parabola_refine, integrate
-from ddestab.onedmaps import interval_I, t1
+from ddestab.onedmaps import interval_I
 from ddestab.params import NormParams
-from ddestab.ratmaps import r_eval
+from ddestab.ratmaps import psi_inv_generic, r_eval
+
+
+def t1(z: float, np_: NormParams) -> float:
+    """First zero crossing time, shifted into [-h, 0); decreasing in z."""
+    iv = interval_I(np_)
+    if not iv.proper:
+        raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
+    if not iv.contains(z):
+        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+    return -math.log(1.0 - (1.0 + z) / np_.a)
+
+
+def psi_inv(y: float, np_: NormParams) -> float:
+    """Inverse straightening conjugacy at one point; the root lies above a."""
+    x = float(psi_inv_generic(y, np_.a, np_.theta))
+    if not x > np_.a:
+        raise AssertionError(f"inverse conjugacy landed at {x}, not above {np_.a}")
+    return x
+
+
+def chi(x: float, np_: NormParams) -> float:
+    """Straightened one-step map psi_inv((1-theta) * r(x))."""
+    return psi_inv((1.0 - np_.theta) * r_eval(x, np_.a), np_)
+
+
+def chi_iterate(x0: float, n: int, np_: NormParams) -> list[float]:
+    """Orbit [x0, chi(x0), ..., chi^n(x0)]."""
+    if n < 0:
+        raise ValueError("iteration count must be nonnegative")
+    orbit = [float(x0)]
+    for _ in range(n):
+        orbit.append(chi(orbit[-1], np_))
+    return orbit
 
 
 def extremum_after(y: np.ndarray, tc: float, s: float, lowest: bool) -> float:

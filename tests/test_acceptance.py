@@ -26,9 +26,9 @@ from ddestab.params import (
     pi_curve,
     sharp_boundary_theta,
 )
-from ddestab.ratmaps import R2_eval, R_eval, chi_iterate, coeffs, r_eval
+from ddestab.ratmaps import R2_eval, R_eval, coeffs, r_eval
 from ddestab.verify import sweep_figures, verify_all
-from oracles import F1_sim, F_sim
+from oracles import F1_sim, F_sim, chi_iterate
 
 
 def critical_h(a: float, delta: float) -> float:

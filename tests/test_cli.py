@@ -39,12 +39,6 @@ def test_check_unit_slope_long_delay(capsys):
     assert "globally stable (linear certificate)" in out
 
 
-def test_check_bad_bound_curvature(capsys):
-    rc = main(["check", "--a", "-2.0", "--theta", "0.39", "--b", "-1.0"])
-    assert rc == 2
-    assert "curvature" in capsys.readouterr().err
-
-
 def test_check_not_certified_exit1(capsys):
     rc = main(["check", "--a", "-2.0", "--theta", "0.2"])
     out = capsys.readouterr().out
@@ -59,10 +53,36 @@ def test_check_json(capsys):
     assert data["region"] == "core"
     assert data["certified"] is True
     assert data["a"] == -2.0
-    assert data["b"] == 1.0
     names = [f["name"] for f in data["facts"]]
     assert "sharp_criterion_margin" in names
     assert all(f["ok"] for f in data["facts"])
+
+
+@pytest.mark.parametrize(
+    "region, a, theta, names",
+    [
+        ("linear", "-2.0", "0.9",
+         ["sharp_criterion_margin", "straightened_slope", "straightened_schwarz_margin_min"]),
+        ("core", "-2.0", "0.39",
+         ["sharp_criterion_margin", "slope_product", "beta_pos",
+          "certificate_poly_at_branch", "response_bound_spot_min"]),
+        ("sector", "-10", "0.88",
+         ["sharp_criterion_margin", "composite_slope", "corner_above_minus_one",
+          "corner_image_in_domain", "composite_cycle_contraction"]),
+    ],
+)
+def test_check_fact_names_frozen(capsys, region, a, theta, names):
+    # each region states exactly these facts, in this order, in both outputs
+    rc = main(["check", "--a", a, "--theta", theta])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0].endswith(f": globally stable ({region} certificate)")
+    assert [line.split()[1] for line in lines if line.startswith("  [")] == names
+    rc = main(["check", "--a", a, "--theta", theta, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["region"] == region
+    assert [f["name"] for f in data["facts"]] == names
 
 
 def test_check_json_failure_block(capsys):
@@ -158,7 +178,7 @@ def test_check_tiny_slope_matches_minus_1e_16(capsys, a):
     "cmd, opt, value, code",
     [
         (["check", "--theta", "0.5"], "--a", "-1e-5", 0),
-        (["check", "--theta", "0.5"], "--a", "-inf", 1),
+        (["check", "--theta", "0.5"], "--a", "-inf", 2),
         (["map", "--a", "-2", "--theta", "0.39", "--n", "4"], "--zmin", "-5e-1", 0),
         (["simulate", "--model", "wright:a=-1.5", "--history", "const:0.2", "--h", "1.0",
           "--T", "2.0"], "--delta", "-1E0", 2),
@@ -172,6 +192,15 @@ def test_negative_exponent_value_reads_as_option_value(capsys, cmd, opt, value, 
     assert (rc, got.out, got.err) == (main([*cmd, f"{opt}={value}"]), *capsys.readouterr())
     assert rc == code
     assert "usage:" not in got.err
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["map", "--n", "2"]])
+def test_infinite_slope_is_a_usage_error(capsys, cmd):
+    rc = main([*cmd, "--a=-inf", "--theta", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: slope must be finite, got -inf\n"
 
 
 # ---------------------------------------------------------------------------

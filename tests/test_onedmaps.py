@@ -21,9 +21,9 @@ from ddestab.onedmaps import (
     q_poly_generic,
     ramp_slope_ratio,
     s_poly_generic,
-    t1,
     t_chain_generic,
 )
+from oracles import t1
 
 # frozen: ramp response at a=-2, theta=0.5, z=1 solves a quadratic; root -2+sqrt(3)
 F1_EXACT = -0.26794919243112270
@@ -364,13 +364,13 @@ def test_T_chain_frozen_ordering():
 
 def test_lambda_composite_contracts(np_sector):
     for x in (0.25, 1.0, 4.0):
-        y = lambda_composite(x, np_sector)
+        y = lambda_composite(x, np_sector, coeffs(np_sector))
         assert 0.0 < y < x
 
 
 def test_lambda_composite_guard(np_sector):
     with pytest.raises(ValueError):
-        lambda_composite(-0.5, np_sector)
+        lambda_composite(-0.5, np_sector, coeffs(np_sector))
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,20 +9,18 @@ from ddestab.ratmaps import (
     Coeffs,
     R2_eval,
     R_eval,
-    chi,
-    chi_iterate,
     coeffs,
     coeffs_generic,
     coth_stable,
     j_generic,
     j_tangent_coeffs,
-    psi_inv,
     psi_inv_generic,
     r_eval,
     r_inv,
     schwarz_margin,
 )
 from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT
+from oracles import chi, chi_iterate, psi_inv
 
 # oracles for the tests below; the package itself uses only psi's inverse
 

@@ -89,5 +89,8 @@ def test_check_json_validates(a, theta, region, capsys):
     # each region's fact chain must reach JSON as plain floats and bools
     main(["check", "--a", a, "--theta", theta, "--json"])
     data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data, _schema("check_result.schema.json"))
+    schema = _schema("check_result.schema.json")
+    jsonschema.validate(data, schema)
     assert data["region"] == region
+    # the output carries every required key and nothing else but failure
+    assert set(data) - {"failure"} == set(schema["required"])
