@@ -107,15 +107,25 @@ def _sln_lanes(s: np.ndarray) -> np.ndarray:
 
 def _sln_series(s):
     # sum of (-s)^j / (j + 2) for j < 24; the sign goes into the add or
-    # subtract, as (-p)/d and -(p/d) round alike
+    # subtract, as (-p)/d and -(p/d) round alike.
+    # For |s| < 0.1 every partial sum lies in (0.46, 0.54), where floats are
+    # at least 2**-54 apart.  With m = max|s|, fl(m**j)/(j + 2) bounds the
+    # j-th term of every entry (rounding is monotone); once it is below
+    # 2**-57 the term, and each later and smaller one, leaves every sum
+    # unchanged, so the loop stops there.  A NaN m never stops it.
+    m = float(np.abs(s).max(initial=0.0)) if type(s) is np.ndarray else abs(s)
     acc = 0.5 - s / 3.0
     p = s * s
+    pm = m * m
     for j in range(2, 24):
+        if pm / (j + 2) < 2.0**-57:
+            break
         if j % 2:
             acc -= p / (j + 2)
         else:
             acc += p / (j + 2)
         p *= s
+        pm *= m
     return acc
 
 

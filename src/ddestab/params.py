@@ -33,7 +33,7 @@ __all__ = [
     "linear_boundary_theta",
     "pi_curve",
     "classify",
-    "classify_column",
+    "classify_raster",
     "local_stability_boundary",
     "region_boundary_rows",
     "write_region_csv",
@@ -124,22 +124,31 @@ def normalize(p: ParamSet) -> NormParams:
     theta = math.exp(-p.h * p.delta)
     if theta == 0.0:
         raise ValueError(f"exp(-delta*h) underflows to 0 at delta*h = {p.delta * p.h:.12g}")
-    return NormParams(a=p.a / p.delta, theta=theta)
+    a = p.a / p.delta
+    if a == -math.inf and p.a > -math.inf:
+        raise ValueError(f"a/delta overflows at a = {p.a:.12g}, delta = {p.delta:.12g}")
+    return NormParams(a=a, theta=theta)
+
+
+def _linear_rhs(a: float) -> float:
+    # -(a + 1)/(a*a + 1) at a float slope.  Below about -1.34e154 a*a
+    # overflows; the ratio is then -1/a, off by a relative 1/|a|, far below
+    # an ulp
+    aa = a * a
+    return (-a - 1.0) / (aa + 1.0) if aa != math.inf else -1.0 / a
 
 
 def _boundary_log(a: float) -> float:
-    # log((a*a - a) / (a*a + 1)), written as log1p((-a - 1)/(a*a + 1)):
-    # the ratio drifts to 1 as a -> -inf and the direct form loses digits.  For
-    # -1.1e-16 < a < 0 that argument rounds to -1: split the log there instead
-    x = (-a - 1.0) / (a * a + 1.0)
+    # log((a*a - a) / (a*a + 1)), written as log1p of the linear right-hand
+    # side: the ratio drifts to 1 as a -> -inf and the direct form loses
+    # digits.  For -1.1e-16 < a < 0 that argument rounds to -1: split the log
+    # there instead
+    x = _linear_rhs(a)
     return math.log1p(x) if x > -1.0 else math.log(-a) + math.log1p(-a) - math.log1p(a * a)
 
 
 def criterion_norm(np_: NormParams) -> bool:
-    """Sharp delay criterion in normalized parameters: -theta/a > boundary log.
-
-    A NormLanes with one slope gives the criterion on each theta lane.
-    """
+    """Sharp delay criterion in normalized parameters: -theta/a > boundary log."""
     return (-np_.theta / np_.a) > _boundary_log(np_.a)
 
 
@@ -147,11 +156,9 @@ def linear_criterion(np_: NormParams) -> bool:
     """Strictly stronger sub-criterion with a rational right-hand side.
 
     When it holds, the interval map built later is certified through its
-    linearization alone (negative Schwarzian route).  Takes lanes as
-    criterion_norm does.
+    linearization alone (negative Schwarzian route).
     """
-    a = np_.a
-    return (-np_.theta / a) > -(a + 1.0) / (a * a + 1.0)
+    return (-np_.theta / np_.a) > _linear_rhs(np_.a)
 
 
 def sharp_boundary_theta(a: float) -> float:
@@ -169,7 +176,9 @@ def linear_boundary_theta(a: float) -> float:
     """Theta threshold for the linear sub-criterion: holds iff theta > this."""
     if not a < 0.0:
         raise ValueError(f"slope must be negative, got {a}")
-    return a * (a + 1.0) / (a * a + 1.0)
+    aa = a * a
+    # where a*a overflows the ratio is 1 + 1/a, which rounds to 1
+    return a * (a + 1.0) / (aa + 1.0) if aa != math.inf else 1.0
 
 
 def pi_curve(j: int, mu: float) -> float:
@@ -224,22 +233,27 @@ def classify(np_: NormParams) -> RegionLabel:
     return RegionLabel(Region.CORE)
 
 
-def classify_column(a: float, theta: np.ndarray) -> np.ndarray:
-    """classify at slope a and each entry of a theta array, as indices into
-    tuple(Region).
+def classify_raster(slopes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """classify at every (theta, slope) cell, as int8 indices into tuple(Region):
+    one row per theta, one column per slope.
 
-    Makes classify's comparisons, with the same criteria and curve, on the
-    whole array at once: one column of the region raster.
+    Each slope's boundary log, linear right-hand side and chord are the
+    floats classify computes; only the comparisons run on the 2-D grid.
     """
+    lanes = NormLanes(a=slopes, theta=thetas[:, None])
     code = {tag: k for k, tag in enumerate(Region)}
-    lanes = NormLanes(a=a, theta=theta)
-    if a < -1.0:
-        sector = (theta >= 0.8) & (pi_curve(3, lanes.mu()) <= theta)
-        rest = np.where(sector, code[Region.SECTOR], code[Region.CORE])
-    else:
-        rest = code[Region.NOT_CERTIFIED]  # classify's guard for a in [-1, 0)
-    tags = np.where(linear_criterion(lanes), code[Region.LINEAR], rest)
-    return np.where(criterion_norm(lanes), tags, code[Region.NOT_CERTIFIED])
+    per_slope = [
+        (_boundary_log(a), _linear_rhs(a), pi_curve(3, -1.0 / a) if a < -1.0 else math.inf)
+        for a in slopes.tolist()
+    ]
+    sharp, linear, chord = np.array(per_slope).T
+    q = -lanes.theta / lanes.a  # each cell's left-hand side of both criteria
+    labels = np.full(q.shape, code[Region.CORE], dtype=np.int8)
+    labels[(lanes.theta >= 0.8) & (chord <= lanes.theta)] = code[Region.SECTOR]
+    labels[:, slopes >= -1.0] = code[Region.NOT_CERTIFIED]  # classify's guard for a in [-1, 0)
+    labels[q > linear] = code[Region.LINEAR]
+    labels[~(q > sharp)] = code[Region.NOT_CERTIFIED]
+    return labels
 
 
 def local_stability_boundary(a: float) -> float:

@@ -8,6 +8,9 @@ nothing is assumed of the caller's function beyond sign consistency.
 Lanes are independent solves advanced together through numpy arrays, each
 lane taking exactly the steps its scalar solve takes.  A lane retires as
 soon as it stops: f and every later step see only the lanes still running.
+The last few lanes finish on the scalar loop, one after another, from the
+iteration they have reached: numpy's fixed cost per call makes a lockstep
+step on a handful of lanes cost about as much as one on hundreds.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ class RootResult:
 # a few ulps, or after this many iterations
 _XTOL = 1e-15
 _MAX_ITER = 200
+# the lockstep solve hands its lanes to the scalar loop once this few still run
+_SCALAR_TAIL = 8
 
 
 def solve_bracketed(
@@ -50,7 +55,9 @@ def solve_bracketed(
     _MAX_ITER iterations.  A 1-D array lo or hi makes one lane per entry, and
     f then maps an array of points to an array of values; each entry of args
     is then a column with one value per lane (or broadcasts to one), cut
-    together with the points to the lanes still running.
+    together with the points to the lanes still running.  Once at most
+    _SCALAR_TAIL lanes run, f also gets one lane's point and args as Python
+    scalars, and must return a float that is bitwise its array value there.
     """
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
         return _solve_lanes(f, lo, hi, args)
@@ -67,16 +74,22 @@ def solve_bracketed(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
 
-    a, b, fa, fb = lo, hi, flo, fhi
-    # secant memory: the last two evaluated points
-    x0, f0, x1, f1 = a, fa, b, fb
-    if abs(fa) <= abs(fb):
-        best_x, best_f = a, fa
+    if abs(flo) <= abs(fhi):
+        best_x, best_f = lo, flo
     else:
-        best_x, best_f = b, fb
+        best_x, best_f = hi, fhi
+    return _iterate(f, args, 1, lo, hi, flo, lo, flo, hi, fhi, best_x, best_f)
 
-    it = 0
-    for it in range(1, _MAX_ITER + 1):
+
+def _iterate(f, args, it0, a, b, fa, x0, f0, x1, f1, best_x, best_f) -> RootResult:
+    """The scalar solve's loop from iteration it0 on, in the state it has there.
+
+    [a, b] is the bracket and fa = f(a); the secant memory holds the last two
+    evaluated points x0, x1 and their values; best_x, best_f is the visited
+    point with the smallest |f|.  f at b is never read: the memory holds it.
+    """
+    it = it0
+    for it in range(it0, _MAX_ITER + 1):
         if b - a <= _XTOL * max(1.0, abs(a), abs(b)):
             break
         x_new = None
@@ -95,7 +108,7 @@ def solve_bracketed(
         if (f_new > 0.0) == (fa > 0.0):
             a, fa = x_new, f_new
         else:
-            b, fb = x_new, f_new
+            b = x_new
         x0, f0, x1, f1 = x1, f1, x_new, f_new
 
     return RootResult(best_x, best_f, it, (a, b))
@@ -107,7 +120,8 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
     A lane that stops writes its outcome to the output arrays and is dropped
     from the working state, so each call to f gets only the running lanes,
     with args cut to the same lanes, and never a point the lane's scalar
-    solve would not have evaluated.
+    solve would not have evaluated.  Once at most _SCALAR_TAIL lanes run,
+    each finishes through _iterate, the scalar solve's own loop.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     lo, hi = (np.array(x, dtype=float) for x in (lo, hi))
@@ -150,7 +164,13 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
             lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
                 v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)
             )
-        if not lane.size:
+        if lane.size <= _SCALAR_TAIL:
+            # each of the last lanes goes on alone from this iteration
+            state = zip(*(v.tolist() for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f)))
+            for k, (i, *lane_state) in enumerate(state):
+                res = _iterate(f, tuple(v[k].item() for v in args), it, *lane_state)
+                root[i], f_root[i], iterations[i] = res.root, res.f_root, res.iterations
+                end_a[i], end_b[i] = res.bracket
             break
         x_new = 0.5 * (a + b)
         if it % 3 != 0:
@@ -171,6 +191,7 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
         a, fa = np.where(same, x_new, a), np.where(same, f_new, fa)
         b = np.where(same, b, x_new)
         x0, f0, x1, f1 = x1, f1, x_new, f_new
-    retire(np.ones(lane.size, dtype=bool), _MAX_ITER, best_x, best_f, a, b)
+    else:
+        retire(np.ones(lane.size, dtype=bool), _MAX_ITER, best_x, best_f, a, b)
 
     return RootResult(root, f_root, int(iterations.sum()), (end_a, end_b), iterations)

@@ -33,7 +33,7 @@ from .params import (
     Region,
     RegionLabel,
     classify,
-    classify_column,
+    classify_raster,
     linear_boundary_theta,
     linear_criterion,
     local_stability_boundary,
@@ -770,8 +770,7 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
 
     # theta and mu take the same cell centres; one column of labels per mu
     centres = [(k + 0.5) / raster for k in range(raster)]
-    thetas = np.array(centres)
-    labels = np.stack([classify_column(-1.0 / mu, thetas) for mu in centres], axis=1)
+    labels = classify_raster(np.array([-1.0 / mu for mu in centres]), np.array(centres))
     cells = ["%.12g" % v for v in centres]
     # the "mu,label" tail of every line, one per (mu, region); a row of the
     # raster picks its tails by label and joins them after its theta

@@ -4,7 +4,8 @@ t1 is the first zero-crossing time of the envelope solution from a constant
 history.  F_sim and F1_sim integrate the envelope equation and read the
 extremum off the grid, an independent check of the root solves F_solve and
 F1_solve.  psi_inv, chi and chi_iterate are the scalar straightened map,
-the reference for the Schwarzian margin and for orbit runs.
+the reference for the Schwarzian margin and for orbit runs.  sln_series is
+the full 22-term series that onedmaps._sln_series cuts short.
 """
 
 import math
@@ -25,6 +26,20 @@ def t1(z: float, np_: NormParams) -> float:
     if not iv.contains(z):
         raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
     return -math.log(1.0 - (1.0 + z) / np_.a)
+
+
+def sln_series(s):
+    """(s - log1p(s)) / s^2 near 0: the sum of (-s)^j / (j + 2) for j < 24,
+    every term added, on a float or an array."""
+    acc = 0.5 - s / 3.0
+    p = s * s
+    for j in range(2, 24):
+        if j % 2:
+            acc -= p / (j + 2)
+        else:
+            acc += p / (j + 2)
+        p *= s
+    return acc
 
 
 def psi_inv(y: float, np_: NormParams) -> float:

@@ -16,6 +16,7 @@ import pytest
 import ddestab
 from ddestab import verify
 from ddestab.cli import _build_parser, main
+from ddestab.rootfind import _SCALAR_TAIL
 
 E3 = math.exp(3.0)
 
@@ -203,6 +204,27 @@ def test_infinite_slope_is_a_usage_error(capsys, cmd):
     assert captured.err == "error: slope must be finite, got -inf\n"
 
 
+@pytest.mark.parametrize("a", ["-1e154", "-1e155", "-1e200", "-1e308"])
+def test_check_steep_slope_fails_the_sharp_criterion(capsys, a):
+    # below about -1.34e154 a*a overflows; the boundary log still gives the
+    # sharp criterion's small negative margin, with no numpy warning (the
+    # suite turns warnings into errors)
+    rc = main(["check", f"--a={a}", "--theta", "0.5", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert data["region"] == "not_certified"
+    assert data["failure"]["name"] == "sharp_criterion_margin"
+    assert 0.6 / float(a) < data["failure"]["value"] < 0.0
+
+
+def test_rescaled_slope_overflow_is_a_usage_error(capsys):
+    rc = main(["check", "--a", "-1e308", "--delta", "1e-10", "--h", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: a/delta overflows at a = -1e+308, delta = 1e-10\n"
+
+
 # ---------------------------------------------------------------------------
 # map
 
@@ -252,6 +274,25 @@ def test_map_makes_one_lane_solve(monkeypatch, capsys):
     assert main(["map", *_FROZEN_MAP["readme"][0]]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_map_lockstep_never_runs_a_few_lanes(monkeypatch, capsys):
+    # at the README map point the last lanes finish on the scalar loop: no
+    # lockstep evaluation of the identity serves _SCALAR_TAIL lanes or fewer
+    lanes = []
+    identity = ddestab.onedmaps._identity
+
+    def counted(u, *args):
+        lanes.append(u.size if type(u) is np.ndarray else None)
+        return identity(u, *args)
+
+    monkeypatch.setattr(ddestab.onedmaps, "_identity", counted)
+    assert main(["map", *_FROZEN_MAP["readme"][0]]) == 0
+    capsys.readouterr()
+    lockstep = [k for k in lanes if k is not None]
+    assert _SCALAR_TAIL == 8
+    assert min(lockstep) > _SCALAR_TAIL
+    assert len(lockstep) < len(lanes)
 
 
 def test_map_tiny_z_error_frozen(tmp_path, capsys):

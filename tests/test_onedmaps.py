@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddestab import onedmaps, verify
 from ddestab.params import NormLanes, NormParams
@@ -23,7 +23,7 @@ from ddestab.onedmaps import (
     s_poly_generic,
     t_chain_generic,
 )
-from oracles import t1
+from oracles import sln_series, t1
 
 # frozen: ramp response at a=-2, theta=0.5, z=1 solves a quadratic; root -2+sqrt(3)
 F1_EXACT = -0.26794919243112270
@@ -117,6 +117,30 @@ def test_phi_diff_mpmath_reference():
         ref = mp.quad(integrand, [mp.mpf(u1), mp.mpf(u2)])
         got = phi_diff(u2, u1, rz, a)
         assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-14)
+
+
+_NEAR = st.floats(-0.1, 0.1, exclude_min=True, exclude_max=True)
+_EDGE = math.nextafter(0.1, 0.0)  # one ulp below the series' range limit
+
+
+@given(s=_NEAR)
+@example(s=_EDGE)
+@example(s=-_EDGE)
+@example(s=5e-324)
+@example(s=0.0)
+@example(s=-0.0)
+def test_sln_series_on_a_float_is_the_full_series(s):
+    assert onedmaps._sln_series(s).hex() == sln_series(s).hex()
+
+
+@given(s=st.lists(_NEAR, max_size=40))
+@example(s=[])
+@example(s=[_EDGE])
+@example(s=[-_EDGE, 1e-300, -5e-324, 0.0, -0.0])
+@example(s=[0.03, math.nan, -0.07])
+def test_sln_series_on_an_array_is_the_full_series(s):
+    s = np.array(s, dtype=float)
+    assert onedmaps._sln_series(s).tobytes() == sln_series(s).tobytes()
 
 
 def test_phi_diff_small_separation_stability():

@@ -11,7 +11,7 @@ from ddestab.params import (
     ParamSet,
     Region,
     classify,
-    classify_column,
+    classify_raster,
     criterion_norm,
     linear_boundary_theta,
     linear_criterion,
@@ -168,33 +168,55 @@ def test_classify_near_one_slope():
     assert lab.certified
 
 
-def _column_agrees(a, thetas):
-    column = [tuple(Region)[k] for k in classify_column(a, np.array(thetas))]
-    return column == [classify(NormParams(a=a, theta=t)).tag for t in thetas]
+def _raster_agrees(slopes, thetas):
+    raster = classify_raster(np.array(slopes), np.array(thetas))
+    assert raster.shape == (len(thetas), len(slopes)) and raster.dtype == np.int8
+    tags = [[tuple(Region)[k] for k in row] for row in raster.tolist()]
+    return tags == [[classify(NormParams(a=a, theta=t)).tag for a in slopes] for t in thetas]
 
 
 def test_classify_column_matches_classify_on_raster():
-    # the region figure's 200 x 200 cells, one mu column at a time
+    # the region figure's 200 x 200 cells: every column of classify_raster
     centres = [(k + 0.5) / 200 for k in range(200)]
-    for mu in centres:
-        assert _column_agrees(-1.0 / mu, centres)
+    assert _raster_agrees([-1.0 / mu for mu in centres], centres)
 
 
-@pytest.mark.parametrize(
-    "mu",
-    [0.02, 0.1, 0.13, 0.16, math.nextafter(MU_SECTOR_MAX, 0.0), MU_SECTOR_MAX,
-     math.nextafter(MU_SECTOR_MAX, 1.0), 0.4, 0.7, 0.95, 1.0],
-)
-def test_classify_column_matches_classify_at_boundaries(mu):
+_BOUNDARY_MUS = [0.02, 0.1, 0.13, 0.16, math.nextafter(MU_SECTOR_MAX, 0.0), MU_SECTOR_MAX,
+                 math.nextafter(MU_SECTOR_MAX, 1.0), 0.4, 0.7, 0.95, 1.0]
+
+
+def _boundary_thetas(mu):
     # each boundary theta and its neighbours one ulp below and above
     edges = [pi_curve(2, mu), pi_curve(1, mu), pi_curve(3, mu), 0.8]
-    thetas = sorted(
+    return sorted(
         t
         for e in edges
         for t in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))
         if 0.0 < t < 1.0
     )
-    assert _column_agrees(-1.0 / mu, thetas)
+
+
+@pytest.mark.parametrize("mu", _BOUNDARY_MUS)
+def test_classify_column_matches_classify_at_boundaries(mu):
+    # one classify_raster column; mu = 1 is the slope -1 of classify's guard
+    assert _raster_agrees([-1.0 / mu], _boundary_thetas(mu))
+
+
+def test_classify_raster_mixes_slopes_across_the_guard():
+    # columns on both sides of slope -1 share one raster and every theta
+    slopes = [-1.0 / mu for mu in _BOUNDARY_MUS] + [-0.5, -1e-20]
+    thetas = sorted({t for mu in _BOUNDARY_MUS for t in _boundary_thetas(mu)})
+    assert _raster_agrees(slopes, thetas)
+
+
+@pytest.mark.parametrize("a", [-1e154, -1.35e154, -1e155, -1e308])
+def test_thresholds_where_the_slope_squared_overflows(a):
+    # a*a overflows below about -1.34e154; both thresholds stay within an
+    # ulp of 1 and neither criterion holds at any theta < 1
+    assert sharp_boundary_theta(a) == pytest.approx(1.0, abs=2.3e-16)
+    assert linear_boundary_theta(a) == 1.0
+    np_ = NormParams(a=a, theta=math.nextafter(1.0, 0.0))
+    assert not criterion_norm(np_) and not linear_criterion(np_)
 
 
 def test_local_boundary_values():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddestab.rootfind import BracketError, solve_bracketed
+from ddestab.rootfind import _SCALAR_TAIL, BracketError, solve_bracketed
 
 
 def test_linear_root():
@@ -79,21 +79,28 @@ def _cubic_family():
     return lo, hi, (r, c, d, e)
 
 
-def test_lanes_equal_scalar_solves():
-    lo, hi, (r, c, d, e) = _cubic_family()
-    n = lo.size
-    lanes = solve_bracketed(_cubic, lo, hi, args=(r, c, d, e))
-    assert type(lanes.iterations) is int
-    assert lanes.iterations == int(lanes.lane_iterations.sum())
-    stopped_by_width = 0
-    for i in range(n):
-        args = (float(r[i]), float(c[i]), float(d[i]), float(e[i]))
+def _scalar_solves_match(lanes, lo, hi, params):
+    """Each lane's scalar solve, checked bitwise against the lane's outcome."""
+    ones = []
+    for i in range(lo.size):
+        args = tuple(float(v[i]) for v in params)
         one = solve_bracketed(_cubic, float(lo[i]), float(hi[i]), args=args)
         assert one.root == lanes.root[i]
         assert math.copysign(1.0, one.f_root) == math.copysign(1.0, lanes.f_root[i])
         assert one.f_root == lanes.f_root[i]
         assert one.bracket == (lanes.bracket[0][i], lanes.bracket[1][i])
         assert one.iterations == lanes.lane_iterations[i]
+        ones.append(one)
+    return ones
+
+
+def test_lanes_equal_scalar_solves():
+    lo, hi, params = _cubic_family()
+    lanes = solve_bracketed(_cubic, lo, hi, args=params)
+    assert type(lanes.iterations) is int
+    assert lanes.iterations == int(lanes.lane_iterations.sum())
+    stopped_by_width = 0
+    for one in _scalar_solves_match(lanes, lo, hi, params):
         a, b = one.bracket
         stopped_by_width += one.f_root != 0.0 and b - a <= 1e-15 * max(1.0, abs(a), abs(b))
     assert lanes.root[0] == lo[0] and lanes.lane_iterations[0] == 0
@@ -104,17 +111,19 @@ def test_lanes_equal_scalar_solves():
 
 def test_stopped_lanes_are_not_evaluated():
     # a lane-id column rides in args: each lane must reach f exactly as often
-    # as its scalar solve calls f, and every call gets args cut to x's lanes
+    # as its scalar solve calls f, and every call gets args cut to x's lanes;
+    # a lane of the scalar tail arrives as one float x with a scalar lane id
     lo, hi, params = _cubic_family()
     n = lo.size
     calls = np.zeros(n, dtype=np.int64)
 
     def counted(x, lane, *cols):
-        assert lane.shape == x.shape
-        assert np.unique(lane).size == lane.size
-        for col, full in zip(cols, params):
-            assert np.array_equal(col, full[lane])
-        np.add.at(calls, lane, 1)
+        ids, xs, *cut = (np.atleast_1d(v) for v in (lane, x, *cols))
+        assert ids.shape == xs.shape
+        assert np.unique(ids).size == ids.size
+        for col, full in zip(cut, params):
+            assert np.array_equal(col, full[ids])
+        np.add.at(calls, ids, 1)
         return _cubic(x, *cols)
 
     solve_bracketed(counted, lo, hi, args=(np.arange(n), *params))
@@ -128,6 +137,33 @@ def test_stopped_lanes_are_not_evaluated():
         solve_bracketed(one, float(lo[i]), float(hi[i]), args=tuple(float(v[i]) for v in params))
         assert calls[i] == len(scalar_calls), i
     assert calls.min() < calls.max()
+
+
+def test_last_lanes_finish_on_the_scalar_loop():
+    # 32 seeded cubics with roots on multiples of 1/64: those with e = 0 stop
+    # on an exact zero, the others on the width test; the slowest lanes reach
+    # f one at a time, as floats, and every lane ends bitwise as its scalar
+    # solve
+    rng = np.random.default_rng(1)
+    n = 32
+    lo = rng.uniform(-2.0, -0.5, n)
+    hi = rng.uniform(0.5, 2.0, n)
+    r = np.round(rng.uniform(-0.45, 0.45, n) * 64) / 64
+    c = rng.uniform(0.2, 5.0, n)
+    d = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    e = np.zeros(n)
+    e[1::2] = rng.uniform(-1e-3, 1e-3, n // 2)
+    tail = set()
+
+    def f(x, lane, *cols):
+        if type(x) is float:
+            tail.add(lane)
+        return _cubic(x, *cols)
+
+    lanes = solve_bracketed(f, lo, hi, args=(np.arange(n), r, c, d, e))
+    assert 0 < len(tail) <= _SCALAR_TAIL
+    ones = _scalar_solves_match(lanes, lo, hi, (r, c, d, e))
+    assert {ones[i].f_root == 0.0 for i in tail} == {True, False}
 
 
 def test_lanes_without_sign_change_raise():
