@@ -6,12 +6,13 @@ delayed midpoints come from a four-point cubic stencil kept inside one
 smoothness segment.  Restarting at delay multiples preserves the method
 order despite the derivative jumps there.  Everything is deterministic.
 
-integrate also runs many lanes, each with its own parameters, constant
-history and horizon, on a conveyor.  A fixed number of slots march in
-lockstep, one delay segment at a time.  A slot keeps only its lane's last
-two segments and the lowest node seen so far; at a segment boundary, a slot
-whose lane has reached its horizon takes the next waiting lane, longest
-first.  Up to its own horizon every lane is bitwise equal to its single run.
+integrate also runs many lanes of the normalised equation (delta = 1),
+each with its own parameters, constant history and horizon, on a conveyor.
+A fixed number of slots march in lockstep, one delay segment at a time.  A
+slot keeps only its lane's last two segments and the lowest node seen so
+far; at a segment boundary, a slot whose lane has reached its horizon takes
+the next waiting lane, longest first.  Up to its own horizon every lane is
+bitwise equal to its single run.
 """
 
 from __future__ import annotations
@@ -229,8 +230,8 @@ def _segment_midpoints(prev: np.ndarray, i0: int, i1: int) -> np.ndarray:
         )
     if lo < hi:
         mids[lo - i0 : hi - i0] = (
-            -prev[lo - 1 : hi - 1]
-            + 9.0 * prev[lo:hi]
+            9.0 * prev[lo:hi]
+            - prev[lo - 1 : hi - 1]
             + 9.0 * prev[lo + 1 : hi + 1]
             - prev[lo + 2 : hi + 2]
         ) / 16.0
@@ -277,15 +278,18 @@ def integrate(model, hist: History, params, T, step: float | None = None):
 
     An array T of shape (2, L) runs L lanes on the conveyor and returns
     LaneDips: lane j marches to T[1, j] and reports its lowest node at or
-    after T[0, j].  params then holds one parameter point per lane (a
-    NormLanes), hist is constant with one value per lane, and all lanes
+    after T[0, j].  Lanes run the normalised equation, delta = 1: params
+    then holds one parameter point per lane (a NormLanes), never a
+    ParamSet.  hist is constant with one value per lane, and all lanes
     share the number of steps per delay.  The model is called as
     model(x, lanes): column c of x belongs to lane lanes[c].
     """
     delta, h = _delta_h(params)
     w: Callable = getattr(model, "f", model)
     if isinstance(T, np.ndarray):
-        return _lanes(w, hist, delta, h, T, step)
+        if isinstance(params, ParamSet):
+            raise ValueError("lanes run the normalised equation: pass a NormLanes, not a ParamSet")
+        return _lanes(w, hist, h, T, step)
     n, s, K = (v.item() for v in _step_grid(h, T, step))
     hist.check_span(h)
     y = np.empty(K + 1)
@@ -309,22 +313,24 @@ def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
         y[i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
 
 
-def _rk4_lanes(y, w_node, w_mid, nd, s, hs, s6) -> None:
-    """_rk4_rows on a 2-D array y, a lane per column: each row runs
-    _rk4_rows' operations in its order, written in place into row buffers,
-    so every lane is bitwise its own run.  out goes by position, which
-    numpy parses faster than out=."""
-    mul, add = np.multiply, np.add
+def _rk4_lanes(y, w_node, w_mid, s, hs, s6) -> None:
+    """_rk4_rows at nd = -1 on a 2-D array y, a lane per column: each row
+    runs _rk4_rows' operations in its order, written in place into row
+    buffers, so every lane is bitwise its own run.  -1*v + w is w - v and
+    2*u is u + u, exactly, so a row takes 16 array passes.  out goes by
+    position, which numpy parses faster than out=."""
+    mul, add, sub = np.multiply, np.add, np.subtract
     r1, r2, r3, t = (np.empty_like(y[0]) for _ in range(4))
     ys, wn, wm = list(y), list(w_node), list(w_mid)
     for i in range(len(ys) - 1):
         yi = ys[i]
-        add(mul(nd, yi, r1), wn[i], r1)
-        add(mul(nd, add(yi, mul(hs, r1, t), t), t), wm[i], r2)
-        add(mul(nd, add(yi, mul(hs, r2, t), t), t), wm[i], r3)
-        add(mul(nd, add(yi, mul(s, r3, t), t), t), wn[i + 1], t)
+        sub(wn[i], yi, r1)
+        sub(wm[i], add(yi, mul(hs, r1, t), t), r2)
+        sub(wm[i], add(yi, mul(hs, r2, t), t), r3)
+        sub(wn[i + 1], add(yi, mul(s, r3, t), t), t)
         # r2 <- r1 + 2*(r2 + r3) + r4, with r4 in t; then the next row
-        add(add(r1, mul(2.0, add(r2, r3, r2), r2), r2), t, r2)
+        add(r2, r3, r2)
+        add(add(r1, add(r2, r2, r2), r2), t, r2)
         add(yi, mul(s6, r2, r2), ys[i + 1])
 
 
@@ -357,7 +363,7 @@ def _march(w, hist, y, n, s, delta) -> None:
             raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
 
 
-def _lanes(w, hist, delta, h, T, step) -> LaneDips:
+def _lanes(w, hist, h, T, step) -> LaneDips:
     if T.ndim != 2 or len(T) != 2:
         raise ValueError(f"lane horizons T need shape (2, lanes), got {T.shape}")
     if hist.kind != "constant":
@@ -372,7 +378,7 @@ def _lanes(w, hist, delta, h, T, step) -> LaneDips:
         raise ValueError("a lane's start time lies past its horizon")
     z = np.broadcast_to(hist.value, K.shape)
     with np.errstate(all="ignore"):
-        values, rows = _conveyor(w, z, start, K, int(n[0]), s, -delta, _SLOTS)
+        values, rows = _conveyor(w, z, start, K, int(n[0]), s, _SLOTS)
     # refined one lane at a time: libm pow in _parabola_refine, as in one run
     dip = np.array(
         [
@@ -383,7 +389,7 @@ def _lanes(w, hist, delta, h, T, step) -> LaneDips:
     return LaneDips(step=s, values=values, dip=dip, rows=rows)
 
 
-def _conveyor(w, z, start, K, n, s, nd, slots):
+def _conveyor(w, z, start, K, n, s, slots):
     """March lanes on slots one delay segment at a time; returns the stencil
     of each lane's lowest node in [start, K] (see LaneDips) and the rows marched.
 
@@ -421,7 +427,7 @@ def _conveyor(w, z, start, K, n, s, nd, slots):
             mids = _segment_midpoints(prev, c0, c1)
             mids[:, fresh] = z_new
             _rk4_lanes(
-                cur[c0 : c1 + 1], w(prev[c0 : c1 + 1], lane), w(mids, lane), nd, lane_s, hs, s6
+                cur[c0 : c1 + 1], w(prev[c0 : c1 + 1], lane), w(mids, lane), lane_s, hs, s6
             )
         rows += n
 

@@ -66,25 +66,43 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _libm(fn, x):
-    """fn on a float, or on an array as libm once per run of equal entries.
+def _per_run(fn, *cols):
+    """fn on float64 arrays of one shape, once per run of equal entries.
 
-    A run is a stretch of consecutive entries (in C order) with one bit
-    pattern, so +0.0 next to -0.0 are two runs; fn is called on each run's
-    first entry and its value repeated over the run.  A grid whose
-    parameter columns repeat along an axis pays one call per repeat, and an
-    array without runs pays one compare pass more than _each.
+    A run is a stretch of consecutive entries (in C order) in which every
+    column keeps one bit pattern, so +0.0 next to -0.0 are two runs.  fn
+    takes 1-d columns and gives an array, or a tuple of arrays, of their
+    length, entry i from entry i of each column alone.  It gets the first
+    entry of each run, and each of its values is repeated over the run; a
+    grid whose parameter columns repeat along an axis pays one entry per
+    repeat.  Without runs fn gets the columns whole, after one compare pass
+    per column.  Every output has the columns' shape.
     """
+    shape = cols[0].shape
+    flat = [c.astype(float, copy=False).ravel() for c in cols]
+    new = None
+    for c in flat:
+        bits = c.view(np.int64)
+        step = bits[1:] != bits[:-1]
+        new = step if new is None else new | step
+    if np.count_nonzero(new) == new.size:
+        out, counts = fn(*flat), None
+    else:
+        heads = np.flatnonzero(np.concatenate(([True], new)))
+        out, counts = fn(*(c[heads] for c in flat)), np.diff(heads, append=flat[0].size)
+
+    def expand(v):
+        return (v if counts is None else np.repeat(v, counts)).reshape(shape)
+
+    return tuple(map(expand, out)) if type(out) is tuple else expand(out)
+
+
+def _libm(fn, x):
+    """fn on a float, or on an array as libm once per run of equal entries
+    (see _per_run)."""
     if type(x) is not np.ndarray:
         return fn(x)
-    flat = x.astype(float, copy=False).ravel()
-    bits = flat.view(np.int64)
-    new = bits[1:] != bits[:-1]
-    if np.count_nonzero(new) == new.size:
-        return _each(fn, x)
-    heads = np.flatnonzero(np.concatenate(([True], new)))
-    vals = np.fromiter(map(fn, flat[heads].tolist()), float, len(heads))
-    return np.repeat(vals, np.diff(heads, append=flat.size)).reshape(x.shape)
+    return _per_run(partial(_each, fn), x)
 
 
 class DD:

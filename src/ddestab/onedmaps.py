@@ -137,23 +137,43 @@ def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
     accurate to machine precision when u2 and u1 are close or when
     rz -> -1, where the raw difference loses every digit.  Takes arrays too.
     """
+    # c = 0 leaves the difference as it is
+    return _identity(u2, u1, a, *_phi_base(u1, rz, a), 0.0)
+
+
+def _phi_base(u1, rz, a) -> tuple:
+    """(1 + rz, v1, a - u1): the difference form's terms at u1, which depend
+    on neither u2 nor c, so a solve takes them once per lane.
+
+    v1 = a - (1 + rz)*(a - u1) is v at u1.  At a tiny u1 and rz the product
+    rounds to a; where v1 has cancelled so, below 2**-26 * max(|a|, 1), it
+    is taken as (1 + rz)*u1 - rz*a, the same number with terms that shrink
+    with u1 and rz.
+    """
     eps = 1.0 + rz
-    v1 = a - eps * (a - u1)
-    # the lane test is inlined: this is the inner loop of every solve
-    lanes = type(v1) is np.ndarray
-    if (v1 == 0.0).any() if lanes else v1 == 0.0:
+    d1 = a - u1
+    v1 = a - eps * d1
+    if type(v1) is np.ndarray:
+        cancelled = np.abs(v1) < 2.0**-26 * np.maximum(np.abs(a), 1.0)
+        v1 = np.where(cancelled, eps * u1 - rz * a, v1)
+    elif abs(v1) < 2.0**-26 * max(abs(a), 1.0):
+        v1 = eps * u1 - rz * a
+    if _any(v1 == 0.0):
         raise ValueError("difference form hit the log singularity at u1")
-    w = (u2 - u1) / v1
+    return eps, v1, d1
+
+
+def _identity(u, u1, a, eps, v1, d1, c):
+    # both maps solve phi(u) - phi(u1) = c for u; F and F1 differ only in
+    # their bracket, u1 and c, which _F_setup and _F1_setup give, and take
+    # the terms at u1 from _phi_base.  The lane test is inlined: this is the
+    # inner loop of every solve
+    w = (u - u1) / v1
     s = eps * w
+    lanes = type(s) is np.ndarray
     if (s <= -1.0).any() if lanes else s <= -1.0:
         raise ValueError("difference form crossed the log singularity")
-    return w * (a - u1) - a * w * w * (_sln_lanes(s) if lanes else _sln(s))
-
-
-def _identity(u, u1, rz, a, c):
-    # both maps solve phi(u) - phi(u1) = c for u; F and F1 differ only in
-    # their bracket, u1 and c, which _F_setup and _F1_setup give
-    return phi_diff(u, u1, rz, a) - c
+    return w * d1 - a * w * w * (_sln_lanes(s) if lanes else _sln(s)) - c
 
 
 def _F_setup(rz, np_: NormParams) -> tuple:
@@ -179,7 +199,8 @@ def _map_solve(setup, rz, np_: NormParams) -> MapSolve:
     if rz == 0.0:
         return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
     lo, hi, u1, c = setup(rz, np_)
-    res = solve_bracketed(_identity, lo, hi, args=(u1, rz, np_.a, c))
+    a = np_.a
+    res = solve_bracketed(_identity, lo, hi, args=(u1, a, *_phi_base(u1, rz, a), c))
     return MapSolve(res.root, res.f_root, res.bracket, res.iterations)
 
 
@@ -200,8 +221,10 @@ def _lane_solves(parts) -> list[MapSolve]:
         lo, hi, u1, c = setup(r, lanes)
         cols.append([np.broadcast_to(v, sel.shape) for v in (lo, hi, u1, r, lanes.a, c)])
         sels.append(sel)
-    lo, hi, *args = (np.concatenate(col) for col in zip(*cols))
-    res = solve_bracketed(_identity, lo, hi, args=tuple(args)) if lo.size else None
+    lo, hi, u1, r, a, c = (np.concatenate(col) for col in zip(*cols))
+    res = None
+    if lo.size:
+        res = solve_bracketed(_identity, lo, hi, args=(u1, a, *_phi_base(u1, r, a), c))
     out, start = [], 0
     for (_, rz, _), sel in zip(parts, sels):
         value, residual, end_a, end_b = (np.zeros(rz.shape) for _ in range(4))

@@ -127,6 +127,8 @@ def normalize(p: ParamSet) -> NormParams:
     a = p.a / p.delta
     if a == -math.inf and p.a > -math.inf:
         raise ValueError(f"a/delta overflows at a = {p.a:.12g}, delta = {p.delta:.12g}")
+    if a == 0.0:
+        raise ValueError(f"a/delta underflows to 0 at a = {p.a:.12g}, delta = {p.delta:.12g}")
     return NormParams(a=a, theta=theta)
 
 

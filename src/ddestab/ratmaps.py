@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddouble import FLOAT
+from .ddouble import FLOAT, _per_run
 from .params import NormParams, _any
 
 __all__ = [
@@ -84,8 +84,20 @@ def coeffs(np_: NormParams) -> Coeffs:
     return Coeffs(alpha=alpha, beta=beta, a_star=a_star, lam=lam, params=np_)
 
 
+def _float_runs(fn, a, theta, mx):
+    """fn(a, theta, mx); on FLOAT lanes, once per run of equal (a, theta)
+    entries, each value repeated over its run (see ddouble._per_run)."""
+    if mx is FLOAT and (type(a) is np.ndarray or type(theta) is np.ndarray):
+        return _per_run(fn, *np.broadcast_arrays(a, theta))
+    return fn(a, theta, mx)
+
+
 def coeffs_generic(a, theta, mx=FLOAT):
     """(lam, alpha, beta, a_star) through any arithmetic backend mx."""
+    return _float_runs(_coeffs_pack, a, theta, mx)
+
+
+def _coeffs_pack(a, theta, mx=FLOAT):
     one = mx.num(1.0)
     a = mx.num(a) * one
     th = mx.num(theta) * one
@@ -234,6 +246,10 @@ def j_generic(r, a, theta, mx=FLOAT):
 
 def j_tangent_coeffs(a, theta, mx=FLOAT):
     """Tangent line j0 + j1*r to the comparison function at r = 0, any backend."""
+    return _float_runs(_j_tangent, a, theta, mx)
+
+
+def _j_tangent(a, theta, mx=FLOAT):
     one = mx.num(1.0)
     a = mx.num(a) * one
     theta = mx.num(theta) * one

@@ -225,6 +225,16 @@ def test_rescaled_slope_overflow_is_a_usage_error(capsys):
     assert captured.err == "error: a/delta overflows at a = -1e+308, delta = 1e-10\n"
 
 
+def test_rescaled_slope_underflow_is_a_usage_error(capsys):
+    # the twin of the overflow: the message names the slope and rate given,
+    # not the -0.0 they rescale to
+    rc = main(["check", "--a=-5e-324", "--delta", "10", "--h", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: a/delta underflows to 0 at a = -4.94065645841e-324, delta = 10\n"
+
+
 # ---------------------------------------------------------------------------
 # map
 
@@ -295,16 +305,22 @@ def test_map_lockstep_never_runs_a_few_lanes(monkeypatch, capsys):
     assert len(lockstep) < len(lanes)
 
 
-def test_map_tiny_z_error_frozen(tmp_path, capsys):
-    # below z of about 1e-16 the difference form's u1 term cancels to 0
+def test_map_tiny_z_gives_finite_rows(tmp_path, capsys):
+    # below z of about 1e-16 the direct u1 term of the difference form
+    # cancels to 0; the solve setup takes it in its expanded form there
     path = tmp_path / "map.csv"
     argv = ["map", "--a", "-2", "--theta", "0.39", "--zmin", "0", "--zmax", "1e-300", "--n", "3"]
     rc = main([*argv, "--out", str(path)])
     captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert captured.err == "error: difference form hit the log singularity at u1\n"
-    assert not path.exists()
+    assert rc == 0
+    assert captured.err == ""
+    header, *rows = path.read_text().splitlines()
+    assert header == "z,F,F1,R_of_rz,R2_of_rz,residual_F,residual_F1"
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert values.shape == (4, 7) and np.isfinite(values).all()
+    assert values[0].tolist() == [0.0] * 7
+    # F has the sign opposite to z
+    assert (values[1:, 1] < 0.0).all()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

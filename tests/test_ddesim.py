@@ -201,19 +201,22 @@ def test_extrema_scan_matches_node_loop(np_core):
 
 
 def test_rk4_rows_list_equals_array_column():
-    # runs on Python floats, each bitwise the same as its lane of a 2-D array
-    # whose lanes have their own steps, as on the conveyor
+    # the lane kernel runs the delta = 1 row; on Python floats at nd = -1
+    # each lane is bitwise the same, with its own step, as on the conveyor.
+    # Lanes 0 and 1 stay on signed zeros: -1*v + w and w - v agree there too
     rng = np.random.default_rng(7)
-    n, k, nd = 40, 16, -1.3
+    n, k = 40, 16
     s = rng.uniform(0.001, 0.2, k)
     w_node, w_mid = rng.standard_normal((n + 1, k)), rng.standard_normal((n, k))
     lanes = np.empty((n + 1, k))
     lanes[0] = rng.uniform(-2.0, 2.0, k)
-    ddesim._rk4_lanes(lanes, w_node, w_mid, nd, s, 0.5 * s, s / 6.0)
+    lanes[0, :2], w_node[:, :2], w_mid[:, :2] = [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]
+    ddesim._rk4_lanes(lanes, w_node, w_mid, s, 0.5 * s, s / 6.0)
+    assert {v.hex() for v in lanes[:, :2].ravel().tolist()} == {"0x0.0p+0", "-0x0.0p+0"}
     for j, sj in enumerate(s.tolist()):
         rows = [lanes[0, j].item()] + [0.0] * n
         wn, wm = w_node[:, j].tolist(), w_mid[:, j].tolist()
-        ddesim._rk4_rows(rows, wn, wm, nd, sj, 0.5 * sj, sj / 6.0)
+        ddesim._rk4_rows(rows, wn, wm, -1.0, sj, 0.5 * sj, sj / 6.0)
         assert [v.hex() for v in rows] == [v.hex() for v in lanes[:, j].tolist()], j
 
 
@@ -391,3 +394,12 @@ def test_lanes_need_constant_history_and_a_window():
         integrate(lambda x, lane_ids: x, History.constant(0.5), lanes, T[::-1])
     with pytest.raises(ValueError):
         integrate(lambda x, lane_ids: x, History.constant(0.5), lanes, T[1])
+
+
+def test_lanes_run_the_normalised_equation_only():
+    # the lane kernel runs delta = 1: a ParamSet with lane horizons raises,
+    # even at delta = 1, rather than run a decay rate it drops
+    T = np.stack([np.zeros(2), np.full(2, 2.0)])
+    for delta in (1.0, 2.0):
+        with pytest.raises(ValueError, match="normalised"):
+            integrate(lambda x, lane_ids: x, History.constant(0.5), ParamSet(-2.0, delta, 1.0), T)

@@ -407,3 +407,13 @@ def test_F_residual_property(th):
     z = 0.5 * iv.hi
     s = F_solve(z, np_)
     assert abs(s.residual) < 1e-10
+
+
+@pytest.mark.parametrize("z", [1e-9, 1e-12])
+def test_F_at_tiny_z_follows_its_tangent(z, np_core, np_sector):
+    # F(z) = alpha*r(z) + O(r(z)**2).  At a tiny z the direct u1 term of the
+    # difference form cancels, and took F off its tangent by 2.5e-5
+    # relative at z = 1e-12
+    for p in (np_core, np_sector):
+        tangent = coeffs(p).alpha * r_eval(z, p.a)
+        assert abs(F_solve(z, p).value / tangent - 1.0) < 1e-9
