@@ -6,6 +6,10 @@ delayed midpoints come from a four-point cubic stencil kept inside one
 smoothness segment.  Restarting at delay multiples preserves the method
 order despite the derivative jumps there.  Everything is deterministic.
 
+A constant history whose value is a 1-D array runs one column per value
+in a single march: each delay segment takes its stencil and its model
+calls once for all columns, and every column is bitwise its own run.
+
 integrate also runs many lanes of the normalised equation (delta = 1),
 each with its own parameters, constant history and horizon, on a conveyor.
 A fixed number of slots march in lockstep, one delay segment at a time.  A
@@ -63,7 +67,8 @@ class History:
 
     def __init__(self, kind: str, value: float = 0.0, times=None, values=None):
         self.kind = kind
-        # an array value gives one history per lane of a lockstep run
+        # an array value gives one constant history per lane, or per column
+        # of a single march
         self.value = np.array(value, dtype=float) if np.ndim(value) else float(value)
         self.times = None if times is None else np.asarray(times, dtype=float)
         self.values = None if values is None else np.asarray(values, dtype=float)
@@ -132,7 +137,11 @@ class History:
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution values starting at t0 with the reported step."""
+    """Uniform-grid solution values starting at t0 with the reported step.
+
+    values is (nodes,), or (nodes, histories) for a run of several constant
+    histories; extrema, export_csv and asymptotic_bounds read one history.
+    """
 
     t0: float
     step: float
@@ -154,7 +163,7 @@ class Trajectory:
 
     def export_csv(self, path) -> None:
         r"""Header t,x, then t0 + i*step and the value, both %.12g, rows ending in \r\n."""
-        with open(path, "w", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.write(_table_text(("t", "x"), (self.times, self.values), "\r\n"))
 
 
@@ -276,6 +285,11 @@ def integrate(model, hist: History, params, T, step: float | None = None):
     The step is adjusted to the nearest exact divisor of the delay and
     reported on the trajectory.  The model must accept numpy arrays.
 
+    A constant history with a 1-D array of values marches one column per
+    value, bitwise each value's own run, and the trajectory's values are
+    (nodes, histories).  A run that diverges raises at the earliest
+    non-finite node over all columns.
+
     An array T of shape (2, L) runs L lanes on the conveyor and returns
     LaneDips: lane j marches to T[1, j] and reports its lowest node at or
     after T[0, j].  Lanes run the normalised equation, delta = 1: params
@@ -292,12 +306,18 @@ def integrate(model, hist: History, params, T, step: float | None = None):
         return _lanes(w, hist, h, T, step)
     n, s, K = (v.item() for v in _step_grid(h, T, step))
     hist.check_span(h)
-    y = np.empty(K + 1)
-    y[0] = hist(0.0)
+    if np.ndim(hist.value):
+        if hist.kind != "constant" or np.ndim(hist.value) != 1:
+            raise ValueError("several histories in one run must be constant, a 1-d array of values")
+        y = np.empty((K + 1, hist.value.size))
+        y[0] = hist.value
+    else:
+        y = np.empty(K + 1)
+        y[0] = hist(0.0)
     # overflow inside a blowing-up model is reported via IntegrationDiverged,
     # not as a numpy warning
     with np.errstate(all="ignore"):
-        _march(w, hist, y, n, s, delta)
+        (_march_columns if y.ndim == 2 else _march)(w, hist, y, n, s, delta)
     return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h)
 
 
@@ -313,12 +333,25 @@ def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
         y[i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
 
 
+def _rk4_unit_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
+    """_rk4_rows at nd = -1, which it takes and ignores: each -1*v + w is
+    written w - v, the same float, signed zeros included, one multiply
+    fewer."""
+    for i in range(len(y) - 1):
+        yi = y[i]
+        r1 = w_node[i] - yi
+        r2 = w_mid[i] - (yi + hs * r1)
+        r3 = w_mid[i] - (yi + hs * r2)
+        r4 = w_node[i + 1] - (yi + s * r3)
+        y[i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
+
+
 def _rk4_lanes(y, w_node, w_mid, s, hs, s6) -> None:
-    """_rk4_rows at nd = -1 on a 2-D array y, a lane per column: each row
-    runs _rk4_rows' operations in its order, written in place into row
-    buffers, so every lane is bitwise its own run.  -1*v + w is w - v and
-    2*u is u + u, exactly, so a row takes 16 array passes.  out goes by
-    position, which numpy parses faster than out=."""
+    """_rk4_unit_rows on a 2-D array y, a lane per column: each row runs
+    its operations in its order, written in place into row buffers, so
+    every lane is bitwise its own run.  2*u is u + u, exactly, so a row
+    takes 16 array passes.  out goes by position, which numpy parses faster
+    than out=."""
     mul, add, sub = np.multiply, np.add, np.subtract
     r1, r2, r3, t = (np.empty_like(y[0]) for _ in range(4))
     ys, wn, wm = list(y), list(w_node), list(w_mid)
@@ -337,6 +370,7 @@ def _rk4_lanes(y, w_node, w_mid, s, hs, s6) -> None:
 def _march(w, hist, y, n, s, delta) -> None:
     """RK4 on the nodes of y, one delay segment at a time."""
     nd, hs, s6 = -delta, 0.5 * s, s / 6.0
+    rk4 = _rk4_unit_rows if nd == -1.0 else _rk4_rows
     K = len(y) - 1
     for k0 in range(0, K, n):
         k1 = min(k0 + n, K)
@@ -350,7 +384,7 @@ def _march(w, hist, y, n, s, delta) -> None:
         # Python floats, not numpy scalars: the same IEEE operations, a
         # fraction of the cost per node
         rows = [y[k0].item()] * (cnt + 1)
-        _rk4_rows(
+        rk4(
             rows,
             np.asarray(w(node_del), dtype=float).tolist(),
             np.asarray(w(mid_del), dtype=float).tolist(),
@@ -359,6 +393,38 @@ def _march(w, hist, y, n, s, delta) -> None:
         seg = y[k0 : k1 + 1]
         seg[:] = rows
         finite = np.isfinite(seg)
+        if not finite.all():
+            raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
+
+
+def _march_columns(w, hist, y, n, s, delta) -> None:
+    """_march from a constant history with an array of values, one column
+    of y each.  Every delay segment takes one stencil and two model calls
+    for all columns, then runs each column's rows as _march runs its one;
+    a diverging run stops at the earliest non-finite node of any column."""
+    z = hist.value
+    nd, hs, s6 = -delta, 0.5 * s, s / 6.0
+    rk4 = _rk4_unit_rows if nd == -1.0 else _rk4_rows
+    K = len(y) - 1
+    for k0 in range(0, K, n):
+        k1 = min(k0 + n, K)
+        cnt = k1 - k0
+        if k0 == 0:
+            # filled C-contiguous arrays, as a single run's constant history
+            # gives: the model computes on the same layout
+            node_del = np.full((cnt + 1, len(z)), z)
+            mid_del = np.full((cnt, len(z)), z)
+        else:
+            node_del = y[k0 - n : k1 - n + 1]
+            mid_del = _segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
+        w_node = np.asarray(w(node_del), dtype=float).T.tolist()
+        w_mid = np.asarray(w(mid_del), dtype=float).T.tolist()
+        seg = y[k0 : k1 + 1]
+        for j, (y0, wn, wm) in enumerate(zip(seg[0].tolist(), w_node, w_mid)):
+            rows = [y0] * (cnt + 1)
+            rk4(rows, wn, wm, nd, s, hs, s6)
+            seg[:, j] = rows
+        finite = np.isfinite(seg).all(axis=1)
         if not finite.all():
             raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
 

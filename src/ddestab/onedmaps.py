@@ -32,7 +32,6 @@ __all__ = [
     "IntervalI",
     "interval_I",
     "MapSolve",
-    "phi_diff",
     "F_solve",
     "F_solve_r",
     "F1_solve",
@@ -127,18 +126,6 @@ def _sln_series(s):
         p *= s
         pm *= m
     return acc
-
-
-def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
-    """phi(u2) - phi(u1) in a cancellation-free form.
-
-    phi(u) = (a*log|v| - v)/(1 + rz)**2 with v = (1 + rz)*u - rz*a is an
-    antiderivative of (a - u)/v.  The exact rewrite of its difference stays
-    accurate to machine precision when u2 and u1 are close or when
-    rz -> -1, where the raw difference loses every digit.  Takes arrays too.
-    """
-    # c = 0 leaves the difference as it is
-    return _identity(u2, u1, a, *_phi_base(u1, rz, a), 0.0)
 
 
 def _phi_base(u1, rz, a) -> tuple:

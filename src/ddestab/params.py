@@ -291,19 +291,21 @@ def region_boundary_rows(mu_values) -> list[dict]:
 _CSV_FIELDS = ["mu", "theta_pi1", "theta_pi2", "theta_pi3", "theta_local"]
 
 
-def _table_text(header, cols, eol: str) -> str:
-    """A numeric table as text: the header names joined by commas, then one
-    line per row of the equal-length columns, every cell %.12g, each line
-    ending in eol.  All cells go through a single % operation."""
+def _table_text(header, cols, eol: str) -> bytes:
+    """A numeric table as ASCII bytes: the header names joined by commas,
+    then one line per row of the equal-length columns, every cell %.12g,
+    each line ending in eol.  All cells go through a single bytes %
+    operation, which formats faster than str %."""
     k, rows = len(cols), len(cols[0])
     cells = np.column_stack(cols).ravel().tolist()
-    return ",".join(header) + eol + (("%.12g," * (k - 1) + "%.12g" + eol) * rows) % tuple(cells)
+    line = ("%.12g," * (k - 1) + "%.12g" + eol).encode("ascii")
+    return (",".join(header) + eol).encode("ascii") + (line * rows) % tuple(cells)
 
 
 def write_region_csv(path, rows) -> None:
     r"""Write region_boundary_rows' table as CSV, 12 significant digits, lines ending in \r\n."""
     cols = [[row[k] for row in rows] for k in _CSV_FIELDS]
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.write(_table_text(_CSV_FIELDS, cols, "\r\n"))
 
 

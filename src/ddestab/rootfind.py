@@ -38,8 +38,12 @@ class RootResult:
 
 
 # a solve stops once the bracket is this narrow relative to max(1, |x|),
-# a few ulps, or after this many iterations
+# a few ulps, or after this many iterations.  Below |x| = _TINY the width
+# is relative to |x| alone, so a tiny bracket is solved, not returned as it
+# came.  _TINY lies under every scale the sweeps and the map defaults reach
+# (the smallest, 1.8e-4, is a leform1 root), so their solves stop as before
 _XTOL = 1e-15
+_TINY = 1e-5
 _MAX_ITER = 200
 # the lockstep solve hands its lanes to the scalar loop once this few still run
 _SCALAR_TAIL = 8
@@ -51,13 +55,14 @@ def solve_bracketed(
     """Find x in [lo, hi] with f(x, *args) = 0, given f(lo) and f(hi) of opposite sign.
 
     Returns the visited point with the smallest |f|.  Stops when the bracket
-    width drops below _XTOL * max(1, |x|), when f hits zero exactly, or after
-    _MAX_ITER iterations.  A 1-D array lo or hi makes one lane per entry, and
-    f then maps an array of points to an array of values; each entry of args
-    is then a column with one value per lane (or broadcasts to one), cut
-    together with the points to the lanes still running.  Once at most
-    _SCALAR_TAIL lanes run, f also gets one lane's point and args as Python
-    scalars, and must return a float that is bitwise its array value there.
+    width drops below _XTOL * max(1, |x|) (_XTOL * |x| where |x| < _TINY),
+    when f hits zero exactly, or after _MAX_ITER iterations.  A 1-D array
+    lo or hi makes one lane per entry, and f then maps an array of points
+    to an array of values; each entry of args is then a column with one
+    value per lane (or broadcasts to one), cut together with the points to
+    the lanes still running.  Once at most _SCALAR_TAIL lanes run, f also
+    gets one lane's point and args as Python scalars, and must return a
+    float that is bitwise its array value there.
     """
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
         return _solve_lanes(f, lo, hi, args)
@@ -90,7 +95,8 @@ def _iterate(f, args, it0, a, b, fa, x0, f0, x1, f1, best_x, best_f) -> RootResu
     """
     it = it0
     for it in range(it0, _MAX_ITER + 1):
-        if b - a <= _XTOL * max(1.0, abs(a), abs(b)):
+        scale = max(abs(a), abs(b))
+        if b - a <= _XTOL * (scale if scale < _TINY else max(1.0, scale)):
             break
         x_new = None
         if it % 3 != 0 and f1 != f0:
@@ -158,8 +164,10 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
     best_x, best_f = np.where(lo_best, lo, hi), np.where(lo_best, flo, fhi)
 
     for it in range(1, _MAX_ITER + 1):
-        narrow = b - a <= _XTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        scale = np.maximum(np.abs(a), np.abs(b))
+        narrow = b - a <= _XTOL * np.maximum(1.0, scale)
         if narrow.any():
+            narrow &= (scale >= _TINY) | (b - a <= _XTOL * scale)
             run = retire(narrow, it, best_x, best_f, a, b)
             lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
                 v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)

@@ -756,7 +756,7 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
     tgs = [max(0.0, sharp_boundary_theta(-cv)) if cv > 1.0 else 0.0 for cv in cs]
     tls = [local_stability_boundary(-cv) if cv > 1.0 else 0.0 for cv in cs]
     p1 = os.path.join(out_dir, "fig1.csv")
-    with open(p1, "w", newline="") as fh:
+    with open(p1, "wb") as fh:
         fh.write(_table_text(("c", "theta_global", "theta_local"), (cs, tgs, tls), "\n"))
     paths["fig1"] = p1
 

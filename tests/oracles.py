@@ -5,7 +5,8 @@ history.  F_sim and F1_sim integrate the envelope equation and read the
 extremum off the grid, an independent check of the root solves F_solve and
 F1_solve.  psi_inv, chi and chi_iterate are the scalar straightened map,
 the reference for the Schwarzian margin and for orbit runs.  sln_series is
-the full 22-term series that onedmaps._sln_series cuts short.
+the full 22-term series that onedmaps._sln_series cuts short.  phi_diff
+is the map solves' difference form as a plain two-point function.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from ddestab.ddesim import History, _envelope, _first_node_after, _parabola_refine, integrate
-from ddestab.onedmaps import interval_I
+from ddestab.onedmaps import _identity, _phi_base, interval_I
 from ddestab.params import NormParams
 from ddestab.ratmaps import psi_inv_generic, r_eval
 
@@ -40,6 +41,17 @@ def sln_series(s):
             acc += p / (j + 2)
         p *= s
     return acc
+
+
+def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
+    """phi(u2) - phi(u1) in onedmaps' cancellation-free form.
+
+    phi(u) = (a*log|v| - v)/(1 + rz)**2 with v = (1 + rz)*u - rz*a is an
+    antiderivative of (a - u)/v.  The map solves' identity at c = 0 is this
+    difference; it stays accurate to machine precision when u2 and u1 are
+    close or when rz -> -1, where the raw difference loses every digit.
+    """
+    return _identity(u2, u1, a, *_phi_base(u1, rz, a), 0.0)
 
 
 def psi_inv(y: float, np_: NormParams) -> float:

@@ -307,20 +307,25 @@ def test_map_lockstep_never_runs_a_few_lanes(monkeypatch, capsys):
 
 def test_map_tiny_z_gives_finite_rows(tmp_path, capsys):
     # below z of about 1e-16 the direct u1 term of the difference form
-    # cancels to 0; the solve setup takes it in its expanded form there
+    # cancels to 0; the solve setup takes it in its expanded form there.
+    # The solves' stopping width is relative at these scales, so they
+    # converge instead of returning a bracket end
     path = tmp_path / "map.csv"
-    argv = ["map", "--a", "-2", "--theta", "0.39", "--zmin", "0", "--zmax", "1e-300", "--n", "3"]
-    rc = main([*argv, "--out", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert captured.err == ""
-    header, *rows = path.read_text().splitlines()
-    assert header == "z,F,F1,R_of_rz,R2_of_rz,residual_F,residual_F1"
-    values = np.array([[float(v) for v in row.split(",")] for row in rows])
-    assert values.shape == (4, 7) and np.isfinite(values).all()
-    assert values[0].tolist() == [0.0] * 7
-    # F has the sign opposite to z
-    assert (values[1:, 1] < 0.0).all()
+    for zmax in ("1e-300", "1e-15"):
+        argv = ["map", "--a", "-2", "--theta", "0.39", "--zmin", "0", "--zmax", zmax, "--n", "3"]
+        rc = main([*argv, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        header, *rows = path.read_text().splitlines()
+        assert header == "z,F,F1,R_of_rz,R2_of_rz,residual_F,residual_F1"
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert values.shape == (4, 7) and np.isfinite(values).all()
+        assert values[0].tolist() == [0.0] * 7
+        # F has the sign opposite to z, and so has F1
+        assert (values[1:, 1] < 0.0).all(), zmax
+        assert (values[1:, 2] < 0.0).all(), zmax
+        assert (np.abs(values[:, 5:]) <= 1e-11).all(), zmax
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -512,6 +517,87 @@ def test_nicholson_simulate_bytes_frozen():
     )
     assert proc.returncode == 0, proc.stderr
     assert _sha(proc.stdout) == _FROZEN_NICHOLSON
+
+
+# nicholson --simulate stdout, exit code and stderr as the one-history-at-a-time
+# march printed them: delta 1 and not 1, one history and several, horizons on
+# and off a segment boundary, converging runs and a certified run that misses
+# the tolerance
+_NICHOLSON_GOLDEN = {
+    "p5-delta1": (
+        ["--p", "5", "--delta", "1", "--gamma", "1", "--h", "0.9", "--simulate", "5"],
+        0,
+        """q=5 equilibrium=1.60943791243 slope=-0.609437912434 theta=0.406569659741
+decision: certified (linear): slope magnitude at most 1: certified for every delay
+  history const:1.07295860829 -> relative gap 1.104e-15
+  history const:1.82402963409 -> relative gap 6.484e-15
+  history const:2.57510065989 -> relative gap 9.657e-15
+  history const:3.3261716857 -> relative gap 9.106e-15
+  history const:4.0772427115 -> relative gap 7.864e-15
+worst relative gap: 9.657e-15
+""",
+        "",
+    ),
+    "p5-delta0.8": (
+        ["--p", "5", "--delta", "0.8", "--gamma", "1.2", "--h", "0.8", "--simulate", "5",
+         "--T-mult", "40"],
+        0,
+        """q=6.25 equilibrium=1.52715121979 slope=-0.832581463748 theta=0.527292424043
+decision: certified (linear): slope magnitude at most 1: certified for every delay
+  history const:1.01810081319 -> relative gap 3.780e-15
+  history const:1.73077138243 -> relative gap 8.724e-16
+  history const:2.44344195166 -> relative gap 1.570e-14
+  history const:3.1561125209 -> relative gap 1.003e-14
+  history const:3.86878309014 -> relative gap 8.869e-15
+worst relative gap: 1.570e-14
+""",
+        "",
+    ),
+    "one-history": (
+        ["--p", "4", "--delta", "1.3", "--gamma", "0.7", "--h", "0.5", "--simulate", "1",
+         "--T-mult", "30.3"],
+        0,
+        """q=3.07692307692 equilibrium=1.60561442379 slope=-0.123930096652 theta=0.522045776761
+decision: certified (linear): slope magnitude at most 1: certified for every delay
+  history const:2.56898307806 -> relative gap 2.901e-12
+worst relative gap: 2.901e-12
+""",
+        "",
+    ),
+    "not-certified": (
+        ["--p", "20.085536923187668", "--delta", "1", "--gamma", "1", "--h", "1.2",
+         "--simulate", "3", "--T-mult", "50.7"],
+        1,
+        """q=20.0855369232 equilibrium=3 slope=-2 theta=0.301194211912
+decision: not certified (not_certified): theta at or below the boundary value for the equilibrium slope
+attractor bracket: N in [1.1009674953, 7.38905609893] (own-interval invariance: plain=True damped=True)
+  history const:2.7 -> relative gap 8.014e-02
+  history const:4.8 -> relative gap 1.174e-01
+  history const:6.9 -> relative gap 5.531e-02
+worst relative gap: 1.174e-01
+""",
+        "",
+    ),
+    "missed-tolerance": (
+        ["--p", "7", "--delta", "1", "--gamma", "0.5", "--h", "1.5", "--simulate", "2",
+         "--T-mult", "12.25"],
+        1,
+        """q=7 equilibrium=3.89182029811 slope=-0.945910149055 theta=0.223130160148
+decision: certified (linear): slope magnitude at most 1: certified for every delay
+  history const:4.41072967119 -> relative gap 3.570e-04
+  history const:8.04309528276 -> relative gap 1.903e-03
+worst relative gap: 1.903e-03
+""",
+        "warning: a certified run missed the tolerance\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NICHOLSON_GOLDEN))
+def test_nicholson_simulate_matches_golden(case, capsys):
+    argv, rc, out, err = _NICHOLSON_GOLDEN[case]
+    assert main(["nicholson", *argv]) == rc
+    assert capsys.readouterr() == (out, err)
 
 
 # SHA-256 of region's stdout and files and of map's CSV: a change to the raster

@@ -11,6 +11,14 @@ from ddestab.ddesim import (
     asymptotic_bounds,
     integrate,
 )
+from ddestab.models import (
+    NicholsonParams,
+    make_mackey_glass,
+    make_rational,
+    make_ricker_shifted,
+    make_wazewska,
+    make_wright,
+)
 from ddestab.onedmaps import F1_solve, F_solve, interval_I
 from ddestab.params import NormLanes, NormParams, ParamSet
 from oracles import F1_sim, F_sim, extremum_after
@@ -218,6 +226,89 @@ def test_rk4_rows_list_equals_array_column():
         wn, wm = w_node[:, j].tolist(), w_mid[:, j].tolist()
         ddesim._rk4_rows(rows, wn, wm, -1.0, sj, 0.5 * sj, sj / 6.0)
         assert [v.hex() for v in rows] == [v.hex() for v in lanes[:, j].tolist()], j
+
+
+def _hex(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+def test_unit_rows_equal_general_rows():
+    # at nd = -1 the w - v row is bitwise the -1*v + w row, on seeded rows
+    # and on rows that stay on signed zeros
+    rng = np.random.default_rng(11)
+    n = 48
+    cases = [
+        (rng.uniform(-3.0, 3.0), rng.standard_normal(n + 1), rng.standard_normal(n), rng.uniform(0.001, 0.3))
+        for _ in range(25)
+    ]
+    zeros = np.array([0.0, -0.0])
+    for y0 in (0.0, -0.0):
+        for pick in range(4):
+            wn, wm = zeros[(np.arange(n + 1) + pick) % 2], zeros[(np.arange(n) // 2 + pick) % 2]
+            cases.append((y0, wn, wm, 0.1))
+    signed_zero_runs = 0
+    for y0, wn, wm, s in cases:
+        unit, general = ([y0] + [0.0] * n for _ in range(2))
+        ddesim._rk4_unit_rows(unit, wn.tolist(), wm.tolist(), -1.0, s, 0.5 * s, s / 6.0)
+        ddesim._rk4_rows(general, wn.tolist(), wm.tolist(), -1.0, s, 0.5 * s, s / 6.0)
+        assert _hex(unit) == _hex(general)
+        signed_zero_runs += set(_hex(unit)) == {"0x0.0p+0", "-0x0.0p+0"}
+    assert signed_zero_runs >= 2
+
+
+# the blowfly feedback and the five simulate models, each with five
+# constant history levels in its working range
+_COLUMN_MODELS = {
+    "blowfly": (NicholsonParams(p=5.0, delta=1.0, gamma_n=1.2, h=0.8).feedback(), (0.3, 0.9, 1.4, 2.2, 3.1)),
+    "ricker": (make_ricker_shifted(8.0), (-0.6, -0.1, 0.2, 0.7, 1.5)),
+    "wright": (make_wright(-1.2), (-0.5, 0.1, 0.4, 0.8, 2.0)),
+    "mackey": (make_mackey_glass(1.6, 2.5), (0.1, 0.5, 0.9, 1.3, 2.4)),
+    "wazewska": (make_wazewska(2.0, 1.1), (0.2, 0.6, 1.0, 1.7, 2.9)),
+    "rational": (make_rational(-1.1, 1.3), (-0.4, 0.05, 0.3, 0.9, 1.8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COLUMN_MODELS))
+@pytest.mark.parametrize("delta", [1.0, 0.85])
+@pytest.mark.parametrize("columns", [1, 5])
+@pytest.mark.parametrize("delays", [0.45, 6.3])
+def test_columns_equal_single_runs(name, delta, columns, delays):
+    # horizons end mid-segment, in the first delay and after six
+    model, levels = _COLUMN_MODELS[name]
+    p = ParamSet(a=-1.0, delta=delta, h=0.7)
+    T = delays * p.h
+    z = np.array(levels[:columns])
+    run = integrate(model, History.constant(z), p, T)
+    assert run.values.shape == (len(run.times), columns)
+    for j, zj in enumerate(levels[:columns]):
+        one = integrate(model, History.constant(zj), p, T)
+        assert one.step == run.step and one.t_end == run.t_end
+        assert _hex(one.values.tolist()) == _hex(run.values[:, j].tolist()), j
+
+
+def test_columns_diverge_at_the_earliest_column():
+    # x' = -x + x(t - h)**2 blows up from a history above 1, sooner the
+    # higher it starts; the level below 1 decays
+    p = ParamSet(a=-1.0, delta=1.0, h=0.5)
+    levels = [0.5, 3.0, 8.0, 2.0]
+    with pytest.raises(IntegrationDiverged) as run:
+        integrate(lambda x: x * x, History.constant(np.array(levels)), p, 40.0)
+    times = []
+    for z in levels:
+        try:
+            integrate(lambda x: x * x, History.constant(z), p, 40.0)
+        except IntegrationDiverged as one:
+            times.append(one.t)
+    assert len(times) == 3
+    assert run.value.t == min(times)
+
+
+def test_columns_need_constant_histories():
+    p = ParamSet(a=-1.0, delta=1.0, h=0.5)
+    with pytest.raises(ValueError, match="constant"):
+        integrate(lambda x: -x, History.ramp(np.array([0.2, 0.4])), p, 2.0)
+    with pytest.raises(ValueError, match="constant"):
+        integrate(lambda x: -x, History.constant(np.ones((2, 2))), p, 2.0)
 
 
 def test_extrema_of_oscillatory_run(np_core):

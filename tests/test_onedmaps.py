@@ -17,13 +17,12 @@ from ddestab.onedmaps import (
     interval_I,
     lambda_composite,
     mn_polys_generic,
-    phi_diff,
     q_poly_generic,
     ramp_slope_ratio,
     s_poly_generic,
     t_chain_generic,
 )
-from oracles import sln_series, t1
+from oracles import phi_diff, sln_series, t1
 
 # frozen: ramp response at a=-2, theta=0.5, z=1 solves a quadratic; root -2+sqrt(3)
 F1_EXACT = -0.26794919243112270
@@ -57,7 +56,7 @@ def test_t1_range(np_core):
     assert t1(iv.hi, np_core) == pytest.approx(-h, abs=1e-12)
 
 
-# oracles for the tests below; the package itself uses phi_diff and _g1_fraction
+# oracles for the tests below; the package itself uses the difference form and _g1_fraction
 def phi_antiderivative(u: float, rz: float, a: float) -> float:
     """Raw antiderivative whose differences encode the response identity.
 

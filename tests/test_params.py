@@ -287,9 +287,10 @@ def test_region_files_deterministic(tmp_path):
 
 
 def _table_rows(header, cols, eol):
-    """The per-row form _table_text replaces: one "%.12g" join per line."""
+    """The per-row form _table_text replaces: one "%.12g" join per line, as
+    ASCII bytes."""
     lines = [",".join(header)] + [",".join("%.12g" % v for v in row) for row in zip(*cols)]
-    return "".join(line + eol for line in lines)
+    return "".join(line + eol for line in lines).encode("ascii")
 
 
 cells = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
@@ -318,5 +319,5 @@ def test_table_text_edge_cells(eol):
     assert _table_text(["x"], [col], eol) == eol.join(
         ["x", "nan", "inf", "-inf", "-0", "4.94065645841e-324", "2.22507385851e-308",
          "1e+300", "-1e+300", ""]
-    )
-    assert _table_text(["a", "b"], [[1.5], [-0.0]], eol) == f"a,b{eol}1.5,-0{eol}"
+    ).encode("ascii")
+    assert _table_text(["a", "b"], [[1.5], [-0.0]], eol) == f"a,b{eol}1.5,-0{eol}".encode("ascii")

@@ -171,3 +171,20 @@ def test_lanes_without_sign_change_raise():
     shift = np.array([0.0, 0.0, 2.0])  # the last lane has no root in [-1, 1]
     with pytest.raises(BracketError):
         solve_bracketed(lambda x, s: x * x * x + s, lo, 1.0, args=(shift,))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-15, 1e-8])
+def test_tiny_brackets_are_solved_to_relative_width(scale):
+    # an absolute width of 1e-15 would stop these solves at once, on a
+    # bracket end; relative to the bracket they converge, in lanes (enough
+    # for the lockstep loop) as in one solve
+    def f(x, c):
+        d = x / c - 1.0
+        return d + d**3
+
+    roots = scale * np.linspace(0.1, 0.9, 2 * _SCALAR_TAIL + 5)
+    lanes = solve_bracketed(f, np.zeros(roots.size), np.full(roots.size, scale), args=(roots,))
+    assert np.all(np.abs(lanes.root - roots) <= 1e-14 * roots)
+    for c in roots[:3].tolist():
+        one = solve_bracketed(f, 0.0, scale, args=(c,))
+        assert abs(one.root - c) <= 1e-14 * c
