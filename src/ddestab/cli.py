@@ -70,8 +70,8 @@ def _cmd_check(args) -> int:
         }
         if cert.failure is not None:
             out["failure"] = {k: getattr(cert.failure, k) for k in ("name", "value", "requirement")}
-        json.dump(out, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        # one encode and one write: json.dump writes chunk by chunk
+        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     else:
         if cert.ok:
             verdict, tag = "globally stable", f"{cert.region.tag.value} certificate"
@@ -228,8 +228,9 @@ def _cmd_nicholson(args) -> int:
     )
     region = dec.region.tag.value if dec.region is not None else "unconditional"
     print(f"decision: {verdict} ({region}): {dec.reason}")
-    if p.ln_q > 2.0:
-        b = attractor_bounds(p)
+    b = attractor_bounds(p) if p.ln_q > 2.0 else None
+    # upper_n = upper/gamma overflows where q is near the largest float and gamma < 1
+    if b is not None and math.isfinite(b.upper_n):
         print(
             f"attractor bracket: N in [{_FMT % b.lower_n}, {_FMT % b.upper_n}] "
             f"(own-interval invariance: plain={b.invariant_g} damped={b.invariant_g1})"
@@ -267,10 +268,19 @@ def _cmd_verify(args) -> int:
     return 0 if bad == 0 else 1
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # built on the first call and kept: a parse leaves the parser unchanged,
-    # and import stays free of the cost
+    """The top-level parser, which reads a whole argv."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name.
+
+    Built on the first call and kept: a parse leaves the parsers unchanged,
+    and import stays free of the cost.  main hands a known subcommand's
+    tokens to its own parser; the top-level one reads every other argv.
+    """
     ap = argparse.ArgumentParser(
         prog="ddestab",
         description="Certify global stability of scalar delayed negative feedback.",
@@ -329,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--resolution", type=int, default=64)
     v.add_argument("--out", default=None, help="directory for JSON reports")
     v.set_defaults(fn=_cmd_verify)
-    return ap
+    return ap, sub.choices
 
 
 def _glue_negative_values(argv: list[str]) -> list[str]:
@@ -345,8 +355,17 @@ def _glue_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
+    ap, commands = _parsers()
+    args = rest = None
+    # a known subcommand's own parser reads the tokens after its name, as
+    # the top-level parser would hand them over; -h, no argument, an unknown
+    # command and a token the subcommand leaves go to the top-level parser,
+    # which prints the usage line, error text and exit code it always gave
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+    if args is None or rest:
+        args = ap.parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -133,6 +133,10 @@ class NicholsonParams:
         for nm in ("p", "delta", "gamma_n", "h"):
             if not getattr(self, nm) > 0.0:
                 raise ValueError(f"{nm} must be positive, got {getattr(self, nm)}")
+        if math.isinf(self.p / self.delta):
+            raise ValueError(
+                f"p/delta must be finite, got p = {self.p:.12g}, delta = {self.delta:.12g}"
+            )
 
     @property
     def q(self) -> float:
@@ -222,7 +226,19 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
 
 
 def _g_iter(u: float, q: float) -> float:
-    return q * u * math.exp(-u)
+    g = q * u * math.exp(-u)
+    # q*u overflows past q of about 1e154, and inf*0 is nan: the log form stays finite
+    return g if math.isfinite(g) else u * math.exp(math.log(q) - u)
+
+
+def _g_lanes(us: np.ndarray, q: float) -> np.ndarray:
+    """_g_iter on each entry of us, in numpy arithmetic."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = q * us * np.exp(-us)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        g[bad] = us[bad] * np.exp(math.log(q) - us[bad])
+    return g
 
 
 def _g1_iter(u: float, q: float, theta: float) -> float:
@@ -266,10 +282,10 @@ def attractor_bounds(params: NicholsonParams) -> AttractorBounds:
     lower = max(low_g, low_g1)
 
     us = np.linspace(low_g, upper, _INVARIANCE_SAMPLES)
-    g_vals = q * us * np.exp(-us)
+    g_vals = _g_lanes(us, q)
     inv_g = bool(g_vals.min() >= low_g - 1e-12 and g_vals.max() <= upper + 1e-12)
     us1 = np.linspace(low_g1, g1_peak, _INVARIANCE_SAMPLES)
-    g1_vals = theta * lnq + (1.0 - theta) * (q * us1 * np.exp(-us1))
+    g1_vals = theta * lnq + (1.0 - theta) * _g_lanes(us1, q)
     inv_g1 = bool(
         g1_vals.min() >= low_g1 - 1e-12 and g1_vals.max() <= g1_peak + 1e-12
     )

@@ -313,5 +313,4 @@ def write_region_json(path, rows) -> None:
     """Write region_boundary_rows' table as JSON, full floats."""
     payload = {"fields": _CSV_FIELDS, "rows": rows}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -106,8 +106,50 @@ def _coeffs_pack(a, theta, mx=FLOAT):
     oma = one - a
     num = a * a + lam * (one - 2.0 * a + 2.0 * th * (a - one)) - oma * oma * lam * lam
     den = a * a + (a - a * a) * lam
+    if mx is FLOAT:
+        alpha, num, den = _uncancelled(a, th, alpha, num, den)
     beta = -(num / den)
     return lam, alpha, beta, _branch_slope(a, th, one)
+
+
+def _uncancelled(a, th, alpha, num, den):
+    """(alpha, num, den) on floats, with a series where den has cancelled.
+
+    den = a*a + (a - a*a)*lam is a*alpha, and alpha = (1 - a)*lam + a is
+    about s + x/2 in s = 1 - theta and x = theta/a.  At a huge slope with
+    theta near 1 both come from terms of size a*a or |a| that cancel: at
+    a = -1e13, theta = 1 - 1e-13 den rounds to 0 where it is about -0.5.
+    Where den is below 2**-26 times its largest term and |x| below 2**-20,
+    alpha and num are taken from their power series in x, whose
+    coefficients are polynomials in s (cut where the next term is below an
+    ulp), and den as a*alpha; every other entry keeps the direct values.
+    At a >= -2**19, |x| < 2**-20 puts theta below 1/2 and alpha above 0.49,
+    so den keeps its bits: one pass over a clears a sweep's columns.
+    """
+    lanes = type(den) is np.ndarray
+    if not (np.min(a, initial=0.0) if lanes else a) < -(2.0**19):
+        return alpha, num, den
+    x = th / a
+    if lanes:
+        cancelled = (np.abs(den) < 2.0**-26 * np.maximum(a * a, -a)) & (np.abs(x) < 2.0**-20)
+        if not cancelled.any():
+            return alpha, num, den
+    elif not (abs(den) < 2.0**-26 * max(a * a, -a) and abs(x) < 2.0**-20):
+        return alpha, num, den
+    s = 1.0 - th
+    # alpha = sum over k of x**k (s + k)/(k + 1)!
+    alpha_x = s + x * ((s + 1.0) / 2.0 + x * ((s + 2.0) / 6.0 + x * ((s + 3.0) / 24.0)))
+    num_x = -x * (
+        (1.0 + s + s * s) / 3.0
+        + x * ((1.5 + 2.0 * s + s * s) / 3.0 + x * ((26.0 + 33.0 * s + 11.0 * s * s) / 60.0))
+    )
+    if lanes:
+        return (
+            np.where(cancelled, alpha_x, alpha),
+            np.where(cancelled, num_x, num),
+            np.where(cancelled, a * alpha_x, den),
+        )
+    return alpha_x, num_x, a * alpha_x
 
 
 def _branch_slope(a, theta, one=1.0):

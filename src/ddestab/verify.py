@@ -632,8 +632,7 @@ def write_report(report: LemmaReport, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{report.lemma_id}.json")
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -688,6 +687,11 @@ class Certificate:
         return self.region.certified and all(f.ok for f in self.chain)
 
 
+# the x samples of the LINEAR certificate's Schwarz margin, made once
+_SCHWARZ_SAMPLES = np.linspace(-0.9, 10.0, 41)
+_SCHWARZ_SAMPLES.flags.writeable = False
+
+
 def certificate(np_: NormParams) -> Certificate:
     """Assemble the fact chain that backs the classification at this point."""
     label = classify(np_)
@@ -707,7 +711,7 @@ def certificate(np_: NormParams) -> Certificate:
         # (at a = -1 and theta below about 1e-16 the slope rounds to -1)
         above = linear_criterion(np_)
         chain.append(Fact("straightened_slope", slope, "in (-1, 0)", above and slope < 0.0))
-        worst = float(schwarz_margin(np.linspace(-0.9, 10.0, 41), np_.a, np_.theta).min())
+        worst = float(schwarz_margin(_SCHWARZ_SAMPLES, np_.a, np_.theta).min())
         chain.append(Fact("straightened_schwarz_margin_min", worst, "> 0", worst > 0.0))
     elif label.tag is Region.CORE:
         c = coeffs(np_)

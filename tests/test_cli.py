@@ -15,7 +15,7 @@ import pytest
 
 import ddestab
 from ddestab import verify
-from ddestab.cli import _build_parser, main
+from ddestab.cli import _build_parser, _glue_negative_values, _parsers, main
 from ddestab.rootfind import _SCALAR_TAIL
 
 E3 = math.exp(3.0)
@@ -233,6 +233,26 @@ def test_rescaled_slope_underflow_is_a_usage_error(capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: a/delta underflows to 0 at a = -4.94065645841e-324, delta = 10\n"
+
+
+@pytest.mark.parametrize(
+    "a, theta, gamma",
+    [
+        # composite_slope's true values, from the exact expressions at these floats
+        ("-1e13", "0.9999999999999", 0.25031107),
+        ("-1922892727988.8538", "0.9999999999994669", 0.27594867),
+        ("-1e12", "0.999999999999", 0.24997788),
+    ],
+)
+def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma):
+    # den = a*a + (a - a*a)*lam cancelled there: to 0 at the first two (a
+    # ZeroDivisionError), to -1.3e8 at the third (composite_slope = 0)
+    rc = main(["check", f"--a={a}", "--theta", theta, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert (data["region"], data["certified"]) == ("sector", True)
+    slope = next(f["value"] for f in data["facts"] if f["name"] == "composite_slope")
+    assert slope == pytest.approx(gamma, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +758,36 @@ def test_nicholson_not_certified(capsys):
 
 
 @pytest.mark.parametrize(
+    "p, gamma, bracket",
+    [
+        # q*u overflows past q of about 1e154; the suite turns warnings into errors
+        ("1e200", "1", "attractor bracket: N in [169.414743452, 3.67879441171e+199]"),
+        ("1.7e308", "1", "attractor bracket: N in [261.093912141, 6.25395049991e+307]"),
+        # upper/gamma is past the largest float: no bracket line
+        ("1.7e308", "0.3", None),
+    ],
+)
+def test_nicholson_huge_production_rate(capsys, p, gamma, bracket):
+    rc = main(["nicholson", "--p", p, "--delta", "1", "--gamma", gamma, "--h", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ""
+    lines = [line for line in captured.out.splitlines() if line.startswith("attractor bracket")]
+    if bracket is None:
+        assert lines == []
+    else:
+        assert lines == [bracket + " (own-interval invariance: plain=True damped=True)"]
+
+
+def test_nicholson_rate_ratio_overflow_is_a_usage_error(capsys):
+    rc = main(["nicholson", "--p", "1e308", "--delta", "1e-10", "--h", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: p/delta must be finite, got p = 1e+308, delta = 1e-10\n"
+
+
+@pytest.mark.parametrize(
     "extra, message",
     [
         (["--simulate", "-2"], "error: --simulate must be at least 0, got -2"),
@@ -860,6 +910,84 @@ def test_cached_parser_after_usage_error(capsys):
     capsys.readouterr()
     assert main(["check", "--a", "-2.0", "--theta", "0.39"]) == 0
     assert capsys.readouterr().out.startswith("a=-2 theta=0.39: globally stable")
+
+
+def _top_level_main(argv):
+    """main with every argv read by the top-level parser, as it was before
+    known subcommands went straight to their own parsers."""
+    args = _build_parser().parse_args(_glue_negative_values(argv))
+    try:
+        return args.fn(args)
+    except (ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(fn, argv, capsys):
+    try:
+        code = fn(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _not_asked(*args, **kwargs):
+    raise AssertionError("the top-level parser read a known subcommand's argv")
+
+
+_CHECK = ["check", "--a", "-2", "--theta", "0.39"]
+_NICHOLSON = ["nicholson", "--p", "5", "--delta", "1", "--h", "0.9"]
+
+
+@pytest.mark.parametrize(
+    "argv, own_parser",
+    [
+        # own_parser: the subcommand's parser reads every token
+        (_CHECK, True),
+        (["check", "--a", "-2", "--delta", "1", "--h=0.9", "--json"], True),
+        (["region", "--out", "OUT", "--n-mu", "3", "--raster", "2"], True),
+        (["map", "--a", "-2", "--theta", "0.39", "--n", "2", "--zmin=-1e-1"], True),
+        (["simulate", "--model", "wright:a=-1.5", "--history", "const:0.2", "--delta", "1",
+          "--h", "1", "--T", "1"], True),
+        (_NICHOLSON, True),
+        (["verify", "--lemma", "expo_bounds", "--resolution", "4"], True),
+        (["check", "--a", "-2", "--the", "0.39"], True),
+        ([*_CHECK, "--js"], True),
+        ([*_NICHOLSON, "--T", "50"], True),
+        ([], False),
+        (["-h"], False),
+        (["frobnicate", "--a", "-2"], False),
+        (["check", "-h"], False),
+        ([*_CHECK, "--bogus"], False),
+        ([*_CHECK, "stray"], False),
+        (["check", "--theta", "0.39"], False),
+        (["check", "--a", "-2", "--theta", "abc"], False),
+        ([*_CHECK, "--", "--json"], False),
+        (["check", "--a", "-2", "--", "--theta", "0.39"], False),
+        (["verify", "--threads", "2"], False),
+    ],
+)
+def test_dispatch_matches_top_level_parse(argv, own_parser, tmp_path, capsys, monkeypatch):
+    argv = [str(tmp_path / "out") if tok == "OUT" else tok for tok in argv]
+    # exit code, stdout and stderr as when the top-level parser read every argv
+    assert _outcome(main, argv, capsys) == _outcome(_top_level_main, argv, capsys)
+    if not own_parser:
+        return
+    # the same namespace, apart from the top-level parser's cmd
+    command = _parsers()[1][argv[0]]
+    seen = []
+    run = command.get_default("fn")
+    command.set_defaults(fn=lambda args: seen.append(vars(args)) or 0)
+    try:
+        want = vars(_build_parser().parse_args(_glue_negative_values(argv)))
+        # and the top-level parser is never asked
+        monkeypatch.setattr(_build_parser(), "parse_args", _not_asked)
+        assert main(argv) == 0
+    finally:
+        command.set_defaults(fn=run)
+    assert want.pop("cmd") == argv[0]
+    assert seen == [want]
 
 
 def test_import_stays_numpy_only():

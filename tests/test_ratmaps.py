@@ -105,6 +105,30 @@ def test_coeffs_generic_backend_agreement(np_core):
     assert float(as_d) == pytest.approx(as_f, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "a, theta",
+    [(-1e13, 0.9999999999999), (-1922892727988.8538, 0.9999999999994669), (-1e12, 0.999999999999),
+     (-1e8, 0.9), (-3e6, 0.99999999)],
+)
+def test_coeffs_where_den_cancels(a, theta):
+    # den = a*a + (a - a*a)*lam cancels at these points (to exactly 0 at the
+    # first two); alpha and beta come from their series in theta/a instead
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        A, T = mp.mpf(a), mp.mpf(theta)
+        lam = mp.exp(T / A)
+        alpha = (1 - A) * lam + A
+        num = A * A + lam * (1 - 2 * A + 2 * T * (A - 1)) - (1 - A) ** 2 * lam * lam
+        beta = -num / (A * A + (A - A * A) * lam)
+    _, al, be, _ = coeffs_generic(a, theta)
+    assert al == pytest.approx(float(alpha), rel=1e-15)
+    assert be == pytest.approx(float(beta), rel=1e-15)
+    # on lanes, beside a lane that keeps the direct values, each lane is its scalar pack
+    lanes = coeffs_generic(np.array([a, -2.0]), np.array([theta, 0.5]))
+    for i, (a_i, th_i) in enumerate([(a, theta), (-2.0, 0.5)]):
+        assert [float(v[i]).hex() for v in lanes] == [v.hex() for v in coeffs_generic(a_i, th_i)]
+
+
 def test_gamma_defined_and_in_range(np_sector):
     g = coeffs(np_sector).gamma
     assert 0.0 < g < 1.0
