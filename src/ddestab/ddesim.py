@@ -6,16 +6,25 @@ delayed midpoints come from a four-point cubic stencil kept inside one
 smoothness segment.  Restarting at delay multiples preserves the method
 order despite the derivative jumps there.  Everything is deterministic.
 
+Inside a delay segment the model reads only delayed values, so each RK4
+step is affine in the current value: y+ = A*y + b, with A and the weights
+of b the stages' own weights expanded in z = -delta*step (Bellen and
+Zennaro, Numerical Methods for Delay Differential Equations, OUP 2003).
+A segment takes its offsets b in one array expression, then runs the
+two-operation recurrence; the values are those of RK4 stage by stage up
+to rounding.
+
 A constant history whose value is a 1-D array runs one column per value
 in a single march: each delay segment takes its stencil and its model
 calls once for all columns, and every column is bitwise its own run.
 
 integrate also runs many lanes of the normalised equation (delta = 1),
 each with its own parameters, constant history and horizon, on a conveyor.
-A fixed number of slots march in lockstep, one delay segment at a time.  A
-slot keeps only its lane's last two segments and the lowest node seen so
-far; at a segment boundary, a slot whose lane has reached its horizon takes
-the next waiting lane, longest first.  Up to its own horizon every lane is
+A fixed number of slots march in lockstep, one delay segment at a time,
+two array operations per row.  A slot keeps only its lane's last two
+segments and the lowest node seen so far; at a segment boundary, a slot
+whose lane has reached its horizon takes the next waiting lane, longest
+first.  Up to its own horizon every lane is
 bitwise equal to its single run.
 """
 
@@ -321,56 +330,51 @@ def integrate(model, hist: History, params, T, step: float | None = None):
     return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h)
 
 
-def _rk4_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
-    """Classic RK4 down the list of floats y from y[0], with model values
-    w_node at the nodes and w_mid at the midpoints."""
-    for i in range(len(y) - 1):
-        yi = y[i]
-        r1 = nd * yi + w_node[i]
-        r2 = nd * (yi + hs * r1) + w_mid[i]
-        r3 = nd * (yi + hs * r2) + w_mid[i]
-        r4 = nd * (yi + s * r3) + w_node[i + 1]
-        y[i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
+def _affine_weights(s, delta):
+    """RK4's step of y' = -delta*y + w(t) as y+ = A*y + b, where
+    b = (s/6)*(c0*w_node + c1*w_mid + w_next): the model values enter only
+    through delayed nodes and midpoints, so the stages expand to these
+    weights in z = -delta*s.  Returns (A, c0, c1, s/6), on floats, or per
+    lane on arrays."""
+    z = -delta * s
+    A = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    c0 = 1.0 + z * (1.0 + z * (0.5 + z / 4.0))
+    c1 = 4.0 + z * (2.0 + z / 2.0)
+    return A, c0, c1, s / 6.0
 
 
-def _rk4_unit_rows(y, w_node, w_mid, nd, s, hs, s6) -> None:
-    """_rk4_rows at nd = -1, which it takes and ignores: each -1*v + w is
-    written w - v, the same float, signed zeros included, one multiply
-    fewer."""
-    for i in range(len(y) - 1):
-        yi = y[i]
-        r1 = w_node[i] - yi
-        r2 = w_mid[i] - (yi + hs * r1)
-        r3 = w_mid[i] - (yi + hs * r2)
-        r4 = w_node[i + 1] - (yi + s * r3)
-        y[i + 1] = yi + s6 * (r1 + 2.0 * (r2 + r3) + r4)
+def _affine_b(w_node, w_mid, c0, c1, s6):
+    """The offsets b of the steps over a run of rows: one array expression,
+    elementwise, so a column or a lane gets the bits of its own run."""
+    return s6 * (c0 * w_node[:-1] + c1 * w_mid + w_node[1:])
 
 
-def _rk4_lanes(y, w_node, w_mid, s, hs, s6) -> None:
-    """_rk4_unit_rows on a 2-D array y, a lane per column: each row runs
-    its operations in its order, written in place into row buffers, so
-    every lane is bitwise its own run.  2*u is u + u, exactly, so a row
-    takes 16 array passes.  out goes by position, which numpy parses faster
-    than out=."""
-    mul, add, sub = np.multiply, np.add, np.subtract
-    r1, r2, r3, t = (np.empty_like(y[0]) for _ in range(4))
-    ys, wn, wm = list(y), list(w_node), list(w_mid)
-    for i in range(len(ys) - 1):
-        yi = ys[i]
-        sub(wn[i], yi, r1)
-        sub(wm[i], add(yi, mul(hs, r1, t), t), r2)
-        sub(wm[i], add(yi, mul(hs, r2, t), t), r3)
-        sub(wn[i + 1], add(yi, mul(s, r3, t), t), t)
-        # r2 <- r1 + 2*(r2 + r3) + r4, with r4 in t; then the next row
-        add(r2, r3, r2)
-        add(add(r1, add(r2, r2, r2), r2), t, r2)
-        add(yi, mul(s6, r2, r2), ys[i + 1])
+def _affine_rows(y, b, A) -> list:
+    """[y, A*y + b[0], ...] on Python floats: the same IEEE operations as
+    numpy's, a fraction of the cost per node."""
+    rows = [y]
+    push = rows.append
+    for bi in b:
+        y = A * y + bi
+        push(y)
+    return rows
+
+
+def _affine_lanes(y, b, A) -> None:
+    """y[i+1] = A*y[i] + b[i] down the rows of a 2-D array y, a lane per
+    column, written in place: two array passes per row, each lane bitwise
+    its _affine_rows.  out goes by position, which numpy parses faster than
+    out=."""
+    mul, add = np.multiply, np.add
+    ys = list(y)
+    for i, bi in enumerate(b):
+        yn = ys[i + 1]
+        add(mul(A, ys[i], yn), bi, yn)
 
 
 def _march(w, hist, y, n, s, delta) -> None:
     """RK4 on the nodes of y, one delay segment at a time."""
-    nd, hs, s6 = -delta, 0.5 * s, s / 6.0
-    rk4 = _rk4_unit_rows if nd == -1.0 else _rk4_rows
+    A, c0, c1, s6 = _affine_weights(s, delta)
     K = len(y) - 1
     for k0 in range(0, K, n):
         k1 = min(k0 + n, K)
@@ -381,17 +385,11 @@ def _march(w, hist, y, n, s, delta) -> None:
         else:
             node_del = y[k0 - n : k1 - n + 1]
             mid_del = _segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
-        # Python floats, not numpy scalars: the same IEEE operations, a
-        # fraction of the cost per node
-        rows = [y[k0].item()] * (cnt + 1)
-        rk4(
-            rows,
-            np.asarray(w(node_del), dtype=float).tolist(),
-            np.asarray(w(mid_del), dtype=float).tolist(),
-            nd, s, hs, s6,
+        b = _affine_b(
+            np.asarray(w(node_del), dtype=float), np.asarray(w(mid_del), dtype=float), c0, c1, s6
         )
         seg = y[k0 : k1 + 1]
-        seg[:] = rows
+        seg[:] = _affine_rows(y[k0].item(), b.tolist(), A)
         finite = np.isfinite(seg)
         if not finite.all():
             raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
@@ -399,12 +397,12 @@ def _march(w, hist, y, n, s, delta) -> None:
 
 def _march_columns(w, hist, y, n, s, delta) -> None:
     """_march from a constant history with an array of values, one column
-    of y each.  Every delay segment takes one stencil and two model calls
-    for all columns, then runs each column's rows as _march runs its one;
-    a diverging run stops at the earliest non-finite node of any column."""
+    of y each.  Every delay segment takes one stencil, two model calls and
+    one offset expression for all columns, then runs each column's rows as
+    _march runs its one; a diverging run stops at the earliest non-finite
+    node of any column."""
     z = hist.value
-    nd, hs, s6 = -delta, 0.5 * s, s / 6.0
-    rk4 = _rk4_unit_rows if nd == -1.0 else _rk4_rows
+    A, c0, c1, s6 = _affine_weights(s, delta)
     K = len(y) - 1
     for k0 in range(0, K, n):
         k1 = min(k0 + n, K)
@@ -417,13 +415,12 @@ def _march_columns(w, hist, y, n, s, delta) -> None:
         else:
             node_del = y[k0 - n : k1 - n + 1]
             mid_del = _segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
-        w_node = np.asarray(w(node_del), dtype=float).T.tolist()
-        w_mid = np.asarray(w(mid_del), dtype=float).T.tolist()
+        b = _affine_b(
+            np.asarray(w(node_del), dtype=float), np.asarray(w(mid_del), dtype=float), c0, c1, s6
+        )
         seg = y[k0 : k1 + 1]
-        for j, (y0, wn, wm) in enumerate(zip(seg[0].tolist(), w_node, w_mid)):
-            rows = [y0] * (cnt + 1)
-            rk4(rows, wn, wm, nd, s, hs, s6)
-            seg[:, j] = rows
+        for j, (y0, bj) in enumerate(zip(seg[0].tolist(), b.T.tolist())):
+            seg[:, j] = _affine_rows(y0, bj, A)
         finite = np.isfinite(seg).all(axis=1)
         if not finite.all():
             raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
@@ -487,14 +484,13 @@ def _conveyor(w, z, start, K, n, s, slots):
         low[fresh] = np.inf
         node[fresh] = -1
         lane_s, K_s, start_s = s[lane], K[lane], start[lane]
-        hs, s6 = 0.5 * lane_s, lane_s / 6.0
-        for c0 in range(0, n, _CHUNK):
-            c1 = min(c0 + _CHUNK, n)
-            mids = _segment_midpoints(prev, c0, c1)
+        A, c0, c1, s6 = _affine_weights(lane_s, 1.0)
+        for r0 in range(0, n, _CHUNK):
+            r1 = min(r0 + _CHUNK, n)
+            mids = _segment_midpoints(prev, r0, r1)
             mids[:, fresh] = z_new
-            _rk4_lanes(
-                cur[c0 : c1 + 1], w(prev[c0 : c1 + 1], lane), w(mids, lane), lane_s, hs, s6
-            )
+            b = _affine_b(w(prev[r0 : r1 + 1], lane), w(mids, lane), c0, c1, s6)
+            _affine_lanes(cur[r0 : r1 + 1], b, A)
         rows += n
 
         if not np.isfinite(cur).all():

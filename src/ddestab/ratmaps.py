@@ -175,12 +175,31 @@ def R2_eval(r: float, np_: NormParams) -> float:
     """
     a, th = np_.a, np_.theta
     lnth = FLOAT.log(th)
-    k0 = (1.0 + lnth - th) / (2.0 + lnth - th)
-    k1 = (1.0 + lnth - th) / (1.0 - th)
+    g = _log_gap(th, lnth)
+    k0 = g / (2.0 + lnth - th)
+    k1 = g / (1.0 - th)
     den = 1.0 + k1 * r
     if _any(den == 0.0):
         raise ValueError(f"corner response pole at r = {-1.0 / k1}")
     return k0 * a * r / den
+
+
+def _log_gap(th, lnth):
+    """1 + log(theta) - theta from lnth = log(theta), on a float or an array.
+
+    Near theta = 1 it is about -s*s/2 in s = 1 - theta, and the direct sum
+    cancels: to 0 at theta = 1 - 1e-13.  Where the direct sum is below
+    2**-20, s < 1.4e-3 and the series -(s**2/2 + s**3/3 + ... + s**7/7)
+    takes over, cut where the next term is below an ulp (s is exact for
+    theta in [1/2, 2]); every other entry keeps the direct sum's bits.
+    """
+    g = 1.0 + lnth - th
+    near = abs(g) < 2.0**-20
+    if not _any(near):
+        return g
+    s = 1.0 - th
+    series = -(s * s) * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * (0.2 + s * (1.0 / 6.0 + s / 7.0)))))
+    return np.where(near, series, g) if type(g) is np.ndarray else series
 
 
 def psi_inv_generic(y, a, theta, mx=FLOAT):

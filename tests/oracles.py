@@ -7,12 +7,15 @@ F1_solve.  psi_inv, chi and chi_iterate are the scalar straightened map,
 the reference for the Schwarzian margin and for orbit runs.  sln_series is
 the full 22-term series that onedmaps._sln_series cuts short.  phi_diff
 is the map solves' difference form as a plain two-point function.
+rk4_rows and rk4_integrate are classic RK4 stage by stage on the grid
+integrate marches, the reference for ddesim's affine step.
 """
 
 import math
 
 import numpy as np
 
+from ddestab import ddesim
 from ddestab.ddesim import History, _envelope, _first_node_after, _parabola_refine, integrate
 from ddestab.onedmaps import _identity, _phi_base, interval_I
 from ddestab.params import NormParams
@@ -141,3 +144,39 @@ def F1_sim(z: float, np_: NormParams, step: float | None = None) -> float:
     if 1 <= im <= len(y) - 2:
         return _parabola_refine(y, im, 0.0, tr.step)[1]
     return float(y[im])
+
+
+def rk4_rows(y0: float, w_node, w_mid, delta: float, s: float) -> list[float]:
+    """Classic RK4 for y' = -delta*y + w(t) from y0 down one segment, stage
+    by stage on Python floats, with w given at the nodes and the midpoints."""
+    nd, hs, s6 = -delta, 0.5 * s, s / 6.0
+    y = [y0]
+    for i in range(len(w_mid)):
+        yi = y[-1]
+        r1 = nd * yi + w_node[i]
+        r2 = nd * (yi + hs * r1) + w_mid[i]
+        r3 = nd * (yi + hs * r2) + w_mid[i]
+        r4 = nd * (yi + s * r3) + w_node[i + 1]
+        y.append(yi + s6 * (r1 + 2.0 * (r2 + r3) + r4))
+    return y
+
+
+def rk4_integrate(model, hist: History, params, T: float, step: float | None = None) -> np.ndarray:
+    """integrate's march of one history, with rk4_rows for its rows: the
+    values on the same nodes, from the same delayed values and stencils."""
+    delta, h = ddesim._delta_h(params)
+    n, s, K = (v.item() for v in ddesim._step_grid(h, T, step))
+    y = np.empty(K + 1)
+    y[0] = hist(0.0)
+    for k0 in range(0, K, n):
+        k1 = min(k0 + n, K)
+        cnt = k1 - k0
+        if k0 == 0:
+            node_del = hist.eval_array(np.arange(-n, cnt - n + 1) * s)
+            mid_del = hist.eval_array((np.arange(-n, cnt - n) + 0.5) * s)
+        else:
+            node_del = y[k0 - n : k1 - n + 1]
+            mid_del = ddesim._segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
+        w_node, w_mid = (np.asarray(model(v), dtype=float).tolist() for v in (node_del, mid_del))
+        y[k0 : k1 + 1] = rk4_rows(y[k0].item(), w_node, w_mid, delta, s)
+    return y

@@ -189,7 +189,7 @@ _SWEEP_MINIMA = {
     "leform2": "0x1.2d89cb6a20b00p-13",
     "lele": "0x1.00ff52ae5e7e8p-24",
     "leleka": "0x1.e1448edb00000p-16",
-    "funcrr2": "0x1.a61ef8d8ce700p-16",
+    "funcrr2": "0x1.a61ef8d8d0000p-16",
     "lele2": "0x1.2569b0d6cf1d8p-2",
     "expo_bounds": "0x1.a3f174ad69b21p-24",
     "r303": "0x1.d986a13313fdap-15",

@@ -251,10 +251,15 @@ def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert (data["region"], data["certified"]) == ("sector", True)
-    slope = next(f["value"] for f in data["facts"] if f["name"] == "composite_slope")
+    facts = {f["name"]: f["value"] for f in data["facts"]}
     # its log factor 1 - theta + log(theta), about -(1 - theta)**2/2, keeps
     # only about three digits here
-    assert slope == pytest.approx(gamma, rel=1e-2)
+    assert facts["composite_slope"] == pytest.approx(gamma, rel=1e-2)
+    # the corner facts take that factor from its series: they read 0, -0
+    # and 0 when it cancelled
+    assert -0.35 < facts["corner_above_minus_one"] < -0.33
+    assert 0.33 < facts["corner_image_in_domain"] < 0.34
+    assert 0.2 < facts["composite_cycle_contraction"] < 0.24
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +493,26 @@ _FROZEN_SIMULATE = {
     "ricker-const": (
         ["--model", f"ricker:q={E3!r}", "--history", "const:19.0",
          "--delta", "1.0", "--h", "0.5", "--T", "30.0"],
-        "2f7bc0c8ebbb8b5daf4f556a65d0cd6c0cd9186fab4ffe4bb6c9263c74e0fa4e",
-        "6adbaeda9fa0efed865b203280e8d1bd9206c928e789cc598a6665cffb2608ca",
+        "daf5feb1ea8881814d05ab378855b4445c245853dfc6917bb79a5b6b672b1cb4",
+        "d5099be1db39af05bd560c95eb5e19effd58e4e1f654853191a98517c2f46bf9",
     ),
     "wright-ramp": (
         ["--model", "wright:a=-1.3", "--history", "ramp:0.4",
          "--delta", "1.0", "--h", "0.8", "--T", "20.0"],
         "9c60f9f970d3c484d7303c52f20b769cd5ce3bb3cb99cce29492dd90ec840e27",
-        "79975bf0586fa75bc66244bf1710ff15922e553bdf6e81fff74dfbc66387cb04",
+        "f66bce4d0e9c712fa03c326af4e7a7d138b3b640a5829f6613dc20c8b6c6389d",
     ),
     "mackey-csv-step": (
         ["--model", "mackey:b=2.0,n=4.0", "--history", "hist.csv",
          "--delta", "1.0", "--h", "1.0", "--T", "25.0", "--step", "0.01"],
         "0754e36c2f5aaa7e64a74ffc92b3b0f3ef271b979b9b3f1ece66be87d7b5111c",
-        "d395fff12b5f4cf4d2f9b09fe8d372ddf2dcd2720776b8dd9893fcf31cee7b38",
+        "8df0d26d1c36b4236fa0982255195098b73ea18fc8dead2de139c73813860a9b",
     ),
     "rational-const": (
         ["--model", "rational:a=-0.5", "--history", "const:0.3",
          "--delta", "1.0", "--h", "0.7", "--T", "14.0"],
         "e2c0ced874cfbaafe22ebe595ebedcd39c2394e7f6faba98eed3eff682974bf8",
-        "5ecc5b2591b36942903be2feefa7434860b30447ba9ca17e80a8f7762a97f70d",
+        "e9dfd74357f43f1341653353ce45da21b35b0d1e09059df1cbcb1b9966ca4b3a",
     ),
 }
 _FROZEN_NICHOLSON = "a641e3a4a18ee1e05fa66f8b96db75b9a91abc2b516a303e654a706adb515c75"
@@ -541,22 +546,22 @@ def test_nicholson_simulate_bytes_frozen():
     assert _sha(proc.stdout) == _FROZEN_NICHOLSON
 
 
-# nicholson --simulate stdout, exit code and stderr as the one-history-at-a-time
-# march printed them: delta 1 and not 1, one history and several, horizons on
-# and off a segment boundary, converging runs and a certified run that misses
-# the tolerance
+# nicholson --simulate stdout, exit code and stderr: delta 1 and not 1, one
+# history and several, horizons on and off a segment boundary, converging runs
+# and a certified run that misses the tolerance.  A converging run's gap is
+# rounding, so any change to the march's rounding moves its digits
 _NICHOLSON_GOLDEN = {
     "p5-delta1": (
         ["--p", "5", "--delta", "1", "--gamma", "1", "--h", "0.9", "--simulate", "5"],
         0,
         """q=5 equilibrium=1.60943791243 slope=-0.609437912434 theta=0.406569659741
 decision: certified (linear): slope magnitude at most 1: certified for every delay
-  history const:1.07295860829 -> relative gap 1.104e-15
-  history const:1.82402963409 -> relative gap 6.484e-15
-  history const:2.57510065989 -> relative gap 9.657e-15
-  history const:3.3261716857 -> relative gap 9.106e-15
-  history const:4.0772427115 -> relative gap 7.864e-15
-worst relative gap: 9.657e-15
+  history const:1.07295860829 -> relative gap 2.345e-15
+  history const:1.82402963409 -> relative gap 6.070e-15
+  history const:2.57510065989 -> relative gap 1.669e-14
+  history const:3.3261716857 -> relative gap 3.021e-14
+  history const:4.0772427115 -> relative gap 2.345e-15
+worst relative gap: 3.021e-14
 """,
         "",
     ),
@@ -566,12 +571,12 @@ worst relative gap: 9.657e-15
         0,
         """q=6.25 equilibrium=1.52715121979 slope=-0.832581463748 theta=0.527292424043
 decision: certified (linear): slope magnitude at most 1: certified for every delay
-  history const:1.01810081319 -> relative gap 3.780e-15
-  history const:1.73077138243 -> relative gap 8.724e-16
-  history const:2.44344195166 -> relative gap 1.570e-14
-  history const:3.1561125209 -> relative gap 1.003e-14
-  history const:3.86878309014 -> relative gap 8.869e-15
-worst relative gap: 1.570e-14
+  history const:1.01810081319 -> relative gap 2.472e-15
+  history const:1.73077138243 -> relative gap 2.021e-14
+  history const:2.44344195166 -> relative gap 2.719e-14
+  history const:3.1561125209 -> relative gap 3.766e-14
+  history const:3.86878309014 -> relative gap 3.780e-14
+worst relative gap: 3.780e-14
 """,
         "",
     ),
@@ -581,8 +586,8 @@ worst relative gap: 1.570e-14
         0,
         """q=3.07692307692 equilibrium=1.60561442379 slope=-0.123930096652 theta=0.522045776761
 decision: certified (linear): slope magnitude at most 1: certified for every delay
-  history const:2.56898307806 -> relative gap 2.901e-12
-worst relative gap: 2.901e-12
+  history const:2.56898307806 -> relative gap 2.892e-12
+worst relative gap: 2.892e-12
 """,
         "",
     ),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddestab.params import NormParams
+from ddestab.params import NormLanes, NormParams
 from ddestab.ratmaps import (
     Coeffs,
     R2_eval,
@@ -157,6 +157,30 @@ def test_R2_slope_at_origin(np_sector):
     th = np_sector.theta
     k0 = (1.0 + math.log(th) - th) / (2.0 + math.log(th) - th)
     assert slope == pytest.approx(k0 * np_sector.a, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "a, theta",
+    [(-1e13, 0.9999999999999), (-1922892727988.8538, 0.9999999999994669), (-1e12, 0.999999999999)],
+)
+def test_R2_where_the_log_gap_cancels(a, theta):
+    # 1 + log(theta) - theta, about -(1 - theta)**2/2, summed to 0 or to
+    # noise at these points; R2 takes it from its series in 1 - theta
+    mp = pytest.importorskip("mpmath")
+    rs = [a, 0.5 * a, -0.5, 0.25, 4.0]
+    with mp.workdps(60):
+        T = mp.mpf(theta)
+        g = 1 + mp.log(T) - T
+        want = [float(g / (2 + mp.log(T) - T) * a * r / (1 + g / (1 - T) * r)) for r in rs]
+    np_ = NormParams(a=a, theta=theta)
+    assert [R2_eval(r, np_) for r in rs] == pytest.approx(want, rel=1e-14)
+    # on lanes, beside a lane that keeps the direct sum's bits, each lane
+    # is its scalar value
+    lanes = R2_eval(np.array([a, -1.5]), NormLanes(a=np.array([a, -2.0]), theta=np.array([theta, 0.9])))
+    assert lanes[0].item().hex() == R2_eval(a, np_).hex()
+    k0 = (1.0 + math.log(0.9) - 0.9) / (2.0 + math.log(0.9) - 0.9)
+    k1 = (1.0 + math.log(0.9) - 0.9) / (1.0 - 0.9)
+    assert lanes[1].item().hex() == (k0 * -2.0 * -1.5 / (1.0 + k1 * -1.5)).hex()
 
 
 def test_psi_inverse_pair(np_core):

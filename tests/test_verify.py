@@ -523,3 +523,36 @@ def test_fig1_is_the_blowfly_window(tmp_path):
         window[c] = dh
     assert len(window) == 450
     assert "%.12g" % window[2.0] == "1.00883617472"
+
+
+# funcrr2's dips from the affine step against classic RK4 stage by stage:
+# the difference is rounding, under 1e-3 of the lane's discretisation error
+# (estimated by step halving, h/512 against the sweep's h/256) with a floor
+# of 5e-14 of the lane's largest |x|.  Over all 5,080 lanes at resolution
+# 256 the difference is at most 3.4e-14 of that size; on 40 lanes it
+# exceeds 1e-3 of the estimate, all on that floor
+_DIP_FLOOR = 5e-14
+
+
+def test_funcrr2_dips_within_rounding_of_rk4_stages():
+    from ddestab.ddesim import History, _envelope, integrate
+    from ddestab.ratmaps import r_inv
+    from oracles import extremum_after, rk4_integrate
+
+    grid = verify._gen_funcrr2(256)[1]
+    ((_name, margin),) = verify._margins_funcrr2(grid, FLOAT)
+    rng = np.random.default_rng(24)
+    picks = [int(np.argmin(margin))] + rng.choice(len(margin), 64, replace=False).tolist()
+    for j in picks:
+        a, theta, r = (float(grid[k][j]) for k in ("a", "theta", "r"))
+        p = NormParams(a=a, theta=theta)
+        z = float(r_inv(r, a))
+        tc = math.log(1.0 - (1.0 + z) / a)
+        hist, T = History.constant(z), tc + 3.0 * p.delay
+        run = integrate(_envelope(a), hist, p, T)
+        dip = extremum_after(run.values, tc, run.step, lowest=True)
+        ref = rk4_integrate(_envelope(a), hist, p, T)
+        half = integrate(_envelope(a), hist, p, T, step=p.delay / 512)
+        estimate = abs(extremum_after(half.values, tc, half.step, lowest=True) - dip)
+        bound = 1e-3 * estimate + _DIP_FLOOR * np.max(np.abs(ref))
+        assert abs(dip - extremum_after(ref, tc, run.step, lowest=True)) <= bound, j
