@@ -176,7 +176,8 @@ def test_R2_where_the_log_gap_cancels(a, theta):
     assert [R2_eval(r, np_) for r in rs] == pytest.approx(want, rel=1e-14)
     # on lanes, beside a lane that keeps the direct sum's bits, each lane
     # is its scalar value
-    lanes = R2_eval(np.array([a, -1.5]), NormLanes(a=np.array([a, -2.0]), theta=np.array([theta, 0.9])))
+    two = NormLanes(a=np.array([a, -2.0]), theta=np.array([theta, 0.9]))
+    lanes = R2_eval(np.array([a, -1.5]), two)
     assert lanes[0].item().hex() == R2_eval(a, np_).hex()
     k0 = (1.0 + math.log(0.9) - 0.9) / (2.0 + math.log(0.9) - 0.9)
     k1 = (1.0 + math.log(0.9) - 0.9) / (1.0 - 0.9)
