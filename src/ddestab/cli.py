@@ -77,7 +77,11 @@ def _cmd_check(args) -> int:
             verdict, tag = "globally stable", f"{cert.region.tag.value} certificate"
         else:
             verdict, tag = "not certified", cert.region.tag.value
-        print(f"a={_FMT % np_.a} theta={_FMT % np_.theta}: {verdict} ({tag})")
+        # a theta just below 1 would read 1, outside (0, 1): give its digits
+        theta = _FMT % np_.theta
+        if theta == "1":
+            theta = repr(np_.theta)
+        print(f"a={_FMT % np_.a} theta={theta}: {verdict} ({tag})")
         if cert.region.reason:
             print(f"  reason: {cert.region.reason}")
         for f in cert.chain:
@@ -266,11 +270,6 @@ def _cmd_verify(args) -> int:
         print(rep.summary())
         bad += len(rep.violations)
     return 0 if bad == 0 else 1
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, which reads a whole argv."""
-    return _parsers()[0]
 
 
 @functools.cache

@@ -14,9 +14,10 @@ A segment takes its offsets b in one array expression, then runs the
 two-operation recurrence; the values are those of RK4 stage by stage up
 to rounding.
 
-A constant history whose value is a 1-D array runs one column per value
-in a single march: each delay segment takes its stencil and its model
-calls once for all columns, and every column is bitwise its own run.
+One march runs one history or several: a constant history whose value is
+a 1-D array gives a column per value.  Each delay segment takes its
+stencil, its model calls and its offsets once for all columns, and every
+column is bitwise its own run.
 
 integrate also runs many lanes of the normalised equation (delta = 1),
 each with its own parameters, constant history and horizon, on a conveyor.
@@ -135,7 +136,9 @@ class History:
     def eval_array(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if self.kind == "constant":
-            return np.full_like(s, self.value)
+            # an array value gives a column per value, C-contiguous: the
+            # model computes each column on one value's layout
+            return np.full(s.shape + np.shape(self.value), self.value)
         if self.kind == "ramp":
             return self.value * (1.0 - np.exp(-s))
         return np.interp(s, self.times, self.values)
@@ -294,10 +297,10 @@ def integrate(model, hist: History, params, T, step: float | None = None):
     The step is adjusted to the nearest exact divisor of the delay and
     reported on the trajectory.  The model must accept numpy arrays.
 
-    A constant history with a 1-D array of values marches one column per
-    value, bitwise each value's own run, and the trajectory's values are
-    (nodes, histories).  A run that diverges raises at the earliest
-    non-finite node over all columns.
+    A constant history with a 1-D array of values runs in the same march
+    with a column per value, bitwise each value's own run, and the
+    trajectory's values are (nodes, histories).  A run that diverges raises
+    at the earliest non-finite node over all columns.
 
     An array T of shape (2, L) runs L lanes on the conveyor and returns
     LaneDips: lane j marches to T[1, j] and reports its lowest node at or
@@ -315,18 +318,16 @@ def integrate(model, hist: History, params, T, step: float | None = None):
         return _lanes(w, hist, h, T, step)
     n, s, K = (v.item() for v in _step_grid(h, T, step))
     hist.check_span(h)
-    if np.ndim(hist.value):
-        if hist.kind != "constant" or np.ndim(hist.value) != 1:
-            raise ValueError("several histories in one run must be constant, a 1-d array of values")
-        y = np.empty((K + 1, hist.value.size))
-        y[0] = hist.value
-    else:
-        y = np.empty(K + 1)
-        y[0] = hist(0.0)
+    if np.ndim(hist.value) and (hist.kind != "constant" or np.ndim(hist.value) != 1):
+        raise ValueError("several histories in one run must be constant, a 1-d array of values")
+    # one history keeps y 1-D: its end stencils then run on numpy scalars,
+    # where a (nodes, 1) column made a run about 20% slower
+    y = np.empty((K + 1,) + np.shape(hist.value))
+    y[0] = hist.eval_array(np.zeros(1))[0]
     # overflow inside a blowing-up model is reported via IntegrationDiverged,
     # not as a numpy warning
     with np.errstate(all="ignore"):
-        (_march_columns if y.ndim == 2 else _march)(w, hist, y, n, s, delta)
+        _march(w, hist, y, n, s, delta)
     return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h)
 
 
@@ -373,9 +374,16 @@ def _affine_lanes(y, b, A) -> None:
 
 
 def _march(w, hist, y, n, s, delta) -> None:
-    """RK4 on the nodes of y, one delay segment at a time."""
+    """RK4 on the nodes of y, one delay segment at a time.
+
+    y is (nodes,) for one history, or (nodes, histories) for a constant
+    history with an array of values, a column each.  A segment takes one
+    stencil, two model calls and one offset expression for all columns,
+    then runs each column's rows on Python floats; a diverging run stops at
+    the earliest non-finite node of any column."""
     A, c0, c1, s6 = _affine_weights(s, delta)
     K = len(y) - 1
+    cols = y.reshape(K + 1, -1).T
     for k0 in range(0, K, n):
         k1 = min(k0 + n, K)
         cnt = k1 - k0
@@ -388,41 +396,13 @@ def _march(w, hist, y, n, s, delta) -> None:
         b = _affine_b(
             np.asarray(w(node_del), dtype=float), np.asarray(w(mid_del), dtype=float), c0, c1, s6
         )
-        seg = y[k0 : k1 + 1]
-        seg[:] = _affine_rows(y[k0].item(), b.tolist(), A)
-        finite = np.isfinite(seg)
-        if not finite.all():
-            raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
-
-
-def _march_columns(w, hist, y, n, s, delta) -> None:
-    """_march from a constant history with an array of values, one column
-    of y each.  Every delay segment takes one stencil, two model calls and
-    one offset expression for all columns, then runs each column's rows as
-    _march runs its one; a diverging run stops at the earliest non-finite
-    node of any column."""
-    z = hist.value
-    A, c0, c1, s6 = _affine_weights(s, delta)
-    K = len(y) - 1
-    for k0 in range(0, K, n):
-        k1 = min(k0 + n, K)
-        cnt = k1 - k0
-        if k0 == 0:
-            # filled C-contiguous arrays, as a single run's constant history
-            # gives: the model computes on the same layout
-            node_del = np.full((cnt + 1, len(z)), z)
-            mid_del = np.full((cnt, len(z)), z)
-        else:
-            node_del = y[k0 - n : k1 - n + 1]
-            mid_del = _segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
-        b = _affine_b(
-            np.asarray(w(node_del), dtype=float), np.asarray(w(mid_del), dtype=float), c0, c1, s6
-        )
-        seg = y[k0 : k1 + 1]
-        for j, (y0, bj) in enumerate(zip(seg[0].tolist(), b.T.tolist())):
-            seg[:, j] = _affine_rows(y0, bj, A)
-        finite = np.isfinite(seg).all(axis=1)
-        if not finite.all():
+        seg = cols[:, k0 : k1 + 1]
+        b_cols = b.reshape(cnt, -1).T.tolist()
+        seg[:] = [_affine_rows(y0, bj, A) for y0, bj in zip(seg[:, 0].tolist(), b_cols)]
+        # A*y + b is inf or nan wherever y is: a column's last row is finite
+        # only if all its rows are
+        if not all(map(math.isfinite, seg[:, -1].tolist())):
+            finite = np.isfinite(seg).all(axis=0)
             raise IntegrationDiverged((k0 + int(np.argmin(finite))) * s)
 
 

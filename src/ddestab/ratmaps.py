@@ -70,12 +70,16 @@ class Coeffs:
     @property
     def gamma(self) -> float | None:
         """Composite slope at one point; None for theta <= 0.16, where its
-        log factor degenerates."""
+        log factor degenerates.  Near theta = 1 that factor cancels, and
+        _log_gap's series takes over."""
         a, th = self.params.a, self.params.theta
         if not th > 0.16:
             return None
         lnth = math.log(th)
-        return a ** 3 * self.alpha * (1.0 - th + lnth) / (2.0 - th + lnth)
+        g = 1.0 - th + lnth
+        if abs(g) < 2.0**-20:
+            g = _log_gap(th, lnth)
+        return a ** 3 * self.alpha * g / (2.0 - th + lnth)
 
 
 def coeffs(np_: NormParams) -> Coeffs:

@@ -81,6 +81,25 @@ def test_criterion_2_classical_limits(capsys):
     )
 
 
+def test_certified_to_local_delay_ratio_tends_to_3_over_pi(capsys):
+    """The certified critical delay over the local (Hopf) one, at unit decay:
+    the sharp boundary tends to -a*h = 3/2 and the local one to pi/2, so the
+    ratio rises with |a| towards 3/pi and the gap between them never closes.
+    Past |a| = 1e8 theta lies within 1e-8 of 1 and -ln(theta) loses its
+    digits, so the slopes stop at 1e6."""
+    slopes = (-2.0, -11.0, -100.0, -1e4, -1e6)
+    ratios = [
+        math.log(sharp_boundary_theta(a)) / math.log(local_stability_boundary(a))
+        for a in slopes
+    ]
+    # measured: 0.8343, 0.94388, 0.95387, 0.954919, 0.95492955
+    assert all(r0 < r1 < 3.0 / math.pi for r0, r1 in zip(ratios, ratios[1:]))
+    assert ratios[0] == pytest.approx(0.8343, abs=1e-4)
+    limit_err = abs(ratios[-1] - 3.0 / math.pi)
+    assert limit_err < 2e-7
+    _announce(capsys, f"3/pi limit PASS: ratio at a = -1e6 off by {limit_err:.2e}")
+
+
 def test_criterion_3_solve_vs_sim(capsys):
     """Fixed-point solves against direct integration on a band-spanning grid."""
     t0 = time.perf_counter()

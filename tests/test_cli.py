@@ -15,7 +15,7 @@ import pytest
 
 import ddestab
 from ddestab import verify
-from ddestab.cli import _build_parser, _glue_negative_values, _parsers, main
+from ddestab.cli import _glue_negative_values, _parsers, main
 from ddestab.rootfind import _SCALAR_TAIL
 
 E3 = math.exp(3.0)
@@ -235,14 +235,20 @@ def test_rescaled_slope_underflow_is_a_usage_error(capsys):
     assert captured.err == "error: a/delta underflows to 0 at a = -4.94065645841e-324, delta = 10\n"
 
 
+# composite_slope's true values, from the exact expressions at these floats
+# in 60-digit arithmetic
+_HUGE_SLOPE_POINTS = [
+    ("-1e13", "0.9999999999999", 0.25031106606096843),
+    ("-1922892727988.8538", "0.9999999999994669", 0.27594867368557639),
+    ("-1e12", "0.999999999999", 0.24997787889191952),
+]
+
+
 @pytest.mark.parametrize(
     "a, theta, gamma",
-    [
-        # composite_slope's true values, from the exact expressions at these floats
-        ("-1e13", "0.9999999999999", 0.25031107),
-        ("-1922892727988.8538", "0.9999999999994669", 0.27594867),
-        ("-1e12", "0.999999999999", 0.24997788),
-    ],
+    _HUGE_SLOPE_POINTS,
+    # the ids keep eight digits of the slope
+    ids=[f"{a}-{theta}-{gamma:.8g}" for a, theta, gamma in _HUGE_SLOPE_POINTS],
 )
 def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma):
     # den = a*a + (a - a*a)*lam cancelled there: to 0 at the first two (a
@@ -252,14 +258,30 @@ def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma
     assert rc == 0
     assert (data["region"], data["certified"]) == ("sector", True)
     facts = {f["name"]: f["value"] for f in data["facts"]}
-    # its log factor 1 - theta + log(theta), about -(1 - theta)**2/2, keeps
-    # only about three digits here
-    assert facts["composite_slope"] == pytest.approx(gamma, rel=1e-2)
-    # the corner facts take that factor from its series: they read 0, -0
-    # and 0 when it cancelled
+    # its log factor 1 - theta + log(theta), about -(1 - theta)**2/2, comes
+    # from its series here: the direct sum kept only about three digits
+    assert facts["composite_slope"] == pytest.approx(gamma, rel=1e-14)
+    # the corner facts take that factor from the same series: they read 0,
+    # -0 and 0 when it cancelled
     assert -0.35 < facts["corner_above_minus_one"] < -0.33
     assert 0.33 < facts["corner_image_in_domain"] < 0.34
     assert 0.2 < facts["composite_cycle_contraction"] < 0.24
+
+
+@pytest.mark.parametrize(
+    "theta, shown",
+    [
+        # %.12g reads 1 for these, a theta outside (0, 1): the header gives repr
+        ("0.9999999999999", "0.9999999999999"),
+        ("0.99999999999991", "0.99999999999991"),
+        # twelve digits still tell these from 1
+        ("0.999999999999", "0.999999999999"),
+        ("0.99999999999949", "0.999999999999"),
+    ],
+)
+def test_check_header_theta_near_one(capsys, theta, shown):
+    main(["check", "--a=-1e13", "--theta", theta])
+    assert capsys.readouterr().out.startswith(f"a=-1e+13 theta={shown}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -884,13 +906,13 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {
         "check", "region", "map", "simulate", "nicholson", "verify"
     }
-    parser = _build_parser()
+    parser = _parsers()[0]
     for argv in commands:
         parser.parse_args(argv)  # exits on a stale flag
 
 
 def test_parser_built_once():
-    assert _build_parser() is _build_parser()
+    assert _parsers()[0] is _parsers()[0]
 
 
 def test_cached_parser_check_json_then_text(capsys):
@@ -922,7 +944,7 @@ def test_cached_parser_after_usage_error(capsys):
 def _top_level_main(argv):
     """main with every argv read by the top-level parser, as it was before
     known subcommands went straight to their own parsers."""
-    args = _build_parser().parse_args(_glue_negative_values(argv))
+    args = _parsers()[0].parse_args(_glue_negative_values(argv))
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError) as exc:
@@ -987,9 +1009,9 @@ def test_dispatch_matches_top_level_parse(argv, own_parser, tmp_path, capsys, mo
     run = command.get_default("fn")
     command.set_defaults(fn=lambda args: seen.append(vars(args)) or 0)
     try:
-        want = vars(_build_parser().parse_args(_glue_negative_values(argv)))
+        want = vars(_parsers()[0].parse_args(_glue_negative_values(argv)))
         # and the top-level parser is never asked
-        monkeypatch.setattr(_build_parser(), "parse_args", _not_asked)
+        monkeypatch.setattr(_parsers()[0], "parse_args", _not_asked)
         assert main(argv) == 0
     finally:
         command.set_defaults(fn=run)
