@@ -6,8 +6,8 @@ map (tabulate response curves against their rational bounds), simulate
 (dense-grid inequality sweeps).
 
 Exit codes: 0 on success or a certified decision, 1 for an honest negative
-(not certified, violations found, divergent run), 2 for usage or domain
-errors.
+(not certified, violations found, divergent run) or a reader that closed
+stdout early (nothing goes to stderr then), 2 for usage or domain errors.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import functools
 import inspect
 import math
+import os
 import sys
 
 import numpy as np
@@ -64,12 +65,14 @@ def _cmd_check(args) -> int:
             "certified": cert.ok,
             "reason": cert.region.reason,
             "facts": [
-                {"name": f.name, "value": f.value, "requirement": f.requirement, "ok": f.ok}
+                {k: getattr(f, k) for k in ("name", "value", "requirement", "ok", "backed_by")}
                 for f in cert.chain
             ],
         }
         if cert.failure is not None:
-            out["failure"] = {k: getattr(cert.failure, k) for k in ("name", "value", "requirement")}
+            out["failure"] = {
+                k: getattr(cert.failure, k) for k in ("name", "value", "requirement", "backed_by")
+            }
         # one encode and one write: json.dump writes chunk by chunk
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     else:
@@ -84,14 +87,13 @@ def _cmd_check(args) -> int:
         print(f"a={_FMT % np_.a} theta={theta}: {verdict} ({tag})")
         if cert.region.reason:
             print(f"  reason: {cert.region.reason}")
-        for f in cert.chain:
-            mark = "ok" if f.ok else "FAIL"
-            print(f"  [{mark}] {f.name} = {_FMT % f.value} (need {f.requirement})")
+        facts = list(cert.chain)
         if cert.failure is not None and cert.failure not in cert.chain:
-            print(
-                f"  [FAIL] {cert.failure.name} = {_FMT % cert.failure.value} "
-                f"(need {cert.failure.requirement})"
-            )
+            facts.append(cert.failure)
+        for f in facts:
+            mark = "ok" if f.ok else "FAIL"
+            sweep = f"; sweep {f.backed_by}" if f.backed_by else ""
+            print(f"  [{mark}] {f.name} = {_FMT % f.value} (need {f.requirement}{sweep})")
     return 0 if cert.ok else 1
 
 
@@ -366,7 +368,19 @@ def main(argv=None) -> int:
     if args is None or rest:
         args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # so a reader gone at the last write is caught here too
+        return rc
+    except BrokenPipeError:
+        # the reader closed stdout: no usage error.  As the recipe in Python's
+        # signal docs does, point fd 1 at devnull, so the flush at exit
+        # writes nowhere, and exit 1 with nothing on stderr
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -193,17 +193,24 @@ def _log_gap(th, lnth):
 
     Near theta = 1 it is about -s*s/2 in s = 1 - theta, and the direct sum
     cancels: to 0 at theta = 1 - 1e-13.  Where the direct sum is below
-    2**-20, s < 1.4e-3 and the series -(s**2/2 + s**3/3 + ... + s**7/7)
-    takes over, cut where the next term is below an ulp (s is exact for
+    2**-20, s < 1.4e-3 and _log_gap_series(s) takes over (s is exact for
     theta in [1/2, 2]); every other entry keeps the direct sum's bits.
     """
     g = 1.0 + lnth - th
     near = abs(g) < 2.0**-20
     if not _any(near):
         return g
-    s = 1.0 - th
-    series = -(s * s) * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * (0.2 + s * (1.0 / 6.0 + s / 7.0)))))
+    series = _log_gap_series(1.0 - th)
     return np.where(near, series, g) if type(g) is np.ndarray else series
+
+
+def _log_gap_series(s):
+    """-(s**2/2 + s**3/3 + ... + s**7/7), the series of 1 + log(1 - s) - (1 - s).
+
+    Cut where the next term is below an ulp for |s| < 1.4e-3, where the
+    direct sum cancels.  s is a float, an array or double-double lanes.
+    """
+    return -(s * s) * (0.5 + s * (1.0 / 3.0 + s * (0.25 + s * (0.2 + s * (1.0 / 6.0 + s / 7.0)))))
 
 
 def psi_inv_generic(y, a, theta, mx=FLOAT):

@@ -12,7 +12,9 @@ solved and integrated as lanes.  Grids are nested: doubling the resolution
 keeps every previously checked point.
 
 The module also assembles per-point stability certificates and writes the
-region-figure artifacts.
+region-figure artifacts.  A certificate fact that a registered check holds
+is that check's float margin, from its own margins function on grids of
+the one point, and names the check (Fact.backed_by).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .params import (
     NormParams,
     Region,
     RegionLabel,
+    _any,
     classify,
     classify_raster,
     linear_boundary_theta,
@@ -50,11 +53,12 @@ from .ratmaps import (
     R_eval,
     coeffs,
     coeffs_generic,
-    r_eval,
     r_inv,
     schwarz_margin,
     j_generic,
     j_tangent_coeffs,
+    _branch_slope,
+    _log_gap_series,
 )
 from .onedmaps import (
     F1_solve_r,
@@ -347,13 +351,16 @@ def _margins_lele2(grid: Grid, mx) -> list:
     one = mx.num(1.0)
     q = mx.num(grid["q"]) * one
     k = mx.num(grid["k"]) * one
-    a = grid["k"] / grid["q"]
-    th = 1.0 + grid["q"]
+    a = mx.num(grid["a"]) * one
     ell = mx.log1p(q)
-    corner = ((-q + ell) / (one - q + ell)) * k * k / (q * q - k * (-q + ell))
-    _, _, beta, _ = coeffs_generic(a, th, mx)
-    a_dd = mx.num(a) * one
-    rv = a_dd * corner / (one + corner)
+    # log(theta) + 1 - theta; near q = 0 the sum cancels and its series takes over
+    gap = -q + ell
+    near = abs(mx.value(gap)) < 2.0**-20
+    if _any(near):
+        gap = mx.where(near, _log_gap_series(-q), gap)
+    corner = (gap / (one - q + ell)) * k * k / (q * q - k * gap)
+    _, _, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
+    rv = a * corner / (one + corner)
     return [
         ("corner_above_minus_one", corner + one),
         ("corner_image_in_domain", one - rv * beta),
@@ -490,10 +497,11 @@ def _gen_funcrr2(n: int):
 
 def _gen_lele2(n: int):
     q = -0.2 + 0.2 * np.arange(n) / n
-    return (
-        f"box grid: q=-0.2+0.2*i/{n} (i=0..{n - 1}), k=1+0.5*j/{n} (j=0..{n})",
-        _times({"q": q}, "k", 1.0 + 0.5 * np.arange(n + 1) / n),
-    )
+    grid = _times({"q": q}, "k", 1.0 + 0.5 * np.arange(n + 1) / n)
+    # the point (a, theta) = (k/q, 1 + q) that beta is taken at
+    grid["a"] = grid["k"] / grid["q"]
+    grid["theta"] = 1.0 + grid["q"]
+    return f"box grid: q=-0.2+0.2*i/{n} (i=0..{n - 1}), k=1+0.5*j/{n} (j=0..{n})", grid
 
 
 def _gen_expo(n: int):
@@ -663,10 +671,14 @@ def verify_all(
 
 @dataclass(frozen=True)
 class Fact:
+    """One fact of a certificate; backed_by names the registered check whose
+    margin it is, or is None for a fact no sweep holds."""
+
     name: str
     value: float
     requirement: str
     ok: bool
+    backed_by: str | None = None
 
 
 @dataclass(frozen=True)
@@ -692,8 +704,28 @@ _SCHWARZ_SAMPLES = np.linspace(-0.9, 10.0, 41)
 _SCHWARZ_SAMPLES.flags.writeable = False
 
 
+def _backed(lemma_id: str, grids: list[Grid], labels: tuple[str, ...]) -> list[Fact]:
+    """One fact per label: the check's own float margin, its smallest value
+    over the rows of grids (NaN if any row gives NaN), needed > 0."""
+    margins = _REGISTRY[lemma_id].margins
+    per_grid = [dict(margins(grid, FLOAT)) for grid in grids]
+    facts = []
+    for label in labels:
+        cols = [m[label] for m in per_grid]
+        # one grid's column as it is: stacking it in a list costs a copy
+        value = float(np.minimum.reduce(cols if len(cols) > 1 else cols[0], axis=None))
+        facts.append(Fact(label, value, "> 0", value > 0.0, lemma_id))
+    return facts
+
+
 def certificate(np_: NormParams) -> Certificate:
-    """Assemble the fact chain that backs the classification at this point."""
+    """Assemble the fact chain that backs the classification at this point.
+
+    A fact that a registered check holds is that check's margin at the
+    point: its margins function runs on grids of this one point, and the
+    fact names the check in backed_by.  The sharp-criterion margin, the
+    straightened slope and the two composite-map facts have no sweep.
+    """
     label = classify(np_)
     point = (np_.a, np_.theta)
     # the same boundary expression criterion_norm compares, so this fact
@@ -704,6 +736,7 @@ def certificate(np_: NormParams) -> Certificate:
         return Certificate(point, label, [], crit_fact if not crit_fact.ok else None)
 
     chain = [crit_fact]
+    a, theta = point
     if label.tag is Region.LINEAR:
         slope = (1.0 - np_.theta) * np_.a * np_.a / (np_.a - np_.theta)
         # slope > -1 rearranges to the comparison linear_criterion makes,
@@ -711,28 +744,25 @@ def certificate(np_: NormParams) -> Certificate:
         # (at a = -1 and theta below about 1e-16 the slope rounds to -1)
         above = linear_criterion(np_)
         chain.append(Fact("straightened_slope", slope, "in (-1, 0)", above and slope < 0.0))
-        worst = float(schwarz_margin(_SCHWARZ_SAMPLES, np_.a, np_.theta).min())
-        chain.append(Fact("straightened_schwarz_margin_min", worst, "> 0", worst > 0.0))
+        schwarz = {"x": _SCHWARZ_SAMPLES, "a": a, "theta": theta}
+        chain += _backed("gsslemma_schwarz", [schwarz], ("straightened_map_schwarz_neg",))
     elif label.tag is Region.CORE:
-        c = coeffs(np_)
-        prod = np_.a * c.alpha
-        chain.append(Fact("slope_product", prod, "in (-1, 0)", -1.0 < prod < 0.0))
-        chain.append(Fact("beta_pos", c.beta, "> 0", c.beta > 0.0))
-        q_branch = q_poly_generic(c.a_star, np_.a, np_.theta, alpha=c.alpha, beta=c.beta)
-        chain.append(Fact("certificate_poly_at_branch", q_branch, "<= 0", q_branch <= 0.0))
-        worst = math.inf
-        for rz in (c.a_star * (i + 1) / 8 for i in range(7)):
-            worst = min(worst, F_solve_r(rz, np_).value - R_eval(rz, c))
-        chain.append(Fact("response_bound_spot_min", worst, ">= 0", worst >= -1e-9))
+        pt = {"a": a, "theta": theta}
+        chain += _backed("albeta", [pt], ("slope_product_above_minus_one", "slope_product_negative"))
+        chain += _backed("albet", [pt], ("beta_pos",))
+        chain += _backed("lele", [pt], ("certificate_nonpos_branch_end",))
+        # seven spots on (a_star, 0), one scalar solve each
+        spots = [{**pt, "r": _branch_slope(a, theta) * (i + 1) / 8} for i in range(7)]
+        chain += _backed("leform1", spots, ("response_above_moebius",))
     else:  # SECTOR
         c = coeffs(np_)
-        # theta >= 0.8 in the sector, so gamma is defined (theta > 0.16)
+        # theta >= 0.8 in the sector, so gamma is defined (theta > 0.16) and
+        # q = theta - 1 is exact
         gamma = c.gamma
         chain.append(Fact("composite_slope", gamma, "in (0, 1)", 0.0 < gamma < 1.0))
-        corner = R2_eval(np_.a, np_)
-        chain.append(Fact("corner_above_minus_one", corner, "> -1", corner > -1.0))
-        rv = r_eval(corner, np_.a)
-        chain.append(Fact("corner_image_in_domain", rv * c.beta, "< 1", rv * c.beta < 1.0))
+        q = theta - 1.0
+        corner = {"q": q, "k": a * q, "a": a, "theta": theta}
+        chain += _backed("lele2", [corner], ("corner_above_minus_one", "corner_image_in_domain"))
         worst = 0.0
         for x in (0.25, 1.0, 4.0):
             worst = max(worst, lambda_composite(x, np_, c) / x)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, argument handling."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -63,10 +64,10 @@ def test_check_json(capsys):
     "region, a, theta, names",
     [
         ("linear", "-2.0", "0.9",
-         ["sharp_criterion_margin", "straightened_slope", "straightened_schwarz_margin_min"]),
+         ["sharp_criterion_margin", "straightened_slope", "straightened_map_schwarz_neg"]),
         ("core", "-2.0", "0.39",
-         ["sharp_criterion_margin", "slope_product", "beta_pos",
-          "certificate_poly_at_branch", "response_bound_spot_min"]),
+         ["sharp_criterion_margin", "slope_product_above_minus_one", "slope_product_negative",
+          "beta_pos", "certificate_nonpos_branch_end", "response_above_moebius"]),
         ("sector", "-10", "0.88",
          ["sharp_criterion_margin", "composite_slope", "corner_above_minus_one",
           "corner_image_in_domain", "composite_cycle_contraction"]),
@@ -117,7 +118,7 @@ def test_check_missing_coordinates(capsys):
 def _failing_schwarz_margin(monkeypatch):
     # a linear point whose Schwarz fact fails: the label stands while one
     # fact of its chain fails, through the real main and certificate
-    monkeypatch.setattr(verify, "schwarz_margin", lambda x, a, theta: np.full_like(x, -0.25))
+    monkeypatch.setattr(verify, "schwarz_margin", lambda x, a, theta, mx: np.full_like(x, -0.25))
     return ["check", "--a", "-1", "--theta", "0.5"]
 
 
@@ -126,7 +127,7 @@ def test_check_verdict_follows_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out.splitlines()
     assert rc == 1
     assert out[0] == "a=-1 theta=0.5: not certified (linear)"
-    assert "  [FAIL] straightened_schwarz_margin_min = -0.25 (need > 0)" in out
+    assert "  [FAIL] straightened_map_schwarz_neg = -0.25 (need > 0; sweep gsslemma_schwarz)" in out
 
 
 def test_check_json_verdict_follows_exit_code(capsys, monkeypatch):
@@ -135,7 +136,7 @@ def test_check_json_verdict_follows_exit_code(capsys, monkeypatch):
     assert rc == 1
     assert data["region"] == "linear"
     assert data["certified"] is False
-    assert data["failure"]["name"] == "straightened_schwarz_margin_min"
+    assert data["failure"]["name"] == "straightened_map_schwarz_neg"
 
 
 @pytest.mark.parametrize("coords", [["--theta", "1e-17"], ["--delta", "1.0", "--h", "700"]])
@@ -235,22 +236,24 @@ def test_rescaled_slope_underflow_is_a_usage_error(capsys):
     assert captured.err == "error: a/delta underflows to 0 at a = -4.94065645841e-324, delta = 10\n"
 
 
-# composite_slope's true values, from the exact expressions at these floats
-# in 60-digit arithmetic
+# composite_slope's true values, and the corner margins corner + 1 and
+# 1 - r(corner)*beta, from the exact expressions at these floats in 60-digit
+# arithmetic
 _HUGE_SLOPE_POINTS = [
-    ("-1e13", "0.9999999999999", 0.25031106606096843),
-    ("-1922892727988.8538", "0.9999999999994669", 0.27594867368557639),
-    ("-1e12", "0.999999999999", 0.24997787889191952),
+    ("-1e13", "0.9999999999999", 0.25031106606096843, 0.66649390501789084, 0.66661478607689672),
+    ("-1922892727988.8538", "0.9999999999994669", 0.27594867368557639,
+     0.65260148121805500, 0.66211008396484418),
+    ("-1e12", "0.999999999999", 0.24997787889191952, 0.66667895643853060, 0.66667035333505098),
 ]
 
 
 @pytest.mark.parametrize(
-    "a, theta, gamma",
+    "a, theta, gamma, corner, image",
     _HUGE_SLOPE_POINTS,
     # the ids keep eight digits of the slope
-    ids=[f"{a}-{theta}-{gamma:.8g}" for a, theta, gamma in _HUGE_SLOPE_POINTS],
+    ids=[f"{a}-{theta}-{gamma:.8g}" for a, theta, gamma, *_ in _HUGE_SLOPE_POINTS],
 )
-def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma):
+def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma, corner, image):
     # den = a*a + (a - a*a)*lam cancelled there: to 0 at the first two (a
     # ZeroDivisionError), to -1.3e8 at the third (composite_slope = 0)
     rc = main(["check", f"--a={a}", "--theta", theta, "--json"])
@@ -261,10 +264,10 @@ def test_check_huge_slope_near_theta_one_gives_a_verdict(capsys, a, theta, gamma
     # its log factor 1 - theta + log(theta), about -(1 - theta)**2/2, comes
     # from its series here: the direct sum kept only about three digits
     assert facts["composite_slope"] == pytest.approx(gamma, rel=1e-14)
-    # the corner facts take that factor from the same series: they read 0,
-    # -0 and 0 when it cancelled
-    assert -0.35 < facts["corner_above_minus_one"] < -0.33
-    assert 0.33 < facts["corner_image_in_domain"] < 0.34
+    # the corner margins take that factor from the same series: with a
+    # corner of 0 when it cancelled, both read 1
+    assert facts["corner_above_minus_one"] == pytest.approx(corner, rel=1e-14)
+    assert facts["corner_image_in_domain"] == pytest.approx(image, rel=1e-14)
     assert 0.2 < facts["composite_cycle_contraction"] < 0.24
 
 
@@ -496,14 +499,59 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run_module(argv, cwd=None):
-    """python -m ddestab in a fresh interpreter that imports this same package."""
+def _module_env() -> dict:
+    """The environment of a fresh interpreter that imports this same package."""
     root = str(Path(ddestab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_module(argv, cwd=None):
+    """python -m ddestab in a fresh interpreter that imports this same package."""
     return subprocess.run(
-        [sys.executable, "-m", "ddestab", *argv],
-        capture_output=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "ddestab", *argv], capture_output=True, cwd=cwd, env=_module_env()
     )
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: its write, or only its flush, raises EPIPE."""
+
+    def __init__(self, at: str):
+        super().__init__()
+        self.at = at
+
+    def write(self, text):
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.at == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_check_into_closed_stdout_is_no_usage_error(capsys, monkeypatch, at, form):
+    # a reader that stops early is an honest end, not a usage error (exit 2)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(at))
+    rc = main(["check", "--a", "-2.0", "--theta", "0.39", *form])
+    assert rc == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["text", "json"])
+def test_check_into_closed_pipe_exits_1_quietly(form):
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "ddestab", "check", "--a", "-2.0", "--theta", "0.39",
+         *form],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    proc.stdout.close()  # before the child has started up, let alone written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 # SHA-256 of the stdout and the trajectory CSV of each command: a change to

@@ -11,7 +11,7 @@ import pytest
 from ddestab.cli import main
 from ddestab.params import region_boundary_rows, write_region_json
 from ddestab import verify
-from ddestab.verify import sweep_figures, verify_lemma, write_report
+from ddestab.verify import LEMMA_IDS, sweep_figures, verify_lemma, write_report
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "docs", "schemas")
 
@@ -94,3 +94,21 @@ def test_check_json_validates(a, theta, region, capsys):
     assert data["region"] == region
     # the output carries every required key and nothing else but failure
     assert set(data) - {"failure"} == set(schema["required"])
+    # every fact, and a failure, names the check that backs it or null
+    for fact in data["facts"] + [data.get("failure", {"backed_by": None})]:
+        assert fact["backed_by"] in LEMMA_IDS + [None]
+    assert any(f["backed_by"] for f in data["facts"]) is (region != "not_certified")
+
+
+def test_check_schema_backed_by_is_a_check_id_or_null(capsys):
+    schema = _schema("check_result.schema.json")
+    assert schema["$defs"]["backed_by"]["enum"] == LEMMA_IDS + [None]
+    main(["check", "--a", "-2.0", "--theta", "0.39", "--json"])
+    data = json.loads(capsys.readouterr().out)
+    fact = data["facts"][-1]
+    for bad in ("no_such_check", 3):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**data, "facts": [{**fact, "backed_by": bad}]}, schema)
+    del fact["backed_by"]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**data, "facts": [fact]}, schema)

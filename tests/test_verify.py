@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -12,13 +13,17 @@ import pytest
 from ddestab import verify
 from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
 from ddestab.models import NicholsonParams, nicholson_global
-from ddestab.params import NormParams, Region, classify, sharp_boundary_theta
+from ddestab.cli import main
+from ddestab.onedmaps import F_solve_r, q_poly_generic
+from ddestab.params import NormParams, Region, classify, pi_curve, sharp_boundary_theta
+from ddestab.ratmaps import R_eval, coeffs, coeffs_generic, schwarz_margin
 from ddestab.verify import (
     _REGISTRY,
     LEMMA_IDS,
     Certificate,
     Fact,
     LemmaReport,
+    _SCHWARZ_SAMPLES,
     _r303_endpoint_margin,
     certificate,
     sweep_figures,
@@ -125,9 +130,9 @@ GRID_DIGESTS = {
     ("funcrr2", 8): "34ff9cf48a567fb60cbc116d33e8ba6ae42d41435ac82c88b39c33e265dbcbe5",
     ("funcrr2", 64): "ffb64a6ef38f6caeb746fabbb6c0cd261bf8ac870f807bb979e50180253d8f54",
     ("funcrr2", 256): "67d555dd2570611f279d64c92708c8e2a3b7ea50086dd1bd8f419ca2812eeb99",
-    ("lele2", 8): "7630170c30f0b345e0bae1dc0c7bffb66998ef4cbd5d92931dcaed238f59a02f",
-    ("lele2", 64): "000e99e9868d876197eb793eb542e6b8d4b2d5d956caba214cd25e0ef69ed6fa",
-    ("lele2", 256): "34b9f74d67785f4296c661e8887e92b66b9bd913563c11ca85fb53147a8498bf",
+    ("lele2", 8): "39e75984d38c29b381250b8fc4188aa284245860625843a25f17dbc220241498",
+    ("lele2", 64): "d2295ab2f6991d9929f563427252bad9df55d073d981a63108edad01f6a06b13",
+    ("lele2", 256): "5759f21c738c81f4f8ccb831c85ace85bb8f5f8a759e624a2fb9f0a4a715fc82",
     ("expo_bounds", 8): "54220f784e8075fd00450c0affa89e92e06a6781b28ed8c2d1e7c30f0a34f93d",
     ("expo_bounds", 64): "63fe4650b0ed06f6c864c3445c3826bc12be35ddd4c396378233a1ff0dccb40e",
     ("expo_bounds", 256): "c0aa2eef2959182ce61f73d16c90dc436781286228f763504606413cb3932c27",
@@ -275,6 +280,24 @@ def test_columns_match_point_loop(lemma_id):
         assert col.tobytes() == np.array(want[label]).tobytes(), label
 
 
+@pytest.mark.parametrize("mx", [FLOAT, DOUBLE_DOUBLE], ids=["float", "dd"])
+def test_lele2_series_rows_match_point_loop(mx):
+    # the last q row at resolution 256, q = -7.8e-4, is the one whose log
+    # factor -q + log1p(q) falls below 2**-20 and takes the series: as a
+    # column and one point at a time, in either backend, it gives equal bits
+    spec = _REGISTRY["lele2"]
+    grid = spec.gen(256)[1]
+    last = grid["q"] == grid["q"].max()
+    rows = {k: v[last] for k, v in grid.items()}
+    q = rows["q"]
+    assert len(q) == 257 and (np.abs(-q + np.log1p(q)) < 2.0**-20).all()
+    cols = [mx.value(m) for _, m in spec.margins(rows, mx)]
+    for i in range(len(q)):
+        pt = {k: float(v[i]) for k, v in rows.items()}
+        want = [float(mx.value(m)).hex() for _, m in spec.margins(pt, mx)]
+        assert [float(col[i]).hex() for col in cols] == want, i
+
+
 # small row blocks cut leleka's r axis, whose first node carries the chain
 # margins, and the leform2 and funcrr2 bases they solve and integrate per
 # block; gsslemma_schwarz and lele have double-double rechecks inside the
@@ -419,7 +442,7 @@ def test_certificate_core(np_core):
     assert cert.failure is None
     names = [f.name for f in cert.chain]
     assert "sharp_criterion_margin" in names
-    assert "slope_product" in names
+    assert "slope_product_above_minus_one" in names
     assert all(f.ok for f in cert.chain)
 
 
@@ -429,7 +452,7 @@ def test_certificate_linear(np_linear):
     assert cert.region.tag is Region.LINEAR
     names = [f.name for f in cert.chain]
     assert "straightened_slope" in names
-    assert "straightened_schwarz_margin_min" in names
+    assert "straightened_map_schwarz_neg" in names
 
 
 def test_certificate_sector(np_sector):
@@ -464,6 +487,99 @@ def test_sharp_criterion_fact_agrees_with_classify():
             fact = cert.chain[0] if cert.chain else cert.failure
             assert fact.name == "sharp_criterion_margin"
             assert fact.ok == classify(np_).certified, (a, theta, fact.value)
+
+
+def _points_in_every_region(seed: int, per_region: int = 12) -> list[NormParams]:
+    """Seeded points of the (theta, mu) unit square, per_region in each region,
+    and band points at slopes from -1 to -1e4."""
+    rng = random.Random(seed)
+    by_region = {tag: [] for tag in Region}
+    while min(map(len, by_region.values())) < per_region:
+        np_ = NormParams(a=-1.0 / (1.0 - rng.random()), theta=1.0 - rng.random())
+        by_region[classify(np_).tag].append(np_)
+    band = []
+    for _ in range(per_region):
+        a = -(10.0 ** (4.0 * rng.random())) - 1e-3
+        mu = -1.0 / a
+        lo, hi = (pi_curve(2, mu), pi_curve(1, mu))
+        band.append(NormParams(a=a, theta=lo + (hi - lo) * rng.random()))
+    return [p for pts in by_region.values() for p in pts[:per_region]] + band
+
+
+def _old_facts(np_: NormParams) -> dict:
+    """The LINEAR and CORE fact values as certificate wrote them out before
+    they came from the checks' margins."""
+    a, th = np_.a, np_.theta
+    if classify(np_).tag is Region.LINEAR:
+        return {"straightened_map_schwarz_neg": float(schwarz_margin(_SCHWARZ_SAMPLES, a, th).min())}
+    c = coeffs(np_)
+    prod = a * c.alpha
+    worst = math.inf
+    for rz in (c.a_star * (i + 1) / 8 for i in range(7)):
+        worst = min(worst, F_solve_r(rz, np_).value - R_eval(rz, c))
+    return {
+        "slope_product_above_minus_one": 1.0 + prod,
+        "slope_product_negative": -prod,
+        "beta_pos": c.beta,
+        "certificate_nonpos_branch_end": -q_poly_generic(c.a_star, a, th, alpha=c.alpha, beta=c.beta),
+        "response_above_moebius": worst,
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_certificate_facts_are_the_checks_margins(capsys, seed):
+    for np_ in _points_in_every_region(seed):
+        label = classify(np_)
+        rc = main(["check", f"--a={np_.a!r}", "--theta", repr(np_.theta), "--json"])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == (0 if label.certified else 1), np_
+        assert data["region"] == label.tag.value
+        backed = [f for f in data["facts"] if f["backed_by"] is not None]
+        assert all(f["backed_by"] in LEMMA_IDS and f["ok"] is (f["value"] > 0.0) for f in backed)
+        unbacked = {f["name"] for f in data["facts"]} - {f["name"] for f in backed}
+        assert unbacked <= {
+            "sharp_criterion_margin", "straightened_slope", "composite_slope",
+            "composite_cycle_contraction",
+        }
+        if label.tag in (Region.LINEAR, Region.CORE):
+            got = {f["name"]: f["value"].hex() for f in backed}
+            assert got == {k: v.hex() for k, v in _old_facts(np_).items()}, np_
+
+
+def _corner_margins(a: float, theta: float, beta: float) -> tuple[float, float]:
+    """corner + 1 and 1 - r(corner)*beta, the corner R2 at r = a, in 60 digits.
+
+    beta is taken as given: its own rounding, up to 5e-9 relative at sector
+    points near a = -200, is not the corner's.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        A, T = mp.mpf(a), mp.mpf(theta)
+        g = 1 + mp.log(T) - T
+        corner = g / (2 + mp.log(T) - T) * A * A / (1 + g / (1 - T) * A)
+        return float(corner + 1), float(1 - A * corner / (1 + corner) * mp.mpf(beta))
+
+
+def _sector_points(seed: int, n: int) -> list[tuple[float, float]]:
+    rng = random.Random(seed)
+    pts = [(-1e13, 0.9999999999999), (-1922892727988.8538, 0.9999999999994669),
+           (-1e12, 0.999999999999)]
+    while len(pts) < n + 3:
+        np_ = NormParams(a=-1.0 / (0.18 * (1.0 - rng.random())), theta=0.8 + 0.2 * rng.random())
+        if classify(np_).tag is Region.SECTOR:
+            pts.append((np_.a, np_.theta))
+    return pts
+
+
+@pytest.mark.parametrize("a, theta", _sector_points(7, 20))
+def test_sector_corner_facts_match_mpmath(a, theta):
+    cert = certificate(NormParams(a=a, theta=theta))
+    assert cert.ok
+    facts = {f.name: f for f in cert.chain}
+    corner, image = (facts[n] for n in ("corner_above_minus_one", "corner_image_in_domain"))
+    assert corner.backed_by == image.backed_by == "lele2"
+    want = _corner_margins(a, theta, coeffs_generic(a, theta)[2])
+    assert (corner.value, image.value) == pytest.approx(want, rel=1e-13)
 
 
 def test_certificate_point_recorded(np_core):
