@@ -65,13 +65,17 @@ def _cmd_check(args) -> int:
             "certified": cert.ok,
             "reason": cert.region.reason,
             "facts": [
-                {k: getattr(f, k) for k in ("name", "value", "requirement", "ok", "backed_by")}
+                {
+                    "name": f.name, "value": f.value, "requirement": f.requirement, "ok": f.ok,
+                    "backed_by": f.backed_by,
+                }
                 for f in cert.chain
             ],
         }
-        if cert.failure is not None:
+        f = cert.failure
+        if f is not None:
             out["failure"] = {
-                k: getattr(cert.failure, k) for k in ("name", "value", "requirement", "backed_by")
+                "name": f.name, "value": f.value, "requirement": f.requirement, "backed_by": f.backed_by
             }
         # one encode and one write: json.dump writes chunk by chunk
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
