@@ -201,21 +201,22 @@ def _find_extrema(y: np.ndarray, t0: float, s: float) -> list:
     d = np.diff(y)
     up, down = d[:-1] > 0.0, d[:-1] < 0.0
     nodes = np.flatnonzero((up & (d[1:] < 0.0)) | (down & (d[1:] > 0.0))) + 1
-    return [
-        (*_parabola_refine(y, i, t0, s), "max" if rising else "min")
-        for i, rising in zip(nodes.tolist(), up[nodes - 1].tolist())
-    ]
+    dt, v = _parabola_refine(y[nodes - 1], y[nodes], y[nodes + 1])
+    kinds = ["max" if rising else "min" for rising in up[nodes - 1].tolist()]
+    return list(zip((t0 + (nodes + dt) * s).tolist(), v.tolist(), kinds))
 
 
-def _parabola_refine(y: np.ndarray, i: int, t0: float, s: float) -> tuple[float, float]:
-    ym, y0, yp = y[i - 1], y[i], y[i + 1]
+def _parabola_refine(ym: np.ndarray, y0: np.ndarray, yp: np.ndarray):
+    """Vertex of the parabola through (-1, ym), (0, y0) and (1, yp), per
+    entry: its offset in steps, clipped to [-1, 1], and its value; offset 0
+    and value y0 where the three points are collinear."""
     den = yp - 2.0 * y0 + ym
-    if den == 0.0:
-        return t0 + i * s, y0
-    dt = 0.5 * (ym - yp) / den
-    dt = min(1.0, max(-1.0, dt))
-    v = y0 - (yp - ym) ** 2 / (8.0 * den)
-    return t0 + (i + dt) * s, v
+    flat = den == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dt = np.clip(0.5 * (ym - yp) / den, -1.0, 1.0)
+        d = yp - ym
+        v = y0 - d * d / (8.0 * den)
+    return np.where(flat, 0.0, dt), np.where(flat, y0, v)
 
 
 def _first_node_after(tc, s):
@@ -422,13 +423,9 @@ def _lanes(w, hist, h, T, step) -> LaneDips:
     z = np.broadcast_to(hist.value, K.shape)
     with np.errstate(all="ignore"):
         values, rows = _conveyor(w, z, start, K, int(n[0]), s, _SLOTS)
-    # refined one lane at a time: libm pow in _parabola_refine, as in one run
-    dip = np.array(
-        [
-            col[1] if math.isnan(col[2]) else _parabola_refine(col, 1, 0.0, 1.0)[1]
-            for col in values.T
-        ]
-    )
+    # a lane whose lowest node is its last has no right neighbour to refine with
+    low, right = values[1], values[2]
+    dip = np.where(np.isnan(right), low, _parabola_refine(values[0], low, right)[1])
     return LaneDips(step=s, values=values, dip=dip, rows=rows)
 
 

@@ -15,7 +15,13 @@ with a mask, and a condition that raises for one value raises if any lane
 meets it.
 
 The two evaluation backends, FLOAT and DOUBLE_DOUBLE, share one set of
-members, and each takes one value or an array of lanes alike.
+members, and each takes one value or an array of lanes alike.  A formula
+written for any backend mx converts each input once, with mx.num, and
+writes its constants as float literals: a literal meets a backend value
+through the value's own or reflected operator, and a DD coerces it to
+DD(c, 0), the operand mx.num(c) gives, so either order gives the same bits
+(two_sum and two_prod are exact).  A backend one is built only for a
+constant wider than a float, such as one / 3.0 in double-double.
 """
 
 from __future__ import annotations
@@ -304,7 +310,9 @@ class FloatBackend:
     which selects per lane, and value(x), the float nearest to x.  Each
     member takes a float or a float64 array, one lane per entry; lane i is
     bitwise the value on its own float, since exp, log and log1p run libm
-    once per run of equal entries (see _libm).
+    once per run of equal entries (see _libm).  Generic formulas pass each
+    input through num once and meet float literals directly (see the
+    module docstring).
     """
 
     name = "float"

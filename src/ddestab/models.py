@@ -2,7 +2,7 @@
 
 Builders return a Nonlinearity record: the map with a name for reports.  The
 blowfly decision reduces the equation to normalized slope/theta coordinates
-and reuses the sharp delay criterion; the attractor helpers bound the
+and takes check's certificate there; the attractor helpers bound the
 late-time range in the humped regime.
 """
 
@@ -14,15 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .params import (
-    NormParams,
-    Region,
-    RegionLabel,
-    classify,
-    sharp_boundary_theta,
-)
-# no solve here: kept only as the name perfbench/spans.py's tracer patches
+from .params import NormParams, Region, RegionLabel
+# not called here: kept only as the names perfbench/spans.py's tracer patches
+from .params import classify, sharp_boundary_theta  # noqa: F401
 from .rootfind import solve_bracketed  # noqa: F401
+from .verify import certificate
 
 __all__ = [
     "Nonlinearity",
@@ -186,7 +182,7 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
 
     The equilibrium-shifted feedback has slope 1 - ln q, so the sharp delay
     criterion applies directly: certified for every delay when ln q <= 2,
-    otherwise iff theta exceeds the boundary value at slope -(ln q - 1).
+    otherwise iff check certifies (slope, theta).
     """
     n_star = params.n_star  # raises when p <= delta
     c = params.c
@@ -201,8 +197,11 @@ def nicholson_global(params: NicholsonParams) -> NicholsonDecision:
         # also where exp(-delta*h) underflows to 0 (delta*h past about 745)
         region = RegionLabel(Region.LINEAR)
         reason = "slope magnitude at most 1: certified for every delay"
-    elif theta > sharp_boundary_theta(slope):
-        region = classify(NormParams(a=slope, theta=theta))
+    elif theta > 0.0 and (cert := certificate(NormParams(a=slope, theta=theta))).ok:
+        # check's verdict at (slope, theta): classify and the facts backing
+        # its route, so the two commands agree also within an ulp of the
+        # boundary; a theta that underflowed to 0 is not certified
+        region = cert.region
         reason = "sharp delay criterion holds at the equilibrium slope"
     else:
         certified = False

@@ -368,10 +368,9 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
     M = 24*(A1 + A2 r)*(theta + r(theta-1))^4 and likewise N for the B side,
     expanded so only ring operations remain (safe in any backend).
     """
-    one = mx.num(1.0)
-    r = mx.num(r) * one
-    a = mx.num(a) * one
-    th = mx.num(theta) * one
+    r = mx.num(r)
+    a = mx.num(a)
+    th = mx.num(theta)
     q = th - 1.0
     q2 = q * q
     q3 = q2 * q
@@ -396,18 +395,16 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
 
 def q_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
     """Certificate polynomial (1 - r*beta)*M - alpha*N; <= 0 closes the chain."""
-    one = mx.num(1.0)
-    r = mx.num(r) * one
+    r = mx.num(r)
     m_val, n_val = mn_polys_generic(r, a, theta, mx)
-    return (one - r * beta) * m_val - alpha * n_val
+    return (1.0 - r * beta) * m_val - alpha * n_val
 
 
 def s_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
     """Derivative of the certificate polynomial in r, in expanded form."""
-    one = mx.num(1.0)
-    r = mx.num(r) * one
-    a = mx.num(a) * one
-    th = mx.num(theta) * one
+    r = mx.num(r)
+    a = mx.num(a)
+    th = mx.num(theta)
     q = th - 1.0
     q2 = q * q
     q3 = q2 * q
@@ -436,9 +433,8 @@ def s_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
 
 def t_chain_generic(a, theta, mx=FLOAT, *, alpha):
     """Descending control sequence (T3, T2, T1, T0) for the derivative sign."""
-    one = mx.num(1.0)
-    a = mx.num(a) * one
-    th = mx.num(theta) * one
+    a = mx.num(a)
+    th = mx.num(theta)
     q = th - 1.0
     q2 = q * q
     th2 = th * th

@@ -76,9 +76,7 @@ class Coeffs:
         if not th > 0.16:
             return None
         lnth = math.log(th)
-        g = 1.0 - th + lnth
-        if abs(g) < 2.0**-20:
-            g = _log_gap(th, lnth)
+        g = _log_gap(1.0 - th + lnth, 1.0 - th)
         return a ** 3 * self.alpha * g / (2.0 - th + lnth)
 
 
@@ -102,18 +100,17 @@ def coeffs_generic(a, theta, mx=FLOAT):
 
 
 def _coeffs_pack(a, theta, mx=FLOAT):
-    one = mx.num(1.0)
-    a = mx.num(a) * one
-    th = mx.num(theta) * one
+    a = mx.num(a)
+    th = mx.num(theta)
     lam = mx.exp(th / a)
-    alpha = (one - a) * lam + a
-    oma = one - a
-    num = a * a + lam * (one - 2.0 * a + 2.0 * th * (a - one)) - oma * oma * lam * lam
+    alpha = (1.0 - a) * lam + a
+    oma = 1.0 - a
+    num = a * a + lam * (1.0 - 2.0 * a + 2.0 * th * (a - 1.0)) - oma * oma * lam * lam
     den = a * a + (a - a * a) * lam
     if mx is FLOAT:
         alpha, num, den = _uncancelled(a, th, alpha, num, den)
     beta = -(num / den)
-    return lam, alpha, beta, _branch_slope(a, th, one)
+    return lam, alpha, beta, _branch_slope(a, th)
 
 
 def _uncancelled(a, th, alpha, num, den):
@@ -156,9 +153,9 @@ def _uncancelled(a, th, alpha, num, den):
     return alpha_x, num_x, a * alpha_x
 
 
-def _branch_slope(a, theta, one=1.0):
+def _branch_slope(a, theta):
     """a_star = a + theta/(1 - theta), in any backend or on numpy lanes."""
-    return a + theta / (one - theta)
+    return a + theta / (1.0 - theta)
 
 
 def R_eval(r: float, c: Coeffs) -> float:
@@ -179,7 +176,7 @@ def R2_eval(r: float, np_: NormParams) -> float:
     """
     a, th = np_.a, np_.theta
     lnth = FLOAT.log(th)
-    g = _log_gap(th, lnth)
+    g = _log_gap(1.0 + lnth - th, 1.0 - th)
     k0 = g / (2.0 + lnth - th)
     k1 = g / (1.0 - th)
     den = 1.0 + k1 * r
@@ -188,20 +185,19 @@ def R2_eval(r: float, np_: NormParams) -> float:
     return k0 * a * r / den
 
 
-def _log_gap(th, lnth):
-    """1 + log(theta) - theta from lnth = log(theta), on a float or an array.
+def _log_gap(gap, s, mx=FLOAT):
+    """The log factor 1 + log(theta) - theta from its direct sum gap and
+    s = 1 - theta, on a point or on lanes of any backend.
 
-    Near theta = 1 it is about -s*s/2 in s = 1 - theta, and the direct sum
-    cancels: to 0 at theta = 1 - 1e-13.  Where the direct sum is below
-    2**-20, s < 1.4e-3 and _log_gap_series(s) takes over (s is exact for
-    theta in [1/2, 2]); every other entry keeps the direct sum's bits.
+    Near theta = 1 it is about -s*s/2, and the direct sum cancels: to 0 at
+    theta = 1 - 1e-13.  Where |gap| is below 2**-20, s < 1.4e-3 and
+    _log_gap_series(s) takes over (s is exact for theta in [1/2, 2]); every
+    other entry keeps gap's bits.
     """
-    g = 1.0 + lnth - th
-    near = abs(g) < 2.0**-20
+    near = abs(mx.value(gap)) < 2.0**-20
     if not _any(near):
-        return g
-    series = _log_gap_series(1.0 - th)
-    return np.where(near, series, g) if type(g) is np.ndarray else series
+        return gap
+    return mx.where(near, _log_gap_series(s), gap)
 
 
 def _log_gap_series(s):
@@ -220,10 +216,9 @@ def psi_inv_generic(y, a, theta, mx=FLOAT):
     cancellation-free branch of the quadratic formula.  On lanes each lane
     takes its own branch.
     """
-    one = mx.num(1.0)
-    y = mx.num(y) * one
-    a = mx.num(a) * one
-    theta = mx.num(theta) * one
+    y = mx.num(y)
+    a = mx.num(a)
+    theta = mx.num(theta)
     b = a - theta + y
     disc = b * b - 4.0 * y * a
     root = mx.sqrt(disc)
@@ -246,15 +241,14 @@ def schwarz_margin(x, a, theta, mx=FLOAT):
     u = psi_inv(g(x)).  S(psi) > 0 everywhere on (a, inf), hence the margin
     is positive for every a < 0, theta in (0, 1), x > -1.
     """
-    one = mx.num(1.0)
-    x = mx.num(x) * one
-    a = mx.num(a) * one
-    theta = mx.num(theta) * one
-    gx = (one - theta) * a * x / (one + x)
-    gp = (one - theta) * a / ((one + x) * (one + x))
+    x = mx.num(x)
+    a = mx.num(a)
+    theta = mx.num(theta)
+    gx = (1.0 - theta) * a * x / (1.0 + x)
+    gp = (1.0 - theta) * a / ((1.0 + x) * (1.0 + x))
     u = psi_inv_generic(gx, a, theta, mx)
     d = a - u
-    psi_p = one - theta * a / (d * d)
+    psi_p = 1.0 - theta * a / (d * d)
     s_psi = 6.0 * theta * a / ((d * d - theta * a) * (d * d - theta * a))
     # S(psi) = -6 theta a / ((u-a)^2 - theta a)^2 is positive since a < 0
     return -(gp * gp) * s_psi / (psi_p * psi_p)
@@ -263,30 +257,32 @@ def schwarz_margin(x, a, theta, mx=FLOAT):
 def coth_stable(t, mx=FLOAT):
     """coth(t) for t > 0 with a series branch near zero, any backend; on
     lanes each lane takes its own branch."""
-    one = mx.num(1.0)
-    t = mx.num(t) * one
+    t = mx.num(t)
     tv = mx.value(t)
     if _any(tv <= 0.0):
         raise ValueError("coth branch needs t > 0")
     near = tv < 0.01
     if type(near) is bool:  # one point: evaluate only the branch it takes
         if near:
-            return _coth_series(t, one)
-        return _coth_exp(t, one, mx)
-    # one - e may be 0 on a lane that takes the series branch
+            return _coth_series(t, mx)
+        return _coth_exp(t, mx)
+    # 1 - e may be 0 on a lane that takes the series branch
     with np.errstate(divide="ignore", invalid="ignore"):
-        return mx.where(near, _coth_series(t, one), _coth_exp(t, one, mx))
+        return mx.where(near, _coth_series(t, mx), _coth_exp(t, mx))
 
 
-def _coth_series(t, one):
+def _coth_series(t, mx):
+    # a backend one: in double-double, one / 3.0 and one / 45.0 are
+    # double-double constants, where 1.0 / 3.0 would be a rounded float
+    one = mx.num(1.0)
     t2 = t * t
     # 1/t + t/3 - t^3/45 + 2 t^5/945; next term ~ t^7/4725
-    return one / t + t * (one / 3.0 - t2 * (one / 45.0 - t2 * (2.0 / 945.0)))
+    return 1.0 / t + t * (one / 3.0 - t2 * (one / 45.0 - t2 * (2.0 / 945.0)))
 
 
-def _coth_exp(t, one, mx):
+def _coth_exp(t, mx):
     e = mx.exp(-2.0 * t)
-    return (one + e) / (one - e)
+    return (1.0 + e) / (1.0 - e)
 
 
 def j_generic(r, a, theta, mx=FLOAT):
@@ -296,11 +292,10 @@ def j_generic(r, a, theta, mx=FLOAT):
     value 2/nu, returned directly; near it the series branch of coth keeps
     full precision.  Any arithmetic backend mx, on one point or on lanes.
     """
-    one = mx.num(1.0)
-    r = mx.num(r) * one
-    a = mx.num(a) * one
-    theta = mx.num(theta) * one
-    arg = one + 4.0 * r
+    r = mx.num(r)
+    a = mx.num(a)
+    theta = mx.num(theta)
+    arg = 1.0 + 4.0 * r
     av = mx.value(arg)
     if _any(av < 0.0):
         raise ValueError("comparison function needs r >= -1/4")
@@ -308,12 +303,12 @@ def j_generic(r, a, theta, mx=FLOAT):
     edge = av == 0.0
     if type(edge) is bool:  # one point
         if edge:
-            return 2.0 * (one / nu)
+            return 2.0 * (1.0 / nu)
         n = mx.sqrt(arg)
         return n * coth_stable(nu * n / 2.0, mx)
     # edge lanes run coth on arg = 1 and take 2/nu instead
-    n = mx.sqrt(mx.where(edge, one, arg))
-    return mx.where(edge, 2.0 * (one / nu), n * coth_stable(nu * n / 2.0, mx))
+    n = mx.sqrt(mx.where(edge, 1.0, arg))
+    return mx.where(edge, 2.0 * (1.0 / nu), n * coth_stable(nu * n / 2.0, mx))
 
 
 def j_tangent_coeffs(a, theta, mx=FLOAT):
@@ -322,10 +317,9 @@ def j_tangent_coeffs(a, theta, mx=FLOAT):
 
 
 def _j_tangent(a, theta, mx=FLOAT):
-    one = mx.num(1.0)
-    a = mx.num(a) * one
-    theta = mx.num(theta) * one
+    a = mx.num(a)
+    theta = mx.num(theta)
     lam = mx.exp(theta / a)
-    j0 = (one + lam) / (one - lam)
-    j1 = 2.0 * j0 + 4.0 * theta * lam / (a * (one - lam) * (one - lam))
+    j0 = (1.0 + lam) / (1.0 - lam)
+    j1 = 2.0 * j0 + 4.0 * theta * lam / (a * (1.0 - lam) * (1.0 - lam))
     return j0, j1

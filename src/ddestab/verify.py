@@ -34,7 +34,6 @@ from .params import (
     NormParams,
     Region,
     RegionLabel,
-    _any,
     classify,
     classify_raster,
     linear_boundary_theta,
@@ -58,7 +57,7 @@ from .ratmaps import (
     j_generic,
     j_tangent_coeffs,
     _branch_slope,
-    _log_gap_series,
+    _log_gap,
 )
 from .onedmaps import (
     F1_solve_r,
@@ -215,47 +214,43 @@ def _skip_zero(grid: Grid, name: str) -> Grid:
 
 
 def _margins_albet(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
     _, alpha, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
     return [
         ("alpha_pos", alpha),
-        ("alpha_below_one", one - alpha),
+        ("alpha_below_one", 1.0 - alpha),
         ("beta_pos", beta),
     ]
 
 
 def _margins_albeta(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
-    a = mx.num(grid["a"]) * one
+    a = mx.num(grid["a"])
     _, alpha, _, _ = coeffs_generic(grid["a"], grid["theta"], mx)
     prod = a * alpha
     return [
-        ("slope_product_above_minus_one", one + prod),
+        ("slope_product_above_minus_one", 1.0 + prod),
         ("slope_product_negative", -prod),
     ]
 
 
 def _margins_dom(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
-    mu = mx.num(grid["mu"]) * one
-    th = mx.num(grid["theta"]) * one
-    a = mx.num(grid["a"]) * one
-    k = a * (th - one)
-    pi1 = (one - mu) / (one + mu * mu)
-    pi2 = mx.log((one + mu) / (one + mu * mu)) / mu
+    mu = mx.num(grid["mu"])
+    th = mx.num(grid["theta"])
+    a = mx.num(grid["a"])
+    k = a * (th - 1.0)
+    pi1 = (1.0 - mu) / (1.0 + mu * mu)
+    pi2 = mx.log((1.0 + mu) / (1.0 + mu * mu)) / mu
     _, _, _, a_star = coeffs_generic(grid["a"], grid["theta"], mx)
     return [
         ("band_width", pi1 - pi2),
-        ("slope_delay_low", k - one),
-        ("slope_delay_high", 1.5 * one - k),
-        ("branch_slope_below_minus_one", -one - a_star),
+        ("slope_delay_low", k - 1.0),
+        ("slope_delay_high", 1.5 - k),
+        ("branch_slope_below_minus_one", -1.0 - a_star),
         ("interval_proper", k - th),
     ]
 
 
 def _margins_jcal_tangent(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
-    r = mx.num(grid["r"]) * one
+    r = mx.num(grid["r"])
     j0, j1 = j_tangent_coeffs(grid["a"], grid["theta"], mx)
     jv = j_generic(grid["r"], grid["a"], grid["theta"], mx)
     return [("tangent_dominates", j0 + j1 * r - jv)]
@@ -348,43 +343,37 @@ def _margins_funcrr2(grid: Grid, mx) -> list:
 
 
 def _margins_lele2(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
-    q = mx.num(grid["q"]) * one
-    k = mx.num(grid["k"]) * one
-    a = mx.num(grid["a"]) * one
+    q = mx.num(grid["q"])
+    k = mx.num(grid["k"])
+    a = mx.num(grid["a"])
     ell = mx.log1p(q)
     # log(theta) + 1 - theta; near q = 0 the sum cancels and its series takes over
-    gap = -q + ell
-    near = abs(mx.value(gap)) < 2.0**-20
-    if _any(near):
-        gap = mx.where(near, _log_gap_series(-q), gap)
-    corner = (gap / (one - q + ell)) * k * k / (q * q - k * gap)
+    gap = _log_gap(-q + ell, -q, mx)
+    corner = (gap / (1.0 - q + ell)) * k * k / (q * q - k * gap)
     _, _, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
-    rv = a * corner / (one + corner)
+    rv = a * corner / (1.0 + corner)
     return [
-        ("corner_above_minus_one", corner + one),
-        ("corner_image_in_domain", one - rv * beta),
+        ("corner_above_minus_one", corner + 1.0),
+        ("corner_image_in_domain", 1.0 - rv * beta),
     ]
 
 
 def _margins_expo(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
-    x = mx.num(grid["x"]) * one
+    x = mx.num(grid["x"])
     ex = mx.exp(x)
     neg = grid["x"] < 0.0
     return [
-        ("exp_above_linear", mx.where(neg, ex - one - x, math.nan)),
-        ("exp_below_quadratic", mx.where(neg, one + x + x * x / 2.0 - ex, math.nan)),
+        ("exp_above_linear", mx.where(neg, ex - 1.0 - x, math.nan)),
+        ("exp_below_quadratic", mx.where(neg, 1.0 + x + x * x / 2.0 - ex, math.nan)),
         (
             "exp_above_cubic",
-            mx.where(neg, math.nan, ex - (one + x + x * x / 2.0 + x * x * x / 6.0)),
+            mx.where(neg, math.nan, ex - (1.0 + x + x * x / 2.0 + x * x * x / 6.0)),
         ),
     ]
 
 
 def _margins_r303(grid: Grid, mx) -> list:
-    one = mx.num(1.0)
-    q = mx.num(grid["q"]) * one
+    q = mx.num(grid["q"])
     cubic = q - 0.5 * q * q + 0.4 * q * q * q
     return [("log_above_cubic", mx.log1p(q) - cubic)]
 

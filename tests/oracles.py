@@ -8,7 +8,8 @@ the reference for the Schwarzian margin and for orbit runs.  sln_series is
 the full 22-term series that onedmaps._sln_series cuts short.  phi_diff
 is the map solves' difference form as a plain two-point function.
 rk4_rows and rk4_integrate are classic RK4 stage by stage on the grid
-integrate marches, the reference for ddesim's affine step.
+integrate marches, the reference for ddesim's affine step.  parabola_refine
+is the scalar vertex refinement that ddesim does on arrays.
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from ddestab import ddesim
-from ddestab.ddesim import History, _envelope, _first_node_after, _parabola_refine, integrate
+from ddestab.ddesim import History, _envelope, _first_node_after, integrate
 from ddestab.onedmaps import _identity, _phi_base, interval_I
 from ddestab.params import NormParams
 from ddestab.ratmaps import psi_inv_generic, r_eval
@@ -80,6 +81,22 @@ def chi_iterate(x0: float, n: int, np_: NormParams) -> list[float]:
     return orbit
 
 
+def parabola_refine(y: np.ndarray, i: int, t0: float, s: float) -> tuple[float, float]:
+    """Vertex time and value of the parabola through nodes i - 1, i and i + 1
+    of grid data y on times t0 + k*s, the time clipped to one step either
+    side; node i itself where the three are collinear.  The scalar reference
+    for ddesim._parabola_refine."""
+    ym, y0, yp = y[i - 1], y[i], y[i + 1]
+    den = yp - 2.0 * y0 + ym
+    if den == 0.0:
+        return t0 + i * s, y0
+    dt = 0.5 * (ym - yp) / den
+    dt = min(1.0, max(-1.0, dt))
+    d = yp - ym
+    v = y0 - d * d / (8.0 * den)
+    return t0 + (i + dt) * s, v
+
+
 def extremum_after(y: np.ndarray, tc: float, s: float, lowest: bool) -> float:
     """Smallest (lowest) or largest value of grid data y at nodes after time tc,
     parabola-refined unless it falls on the last node."""
@@ -87,7 +104,7 @@ def extremum_after(y: np.ndarray, tc: float, s: float, lowest: bool) -> float:
     pick = np.argmin if lowest else np.argmax
     im = i_lo + int(pick(y[i_lo:]))
     if im <= len(y) - 2:
-        return _parabola_refine(y, im, 0.0, s)[1]
+        return parabola_refine(y, im, 0.0, s)[1]
     return float(y[im])
 
 
@@ -142,7 +159,7 @@ def F1_sim(z: float, np_: NormParams, step: float | None = None) -> float:
     y = tr.values
     im = int(np.argmin(y))
     if 1 <= im <= len(y) - 2:
-        return _parabola_refine(y, im, 0.0, tr.step)[1]
+        return parabola_refine(y, im, 0.0, tr.step)[1]
     return float(y[im])
 
 

@@ -834,6 +834,46 @@ def test_nicholson_not_certified(capsys):
     assert "not certified" in out
 
 
+def _boundary_delays(p: float, ulps: int = 4) -> list[float]:
+    """The delay h at which theta = exp(-h) meets the sharp boundary for
+    blowfly production p (delta = gamma = 1), and the `ulps` floats on
+    either side of it."""
+    slope = 1.0 - math.log(p)
+    h = -math.log(ddestab.params.sharp_boundary_theta(slope))
+    out = [h]
+    lo = hi = h
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+# the first case read "decision: certified (not_certified)" and exited 0
+# where check at its (slope, theta) exits 1
+_BOUNDARY_PS = [8.671137658463456] + np.random.default_rng(27).uniform(8.0, 5e3, 11).tolist()
+
+
+@pytest.mark.parametrize("p", _BOUNDARY_PS, ids=[f"{p:.6g}" for p in _BOUNDARY_PS])
+def test_nicholson_verdict_is_checks_at_the_boundary(p, capsys):
+    # nicholson decides by classify, as check does: within ulps of the
+    # boundary delay its exit code is check's at the printed (slope, theta),
+    # and its decision line never contradicts its region
+    for h in _boundary_delays(p):
+        params = ddestab.models.NicholsonParams(p=p, delta=1.0, gamma_n=1.0, h=h)
+        rc = main(["nicholson", "--p", repr(p), "--delta", "1", "--gamma", "1", "--h", repr(h)])
+        decision = capsys.readouterr().out.splitlines()[1]
+        slope, theta = 1.0 - params.ln_q, params.theta
+        assert main(["check", f"--a={slope!r}", "--theta", repr(theta)]) == rc, h
+        capsys.readouterr()
+        if rc == 0:
+            assert not decision.startswith("decision: certified (not_certified)"), h
+        else:
+            assert decision == (
+                "decision: not certified (not_certified): "
+                "theta at or below the boundary value for the equilibrium slope"
+            ), h
+
+
 @pytest.mark.parametrize(
     "p, gamma, bracket",
     [

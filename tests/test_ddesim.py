@@ -21,7 +21,7 @@ from ddestab.models import (
 )
 from ddestab.onedmaps import F1_solve, F_solve, interval_I
 from ddestab.params import NormLanes, NormParams, ParamSet
-from oracles import F1_sim, F_sim, extremum_after, rk4_integrate, rk4_rows
+from oracles import F1_sim, F_sim, extremum_after, parabola_refine, rk4_integrate, rk4_rows
 
 
 def test_history_constant():
@@ -180,7 +180,7 @@ def _extrema_loop(y, t0, s):
             kind = "min"
         else:
             continue
-        t_ref, v_ref = ddesim._parabola_refine(y, i, t0, s)
+        t_ref, v_ref = parabola_refine(y, i, t0, s)
         out.append((t_ref, v_ref, kind))
     return out
 

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -337,3 +338,68 @@ def test_backend_where_and_value():
     assert np.isnan(DOUBLE_DOUBLE.value(got)[1])
     assert DOUBLE_DOUBLE.value(got)[2] == float(dd(3.0) / 3.0)
     assert FLOAT.where(True, 1.0, 2.0) == 1.0 and FLOAT.value(dd(2.5)) == 2.5
+
+
+# ---------------------------------------------------------------------------
+# the generic formulas' contract: inputs converted once, literals met through
+# the backend's reflected operators
+
+_SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1e300, -1e300, 1.0, -2.5, 0.1]
+_LITERALS = [1.0, -1.0, 0.5, 1.5, 2.0, 3.0, 4.0, 6.0, 2.0 / 945.0]
+_OPS = ["add", "sub", "mul", "truediv"]
+
+
+def _outcome_bits(fn):
+    """The bits of fn()'s hi and lo words per entry, or the error it raises:
+    a point divided by a zero raises as Python floats do."""
+    try:
+        with np.errstate(all="ignore"):
+            v = fn()
+    except ZeroDivisionError as err:
+        return type(err).__name__
+    words = (v.hi, v.lo) if isinstance(v, DD) else (v,)
+    return [np.atleast_1d(np.asarray(w, dtype=float)).view(np.int64).tolist() for w in words]
+
+
+@pytest.mark.parametrize("mx", [FLOAT, DOUBLE_DOUBLE], ids=["float", "dd"])
+@pytest.mark.parametrize("op", _OPS)
+def test_float_literal_meets_a_backend_value_as_its_backend_form(mx, op):
+    # c op x and x op c with a float literal c give the bits that
+    # mx.num(c) gives in its place, on one value and on lanes
+    points = [mx.num(v) for v in _SPECIAL]
+    lanes = mx.num(np.array(_SPECIAL))
+    for x in points + [lanes]:
+        for c in _LITERALS:
+            k = mx.num(c)
+            assert _outcome_bits(lambda: getattr(operator, op)(c, x)) == _outcome_bits(
+                lambda: getattr(operator, op)(k, x)
+            ), (op, c, x)
+            assert _outcome_bits(lambda: getattr(operator, op)(x, c)) == _outcome_bits(
+                lambda: getattr(operator, op)(x, k)
+            ), (op, c, x)
+
+
+def test_backend_one_is_a_no_op_on_the_converted_inputs():
+    # FLOAT: x * 1.0 is x at every special value.  DOUBLE_DOUBLE: DD(x, 0) *
+    # DD(1, 0) is DD(x, 0) on finite values below 2**996, where _split cannot
+    # overflow, except -0.0, which two_prod's error term turns into +0.0; inf
+    # and nan come back as nan in both words
+    for x in [FLOAT.num(v) for v in _SPECIAL] + [FLOAT.num(np.array(_SPECIAL))]:
+        assert _outcome_bits(lambda: x * FLOAT.num(1.0)) == _outcome_bits(lambda: x)
+    one = DOUBLE_DOUBLE.num(1.0)
+    finite = [v for v in _SPECIAL if math.isfinite(v) and _bits(v) != _bits(-0.0)]
+    for x in [dd(v) for v in finite] + [dd(np.array(finite))]:
+        hi, lo = _outcome_bits(lambda: x * one)
+        assert hi == _outcome_bits(lambda: x.hi)[0] and set(lo) == {0}
+    assert _outcome_bits(lambda: dd(-0.0) * one) == _outcome_bits(lambda: dd(0.0))
+    for v in (math.inf, -math.inf, math.nan):
+        got = dd(v) * one
+        assert math.isnan(got.hi) and math.isnan(got.lo)
+
+
+def test_double_double_constant_is_wider_than_a_float_quotient():
+    # why _coth_series builds its one: one / 3.0 is a double-double third,
+    # 1.0 / 3.0 a rounded float
+    third = DOUBLE_DOUBLE.num(1.0) / 3.0
+    assert third.hi == 1.0 / 3.0 and third.lo != 0.0
+    assert _outcome_bits(lambda: third) != _outcome_bits(lambda: DOUBLE_DOUBLE.num(1.0 / 3.0))

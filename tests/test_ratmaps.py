@@ -18,6 +18,8 @@ from ddestab.ratmaps import (
     r_eval,
     r_inv,
     schwarz_margin,
+    _log_gap,
+    _log_gap_series,
 )
 from ddestab.ddouble import DD, DOUBLE_DOUBLE, FLOAT
 from oracles import chi, chi_iterate, psi_inv
@@ -182,6 +184,49 @@ def test_R2_where_the_log_gap_cancels(a, theta):
     k0 = (1.0 + math.log(0.9) - 0.9) / (2.0 + math.log(0.9) - 0.9)
     k1 = (1.0 + math.log(0.9) - 0.9) / (1.0 - 0.9)
     assert lanes[1].item().hex() == (k0 * -2.0 * -1.5 / (1.0 + k1 * -1.5)).hex()
+
+
+def _log_gap_cases():
+    # thetas whose direct sum 1 + log(theta) - theta lies on both sides of
+    # 2**-20: s = 1 - theta of 1e-13, 1e-6 and 1.3e-3 below, 1.5e-3 and 0.5 above
+    th = np.array([1.0 - 1e-13, 1.0 - 1e-6, 1.0 - 1.3e-3, 1.0 - 1.5e-3, 0.5])
+    gap = 1.0 + np.log(th) - th
+    assert (np.abs(gap) < 2.0**-20).tolist() == [True, True, True, False, False]
+    return th, gap
+
+
+def test_log_gap_takes_the_series_only_where_the_sum_cancels():
+    th, gap = _log_gap_cases()
+    s = 1.0 - th
+    series = _log_gap_series(s)
+    want = np.where(np.abs(gap) < 2.0**-20, series, gap)
+    # FLOAT lanes, and each FLOAT point on its own
+    assert _log_gap(gap, s).tobytes() == want.tobytes()
+    for i in range(th.size):
+        got = _log_gap(float(gap[i]), float(s[i]))
+        assert type(got) is float and got.hex() == float(want[i]).hex()
+    # lanes that all keep the direct sum get it back untouched
+    far = gap[3:]
+    assert _log_gap(far, s[3:]) is far
+    # the series is the log factor to a few ulps, where the sum has none left
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        exact = [float(1 + mp.log(mp.mpf(t)) - mp.mpf(t)) for t in th.tolist()]
+    assert _log_gap(gap, s)[:3] == pytest.approx(exact[:3], rel=1e-14)
+
+
+def test_log_gap_on_double_double_lanes():
+    th, gap = _log_gap_cases()
+    q = DOUBLE_DOUBLE.num(th - 1.0)
+    dgap = -q + DOUBLE_DOUBLE.log1p(q)
+    got = _log_gap(dgap, -q, DOUBLE_DOUBLE)
+    near = np.abs(DOUBLE_DOUBLE.value(dgap)) < 2.0**-20
+    assert near.tolist() == [True, True, True, False, False]
+    want = DOUBLE_DOUBLE.where(near, _log_gap_series(-q), dgap)
+    assert (got.hi.tobytes(), got.lo.tobytes()) == (want.hi.tobytes(), want.lo.tobytes())
+    # away from theta = 1 the double-double sum comes back untouched
+    far = DD(dgap.hi[3:], dgap.lo[3:])
+    assert _log_gap(far, DOUBLE_DOUBLE.num(1.0 - th[3:]), DOUBLE_DOUBLE) is far
 
 
 def test_psi_inverse_pair(np_core):
