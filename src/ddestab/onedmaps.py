@@ -9,7 +9,8 @@ bracketed root finder on a cancellation-free difference form.  F_solve_r
 and F1_solve_r also take an array of rz with per-lane parameters, and
 F_solve and F1_solve an array of z, and solve every lane in lockstep, each
 lane exactly as its scalar solve; F_F1_solve runs the lanes of both maps in
-one such solve.
+one such solve.  The lane forms of F_solve_r and F1_solve_r take a settled
+predicate that the root solve applies to their lanes (see rootfind).
 
 The explicit rational bounds (L, G1) and the polynomial certificates
 (M, N, Q, S, T) reduce the map inequalities to sign checks that the verify
@@ -76,13 +77,17 @@ class MapSolve:
 
     value carries the map value, residual the identity defect at the root
     (|residual| <= 1e-11 in normal operation), bracket the final enclosing
-    interval, iterations the solver count.
+    interval, iterations the solver count.  For lanes solved with a settled
+    predicate, settled flags the lanes it stopped: their value is only known
+    to lie, with the full solve's, in [min(bracket[0], value),
+    max(bracket[1], value)].
     """
 
     value: float
     residual: float
     bracket: tuple[float, float]
     iterations: int
+    settled: np.ndarray | None = None
 
 
 def _sln(s: float) -> float:
@@ -176,13 +181,14 @@ def _F1_setup(rz, np_: NormParams) -> tuple:
     return r1, 0.0, r1, r1 * np_.theta / rz
 
 
-def _map_solve(setup, rz, np_: NormParams) -> MapSolve:
+def _map_solve(setup, rz, np_: NormParams, settled=None) -> MapSolve:
     """A response map at the envelope value rz, or on each lane of an array rz.
 
-    rz = 0 gives the exact zero map; the lanes run as _lane_solves does.
+    rz = 0 gives the exact zero map; the lanes run as _lane_solves does,
+    with settled, and a scalar solve runs to the end.
     """
     if isinstance(rz, np.ndarray):
-        return _lane_solves([(setup, rz, np_)])[0]
+        return _lane_solves([(setup, rz, np_)], settled)[0]
     if rz == 0.0:
         return MapSolve(0.0, 0.0, (0.0, 0.0), 0)
     lo, hi, u1, c = setup(rz, np_)
@@ -191,7 +197,7 @@ def _map_solve(setup, rz, np_: NormParams) -> MapSolve:
     return MapSolve(res.root, res.f_root, res.bracket, res.iterations)
 
 
-def _lane_solves(parts) -> list[MapSolve]:
+def _lane_solves(parts, settled=None) -> list[MapSolve]:
     """One MapSolve per part (setup, rz, np_), solving every lane of every part at once.
 
     rz is a 1-D array and np_ one NormParams for its lanes or a NormLanes of
@@ -199,6 +205,10 @@ def _lane_solves(parts) -> list[MapSolve]:
     lanes, of all parts, run in one lockstep solve, each lane exactly as its
     scalar solve.  A part's result holds one array entry per lane of its rz
     and the iterations of its lanes.
+
+    settled, if given, is the root solve's predicate, with each lane named
+    by its index into the parts' rz arrays laid end to end; a zero rz is
+    never offered to it.  Each result then flags its settled lanes.
     """
     cols, sels = [], []
     for setup, rz, np_ in parts:
@@ -211,10 +221,20 @@ def _lane_solves(parts) -> list[MapSolve]:
     lo, hi, u1, r, a, c = (np.concatenate(col) for col in zip(*cols))
     res = None
     if lo.size:
-        res = solve_bracketed(_identity, lo, hi, args=(u1, a, *_phi_base(u1, r, a), c))
+        on_lanes = None
+        if settled is not None:
+            starts = np.cumsum([0] + [rz.size for _, rz, _ in parts[:-1]])
+            rows = np.concatenate([s + sel for s, sel in zip(starts.tolist(), sels)])
+
+            def on_lanes(lanes, lo, hi):
+                return settled(rows[lanes], lo, hi)
+
+        args = (u1, a, *_phi_base(u1, r, a), c)
+        res = solve_bracketed(_identity, lo, hi, args=args, settled=on_lanes)
     out, start = [], 0
     for (_, rz, _), sel in zip(parts, sels):
         value, residual, end_a, end_b = (np.zeros(rz.shape) for _ in range(4))
+        stopped = np.zeros(rz.shape, dtype=bool) if settled is not None else None
         done = slice(start, start + sel.size)
         start = done.stop
         iterations = 0
@@ -222,7 +242,9 @@ def _lane_solves(parts) -> list[MapSolve]:
             value[sel], residual[sel] = res.root[done], res.f_root[done]
             end_a[sel], end_b[sel] = res.bracket[0][done], res.bracket[1][done]
             iterations = int(res.lane_iterations[done].sum())
-        out.append(MapSolve(value, residual, (end_a, end_b), iterations))
+            if stopped is not None:
+                stopped[sel] = res.settled[done]
+        out.append(MapSolve(value, residual, (end_a, end_b), iterations, stopped))
     return out
 
 
@@ -249,18 +271,20 @@ def F_solve(z: float, np_: NormParams) -> MapSolve:
     return _map_solve(_F_setup, r_eval(z, np_.a), np_)
 
 
-def F_solve_r(rz: float, np_: NormParams) -> MapSolve:
+def F_solve_r(rz: float, np_: NormParams, *, settled=None) -> MapSolve:
     """Constant-history response indexed by the envelope value rz = r(z).
 
     Avoids huge z when sweeping rz near its deep end.  Negative rz must stay
     at or above the branch slope a_star (otherwise z leaves the admissible
     interval); any positive rz is admissible.  A 1-D array rz solves one lane
-    per entry, with one NormParams for all lanes or a NormLanes of rz's length.
+    per entry, with one NormParams for all lanes or a NormLanes of rz's length,
+    and settled(rows, lo, hi), if given, may stop lanes early, named by
+    their index into rz (see _lane_solves).
     """
     a_star = _branch_slope(np_.a, np_.theta)
     if _any((rz < 0.0) & (rz < a_star)):
         raise ValueError(f"rz = {rz} below branch slope {a_star}")
-    return _map_solve(_F_setup, rz, np_)
+    return _map_solve(_F_setup, rz, np_, settled)
 
 
 def ramp_slope_ratio(rz: float, np_: NormParams) -> float:
@@ -286,14 +310,14 @@ def F1_solve(z: float, np_: NormParams) -> MapSolve:
     return _map_solve(_F1_setup, r_eval(z, np_.a), np_)
 
 
-def F1_solve_r(rz: float, np_: NormParams) -> MapSolve:
+def F1_solve_r(rz: float, np_: NormParams, *, settled=None) -> MapSolve:
     """Ramp response indexed by the envelope value rz in (a, 0).
 
-    Takes lanes as F_solve_r does.
+    Takes lanes, and settled, as F_solve_r does.
     """
     if not np.all((np_.a < rz) & (rz < 0.0)):
         raise ValueError(f"rz = {rz} outside ({np_.a}, 0)")
-    return _map_solve(_F1_setup, rz, np_)
+    return _map_solve(_F1_setup, rz, np_, settled)
 
 
 def F_F1_solve(z: np.ndarray, z1: np.ndarray, np_: NormParams) -> tuple[MapSolve, MapSolve]:

@@ -11,6 +11,14 @@ soon as it stops: f and every later step see only the lanes still running.
 The last few lanes finish on the scalar loop, one after another, from the
 iteration they have reached: numpy's fixed cost per call makes a lockstep
 step on a handful of lanes cost about as much as one on hundreds.
+
+A lane solve may also take a settled(lanes, lo, hi) predicate, for a caller
+that needs only part of what each root says.  Each iteration it sees the
+running lanes' root enclosures: the bracket widened to the best point so
+far, an interval that holds the root the lane's full solve would return.
+A lane it accepts is settled: it stops where it is, its root is only known
+to lie in that enclosure, and RootResult.settled flags it.  Every other lane
+still ends bitwise as its scalar solve.
 """
 
 from __future__ import annotations
@@ -28,13 +36,17 @@ class BracketError(ValueError):
 @dataclass(frozen=True)
 class RootResult:
     """Solve outcome.  For lanes, root, f_root and the bracket ends are arrays,
-    iterations is the sum over lanes and lane_iterations holds each lane's."""
+    iterations is the sum over lanes and lane_iterations holds each lane's;
+    settled flags the lanes a settled predicate stopped, whose root is the
+    best point when they stopped and lies, with the full solve's root, in
+    [min(bracket[0], root), max(bracket[1], root)]."""
 
     root: float
     f_root: float
     iterations: int
     bracket: tuple[float, float]
     lane_iterations: np.ndarray | None = None
+    settled: np.ndarray | None = None
 
 
 # a solve stops once the bracket is this narrow relative to max(1, |x|),
@@ -50,7 +62,12 @@ _SCALAR_TAIL = 8
 
 
 def solve_bracketed(
-    f: Callable[..., float], lo: float, hi: float, *, args: tuple = ()
+    f: Callable[..., float],
+    lo: float,
+    hi: float,
+    *,
+    args: tuple = (),
+    settled: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> RootResult:
     """Find x in [lo, hi] with f(x, *args) = 0, given f(lo) and f(hi) of opposite sign.
 
@@ -63,9 +80,15 @@ def solve_bracketed(
     the lanes still running.  Once at most _SCALAR_TAIL lanes run, f also
     gets one lane's point and args as Python scalars, and must return a
     float that is bitwise its array value there.
+
+    settled(lanes, lo, hi), for lanes only, gets each iteration the indices
+    of the lockstep lanes still running and their root enclosures
+    [min(a, best_x), max(b, best_x)], and returns a mask of the lanes to
+    stop there: those lanes are settled (see RootResult).  A scalar solve,
+    and a lane of the scalar tail, runs to the end.
     """
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        return _solve_lanes(f, lo, hi, args)
+        return _solve_lanes(f, lo, hi, args, settled)
     if not lo < hi:
         raise BracketError(f"empty interval [{lo}, {hi}]")
     flo = f(lo, *args)
@@ -120,14 +143,15 @@ def _iterate(f, args, it0, a, b, fa, x0, f0, x1, f1, best_x, best_f) -> RootResu
     return RootResult(best_x, best_f, it, (a, b))
 
 
-def _solve_lanes(f, lo, hi, args) -> RootResult:
+def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
     """solve_bracketed on every lane at once, step for step.
 
     A lane that stops writes its outcome to the output arrays and is dropped
     from the working state, so each call to f gets only the running lanes,
     with args cut to the same lanes, and never a point the lane's scalar
-    solve would not have evaluated.  Once at most _SCALAR_TAIL lanes run,
-    each finishes through _iterate, the scalar solve's own loop.
+    solve would not have evaluated.  A lane the settled predicate accepts
+    stops so too, at the top of an iteration.  Once at most _SCALAR_TAIL
+    lanes run, each finishes through _iterate, the scalar solve's own loop.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     lo, hi = (np.array(x, dtype=float) for x in (lo, hi))
@@ -136,6 +160,7 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
         raise BracketError(f"empty interval in {int(np.sum(~(lo < hi)))} of {n} lanes")
     root, f_root, end_a, end_b = (np.zeros(n) for _ in range(4))
     iterations = np.zeros(n, dtype=np.int64)
+    stopped = np.zeros(n, dtype=bool)  # the settled lanes
     lane = np.arange(n)  # each running lane's index into the outputs
 
     def retire(stop, it, x, fx, a, b):
@@ -172,6 +197,14 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
             lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
                 v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)
             )
+        if settled is not None and lane.size:
+            done = settled(lane, np.minimum(a, best_x), np.maximum(b, best_x))
+            if done.any():
+                stopped[lane[done]] = True
+                run = retire(done, it, best_x, best_f, a, b)
+                lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
+                    v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)
+                )
         if lane.size <= _SCALAR_TAIL:
             # each of the last lanes goes on alone from this iteration
             state = zip(*(v.tolist() for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f)))
@@ -202,4 +235,7 @@ def _solve_lanes(f, lo, hi, args) -> RootResult:
     else:
         retire(np.ones(lane.size, dtype=bool), _MAX_ITER, best_x, best_f, a, b)
 
-    return RootResult(root, f_root, int(iterations.sum()), (end_a, end_b), iterations)
+    return RootResult(
+        root, f_root, int(iterations.sum()), (end_a, end_b), iterations,
+        stopped if settled is not None else None,
+    )

@@ -122,9 +122,12 @@ Grid = dict[str, np.ndarray]
 class _LemmaSpec:
     """One registered check.
 
-    margins(grid, mx) evaluates grid columns in the backend mx and gives
-    (label, column) pairs in label order, NaN where a label does not apply to
-    a row.  A dd_capable check is evaluated in FLOAT and then, on the
+    margins(grid, mx, lows) evaluates grid columns in the backend mx and
+    gives (label, column) pairs in label order, NaN where a label does not
+    apply to a row.  lows maps labels to the smallest margin of the rows
+    swept before grid's (a label it lacks has none), or is None; the
+    response-map checks use it to settle root solves (_solved), the others
+    ignore it.  A dd_capable check is evaluated in FLOAT and then, on the
     rows where some margin lands within dd_threshold of zero, in
     DOUBLE_DOUBLE; the other checks get FLOAT only.
     """
@@ -213,7 +216,7 @@ def _skip_zero(grid: Grid, name: str) -> Grid:
 # margin sets
 
 
-def _margins_albet(grid: Grid, mx) -> list:
+def _margins_albet(grid: Grid, mx, lows=None) -> list:
     _, alpha, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
     return [
         ("alpha_pos", alpha),
@@ -222,7 +225,7 @@ def _margins_albet(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_albeta(grid: Grid, mx) -> list:
+def _margins_albeta(grid: Grid, mx, lows=None) -> list:
     a = mx.num(grid["a"])
     _, alpha, _, _ = coeffs_generic(grid["a"], grid["theta"], mx)
     prod = a * alpha
@@ -232,7 +235,7 @@ def _margins_albeta(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_dom(grid: Grid, mx) -> list:
+def _margins_dom(grid: Grid, mx, lows=None) -> list:
     mu = mx.num(grid["mu"])
     th = mx.num(grid["theta"])
     a = mx.num(grid["a"])
@@ -249,7 +252,7 @@ def _margins_dom(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_jcal_tangent(grid: Grid, mx) -> list:
+def _margins_jcal_tangent(grid: Grid, mx, lows=None) -> list:
     r = mx.num(grid["r"])
     j0, j1 = j_tangent_coeffs(grid["a"], grid["theta"], mx)
     jv = j_generic(grid["r"], grid["a"], grid["theta"], mx)
@@ -259,7 +262,7 @@ def _margins_jcal_tangent(grid: Grid, mx) -> list:
 _FD_STEP_J = 0.02
 
 
-def _margins_jcal_concavity(grid: Grid, mx) -> list:
+def _margins_jcal_concavity(grid: Grid, mx, lows=None) -> list:
     r, a, th = grid["r"], grid["a"], grid["theta"]
 
     def j(rr):
@@ -272,36 +275,86 @@ def _margins_jcal_concavity(grid: Grid, mx) -> list:
     return [("concave", -second)]
 
 
+def _settle_above(offsets: dict, lows: dict, below: bool = False):
+    """The settled(rows, lo, hi) predicate of one block's root solve.
+
+    Each label's margin is X - offsets[label] at a row's root X, or
+    offsets[label] - X with below.  An enclosure [lo, hi] of X bounds it
+    from below by fl(lo - offset) (fl(offset - hi)) and from above by
+    fl(hi - offset) (fl(offset - lo)), as rounding is monotone.  A row
+    settles once, for every label, its lower bound exceeds 0 and the
+    label's least upper bound so far: lows[label], or the smallest upper
+    bound the block's rows have shown.  Its margin then lies strictly above
+    the label's smallest margin and above 0, so a settled row is neither a
+    violation nor where a minimum is taken.
+    """
+    least = {label: lows.get(label, math.inf) for label in offsets}
+
+    def settled(rows, lo, hi):
+        ok = np.ones(rows.size, dtype=bool)
+        for label, offset in offsets.items():
+            x = offset[rows]
+            low, high = (x - hi, x - lo) if below else (lo - x, hi - x)
+            least[label] = np.fmin(least[label], np.fmin.reduce(high, initial=math.inf))
+            ok &= (low > 0.0) & (low > least[label])
+        return ok
+
+    return settled
+
+
+def _solved(solve, r, lanes, offsets: dict, lows, below: bool = False):
+    """The root column of solve(r, lanes), from which each label's margin is
+    X - offsets[label] (offsets[label] - X with below).
+
+    With lows, the solve settles rows by _settle_above, and a settled row
+    gives the end of its root enclosure that makes each of its margins the
+    lower bound the predicate took; without, every row is solved to the end.
+    """
+    if lows is None:
+        return solve(r, lanes).value
+    sol = solve(r, lanes, settled=_settle_above(offsets, lows, below))
+    if below:
+        end = np.maximum(sol.bracket[1], sol.value)
+    else:
+        end = np.minimum(sol.bracket[0], sol.value)
+    return np.where(sol.settled, end, sol.value)
+
+
 # the response-map and trajectory checks have no double-double form: they
 # take mx without using it
 
 
-def _margins_leform1(grid: Grid, mx) -> list:
+def _margins_leform1(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
-    f_val = F_solve_r(r, lanes).value
-    return [
-        ("response_above_tangent_bound", f_val - bound_L(r, lanes)),
-        ("response_above_moebius", f_val - R_eval(r, coeffs(lanes))),
-    ]
+    offsets = {
+        "response_above_tangent_bound": bound_L(r, lanes),
+        "response_above_moebius": R_eval(r, coeffs(lanes)),
+    }
+    f_val = _solved(F_solve_r, r, lanes, offsets, lows)
+    return [(label, f_val - offset) for label, offset in offsets.items()]
 
 
-def _margins_plyus(grid: Grid, mx) -> list:
+def _margins_plyus(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
-    return [("response_below_moebius", R_eval(r, coeffs(lanes)) - F_solve_r(r, lanes).value)]
+    offsets = {"response_below_moebius": R_eval(r, coeffs(lanes))}
+    f_val = _solved(F_solve_r, r, lanes, offsets, lows, below=True)
+    return [(label, offset - f_val) for label, offset in offsets.items()]
 
 
-def _margins_leform2(grid: Grid, mx) -> list:
+def _margins_leform2(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
-    f1_val = F1_solve_r(r, lanes).value
     num, den = _g1_fraction(r, lanes, ramp_slope_ratio(r, lanes) / r)
-    return [
-        ("taylor_denominator_pos", den),
-        ("ramp_above_taylor", f1_val - num / den),
-        ("ramp_above_moebius", f1_val - R_eval(r, coeffs(lanes))),
+    offsets = {
+        "ramp_above_taylor": num / den,
+        "ramp_above_moebius": R_eval(r, coeffs(lanes)),
+    }
+    f1_val = _solved(F1_solve_r, r, lanes, offsets, lows)
+    return [("taylor_denominator_pos", den)] + [
+        (label, f1_val - offset) for label, offset in offsets.items()
     ]
 
 
-def _margins_lele(grid: Grid, mx) -> list:
+def _margins_lele(grid: Grid, mx, lows=None) -> list:
     a = grid["a"]
     th = grid["theta"]
     _, alpha, beta, a_star = coeffs_generic(a, th, mx)
@@ -313,7 +366,7 @@ def _margins_lele(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_leleka(grid: Grid, mx) -> list:
+def _margins_leleka(grid: Grid, mx, lows=None) -> list:
     a = grid["a"]
     th = grid["theta"]
     r = grid["r"]
@@ -329,7 +382,7 @@ def _margins_leleka(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_funcrr2(grid: Grid, mx) -> list:
+def _margins_funcrr2(grid: Grid, mx, lows=None) -> list:
     from .ddesim import History, _envelope, integrate
 
     r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
@@ -342,7 +395,7 @@ def _margins_funcrr2(grid: Grid, mx) -> list:
     return [("dip_above_corner_bound", run.dip - R2_eval(r, lanes))]
 
 
-def _margins_lele2(grid: Grid, mx) -> list:
+def _margins_lele2(grid: Grid, mx, lows=None) -> list:
     q = mx.num(grid["q"])
     k = mx.num(grid["k"])
     a = mx.num(grid["a"])
@@ -358,7 +411,7 @@ def _margins_lele2(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_expo(grid: Grid, mx) -> list:
+def _margins_expo(grid: Grid, mx, lows=None) -> list:
     x = mx.num(grid["x"])
     ex = mx.exp(x)
     neg = grid["x"] < 0.0
@@ -372,7 +425,7 @@ def _margins_expo(grid: Grid, mx) -> list:
     ]
 
 
-def _margins_r303(grid: Grid, mx) -> list:
+def _margins_r303(grid: Grid, mx, lows=None) -> list:
     q = mx.num(grid["q"])
     cubic = q - 0.5 * q * q + 0.4 * q * q * q
     return [("log_above_cubic", mx.log1p(q) - cubic)]
@@ -383,7 +436,7 @@ def _r303_endpoint_margin() -> float:
     return float(DOUBLE_DOUBLE.value(m)[0])
 
 
-def _margins_gss(grid: Grid, mx) -> list:
+def _margins_gss(grid: Grid, mx, lows=None) -> list:
     return [
         (
             "straightened_map_schwarz_neg",
@@ -544,22 +597,27 @@ LEMMA_IDS = list(_REGISTRY)
 # ---------------------------------------------------------------------------
 # evaluation
 
-# rows per margin block, and so lanes per lockstep solve: with finished lanes
-# retired, 8,192-lane blocks against 4,096 took the calibrated sweep from 1.22
-# to 1.09 s and its peak resident memory from 50.4 to 50.6 MB (medians of 5
-# alternated benchmark runs, one process on a 2-vCPU VM); funcrr2's grid, at
-# most 5,080 rows, always runs as one block on one lane conveyor
+# rows per margin block, and so lanes per lockstep solve: with settled
+# solves, blocks of 4,096, 8,192 and 16,384 rows gave the sweep a pass_s of
+# 0.622, 0.564 and 0.556 s and a peak resident memory of 49.7, 50.1 and
+# 53.3 MB (medians of 5 alternated 8 s benchmark runs, one process on a
+# 2-vCPU VM): past 8,192 rows a block saves no time and costs memory.
+# funcrr2's grid, at most 5,080 rows, always runs as one block on one lane
+# conveyor
 _LANE_BLOCK = 8192
 
 
-def _margin_block(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
+def _margin_block(
+    spec: _LemmaSpec, grid: Grid, lows: dict | None = None
+) -> list[tuple[str, np.ndarray]]:
     """(label, float64 margin column) pairs over the rows of grid.
 
-    A label whose float margin lands within dd_threshold of zero takes its
-    double-double value; each row that has one is evaluated in double-double
-    once, for all its labels, as a lane of one recheck pass.
+    lows goes to the float margins call (see _LemmaSpec).  A label whose
+    float margin lands within dd_threshold of zero takes its double-double
+    value; each row that has one is evaluated in double-double once, for
+    all its labels, as a lane of one recheck pass.
     """
-    labels, margins = zip(*spec.margins(grid, FLOAT))
+    labels, margins = zip(*spec.margins(grid, FLOAT, lows))
     cols = [np.array(m, dtype=float) for m in margins]
     if not spec.dd_capable:
         return list(zip(labels, cols))
@@ -567,7 +625,7 @@ def _margin_block(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
     rows = np.flatnonzero(np.logical_or.reduce(near))
     if rows.size:
         sub = {k: v[rows] for k, v in grid.items()}
-        rechecked = spec.margins(sub, DOUBLE_DOUBLE)
+        rechecked = spec.margins(sub, DOUBLE_DOUBLE, None)
         for col, hit, (_, m) in zip(cols, near, rechecked):
             take = hit[rows]
             col[rows[take]] = DOUBLE_DOUBLE.value(m)[take]
@@ -581,21 +639,31 @@ def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
     min_margin is the first smallest non-NaN margin in that order, which
     also fixes the sign of a zero, and its violations come in that order.
     Columns are scanned one at a time, so no rows-by-labels copy is made.
+
+    Each block's margins call gets each label's smallest margin over the
+    earlier blocks.  A response-map check settles rows with it: a settled
+    row's entry is a lower bound of its margin, above 0 and above the
+    label's smallest margin, so each label's minimum, the first row that
+    takes it, and the violations are those of solving every row to the end.
     """
     n = _row_count(grid)
-    blocks = [
-        _margin_block(spec, {k: v[i : i + _LANE_BLOCK] for k, v in grid.items()})
-        for i in range(0, n, _LANE_BLOCK)
-    ]
+    blocks, lows = [], {}
+    for i in range(0, n, _LANE_BLOCK):
+        block = _margin_block(spec, {k: v[i : i + _LANE_BLOCK] for k, v in grid.items()}, lows)
+        lows = {
+            label: np.fmin(lows.get(label, math.inf), np.fmin.reduce(col, initial=math.inf))
+            for label, col in block
+        }
+        blocks.append(block)
     labels = [label for label, _ in blocks[0]]
     cols = [np.concatenate([col for _, col in parts]) for parts in zip(*blocks)]
-    lows = []  # (value, row, label index) of each column's first smallest margin
+    firsts = []  # (value, row, label index) of each column's first smallest margin
     for j, col in enumerate(cols):
         low = np.fmin.reduce(col)  # NaN only when every entry is NaN
         if not np.isnan(low):
             i = int(np.argmax(col == low))
-            lows.append((col[i], i, j))
-    min_margin = float(min(lows)[0]) if lows else math.inf
+            firsts.append((col[i], i, j))
+    min_margin = float(min(firsts)[0]) if firsts else math.inf
     hits = sorted((i, j) for j, col in enumerate(cols) for i in np.flatnonzero(col < 0.0).tolist())
     violations = [
         {**{k: float(c[i]) for k, c in grid.items()}, "label": labels[j], "margin": float(cols[j][i])}

@@ -166,6 +166,39 @@ def test_last_lanes_finish_on_the_scalar_loop():
     assert {ones[i].f_root == 0.0 for i in tail} == {True, False}
 
 
+def test_settled_lanes_stop_inside_their_enclosure():
+    # a predicate that stops every third lane once its enclosure is narrower
+    # than 1e-6: the other lanes end bitwise as their scalar solves, and a
+    # stopped lane's enclosure holds the root its scalar solve returns
+    lo, hi, params = _cubic_family()
+    seen = []
+
+    def settled(lanes, enc_lo, enc_hi):
+        assert np.unique(lanes).size == lanes.size and np.all(enc_lo <= enc_hi)
+        seen.append(lanes)
+        return (lanes % 3 == 0) & (enc_hi - enc_lo < 1e-6)
+
+    lanes = solve_bracketed(_cubic, lo, hi, args=params, settled=settled)
+    assert seen and 0 < lanes.settled.sum() < lo.size
+    assert lanes.iterations == int(lanes.lane_iterations.sum())
+    for i in range(lo.size):
+        args = tuple(float(v[i]) for v in params)
+        one = solve_bracketed(_cubic, float(lo[i]), float(hi[i]), args=args)
+        if not lanes.settled[i]:
+            assert one.root == lanes.root[i]
+            assert one.f_root == lanes.f_root[i]
+            assert one.bracket == (lanes.bracket[0][i], lanes.bracket[1][i])
+            assert one.iterations == lanes.lane_iterations[i]
+            continue
+        assert i % 3 == 0 and lanes.lane_iterations[i] < one.iterations
+        root = lanes.root[i]
+        assert min(lanes.bracket[0][i], root) <= one.root <= max(lanes.bracket[1][i], root)
+    # without a predicate nothing is flagged, and a scalar solve ignores it
+    assert solve_bracketed(_cubic, lo, hi, args=params).settled is None
+    never = solve_bracketed(_cubic, -1.0, 1.0, args=(0.1, 1.0, 1.0, 0.0), settled=settled)
+    assert never == solve_bracketed(_cubic, -1.0, 1.0, args=(0.1, 1.0, 1.0, 0.0))
+
+
 def test_lanes_without_sign_change_raise():
     lo = np.array([-1.0, -1.0, -1.0])
     shift = np.array([0.0, 0.0, 2.0])  # the last lane has no root in [-1, 1]

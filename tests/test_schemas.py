@@ -50,8 +50,8 @@ def test_lemma_report_with_real_violation_validates(tmp_path, monkeypatch):
     # shift one real margin below zero so violations come from the sweep itself
     spec = verify._REGISTRY["expo_bounds"]
 
-    def shifted(grid, mx):
-        return [(label, m - 1.0) for label, m in spec.margins(grid, mx)]
+    def shifted(grid, mx, lows):
+        return [(label, m - 1.0) for label, m in spec.margins(grid, mx, lows)]
 
     monkeypatch.setitem(verify._REGISTRY, "expo_bounds", dataclasses.replace(spec, margins=shifted))
     rep = verify_lemma("expo_bounds", resolution=8)

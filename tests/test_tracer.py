@@ -34,8 +34,8 @@ SWEEP_SAMPLE = ("leform1", "funcrr2", "plyus", "leform2")
 
 
 def _recording(solve, out):
-    def call(*args):
-        res = solve(*args)
+    def call(*args, **kwargs):
+        res = solve(*args, **kwargs)
         out.append(res)
         return res
 

@@ -195,10 +195,10 @@ def _counting_dd(monkeypatch, lemma_id):
     spec = _REGISTRY[lemma_id]
     calls = []
 
-    def margins(grid, mx):
+    def margins(grid, mx, lows):
         if mx is DOUBLE_DOUBLE:
             calls.append(grid)
-        return spec.margins(grid, mx)
+        return spec.margins(grid, mx, lows)
 
     monkeypatch.setitem(_REGISTRY, lemma_id, dataclasses.replace(spec, margins=margins))
     return calls
@@ -224,7 +224,7 @@ def test_recheck_replaces_only_near_zero_labels(monkeypatch):
     x_near = _REGISTRY["expo_bounds"].gen(8)[1]["x"][3]
     calls = []
 
-    def margins(grid, mx):
+    def margins(grid, mx, lows):
         x = grid["x"]
         if mx is DOUBLE_DOUBLE:
             calls.append(x.tolist())
@@ -299,43 +299,140 @@ def test_lele2_series_rows_match_point_loop(mx):
 
 
 # small row blocks cut leleka's r axis, whose first node carries the chain
-# margins, and the leform2 and funcrr2 bases they solve and integrate per
-# block; gsslemma_schwarz and lele have double-double rechecks inside the
-# blocks, at these resolutions
+# margins, and the leform1, plyus, leform2 and funcrr2 bases they solve and
+# integrate per block; gsslemma_schwarz and lele have double-double rechecks
+# inside the blocks, at these resolutions
 RECHECK_RES = {"gsslemma_schwarz": 24, "lele": 128}
+
+# the checks whose root solves settle rows
+SETTLING = ("leform1", "plyus", "leform2")
+
+
+def _recording_solves(monkeypatch):
+    """Wrap verify's response-map solves; the returned list collects each
+    solve's MapSolve."""
+    solves = []
+    for name in ("F_solve_r", "F1_solve_r"):
+
+        def call(*args, _solve=getattr(verify, name), **kwargs):
+            solves.append(_solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(verify, name, call)
+    return solves
 
 
 @pytest.mark.parametrize(
-    "lemma_id", ["albet", "leleka", "leform2", "funcrr2", "gsslemma_schwarz", "lele"]
+    "lemma_id", ["albet", "leleka", *SETTLING, "funcrr2", "gsslemma_schwarz", "lele"]
 )
 def test_row_blocks_match_one_block(lemma_id, monkeypatch):
     res = RECHECK_RES.get(lemma_id, 24)
     calls = _counting_dd(monkeypatch, lemma_id)
+    solves = _recording_solves(monkeypatch)
     margin_block = verify._margin_block
     blocks_seen = []  # every margin block of the current sweep, in row order
 
-    def recording(block_spec, grid):
-        blocks_seen.append(margin_block(block_spec, grid))
+    def recording(block_spec, grid, lows):
+        blocks_seen.append(margin_block(block_spec, grid, lows))
         return blocks_seen[-1]
 
     monkeypatch.setattr(verify, "_margin_block", recording)
-    reports, columns = [], []
+    reports, columns, settled = [], [], []
     for row_block in (verify._LANE_BLOCK, 64):  # one block for the whole grid, then 64 rows
         monkeypatch.setattr(verify, "_LANE_BLOCK", row_block)
         reports.append(verify_lemma(lemma_id, resolution=res))
         assert bool(calls) == (lemma_id in RECHECK_RES)
-        # every margin, not only the smallest, must not depend on the blocks
-        columns.append(
-            [np.concatenate([col for _, col in parts]).tobytes() for parts in zip(*blocks_seen)]
+        columns.append([np.concatenate([col for _, col in parts]) for parts in zip(*blocks_seen)])
+        rows = columns[-1][0].size
+        # the rows whose margins are bounds, not values: settled root solves
+        settled.append(
+            np.concatenate([s.settled for s in solves]) if solves else np.zeros(rows, dtype=bool)
         )
+        assert settled[-1].size == rows
         calls.clear()
         blocks_seen.clear()
+        solves.clear()
     whole, blocks = reports
     assert whole.points_checked > 64
     assert blocks.points_checked == whole.points_checked
     assert blocks.violations == whole.violations
     assert blocks.min_margin.hex() == whole.min_margin.hex()
-    assert columns[1] == columns[0]
+    assert settled[0].any() == (lemma_id in SETTLING)
+    # every margin of a row both blockings solved to the end, not only the
+    # smallest, must not depend on the blocks
+    exact = ~settled[0] & ~settled[1]
+    assert exact.any()
+    for col, other in zip(*columns):
+        assert col[exact].tobytes() == other[exact].tobytes()
+    # a settled entry is at most the row's value, and one that moved lies
+    # above 0 and above its label's smallest margin, so above the report's
+    for ours, theirs, cut, other_cut in zip(columns, columns[::-1], settled, settled[::-1]):
+        for col, other in zip(ours, theirs):
+            known = cut & ~other_cut
+            assert np.all(col[known] <= other[known])
+            moved = cut & (col != other)
+            assert np.all(col[moved] > max(np.fmin.reduce(col), 0.0))
+
+
+def _never_settling(monkeypatch):
+    """Make every settling solve run each row to the end."""
+    monkeypatch.setattr(
+        verify, "_settle_above", lambda *_: lambda rows, lo, hi: np.zeros(rows.size, dtype=bool)
+    )
+
+
+@pytest.mark.parametrize("resolution", [4, 8, 24, 64])
+@pytest.mark.parametrize("lemma_id", SETTLING)
+def test_settled_reports_match_full_solves(lemma_id, resolution, monkeypatch):
+    # at 64 the grids take three row blocks, so earlier blocks' minima carry
+    settled = verify_lemma(lemma_id, resolution=resolution)
+    _never_settling(monkeypatch)
+    full = verify_lemma(lemma_id, resolution=resolution)
+    assert settled.to_json_dict() == full.to_json_dict()
+    assert settled.min_margin.hex() == full.min_margin.hex()
+
+
+@pytest.mark.parametrize(
+    "lemma_id, offset, shift",
+    [("leform1", "bound_L", 4e-5), ("plyus", "R_eval", -0.03), ("leform2", "R_eval", 0.03)],
+)
+def test_violating_rows_are_solved_to_the_end(lemma_id, offset, shift, monkeypatch):
+    # shifting one offset sends about a tenth of the rows below zero; every
+    # violating row's solve runs to the end, so the violations and the
+    # minimum are those of solving every row so
+    unshifted = getattr(verify, offset)
+    monkeypatch.setattr(verify, offset, lambda *args: unshifted(*args) + shift)
+    solves = _recording_solves(monkeypatch)
+    settled = verify_lemma(lemma_id, resolution=24)
+    flags = np.concatenate([s.settled for s in solves])
+    assert flags.any() and settled.violations
+    _, grid = verify._REGISTRY[lemma_id].gen(24)
+    violating = {(v["a"], v["theta"], v["r"]) for v in settled.violations}
+    keys = zip(*(grid[k].tolist() for k in ("a", "theta", "r")))
+    rows = [i for i, key in enumerate(keys) if key in violating]
+    assert len(rows) == len(violating) and not flags[rows].any()
+    _never_settling(monkeypatch)
+    full = verify_lemma(lemma_id, resolution=24)
+    assert settled.violations == full.violations
+    assert settled.min_margin.hex() == full.min_margin.hex()
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_settle_bounds_take_nan_and_infinite_offsets(below):
+    # tier-1 turns warnings into errors: NaN and infinite offsets must give
+    # bounds that compare false or true, never a warning.  A NaN or an
+    # unbounded-below margin never settles its row; an unbounded-above one
+    # settles it
+    offsets = {"m": np.array([math.nan, math.inf, -math.inf, 0.5])}
+    if below:
+        offsets["m"] = -offsets["m"]
+    settled = verify._settle_above(offsets, {"m": math.inf}, below)
+    got = settled(np.arange(4), np.full(4, -1.0), np.full(4, 2.0))
+    assert got.tolist() == [False, False, True, False]
+    # the least upper bound carries from call to call: the infinite offset
+    # made it -inf, so the last row settles once its lower bound is above 0
+    x = np.array([-1.0 if below else 1.0])
+    assert settled(np.array([3]), x, x).tolist() == [True]
 
 
 def _row_loop(grid, cols):
@@ -371,7 +468,7 @@ def test_column_path_matches_row_loop(first, second):
         "r": np.array([-0.1, -0.2, -0.3, -0.4]),
     }
     cols = [("first", np.array(first)), ("second", np.array(second))]
-    spec = dataclasses.replace(_REGISTRY["leform2"], margins=lambda g, mx: cols)
+    spec = dataclasses.replace(_REGISTRY["leform2"], margins=lambda g, mx, lows: cols)
     violations, min_margin = verify._eval_columns(spec, grid)
     ref_violations, ref_min = _row_loop(grid, cols)
     assert violations == ref_violations
