@@ -23,10 +23,12 @@ integrate also runs many lanes of the normalised equation (delta = 1),
 each with its own parameters, constant history and horizon, on a conveyor.
 A fixed number of slots march in lockstep, one delay segment at a time,
 two array operations per row.  A slot keeps only its lane's last two
-segments and the lowest node seen so far; at a segment boundary, a slot
-whose lane has reached its horizon takes the next waiting lane, longest
-first.  Up to its own horizon every lane is
-bitwise equal to its single run.
+segments and the lowest node seen so far in its window [start, horizon].
+A segment the window misses costs the slot no minimum, one it spans takes
+a plain column minimum, and only one it covers in part takes a masked
+minimum.  At a segment boundary, a slot whose lane has reached its horizon
+takes the next waiting lane, longest first.  Up to its own horizon every
+lane is bitwise equal to its single run.
 """
 
 from __future__ import annotations
@@ -435,7 +437,12 @@ def _conveyor(w, z, start, K, n, s, slots):
 
     prev and cur hold the last and the current segment of each slot's lane,
     nodes k0 - n .. k0 and k0 .. k0 + n.  Every lane starts on a segment
-    boundary, so all slots share the segment rows.
+    boundary, so all slots share the segment rows.  A lane's window covers
+    rows wlo..whi of a segment, max(start - k0, 1) .. min(K - k0, n): a
+    slot whose window misses the segment (wlo > whi) takes no minimum, one
+    whose window spans it (1 .. n) the plain column minimum, and one whose
+    window covers part of it a masked minimum on its own column.  Only the
+    slots with a new low look for the row that holds it.
     """
     order = np.argsort(-K, kind="stable")  # longest first, so the tail is short
     width = min(slots, len(K))
@@ -479,15 +486,19 @@ def _conveyor(w, z, start, K, n, s, slots):
         # a lowest node on the last segment's last row gets its right neighbour now
         pending = node == k0
         right[pending] = cur[1, pending]
-        # rows of each lane's window [start, K] in this segment; a plain column
-        # minimum for the slots whose window spans it
-        window = (row >= np.maximum(start_s - k0, 1)) & (row <= K_s - k0)
+        # rows wlo..whi of each lane's window [start, K] in this segment
+        wlo = np.maximum(start_s - k0, 1)
+        whi = np.minimum(K_s - k0, n)
         seg_low = cur[1:].min(axis=0)
-        part = np.flatnonzero(~window[1:].all(axis=0))
-        seg_low[part] = np.where(window[:, part], cur[:, part], np.inf).min(axis=0)
+        seg_low[wlo > whi] = np.inf
+        part = np.flatnonzero((wlo <= whi) & ((wlo > 1) | (whi < n)))
+        inside = (row >= wlo[part]) & (row <= whi[part])
+        seg_low[part] = np.where(inside, cur[:, part], np.inf).min(axis=0)
         new = np.flatnonzero(seg_low < low)
-        # the first lowest row in the window, as argmin over a single run finds it
-        r = ((cur == seg_low) & window).argmax(axis=0)[new]
+        # the first lowest row in the window, as argmin over a single run
+        # finds it, on the columns with a new low only: the window holds a
+        # row equal to the low, so no row after whi can come first
+        r = ((cur[:, new] == seg_low[new]) & (row >= wlo[new])).argmax(axis=0)
         low[new] = cur[r, new]
         left[new] = cur[r - 1, new]
         node[new] = k0[new] + r

@@ -124,8 +124,8 @@ class _LemmaSpec:
 
     margins(grid, mx, lows) evaluates grid columns in the backend mx and
     gives (label, column) pairs in label order, NaN where a label does not
-    apply to a row.  lows maps labels to the smallest margin of the rows
-    swept before grid's (a label it lacks has none), or is None; the
+    apply to a row.  lows maps labels to the smallest float margin of the
+    rows swept before grid's (a label it lacks has none), or is None; the
     response-map checks use it to settle root solves (_solved), the others
     ignore it.  A dd_capable check is evaluated in FLOAT and then, on the
     rows where some margin lands within dd_threshold of zero, in
@@ -597,66 +597,67 @@ LEMMA_IDS = list(_REGISTRY)
 # ---------------------------------------------------------------------------
 # evaluation
 
-# rows per margin block, and so lanes per lockstep solve: with settled
-# solves, blocks of 4,096, 8,192 and 16,384 rows gave the sweep a pass_s of
-# 0.622, 0.564 and 0.556 s and a peak resident memory of 49.7, 50.1 and
-# 53.3 MB (medians of 5 alternated 8 s benchmark runs, one process on a
-# 2-vCPU VM): past 8,192 rows a block saves no time and costs memory.
+# rows per float margin block, and so lanes per lockstep solve; also the
+# most rows of one double-double recheck pass.  With settled solves, blocks
+# of 4,096, 8,192 and 16,384 rows gave the sweep a pass_s of 0.622, 0.564
+# and 0.556 s and a peak resident memory of 49.7, 50.1 and 53.3 MB (medians
+# of 5 alternated 8 s benchmark runs, one process on a 2-vCPU VM): past
+# 8,192 rows a block saves no time and costs memory.
 # funcrr2's grid, at most 5,080 rows, always runs as one block on one lane
 # conveyor
 _LANE_BLOCK = 8192
 
 
-def _margin_block(
-    spec: _LemmaSpec, grid: Grid, lows: dict | None = None
-) -> list[tuple[str, np.ndarray]]:
+def _margin_columns(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
     """(label, float64 margin column) pairs over the rows of grid.
 
-    lows goes to the float margins call (see _LemmaSpec).  A label whose
-    float margin lands within dd_threshold of zero takes its double-double
-    value; each row that has one is evaluated in double-double once, for
-    all its labels, as a lane of one recheck pass.
+    The float pass runs in blocks of _LANE_BLOCK rows, and each block's
+    margins call gets each label's smallest margin over the earlier blocks
+    as lows (see _LemmaSpec).  A label whose float margin lands within
+    dd_threshold of zero then takes its double-double value: the rows that
+    have one are rechecked once per check, for all their labels, in passes
+    of at most _LANE_BLOCK rows.  Double-double lanes are bitwise their own
+    runs, so how the near rows are cut into passes moves no bit.
     """
-    labels, margins = zip(*spec.margins(grid, FLOAT, lows))
-    cols = [np.array(m, dtype=float) for m in margins]
-    if not spec.dd_capable:
-        return list(zip(labels, cols))
-    near = [np.abs(col) < spec.dd_threshold for col in cols]
-    rows = np.flatnonzero(np.logical_or.reduce(near))
-    if rows.size:
-        sub = {k: v[rows] for k, v in grid.items()}
-        rechecked = spec.margins(sub, DOUBLE_DOUBLE, None)
-        for col, hit, (_, m) in zip(cols, near, rechecked):
-            take = hit[rows]
-            col[rows[take]] = DOUBLE_DOUBLE.value(m)[take]
+    n = _row_count(grid)
+    labels, cols, lows = [], [], {}
+    for i in range(0, n, _LANE_BLOCK):
+        block = spec.margins({k: v[i : i + _LANE_BLOCK] for k, v in grid.items()}, FLOAT, lows)
+        if not cols:
+            labels = [label for label, _ in block]
+            cols = [np.empty(n) for _ in block]
+        for col, (_, m) in zip(cols, block):
+            col[i : i + _LANE_BLOCK] = m
+        lows = {
+            label: np.fmin(lows.get(label, math.inf), np.fmin.reduce(m, initial=math.inf))
+            for label, m in block
+        }
+    if spec.dd_capable:
+        near = [np.abs(col) < spec.dd_threshold for col in cols]
+        rows = np.flatnonzero(np.logical_or.reduce(near))
+        for i in range(0, rows.size, _LANE_BLOCK):
+            part = rows[i : i + _LANE_BLOCK]
+            rechecked = spec.margins({k: v[part] for k, v in grid.items()}, DOUBLE_DOUBLE, None)
+            for col, hit, (_, m) in zip(cols, near, rechecked):
+                take = hit[part]
+                col[part[take]] = DOUBLE_DOUBLE.value(m)[take]
     return list(zip(labels, cols))
 
 
 def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
-    """What the row loop gives, from one margin column per label.
+    """What the row loop gives, from one margin column per label (_margin_columns).
 
     The row loop visits margins in row order, then label order.  Its
     min_margin is the first smallest non-NaN margin in that order, which
     also fixes the sign of a zero, and its violations come in that order.
     Columns are scanned one at a time, so no rows-by-labels copy is made.
 
-    Each block's margins call gets each label's smallest margin over the
-    earlier blocks.  A response-map check settles rows with it: a settled
-    row's entry is a lower bound of its margin, above 0 and above the
-    label's smallest margin, so each label's minimum, the first row that
+    A response-map check settles rows with the lows of the earlier blocks:
+    a settled row's entry is a lower bound of its margin, above 0 and above
+    the label's smallest margin, so each label's minimum, the first row that
     takes it, and the violations are those of solving every row to the end.
     """
-    n = _row_count(grid)
-    blocks, lows = [], {}
-    for i in range(0, n, _LANE_BLOCK):
-        block = _margin_block(spec, {k: v[i : i + _LANE_BLOCK] for k, v in grid.items()}, lows)
-        lows = {
-            label: np.fmin(lows.get(label, math.inf), np.fmin.reduce(col, initial=math.inf))
-            for label, col in block
-        }
-        blocks.append(block)
-    labels = [label for label, _ in blocks[0]]
-    cols = [np.concatenate([col for _, col in parts]) for parts in zip(*blocks)]
+    labels, cols = zip(*_margin_columns(spec, grid))
     firsts = []  # (value, row, label index) of each column's first smallest margin
     for j, col in enumerate(cols):
         low = np.fmin.reduce(col)  # NaN only when every entry is NaN

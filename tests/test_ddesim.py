@@ -463,6 +463,103 @@ def test_lanes_equal_scalar_runs(monkeypatch):
     assert lowest[5][0] == 1
 
 
+# Forty seeded lanes for the conveyor's window bookkeeping.  Lane j runs
+# x' = -x + w(x(t - h)) with w(x) = P if x == Z else Q + G*x, from the
+# constant history Z.  Its window starts after 0 to 5 whole segments: on a
+# segment boundary, one step past one, or inside a segment.  Its horizon
+# ends on a boundary or inside a segment.  Five kinds (Z, P, Q, G) cycle,
+# a NaN Z drawn uniform in [-1, 1]:
+# - "rise" climbs from Z < Q, so its low is the window's first node;
+# - "plateau" decays onto the float fixed point of its affine step (a long
+#   delay makes the steps large), so its low ties with every later node;
+# - "decay" falls until its horizon, so its low is its last node;
+# - "kink" falls towards P in the first delay and climbs towards Q after
+#   it, so its low is node n, the last row of segment 0;
+# - "wave" oscillates, with lows inside segments.
+_WIN_KINDS = {
+    "rise": (-0.8, 0.6, 0.6, 0.0),
+    "plateau": (1.2, 0.2, 0.2, 0.0),
+    "decay": (1.2, -0.3, -0.3, 0.0),
+    "kink": (1.2, 0.1, 3.0, 0.0),
+    "wave": (np.nan, 0.0, 0.0, -2.5),
+}
+
+
+def _window_lanes():
+    rng = np.random.default_rng(7)
+    kind = np.resize(np.array(list(_WIN_KINDS)), 40)
+    Z, P, Q, G = np.array([_WIN_KINDS[k] for k in kind]).T
+    Z = np.where(np.isnan(Z), rng.uniform(-1.0, 1.0, kind.size), Z)
+    theta = np.where(kind == "plateau", 1e-30, rng.uniform(0.3, 0.9, kind.size))
+    # a kink lane's window holds node n; each kind takes every kind of start:
+    # on a boundary, one step past one, inside a segment
+    first = np.where(kind == "kink", 0, rng.integers(0, 6, kind.size))
+    where = np.arange(kind.size) // len(_WIN_KINDS) % 3
+    T0 = first + np.choose(where, [0.0, 0.5 / 256, rng.uniform(0.1, 0.9, kind.size)])
+    last = first + rng.integers(1, 4, kind.size) + (kind == "kink")
+    T = last + np.where(rng.random(kind.size) < 0.5, 0.0, rng.uniform(0.1, 0.9, kind.size))
+    return NormLanes(a=np.full(kind.size, -2.0), theta=theta), Z, P, Q, G, T0, T
+
+
+def test_lane_windows_equal_scalar_runs(monkeypatch):
+    lanes, Z, P, Q, G, T0, T = _window_lanes()
+    h = lanes.delay
+    runs = []
+    for slots in (1, 3, 64):
+        monkeypatch.setattr(ddesim, "_SLOTS", slots)
+        runs.append(
+            integrate(
+                lambda x, ids: np.where(x == Z[ids], P[ids], Q[ids] + G[ids] * x),
+                History.constant(Z),
+                lanes,
+                np.stack([T0 * h, T * h]),
+            )
+        )
+    n = 256
+    seen = set()
+    for j in range(len(Z)):
+        p = NormParams(a=-2.0, theta=float(lanes.theta[j]))
+
+        def w(x, j=j):
+            return np.where(x == Z[j], P[j], Q[j] + G[j] * x)
+
+        one = integrate(w, History.constant(float(Z[j])), p, float(T[j] * p.delay))
+        y = one.values
+        start = ddesim._first_node_after(float(T0[j] * p.delay), one.step)
+        im = start + int(np.argmin(y[start:]))
+        last = len(y) - 1
+        stencil = y[im - 1 : im + 2] if im < last else np.r_[y[im - 1 : im + 1], np.nan]
+        dip = np.float64(extremum_after(y, float(T0[j] * p.delay), one.step, lowest=True))
+        for run in runs:
+            assert stencil.tobytes() == run.values[:, j].tobytes(), j
+            assert dip.tobytes() == run.dip[j].tobytes(), j
+        # a window that starts on a boundary starts at the last row of the
+        # segment before it
+        seen.add(("window starts in segment", (start - 1) // n))
+        seen.add(("window starts on a boundary", start % n == 0))
+        seen.add(("horizon ends on a boundary", last % n == 0))
+        if im == start:
+            seen.add("low at the window's first node")
+            if start % n == 1 and start > 1 and y[start - 1] < y[im]:
+                seen.add("low one row past a boundary, the row before the window lower")
+        if im % n == 0 and im < last:
+            seen.add("low at row n, right neighbour from the next segment")
+        if im == last:
+            seen.add("low at the last node")
+        if np.count_nonzero(y[start:] == y[im]) > 1:
+            seen.add("low on a tie")
+    assert {("window starts in segment", m) for m in range(6)} <= seen
+    for where in ("window starts on a boundary", "horizon ends on a boundary"):
+        assert {(where, True), (where, False)} <= seen
+    assert {
+        "low at the window's first node",
+        "low one row past a boundary, the row before the window lower",
+        "low at row n, right neighbour from the next segment",
+        "low at the last node",
+        "low on a tie",
+    } <= seen
+
+
 def test_new_lanes_see_their_history_exactly(monkeypatch):
     # this model tells the exact history value from its neighbours, so a
     # delayed midpoint interpolated from a constant column would show (the

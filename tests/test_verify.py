@@ -215,7 +215,11 @@ def test_dd_recheck_row_counts(lemma_id, monkeypatch):
     assert rep.violations == []
     rows = [verify._row_count(grid) for grid in calls]
     assert sum(rows) == DD_RECHECK_ROWS[lemma_id]
-    assert all(n <= verify._LANE_BLOCK for n in rows)  # one pass per row block
+    assert all(n <= verify._LANE_BLOCK for n in rows)
+    # one recheck per check, in passes of at most _LANE_BLOCK rows
+    assert len(calls) == -(-sum(rows) // verify._LANE_BLOCK)
+    if lemma_id == "gsslemma_schwarz":
+        assert len(calls) == 2
 
 
 def test_recheck_replaces_only_near_zero_labels(monkeypatch):
@@ -262,7 +266,7 @@ def test_columns_match_point_loop(lemma_id):
     # the per-point recheck rule, are the reference for the column path
     spec = _REGISTRY[lemma_id]
     _, grid = spec.gen(POINT_LOOP_RES[lemma_id])
-    got = verify._margin_block(spec, grid)
+    got = verify._margin_columns(spec, grid)
     rows = verify._row_count(grid)
     want = {label: [] for label, _ in got}
     for i in range(rows):
@@ -301,7 +305,8 @@ def test_lele2_series_rows_match_point_loop(mx):
 # small row blocks cut leleka's r axis, whose first node carries the chain
 # margins, and the leform1, plyus, leform2 and funcrr2 bases they solve and
 # integrate per block; gsslemma_schwarz and lele have double-double rechecks
-# inside the blocks, at these resolutions
+# at these resolutions, whose near rows span many 64-row blocks, so a
+# recheck pass crosses block edges
 RECHECK_RES = {"gsslemma_schwarz": 24, "lele": 128}
 
 # the checks whose root solves settle rows
@@ -329,20 +334,21 @@ def test_row_blocks_match_one_block(lemma_id, monkeypatch):
     res = RECHECK_RES.get(lemma_id, 24)
     calls = _counting_dd(monkeypatch, lemma_id)
     solves = _recording_solves(monkeypatch)
-    margin_block = verify._margin_block
-    blocks_seen = []  # every margin block of the current sweep, in row order
+    margin_columns = verify._margin_columns
+    seen = []  # the margin columns of the current sweep
 
-    def recording(block_spec, grid, lows):
-        blocks_seen.append(margin_block(block_spec, grid, lows))
-        return blocks_seen[-1]
+    def recording(column_spec, grid):
+        seen.append(margin_columns(column_spec, grid))
+        return seen[-1]
 
-    monkeypatch.setattr(verify, "_margin_block", recording)
+    monkeypatch.setattr(verify, "_margin_columns", recording)
     reports, columns, settled = [], [], []
     for row_block in (verify._LANE_BLOCK, 64):  # one block for the whole grid, then 64 rows
         monkeypatch.setattr(verify, "_LANE_BLOCK", row_block)
         reports.append(verify_lemma(lemma_id, resolution=res))
         assert bool(calls) == (lemma_id in RECHECK_RES)
-        columns.append([np.concatenate([col for _, col in parts]) for parts in zip(*blocks_seen)])
+        (pairs,) = seen
+        columns.append([col for _, col in pairs])
         rows = columns[-1][0].size
         # the rows whose margins are bounds, not values: settled root solves
         settled.append(
@@ -350,7 +356,7 @@ def test_row_blocks_match_one_block(lemma_id, monkeypatch):
         )
         assert settled[-1].size == rows
         calls.clear()
-        blocks_seen.clear()
+        seen.clear()
         solves.clear()
     whole, blocks = reports
     assert whole.points_checked > 64
