@@ -477,7 +477,9 @@ def _conveyor(w, z, start, K, n, s, slots):
             _affine_lanes(cur[r0 : r1 + 1], b, A)
         rows += n
 
-        if not np.isfinite(cur).all():
+        # A*y + b is inf or nan wherever y is: a slot's last row is finite
+        # only if all its rows are
+        if not np.isfinite(cur[n]).all():
             bad = np.argwhere(~np.isfinite(cur) & (row <= K_s - k0))
             if len(bad):
                 r, j = bad[0].tolist()

@@ -1,9 +1,22 @@
 """Bracketed root finding, one scalar solve or many lanes in lockstep.
 
-Secant steps accelerated inside a maintained sign-change bracket, with a
-forced bisection every third iteration so the bracket width shrinks even
-when the secant stalls at one endpoint.  Deterministic: no randomness, and
-nothing is assumed of the caller's function beyond sign consistency.
+Each step is false position between the bracket ends (a, fa) and (b, fb),
+with three rules:
+
+- Illinois (Dowell and Jarratt, BIT 11, 1971): an end kept twice in a row
+  has its f halved, so the interpolant moves off it and the far end closes
+  too, where plain false position keeps one end for good;
+- interior step (Brent, Algorithms for Minimization without Derivatives,
+  1973): an interpolant within half the stop width of an end moves to that
+  distance inside the end with the smaller |f|, or to the midpoint if that
+  point is not strictly inside, so a root next to an end is enclosed by
+  one more step instead of approached by interpolants that round onto it;
+- progress guard: every third iteration bisects unless the bracket has at
+  least halved since the last such check, so it at least halves every six
+  iterations whatever f does.
+
+Deterministic: no randomness, and nothing is assumed of the caller's
+function beyond sign consistency.
 
 Lanes are independent solves advanced together through numpy arrays, each
 lane taking exactly the steps its scalar solve takes.  A lane retires as
@@ -23,6 +36,7 @@ still ends bitwise as its scalar solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,11 +49,14 @@ class BracketError(ValueError):
 
 @dataclass(frozen=True)
 class RootResult:
-    """Solve outcome.  For lanes, root, f_root and the bracket ends are arrays,
-    iterations is the sum over lanes and lane_iterations holds each lane's;
-    settled flags the lanes a settled predicate stopped, whose root is the
-    best point when they stopped and lies, with the full solve's root, in
-    [min(bracket[0], root), max(bracket[1], root)]."""
+    """Solve outcome.  root is the visited point with the smallest |f| (the
+    latest of equals), f_root is f there, bracket is the final [a, b] and
+    iterations the iteration the solve stopped at.  For lanes, root, f_root
+    and the bracket ends are arrays, iterations is the sum over lanes and
+    lane_iterations holds each lane's; settled flags the lanes a settled
+    predicate stopped, whose root is the best point when they stopped and
+    lies, with the full solve's root, in [min(bracket[0], root),
+    max(bracket[1], root)]."""
 
     root: float
     f_root: float
@@ -73,7 +90,9 @@ def solve_bracketed(
 
     Returns the visited point with the smallest |f|.  Stops when the bracket
     width drops below _XTOL * max(1, |x|) (_XTOL * |x| where |x| < _TINY),
-    when f hits zero exactly, or after _MAX_ITER iterations.  A 1-D array
+    when f hits zero exactly, or after _MAX_ITER iterations.  Each step is
+    false position with the Illinois rule, the interior step and the
+    progress guard (see the module docstring).  A 1-D array
     lo or hi makes one lane per entry, and f then maps an array of points
     to an array of values; each entry of args is then a column with one
     value per lane (or broadcasts to one), cut together with the points to
@@ -106,39 +125,59 @@ def solve_bracketed(
         best_x, best_f = lo, flo
     else:
         best_x, best_f = hi, fhi
-    return _iterate(f, args, 1, lo, hi, flo, lo, flo, hi, fhi, best_x, best_f)
+    return _iterate(f, args, 1, lo, hi, flo, fhi, flo > 0.0, 2, hi - lo, best_x, best_f)
 
 
-def _iterate(f, args, it0, a, b, fa, x0, f0, x1, f1, best_x, best_f) -> RootResult:
+def _iterate(f, args, it0, a, b, fa, fb, pos, moved, mark, best_x, best_f) -> RootResult:
     """The scalar solve's loop from iteration it0 on, in the state it has there.
 
-    [a, b] is the bracket and fa = f(a); the secant memory holds the last two
-    evaluated points x0, x1 and their values; best_x, best_f is the visited
-    point with the smallest |f|.  f at b is never read: the memory holds it.
+    [a, b] is the bracket; fa and fb are f at its ends as the Illinois rule
+    has scaled them, and pos says whether f > 0 at a, which holds at every
+    a.  moved is the end the last step moved (1 for a, 0 for b, 2 before the
+    first step), mark the width at the last guard check (the starting width
+    before the first), and best_x, best_f the visited point with the
+    smallest |f|.
+    An iteration stops at the stop width; else it steps to the midpoint
+    when the guard finds the bracket not halved since its last check, and
+    to the interpolant otherwise, moved to the interior step's point when
+    it lies within half the stop width of an end.
     """
     it = it0
     for it in range(it0, _MAX_ITER + 1):
         scale = max(abs(a), abs(b))
-        if b - a <= _XTOL * (scale if scale < _TINY else max(1.0, scale)):
+        tol = _XTOL * (scale if scale < _TINY else max(1.0, scale))
+        width = b - a
+        if width <= tol:
             break
-        x_new = None
-        if it % 3 != 0 and f1 != f0:
-            cand = x1 - f1 * (x1 - x0) / (f1 - f0)
-            if a < cand < b:
-                x_new = cand
-        if x_new is None:
+        stalled = False
+        if it % 3 == 0:
+            stalled, mark = width > 0.5 * mark, width
+        if stalled:
             x_new = 0.5 * (a + b)
+        else:
+            den = fa - fb
+            x_new = a + width * (fa / den) if den else math.nan
+            d = 0.5 * tol
+            if not a + d <= x_new <= b - d:
+                x_new = a + d if abs(fa) <= abs(fb) else b - d
+                if not a < x_new < b:
+                    x_new = 0.5 * (a + b)
         f_new = f(x_new, *args)
-        if abs(f_new) < abs(best_f):
+        if abs(f_new) <= abs(best_f):
             best_x, best_f = x_new, f_new
         if f_new == 0.0:
             a = b = x_new
             break
-        if (f_new > 0.0) == (fa > 0.0):
+        if (f_new > 0.0) == pos:
             a, fa = x_new, f_new
+            if moved == 1:
+                fb *= 0.5
+            moved = 1
         else:
-            b = x_new
-        x0, f0, x1, f1 = x1, f1, x_new, f_new
+            b, fb = x_new, f_new
+            if moved == 0:
+                fa *= 0.5
+            moved = 0
 
     return RootResult(best_x, best_f, it, (a, b))
 
@@ -150,8 +189,12 @@ def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
     from the working state, so each call to f gets only the running lanes,
     with args cut to the same lanes, and never a point the lane's scalar
     solve would not have evaluated.  A lane the settled predicate accepts
-    stops so too, at the top of an iteration.  Once at most _SCALAR_TAIL
-    lanes run, each finishes through _iterate, the scalar solve's own loop.
+    stops so too, at the top of an iteration.  Each lane computes the
+    interpolant, the interior step's point and the midpoint and takes the
+    one its scalar solve takes; the Illinois halving is a product with 1 or
+    0.5, exact either way, so every lane's values are bitwise those of
+    _iterate.  Once at most _SCALAR_TAIL lanes run, each finishes through
+    _iterate, the scalar solve's own loop, from the state it has reached.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     lo, hi = (np.array(x, dtype=float) for x in (lo, hi))
@@ -182,56 +225,73 @@ def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
     if same_sign.any():
         raise BracketError(f"no sign change in {int(same_sign.sum())} of {n} lanes")
 
-    # f at b is never read again: the secant memory holds it
-    a, b, fa = lo, hi, flo
-    x0, f0, x1, f1 = lo, flo, hi, fhi
+    # _iterate's state, one entry per running lane
+    a, b, fa, fb, pos = lo, hi, flo, fhi, flo > 0.0
+    moved = np.full(lane.size, 2, dtype=np.int8)
+    mark = hi - lo
     lo_best = np.abs(flo) <= np.abs(fhi)
     best_x, best_f = np.where(lo_best, lo, hi), np.where(lo_best, flo, fhi)
 
     for it in range(1, _MAX_ITER + 1):
         scale = np.maximum(np.abs(a), np.abs(b))
-        narrow = b - a <= _XTOL * np.maximum(1.0, scale)
+        # scale below _TINY, else max(1, scale): a bool is 0 or 1 here
+        tol = _XTOL * np.maximum(scale, scale >= _TINY)
+        width = b - a
+        narrow = width <= tol
         if narrow.any():
-            narrow &= (scale >= _TINY) | (b - a <= _XTOL * scale)
             run = retire(narrow, it, best_x, best_f, a, b)
-            lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
-                v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)
+            lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, tol, width, *args = (
+                v[run]
+                for v in (lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, tol, width, *args)
             )
         if settled is not None and lane.size:
             done = settled(lane, np.minimum(a, best_x), np.maximum(b, best_x))
             if done.any():
                 stopped[lane[done]] = True
                 run = retire(done, it, best_x, best_f, a, b)
-                lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args = (
-                    v[run] for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f, *args)
+                lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, tol, width, *args = (
+                    v[run]
+                    for v in (lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, tol, width, *args)
                 )
         if lane.size <= _SCALAR_TAIL:
             # each of the last lanes goes on alone from this iteration
-            state = zip(*(v.tolist() for v in (lane, a, b, fa, x0, f0, x1, f1, best_x, best_f)))
+            state = zip(*(v.tolist() for v in (lane, a, b, fa, fb, pos, moved, mark, best_x, best_f)))
             for k, (i, *lane_state) in enumerate(state):
                 res = _iterate(f, tuple(v[k].item() for v in args), it, *lane_state)
                 root[i], f_root[i], iterations[i] = res.root, res.f_root, res.iterations
                 end_a[i], end_b[i] = res.bracket
             break
-        x_new = 0.5 * (a + b)
-        if it % 3 != 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = x1 - f1 * (x1 - x0) / (f1 - f0)
-            x_new = np.where((f1 != f0) & (a < cand) & (cand < b), cand, x_new)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_new = a + width * (fa / (fa - fb))
+        d = 0.5 * tol
+        in_a, in_b = a + d, b - d
+        off = ~((in_a <= x_new) & (x_new <= in_b))
+        if off.any():
+            end = np.where(np.abs(fa) <= np.abs(fb), in_a, in_b)
+            end = np.where((a < end) & (end < b), end, 0.5 * (a + b))
+            x_new = np.where(off, end, x_new)
+        if it % 3 == 0:
+            x_new = np.where(width > 0.5 * mark, 0.5 * (a + b), x_new)
+            mark = width
         f_new = f(x_new, *args)
-        better = np.abs(f_new) < np.abs(best_f)
+        better = np.abs(f_new) <= np.abs(best_f)
         best_x = np.where(better, x_new, best_x)
         best_f = np.where(better, f_new, best_f)
         zero = f_new == 0.0
         if zero.any():
             run = retire(zero, it, best_x, best_f, x_new, x_new)
-            lane, a, b, fa, x1, f1, x_new, f_new, best_x, best_f, *args = (
-                v[run] for v in (lane, a, b, fa, x1, f1, x_new, f_new, best_x, best_f, *args)
+            lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, x_new, f_new, *args = (
+                v[run]
+                for v in (lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, x_new, f_new, *args)
             )
-        same = (f_new > 0.0) == (fa > 0.0)
-        a, fa = np.where(same, x_new, a), np.where(same, f_new, fa)
-        b = np.where(same, b, x_new)
-        x0, f0, x1, f1 = x1, f1, x_new, f_new
+        # the new point replaces a where f there has a's sign; the end a lane
+        # keeps has its f halved where its last step moved the same end
+        moves_a = (f_new > 0.0) == pos
+        step = moves_a.view(np.int8)
+        halve = 1.0 - 0.5 * (moved == step)
+        a, fa = np.where(moves_a, x_new, a), np.where(moves_a, f_new, fa * halve)
+        b, fb = np.where(moves_a, b, x_new), np.where(moves_a, fb * halve, f_new)
+        moved = step
     else:
         retire(np.ones(lane.size, dtype=bool), _MAX_ITER, best_x, best_f, a, b)
 

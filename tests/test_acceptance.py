@@ -203,9 +203,9 @@ _SWEEP_MINIMA = {
     "dom": "0x1.00aa749276800p-19",
     "jcal_tangent": "0x1.7dc5ab931140ap-41",
     "jcal_concavity": "0x1.6c74c80000001p-24",
-    "leform1": "0x1.183b5a3000000p-37",
-    "plyus": "0x1.256db4ade0000p-23",
-    "leform2": "0x1.2d89cb6a20b00p-13",
+    "leform1": "0x1.183b593000000p-37",
+    "plyus": "0x1.256db4acf8000p-23",
+    "leform2": "0x1.2d89cb6a20200p-13",
     "lele": "0x1.00ff52ae5e7e8p-24",
     "leleka": "0x1.e1448edb00000p-16",
     "funcrr2": "0x1.a61ef8d8d0000p-16",

@@ -17,7 +17,7 @@ import pytest
 import ddestab
 from ddestab import verify
 from ddestab.cli import _glue_negative_values, _parsers, main
-from ddestab.rootfind import _SCALAR_TAIL
+from ddestab.rootfind import _SCALAR_TAIL, _TINY, _XTOL
 
 E3 = math.exp(3.0)
 
@@ -709,7 +709,7 @@ _FROZEN_REGION_FILES = {
 _FROZEN_MAP = {
     "readme": (
         ["--a", "-2.0", "--theta", "0.39", "--zmin", "-0.9", "--zmax", "4.0", "--n", "200"],
-        "2297e5d53e30d3de47945c67dcc4b7f736045fddcbe5c4e2c87c0608b7144cd5",
+        "f2b5d329cdf3dd1c6d6bbce397767692a9322d19493bd57488724dafa9f23694",
     ),
     "pole-to-huge": (
         ["--a", "-2.0", "--theta", "0.39", "--zmin", "-1", "--zmax", "1e300", "--n", "50"],
@@ -717,11 +717,11 @@ _FROZEN_MAP = {
     ),
     "improper-interval": (
         ["--a", "-2", "--theta", "0.95"],
-        "32475254fe072fab3ffd4e2b2ca7d1a4c1d4903b5f1380548721cf297a117324",
+        "18db6d5559d8c06997156efe235ff9e0c7316330b8b31879640412b07499598b",
     ),
     "small-mu": (
         ["--a", "-12", "--theta", "0.9"],
-        "b85710fceb654c01fb5174b313572ed53de5064556f737125af767b64121f1e8",
+        "833e3a49ded2b36747cb18a83a89aeb730f01433a1c41a5527de8ccd9459fb9a",
     ),
 }
 
@@ -783,6 +783,52 @@ def test_map_bytes_frozen(case, capsys):
     for _ in range(2):
         assert main(["map", *argv]) == 0
         assert _sha(capsys.readouterr().out.encode()) == csv_sha
+
+
+def _identity_root_mp(mp, x, u1, a, eps, v1, d1, c):
+    """The root near x of onedmaps' identity w*d1 - a*(s - log1p(s))/eps**2 - c,
+    w = (u - u1)/v1 and s = eps*w, by Newton's method in mp's precision."""
+    u1, a, eps, v1, d1, c = (mp.mpf(v) for v in (u1, a, eps, v1, d1, c))
+    u = mp.mpf(x)
+    for _ in range(10):
+        w = (u - u1) / v1
+        s = eps * w
+        g = w * d1 - a * (s - mp.log1p(s)) / (eps * eps) - c
+        step = g * v1 / (d1 - a * w / (1 + s))
+        u -= step
+        if abs(step) <= mp.mpf(10) ** -45 * max(1, abs(u)):
+            return u
+    raise AssertionError(f"Newton's method did not settle near {x}")
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_MAP))
+def test_map_matches_mpmath_roots(case, capsys, monkeypatch):
+    # every finite F and F1 of a frozen map lies within 2*_XTOL*max(1, |x|)
+    # (2*_XTOL*|x| below _TINY) of its identity's root, solved in 50 digits
+    # from the float inputs that _phi_base and the setups give the lane
+    # solve; this holds whatever the solver's last bits are
+    mp = pytest.importorskip("mpmath")
+    solve = ddestab.onedmaps.solve_bracketed
+    solves = []
+
+    def recorded(f, lo, hi, *, args=(), **kwargs):
+        res = solve(f, lo, hi, args=args, **kwargs)
+        solves.append((np.broadcast_arrays(lo, hi, *args), res))
+        return res
+
+    monkeypatch.setattr(ddestab.onedmaps, "solve_bracketed", recorded)
+    assert main(["map", *_FROZEN_MAP[case][0]]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    maps = [float(v) for row in rows for v in row.split(",")[1:3]]
+    finite = sum(math.isfinite(v) and v != 0.0 for v in maps)
+    [((lo, hi, *args), res)] = solves
+    assert res.root.size == finite > 0
+    with mp.workdps(50):
+        for i, x in enumerate(res.root.tolist()):
+            exact = _identity_root_mp(mp, x, *(float(v[i]) for v in args))
+            assert lo[i] <= exact <= hi[i], i
+            scale = abs(x) if abs(x) < _TINY else max(1.0, abs(x))
+            assert abs(x - exact) <= 2 * _XTOL * scale, (i, x, float(exact))
 
 
 @pytest.mark.parametrize(
