@@ -22,7 +22,10 @@ column is bitwise its own run.
 integrate also runs many lanes of the normalised equation (delta = 1),
 each with its own parameters, constant history and horizon, on a conveyor.
 A fixed number of slots march in lockstep, one delay segment at a time,
-two array operations per row.  A slot keeps only its lane's last two
+two array operations per row, or Python-float rows once a few slots are
+left.  Every lane takes the same number n of steps per delay (256, or
+what a step given per lane asks for), so each lane's step is its own delay
+over n.  A slot keeps only its lane's last two
 segments and the lowest node seen so far in its window [start, horizon].
 A segment the window misses costs the slot no minimum, one it spans takes
 a plain column minimum, and only one it covers in part takes a masked
@@ -269,12 +272,12 @@ def _segment_midpoints(prev: np.ndarray, i0: int, i1: int) -> np.ndarray:
     return mids
 
 
-def _step_grid(h, T, step: float | None):
+def _step_grid(h, T, step):
     """Nodes per delay n, the step s = h/n and the last node K of a march to T,
-    as numpy scalars, or per lane when h and T are arrays."""
+    as numpy scalars, or per lane when h, T and step are arrays."""
     if not np.all(T > 0.0):
         raise ValueError(f"horizon must be positive, got {T}")
-    base = h / 256.0 if step is None else float(step)
+    base = h / 256.0 if step is None else np.asarray(step, dtype=float)
     if not np.all((0.0 < base) & (base <= h)):
         raise ValueError(f"step must lie in (0, h], got {base}")
     n = np.maximum(4, np.round(h / base)).astype(int)
@@ -288,13 +291,23 @@ def _step_grid(h, T, step: float | None):
 # slots of the lane conveyor, each holding two segments of its lane.  More
 # slots march fewer lockstep rows, down to the longest lane's own count: at
 # resolution 256, funcrr2's longest lane takes 64 segments, and 512 slots
-# finish every other lane within them.  Model values are taken _CHUNK rows
-# at a time, so no segment-sized temporaries are made
+# finish every other lane within them.  They are also the fastest for its
+# coarse marches: its 5,080 lanes at h/8 and h/16 took 14.5 and 18.3 ms on
+# 512 slots, 15.4 and 21.8 ms on 2,048, 27.9 and 36.1 ms on 5,080 (the
+# least of 5 runs each)
 _SLOTS = 512
+# model values are taken _CHUNK rows of _SLOTS slots at a time, so no
+# segment-sized temporaries are made, and more rows when fewer slots are
+# left: that took the h/256 march of the 15 funcrr2 lanes that do not
+# settle at resolution 256 from 56 to 43 ms (medians of 9 runs)
 _CHUNK = 32
+# at most this many slots run their rows on Python floats.  256 rows of 8
+# lanes took 186 us so and 242 us as array passes, of 16 lanes 369 and 233
+# us; the march above went from 43 to 32 ms
+_FLOAT_LANES = 8
 
 
-def integrate(model, hist: History, params, T, step: float | None = None):
+def integrate(model, hist: History, params, T, step=None):
     """March the equation from t = 0 to (at least) T; returns the grid solution.
 
     The step is adjusted to the nearest exact divisor of the delay and
@@ -310,8 +323,10 @@ def integrate(model, hist: History, params, T, step: float | None = None):
     after T[0, j].  Lanes run the normalised equation, delta = 1: params
     then holds one parameter point per lane (a NormLanes), never a
     ParamSet.  hist is constant with one value per lane, and all lanes
-    share the number of steps per delay.  The model is called as
-    model(x, lanes): column c of x belongs to lane lanes[c].
+    share the number of steps per delay; step may then hold one step per
+    lane, such as the delays over a common count.  A run of no lanes gives
+    empty LaneDips.  The model is called as model(x, lanes): column c of x
+    belongs to lane lanes[c].
     """
     delta, h = _delta_h(params)
     w: Callable = getattr(model, "f", model)
@@ -366,9 +381,12 @@ def _affine_rows(y, b, A) -> list:
 
 def _affine_lanes(y, b, A) -> None:
     """y[i+1] = A*y[i] + b[i] down the rows of a 2-D array y, a lane per
-    column, written in place: two array passes per row, each lane bitwise
-    its _affine_rows.  out goes by position, which numpy parses faster than
-    out=."""
+    column, written in place: two array passes per row, or _affine_rows on
+    each column of at most _FLOAT_LANES; each lane bitwise its _affine_rows.
+    out goes by position, which numpy parses faster than out=."""
+    if y.shape[1] <= _FLOAT_LANES:
+        y.T[:] = [_affine_rows(*col) for col in zip(y[0].tolist(), b.T.tolist(), A.tolist())]
+        return
     mul, add = np.multiply, np.add
     ys = list(y)
     for i, bi in enumerate(b):
@@ -417,6 +435,8 @@ def _lanes(w, hist, h, T, step) -> LaneDips:
     # array arithmetic, not a Python object per lane: thousands of small
     # objects left the heap holding more memory after the sweep's later checks
     n, s, K = _step_grid(np.broadcast_to(h, T.shape[1:]), T[1], step)
+    if not K.size:
+        return LaneDips(step=s, values=np.empty((3, 0)), dip=np.empty(0), rows=0)
     if np.any(n != n[0]):
         raise ValueError("lanes must share the number of steps per delay")
     start = _first_node_after(T[0], s)
@@ -469,8 +489,9 @@ def _conveyor(w, z, start, K, n, s, slots):
         node[fresh] = -1
         lane_s, K_s, start_s = s[lane], K[lane], start[lane]
         A, c0, c1, s6 = _affine_weights(lane_s, 1.0)
-        for r0 in range(0, n, _CHUNK):
-            r1 = min(r0 + _CHUNK, n)
+        chunk = _CHUNK * slots // width
+        for r0 in range(0, n, chunk):
+            r1 = min(r0 + chunk, n)
             mids = _segment_midpoints(prev, r0, r1)
             mids[:, fresh] = z_new
             b = _affine_b(w(prev[r0 : r1 + 1], lane), w(mids, lane), c0, c1, s6)

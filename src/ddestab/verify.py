@@ -125,9 +125,12 @@ class _LemmaSpec:
     margins(grid, mx, lows) evaluates grid columns in the backend mx and
     gives (label, column) pairs in label order, NaN where a label does not
     apply to a row.  lows maps labels to the smallest float margin of the
-    rows swept before grid's (a label it lacks has none), or is None; the
-    response-map checks use it to settle root solves (_solved), the others
-    ignore it.  A dd_capable check is evaluated in FLOAT and then, on the
+    rows swept before grid's (a label it lacks has none), or is None.  With
+    lows, the response-map checks settle root solves (_solved), and
+    funcrr2 marches at h/256 only the lanes its coarse marches do not
+    settle (_margins_funcrr2); both settle by _settle_above.  The other
+    checks ignore lows, and without it every row is solved and marched to
+    the end.  A dd_capable check is evaluated in FLOAT and then, on the
     rows where some margin lands within dd_threshold of zero, in
     DOUBLE_DOUBLE; the other checks get FLOAT only.
     """
@@ -276,9 +279,10 @@ def _margins_jcal_concavity(grid: Grid, mx, lows=None) -> list:
 
 
 def _settle_above(offsets: dict, lows: dict, below: bool = False):
-    """The settled(rows, lo, hi) predicate of one block's root solve.
+    """The settled(rows, lo, hi) predicate of one block's root solve, or
+    of its coarse marches.
 
-    Each label's margin is X - offsets[label] at a row's root X, or
+    Each label's margin is X - offsets[label] at a row's root or dip X, or
     offsets[label] - X with below.  An enclosure [lo, hi] of X bounds it
     from below by fl(lo - offset) (fl(offset - hi)) and from above by
     fl(hi - offset) (fl(offset - lo)), as rounding is monotone.  A row
@@ -382,17 +386,73 @@ def _margins_leleka(grid: Grid, mx, lows=None) -> list:
     ]
 
 
-def _margins_funcrr2(grid: Grid, mx, lows=None) -> list:
+# funcrr2's coarse pair, in steps per delay.  Measured at resolutions 16,
+# 64 and 256 against h/256, and at 256 also against h/1024:
+# - every bounded lane's error was at most 0.050 of its _dip_error_bound
+#   (0.047 with the pair 4, 8 and 0.093 with 16, 32);
+# - the Richardson term alone missed 7 lanes at 64 and 14 at 256, by up to
+#   56 times.  With the parabola term beside it the worst lane reached 0.41
+#   of its bound, with the slope term 0.050.  Without the Richardson term
+#   one lane left its bound.
+# Only the lowest lane and the 14 lanes whose lowest node is their last
+# then march at h/256.  funcrr2's margins at resolution 256 took a median
+# of 81 ms so, 78 ms with the pair 4, 8 (27 lanes at h/256) and 101 ms with
+# 16, 32, against 227 ms for marching every lane at h/256 (9 alternated
+# runs)
+_COARSE_STEPS = (8, 16)
+
+
+def _funcrr2_dips(grid: Grid, n: int | None = None):
+    """The LaneDips of funcrr2's runs, a lane per row, marched at h/n steps
+    (h/256 without n): from the constant history z with r(z) = r, each
+    lane's lowest node from its first crossing tc up to tc + 3h."""
     from .ddesim import History, _envelope, integrate
 
     r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
-    # per row: the constant history z with r(z) = r and its first crossing tc
     z = r_inv(r, lanes.a)
     tc = FLOAT.log(1.0 - (1.0 + z) / lanes.a)
-    # each lane's dip: its lowest node from its first crossing tc up to tc + 3h
     T = np.stack([tc, tc + 3.0 * lanes.delay])
-    run = integrate(_envelope(lanes.a), History.constant(z), lanes, T)
-    return [("dip_above_corner_bound", run.dip - R2_eval(r, lanes))]
+    step = None if n is None else lanes.delay / n
+    return integrate(_envelope(lanes.a), History.constant(z), lanes, T, step)
+
+
+def _dip_error_bound(coarse, finer) -> np.ndarray:
+    """A bound on each lane's |finer.dip - h/256 dip|, from the LaneDips of
+    two coarse marches, finer at half coarse's step.  Its three terms:
+    - 4*|finer.dip - coarse.dip|, a step-halving (Richardson) estimate of
+      the integration error (Hairer, Norsett and Wanner, Solving ODEs I,
+      1993): for a fourth-order method finer's error is about 1/15 of the
+      difference;
+    - one step times the slope at the dip node, |right - left|/2, as the
+      window's first node moves by up to a step with the step;
+    - the parabola's sampling term |dip - low|.
+    NaN where the lowest node is the lane's last, so such a lane never
+    settles: with no right neighbour nothing bounds a turn within its last
+    step.  Taking the line through left and low for it, such lanes' errors
+    reached 0.81 of their bounds with the pair 8, 16 and 2.6 with 16, 32."""
+    left, low, right = finer.values
+    return (
+        4.0 * np.abs(finer.dip - coarse.dip)
+        + 0.5 * np.abs(right - left)
+        + np.abs(finer.dip - low)
+    )
+
+
+def _margins_funcrr2(grid: Grid, mx, lows=None) -> list:
+    label = "dip_above_corner_bound"
+    corner = R2_eval(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"]))
+    if lows is None:
+        return [(label, _funcrr2_dips(grid).dip - corner)]
+    # every lane marches coarse, and settles by _settle_above on its dip's
+    # enclosure; a settled lane's dip is the enclosure's lower end, and
+    # only the others march at h/256
+    coarse, finer = (_funcrr2_dips(grid, n) for n in _COARSE_STEPS)
+    err = _dip_error_bound(coarse, finer)
+    dip = finer.dip - err
+    settled = _settle_above({label: corner}, lows)(np.arange(dip.size), dip, finer.dip + err)
+    fine = np.flatnonzero(~settled)
+    dip[fine] = _funcrr2_dips({k: v[fine] for k, v in grid.items()}).dip
+    return [(label, dip - corner)]
 
 
 def _margins_lele2(grid: Grid, mx, lows=None) -> list:
@@ -603,8 +663,8 @@ LEMMA_IDS = list(_REGISTRY)
 # and 0.556 s and a peak resident memory of 49.7, 50.1 and 53.3 MB (medians
 # of 5 alternated 8 s benchmark runs, one process on a 2-vCPU VM): past
 # 8,192 rows a block saves no time and costs memory.
-# funcrr2's grid, at most 5,080 rows, always runs as one block on one lane
-# conveyor
+# funcrr2's grid, at most 5,080 rows, always runs as one block: its coarse
+# marches and then its h/256 march of the lanes they do not settle
 _LANE_BLOCK = 8192
 
 
@@ -652,10 +712,11 @@ def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
     also fixes the sign of a zero, and its violations come in that order.
     Columns are scanned one at a time, so no rows-by-labels copy is made.
 
-    A response-map check settles rows with the lows of the earlier blocks:
-    a settled row's entry is a lower bound of its margin, above 0 and above
-    the label's smallest margin, so each label's minimum, the first row that
-    takes it, and the violations are those of solving every row to the end.
+    The response-map checks and funcrr2 settle rows with the lows of the
+    earlier blocks: a settled row's entry is a lower bound of its margin,
+    above 0 and above the label's smallest margin, so each label's minimum,
+    the first row that takes it, and the violations are those of solving
+    and marching every row to the end.
     """
     labels, cols = zip(*_margin_columns(spec, grid))
     firsts = []  # (value, row, label index) of each column's first smallest margin

@@ -231,11 +231,18 @@ def test_affine_lanes_equal_scalar_rows():
     lanes[0] = rng.uniform(-2.0, 2.0, k)
     lanes[0, :2], w_node[:, :2], w_mid[:, :2] = [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]
     A, c0, c1, s6 = ddesim._affine_weights(s, 1.0)
-    ddesim._affine_lanes(lanes, ddesim._affine_b(w_node, w_mid, c0, c1, s6), A)
+    b = ddesim._affine_b(w_node, w_mid, c0, c1, s6)
+    # the first _FLOAT_LANES lanes on their own take Python-float rows
+    m = ddesim._FLOAT_LANES
+    narrow = np.empty((n + 1, m))
+    narrow[0] = lanes[0, :m]
+    ddesim._affine_lanes(narrow, b[:, :m], A[:m])
+    ddesim._affine_lanes(lanes, b, A)
     assert set(_hex(lanes[:, :2].ravel().tolist())) == {"0x0.0p+0", "-0x0.0p+0"}
     for j, sj in enumerate(s.tolist()):
         rows = _scalar_rows(lanes[0, j].item(), w_node[:, j], w_mid[:, j], sj, 1.0)
         assert _hex(rows) == _hex(lanes[:, j].tolist()), j
+    assert _hex(narrow.ravel().tolist()) == _hex(lanes[:, :m].ravel().tolist())
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.85])
@@ -502,8 +509,19 @@ def _window_lanes():
 
 
 def test_lane_windows_equal_scalar_runs(monkeypatch):
+    _lane_windows_equal_scalar_runs(monkeypatch, 256)
+
+
+def test_lane_windows_equal_scalar_runs_at_per_lane_steps(monkeypatch):
+    # every lane takes its own step h/64, given as an array, and equals its
+    # single run at that step
+    _lane_windows_equal_scalar_runs(monkeypatch, 64)
+
+
+def _lane_windows_equal_scalar_runs(monkeypatch, n):
     lanes, Z, P, Q, G, T0, T = _window_lanes()
     h = lanes.delay
+    step = None if n == 256 else h / n
     runs = []
     for slots in (1, 3, 64):
         monkeypatch.setattr(ddesim, "_SLOTS", slots)
@@ -513,9 +531,9 @@ def test_lane_windows_equal_scalar_runs(monkeypatch):
                 History.constant(Z),
                 lanes,
                 np.stack([T0 * h, T * h]),
+                step,
             )
         )
-    n = 256
     seen = set()
     for j in range(len(Z)):
         p = NormParams(a=-2.0, theta=float(lanes.theta[j]))
@@ -523,7 +541,8 @@ def test_lane_windows_equal_scalar_runs(monkeypatch):
         def w(x, j=j):
             return np.where(x == Z[j], P[j], Q[j] + G[j] * x)
 
-        one = integrate(w, History.constant(float(Z[j])), p, float(T[j] * p.delay))
+        one = integrate(w, History.constant(float(Z[j])), p, float(T[j] * p.delay), p.delay / n)
+        assert one.step == runs[0].step[j]
         y = one.values
         start = ddesim._first_node_after(float(T0[j] * p.delay), one.step)
         im = start + int(np.argmin(y[start:]))
@@ -614,6 +633,15 @@ def test_lane_overflow_within_its_horizon_raises(monkeypatch):
     with pytest.raises(IntegrationDiverged) as lanes:
         _lane_run(monkeypatch, f=_linear, b=_BLOWUP_B, T=T)
     assert lanes.value.t == one.value.t
+
+
+def test_no_lanes_give_empty_dips():
+    e = np.empty(0)
+    # funcrr2 marches no lane at h/256 in a row block whose lanes all settle
+    lanes = NormLanes(a=e, theta=e)
+    run = integrate(ddesim._envelope(e), History.constant(e), lanes, np.empty((2, 0)))
+    assert run.rows == 0
+    assert run.values.shape == (3, 0) and run.dip.shape == run.step.shape == (0,)
 
 
 def test_lanes_need_constant_history_and_a_window():

@@ -15,7 +15,7 @@ from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
 from ddestab.models import NicholsonParams, nicholson_global
 from ddestab.cli import main
 from ddestab.onedmaps import F_solve_r, q_poly_generic
-from ddestab.params import NormParams, Region, classify, pi_curve, sharp_boundary_theta
+from ddestab.params import NormLanes, NormParams, Region, classify, pi_curve, sharp_boundary_theta
 from ddestab.ratmaps import R_eval, coeffs, coeffs_generic, schwarz_margin
 from ddestab.verify import (
     _REGISTRY,
@@ -309,8 +309,9 @@ def test_lele2_series_rows_match_point_loop(mx):
 # recheck pass crosses block edges
 RECHECK_RES = {"gsslemma_schwarz": 24, "lele": 128}
 
-# the checks whose root solves settle rows
-SETTLING = ("leform1", "plyus", "leform2")
+# the checks that settle rows: three by their root solves, funcrr2 by its
+# coarse marches
+SETTLING = ("leform1", "plyus", "leform2", "funcrr2")
 
 
 def _recording_solves(monkeypatch):
@@ -327,13 +328,32 @@ def _recording_solves(monkeypatch):
     return solves
 
 
-@pytest.mark.parametrize(
-    "lemma_id", ["albet", "leleka", *SETTLING, "funcrr2", "gsslemma_schwarz", "lele"]
-)
+def _recording_settles(monkeypatch):
+    """Wrap verify's _settle_above; the returned list collects what each
+    predicate call returns.  funcrr2 calls its predicate once per row block,
+    on all the block's rows, so the list joins to its coarse-settled mask."""
+    masks = []
+    settle_above = verify._settle_above
+
+    def recording(*args):
+        settled = settle_above(*args)
+
+        def call(*rows_lo_hi):
+            masks.append(settled(*rows_lo_hi))
+            return masks[-1]
+
+        return call
+
+    monkeypatch.setattr(verify, "_settle_above", recording)
+    return masks
+
+
+@pytest.mark.parametrize("lemma_id", ["albet", "leleka", *SETTLING, "gsslemma_schwarz", "lele"])
 def test_row_blocks_match_one_block(lemma_id, monkeypatch):
     res = RECHECK_RES.get(lemma_id, 24)
     calls = _counting_dd(monkeypatch, lemma_id)
     solves = _recording_solves(monkeypatch)
+    coarse = _recording_settles(monkeypatch) if lemma_id == "funcrr2" else []
     margin_columns = verify._margin_columns
     seen = []  # the margin columns of the current sweep
 
@@ -351,13 +371,14 @@ def test_row_blocks_match_one_block(lemma_id, monkeypatch):
         columns.append([col for _, col in pairs])
         rows = columns[-1][0].size
         # the rows whose margins are bounds, not values: settled root solves
-        settled.append(
-            np.concatenate([s.settled for s in solves]) if solves else np.zeros(rows, dtype=bool)
-        )
+        # and coarse-settled lanes
+        masks = [s.settled for s in solves] + coarse
+        settled.append(np.concatenate(masks) if masks else np.zeros(rows, dtype=bool))
         assert settled[-1].size == rows
         calls.clear()
         seen.clear()
         solves.clear()
+        coarse.clear()
     whole, blocks = reports
     assert whole.points_checked > 64
     assert blocks.points_checked == whole.points_checked
@@ -421,6 +442,68 @@ def test_violating_rows_are_solved_to_the_end(lemma_id, offset, shift, monkeypat
     full = verify_lemma(lemma_id, resolution=24)
     assert settled.violations == full.violations
     assert settled.min_margin.hex() == full.min_margin.hex()
+
+
+def _coarse_margins(grid):
+    """funcrr2's margins at h/16 and their error bounds, per row."""
+    corner = verify.R2_eval(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"]))
+    coarse, finer = (verify._funcrr2_dips(grid, n) for n in verify._COARSE_STEPS)
+    return finer.dip - corner, verify._dip_error_bound(coarse, finer), np.isnan(finer.values[2])
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 256])
+def test_funcrr2_coarse_bound_holds(resolution, monkeypatch):
+    # every lane with a bound has its h/256 margin within it of its h/16
+    # margin; the lanes without one are those whose lowest node is their
+    # last.  The lowest lane is never settled, so it is marched at h/256
+    grid = verify._gen_funcrr2(resolution)[1]
+    margin, bound, last = _coarse_margins(grid)
+    ((_, fine),) = _REGISTRY["funcrr2"].margins(grid, FLOAT)
+    assert np.array_equal(np.isnan(bound), last) and last.sum() < 20
+    assert np.all(np.abs(margin - fine)[~last] <= bound[~last])
+    masks = _recording_settles(monkeypatch)
+    ((_, column),) = _REGISTRY["funcrr2"].margins(grid, FLOAT, {})
+    (settled,) = masks
+    low = int(np.argmin(fine))
+    assert not settled[low] and column[low] == fine[low]
+    assert settled.sum() > 0.99 * settled.size
+    assert column[~settled].tobytes() == fine[~settled].tobytes()
+
+
+def test_funcrr2_coarse_bound_holds_at_h_over_1024():
+    # on 64 seeded lanes of the resolution-256 grid, against margins marched
+    # at h/1024
+    grid = verify._gen_funcrr2(256)[1]
+    rows = np.random.default_rng(31).choice(verify._row_count(grid), 64, replace=False)
+    sub = {k: v[rows] for k, v in grid.items()}
+    margin, bound, last = _coarse_margins(sub)
+    corner = verify.R2_eval(sub["r"], NormLanes(a=sub["a"], theta=sub["theta"]))
+    fine = verify._funcrr2_dips(sub, 1024).dip - corner
+    assert (~last).sum() >= 60
+    assert np.all(np.abs(margin - fine)[~last] <= bound[~last])
+
+
+@pytest.mark.parametrize("row_block", [None, 512])
+def test_funcrr2_violations_match_fine_marches(row_block, monkeypatch):
+    # a raised corner bound sends about a tenth of the rows below zero: no
+    # violating row settles, so the violations and the minimum are those of
+    # marching every lane at h/256; 512-row blocks carry earlier minima
+    if row_block is not None:
+        monkeypatch.setattr(verify, "_LANE_BLOCK", row_block)
+    corner = verify.R2_eval
+    monkeypatch.setattr(verify, "R2_eval", lambda *args: corner(*args) + 0.004)
+    masks = _recording_settles(monkeypatch)
+    report = verify_lemma("funcrr2", resolution=64)
+    settled = np.concatenate(masks)
+    spec = _REGISTRY["funcrr2"]
+    grid = spec.gen(64)[1]
+    violations, min_margin = _row_loop(grid, spec.margins(grid, FLOAT))
+    assert settled.any() and 0.05 * settled.size < len(violations) < 0.2 * settled.size
+    violating = {(v["a"], v["theta"], v["r"]) for v in violations}
+    keys = zip(*(grid[k].tolist() for k in ("a", "theta", "r")))
+    assert not any(flag for key, flag in zip(keys, settled) if key in violating)
+    assert report.violations == violations
+    assert report.min_margin.hex() == min_margin.hex()
 
 
 @pytest.mark.parametrize("below", [False, True])
