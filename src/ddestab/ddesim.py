@@ -21,17 +21,18 @@ column is bitwise its own run.
 
 integrate also runs many lanes of the normalised equation (delta = 1),
 each with its own parameters, constant history and horizon, on a conveyor.
-A fixed number of slots march in lockstep, one delay segment at a time,
-two array operations per row, or Python-float rows once a few slots are
-left.  Every lane takes the same number n of steps per delay (256, or
+A fixed number of slots march in lockstep, a block of delay segments at a
+time, two array operations per row, or Python-float rows once a few slots
+are left.  Every lane takes the same number n of steps per delay (256, or
 what a step given per lane asks for), so each lane's step is its own delay
-over n.  A slot keeps only its lane's last two
-segments and the lowest node seen so far in its window [start, horizon].
-A segment the window misses costs the slot no minimum, one it spans takes
-a plain column minimum, and only one it covers in part takes a masked
-minimum.  At a segment boundary, a slot whose lane has reached its horizon
-takes the next waiting lane, longest first.  Up to its own horizon every
-lane is bitwise equal to its single run.
+over n.  A slot keeps only the segment before its block, the block, and
+the lowest node seen so far in its lane's window [start, horizon]; its
+lane's window, step and step weights are set once, when the lane takes
+the slot.  After each block one masked column minimum over all slots
+takes the window's new nodes.  Each lane marches one node past its
+horizon, and at a block boundary a slot whose lane has marched that node
+takes the next waiting lane, longest first.  Up to one node past its own
+horizon every lane is bitwise equal to its single run.
 """
 
 from __future__ import annotations
@@ -191,12 +192,14 @@ class LaneDips:
     values holds each lane's lowest node at or after its start time between
     its two neighbours; the right one is NaN when the lowest node is the
     lane's last.  dip is that node's value, parabola-refined unless it is
-    the last node.  rows counts the lockstep rows the conveyor marched.
+    the last node.  beyond is each lane's node one step past its horizon,
+    marched as the others are: it may overflow, and never raises.  rows counts the lockstep rows the conveyor marched.
     """
 
     step: np.ndarray
     values: np.ndarray
     dip: np.ndarray
+    beyond: np.ndarray
     rows: int
 
 
@@ -256,12 +259,13 @@ def _segment_midpoints(prev: np.ndarray, i0: int, i1: int) -> np.ndarray:
             + _W_LEFT[3] * prev[3]
         )
     if lo < hi:
-        mids[lo - i0 : hi - i0] = (
-            9.0 * prev[lo:hi]
-            - prev[lo - 1 : hi - 1]
-            + 9.0 * prev[lo + 1 : hi + 1]
-            - prev[lo + 2 : hi + 2]
-        ) / 16.0
+        # (9*p[i] - p[i-1] + 9*p[i+1] - p[i+2])/16, left to right, in place
+        mid = mids[lo - i0 : hi - i0]
+        np.multiply(prev[lo:hi], 9.0, mid)
+        np.subtract(mid, prev[lo - 1 : hi - 1], mid)
+        mid += 9.0 * prev[lo + 1 : hi + 1]
+        np.subtract(mid, prev[lo + 2 : hi + 2], mid)
+        mid /= 16.0
     if i1 == n:
         mids[-1] = (
             _W_RIGHT[0] * prev[n - 3]
@@ -292,9 +296,10 @@ def _step_grid(h, T, step):
 # slots march fewer lockstep rows, down to the longest lane's own count: at
 # resolution 256, funcrr2's longest lane takes 64 segments, and 512 slots
 # finish every other lane within them.  They are also the fastest for its
-# coarse marches: its 5,080 lanes at h/8 and h/16 took 14.5 and 18.3 ms on
-# 512 slots, 15.4 and 21.8 ms on 2,048, 27.9 and 36.1 ms on 5,080 (the
-# least of 5 runs each)
+# coarse marches: with each slot's lane state set once per lane and
+# _BLOCK = 2, its 5,080 lanes at h/8 and h/16 took 13.3 and 20.1 ms on 512
+# slots, 14.0 and 24.3 ms on 1,024 and 22.5 and 28.4 ms on 256 (the least
+# of 9 alternated runs in one process, on 2 vCPUs shared with other load)
 _SLOTS = 512
 # model values are taken _CHUNK rows of _SLOTS slots at a time, so no
 # segment-sized temporaries are made, and more rows when fewer slots are
@@ -305,6 +310,14 @@ _CHUNK = 32
 # lanes took 186 us so and 242 us as array passes, of 16 lanes 369 and 233
 # us; the march above went from 43 to 32 ms
 _FLOAT_LANES = 8
+# delay segments a slot marches between two looks at its lane's window.
+# The look, the refill and the divergence check cost about as much as a
+# segment's rows at h/8 on 512 slots, so a longer block takes fewer of
+# them, but a lane that ends inside a block marches on to the block's end:
+# funcrr2's marches at h/8 and h/16 took medians of 19.2 and 27.7 ms with
+# blocks of 1 segment, 17.0 and 21.0 ms with 2, 16.7 and 25.5 ms with 3
+# (9 alternated runs in one process)
+_BLOCK = 2
 
 
 def integrate(model, hist: History, params, T, step=None):
@@ -363,9 +376,14 @@ def _affine_weights(s, delta):
 
 
 def _affine_b(w_node, w_mid, c0, c1, s6):
-    """The offsets b of the steps over a run of rows: one array expression,
-    elementwise, so a column or a lane gets the bits of its own run."""
-    return s6 * (c0 * w_node[:-1] + c1 * w_mid + w_node[1:])
+    """The offsets b of the steps over a run of rows, s6*(c0*w_node[:-1] +
+    c1*w_mid + w_node[1:]) in that order, in place: elementwise, so a column
+    or a lane gets the bits of its own run."""
+    b = c0 * w_node[:-1]
+    b += c1 * w_mid
+    b += w_node[1:]
+    b *= s6
+    return b
 
 
 def _affine_rows(y, b, A) -> list:
@@ -436,7 +454,7 @@ def _lanes(w, hist, h, T, step) -> LaneDips:
     # objects left the heap holding more memory after the sweep's later checks
     n, s, K = _step_grid(np.broadcast_to(h, T.shape[1:]), T[1], step)
     if not K.size:
-        return LaneDips(step=s, values=np.empty((3, 0)), dip=np.empty(0), rows=0)
+        return LaneDips(step=s, values=np.empty((3, 0)), dip=np.empty(0), beyond=np.empty(0), rows=0)
     if np.any(n != n[0]):
         raise ValueError("lanes must share the number of steps per delay")
     start = _first_node_after(T[0], s)
@@ -444,96 +462,102 @@ def _lanes(w, hist, h, T, step) -> LaneDips:
         raise ValueError("a lane's start time lies past its horizon")
     z = np.broadcast_to(hist.value, K.shape)
     with np.errstate(all="ignore"):
-        values, rows = _conveyor(w, z, start, K, int(n[0]), s, _SLOTS)
+        values, beyond, rows = _conveyor(w, z, start, K, int(n[0]), s, _SLOTS)
     # a lane whose lowest node is its last has no right neighbour to refine with
     low, right = values[1], values[2]
     dip = np.where(np.isnan(right), low, _parabola_refine(values[0], low, right)[1])
-    return LaneDips(step=s, values=values, dip=dip, rows=rows)
+    return LaneDips(step=s, values=values, dip=dip, beyond=beyond, rows=rows)
 
 
 def _conveyor(w, z, start, K, n, s, slots):
-    """March lanes on slots one delay segment at a time; returns the stencil
-    of each lane's lowest node in [start, K] (see LaneDips) and the rows marched.
+    """March lanes on slots, _BLOCK delay segments at a time; returns the
+    stencil of each lane's lowest node in [start, K] and its node K + 1
+    (see LaneDips), and the rows marched.
 
-    prev and cur hold the last and the current segment of each slot's lane,
-    nodes k0 - n .. k0 and k0 .. k0 + n.  Every lane starts on a segment
-    boundary, so all slots share the segment rows.  A lane's window covers
-    rows wlo..whi of a segment, max(start - k0, 1) .. min(K - k0, n): a
-    slot whose window misses the segment (wlo > whi) takes no minimum, one
-    whose window spans it (1 .. n) the plain column minimum, and one whose
-    window covers part of it a masked minimum on its own column.  Only the
-    slots with a new low look for the row that holds it.
+    Row i of buf holds node g - n - 1 + i of the conveyor's clock g: the
+    segment before the block and the node before it, then the block's
+    segments.  A lane that takes a slot at clock g0 has its node k at
+    g0 + k.  Every lane starts on a block boundary, so all slots share the
+    rows; a slot whose lane finishes inside a block marches on to the
+    block's end, and its nodes past K + 1 are never read.  Each slot keeps
+    its lane's window [start, K] and its lowest node so far on the clock,
+    and the lane's step and affine weights: all are set once, when the lane
+    takes the slot.  After each block one masked column minimum over all
+    slots takes the window's nodes g .. g + m*n - 1, and only the slots with
+    a new low look up its neighbours.
     """
     order = np.argsort(-K, kind="stable")  # longest first, so the tail is short
+    # per lane: its window start, K and no lowest node yet; s, A, c0, c1, s/6
+    lane_span = np.stack([start, K, np.full(len(K), -1)])
+    weights = np.stack([s, *_affine_weights(s, 1.0)])
     width = min(slots, len(K))
     lane = order[:width].copy()
     waiting = width  # order[waiting:] still wait for a slot
-    fresh = np.arange(width)  # slots whose lane starts this segment
-    prev = np.empty((n + 1, width))
-    cur = np.empty((n + 1, width))
-    k0 = np.zeros(width, dtype=int)
-    low = np.empty(width)
-    node = np.empty(width, dtype=int)
-    left = np.empty(width)
-    right = np.empty(width)
+    fresh = np.arange(width)  # slots whose lane starts this block
+    # per slot, on the clock: window start, K, and the lowest node (-1 for none)
+    span = np.empty((3, width), dtype=int)
+    slot_weights = np.empty((5, width))
+    # per slot: the lowest node's left neighbour, value and right neighbour
+    stencil = np.empty((3, width))
+    m = _BLOCK
+    buf = np.empty(((m + 1) * n + 2, width))
     out = np.empty((3, len(K)))
-    row = np.arange(n + 1)[:, None]
-    rows = 0
+    beyond = np.empty(len(K))
+    node_at = np.arange(len(buf))[:, None] - (n + 1)  # row i's node, less g
+    around = np.array([[-1], [0], [1]])
+    g = 0
     while width:
-        # a new lane's history is constant: its delayed nodes and midpoints are exactly z
-        z_new = z[lane[fresh]]
-        prev[:, fresh] = z_new
-        cur[0, fresh] = z_new
-        k0[fresh] = 0
-        low[fresh] = np.inf
-        node[fresh] = -1
-        lane_s, K_s, start_s = s[lane], K[lane], start[lane]
-        A, c0, c1, s6 = _affine_weights(lane_s, 1.0)
+        if fresh.size:
+            # a new lane's history is constant: its delayed nodes and
+            # midpoints are exactly z
+            ids = lane[fresh]
+            z_new = z[ids]
+            buf[: n + 2, fresh] = z_new
+            span[:, fresh] = lane_span[:, ids] + [[g], [g], [0]]
+            stencil[1, fresh] = np.inf
+            slot_weights[:, fresh] = weights[:, ids]
+        first, last, node = span
+        lane_s, A, c0, c1, s6 = slot_weights
         chunk = _CHUNK * slots // width
-        for r0 in range(0, n, chunk):
-            r1 = min(r0 + chunk, n)
-            mids = _segment_midpoints(prev, r0, r1)
-            mids[:, fresh] = z_new
-            b = _affine_b(w(prev[r0 : r1 + 1], lane), w(mids, lane), c0, c1, s6)
-            _affine_lanes(cur[r0 : r1 + 1], b, A)
-        rows += n
+        for k in range(0, m * n, n):
+            prev, cur = buf[k + 1 : k + n + 2], buf[k + n + 1 : k + 2 * n + 2]
+            for r0 in range(0, n, chunk):
+                r1 = min(r0 + chunk, n)
+                mids = _segment_midpoints(prev, r0, r1)
+                if k == 0 and fresh.size:
+                    mids[:, fresh] = z_new
+                b = _affine_b(w(prev[r0 : r1 + 1], lane), w(mids, lane), c0, c1, s6)
+                _affine_lanes(cur[r0 : r1 + 1], b, A)
 
         # A*y + b is inf or nan wherever y is: a slot's last row is finite
-        # only if all its rows are
-        if not np.isfinite(cur[n]).all():
-            bad = np.argwhere(~np.isfinite(cur) & (row <= K_s - k0))
+        # only if all its rows are.  Nodes past K never raise
+        if not np.isfinite(buf[-1]).all():
+            bad = np.argwhere(~np.isfinite(buf) & (node_at <= last - g))
             if len(bad):
-                r, j = bad[0].tolist()
-                raise IntegrationDiverged(float((k0[j] + r) * lane_s[j]))
+                i, j = bad[0].tolist()
+                k = g + int(node_at[i, 0]) - (last[j] - K[lane[j]])
+                raise IntegrationDiverged(float(k * lane_s[j]))
 
-        # a lowest node on the last segment's last row gets its right neighbour now
-        pending = node == k0
-        right[pending] = cur[1, pending]
-        # rows wlo..whi of each lane's window [start, K] in this segment
-        wlo = np.maximum(start_s - k0, 1)
-        whi = np.minimum(K_s - k0, n)
-        seg_low = cur[1:].min(axis=0)
-        seg_low[wlo > whi] = np.inf
-        part = np.flatnonzero((wlo <= whi) & ((wlo > 1) | (whi < n)))
-        inside = (row >= wlo[part]) & (row <= whi[part])
-        seg_low[part] = np.where(inside, cur[:, part], np.inf).min(axis=0)
-        new = np.flatnonzero(seg_low < low)
-        # the first lowest row in the window, as argmin over a single run
-        # finds it, on the columns with a new low only: the window holds a
-        # row equal to the low, so no row after whi can come first
-        r = ((cur[:, new] == seg_low[new]) & (row >= wlo[new])).argmax(axis=0)
-        low[new] = cur[r, new]
-        left[new] = cur[r - 1, new]
-        node[new] = k0[new] + r
-        right[new] = np.where(
-            (r < n) & (node[new] < K_s[new]), cur[np.minimum(r + 1, n), new], np.nan
-        )
+        # the window's nodes g .. g + m*n - 1, rows n + 1 .. n + m*n: the
+        # first lowest, as argmin over a single run finds it
+        rows = node_at[n + 1 : -1]
+        window = np.where((rows >= first - g) & (rows <= last - g), buf[n + 1 : -1], np.inf)
+        new = np.flatnonzero(window.min(axis=0) < stencil[1])
+        r = window[:, new].argmin(axis=0) + (n + 1)
+        stencil[:, new] = buf[r + around, new]
+        node[new] = g + r - (n + 1)
 
-        k0 += n
-        prev, cur = cur, prev
-        cur[0] = prev[n]
-        done = np.flatnonzero(K_s <= k0)
-        out[:, lane[done]] = left[done], low[done], right[done]
+        # a lane is done once its node K + 1 is marched; node K has no right
+        # neighbour
+        done = np.flatnonzero(last < g + m * n)
+        if done.size:
+            ids = lane[done]
+            found = stencil[:, done]
+            found[2, node[done] == last[done]] = np.nan
+            out[:, ids] = found
+            beyond[ids] = buf[last[done] + (n + 2 - g), done]
+        g += m * n
+        buf[: n + 2] = buf[-(n + 2) :]
         take = min(done.size, len(order) - waiting)
         fresh = done[:take]
         lane[fresh] = order[waiting : waiting + take]
@@ -544,11 +568,10 @@ def _conveyor(w, z, start, K, n, s, slots):
             keep[done[take:]] = False
             fresh = np.cumsum(keep)[fresh] - 1
             width = int(keep.sum())
-            lane, k0, low, node, left, right = (
-                v[keep] for v in (lane, k0, low, node, left, right)
-            )
-            prev, cur = prev[:, keep], cur[:, keep]
-    return out, rows
+            lane = lane[keep]
+            span, slot_weights, stencil = span[:, keep], slot_weights[:, keep], stencil[:, keep]
+            buf = buf[:, keep]
+    return out, beyond, g
 
 
 @dataclass(frozen=True)

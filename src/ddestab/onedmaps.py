@@ -80,7 +80,8 @@ class MapSolve:
     interval, iterations the solver count.  For lanes solved with a settled
     predicate, settled flags the lanes it stopped: their value is only known
     to lie, with the full solve's, in [min(bracket[0], value),
-    max(bracket[1], value)].
+    max(bracket[1], value)].  exhausted flags a root solve that reached the
+    solver's iteration limit (see rootfind), per lane for lanes.
     """
 
     value: float
@@ -88,6 +89,7 @@ class MapSolve:
     bracket: tuple[float, float]
     iterations: int
     settled: np.ndarray | None = None
+    exhausted: bool | np.ndarray = False
 
 
 def _sln(s: float) -> float:
@@ -194,7 +196,7 @@ def _map_solve(setup, rz, np_: NormParams, settled=None) -> MapSolve:
     lo, hi, u1, c = setup(rz, np_)
     a = np_.a
     res = solve_bracketed(_identity, lo, hi, args=(u1, a, *_phi_base(u1, rz, a), c))
-    return MapSolve(res.root, res.f_root, res.bracket, res.iterations)
+    return MapSolve(res.root, res.f_root, res.bracket, res.iterations, exhausted=res.exhausted)
 
 
 def _lane_solves(parts, settled=None) -> list[MapSolve]:
@@ -235,6 +237,7 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
     for (_, rz, _), sel in zip(parts, sels):
         value, residual, end_a, end_b = (np.zeros(rz.shape) for _ in range(4))
         stopped = np.zeros(rz.shape, dtype=bool) if settled is not None else None
+        exhausted = np.zeros(rz.shape, dtype=bool)
         done = slice(start, start + sel.size)
         start = done.stop
         iterations = 0
@@ -242,9 +245,10 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
             value[sel], residual[sel] = res.root[done], res.f_root[done]
             end_a[sel], end_b[sel] = res.bracket[0][done], res.bracket[1][done]
             iterations = int(res.lane_iterations[done].sum())
+            exhausted[sel] = res.exhausted[done]
             if stopped is not None:
                 stopped[sel] = res.settled[done]
-        out.append(MapSolve(value, residual, (end_a, end_b), iterations, stopped))
+        out.append(MapSolve(value, residual, (end_a, end_b), iterations, stopped, exhausted))
     return out
 
 

@@ -32,6 +32,10 @@ far, an interval that holds the root the lane's full solve would return.
 A lane it accepts is settled: it stops where it is, its root is only known
 to lie in that enclosure, and RootResult.settled flags it.  Every other lane
 still ends bitwise as its scalar solve.
+
+A solve, or a lane, that reaches _MAX_ITER without meeting the stop rule
+returns its best point so far, and RootResult.exhausted flags it: its root
+is not known to the stop width.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class RootResult:
     lane_iterations holds each lane's; settled flags the lanes a settled
     predicate stopped, whose root is the best point when they stopped and
     lies, with the full solve's root, in [min(bracket[0], root),
-    max(bracket[1], root)]."""
+    max(bracket[1], root)].  exhausted flags a solve that reached
+    _MAX_ITER without meeting the stop rule, per lane for lanes."""
 
     root: float
     f_root: float
@@ -64,6 +69,7 @@ class RootResult:
     bracket: tuple[float, float]
     lane_iterations: np.ndarray | None = None
     settled: np.ndarray | None = None
+    exhausted: bool | np.ndarray = False
 
 
 # a solve stops once the bracket is this narrow relative to max(1, |x|),
@@ -90,13 +96,13 @@ def solve_bracketed(
 
     Returns the visited point with the smallest |f|.  Stops when the bracket
     width drops below _XTOL * max(1, |x|) (_XTOL * |x| where |x| < _TINY),
-    when f hits zero exactly, or after _MAX_ITER iterations.  Each step is
-    false position with the Illinois rule, the interior step and the
-    progress guard (see the module docstring).  A 1-D array
-    lo or hi makes one lane per entry, and f then maps an array of points
-    to an array of values; each entry of args is then a column with one
-    value per lane (or broadcasts to one), cut together with the points to
-    the lanes still running.  Once at most _SCALAR_TAIL lanes run, f also
+    when f hits zero exactly, or after _MAX_ITER iterations, which flags
+    the result exhausted.  Each step is false position with the Illinois
+    rule, the interior step and the progress guard (see the module
+    docstring).  A 1-D array lo or hi makes one lane per entry, and f then
+    maps an array of points to an array of values; each entry of args is
+    then a column with one value per lane (or broadcasts to one), cut
+    together with the points to the lanes still running.  Once at most _SCALAR_TAIL lanes run, f also
     gets one lane's point and args as Python scalars, and must return a
     float that is bitwise its array value there.
 
@@ -143,6 +149,7 @@ def _iterate(f, args, it0, a, b, fa, fb, pos, moved, mark, best_x, best_f) -> Ro
     it lies within half the stop width of an end.
     """
     it = it0
+    exhausted = False
     for it in range(it0, _MAX_ITER + 1):
         scale = max(abs(a), abs(b))
         tol = _XTOL * (scale if scale < _TINY else max(1.0, scale))
@@ -178,8 +185,10 @@ def _iterate(f, args, it0, a, b, fa, fb, pos, moved, mark, best_x, best_f) -> Ro
             if moved == 0:
                 fa *= 0.5
             moved = 0
+    else:
+        exhausted = True
 
-    return RootResult(best_x, best_f, it, (a, b))
+    return RootResult(best_x, best_f, it, (a, b), exhausted=exhausted)
 
 
 def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
@@ -204,6 +213,7 @@ def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
     root, f_root, end_a, end_b = (np.zeros(n) for _ in range(4))
     iterations = np.zeros(n, dtype=np.int64)
     stopped = np.zeros(n, dtype=bool)  # the settled lanes
+    exhausted = np.zeros(n, dtype=bool)
     lane = np.arange(n)  # each running lane's index into the outputs
 
     def retire(stop, it, x, fx, a, b):
@@ -260,6 +270,7 @@ def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
                 res = _iterate(f, tuple(v[k].item() for v in args), it, *lane_state)
                 root[i], f_root[i], iterations[i] = res.root, res.f_root, res.iterations
                 end_a[i], end_b[i] = res.bracket
+                exhausted[i] = res.exhausted
             break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_new = a + width * (fa / (fa - fb))
@@ -293,9 +304,10 @@ def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
         b, fb = np.where(moves_a, b, x_new), np.where(moves_a, fb * halve, f_new)
         moved = step
     else:
+        exhausted[lane] = True
         retire(np.ones(lane.size, dtype=bool), _MAX_ITER, best_x, best_f, a, b)
 
     return RootResult(
         root, f_root, int(iterations.sum()), (end_a, end_b), iterations,
-        stopped if settled is not None else None,
+        stopped if settled is not None else None, exhausted,
     )

@@ -74,6 +74,7 @@ from .onedmaps import (
 __all__ = [
     "LemmaReport",
     "LEMMA_IDS",
+    "SolveExhausted",
     "verify_lemma",
     "verify_all",
     "write_report",
@@ -278,6 +279,10 @@ def _margins_jcal_concavity(grid: Grid, mx, lows=None) -> list:
     return [("concave", -second)]
 
 
+class SolveExhausted(RuntimeError):
+    """A sweep's root solve reached the iteration limit on a row it needs."""
+
+
 def _settle_above(offsets: dict, lows: dict, below: bool = False):
     """The settled(rows, lo, hi) predicate of one block's root solve, or
     of its coarse marches.
@@ -313,10 +318,21 @@ def _solved(solve, r, lanes, offsets: dict, lows, below: bool = False):
     With lows, the solve settles rows by _settle_above, and a settled row
     gives the end of its root enclosure that makes each of its margins the
     lower bound the predicate took; without, every row is solved to the end.
+
+    A solve that reached the iteration limit has no root to the stop width:
+    without lows its row gives NaN, so a fact taken from it fails; with
+    lows, a sweep, it raises SolveExhausted.
     """
     if lows is None:
-        return solve(r, lanes).value
+        sol = solve(r, lanes)
+        if isinstance(sol.value, float):
+            return math.nan if sol.exhausted else sol.value
+        return np.where(sol.exhausted, math.nan, sol.value)
     sol = solve(r, lanes, settled=_settle_above(offsets, lows, below))
+    if sol.exhausted.any():
+        raise SolveExhausted(
+            f"{int(sol.exhausted.sum())} root solves reached the iteration limit unsettled"
+        )
     if below:
         end = np.maximum(sol.bracket[1], sol.value)
     else:
@@ -387,71 +403,95 @@ def _margins_leleka(grid: Grid, mx, lows=None) -> list:
 
 
 # funcrr2's coarse pair, in steps per delay.  Measured at resolutions 16,
-# 64 and 256 against h/256, and at 256 also against h/1024:
-# - every bounded lane's error was at most 0.050 of its _dip_error_bound
-#   (0.047 with the pair 4, 8 and 0.093 with 16, 32);
-# - the Richardson term alone missed 7 lanes at 64 and 14 at 256, by up to
-#   56 times.  With the parabola term beside it the worst lane reached 0.41
-#   of its bound, with the slope term 0.050.  Without the Richardson term
-#   one lane left its bound.
-# Only the lowest lane and the 14 lanes whose lowest node is their last
-# then march at h/256.  funcrr2's margins at resolution 256 took a median
-# of 81 ms so, 78 ms with the pair 4, 8 (27 lanes at h/256) and 101 ms with
-# 16, 32, against 227 ms for marching every lane at h/256 (9 alternated
-# runs)
+# 64 and 256 against h/256, and at 256 also against h/1024, on every lane:
+# - every lane's error was at most 0.41 of its _dip_error_bound: at most
+#   0.050 for lanes whose lowest node has a right neighbour, 0.41 for the
+#   14 whose lowest node is their last (0.047 and 0.49 with the pair 4, 8);
+# - for the former, the Richardson term alone missed 7 lanes at 64 and 14
+#   at 256, by up to 56 times.  With the parabola term beside it the worst
+#   lane reached 0.41 of its bound, with the slope term 0.050.  Without the
+#   Richardson term one lane left its bound.
+# Only the lowest lane then marches at h/256 at resolutions 64 and 256, and
+# at 16 the lowest and the next one.  funcrr2's margins at resolution 256
+# took a median of 45 ms so against 96 ms for the parent's, which marched
+# the 14 last-node lanes at h/256 too.  The pair 4, 8 took 37 ms, but its
+# wider bounds leave 27 lanes to march at h/256 (9 alternated runs in one
+# process, on 2 vCPUs shared with other load)
 _COARSE_STEPS = (8, 16)
 
 
-def _funcrr2_dips(grid: Grid, n: int | None = None):
-    """The LaneDips of funcrr2's runs, a lane per row, marched at h/n steps
-    (h/256 without n): from the constant history z with r(z) = r, each
-    lane's lowest node from its first crossing tc up to tc + 3h."""
+def _funcrr2_runs(grid: Grid):
+    """funcrr2's runs, a lane per row: from the constant history z with
+    r(z) = r, each lane's lowest node from its first crossing tc up to
+    tc + 3h.  Returns march(n=None, rows=None), the LaneDips of the lanes
+    in rows (every lane without), marched at h/n steps (h/256 without n);
+    z, tc and h are taken once for all marches."""
     from .ddesim import History, _envelope, integrate
 
     r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
     z = r_inv(r, lanes.a)
     tc = FLOAT.log(1.0 - (1.0 + z) / lanes.a)
-    T = np.stack([tc, tc + 3.0 * lanes.delay])
-    step = None if n is None else lanes.delay / n
-    return integrate(_envelope(lanes.a), History.constant(z), lanes, T, step)
+    h = lanes.delay
+    T = np.stack([tc, tc + 3.0 * h])
+
+    def march(n: int | None = None, rows=slice(None)):
+        part = NormLanes(a=lanes.a[rows], theta=lanes.theta[rows])
+        step = None if n is None else h[rows] / n
+        return integrate(_envelope(part.a), History.constant(z[rows]), part, T[:, rows], step)
+
+    return march
 
 
 def _dip_error_bound(coarse, finer) -> np.ndarray:
     """A bound on each lane's |finer.dip - h/256 dip|, from the LaneDips of
-    two coarse marches, finer at half coarse's step.  Its three terms:
+    two coarse marches, finer at half coarse's step.  Its terms:
     - 4*|finer.dip - coarse.dip|, a step-halving (Richardson) estimate of
       the integration error (Hairer, Norsett and Wanner, Solving ODEs I,
       1993): for a fourth-order method finer's error is about 1/15 of the
       difference;
-    - one step times the slope at the dip node, |right - left|/2, as the
-      window's first node moves by up to a step with the step;
-    - the parabola's sampling term |dip - low|.
-    NaN where the lowest node is the lane's last, so such a lane never
-    settles: with no right neighbour nothing bounds a turn within its last
-    step.  Taking the line through left and low for it, such lanes' errors
-    reached 0.81 of their bounds with the pair 8, 16 and 2.6 with 16, 32."""
+    - where the lowest node has a right neighbour, one step times the slope
+      at the dip node, |right - left|/2, as the window's first node moves by
+      up to a step with the step, and the parabola's sampling term
+      |dip - low|;
+    - where the lowest node is the lane's last, both one-sided slopes
+      there, |low - left| and |beyond - low|, and the second difference
+      |beyond - 2*low + left|, all over one step of finer: beyond, the node
+      past the horizon, bounds a turn of the run within its last step.
+    NaN where the lowest node is the last and beyond is not finite, so such
+    a lane never settles."""
     left, low, right = finer.values
-    return (
-        4.0 * np.abs(finer.dip - coarse.dip)
-        + 0.5 * np.abs(right - left)
-        + np.abs(finer.dip - low)
+    beyond = finer.beyond
+    last = np.isnan(right)
+    with np.errstate(invalid="ignore", over="ignore"):
+        turn = np.abs(low - left) + np.abs(beyond - low) + np.abs(beyond - 2.0 * low + left)
+    local = np.where(
+        last,
+        np.where(np.isfinite(beyond), turn, np.nan),
+        0.5 * np.abs(right - left) + np.abs(finer.dip - low),
     )
+    return 4.0 * np.abs(finer.dip - coarse.dip) + local
 
 
 def _margins_funcrr2(grid: Grid, mx, lows=None) -> list:
+    """dip - corner bound of each run, its dip marched at h/256.
+
+    With lows, in a sweep, every lane marches at the two _COARSE_STEPS, and
+    settles by _settle_above on the enclosure _dip_error_bound gives its
+    dip at the finer one: a settled lane's margin is the enclosure's lower
+    end.  Only the lanes that do not settle march at h/256; a lane with no
+    bound (its lowest node is its last and the node past its horizon is
+    not finite) never settles."""
     label = "dip_above_corner_bound"
     corner = R2_eval(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"]))
+    march = _funcrr2_runs(grid)
     if lows is None:
-        return [(label, _funcrr2_dips(grid).dip - corner)]
-    # every lane marches coarse, and settles by _settle_above on its dip's
-    # enclosure; a settled lane's dip is the enclosure's lower end, and
-    # only the others march at h/256
-    coarse, finer = (_funcrr2_dips(grid, n) for n in _COARSE_STEPS)
+        return [(label, march().dip - corner)]
+    coarse, finer = (march(n) for n in _COARSE_STEPS)
     err = _dip_error_bound(coarse, finer)
     dip = finer.dip - err
     settled = _settle_above({label: corner}, lows)(np.arange(dip.size), dip, finer.dip + err)
     fine = np.flatnonzero(~settled)
-    dip[fine] = _funcrr2_dips({k: v[fine] for k, v in grid.items()}).dip
+    dip[fine] = march(rows=fine).dip
     return [(label, dip - corner)]
 
 
@@ -742,7 +782,10 @@ def verify_lemma(lemma_id: str, resolution: int = 256) -> LemmaReport:
         raise ValueError("resolution must be at least 4")
     spec = _REGISTRY[lemma_id]
     grid_spec, grid = spec.gen(resolution)
-    violations, min_margin = _eval_columns(spec, grid)
+    try:
+        violations, min_margin = _eval_columns(spec, grid)
+    except SolveExhausted as exc:
+        raise SolveExhausted(f"check {lemma_id} at resolution {resolution}: {exc}") from None
     if spec.min_margin_override is not None:
         min_margin = spec.min_margin_override()
     return LemmaReport(

@@ -21,6 +21,7 @@ from ddestab.models import (
 )
 from ddestab.onedmaps import F1_solve, F_solve, interval_I
 from ddestab.params import NormLanes, NormParams, ParamSet
+from ddestab.verify import _dip_error_bound
 from oracles import F1_sim, F_sim, extremum_after, parabola_refine, rk4_integrate, rk4_rows
 
 
@@ -549,9 +550,14 @@ def _lane_windows_equal_scalar_runs(monkeypatch, n):
         last = len(y) - 1
         stencil = y[im - 1 : im + 2] if im < last else np.r_[y[im - 1 : im + 1], np.nan]
         dip = np.float64(extremum_after(y, float(T0[j] * p.delay), one.step, lowest=True))
+        # the past-horizon node is the single run's one node further
+        further = integrate(w, History.constant(float(Z[j])), p, (last + 1) * one.step, one.step)
+        assert len(further.values) == last + 2
+        assert further.values[:-1].tobytes() == y.tobytes()
         for run in runs:
             assert stencil.tobytes() == run.values[:, j].tobytes(), j
             assert dip.tobytes() == run.dip[j].tobytes(), j
+            assert further.values[-1].tobytes() == run.beyond[j].tobytes(), j
         # a window that starts on a boundary starts at the last row of the
         # segment before it
         seen.add(("window starts in segment", (start - 1) // n))
@@ -625,6 +631,30 @@ def test_lane_past_its_horizon_never_raises(monkeypatch):
         assert dip.tobytes() == run.dip[j].tobytes()
 
 
+def _falling(x, b):
+    return -b * np.abs(x)
+
+
+def test_lane_whose_past_horizon_node_overflows_gets_no_bound(monkeypatch):
+    # x' = -x - 1e155 |x(t - h)| from 0.3 falls for good, until its model
+    # value overflows and the run drops to -inf.  With its horizon one node
+    # before that, its lowest node is its last and its node past the horizon
+    # is -inf: the conveyor does not raise, and funcrr2's dip bound gives
+    # the lane none, so it would march at h/256
+    b = np.r_[1e155, np.abs(_LANE_B[1:])]
+    with pytest.raises(IntegrationDiverged) as exc:
+        _one_dip(0, f=_falling, b=b, T=np.full(8, 3.0))
+    node = round(exc.value.t * 256 / NormParams(a=-2.0, theta=0.9).delay)
+    T = np.r_[(node - 1) / 256, _LANE_T[1:]]
+    run = _lane_run(monkeypatch, f=_falling, b=b, T=T)
+    one, dip = _one_dip(0, f=_falling, b=b, T=T)
+    assert np.argmin(one.values) == len(one.values) - 1 and np.isnan(run.values[2, 0])
+    assert dip.tobytes() == run.dip[0].tobytes()
+    assert run.beyond[0] == -np.inf and np.all(np.isfinite(run.beyond[1:]))
+    bound = _dip_error_bound(run, run)
+    assert np.isnan(bound[0]) and np.all(np.isfinite(bound[1:]))
+
+
 def test_lane_overflow_within_its_horizon_raises(monkeypatch):
     # the conveyor reports the overflow at the lane's own time, as its run does
     T = np.r_[_overflow_node() / 256, _LANE_T[1:]]
@@ -641,7 +671,8 @@ def test_no_lanes_give_empty_dips():
     lanes = NormLanes(a=e, theta=e)
     run = integrate(ddesim._envelope(e), History.constant(e), lanes, np.empty((2, 0)))
     assert run.rows == 0
-    assert run.values.shape == (3, 0) and run.dip.shape == run.step.shape == (0,)
+    assert run.values.shape == (3, 0)
+    assert run.dip.shape == run.step.shape == run.beyond.shape == (0,)
 
 
 def test_lanes_need_constant_history_and_a_window():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ddestab import rootfind
 from ddestab.rootfind import _MAX_ITER, _SCALAR_TAIL, _TINY, _XTOL, BracketError, solve_bracketed
 
 
@@ -53,6 +54,51 @@ def test_random_scaled_roots(r, c):
     assert abs(res.root - r) < 1e-7
     lo, hi = res.bracket
     assert lo <= res.root <= hi
+
+
+# the smallest normal double: below |x| = _TINY the stop width is relative
+# to |x|, so a bracket of [-1, 1] around this root closes to a few ulps of it
+_EDGE_ROOT = 2.2250738585072014e-308
+
+
+def _edge_cubic(x):
+    # test_random_scaled_roots' cubic at r = _EDGE_ROOT, c = 1
+    return 1.0 * (x - _EDGE_ROOT) ** 3 + 0.1 * (x - _EDGE_ROOT)
+
+
+def test_edge_root_meets_the_stop_rule(monkeypatch):
+    # the solve encloses the root within its stop width, or hits f = 0,
+    # well before _MAX_ITER, and is not flagged; with the limit below its
+    # iteration count it returns at the limit, flagged exhausted
+    res = solve_bracketed(_edge_cubic, -1.0, 1.0)
+    a, b = res.bracket
+    assert res.exhausted is False and res.iterations < _MAX_ITER
+    assert res.f_root == 0.0 or b - a <= _stop_width(a, b)
+    assert abs(res.root - _EDGE_ROOT) <= 1e-15 * _EDGE_ROOT
+    monkeypatch.setattr(rootfind, "_MAX_ITER", res.iterations - 1)
+    cut = solve_bracketed(_edge_cubic, -1.0, 1.0)
+    assert cut.exhausted is True and cut.iterations == res.iterations - 1
+
+
+@pytest.mark.parametrize("edge_lanes", [1, 2 * _SCALAR_TAIL + 1])
+def test_lanes_that_reach_the_iteration_limit_are_flagged(edge_lanes, monkeypatch):
+    # edge-root lanes take 23 iterations, the others at most 12.  Under a
+    # limit of 16, one edge lane reaches it on the scalar tail, and more
+    # than _SCALAR_TAIL of them reach it in lockstep; either way exactly
+    # the edge lanes are flagged, each as its scalar solve
+    n = 2 * _SCALAR_TAIL + 5
+    r = np.linspace(-0.45, 0.45, n)
+    r[:edge_lanes] = _EDGE_ROOT
+    params = (r, np.ones(n), np.full(n, 0.1), np.zeros(n))
+    lo, hi = np.full(n, -1.0), np.ones(n)
+    full = solve_bracketed(_cubic, lo, hi, args=params)
+    assert not full.exhausted.any()
+    assert full.lane_iterations[:edge_lanes].min() > 16 >= full.lane_iterations[edge_lanes:].max()
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 16)
+    lanes = solve_bracketed(_cubic, lo, hi, args=params)
+    assert lanes.exhausted.tolist() == (r == _EDGE_ROOT).tolist()
+    for i, one in enumerate(_scalar_solves_match(lanes, lo, hi, params)):
+        assert one.exhausted == lanes.exhausted[i], i
 
 
 def _cubic(x, r, c, d, e):

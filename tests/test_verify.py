@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddestab import verify
+from ddestab import rootfind, verify
+from ddestab.ddesim import LaneDips
 from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
 from ddestab.models import NicholsonParams, nicholson_global
 from ddestab.cli import main
@@ -444,43 +445,90 @@ def test_violating_rows_are_solved_to_the_end(lemma_id, offset, shift, monkeypat
     assert settled.min_margin.hex() == full.min_margin.hex()
 
 
+@pytest.mark.parametrize("lemma_id", ["leform1", "plyus", "leform2"])
+def test_exhausted_root_solves_stop_the_sweep(lemma_id, monkeypatch):
+    # with the iteration limit cut to 3, rows the settle rule cannot stop
+    # reach it: the sweep raises and names the check, rather than report
+    # margins from roots not known to the stop width
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
+    with pytest.raises(verify.SolveExhausted, match=f"^check {lemma_id} at resolution 8: "):
+        verify_lemma(lemma_id, resolution=8)
+
+
+def test_exhausted_root_solves_fail_their_facts(np_core, monkeypatch):
+    # check's seven leform1 spots are scalar solves; cut short, each gives
+    # a NaN margin, so the fact fails and the point is not certified
+    assert certificate(np_core).ok
+    monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
+    cert = certificate(np_core)
+    fact = next(f for f in cert.chain if f.name == "response_above_moebius")
+    assert math.isnan(fact.value) and not fact.ok and fact.backed_by == "leform1"
+    assert not cert.ok and cert.failure == fact
+
+
 def _coarse_margins(grid):
-    """funcrr2's margins at h/16 and their error bounds, per row."""
+    """funcrr2's margins at h/16 and their error bounds, per row, and the
+    h/16 march."""
     corner = verify.R2_eval(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"]))
-    coarse, finer = (verify._funcrr2_dips(grid, n) for n in verify._COARSE_STEPS)
-    return finer.dip - corner, verify._dip_error_bound(coarse, finer), np.isnan(finer.values[2])
+    coarse, finer = (verify._funcrr2_runs(grid)(n) for n in verify._COARSE_STEPS)
+    return finer.dip - corner, verify._dip_error_bound(coarse, finer), finer
+
+
+# the rows of funcrr2's grid left to march at h/256: the lowest only, but
+# at resolution 16, where the lowest lane's enclosure (3.7e-4 +- 1.1e-4)
+# reaches the next lane's (4.8e-4 +- 1.9e-5)
+_FUNCRR2_UNSETTLED = {16: 2, 64: 1, 256: 1}
 
 
 @pytest.mark.parametrize("resolution", [16, 64, 256])
 def test_funcrr2_coarse_bound_holds(resolution, monkeypatch):
-    # every lane with a bound has its h/256 margin within it of its h/16
-    # margin; the lanes without one are those whose lowest node is their
-    # last.  The lowest lane is never settled, so it is marched at h/256
+    # every lane whose node past the horizon is finite, so every lane here,
+    # has a finite bound, and its h/256 margin lies within it of its h/16
+    # margin; lanes whose lowest node is their last among them (6 at 64, 14
+    # at 256).  The lowest lane is never settled, so it is marched at h/256
     grid = verify._gen_funcrr2(resolution)[1]
-    margin, bound, last = _coarse_margins(grid)
+    margin, bound, finer = _coarse_margins(grid)
     ((_, fine),) = _REGISTRY["funcrr2"].margins(grid, FLOAT)
-    assert np.array_equal(np.isnan(bound), last) and last.sum() < 20
-    assert np.all(np.abs(margin - fine)[~last] <= bound[~last])
+    assert np.all(np.isfinite(finer.beyond)) and np.all(np.isfinite(bound))
+    assert np.all(np.abs(margin - fine) <= bound)
+    assert np.isnan(finer.values[2]).sum() == {16: 0, 64: 6, 256: 14}[resolution]
     masks = _recording_settles(monkeypatch)
     ((_, column),) = _REGISTRY["funcrr2"].margins(grid, FLOAT, {})
     (settled,) = masks
     low = int(np.argmin(fine))
     assert not settled[low] and column[low] == fine[low]
-    assert settled.sum() > 0.99 * settled.size
+    assert (~settled).sum() == _FUNCRR2_UNSETTLED[resolution]
     assert column[~settled].tobytes() == fine[~settled].tobytes()
 
 
 def test_funcrr2_coarse_bound_holds_at_h_over_1024():
-    # on 64 seeded lanes of the resolution-256 grid, against margins marched
-    # at h/1024
+    # on 64 seeded lanes of the resolution-256 grid and the 14 lanes whose
+    # lowest node is their last, against margins marched at h/1024
     grid = verify._gen_funcrr2(256)[1]
-    rows = np.random.default_rng(31).choice(verify._row_count(grid), 64, replace=False)
+    last = np.flatnonzero(np.isnan(_coarse_margins(grid)[2].values[2]))
+    seeded = np.random.default_rng(31).choice(verify._row_count(grid), 64, replace=False)
+    rows = np.union1d(seeded, last)
+    assert last.size == 14 and rows.size == 78
     sub = {k: v[rows] for k, v in grid.items()}
-    margin, bound, last = _coarse_margins(sub)
+    margin, bound, _finer = _coarse_margins(sub)
     corner = verify.R2_eval(sub["r"], NormLanes(a=sub["a"], theta=sub["theta"]))
-    fine = verify._funcrr2_dips(sub, 1024).dip - corner
-    assert (~last).sum() >= 60
-    assert np.all(np.abs(margin - fine)[~last] <= bound[~last])
+    fine = verify._funcrr2_runs(sub)(1024).dip - corner
+    assert np.all(np.abs(margin - fine) <= bound)
+
+
+def test_dip_bound_covers_a_turn_within_the_last_step():
+    # a run whose last node is its lowest turns within its last step: on
+    # y = (t - 0.55)^2 at t = 0, 1, 2 (left, low and the node past the
+    # horizon) its dip is y(1) = 0.2025 at this step and near y(0.55) = 0
+    # at a fine one.  The slope towards left (0.1) misses that; the node
+    # past the horizon bounds it
+    left, low, beyond = ((np.array([t]) - 0.55) ** 2 for t in (0.0, 1.0, 2.0))
+    finer = LaneDips(
+        step=np.ones(1), values=np.stack([left, low, np.full(1, np.nan)]), dip=low,
+        beyond=beyond, rows=3,
+    )
+    bound = verify._dip_error_bound(finer, finer)
+    assert bound[0] >= low[0] > abs(low[0] - left[0])
 
 
 @pytest.mark.parametrize("row_block", [None, 512])
