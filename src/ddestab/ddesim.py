@@ -217,13 +217,18 @@ def _find_extrema(y: np.ndarray, t0: float, s: float) -> list:
 def _parabola_refine(ym: np.ndarray, y0: np.ndarray, yp: np.ndarray):
     """Vertex of the parabola through (-1, ym), (0, y0) and (1, yp), per
     entry: its offset in steps, clipped to [-1, 1], and its value; offset 0
-    and value y0 where the three points are collinear."""
+    and value y0 where the three points are collinear.
+
+    The value is y0 - d*d/(8*den), d = yp - ym.  Where d*d overflows, from
+    |d| of about 1.3e154, it is y0 + d*dt/4 instead, the same vertex in a
+    form that stays finite wherever d is: at an extremum |dt| <= 1/2."""
     den = yp - 2.0 * y0 + ym
     flat = den == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dt = np.clip(0.5 * (ym - yp) / den, -1.0, 1.0)
         d = yp - ym
-        v = y0 - d * d / (8.0 * den)
+        d2 = d * d
+        v = np.where(np.isinf(d2), y0 + 0.25 * d * dt, y0 - d2 / (8.0 * den))
     return np.where(flat, 0.0, dt), np.where(flat, y0, v)
 
 

@@ -10,7 +10,9 @@ and F1_solve_r also take an array of rz with per-lane parameters, and
 F_solve and F1_solve an array of z, and solve every lane in lockstep, each
 lane exactly as its scalar solve; F_F1_solve runs the lanes of both maps in
 one such solve.  The lane forms of F_solve_r and F1_solve_r take a settled
-predicate that the root solve applies to their lanes (see rootfind).
+predicate: it first sees each lane's bracket ends and, with a probe root,
+one more evaluation of the identity (_settle_early), and then the root
+solve's iterations on the lanes it leaves (see rootfind).
 
 The explicit rational bounds (L, G1) and the polynomial certificates
 (M, N, Q, S, T) reduce the map inequalities to sign checks that the verify
@@ -27,7 +29,7 @@ import numpy as np
 from .ddouble import FLOAT, _each, _libm
 from .params import NormLanes, NormParams, _any
 from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, coeffs, j_tangent_coeffs, r_eval
-from .rootfind import solve_bracketed
+from .rootfind import _XTOL, BracketError, solve_bracketed
 
 __all__ = [
     "IntervalI",
@@ -199,6 +201,89 @@ def _map_solve(setup, rz, np_: NormParams, settled=None) -> MapSolve:
     return MapSolve(res.root, res.f_root, res.bracket, res.iterations, exhausted=res.exhausted)
 
 
+def _identity_bound(u, u1, a, eps, v1, d1, c):
+    """A bound on the rounding error of _identity at the lanes' points u,
+    against the exact identity at the same float inputs.
+
+    In units of 2**-53 the error is at most 5*|w*d1| + |c| + 53*T, where
+    T = |a|*w*w/min(1, 1 + s) is at least twice |a*w*w*sln(s)|, as sln(s)
+    <= 1/(2*min(1, 1 + s)).  Of the 53: 4 for the products, 1 for the last
+    subtractions, 6 for the rounding of s (s*sln'(s) is at most 1/(1 + s)
+    + 2*sln(s)), and 42 for sln itself, the larger of the series' 14 and,
+    for |s| >= 0.1, 2 for the quotient's roundings and 40 for libm's log1p
+    within 2 ulps, which that branch scales by |log1p(s)|/s**2 <= 10/min(1,
+    1 + s).  The bound takes 2**-46 on each term, over twice that.  Each
+    term grows with |w|, so the bound at u holds between u1 and u too.
+    """
+    w = (u - u1) / v1
+    s = eps * w
+    return 2.0**-46 * (np.abs(w * d1) + np.abs(c) + np.abs(a) * w * w / np.minimum(1.0, 1.0 + s))
+
+
+def _settle_early(settled, rows, lo, hi, args) -> tuple:
+    """The lanes a settled predicate stops before any lockstep solve.
+
+    The identity at the u1 end, always one bracket end, is exactly -c, as
+    w = +-0 there, so only the other end is evaluated; a bracket without
+    a sign change raises BracketError as the solve would.  The predicate
+    first sees the ends-only enclosure [lo, hi], as at the solve's first
+    iteration.  A lane it leaves is then evaluated at the probe root t
+    that settled.probe(rows, width), if the predicate has one, gives for
+    the stop width width; t must lie strictly inside the bracket.
+
+    The exact identity's slope in u is (d1 - a*w/(1 + s))/v1.  As a < 0
+    and 1 + s > 0, it keeps one sign on [u1, t] where d1 and w(t) have the
+    same sign, as on every bracket of the sweeps; the probe asks for that.
+    Where f(t) also has the u1 end's sign and |f(t)| > 2*E(t), E =
+    _identity_bound, the exact identity has that sign at t, so the root
+    lies past t, |f| falls from u1 to t, and every computed f on [u1, t]
+    keeps that sign too: E(t) bounds the error there.  The full solve then
+    ends with a bracket past t and at most the stop width wide, inside
+    [t - width, other end] (mirrored where u1 is hi), and the predicate
+    sees that enclosure.  The point the solve returns, the best it visits,
+    lies in that bracket unless rounding makes an earlier point below
+    t - width look closer to the root than every later one, which no lane
+    of the sweep grids at resolutions 16 and 64 does.
+
+    Returns the mask of the stopped lanes, and each lane's best point, f
+    there and enclosure, which the stopped lanes report.
+    """
+    u1, c = args[0], args[-1]
+    at_lo = u1 == lo
+    other = np.where(at_lo, hi, lo)
+    f_u1, f_other = -c, _identity(other, *args)
+    signed = (f_u1 != 0.0) & (f_other != 0.0)
+    same_sign = signed & ((f_u1 > 0.0) == (f_other > 0.0))
+    if same_sign.any():
+        raise BracketError(f"no sign change in {int(same_sign.sum())} of {lo.size} lanes")
+    u1_best = np.abs(f_u1) <= np.abs(f_other)
+    x, fx = np.where(u1_best, u1, other), np.where(u1_best, f_u1, f_other)
+    end_a, end_b = lo.copy(), hi.copy()
+    done = settled(rows, lo, hi)
+    probe = getattr(settled, "probe", None)
+    left = np.flatnonzero(~done & signed)
+    if probe is None or not left.size:
+        return done, x, fx, end_a, end_b
+    width = _XTOL * np.maximum(1.0, np.maximum(np.abs(lo[left]), np.abs(hi[left])))
+    t = probe(rows[left], width)
+    inside = (lo[left] < t) & (t < hi[left])
+    left, t, width = left[inside], t[inside], width[inside]
+    part = [v[left] for v in args]
+    f_t = _identity(t, *part)
+    lane_u1, _, _, lane_v1, lane_d1, _ = part
+    sure = (f_t != 0.0) & ((f_t > 0.0) == (f_u1[left] > 0.0))
+    sure &= lane_d1 * ((t - lane_u1) / lane_v1) > 0.0  # d1 and w(t) of one sign
+    sure &= np.abs(f_t) > 2.0 * _identity_bound(t, *part)
+    left, t, width, f_t = left[sure], t[sure], width[sure], f_t[sure]
+    low = np.where(at_lo[left], t - width, lo[left])
+    high = np.where(at_lo[left], hi[left], t + width)
+    stop = settled(rows[left], low, high)
+    left = left[stop]
+    done[left] = True
+    x[left], fx[left], end_a[left], end_b[left] = t[stop], f_t[stop], low[stop], high[stop]
+    return done, x, fx, end_a, end_b
+
+
 def _lane_solves(parts, settled=None) -> list[MapSolve]:
     """One MapSolve per part (setup, rz, np_), solving every lane of every part at once.
 
@@ -210,7 +295,11 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
 
     settled, if given, is the root solve's predicate, with each lane named
     by its index into the parts' rz arrays laid end to end; a zero rz is
-    never offered to it.  Each result then flags its settled lanes.
+    never offered to it.  It first sees each lane's ends-only enclosure and,
+    if it has a probe, the enclosure one evaluation of the identity at the
+    probe root gives (_settle_early); the lanes it stops there take no
+    iteration, and only the others run the lockstep solve.  Each result
+    then flags its settled lanes.
     """
     cols, sels = [], []
     for setup, rz, np_ in parts:
@@ -221,34 +310,45 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
         cols.append([np.broadcast_to(v, sel.shape) for v in (lo, hi, u1, r, lanes.a, c)])
         sels.append(sel)
     lo, hi, u1, r, a, c = (np.concatenate(col) for col in zip(*cols))
-    res = None
-    if lo.size:
+    n = lo.size
+    root, f_root, end_a, end_b = (np.zeros(n) for _ in range(4))
+    lane_iterations = np.zeros(n, dtype=np.int64)
+    stopped, exhausted = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    if n:
+        args = (u1, a, *_phi_base(u1, r, a), c)
         on_lanes = None
         if settled is not None:
             starts = np.cumsum([0] + [rz.size for _, rz, _ in parts[:-1]])
             rows = np.concatenate([s + sel for s, sel in zip(starts.tolist(), sels)])
+            stopped, root, f_root, end_a, end_b = _settle_early(settled, rows, lo, hi, args)
 
             def on_lanes(lanes, lo, hi):
-                return settled(rows[lanes], lo, hi)
+                return settled(rows[run[lanes]], lo, hi)
 
-        args = (u1, a, *_phi_base(u1, r, a), c)
-        res = solve_bracketed(_identity, lo, hi, args=args, settled=on_lanes)
+        run = np.flatnonzero(~stopped)
+        if run.size:
+            res = solve_bracketed(
+                _identity, lo[run], hi[run], args=tuple(v[run] for v in args), settled=on_lanes
+            )
+            root[run], f_root[run] = res.root, res.f_root
+            end_a[run], end_b[run] = res.bracket
+            lane_iterations[run], exhausted[run] = res.lane_iterations, res.exhausted
+            if settled is not None:
+                stopped[run] = res.settled
     out, start = [], 0
     for (_, rz, _), sel in zip(parts, sels):
-        value, residual, end_a, end_b = (np.zeros(rz.shape) for _ in range(4))
-        stopped = np.zeros(rz.shape, dtype=bool) if settled is not None else None
-        exhausted = np.zeros(rz.shape, dtype=bool)
+        value, residual, bracket_a, bracket_b = (np.zeros(rz.shape) for _ in range(4))
+        flags = np.zeros(rz.shape, dtype=bool) if settled is not None else None
+        lane_exhausted = np.zeros(rz.shape, dtype=bool)
         done = slice(start, start + sel.size)
         start = done.stop
-        iterations = 0
-        if res is not None:
-            value[sel], residual[sel] = res.root[done], res.f_root[done]
-            end_a[sel], end_b[sel] = res.bracket[0][done], res.bracket[1][done]
-            iterations = int(res.lane_iterations[done].sum())
-            exhausted[sel] = res.exhausted[done]
-            if stopped is not None:
-                stopped[sel] = res.settled[done]
-        out.append(MapSolve(value, residual, (end_a, end_b), iterations, stopped, exhausted))
+        value[sel], residual[sel] = root[done], f_root[done]
+        bracket_a[sel], bracket_b[sel] = end_a[done], end_b[done]
+        lane_exhausted[sel] = exhausted[done]
+        if flags is not None:
+            flags[sel] = stopped[done]
+        iterations = int(lane_iterations[done].sum())
+        out.append(MapSolve(value, residual, (bracket_a, bracket_b), iterations, flags, lane_exhausted))
     return out
 
 

@@ -240,6 +240,9 @@ def schwarz_margin(x, a, theta, mx=FLOAT):
     composition rule -S(chi)(x) = g'(x)^2 * S(psi)(u) / psi'(u)^2 at
     u = psi_inv(g(x)).  S(psi) > 0 everywhere on (a, inf), hence the margin
     is positive for every a < 0, theta in (0, 1), x > -1.
+
+    Where (u - a)^2 underflows to 0, as at a = -1e-170, the margin is NaN,
+    not a warning, and a fact that rests on it fails.
     """
     x = mx.num(x)
     a = mx.num(a)
@@ -248,10 +251,11 @@ def schwarz_margin(x, a, theta, mx=FLOAT):
     gp = (1.0 - theta) * a / ((1.0 + x) * (1.0 + x))
     u = psi_inv_generic(gx, a, theta, mx)
     d = a - u
-    psi_p = 1.0 - theta * a / (d * d)
-    s_psi = 6.0 * theta * a / ((d * d - theta * a) * (d * d - theta * a))
-    # S(psi) = -6 theta a / ((u-a)^2 - theta a)^2 is positive since a < 0
-    return -(gp * gp) * s_psi / (psi_p * psi_p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psi_p = 1.0 - theta * a / (d * d)
+        s_psi = 6.0 * theta * a / ((d * d - theta * a) * (d * d - theta * a))
+        # S(psi) = -6 theta a / ((u-a)^2 - theta a)^2 is positive since a < 0
+        return -(gp * gp) * s_psi / (psi_p * psi_p)
 
 
 def coth_stable(t, mx=FLOAT):

@@ -19,6 +19,7 @@ the one point, and names the check (Fact.backed_by).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -296,6 +297,13 @@ def _settle_above(offsets: dict, lows: dict, below: bool = False):
     bound the block's rows have shown.  Its margin then lies strictly above
     the label's smallest margin and above 0, so a settled row is neither a
     violation nor where a minimum is taken.
+
+    settled.probe(rows, width) gives the root solve each row's probe root
+    (see onedmaps._settle_early): the root at which every label's margin
+    reaches its bar, the larger of 0 and the label's least upper bound,
+    moved twice the stop width `width` past it, so that an enclosure
+    reaching width back from the probe still clears every bar.  A NaN
+    offset gives a NaN probe.
     """
     least = {label: lows.get(label, math.inf) for label in offsets}
 
@@ -308,6 +316,16 @@ def _settle_above(offsets: dict, lows: dict, below: bool = False):
             ok &= (low > 0.0) & (low > least[label])
         return ok
 
+    def probe(rows, width):
+        sign = -1.0 if below else 1.0
+        with np.errstate(invalid="ignore"):  # an infinite offset past an infinite bar
+            bar = functools.reduce(
+                np.minimum if below else np.maximum,
+                (offset[rows] + sign * max(least[label], 0.0) for label, offset in offsets.items()),
+            )
+        return bar + sign * 2.0 * width
+
+    settled.probe = probe
     return settled
 
 

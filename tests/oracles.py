@@ -6,7 +6,8 @@ extremum off the grid, an independent check of the root solves F_solve and
 F1_solve.  psi_inv, chi and chi_iterate are the scalar straightened map,
 the reference for the Schwarzian margin and for orbit runs.  sln_series is
 the full 22-term series that onedmaps._sln_series cuts short.  phi_diff
-is the map solves' difference form as a plain two-point function.
+is the map solves' difference form as a plain two-point function, and
+identity_mp their identity in mpmath's precision.
 rk4_rows and rk4_integrate are classic RK4 stage by stage on the grid
 integrate marches, the reference for ddesim's affine step.  parabola_refine
 is the scalar vertex refinement that ddesim does on arrays.
@@ -56,6 +57,16 @@ def phi_diff(u2: float, u1: float, rz: float, a: float) -> float:
     close or when rz -> -1, where the raw difference loses every digit.
     """
     return _identity(u2, u1, a, *_phi_base(u1, rz, a), 0.0)
+
+
+def identity_mp(mp, x, u1, a, eps, v1, d1, c):
+    """onedmaps' identity w*d1 - a*w*w*sln(s) - c, w = (x - u1)/v1 and
+    s = eps*w, in mp's precision from the same float inputs."""
+    x, u1, a, eps, v1, d1, c = (mp.mpf(float(v)) for v in (x, u1, a, eps, v1, d1, c))
+    w = (x - u1) / v1
+    s = eps * w
+    sln = (s - mp.log1p(s)) / (s * s) if s else mp.mpf(0.5)
+    return w * d1 - a * w * w * sln - c
 
 
 def psi_inv(y: float, np_: NormParams) -> float:

@@ -176,6 +176,19 @@ def test_check_tiny_slope_matches_minus_1e_16(capsys, a):
     assert results[1] == results[0] == (0, "linear", True)
 
 
+def test_check_slope_whose_square_gap_underflows(capsys):
+    # at a = -1e-170 the straightened map's (u - a)**2 underflows to 0, so
+    # its Schwarzian margin is NaN: with warnings as errors (tier-1's
+    # setting) check still prints its verdict and exits 1.  That verdict
+    # differs from the one at -1e-100 (ROADMAP item 9)
+    assert main(["check", "--a=-1e-170", "--theta", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "a=-1e-170 theta=0.5: not certified (linear)"
+    assert lines[-1] == "  [FAIL] straightened_map_schwarz_neg = nan (need > 0; sweep gsslemma_schwarz)"
+
+
 @pytest.mark.parametrize(
     "cmd, opt, value, code",
     [

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,6 +208,22 @@ def test_extrema_scan_matches_node_loop(np_core):
     assert len(oscillating.extrema()) >= 5
     assert monotone.extrema() == []
     assert [k for _t, _v, k in ddesim._find_extrema(plateaus, 0.25, 0.1)] == ["max", "min"]
+
+
+def _vertex(ym, y0, yp) -> float:
+    """The vertex value of the parabola through (-1, ym), (0, y0) and (1, yp), exactly."""
+    ym, y0, yp = (Fraction(float(v)) for v in (ym, y0, yp))
+    return float(y0 - (yp - ym) ** 2 / (8 * (yp - 2 * y0 + ym)))
+
+
+def test_extrema_near_overflow_stay_finite():
+    # (yp - ym)**2 overflows past about 1.3e154; tier-1 turns the warning
+    # into an error.  The vertex keeps its value in a form that stays finite
+    y = np.array([0.0, 1e155, 3e155, 2e155, 0.0])
+    run = ddesim.Trajectory(t0=0.0, step=0.1, values=y, delta=1.0, h=1.0)
+    [(t, v, kind)] = run.extrema()
+    assert kind == "max" and t == pytest.approx(0.1 * (2 + 1 / 6), rel=1e-15)
+    assert v == pytest.approx(_vertex(*y[1:4]), rel=1e-15)
 
 
 def _hex(values) -> list[str]:
@@ -653,6 +670,23 @@ def test_lane_whose_past_horizon_node_overflows_gets_no_bound(monkeypatch):
     assert run.beyond[0] == -np.inf and np.all(np.isfinite(run.beyond[1:]))
     bound = _dip_error_bound(run, run)
     assert np.isnan(bound[0]) and np.all(np.isfinite(bound[1:]))
+
+
+def test_lane_dip_near_overflow_stays_finite(monkeypatch):
+    # x' = -x - 1e155 x(t - h) from 0.3 falls to -3e153 in its first delay
+    # and climbs past 1e302 in its second.  With its horizon one node
+    # before its overflow, its lowest node, the last of its first delay,
+    # has that right neighbour, and the parabola's (yp - ym)**2 overflows;
+    # the dip is the stencil's vertex all the same
+    b = np.r_[-1e155, _LANE_B[1:]]
+    with pytest.raises(IntegrationDiverged) as exc:
+        _one_dip(0, f=_linear, b=b, T=np.full(8, 3.0))
+    node = round(exc.value.t * 256 / NormParams(a=-2.0, theta=0.9).delay)
+    T = np.r_[(node - 1) / 256, _LANE_T[1:]]
+    run = _lane_run(monkeypatch, f=_linear, b=b, T=T)
+    ym, y0, yp = run.values[:, 0]
+    assert ym > y0 > -1e154 and yp > 1e302
+    assert np.isfinite(run.dip[0]) and run.dip[0] == pytest.approx(_vertex(ym, y0, yp), rel=1e-15)
 
 
 def test_lane_overflow_within_its_horizon_raises(monkeypatch):

@@ -22,7 +22,8 @@ from ddestab.onedmaps import (
     s_poly_generic,
     t_chain_generic,
 )
-from oracles import phi_diff, sln_series, t1
+from ddestab.rootfind import _XTOL, solve_bracketed
+from oracles import identity_mp, phi_diff, sln_series, t1
 
 # frozen: ramp response at a=-2, theta=0.5, z=1 solves a quadratic; root -2+sqrt(3)
 F1_EXACT = -0.26794919243112270
@@ -416,3 +417,126 @@ def test_F_at_tiny_z_follows_its_tangent(z, np_core, np_sector):
     for p in (np_core, np_sector):
         tangent = coeffs(p).alpha * r_eval(z, p.a)
         assert abs(F_solve(z, p).value / tangent - 1.0) < 1e-9
+
+
+# the response-map checks, each with its map's setup
+_ROOT_SOLVE_CHECKS = {"leform1": "_F_setup", "plyus": "_F_setup", "leform2": "_F1_setup"}
+
+
+def _sweep_brackets(lemma_id, resolution, rows=None):
+    """lo, hi and the identity's args (u1, a, eps, v1, d1, c) of a check's
+    grid rows, each a column, as its sweep's root solve takes them."""
+    grid = verify._REGISTRY[lemma_id].gen(resolution)[1]
+    if rows is not None:
+        grid = {k: v[rows] for k, v in grid.items()}
+    r, a = grid["r"], grid["a"]
+    setup = getattr(onedmaps, _ROOT_SOLVE_CHECKS[lemma_id])
+    lo, hi, u1, c = (np.array(v) for v in np.broadcast_arrays(*setup(r, NormLanes(a=a, theta=grid["theta"]))))
+    return lo, hi, (u1, a, *onedmaps._phi_base(u1, r, a), c)
+
+
+def _seeded_rows(lemma_id, resolution, n, seed):
+    rows = verify._row_count(verify._REGISTRY[lemma_id].gen(resolution)[1])
+    return np.sort(np.random.default_rng(seed).choice(rows, n, replace=False))
+
+
+@pytest.mark.parametrize("lemma_id", list(_ROOT_SOLVE_CHECKS))
+def test_identity_bound_holds_against_mpmath(lemma_id):
+    # at the u1 end, at nodes through the bracket and within 3 ulps of each
+    # row's root, the float identity lies within _identity_bound of its
+    # 50-digit value at the same float inputs, and the bound grows from u1
+    # on, so the bound at a point holds between u1 and it
+    mp = pytest.importorskip("mpmath")
+    lo, hi, args = _sweep_brackets(lemma_id, 64, _seeded_rows(lemma_id, 64, 40, 33))
+    u1 = args[0]
+    other = np.where(u1 == lo, hi, lo)
+    root = solve_bracketed(onedmaps._identity, lo, hi, args=args).root
+    toward = np.sign(other - u1)
+    nodes = [u1 + (other - u1) * k / 8 for k in range(9)]
+    near = [root + toward * k * np.spacing(np.abs(root)) for k in range(-3, 4)]
+    points = np.stack(nodes + near)  # (points, rows)
+    cols = [np.broadcast_to(v, points.shape).ravel() for v in args]
+    f = onedmaps._identity(points.ravel(), *cols).reshape(points.shape)
+    bound = onedmaps._identity_bound(points.ravel(), *cols).reshape(points.shape)
+    assert np.all(np.diff(np.stack(nodes + [other]), axis=0) * toward >= 0.0)
+    assert np.all(np.diff(bound[:9], axis=0) >= 0.0)
+    assert np.all(f[0] == -args[-1])
+    with mp.workdps(50):
+        for (k, i), x in np.ndenumerate(points):
+            exact = identity_mp(mp, x, *(v[i] for v in args))
+            assert abs(f[k, i] - exact) <= bound[k, i], (k, i)
+
+
+@pytest.mark.parametrize("lemma_id", list(_ROOT_SOLVE_CHECKS))
+def test_identity_derivative_keeps_its_sign(lemma_id):
+    # d/du of the identity is (d1 - a*w/(1 + s))/v1, and d1 - a*w/(1 + eps*w)
+    # is monotone in w (its w-derivative is -a/(1 + s)**2), so on every
+    # bracket of the resolution-64 sweep it keeps d1's sign at 129 nodes
+    # from u1 to the other end.  Central differences on 64 seeded rows
+    # agree with the formula
+    lo, hi, (u1, a, eps, v1, d1, c) = _sweep_brackets(lemma_id, 64)
+    other = np.where(u1 == lo, hi, lo)
+    w = (u1 + (other - u1) * np.arange(129)[:, None] / 128 - u1) / v1
+    slope = d1 - a * w / (1.0 + eps * w)
+    assert np.all(slope * np.sign(d1) > 0.0)
+    rows = _seeded_rows(lemma_id, 64, 64, 34)
+    args = [v[rows] for v in (u1, a, eps, v1, d1, c)]
+    x = u1[rows] + 0.37 * (other - u1)[rows]
+    step = 1e-6 * np.abs(other - u1)[rows]
+    diff = (onedmaps._identity(x + step, *args) - onedmaps._identity(x - step, *args)) / (2 * step)
+    wx = (x - args[0]) / args[3]
+    formula = (args[4] - args[1] * wx / (1.0 + args[2] * wx)) / args[3]
+    assert diff == pytest.approx(formula, rel=1e-6)
+
+
+def _offered_probes(lemma_id, resolution):
+    """Each row's full solve, and the probe enclosures _settle_early offers
+    when every row is probed at its root moved k ulps, for k from -12 to
+    12, and then k/4 stop widths, for k from -12 to 12, toward the other
+    end; the predicate never stops a row.  Gives the root, the args and
+    (rows, probe, low, high) per offer."""
+    lo, hi, args = _sweep_brackets(lemma_id, resolution)
+    root = solve_bracketed(onedmaps._identity, lo, hi, args=args).root
+    toward = np.where(args[0] == lo, 1.0, -1.0)
+    width = _XTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    steps = [k * np.spacing(np.abs(root)) for k in range(-12, 13)]
+    steps += [k / 4 * width for k in range(-12, 13)]
+    offers = []
+    for step in steps:
+        probe = root + toward * step
+        seen = []
+
+        def settled(rows, low, high):
+            seen.append((rows, low, high))
+            return np.zeros(rows.size, dtype=bool)
+
+        settled.probe = lambda rows, width: probe[rows]
+        onedmaps._settle_early(settled, np.arange(lo.size), lo, hi, args)
+        if len(seen) == 2:  # the ends, then the probes that passed
+            rows, low, high = seen[1]
+            offers.append((rows, probe[rows], low, high))
+    return root, args, offers
+
+
+# at least this many probe enclosures are offered at resolution 16 (3,411
+# and 2,863): leform2's identity is too flat near its roots for a probe
+# there to clear twice its rounding bound
+_PROBES_OFFERED = {"leform1": 2000, "plyus": 2000, "leform2": 0}
+
+
+@pytest.mark.parametrize("lemma_id", list(_ROOT_SOLVE_CHECKS))
+def test_probe_enclosures_hold_the_full_solve(lemma_id):
+    # probes near each row's root, on either side: each enclosure offered
+    # holds the root the row's full solve returns, and at each probe
+    # offered within 12 ulps of that root the 50-digit identity has the u1
+    # end's sign, so the exact root lies past the probe
+    mp = pytest.importorskip("mpmath")
+    root, args, offers = _offered_probes(lemma_id, 16)
+    assert sum(rows.size for rows, *_ in offers) >= _PROBES_OFFERED[lemma_id]
+    with mp.workdps(50):
+        for rows, probe, low, high in offers:
+            assert np.all((low <= root[rows]) & (root[rows] <= high))
+            near = np.abs(probe - root[rows]) <= 12 * np.spacing(np.abs(root[rows]))
+            for i, t in zip(rows[near].tolist(), probe[near].tolist()):
+                exact = identity_mp(mp, t, *(v[i] for v in args))
+                assert (exact > 0) == (-args[-1][i] > 0.0), i

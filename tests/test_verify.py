@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddestab import rootfind, verify
+from ddestab import onedmaps, rootfind, verify
 from ddestab.ddesim import LaneDips
 from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
 from ddestab.models import NicholsonParams, nicholson_global
@@ -223,6 +223,27 @@ def test_dd_recheck_row_counts(lemma_id, monkeypatch):
         assert len(calls) == 2
 
 
+# evaluations of the map identity per check at resolution 256, counted per
+# lane: 2.21, 1.57 and 2.44 per row.  Most rows settle on one evaluation at
+# the other bracket end and one at their probe root (onedmaps._settle_early)
+IDENTITY_EVALS = {"leform1": 162945, "plyus": 115089, "leform2": 179961}
+
+
+@pytest.mark.parametrize("lemma_id", list(IDENTITY_EVALS))
+def test_identity_evaluations_per_row(lemma_id, monkeypatch):
+    identity = onedmaps._identity
+    lanes = []
+
+    def counted(u, *args):
+        lanes.append(u.size if type(u) is np.ndarray else 1)
+        return identity(u, *args)
+
+    monkeypatch.setattr(onedmaps, "_identity", counted)
+    rep = verify_lemma(lemma_id, resolution=256)
+    assert rep.violations == []
+    assert sum(lanes) == IDENTITY_EVALS[lemma_id]
+
+
 def test_recheck_replaces_only_near_zero_labels(monkeypatch):
     # one row has a label within the threshold and one far from it; only the
     # near one may take the double-double value
@@ -400,6 +421,53 @@ def test_row_blocks_match_one_block(lemma_id, monkeypatch):
             assert np.all(col[known] <= other[known])
             moved = cut & (col != other)
             assert np.all(col[moved] > max(np.fmin.reduce(col), 0.0))
+
+
+def _probe_settles(monkeypatch):
+    """Wrap verify's _settle_above, keeping its probe; the returned list
+    collects the grid rows each probe enclosure settles, for blocks of
+    _LANE_BLOCK rows."""
+    settled_rows = []
+    settle_above = verify._settle_above
+    blocks = []  # the row each block's predicate starts at
+
+    def recording(*args):
+        settled = settle_above(*args)
+        start = len(blocks) * verify._LANE_BLOCK
+        blocks.append(start)
+        probed = []
+
+        def call(rows, lo, hi):
+            done = settled(rows, lo, hi)
+            if probed:  # the call after a probe offers its enclosures
+                settled_rows.append(start + rows[done])
+                probed.clear()
+            return done
+
+        def probe(rows, width):
+            probed.append(True)
+            return settled.probe(rows, width)
+
+        call.probe = probe
+        return call
+
+    monkeypatch.setattr(verify, "_settle_above", recording)
+    return settled_rows
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+@pytest.mark.parametrize("lemma_id", ["leform1", "plyus", "leform2"])
+def test_probe_settled_entries_are_at_most_full_solves(lemma_id, resolution, monkeypatch):
+    # every entry the sweep reports for a row its probe settled is at most
+    # that row's margin with every root solved to the end (lows=None)
+    spec = _REGISTRY[lemma_id]
+    grid = spec.gen(resolution)[1]
+    probed = _probe_settles(monkeypatch)
+    columns = verify._margin_columns(spec, grid)
+    rows = np.concatenate(probed)
+    assert rows.size > {16: 1000, 64: 5000}[resolution]
+    for (label, col), (_, full) in zip(columns, spec.margins(grid, FLOAT)):
+        assert np.all(col[rows] <= full[rows]), label
 
 
 def _never_settling(monkeypatch):
