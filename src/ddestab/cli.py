@@ -37,7 +37,7 @@ from .ratmaps import R2_eval, R_eval, coeffs, r_eval
 from .onedmaps import F_F1_solve, interval_I
 # not called here: kept only as the names perfbench/spans.py's tracer patches
 from .onedmaps import F1_solve, F_solve  # noqa: F401
-from .verify import LEMMA_IDS, certificate, sweep_figures, verify_lemma, write_report
+from .verify import LEMMA_IDS, certificate, sweep_figures, verify_all, verify_lemma, write_report
 
 _FMT = "%.12g"
 
@@ -267,15 +267,15 @@ def _cmd_nicholson(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ids = LEMMA_IDS if args.lemma == "all" else [args.lemma]
-    bad = 0
-    for lemma_id in ids:
-        rep = verify_lemma(lemma_id, resolution=args.resolution)
+    if args.lemma == "all":
+        reports = verify_all(resolution=args.resolution, out_dir=args.out or None, progress=print)
+    else:
+        rep = verify_lemma(args.lemma, resolution=args.resolution)
         if args.out:
             write_report(rep, args.out)
         print(rep.summary())
-        bad += len(rep.violations)
-    return 0 if bad == 0 else 1
+        reports = [rep]
+    return 0 if not any(rep.violations for rep in reports) else 1
 
 
 @functools.cache

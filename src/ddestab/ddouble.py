@@ -72,43 +72,13 @@ def _each(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _per_run(fn, *cols):
-    """fn on float64 arrays of one shape, once per run of equal entries.
-
-    A run is a stretch of consecutive entries (in C order) in which every
-    column keeps one bit pattern, so +0.0 next to -0.0 are two runs.  fn
-    takes 1-d columns and gives an array, or a tuple of arrays, of their
-    length, entry i from entry i of each column alone.  It gets the first
-    entry of each run, and each of its values is repeated over the run; a
-    grid whose parameter columns repeat along an axis pays one entry per
-    repeat.  Without runs fn gets the columns whole, after one compare pass
-    per column.  Every output has the columns' shape.
-    """
-    shape = cols[0].shape
-    flat = [c.astype(float, copy=False).ravel() for c in cols]
-    new = None
-    for c in flat:
-        bits = c.view(np.int64)
-        step = bits[1:] != bits[:-1]
-        new = step if new is None else new | step
-    if np.count_nonzero(new) == new.size:
-        out, counts = fn(*flat), None
-    else:
-        heads = np.flatnonzero(np.concatenate(([True], new)))
-        out, counts = fn(*(c[heads] for c in flat)), np.diff(heads, append=flat[0].size)
-
-    def expand(v):
-        return (v if counts is None else np.repeat(v, counts)).reshape(shape)
-
-    return tuple(map(expand, out)) if type(out) is tuple else expand(out)
-
-
 def _libm(fn, x):
-    """fn on a float, or on an array as libm once per run of equal entries
-    (see _per_run)."""
+    """fn on a float, or by libm on each entry of an array (_each).  A
+    caller whose entries repeat takes fn once per distinct point itself,
+    as the sweeps' product grids do once per base."""
     if type(x) is not np.ndarray:
         return fn(x)
-    return _per_run(partial(_each, fn), x)
+    return _each(fn, x)
 
 
 class DD:
@@ -310,9 +280,11 @@ class FloatBackend:
     which selects per lane, and value(x), the float nearest to x.  Each
     member takes a float or a float64 array, one lane per entry; lane i is
     bitwise the value on its own float, since exp, log and log1p run libm
-    once per run of equal entries (see _libm).  Generic formulas pass each
-    input through num once and meet float literals directly (see the
-    module docstring).
+    on each entry (see _libm).  Every entry costs a libm call, so a caller
+    takes a quantity of repeated points once per point: the sweeps take it
+    once per base of a product grid and gather it by the grid's base
+    column.  Generic formulas pass each input through num once and meet
+    float literals directly (see the module docstring).
     """
 
     name = "float"

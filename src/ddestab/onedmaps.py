@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddouble import FLOAT, _each, _libm
-from .params import NormLanes, NormParams, _any
-from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, coeffs, j_tangent_coeffs, r_eval
+from .params import NormLanes, NormParams, _any, _per_base
+from .ratmaps import Coeffs, R_eval, R2_eval, _branch_slope, _j_tangent, coeffs, r_eval
 from .rootfind import _XTOL, BracketError, solve_bracketed
 
 __all__ = [
@@ -245,8 +245,9 @@ def _settle_early(settled, rows, lo, hi, args) -> tuple:
     t - width look closer to the root than every later one, which no lane
     of the sweep grids at resolutions 16 and 64 does.
 
-    Returns the mask of the stopped lanes, and each lane's best point, f
-    there and enclosure, which the stopped lanes report.
+    Returns the mask of the stopped lanes, each lane's best point, f there
+    and enclosure, which the stopped lanes report, and f at the bracket
+    ends of the other lanes, which their lockstep solve takes.
     """
     u1, c = args[0], args[-1]
     at_lo = u1 == lo
@@ -262,26 +263,28 @@ def _settle_early(settled, rows, lo, hi, args) -> tuple:
     done = settled(rows, lo, hi)
     probe = getattr(settled, "probe", None)
     left = np.flatnonzero(~done & signed)
-    if probe is None or not left.size:
-        return done, x, fx, end_a, end_b
-    width = _XTOL * np.maximum(1.0, np.maximum(np.abs(lo[left]), np.abs(hi[left])))
-    t = probe(rows[left], width)
-    inside = (lo[left] < t) & (t < hi[left])
-    left, t, width = left[inside], t[inside], width[inside]
-    part = [v[left] for v in args]
-    f_t = _identity(t, *part)
-    lane_u1, _, _, lane_v1, lane_d1, _ = part
-    sure = (f_t != 0.0) & ((f_t > 0.0) == (f_u1[left] > 0.0))
-    sure &= lane_d1 * ((t - lane_u1) / lane_v1) > 0.0  # d1 and w(t) of one sign
-    sure &= np.abs(f_t) > 2.0 * _identity_bound(t, *part)
-    left, t, width, f_t = left[sure], t[sure], width[sure], f_t[sure]
-    low = np.where(at_lo[left], t - width, lo[left])
-    high = np.where(at_lo[left], hi[left], t + width)
-    stop = settled(rows[left], low, high)
-    left = left[stop]
-    done[left] = True
-    x[left], fx[left], end_a[left], end_b[left] = t[stop], f_t[stop], low[stop], high[stop]
-    return done, x, fx, end_a, end_b
+    if probe is not None and left.size:
+        width = _XTOL * np.maximum(1.0, np.maximum(np.abs(lo[left]), np.abs(hi[left])))
+        t = probe(rows[left], width)
+        inside = (lo[left] < t) & (t < hi[left])
+        left, t, width = left[inside], t[inside], width[inside]
+        part = [v[left] for v in args]
+        f_t = _identity(t, *part)
+        lane_u1, _, _, lane_v1, lane_d1, _ = part
+        sure = (f_t != 0.0) & ((f_t > 0.0) == (f_u1[left] > 0.0))
+        sure &= lane_d1 * ((t - lane_u1) / lane_v1) > 0.0  # d1 and w(t) of one sign
+        sure &= np.abs(f_t) > 2.0 * _identity_bound(t, *part)
+        left, t, width, f_t = left[sure], t[sure], width[sure], f_t[sure]
+        low = np.where(at_lo[left], t - width, lo[left])
+        high = np.where(at_lo[left], hi[left], t + width)
+        stop = settled(rows[left], low, high)
+        left = left[stop]
+        done[left] = True
+        x[left], fx[left], end_a[left], end_b[left] = t[stop], f_t[stop], low[stop], high[stop]
+    run = ~done
+    f_lo = np.where(at_lo[run], f_u1[run], f_other[run])
+    f_hi = np.where(at_lo[run], f_other[run], f_u1[run])
+    return done, x, fx, end_a, end_b, (f_lo, f_hi)
 
 
 def _lane_solves(parts, settled=None) -> list[MapSolve]:
@@ -298,8 +301,9 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
     never offered to it.  It first sees each lane's ends-only enclosure and,
     if it has a probe, the enclosure one evaluation of the identity at the
     probe root gives (_settle_early); the lanes it stops there take no
-    iteration, and only the others run the lockstep solve.  Each result
-    then flags its settled lanes.
+    iteration, and only the others run the lockstep solve, which takes the
+    identity at their bracket ends from _settle_early.  Each result then
+    flags its settled lanes.
     """
     cols, sels = [], []
     for setup, rz, np_ in parts:
@@ -316,11 +320,11 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
     stopped, exhausted = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     if n:
         args = (u1, a, *_phi_base(u1, r, a), c)
-        on_lanes = None
+        on_lanes = ends = None
         if settled is not None:
             starts = np.cumsum([0] + [rz.size for _, rz, _ in parts[:-1]])
             rows = np.concatenate([s + sel for s, sel in zip(starts.tolist(), sels)])
-            stopped, root, f_root, end_a, end_b = _settle_early(settled, rows, lo, hi, args)
+            stopped, root, f_root, end_a, end_b, ends = _settle_early(settled, rows, lo, hi, args)
 
             def on_lanes(lanes, lo, hi):
                 return settled(rows[run[lanes]], lo, hi)
@@ -328,7 +332,8 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
         run = np.flatnonzero(~stopped)
         if run.size:
             res = solve_bracketed(
-                _identity, lo[run], hi[run], args=tuple(v[run] for v in args), settled=on_lanes
+                _identity, lo[run], hi[run], args=tuple(v[run] for v in args),
+                settled=on_lanes, ends=ends,
             )
             root[run], f_root[run] = res.root, res.f_root
             end_a[run], end_b[run] = res.bracket
@@ -447,35 +452,50 @@ def bound_L(r: float, np_: NormParams) -> float:
 
     Built from the tangent line of the comparison function: slope alpha at
     the origin with a quadratic correction over a linear denominator.  r may
-    be an array, and np_ a NormLanes of its length.
+    be an array, and np_ a NormLanes of its length; a1, a2 and a3 are taken
+    once per base where the lanes carry a base table.
     """
-    c = coeffs(np_)
-    _, j1 = j_tangent_coeffs(np_.a, np_.theta)
-    a1 = c.alpha
-    a2 = 0.5 * j1 * (1.0 - c.lam)
-    a3 = (1.0 - c.lam) / np_.a + a2
+    a1, a2, a3 = _per_base(np_, _bound_L_coeffs)
     den = 1.0 + a3 * r
     if _any(den == 0.0):
         raise ValueError(f"minorant pole at r = {-1.0 / a3}")
     return (a1 * r + a2 * r * r) / den
 
 
+def _bound_L_coeffs(np_: NormParams) -> tuple:
+    """(a1, a2, a3) of bound_L at np_; the tangent takes the pack's lam."""
+    c = coeffs(np_)
+    _, j1 = _j_tangent(np_.a, np_.theta, c.lam)
+    a2 = 0.5 * j1 * (1.0 - c.lam)
+    return c.alpha, a2, (1.0 - c.lam) / np_.a + a2
+
+
 def _g1_parts(P: float, np_: NormParams) -> tuple[float, float, float, float, float]:
     a, th = np_.a, np_.theta
-    # libm pow on each entry: numpy's ** 3 differs from it in the last bit
-    th3 = _libm(lambda t: t ** 3, th)
+    # theta**3 and the quotients of (a, theta) alone, once per base where
+    # the lanes carry a base table
+    th3, c2, c24, c6 = _per_base(np_, _g1_factors)
     P2 = P * P
     P3 = P2 * P
     P4 = P3 * P
     a2 = a * a
     a3 = a2 * a
     a4 = a3 * a
-    A1 = (1.0 - th) * P + (th / (2.0 * a)) * P2 + (th3 / (24.0 * a3)) * (2.0 * a - P) * P3
-    A2 = (th3 / (6.0 * a3)) * (2.0 * a - P) * P3
+    A1 = (1.0 - th) * P + c2 * P2 + c24 * (2.0 * a - P) * P3
+    A2 = c6 * (2.0 * a - P) * P3
     B0 = 1.0 - th * P / (2.0 * a) + th3 * P3 / (24.0 * a3)
     B1 = -th * P2 / a2 + th3 * P3 / (6.0 * a3) + th3 * P4 / (12.0 * a4)
     B2 = th3 * P4 / (3.0 * a4)
     return A1, A2, B0, B1, B2
+
+
+def _g1_factors(np_: NormParams) -> tuple:
+    """(theta**3, theta/(2a), theta**3/(24a**3), theta**3/(6a**3)) at np_."""
+    a, th = np_.a, np_.theta
+    # libm pow on each entry: numpy's ** 3 differs from it in the last bit
+    th3 = _libm(lambda t: t ** 3, th)
+    a3 = a * a * a
+    return th3, th / (2.0 * a), th3 / (24.0 * a3), th3 / (6.0 * a3)
 
 
 def _g1_fraction(r: float, np_: NormParams, P: float) -> tuple[float, float]:
@@ -496,7 +516,13 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
     M = 24*(A1 + A2 r)*(theta + r(theta-1))^4 and likewise N for the B side,
     expanded so only ring operations remain (safe in any backend).
     """
-    r = mx.num(r)
+    return _mn_at(mx.num(r), _mn_coeffs(a, theta, mx))
+
+
+def _mn_coeffs(a, theta, mx=FLOAT) -> tuple:
+    """M's factor -(theta-1)**2*a and its coefficients in r, then N's: they
+    depend on (a, theta) alone, so a sweep takes them once per base and
+    _mn_at evaluates them at each r."""
     a = mx.num(a)
     th = mx.num(theta)
     q = th - 1.0
@@ -511,26 +537,41 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
     m_c1 = -2.0 * th2 * q * (th + 3.0) * (3.0 * th - 8.0)
     m_c2 = -4.0 * th * (2.0 * th2 - 15.0) * q2
     m_c3 = 24.0 * q3
-    m_val = -q2 * a * (m_c0 + r * (m_c1 + r * (m_c2 + r * m_c3)))
     n_c0 = 35.0 * th4 - 9.0 * th5 + th4 * th3 - 3.0 * th5 * th
     n_c1 = th3 * q * (7.0 * th3 - 17.0 * th2 - 47.0 * th + 153.0)
     n_c2 = 12.0 * th2 * (th3 - 2.0 * th2 - 6.0 * th + 19.0) * q2
     n_c3 = -12.0 * th * (3.0 * th - 11.0) * q3
     n_c4 = 24.0 * q4
+    return -q2 * a, m_c0, m_c1, m_c2, m_c3, n_c0, n_c1, n_c2, n_c3, n_c4
+
+
+def _mn_at(r, mn) -> tuple:
+    """(M, N) at r from the coefficients _mn_coeffs gives, by Horner's rule."""
+    m_a, m_c0, m_c1, m_c2, m_c3, n_c0, n_c1, n_c2, n_c3, n_c4 = mn
+    m_val = m_a * (m_c0 + r * (m_c1 + r * (m_c2 + r * m_c3)))
     n_val = n_c0 + r * (n_c1 + r * (n_c2 + r * (n_c3 + r * n_c4)))
     return m_val, n_val
 
 
 def q_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
     """Certificate polynomial (1 - r*beta)*M - alpha*N; <= 0 closes the chain."""
-    r = mx.num(r)
-    m_val, n_val = mn_polys_generic(r, a, theta, mx)
+    return _q_at(mx.num(r), _mn_coeffs(a, theta, mx), alpha, beta)
+
+
+def _q_at(r, mn, alpha, beta):
+    """The certificate polynomial at r from _mn_coeffs' coefficients."""
+    m_val, n_val = _mn_at(r, mn)
     return (1.0 - r * beta) * m_val - alpha * n_val
 
 
 def s_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
     """Derivative of the certificate polynomial in r, in expanded form."""
-    r = mx.num(r)
+    return _s_at(mx.num(r), _s_coeffs(a, theta, mx, alpha=alpha, beta=beta))
+
+
+def _s_coeffs(a, theta, mx=FLOAT, *, alpha, beta) -> tuple:
+    """(s0, s1, s2, s3), the coefficients in r of s_poly_generic: of (a,
+    theta) alone, with their alpha and beta."""
     a = mx.num(a)
     th = mx.num(theta)
     q = th - 1.0
@@ -556,6 +597,12 @@ def s_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
         - th3 * q * (7.0 * th3 - 17.0 * th2 - 47.0 * th + 153.0) * alpha
         + 2.0 * a * th2 * q3 * (th + 3.0) * (3.0 * th - 8.0)
     )
+    return s0, s1, s2, s3
+
+
+def _s_at(r, s):
+    """s_poly_generic at r from _s_coeffs' coefficients, by Horner's rule."""
+    s0, s1, s2, s3 = s
     return s0 + r * (s1 + r * (s2 + r * s3))
 
 

@@ -9,9 +9,10 @@ curves in the (theta, mu) plane, mu = -1/a.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -85,10 +86,20 @@ class NormParams:
         return -FLOAT.log(self.theta)
 
 
+@dataclass(frozen=True)
 class NormLanes(NormParams):
     """NormParams with one parameter point per lane: a and theta are float
     arrays of one shape (or one of them a float), for the lane forms of the
-    criteria, the response maps and their bounds, and the integrator."""
+    criteria, the response maps and their bounds, and the integrator.
+
+    The lanes may also carry their base table, as the rows of a product
+    grid do: bases holds one lane per distinct point and base, an int
+    array of the lanes' shape, each lane's point in it.  A quantity of a
+    lane's point alone is then taken once per base and gathered by base
+    (_per_base), delay among them."""
+
+    bases: NormLanes | None = field(default=None, repr=False, compare=False)
+    base: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.all(self.a < 0.0):
@@ -96,10 +107,41 @@ class NormLanes(NormParams):
         if not np.all((0.0 < self.theta) & (self.theta < 1.0)):
             raise ValueError(f"thetas must lie in (0, 1), got {self.theta}")
 
+    @functools.cached_property
+    def delay(self):
+        """-log(theta) per lane, taken once per lanes object: lanes with a
+        base table gather the table's, which lanes cut from them (take)
+        share."""
+        if self.bases is None:
+            return NormParams.delay.fget(self)
+        return self.bases.delay[self.base]
+
+    def take(self, rows) -> NormLanes:
+        """The lanes at rows (an index, mask or slice), with the base table."""
+        base = None if self.base is None else self.base[rows]
+        return NormLanes(a=self.a[rows], theta=self.theta[rows], bases=self.bases, base=base)
+
+
+def _per_base(np_: NormParams, fn):
+    """fn(np_), an array or a tuple of arrays with an entry per lane: fn
+    once per base and gathered by base, for lanes that carry a base table;
+    fn(np_) itself for other lanes and for one point."""
+    bases = getattr(np_, "bases", None)
+    if bases is None:
+        return fn(np_)
+    out = fn(bases)
+    return tuple(_rows(v, np_.base) for v in out) if type(out) is tuple else _rows(out, np_.base)
+
 
 def _any(mask) -> bool:
     """Whether a comparison holds anywhere: a plain bool, or any lane of a mask."""
     return mask.any() if type(mask) is np.ndarray else mask
+
+
+def _rows(v, base):
+    """A per-base value at rows: v at each row's base, or v itself where
+    base is None (v is then per row already, or one point's)."""
+    return v if base is None else v[base]
 
 
 class Region(Enum):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddouble import FLOAT, _per_run
-from .params import NormParams, _any
+from .ddouble import FLOAT
+from .params import NormParams, _any, _per_base
 
 __all__ = [
     "Coeffs",
@@ -81,28 +81,22 @@ class Coeffs:
 
 
 def coeffs(np_: NormParams) -> Coeffs:
-    """The coefficient pack at np_; a NormLanes gives one entry per lane."""
-    lam, alpha, beta, a_star = coeffs_generic(np_.a, np_.theta)
+    """The coefficient pack at np_; a NormLanes gives one entry per lane,
+    taken once per base where the lanes carry a base table."""
+    lam, alpha, beta, a_star = _per_base(np_, lambda p: coeffs_generic(p.a, p.theta))
     return Coeffs(alpha=alpha, beta=beta, a_star=a_star, lam=lam, params=np_)
 
 
-def _float_runs(fn, a, theta, mx):
-    """fn(a, theta, mx); on FLOAT lanes, once per run of equal (a, theta)
-    entries, each value repeated over its run (see ddouble._per_run)."""
-    if mx is FLOAT and (type(a) is np.ndarray or type(theta) is np.ndarray):
-        return _per_run(fn, *np.broadcast_arrays(a, theta))
-    return fn(a, theta, mx)
+def coeffs_generic(a, theta, mx=FLOAT, lam=None):
+    """(lam, alpha, beta, a_star) through any arithmetic backend mx.
 
-
-def coeffs_generic(a, theta, mx=FLOAT):
-    """(lam, alpha, beta, a_star) through any arithmetic backend mx."""
-    return _float_runs(_coeffs_pack, a, theta, mx)
-
-
-def _coeffs_pack(a, theta, mx=FLOAT):
+    lam, if given, is exp(theta/a) as mx takes it, from a caller that has
+    taken it already: the pack's one libm call.
+    """
     a = mx.num(a)
     th = mx.num(theta)
-    lam = mx.exp(th / a)
+    if lam is None:
+        lam = mx.exp(th / a)
     alpha = (1.0 - a) * lam + a
     oma = 1.0 - a
     num = a * a + lam * (1.0 - 2.0 * a + 2.0 * th * (a - 1.0)) - oma * oma * lam * lam
@@ -172,17 +166,22 @@ def R_eval(r: float, c: Coeffs) -> float:
 def R2_eval(r: float, np_: NormParams) -> float:
     """Corner response bound k0*a*r/(1 + k1*r) for the small-mu regime.
 
-    r may be an array, and np_ a NormLanes of its length.
+    r may be an array, and np_ a NormLanes of its length; k0*a and k1 are
+    taken once per base where the lanes carry a base table.
     """
-    a, th = np_.a, np_.theta
-    lnth = FLOAT.log(th)
-    g = _log_gap(1.0 + lnth - th, 1.0 - th)
-    k0 = g / (2.0 + lnth - th)
-    k1 = g / (1.0 - th)
+    k0a, k1 = _per_base(np_, _corner_coeffs)
     den = 1.0 + k1 * r
     if _any(den == 0.0):
         raise ValueError(f"corner response pole at r = {-1.0 / k1}")
-    return k0 * a * r / den
+    return k0a * r / den
+
+
+def _corner_coeffs(np_: NormParams) -> tuple:
+    """(k0*a, k1) of R2_eval at np_."""
+    a, th = np_.a, np_.theta
+    lnth = FLOAT.log(th)
+    g = _log_gap(1.0 + lnth - th, 1.0 - th)
+    return g / (2.0 + lnth - th) * a, g / (1.0 - th)
 
 
 def _log_gap(gap, s, mx=FLOAT):
@@ -317,13 +316,13 @@ def j_generic(r, a, theta, mx=FLOAT):
 
 def j_tangent_coeffs(a, theta, mx=FLOAT):
     """Tangent line j0 + j1*r to the comparison function at r = 0, any backend."""
-    return _float_runs(_j_tangent, a, theta, mx)
-
-
-def _j_tangent(a, theta, mx=FLOAT):
     a = mx.num(a)
     theta = mx.num(theta)
-    lam = mx.exp(theta / a)
+    return _j_tangent(a, theta, mx.exp(theta / a))
+
+
+def _j_tangent(a, theta, lam):
+    """(j0, j1) from lam = exp(theta/a), the lam of coeffs_generic."""
     j0 = (1.0 + lam) / (1.0 - lam)
     j1 = 2.0 * j0 + 4.0 * theta * lam / (a * (1.0 - lam) * (1.0 - lam))
     return j0, j1

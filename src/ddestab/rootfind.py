@@ -91,6 +91,7 @@ def solve_bracketed(
     *,
     args: tuple = (),
     settled: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ends: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RootResult:
     """Find x in [lo, hi] with f(x, *args) = 0, given f(lo) and f(hi) of opposite sign.
 
@@ -111,9 +112,13 @@ def solve_bracketed(
     [min(a, best_x), max(b, best_x)], and returns a mask of the lanes to
     stop there: those lanes are settled (see RootResult).  A scalar solve,
     and a lane of the scalar tail, runs to the end.
+
+    ends, for lanes only, holds f(lo) and f(hi) per lane, bitwise what f
+    gives there, for a caller that has evaluated them: the solve then
+    evaluates f at neither end.
     """
     if isinstance(lo, np.ndarray) or isinstance(hi, np.ndarray):
-        return _solve_lanes(f, lo, hi, args, settled)
+        return _solve_lanes(f, lo, hi, args, settled, ends)
     if not lo < hi:
         raise BracketError(f"empty interval [{lo}, {hi}]")
     flo = f(lo, *args)
@@ -191,7 +196,7 @@ def _iterate(f, args, it0, a, b, fa, fb, pos, moved, mark, best_x, best_f) -> Ro
     return RootResult(best_x, best_f, it, (a, b), exhausted=exhausted)
 
 
-def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
+def _solve_lanes(f, lo, hi, args, settled, ends=None) -> RootResult:
     """solve_bracketed on every lane at once, step for step.
 
     A lane that stops writes its outcome to the output arrays and is dropped
@@ -225,10 +230,13 @@ def _solve_lanes(f, lo, hi, args, settled) -> RootResult:
 
     # the scalar solve returns at f(lo) = 0 without evaluating f(hi), and
     # reports f_root = +0.0 for either endpoint
-    flo = f(lo, *args)
+    flo = f(lo, *args) if ends is None else ends[0]
     run = retire(flo == 0.0, 0, lo, np.zeros(n), lo, hi)
     lane, lo, hi, flo, *args = (v[run] for v in (lane, lo, hi, flo, *args))
-    fhi = f(hi, *args) if lane.size else flo  # no call once every lane has stopped
+    if not lane.size:
+        fhi = flo  # no call once every lane has stopped
+    else:
+        fhi = f(hi, *args) if ends is None else ends[1][lane]
     run = retire(fhi == 0.0, 0, hi, np.zeros(lane.size), lo, hi)
     lane, lo, hi, flo, fhi, *args = (v[run] for v in (lane, lo, hi, flo, fhi, *args))
     same_sign = (flo > 0.0) == (fhi > 0.0)

@@ -11,6 +11,13 @@ rows that need it as lanes too, and response maps and trajectories are
 solved and integrated as lanes.  Grids are nested: doubling the resolution
 keeps every previously checked point.
 
+Most grids are products of a small base table and an axis (Grid): a float
+pass takes each quantity of a base alone (a coefficient pack, a tangent, a
+polynomial's coefficients, a delay) once per base and gathers it to the
+rows by the grid's base column.  verify_all builds the band-D grid of
+albet, albeta and dom, with the libm part of its float coefficient pack,
+once for all three.
+
 The module also assembles per-point stability certificates and writes the
 region-figure artifacts.  A certificate fact that a registered check holds
 is that check's float margin, from its own margins function on grids of
@@ -35,6 +42,7 @@ from .params import (
     NormParams,
     Region,
     RegionLabel,
+    _rows,
     classify,
     classify_raster,
     linear_boundary_theta,
@@ -64,11 +72,13 @@ from .onedmaps import (
     F1_solve_r,
     F_solve_r,
     _g1_fraction,
+    _mn_coeffs,
+    _q_at,
+    _s_at,
+    _s_coeffs,
     bound_L,
     lambda_composite,
-    q_poly_generic,
     ramp_slope_ratio,
-    s_poly_generic,
     t_chain_generic,
 )
 
@@ -115,18 +125,131 @@ class LemmaReport:
         )
 
 
-# a sweep grid: equal-length float64 columns named by point key; row i is
-# the point {name: column[i]}
-Grid = dict[str, np.ndarray]
+class Grid(dict):
+    """A sweep grid: equal-length float64 columns named by point key; row i
+    is the point {name: column[i]}.
+
+    A product grid also carries its base table: table, a dict of columns
+    with one entry per base, and base, the int64 column of each row's
+    entry, so that table[name][base] is column name, bitwise.  Rows come
+    base by base, so the grid keeps only counts, the number of rows of
+    each base, and base is made from it on demand: a block of rows (_cut)
+    makes its own, and the full-length column is never held through a
+    sweep.  A float pass takes a quantity of the base columns alone once
+    per base, on table, and gathers it by base (_on_points, and _lanes
+    with params._per_base).  A Grid without a base table, or a plain dict
+    of columns or of floats (one point), is its own base table: a quantity
+    is then taken at each row, as every double-double pass takes it.
+
+    lam, on the band-D grid (_gen_band_d), holds exp(theta/a) at each row
+    in FLOAT, the libm call of coeffs_generic's pack, so that albet,
+    albeta and dom take it once.
+    """
+
+    table: dict | None = None
+    counts: np.ndarray | None = None
+    lam: np.ndarray | None = None
+
+    @property
+    def base(self) -> np.ndarray | None:
+        if self.counts is None:
+            return None
+        return np.repeat(np.arange(self.counts.size), self.counts)
+
+
+def _cut(grid: Grid, rows) -> Grid:
+    """The rows of grid at rows (a slice of step 1, or a mask), with the
+    part of the base table they use and their lam."""
+    cut = Grid({name: col[rows] for name, col in grid.items()})
+    counts = getattr(grid, "counts", None)
+    if counts is not None and _row_count(cut):
+        if isinstance(rows, slice):
+            # rows i..j-1 take the tail of base `first` through the head of
+            # base `last`
+            ends = np.cumsum(counts)
+            i, j, _ = rows.indices(int(ends[-1]))
+            first, last = np.searchsorted(ends, [i, j - 1], side="right").tolist()
+            part = counts[first : last + 1].copy()
+            part[0] -= i - (ends[first] - counts[first])
+            part[-1] -= ends[last] - j
+        else:
+            base = grid.base[rows]
+            first, last = int(base[0]), int(base[-1])
+            part = np.bincount(base - first, minlength=last - first + 1)
+        cut.table = {name: col[first : last + 1] for name, col in grid.table.items()}
+        cut.counts = part
+    if getattr(grid, "lam", None) is not None:
+        cut.lam = grid.lam[rows]
+    return cut
+
+
+def _bases(grid) -> tuple:
+    """(table, base): grid's base table and base column, or grid itself
+    and None where grid is its own base table."""
+    base = getattr(grid, "base", None)
+    return (grid, None) if base is None else (grid.table, base)
+
+
+def _points(grid) -> tuple:
+    """(table, base) for a quantity of a point (a, theta): grid's base
+    table and base column where the table holds a and theta, and grid
+    itself and None where it does not (a band grid's holds mu and a,
+    lele2's q)."""
+    table, base = _bases(grid)
+    if base is None or {"a", "theta"} <= table.keys():
+        return table, base
+    return grid, None
+
+
+def _on_points(grid, fn) -> tuple:
+    """fn(a, theta), a tuple of columns, at the rows of grid: once per base
+    and gathered by base where the base table holds a and theta."""
+    table, base = _points(grid)
+    return tuple(_rows(v, base) for v in fn(table["a"], table["theta"]))
+
+
+def _pack(grid, mx) -> tuple:
+    """coeffs_generic's (lam, alpha, beta, a_star) at the rows of grid in
+    mx; a FLOAT pass takes lam from grid, where it carries it."""
+    lam = getattr(grid, "lam", None)
+    if mx is FLOAT and lam is not None:
+        return coeffs_generic(grid["a"], grid["theta"], mx, lam=lam)
+    return _on_points(grid, lambda a, th: coeffs_generic(a, th, mx))
+
+
+def _float_lam(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """exp(theta/a) at every row in FLOAT, as coeffs_generic takes it,
+    _LANE_BLOCK rows at a time: libm on a whole grid at once would hold a
+    Python float per row."""
+    lam = np.empty(a.size)
+    for i in range(0, a.size, _LANE_BLOCK):
+        rows = slice(i, i + _LANE_BLOCK)
+        lam[rows] = FLOAT.exp(theta[rows] / a[rows])
+    return lam
+
+
+def _lanes(grid) -> NormLanes:
+    """The (a, theta) rows of grid as lanes, carrying the base table where
+    it holds a and theta (_points)."""
+    table, base = _points(grid)
+    if base is None:
+        return NormLanes(a=grid["a"], theta=grid["theta"])
+    bases = NormLanes(a=table["a"], theta=table["theta"])
+    return NormLanes(a=grid["a"], theta=grid["theta"], bases=bases, base=base)
 
 
 @dataclass(frozen=True)
 class _LemmaSpec:
     """One registered check.
 
-    margins(grid, mx, lows) evaluates grid columns in the backend mx and
-    gives (label, column) pairs in label order, NaN where a label does not
-    apply to a row.  lows maps labels to the smallest float margin of the
+    gen(n) gives the description of the grid at resolution n and the
+    grid, which a FLOAT pass gets in blocks of rows, each with the part of
+    the base table it uses (Grid).  margins(grid, mx, lows) evaluates grid
+    columns in the backend mx and gives (label, column) pairs in label
+    order, NaN where a label does not apply to a row; it takes each
+    quantity of a base alone once per base and gathers it by base, and on
+    a grid without a base table, as double-double passes get, at each
+    row.  lows maps labels to the smallest float margin of the
     rows swept before grid's (a label it lacks has none), or is None.  With
     lows, the response-map checks settle root solves (_solved), and
     funcrr2 marches at h/256 only the lanes its coarse marches do not
@@ -157,7 +280,7 @@ def _band_grid(mus: np.ndarray, rows: np.ndarray, off, den: int, region: str) ->
 
     [lo, hi] is [pi_2, pi_1] at mu.  Region "D" keeps it, "Dstar" drops the
     small-mu corner (theta >= 0.8 above the chord pi_3), and "S" clips the
-    interval to that corner.
+    interval to that corner.  The base table holds each kept mu and its a.
     """
     kept = []
     for mu in mus.tolist():
@@ -169,11 +292,14 @@ def _band_grid(mus: np.ndarray, rows: np.ndarray, off, den: int, region: str) ->
             hi = min(hi, 1.0 - 1e-6)
         if hi > lo:
             kept.append((mu, lo, hi, chord))
-    mu, lo, hi, chord = (np.array(col)[:, None] for col in zip(*kept))
-    theta = lo + (hi - lo) * (rows + off) / den
-    keep = (region != "Dstar") | ~((theta >= 0.8) & (chord <= theta))  # the corner cut
-    mu = np.broadcast_to(mu, theta.shape)[keep]
-    return {"mu": mu, "theta": theta[keep], "a": -1.0 / mu}
+    mu, lo, hi, chord = (np.array(col) for col in zip(*kept))
+    theta = lo[:, None] + (hi - lo)[:, None] * (rows + off) / den
+    keep = (region != "Dstar") | ~((theta >= 0.8) & (chord[:, None] <= theta))  # the corner cut
+    base = np.broadcast_to(np.arange(mu.size)[:, None], theta.shape)[keep]
+    table = {"mu": mu, "a": -1.0 / mu}
+    grid = Grid({"mu": mu[base], "theta": theta[keep], "a": table["a"][base]})
+    grid.table, grid.counts = table, keep.sum(axis=1)
+    return grid
 
 
 def _cell_band(n_mu: int, n_th: int, region: str, mu_top: float = 1.0) -> Grid:
@@ -201,20 +327,22 @@ def _slope_rect(a_far: float, from_linear: bool = False) -> Grid:
 
 
 def _times(base: Grid, name: str, axis: np.ndarray) -> Grid:
-    """Repeat each base row once per axis value, in a new column `name`.
+    """Repeat each base row once per axis value, in a new column `name`:
+    the product grid whose base table is base's columns.
 
     axis is either one 1-D array every row shares or a 2-D array holding one
     row of values per base row.
     """
-    grid = {col: np.repeat(v, axis.shape[-1]) for col, v in base.items()}
-    grid[name] = axis.ravel() if axis.ndim == 2 else np.tile(axis, _row_count(base))
+    n, m = _row_count(base), axis.shape[-1]
+    grid = Grid({col: np.repeat(v, m) for col, v in base.items()})
+    grid[name] = axis.ravel() if axis.ndim == 2 else np.tile(axis, n)
+    grid.table, grid.counts = dict(base), np.full(n, m)
     return grid
 
 
 def _skip_zero(grid: Grid, name: str) -> Grid:
     """Drop the rows where column `name` is zero (within 1e-12)."""
-    keep = ~(np.abs(grid[name]) < 1e-12)
-    return {col: v[keep] for col, v in grid.items()}
+    return _cut(grid, ~(np.abs(grid[name]) < 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +350,7 @@ def _skip_zero(grid: Grid, name: str) -> Grid:
 
 
 def _margins_albet(grid: Grid, mx, lows=None) -> list:
-    _, alpha, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
+    _, alpha, beta, _ = _pack(grid, mx)
     return [
         ("alpha_pos", alpha),
         ("alpha_below_one", 1.0 - alpha),
@@ -232,7 +360,7 @@ def _margins_albet(grid: Grid, mx, lows=None) -> list:
 
 def _margins_albeta(grid: Grid, mx, lows=None) -> list:
     a = mx.num(grid["a"])
-    _, alpha, _, _ = coeffs_generic(grid["a"], grid["theta"], mx)
+    _, alpha, _, _ = _pack(grid, mx)
     prod = a * alpha
     return [
         ("slope_product_above_minus_one", 1.0 + prod),
@@ -241,15 +369,16 @@ def _margins_albeta(grid: Grid, mx, lows=None) -> list:
 
 
 def _margins_dom(grid: Grid, mx, lows=None) -> list:
-    mu = mx.num(grid["mu"])
+    table, base = _bases(grid)  # one band width per mu
+    mu = mx.num(table["mu"])
     th = mx.num(grid["theta"])
     a = mx.num(grid["a"])
     k = a * (th - 1.0)
     pi1 = (1.0 - mu) / (1.0 + mu * mu)
     pi2 = mx.log((1.0 + mu) / (1.0 + mu * mu)) / mu
-    _, _, _, a_star = coeffs_generic(grid["a"], grid["theta"], mx)
+    _, _, _, a_star = _pack(grid, mx)
     return [
-        ("band_width", pi1 - pi2),
+        ("band_width", _rows(pi1 - pi2, base)),
         ("slope_delay_low", k - 1.0),
         ("slope_delay_high", 1.5 - k),
         ("branch_slope_below_minus_one", -1.0 - a_star),
@@ -259,7 +388,7 @@ def _margins_dom(grid: Grid, mx, lows=None) -> list:
 
 def _margins_jcal_tangent(grid: Grid, mx, lows=None) -> list:
     r = mx.num(grid["r"])
-    j0, j1 = j_tangent_coeffs(grid["a"], grid["theta"], mx)
+    j0, j1 = _on_points(grid, lambda a, th: j_tangent_coeffs(a, th, mx))
     jv = j_generic(grid["r"], grid["a"], grid["theta"], mx)
     return [("tangent_dominates", j0 + j1 * r - jv)]
 
@@ -363,7 +492,7 @@ def _solved(solve, r, lanes, offsets: dict, lows, below: bool = False):
 
 
 def _margins_leform1(grid: Grid, mx, lows=None) -> list:
-    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    r, lanes = grid["r"], _lanes(grid)
     offsets = {
         "response_above_tangent_bound": bound_L(r, lanes),
         "response_above_moebius": R_eval(r, coeffs(lanes)),
@@ -373,14 +502,14 @@ def _margins_leform1(grid: Grid, mx, lows=None) -> list:
 
 
 def _margins_plyus(grid: Grid, mx, lows=None) -> list:
-    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    r, lanes = grid["r"], _lanes(grid)
     offsets = {"response_below_moebius": R_eval(r, coeffs(lanes))}
     f_val = _solved(F_solve_r, r, lanes, offsets, lows, below=True)
     return [(label, offset - f_val) for label, offset in offsets.items()]
 
 
 def _margins_leform2(grid: Grid, mx, lows=None) -> list:
-    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    r, lanes = grid["r"], _lanes(grid)
     num, den = _g1_fraction(r, lanes, ramp_slope_ratio(r, lanes) / r)
     offsets = {
         "ramp_above_taylor": num / den,
@@ -393,30 +522,40 @@ def _margins_leform2(grid: Grid, mx, lows=None) -> list:
 
 
 def _margins_lele(grid: Grid, mx, lows=None) -> list:
+    # the certificate polynomial at both ends of the r axis, from one set
+    # of coefficients per row
     a = grid["a"]
-    th = grid["theta"]
-    _, alpha, beta, a_star = coeffs_generic(a, th, mx)
-    q_deep = q_poly_generic(a, a, th, mx, alpha=alpha, beta=beta)
-    q_branch = q_poly_generic(a_star, a, th, mx, alpha=alpha, beta=beta)
+    _, alpha, beta, a_star = _pack(grid, mx)
+    mn = _mn_coeffs(a, grid["theta"], mx)
     return [
-        ("certificate_nonpos_deep_end", -q_deep),
-        ("certificate_nonpos_branch_end", -q_branch),
+        ("certificate_nonpos_deep_end", -_q_at(mx.num(a), mn, alpha, beta)),
+        ("certificate_nonpos_branch_end", -_q_at(mx.num(a_star), mn, alpha, beta)),
     ]
 
 
-def _margins_leleka(grid: Grid, mx, lows=None) -> list:
-    a = grid["a"]
-    th = grid["theta"]
-    r = grid["r"]
+def _leleka_coeffs(a, th, mx) -> tuple:
+    """leleka's quantities of (a, theta) alone: alpha, beta, the
+    coefficients of the certificate polynomial and of its derivative, and
+    the chain's three differences."""
     _, alpha, beta, _ = coeffs_generic(a, th, mx)
     t3, t2, t1_, t0 = t_chain_generic(a, th, mx, alpha=alpha)
-    deep = r == a  # the deep end of the r axis, once per (a, theta)
+    mn = _mn_coeffs(a, th, mx)
+    s = _s_coeffs(a, th, mx, alpha=alpha, beta=beta)
+    return alpha, beta, *mn, *s, t3 - t2, t2 - t1_, t1_ - t0
+
+
+def _margins_leleka(grid: Grid, mx, lows=None) -> list:
+    r = grid["r"]
+    alpha, beta, *rest = _on_points(grid, lambda a, th: _leleka_coeffs(a, th, mx))
+    mn, s, (t32, t21, t10) = rest[:10], rest[10:14], rest[14:]
+    deep = r == grid["a"]  # the deep end of the r axis, once per (a, theta)
+    r = mx.num(r)
     return [
-        ("derivative_pos", s_poly_generic(r, a, th, mx, alpha=alpha, beta=beta)),
-        ("certificate_nonpos", -q_poly_generic(r, a, th, mx, alpha=alpha, beta=beta)),
-        ("chain_t3_gt_t2", mx.where(deep, t3 - t2, math.nan)),
-        ("chain_t2_gt_t1", mx.where(deep, t2 - t1_, math.nan)),
-        ("chain_t1_gt_t0", mx.where(deep, t1_ - t0, math.nan)),
+        ("derivative_pos", _s_at(r, s)),
+        ("certificate_nonpos", -_q_at(r, mn, alpha, beta)),
+        ("chain_t3_gt_t2", mx.where(deep, t32, math.nan)),
+        ("chain_t2_gt_t1", mx.where(deep, t21, math.nan)),
+        ("chain_t1_gt_t0", mx.where(deep, t10, math.nan)),
     ]
 
 
@@ -446,14 +585,14 @@ def _funcrr2_runs(grid: Grid):
     z, tc and h are taken once for all marches."""
     from .ddesim import History, _envelope, integrate
 
-    r, lanes = grid["r"], NormLanes(a=grid["a"], theta=grid["theta"])
+    r, lanes = grid["r"], _lanes(grid)
     z = r_inv(r, lanes.a)
     tc = FLOAT.log(1.0 - (1.0 + z) / lanes.a)
     h = lanes.delay
     T = np.stack([tc, tc + 3.0 * h])
 
     def march(n: int | None = None, rows=slice(None)):
-        part = NormLanes(a=lanes.a[rows], theta=lanes.theta[rows])
+        part = lanes.take(rows)
         step = None if n is None else h[rows] / n
         return integrate(_envelope(part.a), History.constant(z[rows]), part, T[:, rows], step)
 
@@ -500,7 +639,7 @@ def _margins_funcrr2(grid: Grid, mx, lows=None) -> list:
     bound (its lowest node is its last and the node past its horizon is
     not finite) never settles."""
     label = "dip_above_corner_bound"
-    corner = R2_eval(grid["r"], NormLanes(a=grid["a"], theta=grid["theta"]))
+    corner = R2_eval(grid["r"], _lanes(grid))
     march = _funcrr2_runs(grid)
     if lows is None:
         return [(label, march().dip - corner)]
@@ -514,14 +653,16 @@ def _margins_funcrr2(grid: Grid, mx, lows=None) -> list:
 
 
 def _margins_lele2(grid: Grid, mx, lows=None) -> list:
-    q = mx.num(grid["q"])
-    k = mx.num(grid["k"])
-    a = mx.num(grid["a"])
+    table, base = _bases(grid)  # the terms of q alone, once per q
+    q = mx.num(table["q"])
     ell = mx.log1p(q)
     # log(theta) + 1 - theta; near q = 0 the sum cancels and its series takes over
     gap = _log_gap(-q + ell, -q, mx)
-    corner = (gap / (1.0 - q + ell)) * k * k / (q * q - k * gap)
-    _, _, beta, _ = coeffs_generic(grid["a"], grid["theta"], mx)
+    ratio, q2, gap = (_rows(v, base) for v in (gap / (1.0 - q + ell), q * q, gap))
+    k = mx.num(grid["k"])
+    a = mx.num(grid["a"])
+    corner = ratio * k * k / (q2 - k * gap)
+    _, _, beta, _ = _pack(grid, mx)
     rv = a * corner / (1.0 + corner)
     return [
         ("corner_above_minus_one", corner + 1.0),
@@ -568,17 +709,25 @@ def _margins_gss(grid: Grid, mx, lows=None) -> list:
 
 
 def _gen_band_d(n: int):
+    """albet's and dom's grid, carrying lam, its rows' exp(theta/a)."""
+    grid = _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "D")
+    grid.lam = _float_lam(grid["a"], grid["theta"])
     return (
         f"band D product grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=0..{n})",
-        _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "D"),
+        grid,
     )
 
 
-def _gen_albeta(n: int):
+def _gen_albeta(n: int, band: Grid | None = None):
+    """The rows j >= 1 of the band-D grid (band, if the caller has built
+    it): theta row j = 0 is the first row of each mu."""
+    if band is None:
+        band = _gen_band_d(n)[1]
+    first = np.concatenate(([True], band.base[1:] != band.base[:-1]))
     return (
         f"band D interior grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=1..{n}; "
         "lower edge excluded where the product degenerates to -1)",
-        _band_grid(np.arange(1, n) / n, np.arange(1, n + 1), 0, n, "D"),
+        _cut(band, ~first),
     )
 
 
@@ -601,7 +750,7 @@ def _gen_jcal_concavity(n: int):
 
 def _gen_leform1(n: int):
     base = _cell_band(32, 9, "D")
-    _, _, _, a_star = coeffs_generic(base["a"], base["theta"])
+    a_star = _branch_slope(base["a"], base["theta"])
     return (
         f"cell-centered band sample (32x9) times r=a_star*(1-k/{n}) (k=0..{n - 1})",
         _times(base, "r", a_star[:, None] * (1.0 - np.arange(n) / n)),
@@ -619,7 +768,7 @@ def _gen_plyus(n: int):
 
 def _toward_branch(base: Grid, k: np.ndarray, n: int) -> Grid:
     """base times r = a + (a_star - a) * k / n, from the deep end toward a_star."""
-    _, _, _, a_star = coeffs_generic(base["a"], base["theta"])
+    a_star = _branch_slope(base["a"], base["theta"])
     a = base["a"][:, None]
     return _times(base, "r", a + (a_star[:, None] - a) * k / n)
 
@@ -729,18 +878,20 @@ _LANE_BLOCK = 8192
 def _margin_columns(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]]:
     """(label, float64 margin column) pairs over the rows of grid.
 
-    The float pass runs in blocks of _LANE_BLOCK rows, and each block's
-    margins call gets each label's smallest margin over the earlier blocks
-    as lows (see _LemmaSpec).  A label whose float margin lands within
-    dd_threshold of zero then takes its double-double value: the rows that
-    have one are rechecked once per check, for all their labels, in passes
-    of at most _LANE_BLOCK rows.  Double-double lanes are bitwise their own
-    runs, so how the near rows are cut into passes moves no bit.
+    The float pass runs in blocks of _LANE_BLOCK rows, each with the part
+    of the base table its rows use, and each block's margins call gets
+    each label's smallest margin over the earlier blocks as lows (see
+    _LemmaSpec).  A label whose float margin lands within dd_threshold of
+    zero then takes its double-double value: the rows that have one are
+    rechecked once per check, for all their labels, in passes of at most
+    _LANE_BLOCK rows, as plain columns that are their own base table.
+    Double-double lanes are bitwise their own runs, so how the near rows
+    are cut into passes moves no bit.
     """
     n = _row_count(grid)
     labels, cols, lows = [], [], {}
     for i in range(0, n, _LANE_BLOCK):
-        block = spec.margins({k: v[i : i + _LANE_BLOCK] for k, v in grid.items()}, FLOAT, lows)
+        block = spec.margins(_cut(grid, slice(i, i + _LANE_BLOCK)), FLOAT, lows)
         if not cols:
             labels = [label for label, _ in block]
             cols = [np.empty(n) for _ in block]
@@ -792,14 +943,18 @@ def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
     return violations, min_margin
 
 
-def verify_lemma(lemma_id: str, resolution: int = 256) -> LemmaReport:
-    """Sweep one registered inequality at the given grid resolution."""
+def verify_lemma(lemma_id: str, resolution: int = 256, *, built=None) -> LemmaReport:
+    """Sweep one registered inequality at the given grid resolution.
+
+    built is the (grid_spec, grid) pair the check's generator gives at
+    this resolution, if the caller has built it (verify_all); without, the
+    sweep builds its own.
+    """
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown check id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4")
+    _check_resolution(resolution)
     spec = _REGISTRY[lemma_id]
-    grid_spec, grid = spec.gen(resolution)
+    grid_spec, grid = spec.gen(resolution) if built is None else built
     try:
         violations, min_margin = _eval_columns(spec, grid)
     except SolveExhausted as exc:
@@ -816,6 +971,11 @@ def verify_lemma(lemma_id: str, resolution: int = 256) -> LemmaReport:
     )
 
 
+def _check_resolution(resolution: int) -> None:
+    if resolution < 4:
+        raise ValueError("resolution must be at least 4")
+
+
 def write_report(report: LemmaReport, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{report.lemma_id}.json")
@@ -830,13 +990,29 @@ def verify_all(
     out_dir=None,
     progress: Callable[[str], None] | None = None,
 ) -> list[LemmaReport]:
-    """Run every registered check; optionally write one JSON report each."""
+    """Run every registered check; optionally write one JSON report each.
+
+    albet, albeta and dom sweep one band-D grid with its lam, the libm
+    call of its FLOAT coefficient pack, built here once and dropped after
+    dom's sweep, the last of the three; albeta's grid, its rows j >= 1, is
+    cut when albeta runs.  Each report is the one its own verify_lemma
+    call gives.
+    """
     # threads stays only because perfbench/workloads.py passes threads=1
     if threads not in (None, 1):
         raise ValueError(f"sweeps run in one process; threads must be None or 1, got {threads!r}")
+    _check_resolution(resolution)
+    band = _gen_band_d(resolution)
     reports = []
     for lemma_id in LEMMA_IDS:
-        rep = verify_lemma(lemma_id, resolution=resolution)
+        if lemma_id == "albeta":
+            built = _gen_albeta(resolution, band[1])
+        else:
+            built = band if lemma_id in ("albet", "dom") else None
+        rep = verify_lemma(lemma_id, resolution=resolution, built=built)
+        built = None
+        if lemma_id == "dom":
+            band = None  # albet, albeta and dom have run
         if out_dir is not None:
             write_report(rep, out_dir)
         if progress is not None:

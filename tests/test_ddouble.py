@@ -1,5 +1,6 @@
 import math
 import operator
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from ddestab.ddouble import (
     FLOAT,
     FloatBackend,
     _libm,
-    _per_run,
     dd,
     dd_exp,
     dd_log,
@@ -241,9 +241,9 @@ _LIBM_CASES = {
 @pytest.mark.parametrize("case", sorted(_LIBM_CASES))
 @pytest.mark.parametrize("fn", [math.exp, math.log1p, math.sqrt], ids=lambda f: f.__name__)
 def test_libm_runs_match_each_entry(case, fn):
-    # one libm call per run of bitwise-equal entries gives, entry for entry,
-    # the bits of a call per entry; log1p(-0.0) is -0.0, so a +0.0 next to a
-    # -0.0 must start a new run
+    # one libm call per entry, in any layout, gives the bits of each
+    # entry's own call; log1p(-0.0) is -0.0, so a +0.0 next to a -0.0 keeps
+    # its sign
     x = _LIBM_CASES[case]
     got = _libm(fn, x)
     assert got.shape == x.shape and got.dtype == np.float64
@@ -256,78 +256,28 @@ def test_libm_scalar_path():
     assert type(_libm(math.exp, 0.5)) is float
 
 
-def test_float_exp_calls_libm_once_per_run(monkeypatch):
-    # leform1's grid repeats each of its 288 (a, theta) points along its r
-    # axis, and its coefficient packs are evaluated once per run of equal
-    # (a, theta), so exp(theta/a) sees each point once per pack
-    calls, runs, rows = [], [], []
-
-    def counted(t):
-        calls.append(t)
-        return math.exp(t)
+def test_float_exp_sees_each_base_at_most_twice(monkeypatch):
+    # leform1's grid repeats each of its 288 (a, theta) bases along its r
+    # axis.  Its margins take the coefficient pack once per base on the
+    # base table, once for bound_L and once for the Moebius bound, and its
+    # grid's a_star needs no exp, so exp(theta/a) sees each base at most
+    # twice.  A call per row made 221,472 calls here
+    args = []
 
     def exp(x):
-        if type(x) is np.ndarray:
-            hexes = [v.hex() for v in x.ravel().tolist()]
-            runs.append(sum(1 for i, h in enumerate(hexes) if i == 0 or h != hexes[i - 1]))
-            rows.append(x.size)
-        return _libm(counted, x)
+        args.extend(np.ravel(x).tolist())
+        return _libm(math.exp, x)
 
     _, grid = verify._REGISTRY["leform1"].gen(256)
-    pairs = list(zip(grid["a"].tolist(), grid["theta"].tolist()))
-    bases = sum(1 for i, p in enumerate(pairs) if i == 0 or p != pairs[i - 1])
-    assert bases == 288
+    table = grid.table
+    assert table["a"][grid.base].tobytes() == grid["a"].tobytes()
+    ratios = (table["theta"] / table["a"]).tolist()
+    assert len(set(ratios)) == 288
     monkeypatch.setattr(FloatBackend, "exp", staticmethod(exp))
     verify.verify_lemma("leform1", resolution=256)
-    assert rows and len(calls) == sum(runs)
-    # no exp argument repeats an entry, and none has more than one per base
-    assert rows == runs and max(rows) <= bases
-    # four packs per base: the grid's a_star, bound_L's coeffs and tangent,
-    # and the Moebius coeffs.  A call per row made 221,472 calls here, one
-    # per run of exp arguments 1,152
-    assert len(calls) <= 4 * bases
-
-
-def _pairs_bits(*cols):
-    return [tuple(_bits(v) for v in vals) for vals in zip(*(c.ravel().tolist() for c in cols))]
-
-
-_AT = np.repeat(np.random.default_rng(5).uniform(-3.0, -0.5, 12), np.arange(1, 13))
-_TH = np.repeat(np.random.default_rng(6).uniform(0.1, 0.9, 6), 13)
-_RUN_CASES = {
-    # both columns change at other rows, so a run ends where either does
-    "runs": (_AT, _TH),
-    "no runs": tuple(np.random.default_rng(8).uniform(0.1, 0.9, (2, 50))),
-    "signed zeros": (
-        np.array([0.0, 0.0, -0.0, -0.0, 0.0, 1.0]),
-        np.array([2.0, 2.0, 2.0, -0.0, -0.0, 1.0]),
-    ),
-    "2-d": (_AT.reshape(6, 13), _TH.reshape(6, 13)),
-    "one entry": (np.array([0.5]), np.array([-0.0])),
-    "empty": (np.array([]), np.array([])),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_RUN_CASES))
-def test_per_run_matches_row_wise(case):
-    # once per run and repeated, bitwise what each row gives on its own;
-    # copysign and hypot tell +0.0 from -0.0, so a run must end at a sign change
-    x, y = _RUN_CASES[case]
-
-    def fn(u, v):
-        seen.append(u.size)
-        return np.copysign(u + 1.0, v), np.hypot(u, v) * np.copysign(1.0, u)
-
-    seen = []
-    got = _per_run(fn, x, y)
-    assert all(g.shape == x.shape and g.dtype == np.float64 for g in got)
-    want = [fn(np.array([u]), np.array([v])) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
-    assert _pairs_bits(*got) == [(_bits(p[0]), _bits(q[0])) for p, q in want]
-    pairs = _pairs_bits(x, y)
-    runs = sum(1 for i, p in enumerate(pairs) if i == 0 or p != pairs[i - 1])
-    assert seen[0] == runs
-    # one output, not a tuple, keeps its shape as well
-    assert _per_run(lambda u: u * 2.0, x).shape == x.shape
+    seen = Counter(args)
+    assert set(seen) <= set(ratios)
+    assert max(seen.values()) <= 2 and len(args) <= 2 * 288
 
 
 def test_backend_where_and_value():

@@ -288,6 +288,27 @@ def test_response_bounds_on_lanes_equal_point_bounds():
         assert [float(v[i]).hex() for v in got] == [v.hex() for v in want], i
 
 
+def test_response_bounds_on_base_tables_equal_row_bounds():
+    # lanes that carry a base table take each quantity of a point once per
+    # base and gather it: bitwise what the same lanes give without the table
+    rng = np.random.default_rng(23)
+    table = NormLanes(a=rng.uniform(-6.0, -1.05, 40), theta=rng.uniform(0.2, 0.95, 40))
+    base = np.sort(rng.integers(0, 40, 700))
+    rows = NormLanes(a=table.a[base], theta=table.theta[base])
+    lanes = NormLanes(a=rows.a, theta=rows.theta, bases=table, base=base)
+    r = rows.a * rng.uniform(0.05, 0.95, base.size)
+
+    def bounds(np_):
+        c = coeffs(np_)
+        out = [c.alpha, c.beta, c.lam, c.a_star, R2_eval(r, np_), bound_L(r, np_), np_.delay]
+        return out + list(_g1_fraction(r, np_, ramp_slope_ratio(r, np_) / r))
+
+    for got, want in zip(bounds(lanes), bounds(rows)):
+        assert got.tobytes() == want.tobytes()
+    part = lanes.take(slice(100, 300))
+    assert part.bases is table and part.delay.tobytes() == rows.delay[100:300].tobytes()
+
+
 def test_F1_closed_form_oracle():
     np_ = NormParams(a=-2.0, theta=0.5)
     s = F1_solve(1.0, np_)

@@ -185,6 +185,31 @@ def test_stopped_lanes_are_not_evaluated():
     assert calls.min() < calls.max()
 
 
+def test_known_end_values_are_not_evaluated_again():
+    # with f at both bracket ends given, the lane solve evaluates neither
+    # end and ends bitwise as the solve that evaluates them, the lanes with
+    # a root at an end included
+    lo, hi, params = _cubic_family()
+    points = []
+
+    def counted(x, *cols):
+        points.append(np.atleast_1d(x).size)
+        return _cubic(x, *cols)
+
+    full = solve_bracketed(counted, lo, hi, args=params)
+    evaluated = sum(points)
+    points.clear()
+    ends = (_cubic(lo, *params), _cubic(hi, *params))
+    given = solve_bracketed(counted, lo, hi, args=params, ends=ends)
+    # f(hi) is skipped on the lanes f(lo) = 0 does not stop
+    assert sum(points) == evaluated - lo.size - int(np.sum(ends[0] != 0.0))
+    for got, want in zip(
+        (given.root, given.f_root, *given.bracket, given.lane_iterations),
+        (full.root, full.f_root, *full.bracket, full.lane_iterations),
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_last_lanes_finish_on_the_scalar_loop():
     # 32 seeded cubics with roots on multiples of 1/64: those with e = 0 stop
     # on an exact zero, the others on the width test; the slowest lanes reach

@@ -157,6 +157,24 @@ def test_grid_columns_frozen(lemma_id, n):
         h.update(name.encode() + b"\0")
         h.update(col.tobytes())
     assert h.hexdigest() == GRID_DIGESTS[(lemma_id, n)]
+    # a product grid's base column gathers its base table back to the
+    # point columns, bitwise, and lists the rows base by base
+    base = getattr(grid, "base", None)
+    if base is None:  # a plain axis is its own base table
+        assert lemma_id in ("expo_bounds", "r303")
+        return
+    assert base.dtype == np.int64 and np.all(np.diff(base) >= 0)
+    assert grid.table and set(grid.table) <= set(grid)
+    for name, col in grid.table.items():
+        assert col[base].tobytes() == grid[name].tobytes(), name
+    assert np.unique(base).size == verify._row_count(grid.table)
+    # a block of rows, cut at any row, keeps the part of the table it uses
+    rows = verify._row_count(grid)
+    for start in (0, 1, rows // 3, rows - 700):
+        block = verify._cut(grid, slice(max(start, 0), max(start, 0) + 700))
+        assert block.base[0] == 0 and np.unique(block.base).size == verify._row_count(block.table)
+        for name, col in block.table.items():
+            assert col[block.base].tobytes() == block[name].tobytes(), name
 
 
 def test_slope_product_sweep_triggers_refined_arithmetic():
@@ -224,9 +242,10 @@ def test_dd_recheck_row_counts(lemma_id, monkeypatch):
 
 
 # evaluations of the map identity per check at resolution 256, counted per
-# lane: 2.21, 1.57 and 2.44 per row.  Most rows settle on one evaluation at
-# the other bracket end and one at their probe root (onedmaps._settle_early)
-IDENTITY_EVALS = {"leform1": 162945, "plyus": 115089, "leform2": 179961}
+# lane: 2.13, 1.55 and 2.26 per row.  Most rows settle on one evaluation at
+# the other bracket end and one at their probe root (onedmaps._settle_early);
+# the lockstep solve of the rows left takes both end values from there
+IDENTITY_EVALS = {"leform1": 156941, "plyus": 113613, "leform2": 166959}
 
 
 @pytest.mark.parametrize("lemma_id", list(IDENTITY_EVALS))
@@ -722,6 +741,51 @@ def test_verify_all_writes_one_report_each(tmp_path):
         assert (tmp_path / f"{lemma_id}.json").exists()
     assert len(lines) == len(EXPECTED_IDS)
     assert all("violations=0" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+def test_verify_all_matches_lone_sweeps(resolution, monkeypatch):
+    # verify_all builds band D and its float pack once for albet, albeta and
+    # dom; every report and every margin column is the lone sweep's, bitwise
+    margin_columns = verify._margin_columns
+    seen = []
+
+    def recording(spec, grid):
+        seen.append((spec.lemma_id, margin_columns(spec, grid)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify, "_margin_columns", recording)
+    shared = [r.to_json_dict() for r in verify_all(resolution=resolution)]
+    shared_columns, seen[:] = seen[:], []
+    lone = [verify_lemma(lemma_id, resolution=resolution).to_json_dict() for lemma_id in EXPECTED_IDS]
+    assert json.dumps(shared) == json.dumps(lone)
+    assert [lemma_id for lemma_id, _ in shared_columns] == EXPECTED_IDS
+    for (lemma_id, ours), (_, theirs) in zip(shared_columns, seen):
+        assert [label for label, _ in ours] == [label for label, _ in theirs], lemma_id
+        for (label, col), (_, other) in zip(ours, theirs):
+            assert col.tobytes() == other.tobytes(), (lemma_id, label)
+
+
+# per-entry libm calls (ddouble._each, and onedmaps._each, the name the
+# identity's log1p runs through) of one verify_all at resolution 64.  A
+# quantity of a base alone that fell back to a call per row would add about
+# its grid's row count here: 4,095 for the band-D pack, 18,432 for leform1's
+LIBM_CALLS_64 = 220617
+
+
+def test_libm_calls_per_sweep(monkeypatch):
+    from ddestab import ddouble
+
+    entries = []
+    for module in (ddouble, onedmaps):
+
+        def counted(fn, x, _each=module._each):
+            entries.append(x.size)
+            return _each(fn, x)
+
+        monkeypatch.setattr(module, "_each", counted)
+    verify_all(resolution=64)
+    assert sum(entries) == LIBM_CALLS_64
 
 
 def test_verify_all_threads_accepts_only_one_process(tmp_path):
