@@ -22,6 +22,13 @@ through the value's own or reflected operator, and a DD coerces it to
 DD(c, 0), the operand mx.num(c) gives, so either order gives the same bits
 (two_sum and two_prod are exact).  A backend one is built only for a
 constant wider than a float, such as one / 3.0 in double-double.
+
+FLOAT's exp, log and log1p give libm's bits on every entry of an array,
+the bits the same call gives on one float, so a margin never depends on
+how its points were cut into lanes or on the CPU's numpy dispatch (np.exp,
+np.log and np.log1p differ from libm in the last bit on some arguments).
+exp runs in one C loop through libm's cexp at x + 0i (_float_exp); log
+and log1p call libm once per entry (_each).
 """
 
 from __future__ import annotations
@@ -67,18 +74,56 @@ def _two_prod(x: float, y: float) -> tuple[float, float]:
 
 
 def _each(fn, x: np.ndarray) -> np.ndarray:
-    """fn by libm on each entry of an array: np.exp, np.log and np.log1p
-    differ from libm in the last bit on some arguments."""
+    """fn by libm on each entry of an array: np.log and np.log1p differ
+    from libm in the last bit on some arguments."""
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _libm(fn, x):
-    """fn on a float, or by libm on each entry of an array (_each).  A
-    caller whose entries repeat takes fn once per distinct point itself,
+    """fn on a float, or by libm on each entry of an array (_each): FLOAT's
+    log and log1p, which have no bitwise C loop as exp has (_float_exp).
+    A caller whose entries repeat takes fn once per distinct point itself,
     as the sweeps' product grids do once per base."""
     if type(x) is not np.ndarray:
         return fn(x)
     return _each(fn, x)
+
+
+# glibc's cexp(x + 0i) is exp(x) * 1.0 up to here; above it, it takes
+# exp(709) * exp(x - 709), which can round differently
+_CEXP_EXACT = 709.0
+
+
+def _cexp(x: np.ndarray) -> np.ndarray:
+    """exp of each entry of an array, all of them at most _CEXP_EXACT, in
+    one C loop: numpy's complex exp calls libm's cexp, whose real part at
+    x + 0i is libm's exp(x) (see _float_exp)."""
+    c = x.astype(complex)
+    np.exp(c, out=c)  # out= keeps a 0-d array an array
+    return c.real.copy()
+
+
+def _float_exp(x):
+    """math.exp on a float, and on each entry of an array, bitwise.
+
+    np.exp differs from libm in the last bit on some arguments, but libm's
+    cexp at x + 0i returns exp(x) as its real part: glibc computes
+    exp(x) * cos(0), and cos(0) is 1.0, and numpy's own cexp, where it
+    has no libm one, returns exp(x) outright.  So the entries up to
+    _CEXP_EXACT run in one C loop (_cexp), and the rest (NaN, +inf, and
+    the entries above 709, which glibc's cexp rescales or which overflow)
+    by libm one at a time (_each), which keeps NaN payloads and raises
+    OverflowError as math.exp does, without a numpy warning.
+    """
+    if type(x) is not np.ndarray:
+        return math.exp(x)
+    if x.max(initial=-math.inf) <= _CEXP_EXACT:
+        return _cexp(x)
+    rest = ~(x <= _CEXP_EXACT)
+    y = np.empty(x.shape)
+    y[~rest] = _cexp(x[~rest])
+    y[rest] = _each(math.exp, x[rest])
+    return y
 
 
 class DD:
@@ -279,18 +324,20 @@ class FloatBackend:
     Every backend has num, exp, log, log1p and sqrt, plus where(mask, x, y),
     which selects per lane, and value(x), the float nearest to x.  Each
     member takes a float or a float64 array, one lane per entry; lane i is
-    bitwise the value on its own float, since exp, log and log1p run libm
-    on each entry (see _libm).  Every entry costs a libm call, so a caller
-    takes a quantity of repeated points once per point: the sweeps take it
-    once per base of a product grid and gather it by the grid's base
-    column.  Generic formulas pass each input through num once and meet
-    float literals directly (see the module docstring).
+    bitwise the value on its own float: exp takes libm's exp through its
+    cexp in one C loop (_float_exp), and log and log1p call libm on each
+    entry (_libm), since clog's real part is not libm's log.  A log or
+    log1p entry costs a Python call, so a caller takes a quantity of
+    repeated points once per point: the sweeps take it once per base of a
+    product grid and gather it by the grid's base column.  Generic
+    formulas pass each input through num once and meet float literals
+    directly (see the module docstring).
     """
 
     name = "float"
 
     num = staticmethod(_float_num)
-    exp = staticmethod(partial(_libm, math.exp))
+    exp = staticmethod(_float_exp)
     log = staticmethod(partial(_libm, math.log))
     log1p = staticmethod(partial(_libm, math.log1p))
     sqrt = staticmethod(_float_sqrt)

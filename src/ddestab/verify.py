@@ -217,17 +217,6 @@ def _pack(grid, mx) -> tuple:
     return _on_points(grid, lambda a, th: coeffs_generic(a, th, mx))
 
 
-def _float_lam(a: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """exp(theta/a) at every row in FLOAT, as coeffs_generic takes it,
-    _LANE_BLOCK rows at a time: libm on a whole grid at once would hold a
-    Python float per row."""
-    lam = np.empty(a.size)
-    for i in range(0, a.size, _LANE_BLOCK):
-        rows = slice(i, i + _LANE_BLOCK)
-        lam[rows] = FLOAT.exp(theta[rows] / a[rows])
-    return lam
-
-
 def _lanes(grid) -> NormLanes:
     """The (a, theta) rows of grid as lanes, carrying the base table where
     it holds a and theta (_points)."""
@@ -487,6 +476,14 @@ def _solved(solve, r, lanes, offsets: dict, lows, below: bool = False):
     return np.where(sol.settled, end, sol.value)
 
 
+def _moebius(r, lanes):
+    """R_eval at the rows of lanes, with the coefficient pack taken once per
+    base where the lanes carry a base table: R_eval gathers its alpha and
+    beta alone to the rows."""
+    table = lanes if lanes.bases is None else lanes.bases
+    return R_eval(r, coeffs(table), lanes.base)
+
+
 # the response-map and trajectory checks have no double-double form: they
 # take mx without using it
 
@@ -495,7 +492,7 @@ def _margins_leform1(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], _lanes(grid)
     offsets = {
         "response_above_tangent_bound": bound_L(r, lanes),
-        "response_above_moebius": R_eval(r, coeffs(lanes)),
+        "response_above_moebius": _moebius(r, lanes),
     }
     f_val = _solved(F_solve_r, r, lanes, offsets, lows)
     return [(label, f_val - offset) for label, offset in offsets.items()]
@@ -503,7 +500,7 @@ def _margins_leform1(grid: Grid, mx, lows=None) -> list:
 
 def _margins_plyus(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], _lanes(grid)
-    offsets = {"response_below_moebius": R_eval(r, coeffs(lanes))}
+    offsets = {"response_below_moebius": _moebius(r, lanes)}
     f_val = _solved(F_solve_r, r, lanes, offsets, lows, below=True)
     return [(label, offset - f_val) for label, offset in offsets.items()]
 
@@ -513,7 +510,7 @@ def _margins_leform2(grid: Grid, mx, lows=None) -> list:
     num, den = _g1_fraction(r, lanes, ramp_slope_ratio(r, lanes) / r)
     offsets = {
         "ramp_above_taylor": num / den,
-        "ramp_above_moebius": R_eval(r, coeffs(lanes)),
+        "ramp_above_moebius": _moebius(r, lanes),
     }
     f1_val = _solved(F1_solve_r, r, lanes, offsets, lows)
     return [("taylor_denominator_pos", den)] + [
@@ -711,7 +708,8 @@ def _margins_gss(grid: Grid, mx, lows=None) -> list:
 def _gen_band_d(n: int):
     """albet's and dom's grid, carrying lam, its rows' exp(theta/a)."""
     grid = _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "D")
-    grid.lam = _float_lam(grid["a"], grid["theta"])
+    # exp(theta/a) as coeffs_generic takes it in FLOAT
+    grid.lam = FLOAT.exp(grid["theta"] / grid["a"])
     return (
         f"band D product grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=0..{n})",
         grid,

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 mp = pytest.importorskip("mpmath")
 
 from ddestab import verify
+from ddestab.params import NormParams
 from ddestab.ddouble import (
     DD,
     DOUBLE_DOUBLE,
     FLOAT,
     FloatBackend,
+    _float_exp,
     _libm,
     dd,
     dd_exp,
@@ -204,7 +206,10 @@ def test_one_bad_lane_raises(fn, bad, error):
 
 def test_float_lanes_use_libm():
     # np.exp, np.log and np.log1p differ from libm in the last bit on some
-    # arguments, so the float backend calls libm per lane
+    # arguments, so the float backend takes libm's bits on every lane: exp
+    # through libm's cexp at x + 0i, whose real part is exp(x), in one C
+    # loop, and log and log1p by a libm call per lane, since clog's real
+    # part is not libm's log
     rng = np.random.default_rng(7)
     cases = [
         (FLOAT.exp, math.exp, rng.uniform(-5.0, 5.0, 4096)),
@@ -235,6 +240,7 @@ _LIBM_CASES = {
     "non-contiguous": _RUNS.reshape(70, -1)[::3, 1::2],
     "transposed": _RUNS.reshape(70, -1).T,
     "no runs": np.random.default_rng(4).uniform(0.1, 5.0, 999),
+    "0-d": np.array(0.75),
 }
 
 
@@ -254,6 +260,86 @@ def test_libm_runs_match_each_entry(case, fn):
 def test_libm_scalar_path():
     assert _bits(_libm(math.log1p, -0.0)) == _bits(-0.0)
     assert type(_libm(math.exp, 0.5)) is float
+
+
+def _exp_bits_match(x: np.ndarray) -> None:
+    # FLOAT.exp on an array: a contiguous float64 array of x's shape whose
+    # every entry is math.exp of x's, bit for bit
+    got = FLOAT.exp(x)
+    assert type(got) is np.ndarray and got.shape == x.shape and got.dtype == np.float64
+    assert got.flags.c_contiguous
+    want = np.array([math.exp(v) for v in x.ravel().tolist()], dtype=float)
+    bad = np.flatnonzero(got.ravel().view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, [(x.ravel()[i].hex(), got.ravel()[i].hex(), want[i].hex()) for i in bad[:5]]
+
+
+# the strata of FLOAT.exp's bitwise test: deep underflow into subnormals,
+# the ordinary range, around 0, tiny arguments, large ones, and the edge of
+# overflow, where glibc's cexp rescales above 709
+_EXP_STRATA = [(-745.2, -700.0), (-700.0, -20.0), (-20.0, 20.0), (-1e-8, 1e-8), (20.0, 709.0), (709.0, 709.78)]
+
+
+def test_float_exp_is_libm_exp_on_strata():
+    rng = np.random.default_rng(35)
+    x = np.concatenate([rng.uniform(lo, hi, 170_000) for lo, hi in _EXP_STRATA])
+    _exp_bits_match(x)
+
+
+def test_float_exp_special_values():
+    tiny = 5e-324
+    x = np.array(
+        [0.0, -0.0, math.inf, -math.inf, tiny, -tiny, 2.2250738585072014e-308, -1e-310,
+         709.0, math.nextafter(709.0, 0.0), math.nextafter(709.0, 800.0), 709.782712893384,
+         -745.1332191019411, -745.1332191019412, -708.3964185322641, -744.44, 1e-300]
+    )
+    _exp_bits_match(x)
+    _exp_bits_match(x[::-1].reshape(1, -1).T)
+    # NaN payloads and signs come back as the input's, as math.exp gives them
+    payloads = [0x7FF8000000000000, 0x7FF8000000000001, 0x7FF800000000BEEF, 0xFFF8000000000005]
+    nans = np.array(payloads, dtype=np.uint64).view(np.float64)
+    got = FLOAT.exp(np.concatenate([nans, [1.0, -2.0]]))
+    assert got[:4].view(np.uint64).tolist() == payloads
+    _exp_bits_match(np.concatenate([nans, [1.0, -2.0]]))
+    _exp_bits_match(np.array(math.nan))
+
+
+@pytest.mark.parametrize("case", sorted(_LIBM_CASES))
+def test_float_exp_layouts(case):
+    _exp_bits_match(_LIBM_CASES[case])
+    # asarray: -100.0 times a 0-d array is a numpy scalar
+    _exp_bits_match(np.asarray(-100.0 * _LIBM_CASES[case]))
+
+
+def test_float_exp_overflow_raises_as_math_exp(recwarn):
+    # a finite entry past 709.78 raises math.exp's OverflowError, and numpy
+    # warns of nothing, so the -W error runs see the same exception
+    for x in (np.array([710.0]), np.array([1.0, math.nan, 1e308, -math.inf]), np.array(800.0)):
+        with pytest.raises(OverflowError):
+            FLOAT.exp(x)
+    assert FLOAT.exp(np.array([709.78, math.inf, -1e308])).tolist() == [math.exp(709.78), math.inf, 0.0]
+    assert len(recwarn) == 0
+
+
+def test_float_exp_matches_libm_on_what_the_sweeps_ask(monkeypatch):
+    # every array that FLOAT.exp receives in a resolution-64 sweep of all
+    # 15 checks and in certificate at check's three CI points
+    seen = []
+
+    def exp(x):
+        y = _float_exp(x)
+        if type(x) is np.ndarray:
+            seen.append((x.copy(), y))
+        return y
+
+    monkeypatch.setattr(FloatBackend, "exp", staticmethod(exp))
+    verify.verify_all(resolution=64)
+    for a, theta in ((-2.0, 0.9), (-2.0, 0.39), (-10.0, 0.88)):
+        verify.certificate(NormParams(a=a, theta=theta))
+    assert sum(x.size for x, _ in seen) > 100_000
+    x = np.concatenate([x.ravel() for x, _ in seen])
+    got = np.concatenate([y.ravel() for _, y in seen])
+    want = np.array([math.exp(v) for v in x.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_float_exp_sees_each_base_at_most_twice(monkeypatch):

@@ -766,26 +766,37 @@ def test_verify_all_matches_lone_sweeps(resolution, monkeypatch):
             assert col.tobytes() == other.tobytes(), (lemma_id, label)
 
 
-# per-entry libm calls (ddouble._each, and onedmaps._each, the name the
-# identity's log1p runs through) of one verify_all at resolution 64.  A
-# quantity of a base alone that fell back to a call per row would add about
-# its grid's row count here: 4,095 for the band-D pack, 18,432 for leform1's
+# libm calls of one verify_all at resolution 64: FLOAT.exp's entries in its
+# C loop (ddouble._cexp) and the per-entry calls (ddouble._each, and
+# onedmaps._each, the name the identity's log1p runs through).  A quantity
+# of a base alone that fell back to a call per row would add about its
+# grid's row count to the total: 4,095 for the band-D pack, 18,432 for
+# leform1's.  The per-entry count, frozen beside it, is the log and log1p
+# entries and theta**3's, which have no C loop
 LIBM_CALLS_64 = 220617
+EACH_CALLS_64 = 94655
 
 
 def test_libm_calls_per_sweep(monkeypatch):
     from ddestab import ddouble
 
-    entries = []
+    each, loop = [], []
     for module in (ddouble, onedmaps):
 
         def counted(fn, x, _each=module._each):
-            entries.append(x.size)
+            each.append(x.size)
             return _each(fn, x)
 
         monkeypatch.setattr(module, "_each", counted)
+
+    def cexp(x, _cexp=ddouble._cexp):
+        loop.append(x.size)
+        return _cexp(x)
+
+    monkeypatch.setattr(ddouble, "_cexp", cexp)
     verify_all(resolution=64)
-    assert sum(entries) == LIBM_CALLS_64
+    assert sum(each) + sum(loop) == LIBM_CALLS_64
+    assert sum(each) == EACH_CALLS_64
 
 
 def test_verify_all_threads_accepts_only_one_process(tmp_path):
