@@ -87,16 +87,11 @@ def coeffs(np_: NormParams) -> Coeffs:
     return Coeffs(alpha=alpha, beta=beta, a_star=a_star, lam=lam, params=np_)
 
 
-def coeffs_generic(a, theta, mx=FLOAT, lam=None):
-    """(lam, alpha, beta, a_star) through any arithmetic backend mx.
-
-    lam, if given, is exp(theta/a) as mx takes it, from a caller that has
-    taken it already: the pack's one libm call.
-    """
+def coeffs_generic(a, theta, mx=FLOAT):
+    """(lam, alpha, beta, a_star) through any arithmetic backend mx."""
     a = mx.num(a)
     th = mx.num(theta)
-    if lam is None:
-        lam = mx.exp(th / a)
+    lam = mx.exp(th / a)
     alpha = (1.0 - a) * lam + a
     oma = 1.0 - a
     num = a * a + lam * (1.0 - 2.0 * a + 2.0 * th * (a - 1.0)) - oma * oma * lam * lam

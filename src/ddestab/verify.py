@@ -14,9 +14,8 @@ keeps every previously checked point.
 Most grids are products of a small base table and an axis (Grid): a float
 pass takes each quantity of a base alone (a coefficient pack, a tangent, a
 polynomial's coefficients, a delay) once per base and gathers it to the
-rows by the grid's base column.  verify_all builds the band-D grid of
-albet, albeta and dom, with the libm part of its float coefficient pack,
-once for all three.
+rows by the grid's base column.  Each check builds its own grid, and
+verify_all runs the checks one by one.
 
 The module also assembles per-point stability certificates and writes the
 region-figure artifacts.  A certificate fact that a registered check holds
@@ -140,15 +139,10 @@ class Grid(dict):
     with params._per_base).  A Grid without a base table, or a plain dict
     of columns or of floats (one point), is its own base table: a quantity
     is then taken at each row, as every double-double pass takes it.
-
-    lam, on the band-D grid (_gen_band_d), holds exp(theta/a) at each row
-    in FLOAT, the libm call of coeffs_generic's pack, so that albet,
-    albeta and dom take it once.
     """
 
     table: dict | None = None
     counts: np.ndarray | None = None
-    lam: np.ndarray | None = None
 
     @property
     def base(self) -> np.ndarray | None:
@@ -157,29 +151,20 @@ class Grid(dict):
         return np.repeat(np.arange(self.counts.size), self.counts)
 
 
-def _cut(grid: Grid, rows) -> Grid:
-    """The rows of grid at rows (a slice of step 1, or a mask), with the
-    part of the base table they use and their lam."""
+def _cut(grid: Grid, rows: slice) -> Grid:
+    """The rows of grid at rows, a slice of step 1, with the part of the
+    base table they use."""
     cut = Grid({name: col[rows] for name, col in grid.items()})
     counts = getattr(grid, "counts", None)
     if counts is not None and _row_count(cut):
-        if isinstance(rows, slice):
-            # rows i..j-1 take the tail of base `first` through the head of
-            # base `last`
-            ends = np.cumsum(counts)
-            i, j, _ = rows.indices(int(ends[-1]))
-            first, last = np.searchsorted(ends, [i, j - 1], side="right").tolist()
-            part = counts[first : last + 1].copy()
-            part[0] -= i - (ends[first] - counts[first])
-            part[-1] -= ends[last] - j
-        else:
-            base = grid.base[rows]
-            first, last = int(base[0]), int(base[-1])
-            part = np.bincount(base - first, minlength=last - first + 1)
+        # rows i..j-1 take the tail of base `first` through the head of base `last`
+        ends = np.cumsum(counts)
+        i, j, _ = rows.indices(int(ends[-1]))
+        first, last = np.searchsorted(ends, [i, j - 1], side="right").tolist()
         cut.table = {name: col[first : last + 1] for name, col in grid.table.items()}
-        cut.counts = part
-    if getattr(grid, "lam", None) is not None:
-        cut.lam = grid.lam[rows]
+        cut.counts = counts[first : last + 1].copy()
+        cut.counts[0] -= i - (ends[first] - counts[first])
+        cut.counts[-1] -= ends[last] - j
     return cut
 
 
@@ -209,11 +194,7 @@ def _on_points(grid, fn) -> tuple:
 
 
 def _pack(grid, mx) -> tuple:
-    """coeffs_generic's (lam, alpha, beta, a_star) at the rows of grid in
-    mx; a FLOAT pass takes lam from grid, where it carries it."""
-    lam = getattr(grid, "lam", None)
-    if mx is FLOAT and lam is not None:
-        return coeffs_generic(grid["a"], grid["theta"], mx, lam=lam)
+    """coeffs_generic's (lam, alpha, beta, a_star) at the rows of grid in mx."""
     return _on_points(grid, lambda a, th: coeffs_generic(a, th, mx))
 
 
@@ -329,9 +310,9 @@ def _times(base: Grid, name: str, axis: np.ndarray) -> Grid:
     return grid
 
 
-def _skip_zero(grid: Grid, name: str) -> Grid:
-    """Drop the rows where column `name` is zero (within 1e-12)."""
-    return _cut(grid, ~(np.abs(grid[name]) < 1e-12))
+def _skip_zero(axis: np.ndarray) -> np.ndarray:
+    """axis without its entries within 1e-12 of zero."""
+    return axis[~(np.abs(axis) < 1e-12)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +346,7 @@ def _margins_dom(grid: Grid, mx, lows=None) -> list:
     k = a * (th - 1.0)
     pi1 = (1.0 - mu) / (1.0 + mu * mu)
     pi2 = mx.log((1.0 + mu) / (1.0 + mu * mu)) / mu
-    _, _, _, a_star = _pack(grid, mx)
+    a_star = _branch_slope(a, th)  # coeffs_generic's a_star, with no pack
     return [
         ("band_width", _rows(pi1 - pi2, base)),
         ("slope_delay_low", k - 1.0),
@@ -706,26 +687,18 @@ def _margins_gss(grid: Grid, mx, lows=None) -> list:
 
 
 def _gen_band_d(n: int):
-    """albet's and dom's grid, carrying lam, its rows' exp(theta/a)."""
-    grid = _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "D")
-    # exp(theta/a) as coeffs_generic takes it in FLOAT
-    grid.lam = FLOAT.exp(grid["theta"] / grid["a"])
     return (
         f"band D product grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=0..{n})",
-        grid,
+        _band_grid(np.arange(1, n) / n, np.arange(n + 1), 0, n, "D"),
     )
 
 
-def _gen_albeta(n: int, band: Grid | None = None):
-    """The rows j >= 1 of the band-D grid (band, if the caller has built
-    it): theta row j = 0 is the first row of each mu."""
-    if band is None:
-        band = _gen_band_d(n)[1]
-    first = np.concatenate(([True], band.base[1:] != band.base[:-1]))
+def _gen_albeta(n: int):
+    """Band D's rows j >= 1, the same nodes: row j = 0 is dropped."""
     return (
         f"band D interior grid: mu=i/{n} (i=1..{n - 1}), theta=lo+(hi-lo)*j/{n} (j=1..{n}; "
         "lower edge excluded where the product degenerates to -1)",
-        _cut(band, ~first),
+        _band_grid(np.arange(1, n) / n, np.arange(1, n + 1), 0, n, "D"),
     )
 
 
@@ -734,7 +707,7 @@ def _gen_jcal_tangent(n: int):
     return (
         f"slope-theta rectangle (32x9) times r=-0.25+5.25*k/{n} (k=1..{n}, r=0 skipped)",
         # r = 0 is the tangency point, equality by construction
-        _skip_zero(_times(_slope_rect(10.0), "r", r), "r"),
+        _times(_slope_rect(10.0), "r", _skip_zero(r)),
     )
 
 
@@ -797,7 +770,9 @@ def _gen_funcrr2(n: int):
     base = _cell_band(8, 5, "S", MU_SECTOR_MAX)
     return (
         f"cell-centered corner sample (8x5) times r=a*(1-k/{m}) (k=1..{m - 1}; "
-        "r-axis capped at 128, simulation-backed)",
+        "r-axis capped at 128, simulation-backed); lanes settle on _dip_error_bound, "
+        "a measured RK4 error bound that is not proved; each run's dip window starts at "
+        "tc=log(1-(1+z)/a), which is the first crossing only where tc<=h",
         _times(base, "r", base["a"][:, None] * (1.0 - np.arange(1, m) / m)),
     )
 
@@ -813,7 +788,7 @@ def _gen_lele2(n: int):
 
 def _gen_expo(n: int):
     x = -5.0 + 10.0 * np.arange(n + 1) / n
-    return (f"x=-5+10*i/{n} (i=0..{n}, x=0 skipped)", _skip_zero({"x": x}, "x"))
+    return (f"x=-5+10*i/{n} (i=0..{n}, x=0 skipped)", {"x": _skip_zero(x)})
 
 
 def _gen_r303(n: int):
@@ -941,18 +916,14 @@ def _eval_columns(spec: _LemmaSpec, grid: Grid) -> tuple[list[dict], float]:
     return violations, min_margin
 
 
-def verify_lemma(lemma_id: str, resolution: int = 256, *, built=None) -> LemmaReport:
-    """Sweep one registered inequality at the given grid resolution.
-
-    built is the (grid_spec, grid) pair the check's generator gives at
-    this resolution, if the caller has built it (verify_all); without, the
-    sweep builds its own.
-    """
+def verify_lemma(lemma_id: str, resolution: int = 256) -> LemmaReport:
+    """Sweep one registered inequality on the grid it builds at resolution."""
     if lemma_id not in _REGISTRY:
         raise KeyError(f"unknown check id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
-    _check_resolution(resolution)
+    if resolution < 4:
+        raise ValueError("resolution must be at least 4")
     spec = _REGISTRY[lemma_id]
-    grid_spec, grid = spec.gen(resolution) if built is None else built
+    grid_spec, grid = spec.gen(resolution)
     try:
         violations, min_margin = _eval_columns(spec, grid)
     except SolveExhausted as exc:
@@ -969,11 +940,6 @@ def verify_lemma(lemma_id: str, resolution: int = 256, *, built=None) -> LemmaRe
     )
 
 
-def _check_resolution(resolution: int) -> None:
-    if resolution < 4:
-        raise ValueError("resolution must be at least 4")
-
-
 def write_report(report: LemmaReport, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{report.lemma_id}.json")
@@ -988,29 +954,15 @@ def verify_all(
     out_dir=None,
     progress: Callable[[str], None] | None = None,
 ) -> list[LemmaReport]:
-    """Run every registered check; optionally write one JSON report each.
-
-    albet, albeta and dom sweep one band-D grid with its lam, the libm
-    call of its FLOAT coefficient pack, built here once and dropped after
-    dom's sweep, the last of the three; albeta's grid, its rows j >= 1, is
-    cut when albeta runs.  Each report is the one its own verify_lemma
-    call gives.
-    """
+    """Run every registered check by verify_lemma, in LEMMA_IDS order;
+    optionally write one JSON report each to out_dir and give each report's
+    summary line to progress."""
     # threads stays only because perfbench/workloads.py passes threads=1
     if threads not in (None, 1):
         raise ValueError(f"sweeps run in one process; threads must be None or 1, got {threads!r}")
-    _check_resolution(resolution)
-    band = _gen_band_d(resolution)
     reports = []
     for lemma_id in LEMMA_IDS:
-        if lemma_id == "albeta":
-            built = _gen_albeta(resolution, band[1])
-        else:
-            built = band if lemma_id in ("albet", "dom") else None
-        rep = verify_lemma(lemma_id, resolution=resolution, built=built)
-        built = None
-        if lemma_id == "dom":
-            band = None  # albet, albeta and dom have run
+        rep = verify_lemma(lemma_id, resolution=resolution)
         if out_dir is not None:
             write_report(rep, out_dir)
         if progress is not None:

@@ -745,8 +745,8 @@ def test_verify_all_writes_one_report_each(tmp_path):
 
 @pytest.mark.parametrize("resolution", [16, 64])
 def test_verify_all_matches_lone_sweeps(resolution, monkeypatch):
-    # verify_all builds band D and its float pack once for albet, albeta and
-    # dom; every report and every margin column is the lone sweep's, bitwise
+    # every report and every margin column of verify_all is the lone sweep's,
+    # bitwise
     margin_columns = verify._margin_columns
     seen = []
 
@@ -768,12 +768,14 @@ def test_verify_all_matches_lone_sweeps(resolution, monkeypatch):
 
 # libm calls of one verify_all at resolution 64: FLOAT.exp's entries in its
 # C loop (ddouble._cexp) and the per-entry calls (ddouble._each, and
-# onedmaps._each, the name the identity's log1p runs through).  A quantity
-# of a base alone that fell back to a call per row would add about its
-# grid's row count to the total: 4,095 for the band-D pack, 18,432 for
-# leform1's.  The per-entry count, frozen beside it, is the log and log1p
-# entries and theta**3's, which have no C loop
-LIBM_CALLS_64 = 220617
+# onedmaps._each, the name the identity's log1p runs through).  albet and
+# albeta each take exp(theta/a) on their own band rows, 4,095 and 4,032
+# (a band's base table holds mu and a, not theta), and dom takes no exp: it
+# reads a_star alone.  A quantity of a base alone that fell back to a call
+# per row would add about its grid's row count to the total: 18,432 for
+# leform1's pack.  The per-entry count, frozen beside it, is the log and
+# log1p entries and theta**3's, which have no C loop
+LIBM_CALLS_64 = 224649
 EACH_CALLS_64 = 94655
 
 
@@ -797,6 +799,35 @@ def test_libm_calls_per_sweep(monkeypatch):
     verify_all(resolution=64)
     assert sum(each) + sum(loop) == LIBM_CALLS_64
     assert sum(each) == EACH_CALLS_64
+
+
+def test_dom_takes_no_exp(monkeypatch):
+    # dom's a_star is _branch_slope on its own columns: no coefficient pack,
+    # so no exp(theta/a) in the C loop or entry by entry
+    from ddestab import ddouble
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(x):
+            calls.append(fn)
+            return fn(x)
+
+        return wrapper
+
+    monkeypatch.setattr(ddouble, "_cexp", counted(ddouble._cexp))
+    monkeypatch.setattr(math, "exp", counted(math.exp))
+    rep = verify_lemma("dom", 64)
+    assert rep.points_checked > 0 and rep.violations == []
+    assert calls == []
+
+
+def test_verify_all_rejects_low_resolution_before_any_report(tmp_path):
+    out = tmp_path / "reports"
+    with pytest.raises(ValueError, match="resolution must be at least 4"):
+        verify_all(resolution=3, out_dir=out)
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_all_threads_accepts_only_one_process(tmp_path):
