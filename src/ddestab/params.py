@@ -28,6 +28,7 @@ __all__ = [
     "Region",
     "RegionLabel",
     "normalize",
+    "sharp_criterion_margin",
     "criterion_norm",
     "linear_criterion",
     "sharp_boundary_theta",
@@ -191,9 +192,14 @@ def _boundary_log(a: float) -> float:
     return math.log1p(x) if x > -1.0 else math.log(-a) + math.log1p(-a) - math.log1p(a * a)
 
 
+def sharp_criterion_margin(np_: NormParams) -> float:
+    """-theta/a minus the boundary log; a float difference has the comparison's sign."""
+    return -np_.theta / np_.a - _boundary_log(np_.a)
+
+
 def criterion_norm(np_: NormParams) -> bool:
-    """Sharp delay criterion in normalized parameters: -theta/a > boundary log."""
-    return (-np_.theta / np_.a) > _boundary_log(np_.a)
+    """Sharp delay criterion in normalized parameters: a positive margin."""
+    return sharp_criterion_margin(np_) > 0.0
 
 
 def linear_criterion(np_: NormParams) -> bool:
@@ -256,6 +262,8 @@ def classify(np_: NormParams) -> RegionLabel:
     linear: the sub-criterion holds and a one-step Schwarzian argument works.
     core:   band interior; certified through the rational envelope map.
     sector: small-mu corner; needs the composite two-map route.
+    not certified: exactly where criterion_norm fails.  At a >= -1 a
+    certified point is linear, as -theta/a > 0 >= _linear_rhs(a) there.
     """
     if not criterion_norm(np_):
         return RegionLabel(
@@ -264,13 +272,6 @@ def classify(np_: NormParams) -> RegionLabel:
         )
     if linear_criterion(np_):
         return RegionLabel(Region.LINEAR)
-    if np_.a >= -1.0:
-        # unreachable for a in [-1, 0): the linear threshold is <= 0 there;
-        # kept as a guard so a logic regression surfaces as a clean label
-        return RegionLabel(
-            Region.NOT_CERTIFIED,
-            reason="slope in [-1, 0) with the linear sub-criterion failing",
-        )
     mu = np_.mu()
     if np_.theta >= 0.8 and pi_curve(3, mu) <= np_.theta:
         return RegionLabel(Region.SECTOR)
@@ -282,7 +283,9 @@ def classify_raster(slopes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     one row per theta, one column per slope.
 
     Each slope's boundary log, linear right-hand side and chord are the
-    floats classify computes; only the comparisons run on the 2-D grid.
+    floats classify computes; only the comparisons run on the 2-D grid, a
+    later mask overriding an earlier one.  A slope at or above -1 has no
+    chord: its cells are linear or not certified, as in classify.
     """
     lanes = NormLanes(a=slopes, theta=thetas[:, None])
     code = {tag: k for k, tag in enumerate(Region)}
@@ -294,7 +297,6 @@ def classify_raster(slopes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     q = -lanes.theta / lanes.a  # each cell's left-hand side of both criteria
     labels = np.full(q.shape, code[Region.CORE], dtype=np.int8)
     labels[(lanes.theta >= 0.8) & (chord <= lanes.theta)] = code[Region.SECTOR]
-    labels[:, slopes >= -1.0] = code[Region.NOT_CERTIFIED]  # classify's guard for a in [-1, 0)
     labels[q > linear] = code[Region.LINEAR]
     labels[~(q > sharp)] = code[Region.NOT_CERTIFIED]
     return labels

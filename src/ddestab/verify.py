@@ -50,9 +50,9 @@ from .params import (
     pi_curve,
     region_boundary_rows,
     sharp_boundary_theta,
+    sharp_criterion_margin,
     write_region_csv,
     write_region_json,
-    _boundary_log,
     _table_text,
 )
 from .ratmaps import (
@@ -1031,30 +1031,27 @@ def certificate(np_: NormParams) -> Certificate:
     point: its margins function runs on grids of this one point, and the
     fact names the check in backed_by.  The sharp-criterion margin, the
     straightened slope and the two composite-map facts have no sweep.
+
+    The chain reports classify's decisions: the criterion fact holds where
+    the label certifies, the straightened slope (< 0 at every point) where
+    linear_criterion does.  CORE omits albeta's 1 + a*alpha, the criterion
+    again in a rounding that cancels near the boundary.
     """
     label = classify(np_)
-    point = (np_.a, np_.theta)
-    # the same boundary expression criterion_norm compares, so this fact
-    # and classify cannot disagree
-    crit_margin = -np_.theta / np_.a - _boundary_log(np_.a)
-    crit_fact = Fact("sharp_criterion_margin", crit_margin, "> 0", crit_margin > 0.0)
+    a, theta = point = (np_.a, np_.theta)
+    crit_fact = Fact("sharp_criterion_margin", sharp_criterion_margin(np_), "> 0", label.certified)
     if label.tag is Region.NOT_CERTIFIED:
-        return Certificate(point, label, [], crit_fact if not crit_fact.ok else None)
+        return Certificate(point, label, [], crit_fact)
 
     chain = [crit_fact]
-    a, theta = point
     if label.tag is Region.LINEAR:
         slope = (1.0 - np_.theta) * np_.a * np_.a / (np_.a - np_.theta)
-        # slope > -1 rearranges to the comparison linear_criterion makes,
-        # which keeps the distance from -1 that the rounded slope can lose
-        # (at a = -1 and theta below about 1e-16 the slope rounds to -1)
-        above = linear_criterion(np_)
-        chain.append(Fact("straightened_slope", slope, "in (-1, 0)", above and slope < 0.0))
+        chain.append(Fact("straightened_slope", slope, "in (-1, 0)", linear_criterion(np_)))
         schwarz = {"x": _SCHWARZ_SAMPLES, "a": a, "theta": theta}
         chain += _backed("gsslemma_schwarz", [schwarz], ("straightened_map_schwarz_neg",))
     elif label.tag is Region.CORE:
         pt = {"a": a, "theta": theta}
-        chain += _backed("albeta", [pt], ("slope_product_above_minus_one", "slope_product_negative"))
+        chain += _backed("albeta", [pt], ("slope_product_negative",))
         chain += _backed("albet", [pt], ("beta_pos",))
         chain += _backed("lele", [pt], ("certificate_nonpos_branch_end",))
         # seven spots on (a_star, 0), one scalar solve each

@@ -10,12 +10,19 @@ is the map solves' difference form as a plain two-point function, and
 identity_mp their identity in mpmath's precision.
 rk4_rows and rk4_integrate are classic RK4 stage by stage on the grid
 integrate marches, the reference for ddesim's affine step.  parabola_refine
-is the scalar vertex refinement that ddesim does on arrays.
+is the scalar vertex refinement that ddesim does on arrays.  IV is an
+interval backend on mpmath's iv arithmetic, on which the generic formulas
+give 40-digit enclosures; it is None where mpmath is not installed.
 """
 
 import math
 
 import numpy as np
+
+try:
+    from mpmath.ctx_iv import MPIntervalContext
+except ImportError:  # mpmath is a test extra
+    MPIntervalContext = None
 
 from ddestab import ddesim
 from ddestab.ddesim import History, _envelope, _first_node_after, integrate
@@ -208,3 +215,36 @@ def rk4_integrate(model, hist: History, params, T: float, step: float | None = N
         w_node, w_mid = (np.asarray(model(v), dtype=float).tolist() for v in (node_del, mid_del))
         y[k0 : k1 + 1] = rk4_rows(y[k0].item(), w_node, w_mid, delta, s)
     return y
+
+
+class IVBackend:
+    """Interval evaluation namespace at dps digits, drop-in for ddouble's
+    FLOAT and DOUBLE_DOUBLE on one point: a generic formula runs on it
+    unchanged and returns an enclosure of its exact value at the float
+    inputs.
+
+    num is iv.mpf in a context of its own, so mpmath's global iv keeps its
+    precision; exp, log and sqrt are iv's, and log1p is iv.log(1 + x);
+    value is the float midpoint.  A formula picks its branch by comparing
+    values, so its mask is a plain bool, decided on the midpoint, and where
+    takes the branch that mask picks.
+    """
+
+    name = "iv"
+
+    def __init__(self, dps: int = 40):
+        ctx = MPIntervalContext()
+        ctx.dps = dps
+        self.num, self.exp, self.log, self.sqrt = ctx.mpf, ctx.exp, ctx.log, ctx.sqrt
+        self.log1p = lambda x: ctx.log(1 + x)
+
+    @staticmethod
+    def value(x) -> float:
+        return float(x.mid)
+
+    @staticmethod
+    def where(mask: bool, x, y):
+        return x if mask else y
+
+
+IV = IVBackend() if MPIntervalContext is not None else None

@@ -66,8 +66,8 @@ def test_check_json(capsys):
         ("linear", "-2.0", "0.9",
          ["sharp_criterion_margin", "straightened_slope", "straightened_map_schwarz_neg"]),
         ("core", "-2.0", "0.39",
-         ["sharp_criterion_margin", "slope_product_above_minus_one", "slope_product_negative",
-          "beta_pos", "certificate_nonpos_branch_end", "response_above_moebius"]),
+         ["sharp_criterion_margin", "slope_product_negative", "beta_pos",
+          "certificate_nonpos_branch_end", "response_above_moebius"]),
         ("sector", "-10", "0.88",
          ["sharp_criterion_margin", "composite_slope", "corner_above_minus_one",
           "corner_image_in_domain", "composite_cycle_contraction"]),
@@ -187,6 +187,52 @@ def test_check_slope_whose_square_gap_underflows(capsys):
     lines = captured.out.splitlines()
     assert lines[0] == "a=-1e-170 theta=0.5: not certified (linear)"
     assert lines[-1] == "  [FAIL] straightened_map_schwarz_neg = nan (need > 0; sweep gsslemma_schwarz)"
+
+
+# classify certifies this point, 1.4e-17 above the sharp boundary, where
+# albeta's 1 + a*alpha, the same criterion in a rounding that cancels,
+# reads -4.4e-16: check and nicholson must decide the criterion once
+_SHARP_EDGE = ("-7.281475725686567", "0.8009801160684235")
+
+
+def test_check_certifies_at_the_sharp_boundary_as_classify_does(capsys):
+    a, theta = _SHARP_EDGE
+    assert main(["check", f"--a={a}", "--theta", theta]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a=-7.28147572569 theta=0.800980116068: globally stable (core certificate)"
+
+
+def test_nicholson_certifies_at_the_sharp_boundary_as_check_does(capsys):
+    # blowflies with 1 - ln p at _SHARP_EDGE's slope and exp(-h) at its theta
+    rc = main(["nicholson", "--p", "3950.0192278228274", "--delta", "1", "--gamma", "1",
+               "--h", "0.2219191561065105"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0].endswith(f"slope={float(_SHARP_EDGE[0]):.12g} theta={float(_SHARP_EDGE[1]):.12g}")
+    assert lines[1].startswith("decision: certified (core): ")
+
+
+def _status_defect(coords, items, what):
+    return pytest.param(coords, id=" ".join(coords), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=f"ROADMAP {items}: {what}"))
+
+
+@pytest.mark.parametrize("coords", [
+    _status_defect(["--a=-1e-110", "--theta", "0.5"], "item 9",
+                   "the LINEAR Schwarz fact underflows to 0"),
+    _status_defect(["--a", "-1", "--delta", "1", "--h", "740"], "item 9",
+                   "the LINEAR Schwarz fact underflows to 0"),
+    _status_defect(["--a=-100000", "--theta", "0.999986"], "items 13 and 19",
+                   "beta cancels at large slopes"),
+    _status_defect(["--a=-500000", "--theta", "0.9999972"], "items 13 and 19",
+                   "beta cancels at large slopes"),
+])
+def test_check_certifies_where_classify_does(capsys, coords):
+    # classify certifies each of these points; check's facts do not yet
+    rc = main(["check", *coords, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert data["region"] != "not_certified"
+    assert rc == 0, data["failure"]
 
 
 @pytest.mark.parametrize(

@@ -198,12 +198,13 @@ def _boundary_thetas(mu):
 
 @pytest.mark.parametrize("mu", _BOUNDARY_MUS)
 def test_classify_column_matches_classify_at_boundaries(mu):
-    # one classify_raster column; mu = 1 is the slope -1 of classify's guard
+    # one classify_raster column; mu = 1 is the slope -1, where the chord ends
     assert _raster_agrees([-1.0 / mu], _boundary_thetas(mu))
 
 
 def test_classify_raster_mixes_slopes_across_the_guard():
-    # columns on both sides of slope -1 share one raster and every theta
+    # columns on both sides of slope -1 share one raster and every theta;
+    # at or above -1 there is no chord, and every certified cell is linear
     slopes = [-1.0 / mu for mu in _BOUNDARY_MUS] + [-0.5, -1e-20]
     thetas = sorted({t for mu in _BOUNDARY_MUS for t in _boundary_thetas(mu)})
     assert _raster_agrees(slopes, thetas)

@@ -192,6 +192,18 @@ def test_log_vs_cubic_endpoint_override():
     assert endpoint == pytest.approx(5.644868579024423e-5, abs=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: verify_lemma reports the q = -0.2 endpoint (5.64e-5), "
+    "not the grid minimum (3.17e-11)",
+)
+def test_r303_min_margin_is_its_grid_minimum():
+    spec = verify._REGISTRY["r303"]
+    _, grid_min = verify._eval_columns(spec, spec.gen(256)[1])
+    assert verify_lemma("r303", resolution=256).min_margin == grid_min
+
+
 # rows each double-double check sends to the recheck at resolution 256,
 # counted from the per-point loop the column path replaced
 DD_RECHECK_ROWS = {
@@ -848,9 +860,10 @@ def test_certificate_core(np_core):
     assert cert.ok
     assert cert.region.tag is Region.CORE
     assert cert.failure is None
-    names = [f.name for f in cert.chain]
-    assert "sharp_criterion_margin" in names
-    assert "slope_product_above_minus_one" in names
+    assert [f.name for f in cert.chain] == [
+        "sharp_criterion_margin", "slope_product_negative", "beta_pos",
+        "certificate_nonpos_branch_end", "response_above_moebius",
+    ]
     assert all(f.ok for f in cert.chain)
 
 
@@ -897,6 +910,45 @@ def test_sharp_criterion_fact_agrees_with_classify():
             assert fact.ok == classify(np_).certified, (a, theta, fact.value)
 
 
+def _boundary_probe(n: int) -> list[NormParams]:
+    """n seeded slopes a = -10**(4u), |a| from 1 to 1e4, each with theta at
+    the sharp boundary and 1 to 4 ulps either side of it."""
+    rng = random.Random(11)
+    pts = []
+    for _ in range(n):
+        a = -(10.0 ** (4.0 * rng.random()))
+        below = above = sharp_boundary_theta(a)
+        thetas = [below]
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            thetas += [below, above]
+        pts += [NormParams(a=a, theta=t) for t in thetas if 0.0 < t < 1.0]
+    return pts
+
+
+def test_certificate_agrees_with_classify_at_the_sharp_boundary():
+    # check's verdict is classify's within a few ulps of the boundary: the
+    # CORE chain decides the sharp criterion once.  albeta's 1 + a*alpha,
+    # the criterion again, reads <= 0 at 515 of the 1,156 points that
+    # classify certifies here
+    for np_ in _boundary_probe(300):
+        assert certificate(np_).ok == classify(np_).certified, np_
+
+
+def test_dropped_slope_product_fact_is_the_sharp_criterion():
+    # 1 + a*alpha = (a*a + 1) - (a*a - a)*exp(theta/a) has the sign of
+    # -theta/a - log((a*a - a)/(a*a + 1)): in 60 digits the two agree at
+    # every probe point, so albeta's slope_product_above_minus_one, which
+    # certificate leaves out, only restated the sharp criterion
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        for np_ in _boundary_probe(200):
+            a, th = mp.mpf(np_.a), mp.mpf(np_.theta)
+            prod = 1 + a * ((1 - a) * mp.exp(th / a) + a)
+            crit = -th / a - mp.log((a * a - a) / (a * a + 1))
+            assert mp.sign(prod) == mp.sign(crit) != 0, np_
+
+
 def _points_in_every_region(seed: int, per_region: int = 12) -> list[NormParams]:
     """Seeded points of the (theta, mu) unit square, per_region in each region,
     and band points at slopes from -1 to -1e4."""
@@ -926,7 +978,6 @@ def _old_facts(np_: NormParams) -> dict:
     for rz in (c.a_star * (i + 1) / 8 for i in range(7)):
         worst = min(worst, F_solve_r(rz, np_).value - R_eval(rz, c))
     return {
-        "slope_product_above_minus_one": 1.0 + prod,
         "slope_product_negative": -prod,
         "beta_pos": c.beta,
         "certificate_nonpos_branch_end": -q_poly_generic(c.a_star, a, th, alpha=c.alpha, beta=c.beta),
