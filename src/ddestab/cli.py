@@ -34,7 +34,7 @@ from .models import (
 from .ddesim import _is_number
 from .params import NormParams, ParamSet, _table_text, normalize
 from .ratmaps import R2_eval, R_eval, coeffs, r_eval
-from .onedmaps import F_F1_solve, interval_I
+from .onedmaps import F_F1_solve, interval_I, ramp_slope_ratio
 # not called here: kept only as the names perfbench/spans.py's tracer patches
 from .onedmaps import F1_solve, F_solve  # noqa: F401
 from .verify import LEMMA_IDS, certificate, sweep_figures, verify_all, verify_lemma, write_report
@@ -126,16 +126,36 @@ def _cmd_map(args) -> int:
             f"got --zmin {args.zmin} --zmax {args.zmax}"
         )
     np_ = NormParams(a=args.a, theta=args.theta)
-    c = coeffs(np_)
+    a = np_.a
     iv = interval_I(np_)
     z = np.array(zs)
     rz = np.full(z.shape, math.nan)
     off_pole = z != -1.0
-    rz[off_pole] = r_eval(z[off_pole], np_.a)
+    # the samples each map is defined at
+    lanes, lanes1 = iv.contains(z) & (z != 0.0), z > 0.0
+    # the products of the slope the maps take: a*a in the coefficients, the
+    # envelope values rz, and on the lanes a solve takes (rz != 0) each ramp
+    # bracket's start ramp_slope_ratio(rz) and each constant-history
+    # (1 + rz)*(a - rz) (onedmaps._phi_base, taken here for its overflow
+    # alone).  A slope at which one of them overflows, or a*a or a ramp
+    # bracket's start underflows to 0, is refused before any solve
+    try:
+        with np.errstate(over="raise"):
+            rz[off_pole] = r_eval(z[off_pole], a)
+            r1 = ramp_slope_ratio(rz[lanes1 & (rz != 0.0)], np_)
+            (1.0 + rz[lanes]) * (a - rz[lanes])
+        in_range = a * a != 0.0 and r1.all()
+    except FloatingPointError:
+        in_range = False
+    if not in_range:
+        raise ValueError(
+            f"--a {args.a!r} is out of map's float range: a product of the slope "
+            f"in the maps overflows or underflows to 0"
+        )
+    c = coeffs(np_)
     # both maps are exactly 0 at z = 0; every sample they are not defined at is nan
     f_val, f_res, f1_val, f1_res = (np.where(z == 0.0, 0.0, math.nan) for _ in range(4))
     # one lockstep solve over the samples each map is defined at
-    lanes, lanes1 = iv.contains(z) & (z != 0.0), z > 0.0
     sol, sol1 = F_F1_solve(z[lanes], z[lanes1], np_)
     f_val[lanes], f_res[lanes] = sol.value, sol.residual
     f1_val[lanes1], f1_res[lanes1] = sol1.value, sol1.residual

@@ -103,13 +103,19 @@ def _sln(s: float) -> float:
 
 def _sln_lanes(s: np.ndarray) -> np.ndarray:
     """_sln on each entry of an array, bitwise as on one float."""
-    out = np.empty_like(s)
     near = np.abs(s) < 0.1
-    out[near] = _sln_series(s[near])
-    far = s[~near]
+    k = np.count_nonzero(near)
+    if k == s.size:
+        return _sln_series(s)
     # solver iterates do not repeat, so libm runs on each entry without
     # looking for runs
-    out[~near] = (far - _each(math.log1p, far)) / (far * far)
+    if not k:
+        return (s - _each(math.log1p, s)) / (s * s)
+    out = np.empty_like(s)
+    at_near, at_far = near.nonzero()[0], (~near).nonzero()[0]
+    out[at_near] = _sln_series(s[at_near])
+    far = s[at_far]
+    out[at_far] = (far - _each(math.log1p, far)) / (far * far)
     return out
 
 
@@ -121,17 +127,26 @@ def _sln_series(s):
     # j-th term of every entry (rounding is monotone); once it is below
     # 2**-57 the term, and each later and smaller one, leaves every sum
     # unchanged, so the loop stops there.  A NaN m never stops it.
-    m = float(np.abs(s).max(initial=0.0)) if type(s) is np.ndarray else abs(s)
+    # On lanes each term is divided into one buffer, by the float j + 2
+    # (the int converts to it exactly)
+    lanes = type(s) is np.ndarray
+    m = float(np.abs(s).max(initial=0.0)) if lanes else abs(s)
     acc = 0.5 - s / 3.0
     p = s * s
     pm = m * m
+    term = np.empty_like(s) if lanes else None
     for j in range(2, 24):
-        if pm / (j + 2) < 2.0**-57:
+        d = j + 2.0
+        if pm / d < 2.0**-57:
             break
-        if j % 2:
-            acc -= p / (j + 2)
+        if lanes:
+            np.divide(p, d, out=term)
         else:
-            acc += p / (j + 2)
+            term = p / d
+        if j % 2:
+            acc -= term
+        else:
+            acc += term
         p *= s
         pm *= m
     return acc
@@ -167,7 +182,7 @@ def _identity(u, u1, a, eps, v1, d1, c):
     w = (u - u1) / v1
     s = eps * w
     lanes = type(s) is np.ndarray
-    if (s <= -1.0).any() if lanes else s <= -1.0:
+    if np.count_nonzero(s <= -1.0) if lanes else s <= -1.0:
         raise ValueError("difference form crossed the log singularity")
     return w * d1 - a * w * w * (_sln_lanes(s) if lanes else _sln(s)) - c
 
@@ -220,16 +235,26 @@ def _identity_bound(u, u1, a, eps, v1, d1, c):
     return 2.0**-46 * (np.abs(w * d1) + np.abs(c) + np.abs(a) * w * w / np.minimum(1.0, 1.0 + s))
 
 
-def _settle_early(settled, rows, lo, hi, args) -> tuple:
+def _other_end(lo, hi, args) -> tuple:
+    """(at_lo, other, f_other): whether each lane's u1 end is lo, its other
+    bracket end, and the identity there.  At the u1 end, always one bracket
+    end, the identity is exactly -c, as w = +-0 there, so a solve takes f at
+    both ends with one evaluation, at the other end alone."""
+    at_lo = args[0] == lo
+    other = np.where(at_lo, hi, lo)
+    return at_lo, other, _identity(other, *args)
+
+
+def _settle_early(settled, rows, lo, hi, args, at_lo, other, f_other) -> tuple:
     """The lanes a settled predicate stops before any lockstep solve.
 
-    The identity at the u1 end, always one bracket end, is exactly -c, as
-    w = +-0 there, so only the other end is evaluated; a bracket without
-    a sign change raises BracketError as the solve would.  The predicate
-    first sees the ends-only enclosure [lo, hi], as at the solve's first
-    iteration.  A lane it leaves is then evaluated at the probe root t
-    that settled.probe(rows, width), if the predicate has one, gives for
-    the stop width width; t must lie strictly inside the bracket.
+    at_lo, other and f_other are _other_end's, and the identity at the u1
+    end is -c; a bracket without a sign change raises BracketError as the
+    solve would.  The predicate first sees the ends-only enclosure [lo, hi],
+    as at the solve's first iteration.  A lane it leaves is then evaluated
+    at the probe root t that settled.probe(rows, width), if the predicate
+    has one, gives for the stop width width; t must lie strictly inside the
+    bracket.
 
     The exact identity's slope in u is (d1 - a*w/(1 + s))/v1.  As a < 0
     and 1 + s > 0, it keeps one sign on [u1, t] where d1 and w(t) have the
@@ -245,14 +270,11 @@ def _settle_early(settled, rows, lo, hi, args) -> tuple:
     t - width look closer to the root than every later one, which no lane
     of the sweep grids at resolutions 16 and 64 does.
 
-    Returns the mask of the stopped lanes, each lane's best point, f there
-    and enclosure, which the stopped lanes report, and f at the bracket
-    ends of the other lanes, which their lockstep solve takes.
+    Returns the mask of the stopped lanes, and each lane's best point, f
+    there and enclosure, which the stopped lanes report.
     """
     u1, c = args[0], args[-1]
-    at_lo = u1 == lo
-    other = np.where(at_lo, hi, lo)
-    f_u1, f_other = -c, _identity(other, *args)
+    f_u1 = -c
     signed = (f_u1 != 0.0) & (f_other != 0.0)
     same_sign = signed & ((f_u1 > 0.0) == (f_other > 0.0))
     if same_sign.any():
@@ -281,10 +303,7 @@ def _settle_early(settled, rows, lo, hi, args) -> tuple:
         left = left[stop]
         done[left] = True
         x[left], fx[left], end_a[left], end_b[left] = t[stop], f_t[stop], low[stop], high[stop]
-    run = ~done
-    f_lo = np.where(at_lo[run], f_u1[run], f_other[run])
-    f_hi = np.where(at_lo[run], f_other[run], f_u1[run])
-    return done, x, fx, end_a, end_b, (f_lo, f_hi)
+    return done, x, fx, end_a, end_b
 
 
 def _lane_solves(parts, settled=None) -> list[MapSolve]:
@@ -293,25 +312,28 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
     rz is a 1-D array and np_ one NormParams for its lanes or a NormLanes of
     its length.  A zero rz gives the exact zero map on its lane; all other
     lanes, of all parts, run in one lockstep solve, each lane exactly as its
-    scalar solve.  A part's result holds one array entry per lane of its rz
-    and the iterations of its lanes.
+    scalar solve.  That solve takes the identity at the bracket ends from
+    _other_end, which evaluates it at the u1 end of none.  A part's result
+    holds one array entry per lane of its rz and the iterations of its
+    lanes.
 
     settled, if given, is the root solve's predicate, with each lane named
     by its index into the parts' rz arrays laid end to end; a zero rz is
     never offered to it.  It first sees each lane's ends-only enclosure and,
     if it has a probe, the enclosure one evaluation of the identity at the
     probe root gives (_settle_early); the lanes it stops there take no
-    iteration, and only the others run the lockstep solve, which takes the
-    identity at their bracket ends from _settle_early.  Each result then
+    iteration, and only the others run the lockstep solve.  Each result then
     flags its settled lanes.
     """
     cols, sels = [], []
     for setup, rz, np_ in parts:
-        a, th = (np.broadcast_to(v, rz.shape) for v in (np_.a, np_.theta))
-        sel = np.flatnonzero(rz != 0.0)
-        r, lanes = rz[sel], NormLanes(a=a[sel], theta=th[sel])
-        lo, hi, u1, c = setup(r, lanes)
-        cols.append([np.broadcast_to(v, sel.shape) for v in (lo, hi, u1, r, lanes.a, c)])
+        sel = (rz != 0.0).nonzero()[0]
+        r = rz[sel]
+        # a parameter of the point serves every lane as it is; one per lane
+        # is cut to the lanes solved, and a number is repeated for them
+        a, th = (v[sel] if np.ndim(v) else v for v in (np_.a, np_.theta))
+        lo, hi, u1, c = setup(r, NormLanes(a=a, theta=th))
+        cols.append([v if np.ndim(v) else np.full(sel.size, v) for v in (lo, hi, u1, r, a, c)])
         sels.append(sel)
     lo, hi, u1, r, a, c = (np.concatenate(col) for col in zip(*cols))
     n = lo.size
@@ -320,21 +342,24 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
     stopped, exhausted = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     if n:
         args = (u1, a, *_phi_base(u1, r, a), c)
-        on_lanes = ends = None
+        at_lo, other, f_other = _other_end(lo, hi, args)
+        run, on_lanes = slice(None), None
         if settled is not None:
             starts = np.cumsum([0] + [rz.size for _, rz, _ in parts[:-1]])
             rows = np.concatenate([s + sel for s, sel in zip(starts.tolist(), sels)])
-            stopped, root, f_root, end_a, end_b, ends = _settle_early(settled, rows, lo, hi, args)
+            stopped, root, f_root, end_a, end_b = _settle_early(
+                settled, rows, lo, hi, args, at_lo, other, f_other
+            )
+            run = np.flatnonzero(~stopped)
+            lo, hi, at_lo, f_other, *args = (v[run] for v in (lo, hi, at_lo, f_other, *args))
 
             def on_lanes(lanes, lo, hi):
                 return settled(rows[run[lanes]], lo, hi)
 
-        run = np.flatnonzero(~stopped)
-        if run.size:
-            res = solve_bracketed(
-                _identity, lo[run], hi[run], args=tuple(v[run] for v in args),
-                settled=on_lanes, ends=ends,
-            )
+        if lo.size:
+            f_u1 = -args[-1]  # the identity at the u1 end (_other_end)
+            ends = (np.where(at_lo, f_u1, f_other), np.where(at_lo, f_other, f_u1))
+            res = solve_bracketed(_identity, lo, hi, args=tuple(args), settled=on_lanes, ends=ends)
             root[run], f_root[run] = res.root, res.f_root
             end_a[run], end_b[run] = res.bracket
             lane_iterations[run], exhausted[run] = res.lane_iterations, res.exhausted

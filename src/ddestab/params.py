@@ -354,7 +354,26 @@ def write_region_csv(path, rows) -> None:
 
 
 def write_region_json(path, rows) -> None:
-    """Write region_boundary_rows' table as JSON, full floats."""
-    payload = {"fields": _CSV_FIELDS, "rows": rows}
+    """Write region_boundary_rows' table as JSON, full floats: byte for byte
+    json.dumps({"fields": ..., "rows": rows}, indent=2, sort_keys=True),
+    and a newline.
+
+    json's indented output runs on its pure-Python encoder.  Where rows is
+    not empty and each row holds finite Python floats under the fields'
+    names, the rows fill one % template built from the sorted names
+    instead, each value as float.__repr__, which json writes for a finite
+    float; other rows go through json.dumps.
+    """
+    names = sorted(_CSV_FIELDS)
+    keys = set(names)
+    plain = bool(rows) and all(row.keys() == keys for row in rows)
+    values = [row[k] for row in rows for k in names] if plain else []
+    if plain and all(type(v) is float and math.isfinite(v) for v in values):
+        head = json.dumps({"fields": _CSV_FIELDS}, indent=2)[:-2] + ',\n  "rows": [\n'
+        row = "    {\n" + ",\n".join("      %s: %%r" % json.dumps(k) for k in names) + "\n    }"
+        text = head + ",\n".join([row] * len(rows)) % tuple(values) + "\n  ]\n}\n"
+    else:
+        payload = {"fields": _CSV_FIELDS, "rows": rows}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)

@@ -204,11 +204,15 @@ def _solve_lanes(f, lo, hi, args, settled, ends=None) -> RootResult:
     with args cut to the same lanes, and never a point the lane's scalar
     solve would not have evaluated.  A lane the settled predicate accepts
     stops so too, at the top of an iteration.  Each lane computes the
-    interpolant, the interior step's point and the midpoint and takes the
-    one its scalar solve takes; the Illinois halving is a product with 1 or
-    0.5, exact either way, so every lane's values are bitwise those of
-    _iterate.  Once at most _SCALAR_TAIL lanes run, each finishes through
-    _iterate, the scalar solve's own loop, from the state it has reached.
+    interpolant, and where that is not inside the interior step's point or
+    the midpoint, and takes the one its scalar solve takes; the Illinois
+    halving is a product with 1 or 0.5, exact either way, so every lane's
+    values are bitwise those of _iterate.  The running state is updated in
+    place, by np.putmask (np.copyto with where= is 4x slower at 8,192
+    lanes): every array in it belongs to the solve, none is the caller's
+    lo, hi or ends, nor one f returned.  Once at most _SCALAR_TAIL lanes
+    run, each finishes through _iterate, the scalar solve's own loop, from
+    the state it has reached.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     lo, hi = (np.array(x, dtype=float) for x in (lo, hi))
@@ -223,40 +227,50 @@ def _solve_lanes(f, lo, hi, args, settled, ends=None) -> RootResult:
 
     def retire(stop, it, x, fx, a, b):
         # write the outcome of the lanes in stop; give the indices of the rest
-        sel = lane[stop]
-        root[sel], f_root[sel], end_a[sel], end_b[sel] = x[stop], fx[stop], a[stop], b[stop]
+        out = stop.nonzero()[0]
+        sel = lane[out]
+        root[sel], f_root[sel], end_a[sel], end_b[sel] = x[out], fx[out], a[out], b[out]
         iterations[sel] = it
-        return np.flatnonzero(~stop)
+        return (~stop).nonzero()[0]
 
     # the scalar solve returns at f(lo) = 0 without evaluating f(hi), and
     # reports f_root = +0.0 for either endpoint
-    flo = f(lo, *args) if ends is None else ends[0]
-    run = retire(flo == 0.0, 0, lo, np.zeros(n), lo, hi)
-    lane, lo, hi, flo, *args = (v[run] for v in (lane, lo, hi, flo, *args))
+    if ends is None:
+        flo = f(lo, *args)
+    else:
+        flo, fhi = ends
+    zero = flo == 0.0
+    if np.count_nonzero(zero):
+        run = retire(zero, 0, lo, np.zeros(n), lo, hi)
+        lane, lo, hi, flo, *args = (v[run] for v in (lane, lo, hi, flo, *args))
     if not lane.size:
         fhi = flo  # no call once every lane has stopped
     else:
-        fhi = f(hi, *args) if ends is None else ends[1][lane]
-    run = retire(fhi == 0.0, 0, hi, np.zeros(lane.size), lo, hi)
-    lane, lo, hi, flo, fhi, *args = (v[run] for v in (lane, lo, hi, flo, fhi, *args))
+        fhi = f(hi, *args) if ends is None else fhi[lane]
+    zero = fhi == 0.0
+    if np.count_nonzero(zero):
+        run = retire(zero, 0, hi, np.zeros(lane.size), lo, hi)
+        lane, lo, hi, flo, fhi, *args = (v[run] for v in (lane, lo, hi, flo, fhi, *args))
     same_sign = (flo > 0.0) == (fhi > 0.0)
-    if same_sign.any():
+    if np.count_nonzero(same_sign):
         raise BracketError(f"no sign change in {int(same_sign.sum())} of {n} lanes")
 
-    # _iterate's state, one entry per running lane
-    a, b, fa, fb, pos = lo, hi, flo, fhi, flo > 0.0
+    # _iterate's state, one entry per running lane; f's values are copied,
+    # as f may keep the arrays it gives
+    a, b, fa, fb, pos = lo, hi, flo.copy(), fhi.copy(), flo > 0.0
     moved = np.full(lane.size, 2, dtype=np.int8)
     mark = hi - lo
     lo_best = np.abs(flo) <= np.abs(fhi)
     best_x, best_f = np.where(lo_best, lo, hi), np.where(lo_best, flo, fhi)
 
     for it in range(1, _MAX_ITER + 1):
-        scale = np.maximum(np.abs(a), np.abs(b))
+        # a <= b, so max(|a|, |b|) is max(-a, b)
+        scale = np.maximum(-a, b)
         # scale below _TINY, else max(1, scale): a bool is 0 or 1 here
         tol = _XTOL * np.maximum(scale, scale >= _TINY)
         width = b - a
         narrow = width <= tol
-        if narrow.any():
+        if np.count_nonzero(narrow):
             run = retire(narrow, it, best_x, best_f, a, b)
             lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, tol, width, *args = (
                 v[run]
@@ -264,7 +278,7 @@ def _solve_lanes(f, lo, hi, args, settled, ends=None) -> RootResult:
             )
         if settled is not None and lane.size:
             done = settled(lane, np.minimum(a, best_x), np.maximum(b, best_x))
-            if done.any():
+            if np.count_nonzero(done):
                 stopped[lane[done]] = True
                 run = retire(done, it, best_x, best_f, a, b)
                 lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, tol, width, *args = (
@@ -280,25 +294,31 @@ def _solve_lanes(f, lo, hi, args, settled, ends=None) -> RootResult:
                 end_a[i], end_b[i] = res.bracket
                 exhausted[i] = res.exhausted
             break
+        # the interpolant a + width*(fa/(fa - fb)), built in one buffer
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_new = a + width * (fa / (fa - fb))
+            x_new = fa - fb
+            np.divide(fa, x_new, out=x_new)
+            x_new *= width
+            x_new += a
         d = 0.5 * tol
         in_a, in_b = a + d, b - d
-        off = ~((in_a <= x_new) & (x_new <= in_b))
-        if off.any():
+        inside = in_a <= x_new
+        inside &= x_new <= in_b
+        if np.count_nonzero(inside) < inside.size:
             end = np.where(np.abs(fa) <= np.abs(fb), in_a, in_b)
             end = np.where((a < end) & (end < b), end, 0.5 * (a + b))
-            x_new = np.where(off, end, x_new)
+            np.putmask(x_new, ~inside, end)
         if it % 3 == 0:
-            x_new = np.where(width > 0.5 * mark, 0.5 * (a + b), x_new)
+            stalled = width > 0.5 * mark
+            if np.count_nonzero(stalled):
+                np.putmask(x_new, stalled, 0.5 * (a + b))
             mark = width
         f_new = f(x_new, *args)
         better = np.abs(f_new) <= np.abs(best_f)
-        best_x = np.where(better, x_new, best_x)
-        best_f = np.where(better, f_new, best_f)
-        zero = f_new == 0.0
-        if zero.any():
-            run = retire(zero, it, best_x, best_f, x_new, x_new)
+        np.putmask(best_x, better, x_new)
+        np.putmask(best_f, better, f_new)
+        if np.count_nonzero(f_new) < f_new.size:  # f hit zero on some lane
+            run = retire(f_new == 0.0, it, best_x, best_f, x_new, x_new)
             lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, x_new, f_new, *args = (
                 v[run]
                 for v in (lane, a, b, fa, fb, pos, moved, mark, best_x, best_f, x_new, f_new, *args)
@@ -307,9 +327,14 @@ def _solve_lanes(f, lo, hi, args, settled, ends=None) -> RootResult:
         # keeps has its f halved where its last step moved the same end
         moves_a = (f_new > 0.0) == pos
         step = moves_a.view(np.int8)
-        halve = 1.0 - 0.5 * (moved == step)
-        a, fa = np.where(moves_a, x_new, a), np.where(moves_a, f_new, fa * halve)
-        b, fb = np.where(moves_a, b, x_new), np.where(moves_a, fb * halve, f_new)
+        halve = np.where(moved == step, 0.5, 1.0)
+        fa *= halve
+        fb *= halve
+        np.putmask(a, moves_a, x_new)
+        np.putmask(fa, moves_a, f_new)
+        moves_b = ~moves_a
+        np.putmask(b, moves_b, x_new)
+        np.putmask(fb, moves_b, f_new)
         moved = step
     else:
         exhausted[lane] = True

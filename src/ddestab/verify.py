@@ -1109,15 +1109,25 @@ def sweep_figures(out_dir, n_mu: int = 199, raster: int = 200) -> dict:
     centres = [(k + 0.5) / raster for k in range(raster)]
     labels = classify_raster(np.array([-1.0 / mu for mu in centres]), np.array(centres))
     cells = ["%.12g" % v for v in centres]
-    # the "mu,label" tail of every line, one per (mu, region); a row of the
-    # raster picks its tails by label and joins them after its theta
-    tails = np.array([[f"{mu},{tag.value}\n" for tag in Region] for mu in cells], dtype=object)
-    mus = np.arange(raster)
+    # the "mu,label" tail of every line, one list over mu per region; each
+    # row of the raster is cut into runs of one label, where the label
+    # changes, and takes each run's tails as one slice of its label's list
+    tails = [[f"{mu},{tag.value}\n" for mu in cells] for tag in Region]
+    starts = np.ones(labels.shape, dtype=bool)
+    starts[:, 1:] = labels[:, 1:] != labels[:, :-1]
+    run_row, run_col = starts.nonzero()
+    run_end = np.append(run_col[1:], 0)
+    run_end[run_end == 0] = raster  # a run the next row follows ends its row
+    runs = zip(run_row.tolist(), run_col.tolist(), run_end.tolist(), labels[run_row, run_col].tolist())
     p3 = os.path.join(out_dir, "fig2_raster.csv")
     with open(p3, "w", newline="") as fh:
         fh.write("theta,mu,label\n")
-        for th, row in zip(cells, labels):
-            head = th + ","
-            fh.write(head + head.join(tails[mus, row]))
+        row = []
+        for i, start, end, code in runs:
+            row += tails[code][start:end]
+            if end == raster:
+                head = cells[i] + ","
+                fh.write(head + head.join(row))
+                row = []
     paths["fig2_raster"] = p3
     return paths

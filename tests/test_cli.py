@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,65 @@ def test_map_lockstep_never_runs_a_few_lanes(monkeypatch, capsys):
     assert _SCALAR_TAIL == 8
     assert min(lockstep) > _SCALAR_TAIL
     assert len(lockstep) < len(lanes)
+
+
+def test_map_evaluates_the_identity_at_no_u1_end(monkeypatch, capsys):
+    # the identity at each lane's u1 end is exactly -c and is never
+    # evaluated; at the other ends it is evaluated once for all lanes, and
+    # then once per lockstep iteration: the scalar tail starts at iteration
+    # it0, after it0 - 1 of them
+    calls, tail_starts = [], []
+    identity, iterate = ddestab.onedmaps._identity, ddestab.rootfind._iterate
+
+    def counted(u, u1, *args):
+        calls.append((type(u) is np.ndarray, bool(np.all(u != u1))))
+        return identity(u, u1, *args)
+
+    def recorded(f, args, it0, *state):
+        tail_starts.append(it0)
+        return iterate(f, args, it0, *state)
+
+    monkeypatch.setattr(ddestab.onedmaps, "_identity", counted)
+    monkeypatch.setattr(ddestab.rootfind, "_iterate", recorded)
+    assert main(["map", *_FROZEN_MAP["readme"][0]]) == 0
+    capsys.readouterr()
+    assert all(off_u1 for _, off_u1 in calls)
+    assert len(set(tail_starts)) == 1
+    assert sum(lanes for lanes, _ in calls) == tail_starts[0]
+
+
+# 60 slopes -10**x, x evenly spaced from -320 to 308, at theta 0.5 and the
+# default z samples.  map refuses the 30 at which it raised before it
+# checked the slope, under warnings as errors: a ZeroDivisionError in
+# coeffs_generic where a*a underflows to 0, and an overflow warning in
+# _phi_base or ramp_slope_ratio.  A slope between them exits 0, or 2 where
+# the difference form crosses its log singularity
+_EXTREME_SLOPE_EXITS = "222222222222222000000000000000002202222222022222222222222222"
+# SHA-256 of the tables of the slopes that exit 0, written one after another
+_EXTREME_SLOPE_TABLES = "8d905bb5d551579d3696fb78af97a003cc5b197805e4d9be1c7c46b7108f515f"
+
+
+def test_map_at_extreme_slopes_writes_a_table_or_one_error_line(capsys):
+    tables, exits, refused = hashlib.sha256(), [], 0
+    for x in np.linspace(-320.0, 308.0, 60).tolist():
+        a = -(10.0**x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["map", f"--a={a!r}", "--theta", "0.5"])
+        out, err = capsys.readouterr()
+        exits.append(str(rc))
+        if rc == 0:
+            assert err == "" and len(out.splitlines()) == 202, a
+            tables.update(out.encode())
+        else:
+            assert rc == 2 and out == "", a
+            assert err.count("\n") == 1 and err.startswith("error: "), err
+            if "out of map's float range" in err:
+                assert err.startswith(f"error: --a {a!r} "), err
+                refused += 1
+    assert "".join(exits) == _EXTREME_SLOPE_EXITS
+    assert refused == 30
+    assert tables.hexdigest() == _EXTREME_SLOPE_TABLES
 
 
 def test_map_tiny_z_gives_finite_rows(tmp_path, capsys):

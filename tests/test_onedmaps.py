@@ -536,7 +536,8 @@ def _offered_probes(lemma_id, resolution):
             return np.zeros(rows.size, dtype=bool)
 
         settled.probe = lambda rows, width: probe[rows]
-        onedmaps._settle_early(settled, np.arange(lo.size), lo, hi, args)
+        ends = onedmaps._other_end(lo, hi, args)
+        onedmaps._settle_early(settled, np.arange(lo.size), lo, hi, args, *ends)
         if len(seen) == 2:  # the ends, then the probes that passed
             rows, low, high = seen[1]
             offers.append((rows, probe[rows], low, high))

@@ -279,6 +279,32 @@ def test_region_rows_and_files(tmp_path):
     assert len(data["rows"]) == 3
 
 
+def _region_json_reference(rows) -> bytes:
+    payload = {"fields": ["mu", "theta_pi1", "theta_pi2", "theta_pi3", "theta_local"], "rows": rows}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_mu", [1, 2, 9, 500])
+def test_region_json_is_json_dumps(tmp_path, n_mu):
+    # the template writer gives json.dumps' bytes
+    rows = region_boundary_rows([i / (n_mu + 1) for i in range(1, n_mu + 1)])
+    path = tmp_path / "b.json"
+    write_region_json(path, rows)
+    assert path.read_bytes() == _region_json_reference(rows)
+
+
+@pytest.mark.parametrize("odd", [math.nan, math.inf, np.float64(0.25), 1])
+def test_region_json_is_json_dumps_for_other_values(tmp_path, odd):
+    # a value that is not a finite Python float, and no rows at all, go
+    # through json.dumps itself
+    rows = region_boundary_rows([0.2, 0.5, 0.7])
+    rows[1]["theta_pi2"] = odd
+    for case in (rows, []):
+        path = tmp_path / "b.json"
+        write_region_json(path, case)
+        assert path.read_bytes() == _region_json_reference(case)
+
+
 def test_region_files_deterministic(tmp_path):
     mus = [i / 17 for i in range(1, 17)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -210,6 +210,40 @@ def test_known_end_values_are_not_evaluated_again():
         assert got.tobytes() == want.tobytes()
 
 
+def _cubic_family_inside():
+    """_cubic_family without its lanes that have a root at an end or at the
+    first step, so none stops before the second iteration."""
+    lo, hi, params = _cubic_family()
+    return lo[3:], hi[3:], tuple(v[3:] for v in params)
+
+
+def test_lane_solve_leaves_the_callers_arrays_unchanged():
+    # the lane solve updates its state in place: the caller's brackets and
+    # end values keep every bit
+    lo, hi, params = _cubic_family_inside()
+    ends = (_cubic(lo, *params), _cubic(hi, *params))
+    before = [v.tobytes() for v in (lo, hi, *ends)]
+    solve_bracketed(_cubic, lo, hi, args=params, ends=ends)
+    assert [v.tobytes() for v in (lo, hi, *ends)] == before
+
+
+def test_lane_solve_writes_into_no_array_f_gives():
+    # f may keep the arrays of values it returns: the solve's in-place
+    # updates leave each of them as f gave it
+    lo, hi, params = _cubic_family_inside()
+    given = []
+
+    def kept(x, *cols):
+        v = _cubic(x, *cols)
+        if type(v) is np.ndarray:  # the scalar tail gets floats
+            given.append((v, v.tobytes()))
+        return v
+
+    solve_bracketed(kept, lo, hi, args=params)
+    assert len(given) > 2
+    assert all(v.tobytes() == b for v, b in given)
+
+
 def test_last_lanes_finish_on_the_scalar_loop():
     # 32 seeded cubics with roots on multiples of 1/64: those with e = 0 stop
     # on an exact zero, the others on the width test; the slowest lanes reach

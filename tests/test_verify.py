@@ -16,7 +16,15 @@ from ddestab.ddouble import DOUBLE_DOUBLE, FLOAT
 from ddestab.models import NicholsonParams, nicholson_global
 from ddestab.cli import main
 from ddestab.onedmaps import F_solve_r, q_poly_generic
-from ddestab.params import NormLanes, NormParams, Region, classify, pi_curve, sharp_boundary_theta
+from ddestab.params import (
+    NormLanes,
+    NormParams,
+    Region,
+    classify,
+    classify_raster,
+    pi_curve,
+    sharp_boundary_theta,
+)
 from ddestab.ratmaps import R_eval, coeffs, coeffs_generic, schwarz_margin
 from ddestab.verify import (
     _REGISTRY,
@@ -1078,6 +1086,22 @@ def test_sweep_figures_smoke(tmp_path):
     assert labels <= valid
     # all certification outcomes occur somewhere on the square
     assert labels == valid
+
+
+@pytest.mark.parametrize("raster", [1, 2, 7, 333])
+def test_raster_is_one_line_per_cell(tmp_path, raster):
+    # the raster written by label runs equals one "%.12g,%.12g,%s" line per
+    # (theta, mu) cell, theta by row and mu by column, from classify_raster
+    centres = [(k + 0.5) / raster for k in range(raster)]
+    labels = classify_raster(np.array([-1.0 / mu for mu in centres]), np.array(centres))
+    tags = [tag.value for tag in Region]
+    want = "theta,mu,label\n" + "".join(
+        "%.12g,%.12g,%s\n" % (th, mu, tags[labels[i, j]])
+        for i, th in enumerate(centres)
+        for j, mu in enumerate(centres)
+    )
+    path = sweep_figures(tmp_path, n_mu=1, raster=raster)["fig2_raster"]
+    assert Path(path).read_bytes() == want.encode()
 
 
 def test_fig1_is_the_blowfly_window(tmp_path):
