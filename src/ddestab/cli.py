@@ -138,11 +138,14 @@ def _cmd_map(args) -> int:
     # bracket's start ramp_slope_ratio(rz) and each constant-history
     # (1 + rz)*(a - rz) (onedmaps._phi_base, taken here for its overflow
     # alone).  A slope at which one of them overflows, or a*a or a ramp
-    # bracket's start underflows to 0, is refused before any solve
+    # bracket's start underflows to 0, is refused before any solve, and so
+    # is one where a ramp bracket's start is subnormal: the F1 lanes lose
+    # their digits there, and their brackets their sign change
+    ramp = lanes1 & (rz != 0.0)
     try:
         with np.errstate(over="raise"):
             rz[off_pole] = r_eval(z[off_pole], a)
-            r1 = ramp_slope_ratio(rz[lanes1 & (rz != 0.0)], np_)
+            r1 = ramp_slope_ratio(rz[ramp], np_)
             (1.0 + rz[lanes]) * (a - rz[lanes])
         in_range = a * a != 0.0 and r1.all()
     except FloatingPointError:
@@ -151,6 +154,13 @@ def _cmd_map(args) -> int:
         raise ValueError(
             f"--a {args.a!r} is out of map's float range: a product of the slope "
             f"in the maps overflows or underflows to 0"
+        )
+    subnormal = np.abs(r1) < 2.0**-1022
+    if subnormal.any():
+        k = int(np.argmax(subnormal))
+        raise ValueError(
+            f"--a {args.a!r} is out of map's float range: the ramp bracket start "
+            f"ramp_slope_ratio(r(z)) = {r1[k].item()!r} at z = {z[ramp][k].item()!r} is subnormal"
         )
     c = coeffs(np_)
     # both maps are exactly 0 at z = 0; every sample they are not defined at is nan

@@ -74,7 +74,8 @@ def _is_number(text: str) -> bool:
 
 
 class History:
-    """Initial segment on s <= 0: constant, exponential ramp, or samples.
+    """Initial segment on s <= 0: constant, exponential ramp, or samples,
+    read on arrays of s by eval_array.
 
     The ramp with coefficient c is phi(s) = c*(1 - exp(-s)); it solves
     y' = -y + c backwards from y(0) = 0 in unit-decay time, which is the
@@ -149,38 +150,33 @@ class History:
             return self.value * (1.0 - np.exp(-s))
         return np.interp(s, self.times, self.values)
 
-    def __call__(self, s: float) -> float:
-        return float(self.eval_array(np.asarray([s]))[0])
-
 
 @dataclass
 class Trajectory:
-    """Uniform-grid solution values starting at t0 with the reported step.
+    """Uniform-grid solution values at t = i*step, from t = 0 with the
+    reported step.
 
     values is (nodes,), or (nodes, histories) for a run of several constant
     histories; extrema, export_csv and asymptotic_bounds read one history.
     """
 
-    t0: float
     step: float
     values: np.ndarray
-    delta: float
-    h: float
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.step * np.arange(len(self.values))
+        return self.step * np.arange(len(self.values))
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.step * (len(self.values) - 1)
+        return self.step * (len(self.values) - 1)
 
     def extrema(self) -> list[tuple[float, float, str]]:
         """Interior extrema as (time, value, kind), parabola-refined."""
-        return _find_extrema(self.values, self.t0, self.step)
+        return _find_extrema(self.values, self.step)
 
     def export_csv(self, path) -> None:
-        r"""Header t,x, then t0 + i*step and the value, both %.12g, rows ending in \r\n."""
+        r"""Header t,x, then i*step and the value, both %.12g, rows ending in \r\n."""
         with open(path, "wb") as fh:
             fh.write(_table_text(("t", "x"), (self.times, self.values), "\r\n"))
 
@@ -203,15 +199,16 @@ class LaneDips:
     rows: int
 
 
-def _find_extrema(y: np.ndarray, t0: float, s: float) -> list:
+def _find_extrema(y: np.ndarray, s: float) -> list:
     """Nodes whose neighbours both lie strictly below (max) or above (min),
-    parabola-refined; a plateau of equal values is no extremum."""
+    parabola-refined, at times (node + offset)*s; a plateau of equal values
+    is no extremum."""
     d = np.diff(y)
     up, down = d[:-1] > 0.0, d[:-1] < 0.0
     nodes = np.flatnonzero((up & (d[1:] < 0.0)) | (down & (d[1:] > 0.0))) + 1
     dt, v = _parabola_refine(y[nodes - 1], y[nodes], y[nodes + 1])
     kinds = ["max" if rising else "min" for rising in up[nodes - 1].tolist()]
-    return list(zip((t0 + (nodes + dt) * s).tolist(), v.tolist(), kinds))
+    return list(zip(((nodes + dt) * s).tolist(), v.tolist(), kinds))
 
 
 def _parabola_refine(ym: np.ndarray, y0: np.ndarray, yp: np.ndarray):
@@ -364,7 +361,7 @@ def integrate(model, hist: History, params, T, step=None):
     # not as a numpy warning
     with np.errstate(all="ignore"):
         _march(w, hist, y, n, s, delta)
-    return Trajectory(t0=0.0, step=s, values=y, delta=delta, h=h)
+    return Trajectory(step=s, values=y)
 
 
 def _affine_weights(s, delta):
@@ -467,15 +464,15 @@ def _lanes(w, hist, h, T, step) -> LaneDips:
         raise ValueError("a lane's start time lies past its horizon")
     z = np.broadcast_to(hist.value, K.shape)
     with np.errstate(all="ignore"):
-        values, beyond, rows = _conveyor(w, z, start, K, int(n[0]), s, _SLOTS)
+        values, beyond, rows = _conveyor(w, z, start, K, int(n[0]), s)
     # a lane whose lowest node is its last has no right neighbour to refine with
     low, right = values[1], values[2]
     dip = np.where(np.isnan(right), low, _parabola_refine(values[0], low, right)[1])
     return LaneDips(step=s, values=values, dip=dip, beyond=beyond, rows=rows)
 
 
-def _conveyor(w, z, start, K, n, s, slots):
-    """March lanes on slots, _BLOCK delay segments at a time; returns the
+def _conveyor(w, z, start, K, n, s):
+    """March lanes on _SLOTS slots, _BLOCK delay segments at a time; returns the
     stencil of each lane's lowest node in [start, K] and its node K + 1
     (see LaneDips), and the rows marched.
 
@@ -495,7 +492,7 @@ def _conveyor(w, z, start, K, n, s, slots):
     # per lane: its window start, K and no lowest node yet; s, A, c0, c1, s/6
     lane_span = np.stack([start, K, np.full(len(K), -1)])
     weights = np.stack([s, *_affine_weights(s, 1.0)])
-    width = min(slots, len(K))
+    width = min(_SLOTS, len(K))
     lane = order[:width].copy()
     waiting = width  # order[waiting:] still wait for a slot
     fresh = np.arange(width)  # slots whose lane starts this block
@@ -523,7 +520,7 @@ def _conveyor(w, z, start, K, n, s, slots):
             slot_weights[:, fresh] = weights[:, ids]
         first, last, node = span
         lane_s, A, c0, c1, s6 = slot_weights
-        chunk = _CHUNK * slots // width
+        chunk = _CHUNK * _SLOTS // width
         for k in range(0, m * n, n):
             prev, cur = buf[k + 1 : k + n + 2], buf[k + n + 1 : k + 2 * n + 2]
             for r0 in range(0, n, chunk):
@@ -593,9 +590,9 @@ def asymptotic_bounds(tr: Trajectory) -> BoundsResult:
     Confident when at least five extrema land after the midpoint; otherwise
     falls back to the raw tail range (monotone or short tails).
     """
-    cut = tr.t0 + 0.5 * (tr.t_end - tr.t0)
+    cut = 0.5 * tr.t_end
     ext = [(t, v) for (t, v, _k) in tr.extrema() if t >= cut]
-    i0 = min(len(tr.values) - 1, int(math.ceil((cut - tr.t0) / tr.step)))
+    i0 = min(len(tr.values) - 1, int(math.ceil(cut / tr.step)))
     tail = tr.values[i0:]
     lo = float(tail.min())
     hi = float(tail.max())

@@ -38,13 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A named feedback map; f accepts floats or numpy arrays."""
+    """A named feedback map; f accepts floats or numpy arrays, and
+    integrate calls it as model.f."""
 
     name: str
     f: Callable
-
-    def __call__(self, x):
-        return self.f(x)
 
 
 def make_ricker_shifted(q: float) -> Nonlinearity:

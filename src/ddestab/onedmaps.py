@@ -52,25 +52,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntervalI:
-    """Admissible constant-history interval (lo, hi], lo = -1.
+    """Admissible constant-history interval (-1, hi]: its left end is the
+    envelope pole at -1.
 
     Proper when the slope-delay combination a(theta-1) exceeds theta;
     degenerate otherwise (hi <= 0 and the window argument breaks down).
     """
 
-    lo: float
     hi: float
     proper: bool
 
     def contains(self, z: float) -> bool:
         """Whether z lies in the interval; a mask of the entries for an array z."""
-        return self.proper and (self.lo < z) & (z <= self.hi)
+        return self.proper and (-1.0 < z) & (z <= self.hi)
 
 
 def interval_I(np_: NormParams) -> IntervalI:
     a, th = np_.a, np_.theta
     hi = a * (th - 1.0) / th - 1.0
-    return IntervalI(lo=-1.0, hi=hi, proper=hi > 0.0)
+    return IntervalI(hi=hi, proper=hi > 0.0)
 
 
 @dataclass(frozen=True)
@@ -252,9 +252,10 @@ def _settle_early(settled, rows, lo, hi, args, at_lo, other, f_other) -> tuple:
     end is -c; a bracket without a sign change raises BracketError as the
     solve would.  The predicate first sees the ends-only enclosure [lo, hi],
     as at the solve's first iteration.  A lane it leaves is then evaluated
-    at the probe root t that settled.probe(rows, width), if the predicate
-    has one, gives for the stop width width; t must lie strictly inside the
-    bracket.
+    at the probe root t that settled.probe(rows, width) gives for the stop
+    width width (verify's _settle_above attaches the probe to every
+    predicate it builds); a t that does not lie strictly inside the bracket
+    leaves its lane to the solve.
 
     The exact identity's slope in u is (d1 - a*w/(1 + s))/v1.  As a < 0
     and 1 + s > 0, it keeps one sign on [u1, t] where d1 and w(t) have the
@@ -283,11 +284,10 @@ def _settle_early(settled, rows, lo, hi, args, at_lo, other, f_other) -> tuple:
     x, fx = np.where(u1_best, u1, other), np.where(u1_best, f_u1, f_other)
     end_a, end_b = lo.copy(), hi.copy()
     done = settled(rows, lo, hi)
-    probe = getattr(settled, "probe", None)
     left = np.flatnonzero(~done & signed)
-    if probe is not None and left.size:
+    if left.size:
         width = _XTOL * np.maximum(1.0, np.maximum(np.abs(lo[left]), np.abs(hi[left])))
-        t = probe(rows[left], width)
+        t = settled.probe(rows[left], width)
         inside = (lo[left] < t) & (t < hi[left])
         left, t, width = left[inside], t[inside], width[inside]
         part = [v[left] for v in args]
@@ -317,12 +317,12 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
     holds one array entry per lane of its rz and the iterations of its
     lanes.
 
-    settled, if given, is the root solve's predicate, with each lane named
-    by its index into the parts' rz arrays laid end to end; a zero rz is
-    never offered to it.  It first sees each lane's ends-only enclosure and,
-    if it has a probe, the enclosure one evaluation of the identity at the
-    probe root gives (_settle_early); the lanes it stops there take no
-    iteration, and only the others run the lockstep solve.  Each result then
+    settled, if given, is the root solve's predicate for a call of one
+    part, with each lane named by its index into rz; a zero rz is never
+    offered to it.  It first sees each lane's ends-only enclosure and then
+    the enclosure one evaluation of the identity at the probe root that its
+    probe gives (_settle_early); the lanes it stops there take no
+    iteration, and only the others run the lockstep solve.  The result then
     flags its settled lanes.
     """
     cols, sels = [], []
@@ -345,8 +345,7 @@ def _lane_solves(parts, settled=None) -> list[MapSolve]:
         at_lo, other, f_other = _other_end(lo, hi, args)
         run, on_lanes = slice(None), None
         if settled is not None:
-            starts = np.cumsum([0] + [rz.size for _, rz, _ in parts[:-1]])
-            rows = np.concatenate([s + sel for s, sel in zip(starts.tolist(), sels)])
+            (rows,) = sels
             stopped, root, f_root, end_a, end_b = _settle_early(
                 settled, rows, lo, hi, args, at_lo, other, f_other
             )
@@ -387,7 +386,7 @@ def _check_F_domain(z, np_: NormParams) -> None:
     if not iv.proper:
         raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
     if not np.all(iv.contains(z)):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+        raise ValueError(f"z = {z} outside admissible interval (-1.0, {iv.hi:.6g}]")
 
 
 def _check_F1_domain(z) -> None:
@@ -412,8 +411,8 @@ def F_solve_r(rz: float, np_: NormParams, *, settled=None) -> MapSolve:
     at or above the branch slope a_star (otherwise z leaves the admissible
     interval); any positive rz is admissible.  A 1-D array rz solves one lane
     per entry, with one NormParams for all lanes or a NormLanes of rz's length,
-    and settled(rows, lo, hi), if given, may stop lanes early, named by
-    their index into rz (see _lane_solves).
+    and settled(rows, lo, hi), if given, and its probe may stop lanes
+    early, named by their index into rz (see _lane_solves).
     """
     a_star = _branch_slope(np_.a, np_.theta)
     if _any((rz < 0.0) & (rz < a_star)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddouble import FLOAT
-from .params import NormParams, _any, _per_base, _rows
+from .params import NormParams, _any, _per_base
 
 __all__ = [
     "Coeffs",
@@ -147,18 +147,16 @@ def _branch_slope(a, theta):
     return a + theta / (1.0 - theta)
 
 
-def R_eval(r: float, c: Coeffs, base=None) -> float:
+def R_eval(r: float, c: Coeffs) -> float:
     """Moebius response bound alpha*r/(1 - beta*r); pole at r = 1/beta.
 
-    r may be an array, with c one pack for every entry or a pack on lanes.
-    With base, c is a pack on a base table, and each entry of r takes the
-    alpha and beta of its base: of the pack, only those two are gathered.
+    r may be an array, with c one pack for every entry or a pack on lanes
+    of r's length, such as coeffs gives on a NormLanes.
     """
-    alpha, beta = _rows(c.alpha, base), _rows(c.beta, base)
-    den = 1.0 - beta * r
+    den = 1.0 - c.beta * r
     if _any(den == 0.0):
-        raise ValueError(f"response pole at r = {1.0 / beta}")
-    return alpha * r / den
+        raise ValueError(f"response pole at r = {1.0 / c.beta}")
+    return c.alpha * r / den
 
 
 def R2_eval(r: float, np_: NormParams) -> float:

@@ -225,16 +225,16 @@ class _LemmaSpec:
     funcrr2 marches at h/256 only the lanes its coarse marches do not
     settle (_margins_funcrr2); both settle by _settle_above.  The other
     checks ignore lows, and without it every row is solved and marched to
-    the end.  A dd_capable check is evaluated in FLOAT and then, on the
-    rows where some margin lands within dd_threshold of zero, in
-    DOUBLE_DOUBLE; the other checks get FLOAT only.
+    the end.  A check with a double-double form has a dd_threshold: it is
+    evaluated in FLOAT and then, on the rows where some margin lands within
+    dd_threshold of zero, in DOUBLE_DOUBLE.  A check whose dd_threshold is
+    None has no double-double form and gets FLOAT only.
     """
 
     lemma_id: str
-    dd_capable: bool
+    dd_threshold: float | None
     gen: Callable[[int], tuple[str, Grid]]
     margins: Callable[[Grid, object], list[tuple[str, object]]]
-    dd_threshold: float = 1e-6
     min_margin_override: Callable[[], float] | None = None
 
 
@@ -457,14 +457,6 @@ def _solved(solve, r, lanes, offsets: dict, lows, below: bool = False):
     return np.where(sol.settled, end, sol.value)
 
 
-def _moebius(r, lanes):
-    """R_eval at the rows of lanes, with the coefficient pack taken once per
-    base where the lanes carry a base table: R_eval gathers its alpha and
-    beta alone to the rows."""
-    table = lanes if lanes.bases is None else lanes.bases
-    return R_eval(r, coeffs(table), lanes.base)
-
-
 # the response-map and trajectory checks have no double-double form: they
 # take mx without using it
 
@@ -473,7 +465,7 @@ def _margins_leform1(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], _lanes(grid)
     offsets = {
         "response_above_tangent_bound": bound_L(r, lanes),
-        "response_above_moebius": _moebius(r, lanes),
+        "response_above_moebius": R_eval(r, coeffs(lanes)),
     }
     f_val = _solved(F_solve_r, r, lanes, offsets, lows)
     return [(label, f_val - offset) for label, offset in offsets.items()]
@@ -481,7 +473,7 @@ def _margins_leform1(grid: Grid, mx, lows=None) -> list:
 
 def _margins_plyus(grid: Grid, mx, lows=None) -> list:
     r, lanes = grid["r"], _lanes(grid)
-    offsets = {"response_below_moebius": _moebius(r, lanes)}
+    offsets = {"response_below_moebius": R_eval(r, coeffs(lanes))}
     f_val = _solved(F_solve_r, r, lanes, offsets, lows, below=True)
     return [(label, offset - f_val) for label, offset in offsets.items()]
 
@@ -491,7 +483,7 @@ def _margins_leform2(grid: Grid, mx, lows=None) -> list:
     num, den = _g1_fraction(r, lanes, ramp_slope_ratio(r, lanes) / r)
     offsets = {
         "ramp_above_taylor": num / den,
-        "ramp_above_moebius": _moebius(r, lanes),
+        "ramp_above_moebius": R_eval(r, coeffs(lanes)),
     }
     f1_val = _solved(F1_solve_r, r, lanes, offsets, lows)
     return [("taylor_denominator_pos", den)] + [
@@ -809,25 +801,23 @@ def _gen_gss(n: int):
 _REGISTRY: dict[str, _LemmaSpec] = {
     spec.lemma_id: spec
     for spec in (
-        _LemmaSpec("albet", True, _gen_band_d, _margins_albet),
-        _LemmaSpec("albeta", True, _gen_albeta, _margins_albeta),
-        _LemmaSpec("dom", True, _gen_band_d, _margins_dom),
+        _LemmaSpec("albet", 1e-6, _gen_band_d, _margins_albet),
+        _LemmaSpec("albeta", 1e-6, _gen_albeta, _margins_albeta),
+        _LemmaSpec("dom", 1e-6, _gen_band_d, _margins_dom),
+        _LemmaSpec("jcal_tangent", 1e-11, _gen_jcal_tangent, _margins_jcal_tangent),
+        _LemmaSpec("jcal_concavity", None, _gen_jcal_concavity, _margins_jcal_concavity),
+        _LemmaSpec("leform1", None, _gen_leform1, _margins_leform1),
+        _LemmaSpec("plyus", None, _gen_plyus, _margins_plyus),
+        _LemmaSpec("leform2", None, _gen_leform2, _margins_leform2),
+        _LemmaSpec("lele", 1e-6, _gen_lele, _margins_lele),
+        _LemmaSpec("leleka", 1e-6, _gen_leleka, _margins_leleka),
+        _LemmaSpec("funcrr2", None, _gen_funcrr2, _margins_funcrr2),
+        _LemmaSpec("lele2", 1e-6, _gen_lele2, _margins_lele2),
+        _LemmaSpec("expo_bounds", 1e-6, _gen_expo, _margins_expo),
         _LemmaSpec(
-            "jcal_tangent", True, _gen_jcal_tangent, _margins_jcal_tangent, dd_threshold=1e-11
+            "r303", 1e-6, _gen_r303, _margins_r303, min_margin_override=_r303_endpoint_margin
         ),
-        _LemmaSpec("jcal_concavity", False, _gen_jcal_concavity, _margins_jcal_concavity),
-        _LemmaSpec("leform1", False, _gen_leform1, _margins_leform1),
-        _LemmaSpec("plyus", False, _gen_plyus, _margins_plyus),
-        _LemmaSpec("leform2", False, _gen_leform2, _margins_leform2),
-        _LemmaSpec("lele", True, _gen_lele, _margins_lele),
-        _LemmaSpec("leleka", True, _gen_leleka, _margins_leleka),
-        _LemmaSpec("funcrr2", False, _gen_funcrr2, _margins_funcrr2),
-        _LemmaSpec("lele2", True, _gen_lele2, _margins_lele2),
-        _LemmaSpec("expo_bounds", True, _gen_expo, _margins_expo),
-        _LemmaSpec(
-            "r303", True, _gen_r303, _margins_r303, min_margin_override=_r303_endpoint_margin
-        ),
-        _LemmaSpec("gsslemma_schwarz", True, _gen_gss, _margins_gss),
+        _LemmaSpec("gsslemma_schwarz", 1e-6, _gen_gss, _margins_gss),
     )
 }
 
@@ -874,7 +864,7 @@ def _margin_columns(spec: _LemmaSpec, grid: Grid) -> list[tuple[str, np.ndarray]
             label: np.fmin(lows.get(label, math.inf), np.fmin.reduce(m, initial=math.inf))
             for label, m in block
         }
-    if spec.dd_capable:
+    if spec.dd_threshold is not None:
         near = [np.abs(col) < spec.dd_threshold for col in cols]
         rows = np.flatnonzero(np.logical_or.reduce(near))
         for i in range(0, rows.size, _LANE_BLOCK):
@@ -995,7 +985,6 @@ class Certificate:
     the first failing fact when the point is not certified.
     """
 
-    point: tuple[float, float]
     region: RegionLabel
     chain: list[Fact]
     failure: Fact | None
@@ -1017,9 +1006,7 @@ def _backed(lemma_id: str, grids: list[Grid], labels: tuple[str, ...]) -> list[F
     per_grid = [dict(margins(grid, FLOAT)) for grid in grids]
     facts = []
     for label in labels:
-        cols = [m[label] for m in per_grid]
-        # one grid's column as it is: stacking it in a list costs a copy
-        value = float(np.minimum.reduce(cols if len(cols) > 1 else cols[0], axis=None))
+        value = float(np.minimum.reduce([m[label] for m in per_grid], axis=None))
         facts.append(Fact(label, value, "> 0", value > 0.0, lemma_id))
     return facts
 
@@ -1038,10 +1025,10 @@ def certificate(np_: NormParams) -> Certificate:
     again in a rounding that cancels near the boundary.
     """
     label = classify(np_)
-    a, theta = point = (np_.a, np_.theta)
+    a, theta = np_.a, np_.theta
     crit_fact = Fact("sharp_criterion_margin", sharp_criterion_margin(np_), "> 0", label.certified)
     if label.tag is Region.NOT_CERTIFIED:
-        return Certificate(point, label, [], crit_fact)
+        return Certificate(label, [], crit_fact)
 
     chain = [crit_fact]
     if label.tag is Region.LINEAR:
@@ -1071,7 +1058,7 @@ def certificate(np_: NormParams) -> Certificate:
             worst = max(worst, lambda_composite(x, np_, c) / x)
         chain.append(Fact("composite_cycle_contraction", worst, "< 1", worst < 1.0))
     failure = next((f for f in chain if not f.ok), None)
-    return Certificate(point, label, chain, failure)
+    return Certificate(label, chain, failure)
 
 
 # ---------------------------------------------------------------------------

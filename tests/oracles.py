@@ -37,7 +37,7 @@ def t1(z: float, np_: NormParams) -> float:
     if not iv.proper:
         raise ValueError("admissible interval is empty: need a*(theta-1) > theta")
     if not iv.contains(z):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+        raise ValueError(f"z = {z} outside admissible interval (-1.0, {iv.hi:.6g}]")
     return -math.log(1.0 - (1.0 + z) / np_.a)
 
 
@@ -154,7 +154,7 @@ def F_sim(z: float, np_: NormParams, step: float | None = None) -> float:
     if z == 0.0:
         return 0.0
     if not iv.contains(z):
-        raise ValueError(f"z = {z} outside admissible interval ({iv.lo}, {iv.hi:.6g}]")
+        raise ValueError(f"z = {z} outside admissible interval (-1.0, {iv.hi:.6g}]")
     h = np_.delay
     tc = -t1(z, np_)  # first crossing time, in (0, h]
     tr = integrate(_envelope(np_.a), History.constant(z), np_, h + tc, step=step)
@@ -200,9 +200,10 @@ def rk4_integrate(model, hist: History, params, T: float, step: float | None = N
     """integrate's march of one history, with rk4_rows for its rows: the
     values on the same nodes, from the same delayed values and stencils."""
     delta, h = ddesim._delta_h(params)
+    w = getattr(model, "f", model)
     n, s, K = (v.item() for v in ddesim._step_grid(h, T, step))
     y = np.empty(K + 1)
-    y[0] = hist(0.0)
+    y[0] = hist.eval_array(np.zeros(1))[0]
     for k0 in range(0, K, n):
         k1 = min(k0 + n, K)
         cnt = k1 - k0
@@ -212,7 +213,7 @@ def rk4_integrate(model, hist: History, params, T: float, step: float | None = N
         else:
             node_del = y[k0 - n : k1 - n + 1]
             mid_del = ddesim._segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
-        w_node, w_mid = (np.asarray(model(v), dtype=float).tolist() for v in (node_del, mid_del))
+        w_node, w_mid = (np.asarray(w(v), dtype=float).tolist() for v in (node_del, mid_del))
         y[k0 : k1 + 1] = rk4_rows(y[k0].item(), w_node, w_mid, delta, s)
     return y
 

@@ -213,6 +213,30 @@ def test_nicholson_certifies_at_the_sharp_boundary_as_check_does(capsys):
     assert lines[1].startswith("decision: certified (core): ")
 
 
+# a point on the wrong side of the sharp boundary by 2.8e-20: its margin
+# -theta/a - log((a*a - a)/(a*a + 1)) at these floats, in 60 digits, is
+# -2.7968e-20, and check's float margin reads +2.17e-19
+_FLOAT_EDGE = ("-593.9555299947992", "0.9974755044688798")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: check decides the sharp criterion on its float margin, "
+    "with no error bound",
+)
+def test_check_verdict_at_the_float_boundary(capsys):
+    mp = pytest.importorskip("mpmath")
+    a, theta = _FLOAT_EDGE
+    with mp.workdps(60):
+        a_mp, theta_mp = mp.mpf(float(a)), mp.mpf(float(theta))
+        margin = -theta_mp / a_mp - mp.log((a_mp * a_mp - a_mp) / (a_mp * a_mp + 1))
+    assert -2.9e-20 < margin < -2.7e-20
+    rc = main(["check", f"--a={a}", "--theta", theta])
+    capsys.readouterr()
+    assert rc == 1
+
+
 def _status_defect(coords, items, what):
     return pytest.param(coords, id=" ".join(coords), marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=f"ROADMAP {items}: {what}"))
@@ -446,11 +470,12 @@ def test_map_evaluates_the_identity_at_no_u1_end(monkeypatch, capsys):
 # default z samples.  map refuses the 30 at which it raised before it
 # checked the slope, under warnings as errors: a ZeroDivisionError in
 # coeffs_generic where a*a underflows to 0, and an overflow warning in
-# _phi_base or ramp_slope_ratio.  A slope between them exits 0, or 2 where
-# the difference form crosses its log singularity
-_EXTREME_SLOPE_EXITS = "222222222222222000000000000000002202222222022222222222222222"
+# _phi_base or ramp_slope_ratio.  It also refuses -4.58e-161 (x = -160.3),
+# whose ramp bracket starts are subnormal.  A slope between them exits 0,
+# or 2 where the difference form crosses its log singularity
+_EXTREME_SLOPE_EXITS = "222222222222222200000000000000002202222222022222222222222222"
 # SHA-256 of the tables of the slopes that exit 0, written one after another
-_EXTREME_SLOPE_TABLES = "8d905bb5d551579d3696fb78af97a003cc5b197805e4d9be1c7c46b7108f515f"
+_EXTREME_SLOPE_TABLES = "d71ef63a4e75451f378ae7042bce7e491f0fc4749d0af0db10261dc39ab92ca7"
 
 
 def test_map_at_extreme_slopes_writes_a_table_or_one_error_line(capsys):
@@ -472,8 +497,44 @@ def test_map_at_extreme_slopes_writes_a_table_or_one_error_line(capsys):
                 assert err.startswith(f"error: --a {a!r} "), err
                 refused += 1
     assert "".join(exits) == _EXTREME_SLOPE_EXITS
-    assert refused == 30
+    assert refused == 31
     assert tables.hexdigest() == _EXTREME_SLOPE_TABLES
+
+
+# slopes at which every ramp bracket start ramp_slope_ratio(r(z)) of the
+# default samples is subnormal.  Before map refused them, the first three
+# exited 2 with "no sign change" in 1, 164 and 1 of their 164 F1 lanes, and
+# the last wrote a table whose F1 column was off in its 12th digit
+_SUBNORMAL_STARTS = [
+    ("-1e-155", "0.999999"),
+    ("-2e-158", "0.999999"),
+    ("-1e-160", "0.9"),
+    ("-1e-155", "0.9"),
+]
+# SHA-256 of the table at a = -1e-150, theta = 0.9, whose starts are normal
+_NORMAL_START_TABLE = "4a61cc179d214b1ea5a5da0940c3982e67d9870c19224a1b5a4b296d1fd14864"
+
+
+def _map_warnings_as_errors(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(["map", *argv])
+
+
+@pytest.mark.parametrize("a, theta", _SUBNORMAL_STARTS)
+def test_map_refuses_a_subnormal_ramp_bracket_start(a, theta, capsys):
+    rc = _map_warnings_as_errors([f"--a={a}", "--theta", theta])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: --a {float(a)!r} "), err
+    assert "ramp bracket start" in err and err.endswith(" is subnormal\n"), err
+
+
+def test_map_keeps_its_table_where_the_ramp_bracket_starts_are_normal(capsys):
+    assert _map_warnings_as_errors(["--a=-1e-150", "--theta", "0.9"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _NORMAL_START_TABLE
 
 
 def test_map_tiny_z_gives_finite_rows(tmp_path, capsys):

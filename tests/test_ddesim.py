@@ -28,25 +28,25 @@ from oracles import F1_sim, F_sim, extremum_after, parabola_refine, rk4_integrat
 
 def test_history_constant():
     hph = History.constant(0.7)
-    assert hph(-0.5) == 0.7
-    assert hph(0.0) == 0.7
+    assert hph.eval_array(-0.5) == 0.7
+    assert hph.eval_array(0.0) == 0.7
 
 
 def test_history_ramp_semantics():
     c = -0.4
     hph = History.ramp(c)
-    assert hph(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert hph.eval_array(0.0) == pytest.approx(0.0, abs=1e-15)
     # solves y' = -y + c backwards from 0: y(s) = c(1 - exp(-s))
     s = -0.3
-    assert hph(s) == pytest.approx(c * (1.0 - math.exp(-s)), rel=1e-14)
+    assert hph.eval_array(s) == pytest.approx(c * (1.0 - math.exp(-s)), rel=1e-14)
     # for negative c the pre-history is positive
-    assert hph(-1.0) > 0.0
+    assert hph.eval_array(-1.0) > 0.0
 
 
 def test_history_samples_interp():
     hph = History.from_samples([-1.0, -0.5, 0.0], [2.0, 1.0, 0.0])
-    assert hph(-0.75) == pytest.approx(1.5)
-    assert hph(-0.25) == pytest.approx(0.5)
+    assert hph.eval_array(-0.75) == pytest.approx(1.5)
+    assert hph.eval_array(-0.25) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         History.from_samples([-1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(ValueError):
@@ -65,7 +65,7 @@ def test_history_csv_roundtrip(tmp_path):
     path = tmp_path / "hist.csv"
     path.write_text("t,x\n-1.0,2.0\n-0.5,1.0\n0.0,0.5\n")
     hph = History.from_csv(path)
-    assert hph(-0.5) == pytest.approx(1.0)
+    assert hph.eval_array(-0.5) == pytest.approx(1.0)
 
 
 def test_pure_decay_exact():
@@ -135,8 +135,11 @@ def test_divergence_guard():
 
 def test_norm_params_accepted(np_core):
     tr = integrate(lambda x: np_core.a * x, History.constant(0.2), np_core, 3.0)
-    assert tr.h == pytest.approx(np_core.delay)
-    assert tr.delta == 1.0
+    # NormParams run the normalised equation: delta 1 and delay h = -log(theta)
+    p = ParamSet(a=np_core.a, delta=1.0, h=np_core.delay)
+    run = integrate(lambda x: np_core.a * x, History.constant(0.2), p, 3.0)
+    assert tr.step == run.step == np_core.delay / 256
+    assert tr.values.tobytes() == run.values.tobytes()
 
 
 def test_trajectory_export(tmp_path):
@@ -157,20 +160,20 @@ def test_trajectory_export(tmp_path):
     )
 
 
-@pytest.mark.parametrize("t0, step", [(0.3, 0.1), (-2.75, 1 / 3), (1e6, 0.7 / 256)])
-def test_trajectory_export_time_column(tmp_path, t0, step):
-    # the time column is t0 + i*step with each i a float: bitwise the
-    # per-row Python expression, also when t0 is not 0
-    values = np.linspace(-1.0, 2.0, 300)
-    tr = ddesim.Trajectory(t0=t0, step=step, values=values, delta=1.0, h=1.0)
-    assert tr.times.tolist() == [t0 + i * step for i in range(300)]
+@pytest.mark.parametrize("x0, step", [(0.3, 0.1), (-2.75, 1 / 3), (1e6, 0.7 / 256)])
+def test_trajectory_export_time_column(tmp_path, x0, step):
+    # the time column is i*step with each i a float: bitwise the per-row
+    # Python expression; the values start at x0
+    values = x0 + np.linspace(-1.0, 2.0, 300)
+    tr = ddesim.Trajectory(step=step, values=values)
+    assert tr.times.tolist() == [i * step for i in range(300)]
     out = tmp_path / "traj.csv"
     tr.export_csv(out)
-    rows = ["%.12g,%.12g\r\n" % (t0 + i * step, v) for i, v in enumerate(values.tolist())]
+    rows = ["%.12g,%.12g\r\n" % (i * step, v) for i, v in enumerate(values.tolist())]
     assert out.read_bytes() == ("t,x\r\n" + "".join(rows)).encode()
 
 
-def _extrema_loop(y, t0, s):
+def _extrema_loop(y, s):
     """The node-by-node extremum scan, kept as the oracle for _find_extrema."""
     out = []
     for i in range(1, len(y) - 1):
@@ -182,7 +185,7 @@ def _extrema_loop(y, t0, s):
             kind = "min"
         else:
             continue
-        t_ref, v_ref = parabola_refine(y, i, t0, s)
+        t_ref, v_ref = parabola_refine(y, i, 0.0, s)
         out.append((t_ref, v_ref, kind))
     return out
 
@@ -199,15 +202,15 @@ def test_extrema_scan_matches_node_loop(np_core):
     # plateaus: equal neighbours on either side of a node are no extremum
     plateaus = np.array([0.0, 1.0, 1.0, 0.5, 0.5, 0.5, 2.0, -1.0, -1.0, 3.0, 3.0, 1.0, 4.0, 4.0])
     cases = [
-        (oscillating.values, oscillating.t0, oscillating.step),
-        (monotone.values, monotone.t0, monotone.step),
-        (plateaus, 0.25, 0.1),
+        (oscillating.values, oscillating.step),
+        (monotone.values, monotone.step),
+        (plateaus, 0.1),
     ]
-    for y, t0, s in cases:
-        assert _hex_extrema(ddesim._find_extrema(y, t0, s)) == _hex_extrema(_extrema_loop(y, t0, s))
+    for y, s in cases:
+        assert _hex_extrema(ddesim._find_extrema(y, s)) == _hex_extrema(_extrema_loop(y, s))
     assert len(oscillating.extrema()) >= 5
     assert monotone.extrema() == []
-    assert [k for _t, _v, k in ddesim._find_extrema(plateaus, 0.25, 0.1)] == ["max", "min"]
+    assert [k for _t, _v, k in ddesim._find_extrema(plateaus, 0.1)] == ["max", "min"]
 
 
 def _vertex(ym, y0, yp) -> float:
@@ -220,7 +223,7 @@ def test_extrema_near_overflow_stay_finite():
     # (yp - ym)**2 overflows past about 1.3e154; tier-1 turns the warning
     # into an error.  The vertex keeps its value in a form that stays finite
     y = np.array([0.0, 1e155, 3e155, 2e155, 0.0])
-    run = ddesim.Trajectory(t0=0.0, step=0.1, values=y, delta=1.0, h=1.0)
+    run = ddesim.Trajectory(step=0.1, values=y)
     [(t, v, kind)] = run.extrema()
     assert kind == "max" and t == pytest.approx(0.1 * (2 + 1 / 6), rel=1e-15)
     assert v == pytest.approx(_vertex(*y[1:4]), rel=1e-15)
@@ -388,7 +391,7 @@ def test_extrema_of_oscillatory_run(np_core):
     assert all(k1 != k2 for k1, k2 in zip(kinds, kinds[1:]))
     # refined extremum beats the raw grid value
     t_e, v_e, kind = ext[1]
-    i = int(round((t_e - tr.t0) / tr.step))
+    i = int(round(t_e / tr.step))
     if kind == "max":
         assert v_e >= tr.values[i] - 1e-15
     else:
@@ -476,7 +479,8 @@ def test_lanes_equal_scalar_runs(monkeypatch):
         assert one.step == run.step[j]
         assert dip.tobytes() == run.dip[j].tobytes()
         y = one.values
-        start = ddesim._first_node_after(float(_LANE_T0[j] * one.h), one.step)
+        h = NormParams(a=-2.0, theta=float(_LANE_THETA[j])).delay
+        start = ddesim._first_node_after(float(_LANE_T0[j] * h), one.step)
         im = start + int(np.argmin(y[start:]))
         lowest[j] = (start, im, len(y) - 1)
         stencil = y[im - 1 : im + 2] if im < len(y) - 1 else np.r_[y[im - 1 : im + 1], np.nan]

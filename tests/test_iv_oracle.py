@@ -2,12 +2,16 @@
 each formula, from the one code that FLOAT and DOUBLE_DOUBLE run, and the
 float values measured against them."""
 
+import functools
+
+import numpy as np
 import pytest
 
 from ddestab.ddouble import FLOAT
 from ddestab.onedmaps import mn_polys_generic, q_poly_generic, s_poly_generic, t_chain_generic
+from ddestab.params import sharp_boundary_theta
 from ddestab.ratmaps import coeffs_generic, j_generic, psi_inv_generic
-from oracles import IV
+from oracles import IV, IVBackend
 
 if IV is None:
     pytest.skip("the IV oracle needs mpmath, a test extra", allow_module_level=True)
@@ -61,3 +65,62 @@ def test_generic_formulas_run_unchanged_on_iv():
 def test_float_beta_at_a_large_slope():
     a, theta = -1e5, 0.999986
     assert _off_by(coeffs_generic(a, theta)[2], coeffs_generic(a, theta, IV)[2]) <= 1e-6
+
+
+# coeffs_generic by decade of |a|: 20 seeded points a = -10**(d + u) in
+# decade d, theta uniform from the sharp boundary up to 1.  num and den
+# cancel about 3 digits per decade, so 40 digits do not reach 1e12: IV runs
+# at 80, and every enclosure is narrower than 1e-20 relative.  The float
+# alpha and beta must lie within _DECADE_RTOL of it, relative
+_DECADE_RTOL = 1e-11
+_DECADES = range(12)
+# beta's worst relative error at these points: 3.4e-10, 6.0e-8, 2.6e-4,
+# 0.43 and 657 in decades 1-5, and in decade 6 382 at a = -1.047e6, where
+# |theta/a| is still above _uncancelled's 2**-20.  Decade 0 reads 3.2e-13,
+# decades 7-11 at most 1.2e-13
+_CANCELLING = (1, 2, 3, 4, 5, 6)
+
+
+@functools.cache
+def _decade_coeffs(decade: int) -> list:
+    """(float alpha, float beta, alpha box, beta box) at each of the decade's points."""
+    rng = np.random.default_rng(1000 + decade)
+    iv = IVBackend(dps=80)
+    out = []
+    for u, v in zip(rng.random(20).tolist(), rng.random(20).tolist()):
+        a = -(10.0 ** (decade + u))
+        low = sharp_boundary_theta(a)
+        theta = low + (1.0 - low) * v
+        _, alpha, beta, _ = coeffs_generic(a, theta)
+        _, alpha_box, beta_box, _ = coeffs_generic(a, theta, iv)
+        out.append((alpha, beta, alpha_box, beta_box))
+    return out
+
+
+@pytest.mark.parametrize("decade", _DECADES)
+def test_iv_coeffs_are_narrow_by_decade(decade):
+    for _, _, *boxes in _decade_coeffs(decade):
+        for box in boxes:
+            assert box.delta < 1e-20 * max(abs(box.a), abs(box.b)), box
+
+
+@pytest.mark.parametrize(
+    "decade",
+    [
+        pytest.param(
+            d,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP items 13 and 19: the float beta cancels at large slopes",
+            ),
+        )
+        if d in _CANCELLING
+        else d
+        for d in _DECADES
+    ],
+)
+def test_float_coeffs_within_iv_by_decade(decade):
+    for alpha, beta, alpha_box, beta_box in _decade_coeffs(decade):
+        assert _off_by(alpha, alpha_box) <= _DECADE_RTOL, (alpha, alpha_box)
+        assert _off_by(beta, beta_box) <= _DECADE_RTOL, (beta, beta_box)

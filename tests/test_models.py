@@ -21,12 +21,12 @@ E3 = math.e**3
 
 def slope_at_zero(m, eps=1e-6):
     """Centred finite difference of the map at its fixed point 0."""
-    return (m(eps) - m(-eps)) / (2.0 * eps)
+    return (m.f(eps) - m.f(-eps)) / (2.0 * eps)
 
 
 def test_ricker_shifted_structure():
     m = make_ricker_shifted(E3)
-    assert m(0.0) == pytest.approx(0.0, abs=1e-15)
+    assert m.f(0.0) == pytest.approx(0.0, abs=1e-15)
     assert slope_at_zero(m) == pytest.approx(1.0 - 3.0)
     with pytest.raises(ValueError):
         make_ricker_shifted(0.8)
@@ -34,7 +34,7 @@ def test_ricker_shifted_structure():
 
 def test_wright_structure():
     m = make_wright(-1.6)
-    assert m(0.0) == 0.0
+    assert m.f(0.0) == 0.0
     assert slope_at_zero(m) == pytest.approx(-1.6)
     with pytest.raises(ValueError):
         make_wright(0.5)
@@ -42,7 +42,7 @@ def test_wright_structure():
 
 def test_mackey_glass_structure():
     m = make_mackey_glass(2.0, 8.0)
-    assert m(0.0) == pytest.approx(2.0)
+    assert m.f(0.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         make_mackey_glass(-1.0, 8.0)
     with pytest.raises(ValueError):
@@ -51,13 +51,13 @@ def test_mackey_glass_structure():
 
 def test_wazewska_structure():
     m = make_wazewska(2.0, 1.5)
-    assert m(0.0) == pytest.approx(2.0)
+    assert m.f(0.0) == pytest.approx(2.0)
     assert slope_at_zero(m) == pytest.approx(-2.0 * 1.5)
 
 
 def test_rational_structure():
     m = make_rational(-2.0)
-    assert m(0.0) == 0.0
+    assert m.f(0.0) == 0.0
     assert slope_at_zero(m) == pytest.approx(-2.0)
 
 
@@ -99,7 +99,7 @@ def test_nicholson_params_derived():
 
 def test_nicholson_feedback_shape():
     p = NicholsonParams(p=E3 * 0.5, delta=0.5, gamma_n=1.0, h=1.0)
-    f = p.feedback()
+    f = p.feedback().f
     # production at the equilibrium balances decay
     assert f(p.n_star) == pytest.approx(p.delta * p.n_star, rel=1e-12)
 

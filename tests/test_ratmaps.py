@@ -273,7 +273,7 @@ def test_schwarzian_of_moebius_vanishes():
     # recruitment map reads 0.34-0.43 at the same points
     m = make_rational(-2.0)
     for x in (-0.3, 0.2, 2.0):
-        assert abs(schwarzian_numeric(m, x)) < 1e-3
+        assert abs(schwarzian_numeric(m.f, x)) < 1e-3
 
 
 def test_schwarz_margin_positive_on_linear_region(np_linear):

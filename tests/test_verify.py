@@ -24,6 +24,7 @@ from ddestab.params import (
     classify_raster,
     pi_curve,
     sharp_boundary_theta,
+    sharp_criterion_margin,
 )
 from ddestab.ratmaps import R_eval, coeffs, coeffs_generic, schwarz_margin
 from ddestab.verify import (
@@ -244,7 +245,8 @@ def _counting_dd(monkeypatch, lemma_id):
 
 
 def test_dd_capable_registry():
-    assert sorted(k for k, spec in _REGISTRY.items() if spec.dd_capable) == sorted(DD_RECHECK_ROWS)
+    dd = sorted(k for k, spec in _REGISTRY.items() if spec.dd_threshold is not None)
+    assert dd == sorted(DD_RECHECK_ROWS)
 
 
 @pytest.mark.parametrize("lemma_id", list(DD_RECHECK_ROWS))
@@ -333,7 +335,7 @@ def test_columns_match_point_loop(lemma_id):
     for i in range(rows):
         pt = {k: float(v[i]) for k, v in grid.items()}
         values = [(label, FLOAT.value(m)) for label, m in spec.margins(pt, FLOAT)]
-        if spec.dd_capable and any(abs(v) < spec.dd_threshold for _, v in values):
+        if spec.dd_threshold is not None and any(abs(v) < spec.dd_threshold for _, v in values):
             dd_values = dict(spec.margins(pt, DOUBLE_DOUBLE))
             values = [
                 (label, DOUBLE_DOUBLE.value(dd_values[label]) if abs(v) < spec.dd_threshold else v)
@@ -510,10 +512,17 @@ def test_probe_settled_entries_are_at_most_full_solves(lemma_id, resolution, mon
 
 
 def _never_settling(monkeypatch):
-    """Make every settling solve run each row to the end."""
-    monkeypatch.setattr(
-        verify, "_settle_above", lambda *_: lambda rows, lo, hi: np.zeros(rows.size, dtype=bool)
-    )
+    """Make every settling solve run each row to the end: the predicate
+    settles no row, and its probe root, NaN, lies inside no bracket."""
+
+    def never(*_):
+        def settled(rows, lo, hi):
+            return np.zeros(rows.size, dtype=bool)
+
+        settled.probe = lambda rows, width: np.full(rows.size, math.nan)
+        return settled
+
+    monkeypatch.setattr(verify, "_settle_above", never)
 
 
 @pytest.mark.parametrize("resolution", [4, 8, 24, 64])
@@ -1051,7 +1060,7 @@ def test_sector_corner_facts_match_mpmath(a, theta):
 
 def test_certificate_point_recorded(np_core):
     cert = certificate(np_core)
-    assert cert.point == (np_core.a, np_core.theta)
+    assert cert.chain[0].value == sharp_criterion_margin(np_core)
     assert isinstance(cert.chain[0], Fact)
     assert isinstance(cert, Certificate)
 
