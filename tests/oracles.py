@@ -212,7 +212,7 @@ def rk4_integrate(model, hist: History, params, T: float, step: float | None = N
             mid_del = hist.eval_array((np.arange(-n, cnt - n) + 0.5) * s)
         else:
             node_del = y[k0 - n : k1 - n + 1]
-            mid_del = ddesim._segment_midpoints(y[k0 - n : k0 + 1], 0, cnt)
+            mid_del = ddesim._segment_midpoints(y[k0 - n : k0 + 1], cnt)
         w_node, w_mid = (np.asarray(w(v), dtype=float).tolist() for v in (node_del, mid_del))
         y[k0 : k1 + 1] = rk4_rows(y[k0].item(), w_node, w_mid, delta, s)
     return y

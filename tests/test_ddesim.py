@@ -241,7 +241,7 @@ def _scalar_rows(y0, w_node, w_mid, s, delta):
 
 
 def test_affine_lanes_equal_scalar_rows():
-    # the conveyor's rows, weights on an array of steps and one 2-D offset
+    # the lockstep's rows, weights on an array of steps and one 2-D offset
     # expression, are bitwise each lane's scalar rows at delta = 1, with its
     # own step.  Lanes 0 and 1 stay on signed zeros, of both signs
     rng = np.random.default_rng(7)
@@ -425,9 +425,9 @@ def test_F1_sim_matches_solver(np_core):
         assert sim == pytest.approx(ref, abs=2e-7)
 
 
-# Eight lanes on three slots, so the conveyor refills slots and drops them:
-# each lane has its own delay, slope b, constant history z, start t0 and
-# horizon T (in delays).  Lane 2 decays from z > 0, so its lowest node is
+# Eight lanes in one lockstep, so lanes leave it at several blocks: each
+# lane has its own delay, slope b, constant history z, start t0 and horizon
+# T (in delays).  Lane 2 decays from z > 0, so its lowest node is
 # its last one; lane 3 rises from z < 0, so its lowest node is its start,
 # the last node of segment 2; lane 4 ends on a segment boundary; lane 5
 # starts its window at t0 = 0, so at node 1.
@@ -446,16 +446,17 @@ def _linear(x, b):
     return b * x
 
 
-def _lane_run(monkeypatch, f=_envelope, b=_LANE_B, T=_LANE_T, slots=3):
-    """The lanes on the conveyor, lane j with model f(x, b[j])."""
-    lanes = NormLanes(a=np.full(len(b), -2.0), theta=_LANE_THETA)
+def _lane_run(f=_envelope, b=_LANE_B, T=_LANE_T, order=slice(None)):
+    """The lanes in lockstep, lane j with model f(x, b[j]); order picks
+    the lanes and the order they are given in."""
+    lanes = NormLanes(a=np.full(len(b), -2.0), theta=_LANE_THETA).take(order)
     h = lanes.delay
-    monkeypatch.setattr(ddesim, "_SLOTS", slots)
+    b, z, t0, T = b[order], _LANE_Z[order], _LANE_T0[order], T[order]
     return integrate(
         lambda x, lane_ids: f(x, b[lane_ids]),
-        History.constant(_LANE_Z),
+        History.constant(z),
         lanes,
-        np.stack([_LANE_T0 * h, T * h]),
+        np.stack([t0 * h, T * h]),
     )
 
 
@@ -469,8 +470,8 @@ def _one_dip(j, f=_envelope, b=_LANE_B, T=_LANE_T):
     return one, np.float64(dip)
 
 
-def test_lanes_equal_scalar_runs(monkeypatch):
-    run = _lane_run(monkeypatch)
+def test_lanes_equal_scalar_runs():
+    run = _lane_run()
     n = 256
     assert run.values.shape == (3, len(_LANE_T)) and run.rows % n == 0
     lowest = {}
@@ -492,7 +493,7 @@ def test_lanes_equal_scalar_runs(monkeypatch):
     assert lowest[5][0] == 1
 
 
-# Forty seeded lanes for the conveyor's window bookkeeping.  Lane j runs
+# Forty seeded lanes for the lockstep's window bookkeeping.  Lane j runs
 # x' = -x + w(x(t - h)) with w(x) = P if x == Z else Q + G*x, from the
 # constant history Z.  Its window starts after 0 to 5 whole segments: on a
 # segment boundary, one step past one, or inside a segment.  Its horizon
@@ -530,32 +531,27 @@ def _window_lanes():
     return NormLanes(a=np.full(kind.size, -2.0), theta=theta), Z, P, Q, G, T0, T
 
 
-def test_lane_windows_equal_scalar_runs(monkeypatch):
-    _lane_windows_equal_scalar_runs(monkeypatch, 256)
+def test_lane_windows_equal_scalar_runs():
+    _lane_windows_equal_scalar_runs(256)
 
 
-def test_lane_windows_equal_scalar_runs_at_per_lane_steps(monkeypatch):
+def test_lane_windows_equal_scalar_runs_at_per_lane_steps():
     # every lane takes its own step h/64, given as an array, and equals its
     # single run at that step
-    _lane_windows_equal_scalar_runs(monkeypatch, 64)
+    _lane_windows_equal_scalar_runs(64)
 
 
-def _lane_windows_equal_scalar_runs(monkeypatch, n):
+def _lane_windows_equal_scalar_runs(n):
     lanes, Z, P, Q, G, T0, T = _window_lanes()
     h = lanes.delay
     step = None if n == 256 else h / n
-    runs = []
-    for slots in (1, 3, 64):
-        monkeypatch.setattr(ddesim, "_SLOTS", slots)
-        runs.append(
-            integrate(
-                lambda x, ids: np.where(x == Z[ids], P[ids], Q[ids] + G[ids] * x),
-                History.constant(Z),
-                lanes,
-                np.stack([T0 * h, T * h]),
-                step,
-            )
-        )
+    run = integrate(
+        lambda x, ids: np.where(x == Z[ids], P[ids], Q[ids] + G[ids] * x),
+        History.constant(Z),
+        lanes,
+        np.stack([T0 * h, T * h]),
+        step,
+    )
     seen = set()
     for j in range(len(Z)):
         p = NormParams(a=-2.0, theta=float(lanes.theta[j]))
@@ -564,7 +560,7 @@ def _lane_windows_equal_scalar_runs(monkeypatch, n):
             return np.where(x == Z[j], P[j], Q[j] + G[j] * x)
 
         one = integrate(w, History.constant(float(Z[j])), p, float(T[j] * p.delay), p.delay / n)
-        assert one.step == runs[0].step[j]
+        assert one.step == run.step[j]
         y = one.values
         start = ddesim._first_node_after(float(T0[j] * p.delay), one.step)
         im = start + int(np.argmin(y[start:]))
@@ -575,10 +571,9 @@ def _lane_windows_equal_scalar_runs(monkeypatch, n):
         further = integrate(w, History.constant(float(Z[j])), p, (last + 1) * one.step, one.step)
         assert len(further.values) == last + 2
         assert further.values[:-1].tobytes() == y.tobytes()
-        for run in runs:
-            assert stencil.tobytes() == run.values[:, j].tobytes(), j
-            assert dip.tobytes() == run.dip[j].tobytes(), j
-            assert further.values[-1].tobytes() == run.beyond[j].tobytes(), j
+        assert stencil.tobytes() == run.values[:, j].tobytes(), j
+        assert dip.tobytes() == run.dip[j].tobytes(), j
+        assert further.values[-1].tobytes() == run.beyond[j].tobytes(), j
         # a window that starts on a boundary starts at the last row of the
         # segment before it
         seen.add(("window starts in segment", (start - 1) // n))
@@ -606,30 +601,34 @@ def _lane_windows_equal_scalar_runs(monkeypatch, n):
     } <= seen
 
 
-def test_new_lanes_see_their_history_exactly(monkeypatch):
+def test_new_lanes_see_their_history_exactly():
     # this model tells the exact history value from its neighbours, so a
     # delayed midpoint interpolated from a constant column would show (the
-    # centered stencil turns 0.9 into its neighbour); lanes that start in
-    # refilled slots are checked too
+    # centered stencil turns 0.9 into its neighbour)
     def exact(x, z):
         return np.where(x == z, -1.0, 0.5)
 
-    run = _lane_run(monkeypatch, f=exact, b=_LANE_Z)
+    run = _lane_run(f=exact, b=_LANE_Z)
     for j in range(len(_LANE_T)):
         _one, dip = _one_dip(j, f=exact, b=_LANE_Z)
         assert dip.tobytes() == run.dip[j].tobytes()
 
 
-def test_lane_results_do_not_depend_on_slots(monkeypatch):
-    one_slot = _lane_run(monkeypatch, slots=1)
-    all_slots = _lane_run(monkeypatch, slots=64)
-    assert one_slot.values.tobytes() == all_slots.values.tobytes()
-    assert one_slot.dip.tobytes() == all_slots.dip.tobytes()
-    assert one_slot.rows > all_slots.rows
+def test_lane_results_do_not_depend_on_lane_order():
+    # lanes given in another order take other columns, and each keeps its
+    # bits; the lockstep marches whole blocks up to the longest lane's node
+    # past its horizon, however many lanes leave before it
+    run = _lane_run()
+    order = np.random.default_rng(3).permutation(len(_LANE_T))
+    shuffled = _lane_run(order=order)
+    for field in ("step", "values", "dip", "beyond"):
+        assert getattr(shuffled, field).T.tobytes() == getattr(run, field).T[order].tobytes()
+    block = ddesim._BLOCK * 256
+    assert run.rows == shuffled.rows == (np.ceil(_LANE_T.max() * 256) // block + 1) * block
 
 
 # lane 0 with x' = -x + 1e155 x(t - h) overflows in its second delay, mid-segment;
-# it has the shortest horizon, so on three slots it starts late
+# it has the shortest horizon, so it takes the last column
 _BLOWUP_B = np.r_[1e155, _LANE_B[1:]]
 
 
@@ -641,12 +640,12 @@ def _overflow_node() -> int:
     return node
 
 
-def test_lane_past_its_horizon_never_raises(monkeypatch):
+def test_lane_past_its_horizon_never_raises():
     # the horizon ends one node before the overflow, inside the segment the
-    # conveyor marches to its end
+    # lockstep marches to its end
     T = np.r_[(_overflow_node() - 1) / 256, _LANE_T[1:]]
     assert np.argsort(-np.ceil(T * 256), kind="stable")[-1] == 0
-    run = _lane_run(monkeypatch, f=_linear, b=_BLOWUP_B, T=T)
+    run = _lane_run(f=_linear, b=_BLOWUP_B, T=T)
     for j in range(len(T)):
         _one, dip = _one_dip(j, f=_linear, b=_BLOWUP_B, T=T)
         assert dip.tobytes() == run.dip[j].tobytes()
@@ -656,18 +655,18 @@ def _falling(x, b):
     return -b * np.abs(x)
 
 
-def test_lane_whose_past_horizon_node_overflows_gets_no_bound(monkeypatch):
+def test_lane_whose_past_horizon_node_overflows_gets_no_bound():
     # x' = -x - 1e155 |x(t - h)| from 0.3 falls for good, until its model
     # value overflows and the run drops to -inf.  With its horizon one node
     # before that, its lowest node is its last and its node past the horizon
-    # is -inf: the conveyor does not raise, and funcrr2's dip bound gives
+    # is -inf: the lockstep does not raise, and funcrr2's dip bound gives
     # the lane none, so it would march at h/256
     b = np.r_[1e155, np.abs(_LANE_B[1:])]
     with pytest.raises(IntegrationDiverged) as exc:
         _one_dip(0, f=_falling, b=b, T=np.full(8, 3.0))
     node = round(exc.value.t * 256 / NormParams(a=-2.0, theta=0.9).delay)
     T = np.r_[(node - 1) / 256, _LANE_T[1:]]
-    run = _lane_run(monkeypatch, f=_falling, b=b, T=T)
+    run = _lane_run(f=_falling, b=b, T=T)
     one, dip = _one_dip(0, f=_falling, b=b, T=T)
     assert np.argmin(one.values) == len(one.values) - 1 and np.isnan(run.values[2, 0])
     assert dip.tobytes() == run.dip[0].tobytes()
@@ -676,7 +675,7 @@ def test_lane_whose_past_horizon_node_overflows_gets_no_bound(monkeypatch):
     assert np.isnan(bound[0]) and np.all(np.isfinite(bound[1:]))
 
 
-def test_lane_dip_near_overflow_stays_finite(monkeypatch):
+def test_lane_dip_near_overflow_stays_finite():
     # x' = -x - 1e155 x(t - h) from 0.3 falls to -3e153 in its first delay
     # and climbs past 1e302 in its second.  With its horizon one node
     # before its overflow, its lowest node, the last of its first delay,
@@ -687,19 +686,19 @@ def test_lane_dip_near_overflow_stays_finite(monkeypatch):
         _one_dip(0, f=_linear, b=b, T=np.full(8, 3.0))
     node = round(exc.value.t * 256 / NormParams(a=-2.0, theta=0.9).delay)
     T = np.r_[(node - 1) / 256, _LANE_T[1:]]
-    run = _lane_run(monkeypatch, f=_linear, b=b, T=T)
+    run = _lane_run(f=_linear, b=b, T=T)
     ym, y0, yp = run.values[:, 0]
     assert ym > y0 > -1e154 and yp > 1e302
     assert np.isfinite(run.dip[0]) and run.dip[0] == pytest.approx(_vertex(ym, y0, yp), rel=1e-15)
 
 
-def test_lane_overflow_within_its_horizon_raises(monkeypatch):
-    # the conveyor reports the overflow at the lane's own time, as its run does
+def test_lane_overflow_within_its_horizon_raises():
+    # the lockstep reports the overflow at the lane's own time, as its run does
     T = np.r_[_overflow_node() / 256, _LANE_T[1:]]
     with pytest.raises(IntegrationDiverged) as one:
         _one_dip(0, f=_linear, b=_BLOWUP_B, T=T)
     with pytest.raises(IntegrationDiverged) as lanes:
-        _lane_run(monkeypatch, f=_linear, b=_BLOWUP_B, T=T)
+        _lane_run(f=_linear, b=_BLOWUP_B, T=T)
     assert lanes.value.t == one.value.t
 
 

@@ -75,24 +75,35 @@ def test_float_beta_at_a_large_slope():
 _DECADE_RTOL = 1e-11
 _DECADES = range(12)
 # beta's worst relative error at these points: 3.4e-10, 6.0e-8, 2.6e-4,
-# 0.43 and 657 in decades 1-5, and in decade 6 382 at a = -1.047e6, where
-# |theta/a| is still above _uncancelled's 2**-20.  Decade 0 reads 3.2e-13,
-# decades 7-11 at most 1.2e-13
-_CANCELLING = (1, 2, 3, 4, 5, 6)
+# 0.43 and 47 in decades 1-5.  From |a| = 2**18 on, _uncancelled's series
+# takes over where |theta/a| < 2**-19: decade 5 read 657 and decade 6 382
+# while it took over from 2**19 and 2**-20.  Decade 0 reads 3.2e-13,
+# decades 6-11 at most 1.2e-13
+_CANCELLING = (1, 2, 3, 4, 5)
+
+
+_IV80 = IVBackend(dps=80)
+
+
+@functools.cache
+def _decade_points(decade: int) -> list:
+    """The decade's 20 seeded points (a, theta)."""
+    rng = np.random.default_rng(1000 + decade)
+    out = []
+    for u, v in zip(rng.random(20).tolist(), rng.random(20).tolist()):
+        a = -(10.0 ** (decade + u))
+        low = sharp_boundary_theta(a)
+        out.append((a, low + (1.0 - low) * v))
+    return out
 
 
 @functools.cache
 def _decade_coeffs(decade: int) -> list:
     """(float alpha, float beta, alpha box, beta box) at each of the decade's points."""
-    rng = np.random.default_rng(1000 + decade)
-    iv = IVBackend(dps=80)
     out = []
-    for u, v in zip(rng.random(20).tolist(), rng.random(20).tolist()):
-        a = -(10.0 ** (decade + u))
-        low = sharp_boundary_theta(a)
-        theta = low + (1.0 - low) * v
+    for a, theta in _decade_points(decade):
         _, alpha, beta, _ = coeffs_generic(a, theta)
-        _, alpha_box, beta_box, _ = coeffs_generic(a, theta, iv)
+        _, alpha_box, beta_box, _ = coeffs_generic(a, theta, _IV80)
         out.append((alpha, beta, alpha_box, beta_box))
     return out
 
@@ -124,3 +135,73 @@ def test_float_coeffs_within_iv_by_decade(decade):
     for alpha, beta, alpha_box, beta_box in _decade_coeffs(decade):
         assert _off_by(alpha, alpha_box) <= _DECADE_RTOL, (alpha, alpha_box)
         assert _off_by(beta, beta_box) <= _DECADE_RTOL, (beta, beta_box)
+
+
+# The six other generic formulas at the same points, each fed the same
+# float inputs on FLOAT and on the 80-digit IV, the float alpha and beta
+# among them, so each formula's own rounding is measured: psi_inv at
+# y = (1 - theta)*a*x/(1 + x), schwarz_margin's argument; j at r on the
+# jcal grids' axis; the polynomials at leleka's r axis, its ends a and
+# a_star and its middle.  Each bound is stated in its formula's docstring
+_X_PSI = (-0.9, 3.0)
+_R_JS = (-0.2, 0.3, 5.0)
+_FORMULA_RTOL = {
+    "psi_inv": 1e-15,
+    "j": 1e-14,
+    "mn_polys": 1e-13,
+    "q_poly": 1e-9,
+    "s_poly": 1e-11,
+    "t_chain": 1e-13,
+}
+# mn_polys' N reads up to 1e-6 relative at r = a_star: theta near 1 puts
+# a_star near theta/(1 - theta), where N's four complex roots close in, and
+# the expanded form cancels.  At r = a and the middle M and N read at most
+# 5e-15, and M at most 4.8e-14 at a_star
+_N_CANCELS = "ROADMAP item 20: N's expanded form cancels where its four roots close in"
+
+
+def _formula_values(a: float, theta: float, mx) -> dict:
+    """The six formulas' values at (a, theta) on backend mx, by formula."""
+    _, alpha, beta, a_star = coeffs_generic(a, theta)
+    ys = [(1.0 - theta) * a * x / (1.0 + x) for x in _X_PSI]
+    rs = (a, 0.5 * (a + a_star), a_star)
+    pack = {"alpha": alpha, "beta": beta}
+    return {
+        "psi_inv": [psi_inv_generic(y, a, theta, mx) for y in ys],
+        "j": [j_generic(r, a, theta, mx) for r in _R_JS],
+        "mn_polys": [v for r in rs for v in mn_polys_generic(r, a, theta, mx)],
+        "q_poly": [q_poly_generic(r, a, theta, mx, **pack) for r in rs],
+        "s_poly": [s_poly_generic(r, a, theta, mx, **pack) for r in rs],
+        "t_chain": list(t_chain_generic(a, theta, mx, alpha=alpha)),
+    }
+
+
+@functools.cache
+def _decade_errors(decade: int) -> dict:
+    """Each formula's largest relative distance from its enclosure over the
+    decade's points and inputs."""
+    worst = dict.fromkeys(_FORMULA_RTOL, 0.0)
+    for a, theta in _decade_points(decade):
+        floats, boxes = (_formula_values(a, theta, mx) for mx in (FLOAT, _IV80))
+        for name, values in floats.items():
+            off = max(_off_by(float(v), box) for v, box in zip(values, boxes[name]))
+            worst[name] = max(worst[name], off)
+    return worst
+
+
+@pytest.mark.parametrize("decade", _DECADES)
+@pytest.mark.parametrize(
+    "formula",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_N_CANCELS),
+        )
+        if name == "mn_polys"
+        else name
+        for name in _FORMULA_RTOL
+    ],
+)
+def test_float_formulas_within_iv_by_decade(formula, decade):
+    off = _decade_errors(decade)[formula]
+    assert off <= _FORMULA_RTOL[formula], off

@@ -632,6 +632,32 @@ def test_funcrr2_coarse_bound_holds_at_h_over_1024():
     assert np.all(np.abs(margin - fine) <= bound)
 
 
+# sha256 of funcrr2's LaneDips fields (step, values, dip, beyond) at
+# resolution 256: every lane marched at h/8 and at h/16, and its lowest
+# lane, the one the sweep marches at h/256.  Each lane's bits are its own
+# single run's, so no way of marching lanes together may move them
+_FUNCRR2_MARCH_DIGESTS = {
+    8: "5860484a9bf61551ed662c3e051b64e2ff52291be0715dcfa1dfb65205f656ed",
+    16: "a0a91b18eb45f69dcb77f717c572ffdb0d8f98768e604d0ed1473e840c4fe6c9",
+    256: "64f075fe643c381fb8bcabae94b8188858c687c093f049ad52f2578ebdbedf8c",
+}
+
+
+def test_funcrr2_marches_keep_their_bits():
+    # the coarse marches take the longest lane's own rows, whole blocks up
+    # to its node past the horizon
+    grid = verify._gen_funcrr2(256)[1]
+    march = verify._funcrr2_runs(grid)
+    margin, _bound, finer = _coarse_margins(grid)
+    runs = {8: march(8), 16: finer, 256: march(rows=np.array([int(np.argmin(margin))]))}
+    for n, run in runs.items():
+        digest = hashlib.sha256()
+        for field in (run.step, run.values, run.dip, run.beyond):
+            digest.update(field.tobytes())
+        assert digest.hexdigest() == _FUNCRR2_MARCH_DIGESTS[n], n
+    assert [run.rows for run in runs.values()] == [512, 1024, 1024]
+
+
 def test_dip_bound_covers_a_turn_within_the_last_step():
     # a run whose last node is its lowest turns within its last step: on
     # y = (t - 0.55)^2 at t = 0, 1, 2 (left, low and the node past the
